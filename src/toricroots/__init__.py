@@ -12,6 +12,7 @@ from .errors import (
     DegeneratePolytope,
     DimensionMismatch,
     InfiniteRoots,
+    InternalError,
     InvalidFan,
     InvalidPolytope,
     NoWitness,

@@ -6,7 +6,8 @@ one analysis, and prints a deterministic report. Reports are JSON by default
 the 53-bit range are serialized as decimal strings.
 
 Exit codes: 0 success, 1 "answer is no" for decision commands under
-``--strict``, 2 invalid input.
+``--strict``, 2 invalid input, 3 internal error (a consistency check inside
+the library failed; never expected, reported with ``status: "internal"``).
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import json
 import sys
 
 from . import additive, cox, demazure, fan as fans, polytope as polytopes
-from .errors import InvalidFan, ToricError
+from .errors import InternalError, InvalidFan, ToricError
 
 _INT_LIMIT = 2 ** 53
 
@@ -301,8 +302,8 @@ def _cmd_pairs(args) -> int:
 def _cmd_polytope(args) -> int:
     poly, digest = _load_polytope(args.file)
     if args.action == "check":
-        witness = polytopes.inscribed_in_rectangle(poly)
         report = polytopes.check_polytope_theorem(poly)
+        witness = report.witness
         result = {
             "inscribed": report.inscribed,
             "fan_admits": report.fan_admits,
@@ -433,22 +434,26 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    status, code = "invalid", 2
     try:
         return args.func(args)
     except (InvalidFan,) as exc:
         error = {"type": type(exc).__name__, "message": str(exc),
                  "violations": exc.violations}
+    except InternalError as exc:
+        error = {"type": type(exc).__name__, "message": str(exc)}
+        status, code = "internal", 3
     except (ToricError, OSError, ValueError) as exc:
         error = {"type": type(exc).__name__, "message": str(exc)}
     envelope = {"command": args.command, "input": None, "result": None,
-                "error": error, "status": "invalid", "exit_code": 2}
+                "error": error, "status": status, "exit_code": code}
     if args.format == "json":
         sys.stdout.write(_dumps(envelope))
     else:
         sys.stdout.write(f"error: {error['message']}\n")
         for v in error.get("violations", []):
             sys.stdout.write(f"violation: {v}\n")
-    return 2
+    return code
 
 
 def run() -> None:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from . import lattice
-from .errors import InvalidFan
+from .errors import InternalError, InvalidFan
 from .fan import Cone, Fan, _minimal_rays
 from .lattice import UNBOUNDED, Constraint, Vec, dot, primitive
 
@@ -124,7 +124,8 @@ def roots_for_ray(fan: Fan, ray: int, bound: int | None = None) -> RayRoots:
             system.append(Constraint(u, ">=", -bound))
             system.append(Constraint(tuple(-x for x in u), ">=", -bound))
         points = lattice.lattice_points(system, fan.dim)
-        assert points is not UNBOUNDED
+        if points is UNBOUNDED:
+            raise InternalError(f"root polyhedron of ray {ray} is unbounded inside a box")
     roots = tuple(DemazureRoot(e, ray, pairing_row(fan, e))
                   for e in points if satisfies_condition2(fan, e, ray))
     return RayRoots(ray, status, roots, bound if status == "truncated" else None)

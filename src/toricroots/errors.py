@@ -5,6 +5,14 @@ class ToricError(Exception):
     """Base class for all errors raised by this package."""
 
 
+class InternalError(ToricError):
+    """A consistency check inside the library failed.
+
+    Never expected on any input; the CLI reports it with exit code 3, apart
+    from invalid input (exit code 2).
+    """
+
+
 class ZeroVector(ToricError):
     pass
 

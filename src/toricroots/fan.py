@@ -18,6 +18,7 @@ from . import lattice
 from .errors import (
     BadParams,
     DimensionMismatch,
+    InternalError,
     InvalidFan,
     NotStronglyConvex,
     NotUnimodular,
@@ -96,63 +97,25 @@ class Fan:
 def _dual_description(gens: tuple[Vec, ...], dim: int) -> tuple[tuple[Vec, ...], tuple[Vec, ...]]:
     """(inequalities, equations) cutting out cone(gens), exactly.
 
-    Candidate facet normals come from kernels of (d-1)-subsets of the
-    generators inside the saturated span (d = rank); span equations are a
-    kernel basis of the generator matrix. Works for non-pointed cones too.
+    The facet normals are the extreme rays of the dual cone, found by the
+    double description. For a cone of lower dimension d, the Smith form V
+    of the generator matrix gives coordinates on the saturated span (its
+    first d columns) to find them in, and the span equations (the rest).
+    Works for non-pointed cones too.
     """
     if not gens:
         return (), _canonical_rows(lattice.identity(dim))
-    a = tuple(gens)
-    _, d_mat, v = lattice.smith_normal_form(a)
-    r = min(len(a), dim)
-    d = sum(1 for j in range(r) if d_mat[j][j] != 0)
+    normals = lattice.dual_rays(gens, dim)
+    if normals is not None:  # full-dimensional: no change of coordinates
+        return normals, ()
+    _, d_mat, v = lattice.smith_normal_form(gens)
+    d = sum(1 for j in range(min(len(gens), dim)) if d_mat[j][j] != 0)
     cols = lattice.transpose(v)
-    equations = _canonical_rows(cols[j] for j in range(d, dim))
-
-    if d == dim:
-        coords = list(gens)
-
-        def lift(w: Vec) -> Vec:
-            return w
-    else:
-        def coord(g: Vec) -> Vec:
-            img = tuple(dot(g, col) for col in cols)  # g * V
-            return img[:d]
-
-        coords = [coord(g) for g in gens]
-
-        def lift(w: Vec) -> Vec:
-            return tuple(sum(v[t][j] * w[j] for j in range(d)) for t in range(dim))
-
-    prim = []
-    seen = set()
-    for c in coords:
-        if is_zero(c):
-            continue
-        p = primitive(c)
-        if p not in seen:
-            seen.add(p)
-            prim.append(p)
-
-    normals: set[Vec] = set()
-    if d == 1:
-        signs = {1 if c[0] > 0 else -1 for c in prim}
-        if len(signs) == 1:
-            normals.add((signs.pop(),))
-    else:
-        for subset in combinations(prim, d - 1):
-            ker = lattice.kernel_basis(subset, d)
-            if len(ker) != 1:
-                continue
-            u = ker[0]
-            vals = [dot(c, u) for c in coords]
-            if all(x >= 0 for x in vals):
-                normals.add(primitive(u))
-            elif all(x <= 0 for x in vals):
-                normals.add(primitive(neg(u)))
-
-    inequalities = tuple(sorted(lift(w) for w in normals))
-    return inequalities, equations
+    coords = [tuple(dot(g, col) for col in cols[:d]) for g in gens]
+    normals = lattice.dual_rays(coords, d)
+    inequalities = tuple(sorted(tuple(sum(v[t][j] * w[j] for j in range(d)) for t in range(dim))
+                                for w in normals))
+    return inequalities, _canonical_rows(cols[d:])
 
 
 def _canonical_rows(rows) -> tuple[Vec, ...]:
@@ -213,27 +176,11 @@ def _cone_face_sets(cone: Cone, rays: tuple[Vec, ...]) -> tuple[tuple[int, ...],
     return tuple(sorted(found, key=lambda s: (len(s), s)))
 
 
-def _intersection_rays(c1: Cone, c2: Cone, dim: int) -> tuple[Vec, ...]:
-    """Primitive extreme rays of the intersection of two pointed cones."""
-    ineqs = tuple(dict.fromkeys(c1.inequalities + c2.inequalities))
-    eqs = tuple(dict.fromkeys(c1.equations + c2.equations))
-    base = lattice.rank(eqs, dim) if eqs else 0
-    want = dim - 1 - base
-    if want < 0:
-        return ()
-    out = set()
-    for subset in combinations(ineqs, want):
-        rows = eqs + subset
-        if lattice.rank(rows, dim) != dim - 1:
-            continue
-        ker = lattice.kernel_basis(rows, dim)
-        if len(ker) != 1:
-            continue
-        for u in (ker[0], neg(ker[0])):
-            if all(dot(a, u) >= 0 for a in ineqs) and all(dot(a, u) == 0 for a in eqs):
-                out.add(primitive(u))
-                break
-    return tuple(sorted(out))
+def _intersection_rays(gens: tuple[Vec, ...], c1: Cone, c2: Cone) -> tuple[Vec, ...]:
+    """Primitive extreme rays of the intersection of two pointed cones:
+    c1's rays `gens` cut by c2's inequalities and by its equations in both signs."""
+    cuts = c2.inequalities + c2.equations + tuple(neg(e) for e in c2.equations)
+    return lattice.cut_cone(gens, c1.inequalities, cuts)
 
 
 # ---------------------------------------------------------------------------
@@ -250,12 +197,12 @@ def _make_cone(idx: tuple[int, ...], rays: tuple[Vec, ...], dim: int) -> Cone:
 def validate_fan(dim, rays, max_cones, allow_nonprimitive: bool = False) -> list[str]:
     """Check fan data; return a list of human-readable violations (empty = ok)."""
     violations: list[str] = []
-    try:
-        dim = int(dim)
-    except (TypeError, ValueError):
+    if not lattice.is_integer(dim):
         return ["dim must be an integer"]
     if dim < 1:
         return ["dim must be positive"]
+    if not isinstance(max_cones, (list, tuple)):
+        return ["max_cones must be a list"]
     try:
         rays = tuple(vec(r) for r in rays)
     except TypeError as exc:
@@ -277,8 +224,8 @@ def validate_fan(dim, rays, max_cones, allow_nonprimitive: bool = False) -> list
     cones = []
     for k, c in enumerate(max_cones):
         try:
-            idx = tuple(sorted(set(int(i) for i in c)))
-        except (TypeError, ValueError):
+            idx = tuple(sorted(set(vec(c))))
+        except TypeError:
             violations.append(f"maximal cone {k} has non-integer ray indices")
             continue
         if any(i < 0 or i >= len(rays) for i in idx):
@@ -309,15 +256,11 @@ def validate_fan(dim, rays, max_cones, allow_nonprimitive: bool = False) -> list
         return violations
 
     prim_index = {primitive(r): i for i, r in enumerate(rays)}
-    face_sets = {}
-    for idx in cones:
-        cone = Cone(idx, *descs[idx], dim=0)  # dim unused for face scan
-        face_sets[idx] = set(_cone_face_sets(cone, rays))
-    for ia, ib in combinations(range(len(cones)), 2):
-        a, b = cones[ia], cones[ib]
-        ca = Cone(a, *descs[a], dim=0)
-        cb = Cone(b, *descs[b], dim=0)
-        meet = _intersection_rays(ca, cb, dim)
+    cone_of = {idx: Cone(idx, *descs[idx], dim=0) for idx in cones}  # dim unused here
+    face_sets = {idx: set(_cone_face_sets(c, rays)) for idx, c in cone_of.items()}
+    for a, b in combinations(cones, 2):
+        gens = tuple(sorted({prims[i] for i in a}))
+        meet = _intersection_rays(gens, cone_of[a], cone_of[b])
         try:
             meet_idx = tuple(sorted(prim_index[r] for r in meet))
         except KeyError:
@@ -338,9 +281,8 @@ def build_fan(dim, rays, max_cones, allow_nonprimitive: bool = False) -> Fan:
     violations = validate_fan(dim, rays, max_cones, allow_nonprimitive)
     if violations:
         raise InvalidFan(violations)
-    dim = int(dim)
     rays = tuple(vec(r) for r in rays)
-    idx_sets = sorted(tuple(sorted(set(int(i) for i in c))) for c in max_cones)
+    idx_sets = sorted(tuple(sorted(set(c))) for c in max_cones)
     if not idx_sets:
         idx_sets = [()]
     maxc = tuple(_make_cone(idx, rays, dim) for idx in idx_sets)
@@ -392,7 +334,8 @@ def is_complete(fan: Fan) -> bool:
         v = tuple(rng.randint(-9, 9) for _ in range(fan.dim))
         if is_zero(v):
             continue
-        assert fan.contains_point(v), f"complete fan fails to cover direction {v}"
+        if not fan.contains_point(v):
+            raise InternalError(f"complete fan fails to cover direction {v}")
     return True
 
 

@@ -1,18 +1,19 @@
 """Exact integer linear algebra and lattice-point enumeration.
 
 Vectors are tuples of Python ints and matrices are tuples of row vectors.
-Where division is unavoidable the intermediates are ``fractions.Fraction``;
-no floating point is used anywhere in this package.
+Every computation is done in integers: elimination is fraction-free
+(Bareiss, Hermite, Smith) and cones are converted between their ray and
+inequality descriptions by an integer double-description kernel. No
+floating point or rational number is used anywhere in this package.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .errors import NotSquare, NotUnimodular, ZeroVector
+from .errors import InternalError, NotSquare, NotUnimodular, ZeroVector
 
 Vec = tuple[int, ...]
 Mat = tuple[Vec, ...]
@@ -22,14 +23,18 @@ Mat = tuple[Vec, ...]
 # vectors
 
 
+def is_integer(x) -> bool:
+    """True for an int that is not a bool: what the strict readers accept."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def vec(coords: Iterable[int]) -> Vec:
     """Coerce an iterable to a tuple of ints, rejecting non-integers."""
-    out = []
-    for c in coords:
-        if isinstance(c, bool) or not isinstance(c, int):
+    out = tuple(coords)
+    for c in out:
+        if not is_integer(c):
             raise TypeError(f"integer coordinate expected, got {c!r}")
-        out.append(c)
-    return tuple(out)
+    return out
 
 
 def dot(u: Vec, v: Vec) -> int:
@@ -96,77 +101,63 @@ def mat_mul(a: Mat, b: Mat) -> Mat:
     return tuple(tuple(dot(row, col) for col in bt) for row in a)
 
 
+def _bareiss(rows: Sequence[Vec], width: int) -> tuple[int, int]:
+    """Fraction-free (Bareiss) forward elimination of the rows.
+
+    Returns (rank, last pivot signed by the row swaps). Every intermediate
+    entry is a minor of the input, so each division is exact; for a square
+    matrix of full rank the second value is its determinant.
+    """
+    a = [list(row) for row in rows]
+    r, sign, prev = 0, 1, 1
+    for col in range(width):
+        piv = next((i for i in range(r, len(a)) if a[i][col] != 0), None)
+        if piv is None:
+            continue
+        if piv != r:
+            a[r], a[piv] = a[piv], a[r]
+            sign = -sign
+        p = a[r][col]
+        for i in range(r + 1, len(a)):
+            f = a[i][col]
+            a[i] = [(x * p - f * y) // prev for x, y in zip(a[i], a[r])]
+        prev, r = p, r + 1
+        if r == len(a):
+            break
+    return r, sign * prev
+
+
 def determinant(m: Mat) -> int:
     """Exact determinant by fraction-free (Bareiss) elimination."""
     n = len(m)
     if any(len(row) != n for row in m):
         raise NotSquare(f"matrix is {len(m)}x{len(m[0]) if m else 0}, not square")
-    if n == 0:
-        return 1
-    a = [list(row) for row in m]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
+    r, d = _bareiss(m, n)
+    return d if r == n else 0
 
 
 def rank(rows: Sequence[Vec], width: int | None = None) -> int:
-    """Rank over Q, by exact rational elimination."""
+    """Rank over Q, by fraction-free (Bareiss) elimination."""
     rows = list(rows)
     if width is None:
         if not rows:
             raise ValueError("rank of an empty matrix needs an explicit width")
         width = len(rows[0])
-    work = [[Fraction(x) for x in row] for row in rows]
-    r = 0
-    for col in range(width):
-        piv = next((i for i in range(r, len(work)) if work[i][col] != 0), None)
-        if piv is None:
-            continue
-        work[r], work[piv] = work[piv], work[r]
-        pv = work[r][col]
-        for i in range(len(work)):
-            if i != r and work[i][col] != 0:
-                f = work[i][col] / pv
-                work[i] = [x - f * y for x, y in zip(work[i], work[r])]
-        r += 1
-        if r == len(work):
-            break
-    return r
+    return _bareiss(rows, width)[0]
 
 
 def invert_unimodular(m: Mat) -> Mat:
-    """Inverse of a matrix with determinant +-1; exact and integral."""
-    n = len(m)
+    """Inverse of a matrix with determinant +-1; exact and integral.
+
+    The Hermite form of [m | I] is [I | m^-1]: its left block is echelon with
+    positive pivots of product |det m| = 1, each reduced above.
+    """
     d = determinant(m)
     if abs(d) != 1:
         raise NotUnimodular(f"determinant is {d}, expected +-1")
-    work = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-            for i, row in enumerate(m)]
-    for col in range(n):
-        piv = next(i for i in range(col, n) if work[i][col] != 0)
-        work[col], work[piv] = work[piv], work[col]
-        pv = work[col][col]
-        work[col] = [x / pv for x in work[col]]
-        for i in range(n):
-            if i != col and work[i][col] != 0:
-                f = work[i][col]
-                work[i] = [x - f * y for x, y in zip(work[i], work[col])]
-    inv = tuple(tuple(int(x) for x in row[n:]) for row in work)
-    return inv
+    n = len(m)
+    h = hermite_row_form(tuple(tuple(row) + e for row, e in zip(m, identity(n))))
+    return tuple(row[n:] for row in h)
 
 
 def dual_basis(basis: Sequence[Vec]) -> Mat:
@@ -323,6 +314,72 @@ def hermite_column_form(m: Mat) -> Mat:
 
 
 # ---------------------------------------------------------------------------
+# cones: the double description
+
+
+def cut_cone(rays: Sequence[Vec], rows: Sequence[Vec], cuts: Iterable[Vec]) -> tuple[Vec, ...]:
+    """Primitive extreme rays of {x in C : <c, x> >= 0 for every cut c}, sorted.
+
+    Motzkin's double description method: `rays` are the primitive extreme
+    rays of a pointed cone C, and `rows` inequalities that cut C out within
+    its span. The cuts are applied one at a time. Two rays of the current
+    cone are adjacent iff no third ray is tight on every row tight on both
+    (exact, as every row so far is kept); each adjacent pair on opposite
+    sides of the cut yields the ray where their edge crosses it.
+    """
+    rays, rows = list(rays), list(rows)
+    # bit k of tight[i] is set iff rows[k] vanishes on rays[i]
+    tight = [sum(1 << k for k, a in enumerate(rows) if dot(a, r) == 0) for r in rays]
+    for c in cuts:
+        bit = 1 << len(rows)
+        rows.append(c)
+        vals = [dot(c, r) for r in rays]
+        new_rays, new_tight = [], []
+        for i, vi in enumerate(vals):
+            if vi <= 0:
+                continue
+            for j, vj in enumerate(vals):
+                if vj >= 0:
+                    continue
+                common = tight[i] & tight[j]
+                if any(common & t == common for k, t in enumerate(tight) if k != i and k != j):
+                    continue
+                new_rays.append(primitive(tuple(vi * y - vj * x for x, y in zip(rays[i], rays[j]))))
+                new_tight.append(common | bit)
+        keep = [i for i, v in enumerate(vals) if v >= 0]
+        rays = [rays[i] for i in keep] + new_rays
+        tight = [tight[i] | (bit if vals[i] == 0 else 0) for i in keep] + new_tight
+    return tuple(sorted(rays))
+
+
+def dual_rays(rows: Sequence[Vec], width: int) -> tuple[Vec, ...] | None:
+    """Primitive extreme rays of {x : <a, x> >= 0 for every row a}, sorted, or
+    None when the rows do not span Q^width (the cone then contains a line).
+
+    The first `width` independent rows bound a simplicial cone, whose rays
+    are the columns of the adjugate of those rows (cofactor vectors, each
+    orthogonal to all rows but one); :func:`cut_cone` cuts it with the rest.
+    """
+    basis: list[Vec] = []
+    rest: list[Vec] = []
+    for a in rows:
+        if len(basis) < width and rank(basis + [a], width) > len(basis):
+            basis.append(a)
+        else:
+            rest.append(a)
+    if len(basis) < width:
+        return None
+    sign = 1 if determinant(basis) > 0 else -1
+    start = []
+    for k in range(width):
+        minor = basis[:k] + basis[k + 1:]
+        u = tuple((-1) ** (k + t) * determinant([r[:t] + r[t + 1:] for r in minor])
+                  for t in range(width))
+        start.append(primitive(u if sign > 0 else neg(u)))
+    return cut_cone(start, basis, rest)
+
+
+# ---------------------------------------------------------------------------
 # lattice-point enumeration
 
 
@@ -400,27 +457,9 @@ def _eliminate(ineqs: Sequence[_Ineq], k: int) -> list[_Ineq]:
 
 
 def trivial_homogeneous_cone(ineqs: Sequence[Vec], dim: int) -> bool:
-    """True iff {x : a.x >= 0 for all a} is exactly {0}.
-
-    Decided coordinate by coordinate: project onto each axis by eliminating
-    the other variables and check the axis is pinned to 0 from both sides.
-    """
-    rows: list[_Ineq] = []
-    for a in ineqs:
-        a = tuple(a)
-        if not is_zero(a):
-            g = content(a)
-            rows.append((tuple(c // g for c in a), 0))
-    for i in range(dim):
-        cur = rows
-        for j in range(dim):
-            if j != i:
-                cur = _eliminate(cur, j)
-        has_pos = any(a[i] > 0 for a, _ in cur)
-        has_neg = any(a[i] < 0 for a, _ in cur)
-        if not (has_pos and has_neg):
-            return False
-    return True
+    """True iff {x : a.x >= 0 for all a} is exactly {0}: the rows have rank
+    dim and the double description leaves no ray."""
+    return dual_rays(ineqs, dim) == ()
 
 
 def _ceil_div(p: int, q: int) -> int:
@@ -468,7 +507,7 @@ def lattice_points(constraints: Sequence[Constraint], dim: int):
                 cand = _floor_div(b - partial, coeff)
                 hi = cand if hi is None else min(hi, cand)
         if lo is None or hi is None:
-            raise AssertionError("unbounded slice inside a bounded polyhedron")
+            raise InternalError("unbounded slice inside a bounded polyhedron")
         for x in range(lo, hi + 1):
             point[k] = x
             if k + 1 == dim:

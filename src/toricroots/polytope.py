@@ -7,9 +7,7 @@ the inner normals of the facets through it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache
-from itertools import combinations
+from dataclasses import dataclass, field
 
 from . import lattice
 from .errors import BadParams, DegeneratePolytope, InvalidPolytope
@@ -25,22 +23,16 @@ class FacetInequality:
     rhs: int
 
 
-def _hull_facets(points: tuple[Vec, ...], dim: int) -> tuple[FacetInequality, ...]:
-    """Facets of conv(points) by scanning dim-subsets for supporting hyperplanes."""
-    found = set()
-    for subset in combinations(points, dim):
-        diffs = tuple(sub(q, subset[0]) for q in subset[1:])
-        kernel = lattice.kernel_basis(diffs, dim)
-        if len(kernel) != 1:
-            continue  # affinely dependent subset: no unique hyperplane
-        u = primitive(kernel[0])
-        a = dot(u, subset[0])
-        vals = [dot(u, q) - a for q in points]
-        if all(v <= 0 for v in vals):
-            found.add((u, a))
-        elif all(v >= 0 for v in vals):
-            found.add((neg(u), -a))
-    return tuple(FacetInequality(u, a) for u, a in sorted(found))
+def _hull_facets(points: tuple[Vec, ...], dim: int) -> tuple[FacetInequality, ...] | None:
+    """Facets of conv(points), or None when the points are not full-dimensional.
+
+    The facet <p, x> <= a is the extreme ray (-p, a) of the cone dual to the
+    cone over the lifted points (v, 1).
+    """
+    rays = lattice.dual_rays([v + (1,) for v in points], dim + 1)
+    if rays is None:
+        return None
+    return tuple(FacetInequality(u, a) for u, a in sorted((neg(r[:dim]), r[dim]) for r in rays))
 
 
 @dataclass(frozen=True)
@@ -53,6 +45,10 @@ class LatticePolytope:
 
     dim: int
     vertices: tuple[Vec, ...]
+    # derived on construction: the facets, and per vertex the indices of
+    # the facets through it
+    _facets: tuple[FacetInequality, ...] = field(init=False, repr=False, compare=False)
+    _tight: dict[Vec, tuple[int, ...]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.dim < 1:
@@ -63,27 +59,26 @@ class LatticePolytope:
         if len(set(pts)) != len(pts):
             raise InvalidPolytope("vertices are not pairwise distinct")
         pts = tuple(sorted(pts))
-        object.__setattr__(self, "vertices", pts)
-        diffs = [sub(v, pts[0]) for v in pts[1:]]
-        if lattice.rank(diffs, self.dim) != self.dim:
-            raise DegeneratePolytope("polytope is not full-dimensional")
         fs = _hull_facets(pts, self.dim)
+        if fs is None:
+            raise DegeneratePolytope("polytope is not full-dimensional")
+        tight = {v: tuple(k for k, f in enumerate(fs) if dot(f.normal, v) == f.rhs) for v in pts}
         for v in pts:
-            tight = [f.normal for f in fs if dot(f.normal, v) == f.rhs]
-            if lattice.rank(tight, self.dim) != self.dim:
+            if lattice.rank([fs[k].normal for k in tight[v]], self.dim) != self.dim:
                 raise InvalidPolytope(f"listed point {list(v)} is not a vertex")
+        object.__setattr__(self, "vertices", pts)
+        object.__setattr__(self, "_facets", fs)
+        object.__setattr__(self, "_tight", tight)
 
 
 def facets(p: LatticePolytope) -> tuple[FacetInequality, ...]:
     """All facet inequalities, in lexicographic order on the normals."""
-    return _hull_facets(p.vertices, p.dim)
+    return p._facets
 
 
-@lru_cache(maxsize=None)
 def _tight_facets(p: LatticePolytope) -> dict[Vec, tuple[int, ...]]:
-    fs = facets(p)
-    return {v: tuple(k for k, f in enumerate(fs) if dot(f.normal, v) == f.rhs)
-            for v in p.vertices}
+    """Per vertex, the indices in facets(p) of the facets through it."""
+    return p._tight
 
 
 def edge_directions_at(p: LatticePolytope, v: Vec) -> tuple[Vec, ...]:
@@ -157,15 +152,19 @@ def scale(p: LatticePolytope, k: int) -> LatticePolytope:
 class PolytopeTheoremReport:
     inscribed: bool
     fan_admits: bool
+    witness: RectangleWitness | None
 
 
 def check_polytope_theorem(p: LatticePolytope) -> PolytopeTheoremReport:
-    """Both sides of the polytope criterion; they must agree."""
+    """Both sides of the polytope criterion, and the rectangle witness if any;
+    the two sides must agree."""
     from .additive import admits_additive
 
+    witness = inscribed_in_rectangle(p)
     return PolytopeTheoremReport(
-        inscribed=inscribed_in_rectangle(p) is not None,
+        inscribed=witness is not None,
         fan_admits=admits_additive(normal_fan(p)).admits,
+        witness=witness,
     )
 
 
@@ -241,9 +240,10 @@ def polytope_from_json_dict(data: dict) -> LatticePolytope:
     missing = {"dim", "vertices"} - set(data)
     if missing:
         raise InvalidPolytope(f"polytope JSON lacks keys {sorted(missing)}")
+    if not lattice.is_integer(data["dim"]):
+        raise InvalidPolytope(f"bad polytope data: dim must be an integer, got {data['dim']!r}")
     try:
-        dim = int(data["dim"])
         vertices = tuple(vec(v) for v in data["vertices"])
-    except (TypeError, ValueError) as exc:
+    except TypeError as exc:
         raise InvalidPolytope(f"bad polytope data: {exc}") from None
-    return LatticePolytope(dim, vertices)
+    return LatticePolytope(data["dim"], vertices)

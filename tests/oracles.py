@@ -1,0 +1,171 @@
+"""Reference implementations kept as test oracles.
+
+These are the brute-force subset scans and the rational-arithmetic rank
+that the double-description kernel and the fraction-free elimination in
+``toricroots.lattice`` replaced. The code is kept as it was; only the module
+references differ, and every rank inside the scans is the ``Fraction`` rank
+below, so the oracles share no elimination code with what they check.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from itertools import combinations
+from typing import Sequence
+
+from toricroots import lattice
+from toricroots.fan import Cone, _canonical_rows
+from toricroots.lattice import Vec, _eliminate, content, dot, is_zero, neg, primitive, sub
+from toricroots.polytope import FacetInequality
+
+
+def rank(rows: Sequence[Vec], width: int | None = None) -> int:
+    """Rank over Q, by exact rational elimination."""
+    rows = list(rows)
+    if width is None:
+        if not rows:
+            raise ValueError("rank of an empty matrix needs an explicit width")
+        width = len(rows[0])
+    work = [[Fraction(x) for x in row] for row in rows]
+    r = 0
+    for col in range(width):
+        piv = next((i for i in range(r, len(work)) if work[i][col] != 0), None)
+        if piv is None:
+            continue
+        work[r], work[piv] = work[piv], work[r]
+        pv = work[r][col]
+        for i in range(len(work)):
+            if i != r and work[i][col] != 0:
+                f = work[i][col] / pv
+                work[i] = [x - f * y for x, y in zip(work[i], work[r])]
+        r += 1
+        if r == len(work):
+            break
+    return r
+
+
+def trivial_homogeneous_cone(ineqs: Sequence[Vec], dim: int) -> bool:
+    """True iff {x : a.x >= 0 for all a} is exactly {0}.
+
+    Decided coordinate by coordinate: project onto each axis by eliminating
+    the other variables and check the axis is pinned to 0 from both sides.
+    """
+    rows = []
+    for a in ineqs:
+        a = tuple(a)
+        if not is_zero(a):
+            g = content(a)
+            rows.append((tuple(c // g for c in a), 0))
+    for i in range(dim):
+        cur = rows
+        for j in range(dim):
+            if j != i:
+                cur = _eliminate(cur, j)
+        has_pos = any(a[i] > 0 for a, _ in cur)
+        has_neg = any(a[i] < 0 for a, _ in cur)
+        if not (has_pos and has_neg):
+            return False
+    return True
+
+
+def dual_description(gens: tuple[Vec, ...], dim: int) -> tuple[tuple[Vec, ...], tuple[Vec, ...]]:
+    """(inequalities, equations) cutting out cone(gens), exactly.
+
+    Candidate facet normals come from kernels of (d-1)-subsets of the
+    generators inside the saturated span (d = rank); span equations are a
+    kernel basis of the generator matrix. Works for non-pointed cones too.
+    """
+    if not gens:
+        return (), _canonical_rows(lattice.identity(dim))
+    a = tuple(gens)
+    _, d_mat, v = lattice.smith_normal_form(a)
+    r = min(len(a), dim)
+    d = sum(1 for j in range(r) if d_mat[j][j] != 0)
+    cols = lattice.transpose(v)
+    equations = _canonical_rows(cols[j] for j in range(d, dim))
+
+    if d == dim:
+        coords = list(gens)
+
+        def lift(w: Vec) -> Vec:
+            return w
+    else:
+        def coord(g: Vec) -> Vec:
+            img = tuple(dot(g, col) for col in cols)  # g * V
+            return img[:d]
+
+        coords = [coord(g) for g in gens]
+
+        def lift(w: Vec) -> Vec:
+            return tuple(sum(v[t][j] * w[j] for j in range(d)) for t in range(dim))
+
+    prim = []
+    seen = set()
+    for c in coords:
+        if is_zero(c):
+            continue
+        p = primitive(c)
+        if p not in seen:
+            seen.add(p)
+            prim.append(p)
+
+    normals: set[Vec] = set()
+    if d == 1:
+        signs = {1 if c[0] > 0 else -1 for c in prim}
+        if len(signs) == 1:
+            normals.add((signs.pop(),))
+    else:
+        for subset in combinations(prim, d - 1):
+            ker = lattice.kernel_basis(subset, d)
+            if len(ker) != 1:
+                continue
+            u = ker[0]
+            vals = [dot(c, u) for c in coords]
+            if all(x >= 0 for x in vals):
+                normals.add(primitive(u))
+            elif all(x <= 0 for x in vals):
+                normals.add(primitive(neg(u)))
+
+    inequalities = tuple(sorted(lift(w) for w in normals))
+    return inequalities, equations
+
+
+def intersection_rays(c1: Cone, c2: Cone, dim: int) -> tuple[Vec, ...]:
+    """Primitive extreme rays of the intersection of two pointed cones."""
+    ineqs = tuple(dict.fromkeys(c1.inequalities + c2.inequalities))
+    eqs = tuple(dict.fromkeys(c1.equations + c2.equations))
+    base = rank(eqs, dim) if eqs else 0
+    want = dim - 1 - base
+    if want < 0:
+        return ()
+    out = set()
+    for subset in combinations(ineqs, want):
+        rows = eqs + subset
+        if rank(rows, dim) != dim - 1:
+            continue
+        ker = lattice.kernel_basis(rows, dim)
+        if len(ker) != 1:
+            continue
+        for u in (ker[0], neg(ker[0])):
+            if all(dot(a, u) >= 0 for a in ineqs) and all(dot(a, u) == 0 for a in eqs):
+                out.add(primitive(u))
+                break
+    return tuple(sorted(out))
+
+
+def hull_facets(points: tuple[Vec, ...], dim: int) -> tuple[FacetInequality, ...]:
+    """Facets of conv(points) by scanning dim-subsets for supporting hyperplanes."""
+    found = set()
+    for subset in combinations(points, dim):
+        diffs = tuple(sub(q, subset[0]) for q in subset[1:])
+        kernel = lattice.kernel_basis(diffs, dim)
+        if len(kernel) != 1:
+            continue  # affinely dependent subset: no unique hyperplane
+        u = primitive(kernel[0])
+        a = dot(u, subset[0])
+        vals = [dot(u, q) - a for q in points]
+        if all(v <= 0 for v in vals):
+            found.add((u, a))
+        elif all(v >= 0 for v in vals):
+            found.add((neg(u), -a))
+    return tuple(FacetInequality(u, a) for u, a in sorted(found))

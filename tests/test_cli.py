@@ -77,6 +77,41 @@ def test_bad_json_exits_2(tmp_path):
     assert code == 2 and report["status"] == "invalid"
 
 
+def test_fan_check_rejects_float_and_string_coercion(tmp_path):
+    path = tmp_path / "coerce.json"
+    path.write_bytes(b'{"dim": 2.9, "rays": [[1,0],[0,1],[-1,-1]], '
+                     b'"max_cones": [[0,1],[1.7,2],["2",0]]}')
+    code, report = run_json("fan-check", str(path))
+    assert code == 2 and report["status"] == "invalid"
+    assert report["result"]["violations"] == ["dim must be an integer"]
+    # with an integer dim, each coerced cone is reported instead
+    path.write_bytes(b'{"dim": 2, "rays": [[1,0],[0,1],[-1,-1]], '
+                     b'"max_cones": [[0,1],[1.7,2],["2",0],[true,2]]}')
+    code, report = run_json("fan-check", str(path))
+    assert code == 2
+    assert report["result"]["violations"][:3] == [
+        f"maximal cone {k} has non-integer ray indices" for k in (1, 2, 3)]
+
+
+def test_internal_error_exits_3(f2_file, monkeypatch, capsys):
+    """A failed consistency check is exit 3 with status "internal", not a
+    traceback, and survives python -O (it is not an assert)."""
+    from toricroots import cli
+    from toricroots.fan import Fan
+
+    monkeypatch.setattr(Fan, "contains_point", lambda self, v: False)
+    for fmt, check in (("json", json.loads), ("text", str)):
+        code = cli.main(["fan-check", f2_file, "--format", fmt])
+        out = check(capsys.readouterr().out)
+        assert code == 3
+        if fmt == "json":
+            assert out["status"] == "internal" and out["exit_code"] == 3
+            assert out["error"]["type"] == "InternalError"
+            assert "fails to cover direction" in out["error"]["message"]
+        else:
+            assert out.startswith("error: complete fan fails to cover direction")
+
+
 # ---------------------------------------------------------------------------
 # roots
 
@@ -276,6 +311,34 @@ def test_polytope_rejects_non_extreme(tmp_path):
     path.write_text(json.dumps({"dim": 1, "vertices": [[0], [1], [2]]}))
     code, report = run_json("polytope", "check", str(path))
     assert code == 2 and report["status"] == "invalid"
+
+
+def test_polytope_rejects_float_dim(tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"dim": 2.5, "vertices": [[0, 0], [1, 0], [0, 1]]}))
+    code, report = run_json("polytope", "check", str(path))
+    assert code == 2 and report["status"] == "invalid"
+    assert report["error"]["type"] == "InvalidPolytope"
+
+
+def test_polytope_check_finds_the_witness_once(tmp_path, monkeypatch, capsys):
+    from toricroots import cli, polytope
+
+    path = tmp_path / "trap.json"
+    run_json("gen", "trapezoid", "--out", str(path))
+    calls = []
+    original = polytope.inscribed_in_rectangle
+
+    def counted(p):
+        calls.append(p)
+        return original(p)
+
+    monkeypatch.setattr(polytope, "inscribed_in_rectangle", counted)
+    assert cli.main(["polytope", "check", str(path)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert len(calls) == 1
+    assert report["result"]["inscribed"] is True
+    assert report["result"]["witness"] == {"vertex": [0, 0], "edge_basis": [[0, 1], [1, 0]]}
 
 
 # ---------------------------------------------------------------------------

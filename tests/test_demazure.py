@@ -227,3 +227,13 @@ def test_bound_must_be_positive():
 def test_complete_fan_roots_ignore_bound():
     for name, fan in bundled_complete_fans():
         assert all_roots(fan, bound=2) == all_roots(fan), name
+
+
+def test_unbounded_box_is_an_internal_error(monkeypatch):
+    """A bounded enumeration that comes back unbounded is a typed error."""
+    from toricroots import demazure
+    from toricroots.errors import InternalError
+
+    monkeypatch.setattr(demazure.lattice, "lattice_points", lambda system, dim: UNBOUNDED)
+    with pytest.raises(InternalError):
+        roots_for_ray(quadrant_fan(), 0, bound=2)

@@ -266,3 +266,26 @@ def test_mixed_incomplete_fan_roots_work():
     assert not is_complete(fan)
     statuses = {rr.ray: rr.status for rr in all_roots(fan).per_ray}
     assert statuses == {0: "infinite", 1: "infinite", 2: "finite"}
+
+
+def test_coverage_failure_is_an_internal_error(monkeypatch):
+    from toricroots.errors import InternalError
+    from toricroots.fan import Fan
+
+    fan = hirzebruch(2)
+    monkeypatch.setattr(Fan, "contains_point", lambda self, v: False)
+    with pytest.raises(InternalError, match="fails to cover direction"):
+        is_complete(fan)
+
+
+def test_validate_fan_rejects_non_integer_dim_and_indices():
+    rays = [(1, 0), (0, 1), (-1, -1)]
+    cones = [(0, 1), (1, 2), (2, 0)]
+    for dim in (2.0, "2", True, None):
+        assert validate_fan(dim, rays, cones) == ["dim must be an integer"]
+    for bad in ((1.0, 2), ("1", 2), (False, 2), 7):
+        assert validate_fan(2, rays, [(0, 1), bad, (2, 0)])[0] == (
+            "maximal cone 1 has non-integer ray indices")
+    for bad in (7, None, {"0": 1}):
+        assert validate_fan(2, rays, bad) == ["max_cones must be a list"]
+    assert validate_fan(2, rays, cones) == []

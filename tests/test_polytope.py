@@ -223,6 +223,21 @@ def test_polytope_json_rejects_non_extreme():
         polytope_from_json_dict({"dim": 1, "vertices": [[0], [1], [2]]})
 
 
+def test_polytope_json_rejects_non_integer_dim():
+    for dim in (2.5, 2.0, "2", True):
+        with pytest.raises(InvalidPolytope, match="dim must be an integer"):
+            polytope_from_json_dict({"dim": dim, "vertices": [[0, 0], [1, 0], [0, 1]]})
+
+
+def test_derived_facet_data_is_stored_not_compared():
+    poly = cube(3)
+    assert facets(poly) is facets(poly)
+    assert poly == cube(3) and hash(poly) == hash(cube(3))
+    assert repr(poly) == f"LatticePolytope(dim=3, vertices={poly.vertices!r})"
+    r = check_polytope_theorem(poly)
+    assert r.witness == inscribed_in_rectangle(poly) and r.inscribed
+
+
 def test_octahedron_non_simplicial_normal_fan():
     # every maximal cone of the normal fan has 4 generators (non-simplicial)
     octa = LatticePolytope(3, ((1, 0, 0), (-1, 0, 0), (0, 1, 0),
