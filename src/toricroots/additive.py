@@ -9,10 +9,10 @@ fans their existence also settles the non-normalized question.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, permutations
+from itertools import permutations
 
 from . import lattice
-from .demazure import DemazureRoot, all_roots, demazure_root, is_demazure_root
+from .demazure import DemazureRoot, all_roots, is_demazure_root, pairing_row
 from .errors import InfiniteRoots, NoWitness, NotComplete
 from .fan import Fan, LatticeAutomorphism, is_complete, is_fan_automorphism
 from .lattice import Mat, Vec, dot, neg
@@ -44,22 +44,28 @@ def complete_collections(fan: Fan) -> tuple[CompleteCollection, ...]:
     """All complete collections, ordered by their sorted ray-index tuples.
 
     A collection is forced by its distinguished rays: those must be a
-    unimodular basis and the roots are the negated dual basis, so it
-    suffices to scan n-subsets of rays.
+    unimodular basis and the roots are the negated dual basis. The rays
+    span a maximal cone of the fan, complete or not, so it suffices to scan
+    the maximal cones with n rays. Proof: let e_1..e_n have distinguished
+    rays p_1..p_n. For k = n down to 1, e_k vanishes on cone(p_{k+1}..p_n),
+    a cone of the fan (the zero cone for k = n), so by root condition (2)
+    cone(p_k..p_n) is in the fan. So cone(p_1..p_n) is an n-dimensional
+    cone of the fan, hence maximal, and by the lemma in
+    :mod:`toricroots.fan` its rays are exactly p_1..p_n.
     """
     n = fan.dim
     out = []
-    for subset in combinations(range(len(fan.rays)), n):
-        basis = tuple(fan.rays[i] for i in subset)
-        if abs(lattice.determinant(basis)) != 1:
+    for cone in fan.max_cones:
+        basis = tuple(fan.rays[i] for i in cone.ray_indices)
+        if len(basis) != n or abs(lattice.determinant(basis)) != 1:
             continue
         dual = lattice.dual_basis(basis)
         roots = []
-        for pos, ray_idx in enumerate(subset):
+        for pos, ray_idx in enumerate(cone.ray_indices):
             e = neg(dual[pos])
             if not is_demazure_root(fan, e, ray_idx):
                 break
-            roots.append(demazure_root(fan, e, ray_idx))
+            roots.append(DemazureRoot(e, ray_idx, pairing_row(fan, e)))
         else:
             out.append(CompleteCollection(tuple(roots)))
     return tuple(out)

@@ -155,13 +155,12 @@ def _yesno(flag: bool) -> str:
 def _cmd_fan_check(args) -> int:
     data, digest = _load_json(args.file)
     payload = _unwrap(data, "fan")
-    violations = fans.validate_fan(payload.get("dim"), payload.get("rays", []),
-                                   payload.get("max_cones", []))
-    if violations:
-        result = {"valid": False, "violations": violations, "complete": None}
-        lines = ["valid: no"] + [f"violation: {v}" for v in violations]
+    try:
+        fan_obj = fans.fan_from_json_dict(payload)
+    except InvalidFan as exc:
+        result = {"valid": False, "violations": exc.violations, "complete": None}
+        lines = ["valid: no"] + [f"violation: {v}" for v in exc.violations]
         return _report(args, "fan-check", result, "invalid", 2, digest, lines)
-    fan_obj = fans.fan_from_json_dict(payload)
     complete = fans.is_complete(fan_obj)
     result = {"valid": True, "violations": [], "complete": complete}
     lines = ["valid: yes", f"complete: {_yesno(complete)}"]
@@ -234,16 +233,14 @@ def _cmd_additive(args) -> int:
         rules = cox.action_formulas(fan_obj, decision.witness)
         result["formulas"] = [cox.format_formula(r) for r in rules]
         lines.extend(f"  {s}" for s in result["formulas"])
-    if decision.fan_complete:
-        report = additive.theorem3con_report(fan_obj)
+    if decision.fan_complete:  # the two flags of additive.theorem3con_report
+        span = additive.condition4_distinguished_span(fan_obj)
         result["theorem3con"] = {
-            "complete_collection_exists": report.complete_collection_exists,
-            "distinguished_span": report.distinguished_span,
+            "complete_collection_exists": decision.admits,
+            "distinguished_span": span,
         }
         lines.append(
-            "theorem flags: collection "
-            f"{_yesno(report.complete_collection_exists)}, "
-            f"span {_yesno(report.distinguished_span)}")
+            f"theorem flags: collection {_yesno(decision.admits)}, span {_yesno(span)}")
     status, code = "ok", 0
     if args.strict and not decision.admits:
         status, code = "no", 1
@@ -279,9 +276,10 @@ def _parse_root(fan_obj, spec: str) -> demazure.DemazureRoot:
         raise ToricError(f"no ray with index {ray}")
     if len(coords) != fan_obj.dim:
         raise ToricError(f"root vector has dimension {len(coords)}, expected {fan_obj.dim}")
-    if not demazure.is_demazure_root(fan_obj, coords, ray):
-        raise ToricError(f"{list(coords)} is not a Demazure root with distinguished ray {ray}")
-    return demazure.demazure_root(fan_obj, coords, ray)
+    try:
+        return demazure.demazure_root(fan_obj, coords, ray)
+    except ValueError as exc:
+        raise ToricError(str(exc)) from None
 
 
 def _cmd_pairs(args) -> int:

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 from . import lattice
 from .additive import CompleteCollection
+from .demazure import _monomial, derivation
 from .errors import RaysDoNotSpan, TorsionClassGroup
 from .fan import Fan
 from .lattice import Mat, Vec
@@ -53,26 +54,16 @@ class GaActionFormula:
 
 def action_formulas(fan: Fan, collection: CompleteCollection) -> tuple[GaActionFormula, ...]:
     """The coordinate rules of the normalized action of a complete collection."""
-    out = []
-    for k, root in enumerate(collection.roots, start=1):
-        expo = tuple((i, root.pairings[i]) for i in range(len(fan.rays)) if i != root.ray)
-        out.append(GaActionFormula(root.ray, k, expo))
-    return tuple(out)
+    return tuple(GaActionFormula(root.ray, k, derivation(fan, root).exponents)
+                 for k, root in enumerate(collection.roots, start=1))
 
 
 def format_formula(f: GaActionFormula) -> str:
     """ASCII rendering, e.g. ``x3 -> x3 + s1*x1^2*x2``; variables 1-based,
     exponent 1 omitted, factors in variable order."""
-    parts = []
-    for var, power in sorted(f.exponents):
-        if power == 0:
-            continue
-        parts.append(f"x{var + 1}" if power == 1 else f"x{var + 1}^{power}")
     x = f"x{f.target + 1}"
-    rhs = f"s{f.param_index}"
-    if parts:
-        rhs += "*" + "*".join(parts)
-    return f"{x} -> {x} + {rhs}"
+    mono = _monomial(f.exponents)
+    return f"{x} -> {x} + s{f.param_index}{'*' if mono else ''}{mono}"
 
 
 def degree_zero_check(pres: CoxPresentation, f: GaActionFormula) -> bool:

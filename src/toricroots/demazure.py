@@ -5,17 +5,21 @@ A root is a lattice vector e pairing to -1 with exactly one ray generator
 every cone on which e vanishes, the cone spanned together with the
 distinguished ray is again in the fan. The second condition is implied by
 the first on fans with convex support but is always checked explicitly.
+
+It is checked on the fan's face index, by the lemma in :mod:`toricroots.fan`:
+a ray of a fan that lies in a cone tau of the fan is one of tau's rays. So
+cone(sigma + rho) is a cone of the fan iff the ray-index set of sigma plus
+rho is in ``fan.face_sets``, whether or not e satisfies the first condition.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from . import lattice
 from .errors import InternalError, InvalidFan
-from .fan import Cone, Fan, _minimal_rays
-from .lattice import UNBOUNDED, Constraint, Vec, dot, primitive
+from .fan import Cone, Fan
+from .lattice import UNBOUNDED, Constraint, Vec, dot
 
 
 @dataclass(frozen=True)
@@ -58,27 +62,11 @@ def satisfies_condition1(fan: Fan, e: Vec, ray: int) -> bool:
     return row[ray] == -1 and all(v >= 0 for i, v in enumerate(row) if i != ray)
 
 
-@lru_cache(maxsize=None)
-def _generated_cone_in_fan(fan: Fan, gens: tuple[Vec, ...]) -> bool:
-    """Is cone(gens) a cone of the fan? Decided on minimal generators."""
-    minimal = _minimal_rays(gens, fan.dim)
-    if minimal is None:
-        return False
-    prim_index = {primitive(r): i for i, r in enumerate(fan.rays)}
-    try:
-        idx = tuple(sorted(prim_index[r] for r in minimal))
-    except KeyError:
-        return False
-    return idx in fan.face_sets
-
-
 def satisfies_condition2(fan: Fan, e: Vec, ray: int) -> bool:
-    for face in fan.all_faces:
-        if all(dot(fan.rays[i], e) == 0 for i in face.ray_indices):
-            gens = tuple(fan.rays[i] for i in face.ray_indices) + (fan.rays[ray],)
-            if not _generated_cone_in_fan(fan, tuple(sorted(gens))):
-                return False
-    return True
+    """For every cone sigma on which e vanishes, cone(sigma + ray) is in the fan."""
+    zero = {i for i, p in enumerate(fan.rays) if dot(p, e) == 0}
+    return all(tuple(sorted({*face.ray_indices, ray})) in fan.face_sets
+               for face in fan.all_faces if zero.issuperset(face.ray_indices))
 
 
 def is_demazure_root(fan: Fan, e, ray: int) -> bool:
@@ -197,15 +185,16 @@ def bracket_oracle(a: CoxDerivation, b: CoxDerivation) -> bool:
     return True
 
 
+def _monomial(exponents: tuple[tuple[int, int], ...]) -> str:
+    """``x1^2*x3`` from (variable, power) pairs: variables 1-based, in order,
+    power 1 omitted; "" for the constant monomial."""
+    return "*".join(f"x{var + 1}" if power == 1 else f"x{var + 1}^{power}"
+                    for var, power in sorted(exponents) if power != 0)
+
+
 def format_derivation(d: CoxDerivation) -> str:
     """ASCII rendering, e.g. ``x1^2*x3 d/dx4``; variables are 1-based."""
-    parts = []
-    for var, power in sorted(d.exponents):
-        if power == 0:
-            continue
-        parts.append(f"x{var + 1}" if power == 1 else f"x{var + 1}^{power}")
-    mono = "*".join(parts) if parts else "1"
-    return f"{mono} d/dx{d.target + 1}"
+    return f"{_monomial(d.exponents) or '1'} d/dx{d.target + 1}"
 
 
 # ---------------------------------------------------------------------------

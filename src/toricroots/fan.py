@@ -4,13 +4,19 @@ The lattice N is identified with Z^n and its dual M with Z^n via the standard
 dot pairing. Cones are stored by indices into the fan's ray list together
 with an exact dual description (facet inequalities plus span equations), so
 non-simplicial cones are supported throughout.
+
+A :class:`Fan` indexes all its cones by their ray-index sets, computed once
+in :func:`build_fan`. Questions about cones of the fan are lookups in that
+index, by one lemma: in a fan, a ray rho meets any cone tau in a face of
+tau, so a ray of the fan that lies in tau is one of tau's rays. Hence a
+cone generated by some rays S of the fan is a cone of the fan iff S is a
+face's ray-index set (``S in fan.face_sets``).
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from functools import lru_cache
 from itertools import combinations
 from math import gcd
 
@@ -77,13 +83,16 @@ class Fan:
     max_cones: tuple[Cone, ...]
     all_faces: tuple[Cone, ...]
     face_sets: frozenset[tuple[int, ...]] = field(repr=False)
+    _by_rays: dict = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_by_rays", {c.ray_indices: c for c in self.all_faces})
 
     def cone(self, ray_indices) -> Cone:
         key = tuple(sorted(ray_indices))
-        for c in self.all_faces:
-            if c.ray_indices == key:
-                return c
-        raise KeyError(f"no cone with rays {key}")
+        if key not in self._by_rays:
+            raise KeyError(f"no cone with rays {key}")
+        return self._by_rays[key]
 
     def contains_point(self, v: Vec) -> bool:
         return any(c.contains(v) for c in self.max_cones)
@@ -93,7 +102,6 @@ class Fan:
 # dual descriptions
 
 
-@lru_cache(maxsize=None)
 def _dual_description(gens: tuple[Vec, ...], dim: int) -> tuple[tuple[Vec, ...], tuple[Vec, ...]]:
     """(inequalities, equations) cutting out cone(gens), exactly.
 
@@ -148,32 +156,14 @@ def cone_dual_description(generators, dim: int | None = None):
     return ineqs, eqs
 
 
-@lru_cache(maxsize=None)
-def _minimal_rays(gens: tuple[Vec, ...], dim: int):
-    """Primitive extreme-ray generators of cone(gens), or None if not pointed."""
-    ineqs, eqs = _dual_description(gens, dim)
-    if lattice.rank(ineqs + eqs, dim) < dim:
-        return None
-    prim = sorted({primitive(g) for g in gens if not is_zero(g)})
-    out = []
-    for g in prim:
-        active = list(eqs) + [a for a in ineqs if dot(a, g) == 0]
-        if lattice.rank(active, dim) == dim - 1:
-            out.append(g)
-    return tuple(out)
-
-
-@lru_cache(maxsize=None)
-def _cone_face_sets(cone: Cone, rays: tuple[Vec, ...]) -> tuple[tuple[int, ...], ...]:
-    """Ray-index sets of all faces of `cone` (every face is an intersection
-    of facets, so subsets of the facet normals enumerate them all)."""
-    found = {cone.ray_indices}
-    for k in range(1, len(cone.inequalities) + 1):
-        for subset in combinations(cone.inequalities, k):
-            facial = tuple(i for i in cone.ray_indices
-                           if all(dot(a, rays[i]) == 0 for a in subset))
-            found.add(facial)
-    return tuple(sorted(found, key=lambda s: (len(s), s)))
+def _faces(idx: tuple[int, ...], facets) -> set[tuple[int, ...]]:
+    """Ray-index sets of all faces of the cone with rays `idx`, given the ray
+    sets of its facets: every face is an intersection of facets, so close the
+    facets under intersection."""
+    faces = {idx}
+    for facet in facets:
+        faces |= {tuple(i for i in f if i in facet) for f in faces}
+    return faces
 
 
 def _intersection_rays(gens: tuple[Vec, ...], c1: Cone, c2: Cone) -> tuple[Vec, ...]:
@@ -187,26 +177,28 @@ def _intersection_rays(gens: tuple[Vec, ...], c1: Cone, c2: Cone) -> tuple[Vec, 
 # construction and validation
 
 
-def _make_cone(idx: tuple[int, ...], rays: tuple[Vec, ...], dim: int) -> Cone:
-    gens = tuple(rays[i] for i in idx)
-    ineqs, eqs = _dual_description(gens, dim)
-    cdim = dim - lattice.rank(eqs, dim) if eqs else dim
-    return Cone(idx, ineqs, eqs, cdim)
+def _make_cone(idx: tuple[int, ...], rays: tuple[Vec, ...], dim: int, desc=None) -> Cone:
+    ineqs, eqs = desc or _dual_description(tuple(rays[i] for i in idx), dim)
+    return Cone(idx, ineqs, eqs, dim - len(eqs))  # the equations are independent
 
 
-def validate_fan(dim, rays, max_cones, allow_nonprimitive: bool = False) -> list[str]:
-    """Check fan data; return a list of human-readable violations (empty = ok)."""
-    violations: list[str] = []
+def _check_fan(dim, rays, max_cones, allow_nonprimitive: bool):
+    """Validate fan data in one pass; raise InvalidFan with every violation.
+
+    Returns the rays, each maximal cone's dual description keyed by its
+    sorted ray indices, and the ray-index sets of all faces of the fan.
+    """
     if not lattice.is_integer(dim):
-        return ["dim must be an integer"]
+        raise InvalidFan(["dim must be an integer"])
     if dim < 1:
-        return ["dim must be positive"]
+        raise InvalidFan(["dim must be positive"])
     if not isinstance(max_cones, (list, tuple)):
-        return ["max_cones must be a list"]
+        raise InvalidFan(["max_cones must be a list"])
     try:
         rays = tuple(vec(r) for r in rays)
     except TypeError as exc:
-        return [f"bad ray data: {exc}"]
+        raise InvalidFan([f"bad ray data: {exc}"]) from None
+    violations: list[str] = []
     for i, r in enumerate(rays):
         if len(r) != dim:
             violations.append(f"ray {i} has dimension {len(r)}, expected {dim}")
@@ -215,7 +207,7 @@ def validate_fan(dim, rays, max_cones, allow_nonprimitive: bool = False) -> list
         elif not allow_nonprimitive and not lattice.is_primitive(r):
             violations.append(f"ray {i} = {list(r)} is not primitive")
     if violations:
-        return violations
+        raise InvalidFan(violations)
     if len(set(rays)) != len(rays):
         violations.append("rays are not pairwise distinct")
     prims = [primitive(r) for r in rays]
@@ -239,25 +231,21 @@ def validate_fan(dim, rays, max_cones, allow_nonprimitive: bool = False) -> list
         if i not in used:
             violations.append(f"ray {i} does not appear in any maximal cone")
     if violations:
-        return violations
+        raise InvalidFan(violations)
 
-    descs = {}
-    for idx in cones:
-        gens = tuple(rays[i] for i in idx)
-        ineqs, eqs = _dual_description(gens, dim)
-        descs[idx] = (ineqs, eqs)
-        if idx and lattice.rank(ineqs + eqs, dim) < dim:
+    descs, faces = {}, {}
+    for idx in cones or [()]:  # no maximal cones: the fan of the zero cone
+        ineqs, _ = descs[idx] = _dual_description(tuple(rays[i] for i in idx), dim)
+        faces[idx] = _faces(idx, [{i for i in idx if dot(a, rays[i]) == 0} for a in ineqs])
+        if () not in faces[idx]:  # the smallest face of a cone is its lineality space
             violations.append(f"cone {list(idx)} is not strongly convex")
-            continue
-        minimal = _minimal_rays(gens, dim) if idx else ()
-        if idx and set(minimal) != {primitive(g) for g in gens}:
+        elif any((i,) not in faces[idx] for i in idx):
             violations.append(f"cone {list(idx)}: listed rays are not its minimal generators")
     if violations:
-        return violations
+        raise InvalidFan(violations)
 
-    prim_index = {primitive(r): i for i, r in enumerate(rays)}
+    prim_index = {p: i for i, p in enumerate(prims)}
     cone_of = {idx: Cone(idx, *descs[idx], dim=0) for idx in cones}  # dim unused here
-    face_sets = {idx: set(_cone_face_sets(c, rays)) for idx, c in cone_of.items()}
     for a, b in combinations(cones, 2):
         gens = tuple(sorted({prims[i] for i in a}))
         meet = _intersection_rays(gens, cone_of[a], cone_of[b])
@@ -267,32 +255,34 @@ def validate_fan(dim, rays, max_cones, allow_nonprimitive: bool = False) -> list
             violations.append(
                 f"intersection of cones {list(a)} and {list(b)} is not a face of both")
             continue
-        if meet_idx not in face_sets[a] or meet_idx not in face_sets[b]:
+        if meet_idx not in faces[a] or meet_idx not in faces[b]:
             violations.append(
                 f"intersection of cones {list(a)} and {list(b)} is not a face of both")
         elif meet_idx in (a, b) and a != b:
             violations.append(
                 f"maximal cone {list(meet_idx)} is contained in another maximal cone")
-    return violations
+    if violations:
+        raise InvalidFan(violations)
+    return rays, descs, set().union(*faces.values())
+
+
+def validate_fan(dim, rays, max_cones, allow_nonprimitive: bool = False) -> list[str]:
+    """Check fan data; return a list of human-readable violations (empty = ok)."""
+    try:
+        _check_fan(dim, rays, max_cones, allow_nonprimitive)
+    except InvalidFan as exc:
+        return exc.violations
+    return []
 
 
 def build_fan(dim, rays, max_cones, allow_nonprimitive: bool = False) -> Fan:
-    """Validate and assemble a Fan, deriving the full (deduplicated) face list."""
-    violations = validate_fan(dim, rays, max_cones, allow_nonprimitive)
-    if violations:
-        raise InvalidFan(violations)
-    rays = tuple(vec(r) for r in rays)
-    idx_sets = sorted(tuple(sorted(set(c))) for c in max_cones)
-    if not idx_sets:
-        idx_sets = [()]
-    maxc = tuple(_make_cone(idx, rays, dim) for idx in idx_sets)
-    face_idx = set()
-    for c in maxc:
-        face_idx.update(_cone_face_sets(c, rays))
-    face_idx.add(())
-    faces = tuple(_make_cone(idx, rays, dim)
-                  for idx in sorted(face_idx, key=lambda s: (len(s), s)))
-    return Fan(dim, rays, maxc, faces, frozenset(face_idx))
+    """Validate and assemble a Fan: every face, with its dual description,
+    indexed by its ray-index set. Maximal cones and faces are sorted."""
+    rays, descs, face_sets = _check_fan(dim, rays, max_cones, allow_nonprimitive)
+    faces = tuple(_make_cone(idx, rays, dim, descs.get(idx))
+                  for idx in sorted(face_sets, key=lambda s: (len(s), s)))
+    max_cones = sorted((c for c in faces if c.ray_indices in descs), key=lambda c: c.ray_indices)
+    return Fan(dim, rays, tuple(max_cones), faces, frozenset(face_sets))
 
 
 # ---------------------------------------------------------------------------
@@ -303,17 +293,17 @@ def is_complete(fan: Fan) -> bool:
     """True iff the support of the fan is all of N_Q.
 
     Criterion: all maximal cones full-dimensional, every ridge shared by
-    exactly two maximal cones, facet-adjacency graph connected. A seeded
+    exactly two maximal cones, facet-adjacency graph connected. The ridges
+    are the facets of the maximal cones, one per inequality. A seeded
     random direction-coverage check cross-validates positive answers.
     """
     if not fan.max_cones or any(c.dim != fan.dim for c in fan.max_cones):
         return False
     ridge_owners: dict[tuple[int, ...], list[int]] = {}
     for k, c in enumerate(fan.max_cones):
-        for fs in _cone_face_sets(c, fan.rays):
-            face = fan.cone(fs)
-            if face.dim == fan.dim - 1:
-                ridge_owners.setdefault(fs, []).append(k)
+        for a in c.inequalities:
+            ridge = tuple(i for i in c.ray_indices if dot(a, fan.rays[i]) == 0)
+            ridge_owners.setdefault(ridge, []).append(k)
     if not ridge_owners or any(len(owners) != 2 for owners in ridge_owners.values()):
         return False
     adj: dict[int, set[int]] = {k: set() for k in range(len(fan.max_cones))}

@@ -2,19 +2,26 @@
 
 These are the brute-force subset scans and the rational-arithmetic rank
 that the double-description kernel and the fraction-free elimination in
-``toricroots.lattice`` replaced. The code is kept as it was; only the module
-references differ, and every rank inside the scans is the ``Fraction`` rank
-below, so the oracles share no elimination code with what they check.
+``toricroots.lattice`` replaced, and the geometric routines that the fan's
+face index replaced: root condition (2) decided on minimal generators, the
+2^k face scan of a cone and the C(m, n) scan for complete collections. The
+code is kept as it was; only the module references differ, and only the
+cache of ``minimal_rays`` (keyed on vectors, not on fans) is kept. Every rank inside the oracles is the
+``Fraction`` rank below and every dual description the subset scan, so the
+oracles share no elimination code with what they check.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 from typing import Sequence
 
 from toricroots import lattice
-from toricroots.fan import Cone, _canonical_rows
+from toricroots.additive import CompleteCollection
+from toricroots.demazure import DemazureRoot, pairing_row, satisfies_condition1
+from toricroots.fan import Cone, Fan, _canonical_rows
 from toricroots.lattice import Vec, _eliminate, content, dot, is_zero, neg, primitive, sub
 from toricroots.polytope import FacetInequality
 
@@ -169,3 +176,82 @@ def hull_facets(points: tuple[Vec, ...], dim: int) -> tuple[FacetInequality, ...
         elif all(v >= 0 for v in vals):
             found.add((neg(u), -a))
     return tuple(FacetInequality(u, a) for u, a in sorted(found))
+
+
+@lru_cache(maxsize=None)
+def minimal_rays(gens: tuple[Vec, ...], dim: int):
+    """Primitive extreme-ray generators of cone(gens), or None if not pointed."""
+    ineqs, eqs = dual_description(gens, dim)
+    if rank(ineqs + eqs, dim) < dim:
+        return None
+    prim = sorted({primitive(g) for g in gens if not is_zero(g)})
+    out = []
+    for g in prim:
+        active = list(eqs) + [a for a in ineqs if dot(a, g) == 0]
+        if rank(active, dim) == dim - 1:
+            out.append(g)
+    return tuple(out)
+
+
+def generated_cone_in_fan(fan: Fan, gens: tuple[Vec, ...]) -> bool:
+    """Is cone(gens) a cone of the fan? Decided on minimal generators."""
+    minimal = minimal_rays(gens, fan.dim)
+    if minimal is None:
+        return False
+    prim_index = {primitive(r): i for i, r in enumerate(fan.rays)}
+    try:
+        idx = tuple(sorted(prim_index[r] for r in minimal))
+    except KeyError:
+        return False
+    return idx in fan.face_sets
+
+
+def satisfies_condition2(fan: Fan, e: Vec, ray: int) -> bool:
+    for face in fan.all_faces:
+        if all(dot(fan.rays[i], e) == 0 for i in face.ray_indices):
+            gens = tuple(fan.rays[i] for i in face.ray_indices) + (fan.rays[ray],)
+            if not generated_cone_in_fan(fan, tuple(sorted(gens))):
+                return False
+    return True
+
+
+def is_demazure_root(fan: Fan, e, ray: int) -> bool:
+    e = tuple(e)
+    return satisfies_condition1(fan, e, ray) and satisfies_condition2(fan, e, ray)
+
+
+def cone_face_sets(cone: Cone, rays: tuple[Vec, ...]) -> tuple[tuple[int, ...], ...]:
+    """Ray-index sets of all faces of `cone` (every face is an intersection
+    of facets, so subsets of the facet normals enumerate them all)."""
+    found = {cone.ray_indices}
+    for k in range(1, len(cone.inequalities) + 1):
+        for subset in combinations(cone.inequalities, k):
+            facial = tuple(i for i in cone.ray_indices
+                           if all(dot(a, rays[i]) == 0 for a in subset))
+            found.add(facial)
+    return tuple(sorted(found, key=lambda s: (len(s), s)))
+
+
+def complete_collections(fan: Fan) -> tuple[CompleteCollection, ...]:
+    """All complete collections, ordered by their sorted ray-index tuples.
+
+    A collection is forced by its distinguished rays: those must be a
+    unimodular basis and the roots are the negated dual basis, so it
+    suffices to scan n-subsets of rays.
+    """
+    n = fan.dim
+    out = []
+    for subset in combinations(range(len(fan.rays)), n):
+        basis = tuple(fan.rays[i] for i in subset)
+        if abs(lattice.determinant(basis)) != 1:
+            continue
+        dual = lattice.dual_basis(basis)
+        roots = []
+        for pos, ray_idx in enumerate(subset):
+            e = neg(dual[pos])
+            if not is_demazure_root(fan, e, ray_idx):
+                break
+            roots.append(DemazureRoot(e, ray_idx, pairing_row(fan, e)))
+        else:
+            out.append(CompleteCollection(tuple(roots)))
+    return tuple(out)

@@ -20,6 +20,19 @@ def run_json(*args, stdin: bytes | None = None):
     return code, json.loads(out.decode())
 
 
+def counting(monkeypatch, module, name):
+    """Replace module.name by a wrapper that records each call; return the record."""
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
 @pytest.fixture
 def f2_file(tmp_path):
     path = tmp_path / "f2.json"
@@ -68,6 +81,22 @@ def test_fan_check_nonprimitive_ray(tmp_path):
     assert code == 2
     assert report["status"] == "invalid"
     assert any("not primitive" in v for v in report["result"]["violations"])
+
+
+def test_fan_check_validates_once(f2_file, tmp_path, monkeypatch, capsys):
+    from toricroots import cli, fan
+
+    checks = counting(monkeypatch, fan, "_check_fan")
+    assert cli.main(["fan-check", f2_file]) == 0
+    assert json.loads(capsys.readouterr().out)["result"]["complete"] is True
+    assert len(checks) == 1
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"dim": 2, "rays": [[1, 0], [0, 1], [1, 1]],
+                               "max_cones": [[0, 1], [0, 2]]}))
+    assert cli.main(["fan-check", str(bad)]) == 2
+    assert json.loads(capsys.readouterr().out)["result"]["violations"] == [
+        "intersection of cones [0, 1] and [0, 2] is not a face of both"]
+    assert len(checks) == 2
 
 
 def test_bad_json_exits_2(tmp_path):
@@ -204,6 +233,18 @@ def test_additive_no(p235_file):
         "complete_collection_exists": False, "distinguished_span": False}
     code, report = run_json("additive", p235_file, "--strict")
     assert code == 1
+
+
+def test_additive_decides_once(f2_file, monkeypatch, capsys):
+    from toricroots import additive, cli
+
+    collections = counting(monkeypatch, additive, "complete_collections")
+    complete = counting(monkeypatch, additive, "is_complete")
+    assert cli.main(["additive", f2_file]) == 0
+    result = json.loads(capsys.readouterr().out)["result"]
+    assert len(collections) == 1 and len(complete) == 1
+    assert result["theorem3con"] == {
+        "complete_collection_exists": True, "distinguished_span": True}
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,164 @@
+"""The fan's face index against the geometric routines it replaced.
+
+Root condition (2), the faces of each maximal cone and the complete
+collections are read off ``Fan.face_sets``; ``oracles.py`` keeps the
+minimal-generator check, the 2^k face scan and the C(m, n) collection scan
+they replaced. The fans cover dimensions 2 to 5: GL_n(Z) images of builtin
+fans, normal fans of cross-polytopes (cones over squares and cubes),
+orthants, and subfans with maximal cones dropped, which are not complete
+and whose support is not convex.
+"""
+
+import gc
+import random
+import weakref
+from itertools import product
+
+import pytest
+
+import oracles
+from test_kernel import random_unimodular
+from toricroots import (
+    LatticeAutomorphism,
+    LatticePolytope,
+    admits_additive,
+    apply_automorphism,
+    build_fan,
+    complete_collections,
+    hirzebruch,
+    is_complete,
+    normal_fan,
+    p235_model,
+    product_p1,
+    projective_space,
+    validate_fan,
+    wps_one,
+)
+from toricroots.demazure import pairing_row, satisfies_condition1, satisfies_condition2
+from toricroots.lattice import identity, is_primitive
+
+
+def cross_polytope_fan(n):
+    """Normal fan of the n-dimensional cross-polytope: 2^n rays (+-1, ..., +-1),
+    one cone over an (n-1)-cube per vertex; not simplicial for n >= 3."""
+    verts = [tuple(s * int(i == j) for j in range(n)) for i in range(n) for s in (1, -1)]
+    return normal_fan(LatticePolytope(n, tuple(verts)))
+
+
+def orthant(n):
+    return build_fan(n, identity(n), [tuple(range(n))])
+
+
+def subfan(fan, keep):
+    """The fan of the maximal cones numbered in `keep`, on the rays they use."""
+    cones = [fan.max_cones[k].ray_indices for k in keep]
+    used = sorted(set().union(*cones))
+    pos = {r: i for i, r in enumerate(used)}
+    rays = [fan.rays[r] for r in used]
+    return build_fan(fan.dim, rays, [[pos[r] for r in c] for c in cones],
+                     allow_nonprimitive=not all(map(is_primitive, rays)))
+
+
+COMPLETE = {
+    2: [projective_space(2), product_p1(2), hirzebruch(3), wps_one(2, 3), p235_model()],
+    3: [projective_space(3), product_p1(3), wps_one(1, 2, 3), cross_polytope_fan(3)],
+    4: [projective_space(4), product_p1(4), cross_polytope_fan(4)],
+    5: [projective_space(5), product_p1(5)],
+}
+
+
+def fans_in_dim(dim, seed):
+    """Complete fans and an orthant, their images under GL_n(Z), and subfans
+    of the complete fans with maximal cones dropped."""
+    rng = random.Random(seed)
+    out = []
+    for fan in [orthant(dim)] + COMPLETE[dim]:
+        out += [fan, apply_automorphism(fan, LatticeAutomorphism(random_unimodular(rng, dim)))]
+        count = len(fan.max_cones)
+        for size in (1, count // 2, count - 1) if count > 1 else ():
+            out.append(subfan(fan, sorted(rng.sample(range(count), max(size, 1)))))
+    return out
+
+
+def candidates(fan, rng):
+    """(e, ray) pairs: every e of sup-norm <= 2 with the ray it satisfies
+    condition (1) for, plus random pairs, which mostly do not."""
+    out = []
+    for e in product(range(-2, 3), repeat=fan.dim):
+        row = pairing_row(fan, e)
+        below = [i for i, v in enumerate(row) if v < 0]
+        if len(below) == 1 and row[below[0]] == -1:
+            out.append((e, below[0]))
+    for ray in range(len(fan.rays)):
+        out += [(tuple(rng.randint(-2, 2) for _ in range(fan.dim)), ray) for _ in range(3)]
+    return out
+
+
+@pytest.mark.parametrize("dim", (2, 3, 4, 5))
+def test_face_sets_match_the_face_scan(dim):
+    for fan in fans_in_dim(dim, 700 + dim):
+        union = {()}
+        for cone in fan.max_cones:
+            want = oracles.cone_face_sets(cone, fan.rays)
+            inside = [f for f in fan.face_sets if set(f) <= set(cone.ray_indices)]
+            assert tuple(sorted(inside, key=lambda s: (len(s), s))) == want
+            union.update(want)
+        assert fan.face_sets == union
+        for face in fan.all_faces:
+            assert fan.cone(reversed(face.ray_indices)) is face
+
+
+@pytest.mark.parametrize("dim", (2, 3, 4, 5))
+def test_condition2_matches_minimal_generator_check(dim):
+    rng = random.Random(800 + dim)
+    seen = set()
+    for fan in fans_in_dim(dim, 700 + dim):
+        for e, ray in candidates(fan, rng):
+            got = satisfies_condition2(fan, e, ray)
+            assert got == oracles.satisfies_condition2(fan, e, ray), (fan.rays, e, ray)
+            seen.add((satisfies_condition1(fan, e, ray), got))
+    # both answers occur, with and without condition (1)
+    assert seen == {(True, True), (True, False), (False, True), (False, False)}
+
+
+@pytest.mark.parametrize("dim", (2, 3, 4, 5))
+def test_complete_collections_match_the_subset_scan(dim):
+    counts = {True: [], False: []}
+    for fan in fans_in_dim(dim, 700 + dim):
+        got = complete_collections(fan)
+        assert got == oracles.complete_collections(fan)
+        counts[is_complete(fan)].append(len(got))
+    # non-complete fans with and without collections
+    assert 0 in counts[False] and max(counts[False]) >= 1 and max(counts[True]) >= 1
+
+
+@pytest.mark.parametrize("dim", (2, 3, 4, 5))
+def test_subfans_and_orthants_are_not_complete(dim):
+    rng = random.Random(900 + dim)
+    assert not is_complete(orthant(dim))
+    for fan in COMPLETE[dim]:
+        assert is_complete(fan)
+        count = len(fan.max_cones)
+        assert not is_complete(subfan(fan, sorted(rng.sample(range(count), count - 1))))
+
+
+def test_minimal_generator_violations():
+    # (1, 1) lies inside the quadrant; (1, 1, 1) inside a cone over a square
+    assert validate_fan(2, [(1, 0), (1, 1), (0, 1)], [(0, 1, 2)]) == [
+        "cone [0, 1, 2]: listed rays are not its minimal generators"]
+    square = [(1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1)]
+    assert validate_fan(3, square, [(0, 1, 2, 3)]) == []
+    assert validate_fan(3, square + [(0, 0, 1)], [(0, 1, 2, 3, 4)]) == [
+        "cone [0, 1, 2, 3, 4]: listed rays are not its minimal generators"]
+    assert validate_fan(3, [(1, 0, 0), (-1, 0, 0), (0, 1, 0)], [(0, 1, 2)]) == [
+        "cone [0, 1, 2] is not strongly convex"]
+
+
+def test_fan_is_freed_after_the_decision():
+    """No module-level cache keeps a fan alive."""
+    fan = product_p1(3)
+    ref = weakref.ref(fan)
+    assert admits_additive(fan).admits
+    del fan
+    gc.collect()
+    assert ref() is None
