@@ -3,7 +3,9 @@
 The lattice N is identified with Z^n and its dual M with Z^n via the standard
 dot pairing. Cones are stored by indices into the fan's ray list together
 with an exact dual description (facet inequalities plus span equations), so
-non-simplicial cones are supported throughout.
+non-simplicial cones are supported throughout. Only the maximal cones'
+descriptions are computed; every other face reads its description off the
+first maximal cone (in sorted order) that contains it (see :class:`Cone`).
 
 A :class:`Fan` indexes all its cones by their ray-index sets, computed once
 in :func:`build_fan`. Questions about cones of the fan are lookups in that
@@ -19,6 +21,7 @@ import random
 from dataclasses import dataclass, field
 from itertools import combinations
 from math import gcd
+from operator import mul
 
 from . import lattice
 from .errors import (
@@ -37,7 +40,15 @@ _COVERAGE_SAMPLES = 200
 
 @dataclass(frozen=True)
 class Cone:
-    """A cone of a fan: generating ray indices plus its dual description."""
+    """A cone of a fan: generating ray indices plus its dual description.
+
+    The cone is {x : <a, x> >= 0 for a in inequalities, <b, x> = 0 for b in
+    equations}, with one inequality per facet. A maximal cone's description
+    is its own (its equations a lattice basis of its orthogonal complement).
+    Any other face's inequalities are one normal per facet, taken from its
+    maximal cone, and its equations are independent rows that span its
+    orthogonal complement over Q, not necessarily a lattice basis.
+    """
 
     ray_indices: tuple[int, ...]
     inequalities: tuple[Vec, ...]
@@ -45,8 +56,17 @@ class Cone:
     dim: int
 
     def contains(self, v: Vec) -> bool:
-        return (all(dot(a, v) >= 0 for a in self.inequalities)
-                and all(dot(a, v) == 0 for a in self.equations))
+        """True iff v lies in the cone; ValueError for a vector of the wrong length."""
+        first = self.inequalities[:1] or self.equations[:1]
+        if first and len(first[0]) != len(v):
+            raise ValueError(f"dimension mismatch: {len(first[0])} vs {len(v)}")
+        for a in self.inequalities:
+            if sum(map(mul, a, v)) < 0:
+                return False
+        for b in self.equations:
+            if sum(map(mul, b, v)):
+                return False
+        return True
 
 
 @dataclass(frozen=True)
@@ -84,9 +104,11 @@ class Fan:
     all_faces: tuple[Cone, ...]
     face_sets: frozenset[tuple[int, ...]] = field(repr=False)
     _by_rays: dict = field(init=False, repr=False, compare=False)
+    _complete: bool | None = field(init=False, repr=False, compare=False)  # see is_complete
 
     def __post_init__(self):
         object.__setattr__(self, "_by_rays", {c.ray_indices: c for c in self.all_faces})
+        object.__setattr__(self, "_complete", None)
 
     def cone(self, ray_indices) -> Cone:
         key = tuple(sorted(ray_indices))
@@ -177,16 +199,12 @@ def _intersection_rays(gens: tuple[Vec, ...], c1: Cone, c2: Cone) -> tuple[Vec, 
 # construction and validation
 
 
-def _make_cone(idx: tuple[int, ...], rays: tuple[Vec, ...], dim: int, desc=None) -> Cone:
-    ineqs, eqs = desc or _dual_description(tuple(rays[i] for i in idx), dim)
-    return Cone(idx, ineqs, eqs, dim - len(eqs))  # the equations are independent
-
-
 def _check_fan(dim, rays, max_cones, allow_nonprimitive: bool):
     """Validate fan data in one pass; raise InvalidFan with every violation.
 
-    Returns the rays, each maximal cone's dual description keyed by its
-    sorted ray indices, and the ray-index sets of all faces of the fan.
+    Returns the rays and, keyed by each maximal cone's sorted ray indices,
+    its dual description, the ray sets its facet normals vanish on (one set
+    per inequality) and the ray-index sets of its faces.
     """
     if not lattice.is_integer(dim):
         raise InvalidFan(["dim must be an integer"])
@@ -216,6 +234,11 @@ def _check_fan(dim, rays, max_cones, allow_nonprimitive: bool):
     cones = []
     for k, c in enumerate(max_cones):
         try:
+            c = tuple(c)
+        except TypeError:
+            violations.append(f"maximal cone {k} is not a list of ray indices")
+            continue
+        try:
             idx = tuple(sorted(set(vec(c))))
         except TypeError:
             violations.append(f"maximal cone {k} has non-integer ray indices")
@@ -233,10 +256,11 @@ def _check_fan(dim, rays, max_cones, allow_nonprimitive: bool):
     if violations:
         raise InvalidFan(violations)
 
-    descs, faces = {}, {}
+    descs, tights, faces = {}, {}, {}
     for idx in cones or [()]:  # no maximal cones: the fan of the zero cone
         ineqs, _ = descs[idx] = _dual_description(tuple(rays[i] for i in idx), dim)
-        faces[idx] = _faces(idx, [{i for i in idx if dot(a, rays[i]) == 0} for a in ineqs])
+        tights[idx] = [frozenset(i for i in idx if dot(a, rays[i]) == 0) for a in ineqs]
+        faces[idx] = _faces(idx, tights[idx])
         if () not in faces[idx]:  # the smallest face of a cone is its lineality space
             violations.append(f"cone {list(idx)} is not strongly convex")
         elif any((i,) not in faces[idx] for i in idx):
@@ -263,7 +287,7 @@ def _check_fan(dim, rays, max_cones, allow_nonprimitive: bool):
                 f"maximal cone {list(meet_idx)} is contained in another maximal cone")
     if violations:
         raise InvalidFan(violations)
-    return rays, descs, set().union(*faces.values())
+    return rays, {idx: (descs[idx], tights[idx], faces[idx]) for idx in descs}
 
 
 def validate_fan(dim, rays, max_cones, allow_nonprimitive: bool = False) -> list[str]:
@@ -275,14 +299,59 @@ def validate_fan(dim, rays, max_cones, allow_nonprimitive: bool = False) -> list
     return []
 
 
+def _face_cone(face: tuple[int, ...], ineqs, eqs, tight, dims: dict, dim: int) -> Cone:
+    """The face of a maximal cone with rays `face`, described by the maximal
+    cone's rows: `tight[k]` is the set of rays on which ineqs[k] vanishes.
+
+    The face's span is cut out by the cone's equations and the normals that
+    vanish on the face, so an independent subset of those is its equations.
+    Its facets are the inclusion-maximal sets face & tight[k] over the other
+    normals, and each facet keeps the first such normal. `dims` holds the
+    dimensions of the smaller faces, a facet's being one less than the face's.
+    """
+    on = set(face)
+    rows = list(eqs)
+    cuts: dict[frozenset, Vec] = {}
+    for a, z in zip(ineqs, tight):
+        if on <= z:
+            rows.append(a)
+        else:
+            cuts.setdefault(z & on, a)
+    facets = [s for s in cuts if not any(s < t for t in cuts)]
+    d = dims[tuple(sorted(facets[0]))] + 1
+    if len(rows) > dim - d:  # dependent: keep an independent subset, the cone's equations first
+        rows, normals = list(eqs), rows[len(eqs):]
+        for a in normals:
+            if len(rows) == dim - d:
+                break
+            if lattice.rank(rows + [a], dim) > len(rows):
+                rows.append(a)
+    return Cone(face, tuple(cuts[s] for s in facets), tuple(rows), d)
+
+
 def build_fan(dim, rays, max_cones, allow_nonprimitive: bool = False) -> Fan:
     """Validate and assemble a Fan: every face, with its dual description,
     indexed by its ray-index set. Maximal cones and faces are sorted."""
-    rays, descs, face_sets = _check_fan(dim, rays, max_cones, allow_nonprimitive)
-    faces = tuple(_make_cone(idx, rays, dim, descs.get(idx))
-                  for idx in sorted(face_sets, key=lambda s: (len(s), s)))
-    max_cones = sorted((c for c in faces if c.ray_indices in descs), key=lambda c: c.ray_indices)
-    return Fan(dim, rays, tuple(max_cones), faces, frozenset(face_sets))
+    rays, cones = _check_fan(dim, rays, max_cones, allow_nonprimitive)
+    owner = {}
+    for idx in sorted(cones):
+        for f in cones[idx][2]:
+            owner.setdefault(f, idx)
+    dims = {(): 0}
+    faces = []
+    for f in sorted(owner, key=lambda s: (len(s), s)):
+        (ineqs, eqs), tight, _ = cones[owner[f]]
+        if f == owner[f]:
+            cone = Cone(f, ineqs, eqs, dim - len(eqs))  # the equations are independent
+        elif not f:
+            cone = Cone((), (), _canonical_rows(lattice.identity(dim)), 0)
+        else:
+            cone = _face_cone(f, ineqs, eqs, tight, dims, dim)
+        dims[f] = cone.dim
+        faces.append(cone)
+    max_cones = tuple(c for c in faces if c.ray_indices in cones)
+    return Fan(dim, rays, tuple(sorted(max_cones, key=lambda c: c.ray_indices)),
+               tuple(faces), frozenset(owner))
 
 
 # ---------------------------------------------------------------------------
@@ -295,8 +364,15 @@ def is_complete(fan: Fan) -> bool:
     Criterion: all maximal cones full-dimensional, every ridge shared by
     exactly two maximal cones, facet-adjacency graph connected. The ridges
     are the facets of the maximal cones, one per inequality. A seeded
-    random direction-coverage check cross-validates positive answers.
+    random direction-coverage check cross-validates positive answers. The
+    answer is stored on the fan, so later calls on it are free.
     """
+    if fan._complete is None:
+        object.__setattr__(fan, "_complete", _decide_complete(fan))
+    return fan._complete
+
+
+def _decide_complete(fan: Fan) -> bool:
     if not fan.max_cones or any(c.dim != fan.dim for c in fan.max_cones):
         return False
     ridge_owners: dict[tuple[int, ...], list[int]] = {}

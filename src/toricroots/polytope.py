@@ -46,9 +46,10 @@ class LatticePolytope:
     dim: int
     vertices: tuple[Vec, ...]
     # derived on construction: the facets, and per vertex the indices of
-    # the facets through it
+    # the facets through it; the normal fan is stored on first use
     _facets: tuple[FacetInequality, ...] = field(init=False, repr=False, compare=False)
     _tight: dict[Vec, tuple[int, ...]] = field(init=False, repr=False, compare=False)
+    _normal_fan: Fan | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.dim < 1:
@@ -69,6 +70,7 @@ class LatticePolytope:
         object.__setattr__(self, "vertices", pts)
         object.__setattr__(self, "_facets", fs)
         object.__setattr__(self, "_tight", tight)
+        object.__setattr__(self, "_normal_fan", None)
 
 
 def facets(p: LatticePolytope) -> tuple[FacetInequality, ...]:
@@ -127,14 +129,17 @@ def inscribed_in_rectangle(p: LatticePolytope) -> RectangleWitness | None:
 
 def normal_fan(p: LatticePolytope) -> Fan:
     """The complete fan with rays the inner facet normals and one maximal cone
-    per vertex, generated by the inner normals of its facets."""
-    fs = facets(p)
-    tight = _tight_facets(p)
-    inner = sorted(neg(f.normal) for f in fs)
-    index = {r: i for i, r in enumerate(inner)}
-    cones = sorted(tuple(sorted(index[neg(fs[k].normal)] for k in tight[v]))
-                   for v in p.vertices)
-    return build_fan(p.dim, inner, cones)
+    per vertex, generated by the inner normals of its facets. It is built once
+    per polytope and stored on it."""
+    if p._normal_fan is None:
+        fs = facets(p)
+        tight = _tight_facets(p)
+        inner = sorted(neg(f.normal) for f in fs)
+        index = {r: i for i, r in enumerate(inner)}
+        cones = sorted(tuple(sorted(index[neg(fs[k].normal)] for k in tight[v]))
+                       for v in p.vertices)
+        object.__setattr__(p, "_normal_fan", build_fan(p.dim, inner, cones))
+    return p._normal_fan
 
 
 def scale(p: LatticePolytope, k: int) -> LatticePolytope:

@@ -122,6 +122,18 @@ def test_fan_check_rejects_float_and_string_coercion(tmp_path):
         f"maximal cone {k} has non-integer ray indices" for k in (1, 2, 3)]
 
 
+def test_maximal_cone_that_is_not_a_list(tmp_path):
+    path = tmp_path / "scalar.json"
+    path.write_bytes(b'{"dim": 2, "rays": [[1,0],[0,1]], "max_cones": [[0,1], 5]}')
+    message = "maximal cone 1 is not a list of ray indices"
+    code, report = run_json("fan-check", str(path))
+    assert code == 2 and report["status"] == "invalid"
+    assert report["result"]["violations"] == [message]
+    code, report = run_json("roots", str(path))
+    assert code == 2 and report["error"]["type"] == "InvalidFan"
+    assert report["error"]["violations"] == [message]
+
+
 def test_internal_error_exits_3(f2_file, monkeypatch, capsys):
     """A failed consistency check is exit 3 with status "internal", not a
     traceback, and survives python -O (it is not an assert)."""

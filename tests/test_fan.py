@@ -283,9 +283,12 @@ def test_validate_fan_rejects_non_integer_dim_and_indices():
     cones = [(0, 1), (1, 2), (2, 0)]
     for dim in (2.0, "2", True, None):
         assert validate_fan(dim, rays, cones) == ["dim must be an integer"]
-    for bad in ((1.0, 2), ("1", 2), (False, 2), 7):
+    for bad in ((1.0, 2), ("1", 2), (False, 2)):
         assert validate_fan(2, rays, [(0, 1), bad, (2, 0)])[0] == (
             "maximal cone 1 has non-integer ray indices")
+    for bad in (7, None):
+        assert validate_fan(2, rays, [(0, 1), bad, (2, 0)])[0] == (
+            "maximal cone 1 is not a list of ray indices")
     for bad in (7, None, {"0": 1}):
         assert validate_fan(2, rays, bad) == ["max_cones must be a list"]
     assert validate_fan(2, rays, cones) == []
