@@ -5,6 +5,11 @@ one analysis, and prints a deterministic report. Reports are JSON by default
 (sorted keys, two-space indent) or ``--format text`` tables; integers beyond
 the 53-bit range are serialized as decimal strings.
 
+``collections --equivalence`` reports all collections as one class, by the
+uniqueness theorem (any two normalized additive actions are isomorphic), with
+a fan automorphism from the first collection to each other one; a missing
+witness is an internal error.
+
 Exit codes: 0 success, 1 "answer is no" for decision commands under
 ``--strict``, 2 invalid input, 3 internal error (a consistency check inside
 the library failed; never expected, reported with ``status: "internal"``).
@@ -120,13 +125,6 @@ def _cone_dict(c) -> dict:
 # report plumbing
 
 
-class _Failure(Exception):
-    def __init__(self, message: str, violations=None):
-        super().__init__(message)
-        self.message = message
-        self.violations = list(violations or [])
-
-
 def _report(args, command: str, result, status: str, exit_code: int,
             digest: str | None, text_lines) -> int:
     envelope = {
@@ -192,24 +190,10 @@ def _cmd_collections(args) -> int:
     for c in cols:
         lines.append(f"  rays {list(c.ray_indices)} roots {[list(v) for v in c.root_vectors]}")
     if args.equivalence and cols:
-        classes: list[list[int]] = []
-        witnesses = []
-        reps: list[int] = []
-        for i, c in enumerate(cols):
-            for cls_idx, rep in enumerate(reps):
-                try:
-                    w = additive.find_equivalence(fan_obj, cols[rep], c)
-                except additive.NoWitness:
-                    continue
-                classes[cls_idx].append(i)
-                if i != rep:
-                    witnesses.append({"from": rep, "to": i, **_witness_dict(w)})
-                break
-            else:
-                reps.append(i)
-                classes.append([i])
-        result["equivalence"] = {"classes": classes, "witnesses": witnesses}
-        lines.append(f"equivalence classes: {len(classes)}")
+        found = [additive.find_equivalence(fan_obj, cols[0], c) for c in cols[1:]]
+        witnesses = [{"from": 0, "to": i, **_witness_dict(w)} for i, w in enumerate(found, 1)]
+        result["equivalence"] = {"classes": [list(range(len(cols)))], "witnesses": witnesses}
+        lines.append("equivalence classes: 1")
         for w in witnesses:
             lines.append(f"  witness {w['from']} -> {w['to']}: matrix {w['matrix']}")
     status, code = "ok", 0
@@ -384,7 +368,8 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="complete collections of Demazure roots")
     p.add_argument("file")
     p.add_argument("--equivalence", action="store_true",
-                   help="also group collections by fan automorphisms")
+                   help="also give a fan automorphism from the first collection "
+                        "to each other one (all form one class)")
     p.add_argument("--strict", action="store_true",
                    help="exit 1 when no collection exists")
     p.set_defaults(func=_cmd_collections)
@@ -435,7 +420,7 @@ def main(argv=None) -> int:
     status, code = "invalid", 2
     try:
         return args.func(args)
-    except (InvalidFan,) as exc:
+    except InvalidFan as exc:
         error = {"type": type(exc).__name__, "message": str(exc),
                  "violations": exc.violations}
     except InternalError as exc:

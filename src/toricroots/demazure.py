@@ -92,9 +92,11 @@ def _condition1_system(fan: Fan, ray: int) -> list[Constraint]:
 def roots_for_ray(fan: Fan, ray: int, bound: int | None = None) -> RayRoots:
     """Roots with the given distinguished ray.
 
-    Unbounded root polyhedra yield an "infinite" marker, or a "truncated"
-    enumeration of the points with sup-norm <= bound when one is supplied.
-    Complete fans always land in the "finite" case.
+    The roots are the lattice points of the condition-(1) polyhedron that
+    satisfy condition (2). "infinite" means that polyhedron is non-empty and
+    unbounded; then a supplied bound gives a "truncated" enumeration of its
+    points with sup-norm <= bound. An empty polyhedron is "finite" with no
+    roots. Complete fans always land in the "finite" case.
     """
     if not 0 <= ray < len(fan.rays):
         raise InvalidFan([f"no ray with index {ray}"])

@@ -49,7 +49,7 @@ class InfiniteRoots(ToricError):
     pass
 
 
-class NoWitness(ToricError):
+class NoWitness(InternalError):
     """An equivalence witness was not found where theory guarantees one.
 
     This signals an internal inconsistency and is never expected on valid

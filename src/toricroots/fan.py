@@ -188,11 +188,11 @@ def _faces(idx: tuple[int, ...], facets) -> set[tuple[int, ...]]:
     return faces
 
 
-def _intersection_rays(gens: tuple[Vec, ...], c1: Cone, c2: Cone) -> tuple[Vec, ...]:
-    """Primitive extreme rays of the intersection of two pointed cones:
-    c1's rays `gens` cut by c2's inequalities and by its equations in both signs."""
-    cuts = c2.inequalities + c2.equations + tuple(neg(e) for e in c2.equations)
-    return lattice.cut_cone(gens, c1.inequalities, cuts)
+def _intersection_rays(gens: tuple[Vec, ...], rows, ineqs, eqs) -> tuple[Vec, ...]:
+    """Primitive extreme rays of the intersection of two pointed cones: the
+    first cone's rays `gens` (its inequalities `rows`) cut by the second
+    cone's inequalities `ineqs` and by its equations `eqs` in both signs."""
+    return lattice.cut_cone(gens, rows, ineqs + eqs + tuple(neg(e) for e in eqs))
 
 
 # ---------------------------------------------------------------------------
@@ -269,10 +269,9 @@ def _check_fan(dim, rays, max_cones, allow_nonprimitive: bool):
         raise InvalidFan(violations)
 
     prim_index = {p: i for i, p in enumerate(prims)}
-    cone_of = {idx: Cone(idx, *descs[idx], dim=0) for idx in cones}  # dim unused here
     for a, b in combinations(cones, 2):
         gens = tuple(sorted({prims[i] for i in a}))
-        meet = _intersection_rays(gens, cone_of[a], cone_of[b])
+        meet = _intersection_rays(gens, descs[a][0], *descs[b])
         try:
             meet_idx = tuple(sorted(prim_index[r] for r in meet))
         except KeyError:
@@ -361,11 +360,22 @@ def build_fan(dim, rays, max_cones, allow_nonprimitive: bool = False) -> Fan:
 def is_complete(fan: Fan) -> bool:
     """True iff the support of the fan is all of N_Q.
 
-    Criterion: all maximal cones full-dimensional, every ridge shared by
-    exactly two maximal cones, facet-adjacency graph connected. The ridges
-    are the facets of the maximal cones, one per inequality. A seeded
-    random direction-coverage check cross-validates positive answers. The
-    answer is stored on the fan, so later calls on it are free.
+    Criterion: every maximal cone is n-dimensional and every cone of
+    dimension n-1 (a ridge) lies in exactly two maximal cones. A cone of
+    the fan inside a maximal cone is a face of it, so the count is over the
+    maximal cones whose ray sets contain the ridge's. A seeded random
+    direction-coverage check cross-validates positive answers. The answer
+    is stored on the fan, so later calls on it are free.
+
+    The criterion needs no connectivity test. The support S is closed. Let
+    V be N_R minus the spans of the cones of dimension at most n-2. A point
+    of S in V lies in the relative interior of a maximal cone or of a
+    ridge. The two maximal cones on a ridge lie on opposite sides of it:
+    otherwise they would share interior points, so their intersection, a
+    face of both, would be n-dimensional and they would be equal. So S is
+    open in V as well as closed. V, the complement of finitely many
+    subspaces of codimension 2, is connected, so V lies in S, and so does
+    its closure N_R.
     """
     if fan._complete is None:
         object.__setattr__(fan, "_complete", _decide_complete(fan))
@@ -375,26 +385,10 @@ def is_complete(fan: Fan) -> bool:
 def _decide_complete(fan: Fan) -> bool:
     if not fan.max_cones or any(c.dim != fan.dim for c in fan.max_cones):
         return False
-    ridge_owners: dict[tuple[int, ...], list[int]] = {}
-    for k, c in enumerate(fan.max_cones):
-        for a in c.inequalities:
-            ridge = tuple(i for i in c.ray_indices if dot(a, fan.rays[i]) == 0)
-            ridge_owners.setdefault(ridge, []).append(k)
-    if not ridge_owners or any(len(owners) != 2 for owners in ridge_owners.values()):
-        return False
-    adj: dict[int, set[int]] = {k: set() for k in range(len(fan.max_cones))}
-    for a, b in ridge_owners.values():
-        adj[a].add(b)
-        adj[b].add(a)
-    seen = {0}
-    stack = [0]
-    while stack:
-        for nxt in adj[stack.pop()]:
-            if nxt not in seen:
-                seen.add(nxt)
-                stack.append(nxt)
-    if len(seen) != len(fan.max_cones):
-        return False
+    cones = [frozenset(c.ray_indices) for c in fan.max_cones]
+    for f in fan.all_faces:
+        if f.dim == fan.dim - 1 and sum(c.issuperset(f.ray_indices) for c in cones) != 2:
+            return False
     rng = random.Random(_COVERAGE_SEED)
     for _ in range(_COVERAGE_SAMPLES):
         v = tuple(rng.randint(-9, 9) for _ in range(fan.dim))

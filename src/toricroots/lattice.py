@@ -473,20 +473,24 @@ def _floor_div(p: int, q: int) -> int:
 def lattice_points(constraints: Sequence[Constraint], dim: int):
     """All integer solutions, in lexicographic order, or UNBOUNDED.
 
-    Boundedness is decided first on the recession cone (the homogenized
-    system); enumeration then projects with Fourier-Motzkin to obtain exact
-    per-coordinate bounds and descends recursively.
+    Fourier-Motzkin elimination projects the system onto its leading
+    coordinates, exactly over Q. If eliminating every variable leaves a row
+    0 >= b > 0, the polyhedron is empty and there are no solutions. A
+    non-empty polyhedron is UNBOUNDED iff its recession cone (the
+    homogenized system) is not {0}; otherwise enumeration takes exact
+    per-coordinate bounds from the projections and descends recursively.
     """
     if dim < 1:
         raise ValueError("dimension must be positive")
     ineqs = _split(constraints, dim)
-    if not trivial_homogeneous_cone([a for a, _ in ineqs], dim):
-        return UNBOUNDED
-
     systems: list[list[_Ineq]] = [[] for _ in range(dim + 1)]
     systems[dim] = ineqs
-    for d in range(dim - 1, 0, -1):
+    for d in range(dim - 1, -1, -1):
         systems[d] = _eliminate(systems[d + 1], d)
+    if systems[0]:  # only rows 0 >= b > 0 survive the last elimination
+        return ()
+    if not trivial_homogeneous_cone([a for a, _ in ineqs], dim):
+        return UNBOUNDED
 
     out: list[Vec] = []
     point = [0] * dim
@@ -515,8 +519,6 @@ def lattice_points(constraints: Sequence[Constraint], dim: int):
             else:
                 descend(k + 1)
 
-    if any(is_zero(a) and b > 0 for a, b in systems[1]):
-        return ()
     # an empty 1-variable system would mean an unbounded axis, caught above
     descend(0)
     return tuple(out)

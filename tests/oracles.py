@@ -4,7 +4,8 @@ These are the brute-force subset scans and the rational-arithmetic rank
 that the double-description kernel and the fraction-free elimination in
 ``toricroots.lattice`` replaced, and the geometric routines that the fan's
 face index replaced: root condition (2) decided on minimal generators, the
-2^k face scan of a cone and the C(m, n) scan for complete collections. The
+2^k face scan of a cone, the C(m, n) scan for complete collections and the
+ridge-and-adjacency completeness test (without its coverage check). The
 code is kept as it was; only the module references differ, and only the
 cache of ``minimal_rays`` (keyed on vectors, not on fans) is kept. Every rank inside the oracles is the
 ``Fraction`` rank below and every dual description the subset scan, so the
@@ -255,3 +256,30 @@ def complete_collections(fan: Fan) -> tuple[CompleteCollection, ...]:
         else:
             out.append(CompleteCollection(tuple(roots)))
     return tuple(out)
+
+
+def is_complete(fan: Fan) -> bool:
+    """Completeness by ridges and adjacency, without the coverage check: all
+    maximal cones full-dimensional, every ridge (one per facet inequality)
+    shared by exactly two maximal cones, facet-adjacency graph connected."""
+    if not fan.max_cones or any(c.dim != fan.dim for c in fan.max_cones):
+        return False
+    ridge_owners: dict[tuple[int, ...], list[int]] = {}
+    for k, c in enumerate(fan.max_cones):
+        for a in c.inequalities:
+            ridge = tuple(i for i in c.ray_indices if dot(a, fan.rays[i]) == 0)
+            ridge_owners.setdefault(ridge, []).append(k)
+    if not ridge_owners or any(len(owners) != 2 for owners in ridge_owners.values()):
+        return False
+    adj: dict[int, set[int]] = {k: set() for k in range(len(fan.max_cones))}
+    for a, b in ridge_owners.values():
+        adj[a].add(b)
+        adj[b].add(a)
+    seen = {0}
+    stack = [0]
+    while stack:
+        for nxt in adj[stack.pop()]:
+            if nxt not in seen:
+                seen.add(nxt)
+                stack.append(nxt)
+    return len(seen) == len(fan.max_cones)

@@ -183,6 +183,20 @@ def test_roots_infinite_markers(quadrant_file):
     assert all(r["bound"] == 2 for r in report["result"]["per_ray"])
 
 
+def test_roots_empty_polyhedron_is_finite(tmp_path):
+    """Ray 3 = e1 + e2 needs x + y = -1 with x, y >= 0: no roots, not infinite."""
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps({"dim": 3, "rays": [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 0]],
+                                "max_cones": [[0, 3, 2], [3, 1, 2]]}))
+    code, report = run_json("roots", str(path))
+    assert code == 0
+    assert [r["status"] for r in report["result"]["per_ray"]] == ["infinite"] * 3 + ["finite"]
+    assert report["result"]["per_ray"][3]["roots"] == []
+    code, report = run_json("roots", str(path), "--bound", "2")
+    assert [r["status"] for r in report["result"]["per_ray"]] == ["truncated"] * 3 + ["finite"]
+    assert "bound" not in report["result"]["per_ray"][3]
+
+
 # ---------------------------------------------------------------------------
 # collections
 
@@ -204,6 +218,45 @@ def test_collections_p2(tmp_path):
     code, report = run_json("collections", str(path), "--equivalence")
     assert report["result"]["count"] == 3
     assert report["result"]["equivalence"]["classes"] == [[0, 1, 2]]
+
+
+def test_collections_equivalence_is_one_verified_class(tmp_path):
+    """All collections form one class; every witness checks out."""
+    from toricroots import EquivalenceWitness, complete_collections, fan_from_json_dict
+    from toricroots.additive import verify_witness
+
+    path = tmp_path / "p1n3.json"
+    run_json("gen", "p1n", "3", "--out", str(path))
+    code, report = run_json("collections", str(path), "--equivalence")
+    assert code == 0 and report["result"]["count"] == 8
+    eq = report["result"]["equivalence"]
+    assert eq["classes"] == [list(range(8))]
+    assert [(w["from"], w["to"]) for w in eq["witnesses"]] == [(0, i) for i in range(1, 8)]
+    fan = fan_from_json_dict(json.loads(path.read_text()))
+    cols = complete_collections(fan)
+    for w in eq["witnesses"]:
+        witness = EquivalenceWitness(tuple(map(tuple, w["matrix"])),
+                                     tuple(map(tuple, w["ray_map"])))
+        assert verify_witness(fan, cols[w["from"]], cols[w["to"]], witness)
+    code, out, _ = run_cli("collections", str(path), "--equivalence", "--format", "text")
+    assert b"equivalence classes: 1\n" in out
+
+
+def test_missing_witness_exits_3(f2_file, monkeypatch, capsys):
+    """NoWitness contradicts the uniqueness theorem: an internal error."""
+    from toricroots import additive, cli
+    from toricroots.errors import InternalError, NoWitness
+
+    assert issubclass(NoWitness, InternalError)
+
+    def no_witness(fan, c1, c2):
+        raise NoWitness("no automorphism")
+
+    monkeypatch.setattr(additive, "find_equivalence", no_witness)
+    code = cli.main(["collections", f2_file, "--equivalence"])
+    out = json.loads(capsys.readouterr().out)
+    assert code == 3 and out["exit_code"] == 3 and out["status"] == "internal"
+    assert out["error"] == {"type": "NoWitness", "message": "no automorphism"}
 
 
 def test_collections_empty_strict(p235_file):

@@ -52,6 +52,18 @@ def test_quadrant_roots_truncated():
     assert [r.vector for r in rr.roots] == [(-1, c) for c in range(4)]
 
 
+def test_empty_condition1_polyhedron_is_finite():
+    """Ray e1 + e2 of the fan with cones {e1, e1+e2, e3} and {e1+e2, e2, e3}:
+    <e1 + e2, e> = -1 with <e1, e>, <e2, e> >= 0 has no solution, so the ray
+    has no roots and is "finite", with or without a bound; the rays e1, e2,
+    e3 have non-empty unbounded polyhedra."""
+    fan = build_fan(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0)], [(0, 3, 2), (3, 1, 2)])
+    for bound in (None, 2):
+        rr = roots_for_ray(fan, 3, bound)
+        assert (rr.status, rr.roots, rr.bound) == ("finite", (), None)
+    assert [roots_for_ray(fan, i).status for i in range(3)] == ["infinite"] * 3
+
+
 def test_p2_ray_roots_against_enumeration_oracle():
     fan = projective_space(2)
     # oracle: raw condition-(1) lattice points for ray 0, before the cone filter

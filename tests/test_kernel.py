@@ -227,7 +227,7 @@ def test_intersections_of_maximal_cones_match_subset_scan(seed):
         for a, b in combinations(fan.max_cones, 2):
             for c1, c2 in ((a, b), (b, a)):
                 gens = tuple(sorted({primitive(fan.rays[i]) for i in c1.ray_indices}))
-                got = _intersection_rays(gens, c1, c2)
+                got = _intersection_rays(gens, c1.inequalities, c2.inequalities, c2.equations)
                 assert got == oracles.intersection_rays(c1, c2, fan.dim), (name, c1, c2)
                 pairs += 1
     assert pairs > 100
@@ -238,7 +238,8 @@ def test_intersections_of_faces_match_subset_scan():
     fan = next(f for name, f in _image_fans(9) if name == "(P1)^3")
     for c1, c2 in combinations(fan.all_faces, 2):
         gens = tuple(sorted({primitive(fan.rays[i]) for i in c1.ray_indices}))
-        assert _intersection_rays(gens, c1, c2) == oracles.intersection_rays(c1, c2, fan.dim)
+        got = _intersection_rays(gens, c1.inequalities, c2.inequalities, c2.equations)
+        assert got == oracles.intersection_rays(c1, c2, fan.dim)
 
 
 # ---------------------------------------------------------------------------

@@ -237,6 +237,17 @@ def test_lattice_points_infeasible():
     assert lattice_points(sys, 1) == ()
 
 
+def test_lattice_points_empty_with_unbounded_recession_cone():
+    """Empty over Q although the homogenized system has nonzero solutions:
+    x + y = -1 with x, y, z >= 0 (z is free upward), and x + y <= -1 in 2D."""
+    sys = [Constraint((1, 1, 0), "=", -1)] + [Constraint(e, ">=", 0) for e in identity(3)]
+    assert lattice_points(sys, 3) == ()
+    sys = [Constraint((-1, -1), ">=", 1), Constraint((1, 0), ">=", 0), Constraint((0, 1), ">=", 0)]
+    assert lattice_points(sys, 2) == ()
+    # empty over Z only: 2x = 1, y >= 0 is non-empty over Q and unbounded
+    assert lattice_points([Constraint((2, 0), "=", 1), Constraint((0, 1), ">=", 0)], 2) is UNBOUNDED
+
+
 @settings(max_examples=80, deadline=None)
 @given(st.integers(1, 3), st.data())
 def test_lattice_points_match_box_scan(dim, data):
