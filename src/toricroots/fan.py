@@ -363,9 +363,14 @@ def is_complete(fan: Fan) -> bool:
     Criterion: every maximal cone is n-dimensional and every cone of
     dimension n-1 (a ridge) lies in exactly two maximal cones. A cone of
     the fan inside a maximal cone is a face of it, so the count is over the
-    maximal cones whose ray sets contain the ridge's. A seeded random
-    direction-coverage check cross-validates positive answers. The answer
-    is stored on the fan, so later calls on it are free.
+    maximal cones whose ray sets contain the ridge's. A seeded coverage
+    check cross-validates positive answers: each of 200 directions drawn
+    uniformly from [-9, 9]^n must lie in some maximal cone, else
+    InternalError names the first one missed. All 200 are tested against a
+    facet normal a at once, as fields of b bits in packed integers, with b
+    chosen so that 9|a|_1 < 2^(b-1) for every normal; then no field can
+    overflow (see :func:`_first_uncovered`). The answer is stored on the
+    fan, so later calls on it are free.
 
     The criterion needs no connectivity test. The support S is closed. Let
     V be N_R minus the spans of the cones of dimension at most n-2. A point
@@ -389,14 +394,60 @@ def _decide_complete(fan: Fan) -> bool:
     for f in fan.all_faces:
         if f.dim == fan.dim - 1 and sum(c.issuperset(f.ray_indices) for c in cones) != 2:
             return False
-    rng = random.Random(_COVERAGE_SEED)
-    for _ in range(_COVERAGE_SAMPLES):
-        v = tuple(rng.randint(-9, 9) for _ in range(fan.dim))
-        if is_zero(v):
-            continue
-        if not fan.contains_point(v):
-            raise InternalError(f"complete fan fails to cover direction {v}")
+    miss = _first_uncovered(fan, _coverage_directions(fan.dim))
+    if miss is not None:
+        raise InternalError(f"complete fan fails to cover direction {miss}")
     return True
+
+
+def _coverage_directions(dim: int) -> list[Vec]:
+    """The seeded directions of the coverage check, uniform on [-9, 9]^dim."""
+    coords = random.Random(_COVERAGE_SEED).choices(range(-9, 10), k=_COVERAGE_SAMPLES * dim)
+    return [tuple(coords[k:k + dim]) for k in range(0, len(coords), dim)]
+
+
+def _first_uncovered(fan: Fan, directions: list[Vec]) -> Vec | None:
+    """The first of `directions` that lies in no maximal cone of `fan`, or
+    None. The coordinates must lie in [-9, 9] and the maximal cones must be
+    n-dimensional (they have no equations).
+
+    Every direction is tested against an inequality a in one integer
+    operation. Direction k owns the k-th b-bit field of one int per
+    coordinate j, which holds v_j + 9, in [0, 18]. Adding a_j times that
+    column for a_j > 0 and |a_j| times its complement (18 - (v_j + 9) in
+    each field) for a_j < 0 puts <a, v> + 9|a|_1 in each field from
+    nonnegative terms; adding 2^(b-1) - 9|a|_1 leaves 2^(b-1) + <a, v>.
+    With 9|a|_1 < 2^(b-1) for every inequality, that value and every partial
+    sum lie in [0, 2^b), so no field carries into the next, and a field's
+    top bit is set iff <a, v> >= 0. The masks are ANDed over a cone's
+    inequalities and ORed over the cones.
+    """
+    n, m = fan.dim, len(directions)
+    bound = 9 * max((sum(map(abs, a)) for c in fan.max_cones for a in c.inequalities),
+                    default=0)
+    b = bound.bit_length() + 1
+    half = 1 << (b - 1)
+    ones = ((1 << (m * b)) - 1) // ((1 << b) - 1)
+    top = half * ones
+    cols = [sum((v[j] + 9) << (k * b) for k, v in enumerate(directions)) for j in range(n)]
+    flips = [18 * ones - col for col in cols]
+    covered = 0
+    for c in fan.max_cones:
+        inside = top
+        for a in c.inequalities:
+            s = (half - 9 * sum(map(abs, a))) * ones
+            for x, col, flip in zip(a, cols, flips):
+                if x > 0:
+                    s += x * col
+                elif x < 0:
+                    s -= x * flip
+            inside &= s
+        covered |= inside
+        if covered == top:
+            return None
+    low = top & ~covered
+    low &= -low
+    return directions[(low.bit_length() - b) // b]
 
 
 # ---------------------------------------------------------------------------

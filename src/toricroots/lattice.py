@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import mul
 from typing import Iterable, Sequence
 
 from .errors import InternalError, NotSquare, NotUnimodular, ZeroVector
@@ -40,7 +41,7 @@ def vec(coords: Iterable[int]) -> Vec:
 def dot(u: Vec, v: Vec) -> int:
     if len(u) != len(v):
         raise ValueError(f"dimension mismatch: {len(u)} vs {len(v)}")
-    return sum(a * b for a, b in zip(u, v))
+    return sum(map(mul, u, v))
 
 
 def add(u: Vec, v: Vec) -> Vec:

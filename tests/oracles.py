@@ -5,7 +5,8 @@ that the double-description kernel and the fraction-free elimination in
 ``toricroots.lattice`` replaced, and the geometric routines that the fan's
 face index replaced: root condition (2) decided on minimal generators, the
 2^k face scan of a cone, the C(m, n) scan for complete collections and the
-ridge-and-adjacency completeness test (without its coverage check). The
+ridge-and-adjacency completeness test (without its coverage check), and the
+coverage check's loop over directions that packed integers replaced. The
 code is kept as it was; only the module references differ, and only the
 cache of ``minimal_rays`` (keyed on vectors, not on fans) is kept. Every rank inside the oracles is the
 ``Fraction`` rank below and every dual description the subset scan, so the
@@ -283,3 +284,15 @@ def is_complete(fan: Fan) -> bool:
                 seen.add(nxt)
                 stack.append(nxt)
     return len(seen) == len(fan.max_cones)
+
+
+def first_uncovered(fan: Fan, directions) -> Vec | None:
+    """The first nonzero direction in no maximal cone of the fan, or None:
+    the coverage check of ``is_complete`` as one Fan.contains_point call per
+    direction."""
+    for v in directions:
+        if is_zero(v):
+            continue
+        if not fan.contains_point(v):
+            return v
+    return None

@@ -137,10 +137,10 @@ def test_maximal_cone_that_is_not_a_list(tmp_path):
 def test_internal_error_exits_3(f2_file, monkeypatch, capsys):
     """A failed consistency check is exit 3 with status "internal", not a
     traceback, and survives python -O (it is not an assert)."""
+    from helpers import folded_quadrant_fan
     from toricroots import cli
-    from toricroots.fan import Fan
 
-    monkeypatch.setattr(Fan, "contains_point", lambda self, v: False)
+    monkeypatch.setattr(cli.fans, "fan_from_json_dict", lambda data: folded_quadrant_fan())
     for fmt, check in (("json", json.loads), ("text", str)):
         code = cli.main(["fan-check", f2_file, "--format", fmt])
         out = check(capsys.readouterr().out)

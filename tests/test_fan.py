@@ -5,7 +5,12 @@ from itertools import combinations
 
 import pytest
 
-from helpers import bundled_complete_fans, quadrant_fan, random_complete_fans_2d
+from helpers import (
+    bundled_complete_fans,
+    folded_quadrant_fan,
+    quadrant_fan,
+    random_complete_fans_2d,
+)
 from toricroots import (
     LatticeAutomorphism,
     apply_automorphism,
@@ -268,12 +273,10 @@ def test_mixed_incomplete_fan_roots_work():
     assert statuses == {0: "infinite", 1: "infinite", 2: "finite"}
 
 
-def test_coverage_failure_is_an_internal_error(monkeypatch):
+def test_coverage_failure_is_an_internal_error():
     from toricroots.errors import InternalError
-    from toricroots.fan import Fan
 
-    fan = hirzebruch(2)
-    monkeypatch.setattr(Fan, "contains_point", lambda self, v: False)
+    fan = folded_quadrant_fan()
     with pytest.raises(InternalError, match="fails to cover direction"):
         is_complete(fan)
 

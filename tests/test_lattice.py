@@ -6,6 +6,7 @@ Smith form, and brute-force box scans for integer points.
 """
 
 import math
+import random
 from itertools import combinations, product
 
 import pytest
@@ -78,6 +79,22 @@ def box_scan(constraints, dim, radius):
         if ok:
             pts.append(p)
     return pts
+
+
+# ---------------------------------------------------------------------------
+# dot
+
+
+def test_dot_matches_the_generator_form_and_checks_lengths():
+    rng = random.Random(7)
+    for bits in (3, 40, 64, 65, 200):
+        for n in range(6):
+            u = tuple(rng.randint(-2**bits, 2**bits) for _ in range(n))
+            v = tuple(rng.randint(-2**bits, 2**bits) for _ in range(n))
+            assert dot(u, v) == sum(a * b for a, b in zip(u, v))
+    for u, v in (((1, 2), (1, 2, 3)), ((), (0,)), ((2**70,), ())):
+        with pytest.raises(ValueError, match=f"dimension mismatch: {len(u)} vs {len(v)}"):
+            dot(u, v)
 
 
 # ---------------------------------------------------------------------------
