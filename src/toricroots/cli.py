@@ -56,24 +56,29 @@ def _load_json(path: str):
     digest = hashlib.sha256(raw).hexdigest()
     try:
         data = json.loads(raw.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise ToricError(f"not valid JSON: {exc}") from None
     return data, digest
 
 
 def _unwrap(data, kind: str):
-    """Accept bare objects or report envelopes (for piping between commands)."""
-    if isinstance(data, dict):
+    """Accept bare objects or report envelopes (for piping between commands).
+
+    Envelopes are searched depth first, under "result", "fan", "polytope"
+    and "object" in that order, on an explicit stack, so no nesting depth
+    exhausts the interpreter's stack.
+    """
+    stack = [data]
+    while stack:
+        data = stack.pop()
+        if not isinstance(data, dict):
+            continue
         if kind == "fan" and {"dim", "rays", "max_cones"} <= set(data):
             return data
         if kind == "polytope" and {"dim", "vertices"} <= set(data):
             return data
-        for key in ("result", "fan", "polytope", "object"):
-            if key in data and isinstance(data[key], dict):
-                try:
-                    return _unwrap(data[key], kind)
-                except ToricError:
-                    pass
+        stack += [data[key] for key in reversed(("result", "fan", "polytope", "object"))
+                  if key in data]
     raise ToricError(f"no {kind} object found in input JSON")
 
 

@@ -4,12 +4,17 @@ A root is a lattice vector e pairing to -1 with exactly one ray generator
 (its distinguished ray) and nonnegatively with every other, such that for
 every cone on which e vanishes, the cone spanned together with the
 distinguished ray is again in the fan. The second condition is implied by
-the first on fans with convex support but is always checked explicitly.
+the first on fans with convex support (Demazure 1970 defines the roots of a
+complete fan by the first alone), but no branch depends on that.
 
-It is checked on the fan's face index, by the lemma in :mod:`toricroots.fan`:
-a ray of a fan that lies in a cone tau of the fan is one of tau's rays. So
+Given the first condition, the second is local to the maximal cones: for
+each maximal cone C not containing the distinguished ray rho, the face of C
+on which e vanishes, spanned together with rho, must be a cone of the fan
+(the proof is in :func:`satisfies_condition2`). Each test is a lookup in
+the fan's face index, by the lemma in :mod:`toricroots.fan`: a ray of a
+fan that lies in a cone tau of the fan is one of tau's rays, so
 cone(sigma + rho) is a cone of the fan iff the ray-index set of sigma plus
-rho is in ``fan.face_sets``, whether or not e satisfies the first condition.
+rho is in ``fan.face_sets``.
 """
 
 from __future__ import annotations
@@ -63,10 +68,39 @@ def satisfies_condition1(fan: Fan, e: Vec, ray: int) -> bool:
 
 
 def satisfies_condition2(fan: Fan, e: Vec, ray: int) -> bool:
-    """For every cone sigma on which e vanishes, cone(sigma + ray) is in the fan."""
-    zero = {i for i, p in enumerate(fan.rays) if dot(p, e) == 0}
-    return all(tuple(sorted({*face.ray_indices, ray})) in fan.face_sets
-               for face in fan.all_faces if zero.issuperset(face.ray_indices))
+    """For every cone sigma on which e vanishes, cone(sigma + rho) is in the
+    fan, where rho is the distinguished ray. e must satisfy condition (1)
+    for rho, else ValueError.
+
+    Decided on the maximal cones alone: condition (2) holds iff for every
+    maximal cone C not containing rho, with Z_C the face of C on which e
+    vanishes, the rays of Z_C plus rho are the ray set of a cone of the fan.
+    Write p_rho for the generator of rho. Proof:
+
+    (a) Let D be a cone of the fan with ray rho, and sigma a face of D with
+        e = 0 on sigma. Then cone(sigma + rho) is a face of D. Take u in
+        the dual of D with D & u^perp = sigma and set w = u + u(p_rho) * e.
+        Then w = 0 on sigma and on p_rho. On every other ray of D, w > 0,
+        since u > 0 there and e >= 0 there by condition (1). So w cuts
+        cone(sigma + rho) out of D.
+    (=>) For C not containing rho, e >= 0 on C by condition (1), so
+        Z_C = C & e^perp is a face of C: a cone of the fan on which e
+        vanishes.
+    (<=) Let sigma be a cone of the fan with e = 0 on sigma, and C a
+        maximal cone containing it. If rho is in C, apply (a) with D = C.
+        Otherwise sigma is a face of Z_C, and Z_C is a face of the cone
+        D = cone(Z_C + rho) of the fan, since -e >= 0 on D and vanishes
+        exactly on Z_C. So sigma is a face of D, and (a) applies.
+
+    By the lemma in :mod:`toricroots.fan`, the ray set of cone(sigma + rho)
+    is exactly the rays of sigma plus rho, so each test is one lookup in
+    ``fan.face_sets``.
+    """
+    row = pairing_row(fan, e)
+    if row[ray] != -1 or any(v < 0 for i, v in enumerate(row) if i != ray):
+        raise ValueError(f"{list(e)} does not satisfy condition (1) for ray {ray}")
+    return all(tuple(sorted([ray, *(i for i in c.ray_indices if row[i] == 0)])) in fan.face_sets
+               for c in fan.max_cones if ray not in c.ray_indices)
 
 
 def is_demazure_root(fan: Fan, e, ray: int) -> bool:

@@ -457,12 +457,6 @@ def _eliminate(ineqs: Sequence[_Ineq], k: int) -> list[_Ineq]:
     return sorted(out)
 
 
-def trivial_homogeneous_cone(ineqs: Sequence[Vec], dim: int) -> bool:
-    """True iff {x : a.x >= 0 for all a} is exactly {0}: the rows have rank
-    dim and the double description leaves no ray."""
-    return dual_rays(ineqs, dim) == ()
-
-
 def _ceil_div(p: int, q: int) -> int:
     return -((-p) // q)
 
@@ -474,12 +468,18 @@ def _floor_div(p: int, q: int) -> int:
 def lattice_points(constraints: Sequence[Constraint], dim: int):
     """All integer solutions, in lexicographic order, or UNBOUNDED.
 
-    Fourier-Motzkin elimination projects the system onto its leading
-    coordinates, exactly over Q. If eliminating every variable leaves a row
-    0 >= b > 0, the polyhedron is empty and there are no solutions. A
-    non-empty polyhedron is UNBOUNDED iff its recession cone (the
-    homogenized system) is not {0}; otherwise enumeration takes exact
-    per-coordinate bounds from the projections and descends recursively.
+    Fourier-Motzkin elimination projects the polyhedron P onto its leading
+    coordinates, exactly over Q: ``systems[k + 1]`` cuts out the projection
+    P_k of P onto x_0..x_k. If eliminating every variable leaves a row
+    0 >= b > 0, P is empty and there are no solutions. A non-empty P is
+    bounded iff for every k, ``systems[k + 1]`` has a row with a[k] > 0 and
+    a row with a[k] < 0. Proof: if no row has a[k] < 0, then moving x_k up
+    from any point of P_k keeps every row satisfied, so P_k, and hence P,
+    is unbounded; likewise for a[k] > 0 downwards. If both signs occur at
+    every k, then by induction on k, P_{k-1} is bounded and x_k lies
+    between affine functions of x_0..x_{k-1}, so P_k is bounded. Enumeration
+    takes those per-coordinate bounds from the projections and descends
+    recursively.
     """
     if dim < 1:
         raise ValueError("dimension must be positive")
@@ -490,7 +490,7 @@ def lattice_points(constraints: Sequence[Constraint], dim: int):
         systems[d] = _eliminate(systems[d + 1], d)
     if systems[0]:  # only rows 0 >= b > 0 survive the last elimination
         return ()
-    if not trivial_homogeneous_cone([a for a, _ in ineqs], dim):
+    if any(len({a[k] > 0 for a, _ in systems[k + 1] if a[k]}) < 2 for k in range(dim)):
         return UNBOUNDED
 
     out: list[Vec] = []

@@ -6,11 +6,19 @@ that the double-description kernel and the fraction-free elimination in
 face index replaced: root condition (2) decided on minimal generators, the
 2^k face scan of a cone, the C(m, n) scan for complete collections and the
 ridge-and-adjacency completeness test (without its coverage check), and the
-coverage check's loop over directions that packed integers replaced. The
+coverage check's loop over directions that packed integers replaced. Two
+more were replaced by local tests: root condition (2) on every face of the
+fan (``condition2_on_all_faces``; the library now checks the maximal
+cones) and the double-description test that a homogeneous system has only
+the zero solution (``recession_cone_is_zero``; ``lattice_points`` now reads
+boundedness off its Fourier-Motzkin projections). The
 code is kept as it was; only the module references differ, and only the
 cache of ``minimal_rays`` (keyed on vectors, not on fans) is kept. Every rank inside the oracles is the
 ``Fraction`` rank below and every dual description the subset scan, so the
-oracles share no elimination code with what they check.
+oracles share no elimination code with what they check. The exceptions are
+``condition2_on_all_faces``, which reads the fan's face index, and
+``recession_cone_is_zero``, which runs the library's double-description
+kernel and so shares no code with the Fourier-Motzkin scan it checks.
 """
 
 from __future__ import annotations
@@ -75,6 +83,12 @@ def trivial_homogeneous_cone(ineqs: Sequence[Vec], dim: int) -> bool:
         if not (has_pos and has_neg):
             return False
     return True
+
+
+def recession_cone_is_zero(ineqs: Sequence[Vec], dim: int) -> bool:
+    """True iff {x : a.x >= 0 for all a} is exactly {0}: the rows have rank
+    dim and the double description leaves no ray."""
+    return lattice.dual_rays(ineqs, dim) == ()
 
 
 def dual_description(gens: tuple[Vec, ...], dim: int) -> tuple[tuple[Vec, ...], tuple[Vec, ...]]:
@@ -215,6 +229,13 @@ def satisfies_condition2(fan: Fan, e: Vec, ray: int) -> bool:
             if not generated_cone_in_fan(fan, tuple(sorted(gens))):
                 return False
     return True
+
+
+def condition2_on_all_faces(fan: Fan, e: Vec, ray: int) -> bool:
+    """For every cone sigma on which e vanishes, cone(sigma + ray) is in the fan."""
+    zero = {i for i, p in enumerate(fan.rays) if dot(p, e) == 0}
+    return all(tuple(sorted({*face.ray_indices, ray})) in fan.face_sets
+               for face in fan.all_faces if zero.issuperset(face.ray_indices))
 
 
 def is_demazure_root(fan: Fan, e, ray: int) -> bool:

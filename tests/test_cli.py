@@ -104,6 +104,29 @@ def test_bad_json_exits_2(tmp_path):
     path.write_text("not json {")
     code, report = run_json("roots", str(path))
     assert code == 2 and report["status"] == "invalid"
+    # nesting too deep for the decoder, or for a recursive envelope search
+    for depth, text in [(100000, "[" * 100000 + "]" * 100000),
+                        (990, '{"result": ' * 990 + "{}" + "}" * 990)]:
+        path.write_text(text)
+        code, report = run_json("fan-check", str(path))
+        assert code == 2 and report["status"] == "invalid", depth
+        assert report["error"]["type"] == "ToricError"
+
+
+def test_envelopes_are_unwrapped_at_any_depth():
+    from toricroots import cli
+    from toricroots.errors import ToricError
+
+    fan = {"dim": 1, "rays": [[1]], "max_cones": [[0]]}
+    nested = {"object": {"result": {}}, "fan": fan}
+    for _ in range(5000):
+        nested = {"result": {"dim": 1}, "fan": nested}
+    assert cli._unwrap(nested, "fan") is fan
+    # depth first, "result" before "fan"
+    other = dict(fan, rays=[[-1]])
+    assert cli._unwrap({"fan": other, "result": {"object": fan}}, "fan") is fan
+    with pytest.raises(ToricError, match="no polytope object"):
+        cli._unwrap(nested, "polytope")
 
 
 def test_fan_check_rejects_float_and_string_coercion(tmp_path):

@@ -3,12 +3,14 @@
 Root condition (2), the faces of each maximal cone and the complete
 collections are read off ``Fan.face_sets``; ``oracles.py`` keeps the
 minimal-generator check, the 2^k face scan and the C(m, n) collection scan
-they replaced. The fans cover dimensions 2 to 5: GL_n(Z) images of builtin
+they replaced, and the scan of condition (2) over every face that the
+maximal-cone test replaced. The fans cover dimensions 2 to 5: GL_n(Z) images of builtin
 fans, normal fans of cross-polytopes (cones over squares and cubes),
 orthants, and subfans with maximal cones dropped, which are not complete
 and whose support is not convex.
 """
 
+import dataclasses
 import gc
 import random
 import weakref
@@ -110,15 +112,54 @@ def test_face_sets_match_the_face_scan(dim):
 
 @pytest.mark.parametrize("dim", (2, 3, 4, 5))
 def test_condition2_matches_minimal_generator_check(dim):
+    """The maximal-cone test agrees with both oracles on every vector that
+    satisfies condition (1); the oracles agree with each other on all."""
     rng = random.Random(800 + dim)
-    seen = set()
+    seen, seen_by_oracles = set(), set()
     for fan in fans_in_dim(dim, 700 + dim):
         for e, ray in candidates(fan, rng):
-            got = satisfies_condition2(fan, e, ray)
-            assert got == oracles.satisfies_condition2(fan, e, ray), (fan.rays, e, ray)
-            seen.add((satisfies_condition1(fan, e, ray), got))
-    # both answers occur, with and without condition (1)
-    assert seen == {(True, True), (True, False), (False, True), (False, False)}
+            want = oracles.condition2_on_all_faces(fan, e, ray)
+            assert want == oracles.satisfies_condition2(fan, e, ray), (fan.rays, e, ray)
+            cond1 = satisfies_condition1(fan, e, ray)
+            seen_by_oracles.add((cond1, want))
+            if cond1:
+                assert satisfies_condition2(fan, e, ray) == want, (fan.rays, e, ray)
+                seen.add((cond1, want))
+    # both answers occur; the oracles see them with and without condition (1)
+    assert seen == {(True, True), (True, False)}
+    assert seen_by_oracles == {(True, True), (True, False), (False, True), (False, False)}
+
+
+def test_condition2_requires_condition1():
+    fan = product_p1(2)  # rays (1, 0), (-1, 0), (0, 1), (0, -1)
+    assert satisfies_condition2(fan, (-1, 0), 0)
+    for e, ray in [((1, 0), 0), ((0, 0), 0), ((-1, -1), 0), ((-2, 0), 0), ((-1, 0), 2)]:
+        with pytest.raises(ValueError):
+            satisfies_condition2(fan, e, ray)
+
+
+class CountingSet(frozenset):
+    """A frozenset that counts membership tests."""
+
+    lookups = 0
+
+    def __contains__(self, item):
+        self.lookups += 1
+        return super().__contains__(item)
+
+
+def test_condition2_reads_only_the_maximal_cones():
+    """On (P^1)^7 each check makes at most one face_sets lookup per maximal
+    cone not through the distinguished ray (64 of 128, of 2,187 faces), and
+    reads no other face."""
+    fan = product_p1(7)
+    bare = dataclasses.replace(fan, all_faces=(), face_sets=CountingSet(fan.face_sets))
+    for ray in range(len(fan.rays)):
+        e = tuple(-x for x in fan.rays[ray])  # the rays are the +-unit vectors
+        outside = sum(ray not in c.ray_indices for c in fan.max_cones)
+        bare.face_sets.lookups = 0
+        assert satisfies_condition2(bare, e, ray)
+        assert 0 < bare.face_sets.lookups <= outside == 64
 
 
 @pytest.mark.parametrize("dim", (2, 3, 4, 5))

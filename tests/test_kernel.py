@@ -23,17 +23,19 @@ from toricroots import LatticeAutomorphism, apply_automorphism
 from toricroots.errors import InvalidPolytope, NotStronglyConvex
 from toricroots.fan import _dual_description, _intersection_rays, cone_dual_description
 from toricroots.lattice import (
+    UNBOUNDED,
+    Constraint,
     cut_cone,
     determinant,
     dot,
     dual_rays,
     identity,
     invert_unimodular,
+    lattice_points,
     mat_mul,
     mat_vec,
     primitive,
     rank,
-    trivial_homogeneous_cone,
 )
 from toricroots.polytope import LatticePolytope, facets
 
@@ -189,15 +191,55 @@ def test_full_dimensional_cone_skips_the_smith_form():
 
 @pytest.mark.parametrize("dim", (1, 2, 3, 4))
 def test_trivial_homogeneous_cone_matches_fourier_motzkin(dim):
+    """lattice_points finds a homogeneous system UNBOUNDED iff both oracles
+    (double description, and Fourier-Motzkin onto each axis) say its cone
+    is not {0}; otherwise the origin is its only solution."""
     rng = random.Random(400 + dim)
     seen = set()
     for _ in range(80):
         rows = [tuple(rng.randint(-2, 2) for _ in range(dim))
                 for _ in range(rng.randint(0, dim + 3))]
-        got = trivial_homogeneous_cone(rows, dim)
-        assert got == oracles.trivial_homogeneous_cone(rows, dim)
-        seen.add(got)
+        trivial = oracles.recession_cone_is_zero(rows, dim)
+        assert trivial == oracles.trivial_homogeneous_cone(rows, dim)
+        got = lattice_points([Constraint(a, ">=", 0) for a in rows], dim)
+        assert got == (UNBOUNDED if not trivial else ((0,) * dim,)), rows
+        seen.add(trivial)
     assert seen == {True, False}
+
+
+def farkas_empty(rows, dim):
+    """Is {x : a.x >= b for every (a, b) in rows} empty over Q? By Farkas'
+    lemma, iff some y >= 0 with sum y_i a_i = 0 has sum y_i b_i > 0; the
+    extreme rays of that pointed cone come from cut_cone on the orthant."""
+    unit = [tuple(int(i == j) for j in range(len(rows))) for i in range(len(rows))]
+    cols = [tuple(a[j] for a, _ in rows) for j in range(dim)]
+    ys = cut_cone(unit, unit, cols + [tuple(-x for x in c) for c in cols])
+    return any(dot(y, tuple(b for _, b in rows)) > 0 for y in ys)
+
+
+@pytest.mark.parametrize("dim", (1, 2, 3, 4))
+def test_lattice_points_boundedness_on_inhomogeneous_systems(dim):
+    """Random systems a.x >= b: lattice_points finds none when Farkas' lemma
+    says the polyhedron is empty, and otherwise UNBOUNDED iff its recession
+    cone is not {0} (double description); all three outcomes occur."""
+    rng = random.Random(500 + dim)
+    seen = set()
+    for _ in range(60):
+        rows = [(tuple(rng.randint(-2, 2) for _ in range(dim)), rng.randint(-3, 3))
+                for _ in range(rng.randint(1, 2 * dim + 1))]
+        got = lattice_points([Constraint(a, ">=", b) for a, b in rows], dim)
+        if farkas_empty(rows, dim):
+            want = "empty"
+            assert got == (), rows
+        elif oracles.recession_cone_is_zero([a for a, _ in rows], dim):
+            want = "bounded"
+            assert got is not UNBOUNDED, rows
+            assert all(dot(a, x) >= b for x in got for a, b in rows)
+        else:
+            want = "unbounded"
+            assert got is UNBOUNDED, rows
+        seen.add(want)
+    assert seen == {"empty", "bounded", "unbounded"}
 
 
 def test_cut_cone_hand_examples():

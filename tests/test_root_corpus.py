@@ -1,0 +1,86 @@
+"""Additive actions on a generated corpus of fans in dimensions 3 to 6.
+
+By the paper's characterization, a complete fan admits an additive action
+iff some maximal cone is generated by a lattice basis p_1..p_n and every
+other ray lies in the negative orthant of that basis. So the face fan of
+conv(e_1..e_n, q_1..q_k), with each q_j primitive in the negative orthant
+and -(1, ..., 1) among them, admits one: conv(e_1..e_n) is a facet, on the
+hyperplane where the coordinates sum to 1, and the origin is interior.
+Moving one q_j out of the orthant gives a candidate that may not. Each fan
+is decided with its image under a random GL_n(Z) map, which must give the
+same answer and collection count, and with a subfan that drops one maximal
+cone (not complete, so root condition (2) does real work). The collections
+must match the C(m, n) subset scan in ``oracles.py``, whose condition (2)
+is the minimal-generator check.
+
+Cox degrees are left out: ``smith_normal_form`` can blow up on GL_n(Z)
+images (see ``test_kernel.py``).
+"""
+
+import random
+
+import pytest
+
+import oracles
+from test_face_index import subfan
+from test_kernel import random_unimodular
+from toricroots import (
+    LatticeAutomorphism,
+    admits_additive,
+    apply_automorphism,
+    build_fan,
+    complete_collections,
+    is_complete,
+)
+from toricroots.lattice import dot, primitive, rank
+from toricroots.polytope import _hull_facets
+
+
+def face_fan(points, dim):
+    """The fan of cones over the facets of conv(points), on its vertices;
+    the origin must be interior and the vertices primitive."""
+    fs = _hull_facets(tuple(points), dim)
+    verts = [v for v in points
+             if rank([f.normal for f in fs if dot(f.normal, v) == f.rhs], dim) == dim]
+    cones = [[i for i, v in enumerate(verts) if dot(f.normal, v) == f.rhs] for f in fs]
+    return build_fan(dim, verts, cones)
+
+
+def corpus(dim, rng, pairs=2):
+    """(fan, admits) pairs, with admits True or None (not known). Each
+    positive fan has the points -(1, ..., 1), q_1 and q_2, q_2 with every
+    coordinate negative; its candidate has one coordinate of q_2 made 1."""
+    units = [tuple(int(i == j) for j in range(dim)) for i in range(dim)]
+    out = []
+    for _ in range(pairs):
+        q1 = (0,) * dim
+        while not any(q1):
+            q1 = tuple(rng.choice((-2, -1, 0)) for _ in range(dim))
+        q2 = [rng.choice((-2, -1)) for _ in range(dim)]
+        for want in (True, None):
+            fan = face_fan(units + sorted({(-1,) * dim, primitive(q1), primitive(tuple(q2))}), dim)
+            assert is_complete(fan)
+            out.append((fan, want))
+            q2[rng.randrange(dim)] = 1
+    return out
+
+
+@pytest.mark.parametrize("dim", (3, 4, 5, 6))
+def test_corpus_answers_are_invariant_and_match_the_subset_scan(dim):
+    """One pair in dimensions 5 and 6, where the subset scan is slow (0.25 s
+    a fan in dimension 6). With these seeds both answers occur among the
+    complete fans of every dimension."""
+    rng = random.Random(1400 + dim)
+    seen = set()
+    for fan, want in corpus(dim, rng, pairs=2 if dim < 5 else 1):
+        got = complete_collections(fan)
+        assert got == oracles.complete_collections(fan), fan.rays
+        assert want in (None, bool(got))
+        image = apply_automorphism(fan, LatticeAutomorphism(random_unimodular(rng, dim)))
+        assert admits_additive(image).admits == bool(got)
+        assert len(complete_collections(image)) == len(got)
+        seen.add(bool(got))
+        count = len(fan.max_cones)
+        part = subfan(fan, rng.sample(range(count), count - 1))
+        assert complete_collections(part) == oracles.complete_collections(part), part.rays
+    assert seen == {True, False}
