@@ -13,6 +13,14 @@ index, by one lemma: in a fan, a ray rho meets any cone tau in a face of
 tau, so a ray of the fan that lies in tau is one of tau's rays. Hence a
 cone generated by some rays S of the fan is a cone of the fan iff S is a
 face's ray-index set (``S in fan.face_sets``).
+
+Validation checks each maximal cone on its own, then that any two meet in
+a common face. For n-dimensional maximal cones, a local certificate does
+the latter (:func:`_certify_complete`): every facet is shared by exactly
+one other maximal cone, on its other side, and one point of the first cone
+lies in no other. It holds exactly when the cones form a complete fan, so
+such a fan is known complete at build and no two of its cones are
+intersected. Any other fan intersects every pair of maximal cones.
 """
 
 from __future__ import annotations
@@ -202,9 +210,12 @@ def _intersection_rays(gens: tuple[Vec, ...], rows, ineqs, eqs) -> tuple[Vec, ..
 def _check_fan(dim, rays, max_cones, allow_nonprimitive: bool):
     """Validate fan data in one pass; raise InvalidFan with every violation.
 
-    Returns the rays and, keyed by each maximal cone's sorted ray indices,
-    its dual description, the ray sets its facet normals vanish on (one set
-    per inequality) and the ray-index sets of its faces.
+    Returns the rays; keyed by each maximal cone's sorted ray indices, its
+    dual description, the ray sets its facet normals vanish on (one set per
+    inequality) and the ray-index sets of its faces; and whether
+    :func:`_certify_complete` certified the fan complete. A certified fan is
+    a fan by that certificate; any other runs the scan of all pairs of
+    maximal cones, which checks that they meet in a common face.
     """
     if not lattice.is_integer(dim):
         raise InvalidFan(["dim must be an integer"])
@@ -268,8 +279,9 @@ def _check_fan(dim, rays, max_cones, allow_nonprimitive: bool):
     if violations:
         raise InvalidFan(violations)
 
+    certified = _certify_complete(rays, cones, descs, tights)
     prim_index = {p: i for i, p in enumerate(prims)}
-    for a, b in combinations(cones, 2):
+    for a, b in () if certified else combinations(cones, 2):
         gens = tuple(sorted({prims[i] for i in a}))
         meet = _intersection_rays(gens, descs[a][0], *descs[b])
         try:
@@ -286,7 +298,113 @@ def _check_fan(dim, rays, max_cones, allow_nonprimitive: bool):
                 f"maximal cone {list(meet_idx)} is contained in another maximal cone")
     if violations:
         raise InvalidFan(violations)
-    return rays, {idx: (descs[idx], tights[idx], faces[idx]) for idx in descs}
+    return rays, {idx: (descs[idx], tights[idx], faces[idx]) for idx in descs}, certified
+
+
+def _certify_complete(rays, cones, descs, tights) -> bool:
+    """True iff the maximal cones C_1..C_m (`cones`, in the order given) are
+    n-dimensional and pass the two local tests below; then, and only then,
+    they are the maximal cones of a complete fan. The cones are pointed and
+    listed by their minimal generators, with their facet normals and the
+    ray set T of each facet (`tights`): the checks of :func:`_check_fan`
+    before this one.
+
+    (a) *Facet pairing.* Each facet ray set T of a cone C_k is a facet ray
+        set of exactly one other maximal cone C_j, and <a, r> < 0 for every
+        ray r of C_j not in T, where a is C_k's normal on T.
+    (b) *Degree one.* The sum p of C_1's rays lies in no other maximal cone.
+
+    This is the pseudo-manifold characterisation of subdivisions (De Loera,
+    Rambau and Santos, *Triangulations*, 2010, section 4.5). It costs one
+    ``dot`` per ray of each partner and per inequality for p; no two cones
+    are intersected. The proof follows.
+
+    *Pairing.* T spans the hyperplane a^perp, so by (a) C_j's normal on T is
+    a negative multiple of a: the partners lie on opposite sides of their
+    common facet cone(T), and (C_k, T) <-> (C_j, T) is an involution without
+    fixed points on the pairs (cone, facet).
+
+    *Lemma (degree).* Let K_1..K_s be pointed n-dimensional cones in a real
+    space W of dimension n, and let their facets be paired as above: each
+    (K, F) with a partner (K', F), K' != K, on the other side of F, and the
+    partner of (K', F) being (K, F). Then the number of cones containing x
+    is the same for every x off the union H of the facets' hyperplanes.
+    Proof: let Z be the union of the spans of the faces of dimension at most
+    n - 2. Each lies in a facet's hyperplane, so Z is in H; and W \\ Z, the
+    complement of finitely many subspaces of codimension at least 2, is
+    connected (Z is empty if n = 1). Take y in W \\ Z. If y is on the
+    boundary of K, it lies on exactly one facet F of K, in its relative
+    interior (else it lies on a smaller face, in Z), so near y, K agrees
+    with a closed half-space of F's hyperplane; the partner K' of (K, F)
+    has y in the relative interior of its facet F too, and near y agrees
+    with the other half-space. So the cones with y on their boundary pair
+    off, and each pair contains each point near y off H exactly once; a
+    cone with y in its interior contains a ball around y, and a cone
+    missing y misses one. The count off H is thus constant near each y in
+    W \\ Z, hence on all of W \\ H, since W \\ Z is connected.
+
+    *Coverage.* By the lemma in N_R, the count is constant off H. Each
+    normal of C_1 is nonnegative on its rays and positive on one, so p is
+    in the interior of C_1, and by (b) outside the closed C_j, j != 1; a
+    small ball around p lies in C_1 and meets no other cone, so the count
+    is 1. The cones therefore cover the dense set N_R \\ H, hence N_R (their
+    union is closed), and no two of them share an interior point (any open
+    set meets N_R \\ H).
+
+    *Face to face.* Let G be a face of C_k, y in its relative interior, and
+    S the set of maximal cones having G as a face. For K in S and a facet F
+    of K containing G, the partner of (K, F) has F as a facet and G as a
+    face of F, so it is in S. In W = N_R / span G, the images of the cones
+    of S are pointed and n - dim G dimensional, their facets are the images
+    of the facets containing G, and a, which vanishes on span G, still
+    separates partners: the lemma applies in W. The count there is at
+    least 1, as the image of C_k has interior, so the cones K + span G, K
+    in S, cover N_R. Near y each K in S agrees with K + span G (y is in the
+    relative interior of its face G), so the cones of S cover a ball B
+    around y. A maximal cone C_j through y not in S would be n-dimensional,
+    so its interior would meet B in an open set, which the finitely many
+    closed cones of S cover, so it would meet one of their interiors,
+    against coverage. So every maximal cone through y has G as a face.
+
+    Now let x be in the relative interior of C_i /\\ C_j and G the face of
+    C_i with x in its relative interior. G is a face of C_j, and G lies in
+    C_i /\\ C_j. For z in C_i /\\ C_j, x - e(z - x) is in it too for a small
+    e > 0, so x is inside a segment of C_i from z, and the face G of C_i
+    holds the whole segment: z is in G. So C_i /\\ C_j = G, a face of both,
+    whose rays are the rays of the fan in it; it is not all of C_i, since
+    n-dimensional C_i and C_j differ. The pair scan finds no violation, and
+    the fan is complete.
+
+    *Completeness implies (a) and (b).* Let the cones be the maximal cones
+    of a complete fan. For a facet cone(T) of C_k with normal a and y in its
+    relative interior, the points y - e a for small e > 0 are not in C_k
+    but are covered, so one cone C_j, j != k, holds points y - e a with e
+    tending to 0, and y. C_k /\\ C_j is a proper face of C_k (C_k is not in
+    C_j) through y, so it is cone(T), a facet of C_j too (of dimension
+    n - 1), with ray set T; C_j holds y - e a, so its rays off T are
+    negative on a. A third cone with the facet cone(T) would agree near y
+    with one of the two half-spaces and share interior points with C_k or
+    C_j, whose intersection is a proper face: so (a) holds. If p, interior
+    to C_1, were in C_j, j != 1, then C_1 /\\ C_j would be a face of C_1
+    with an interior point, that is C_1 itself; then C_1 would be an
+    n-dimensional face of C_j, hence equal to it: (b) holds.
+    """
+    if not cones or any(descs[idx][1] for idx in cones):
+        return False
+    owners: dict[frozenset, list] = {}
+    for idx in cones:
+        for a, t in zip(descs[idx][0], tights[idx]):
+            owners.setdefault(t, []).append((idx, a))
+    for t, pair in owners.items():
+        if len(pair) != 2:
+            return False
+        (_, a), (other, _) = pair
+        if any(dot(a, rays[i]) >= 0 for i in other if i not in t):
+            return False
+    first = cones[0]
+    p = tuple(map(sum, zip(*(rays[i] for i in first))))
+    return not any(all(dot(a, p) >= 0 for a in descs[idx][0])
+                   for idx in cones if idx != first)
 
 
 def validate_fan(dim, rays, max_cones, allow_nonprimitive: bool = False) -> list[str]:
@@ -330,8 +448,10 @@ def _face_cone(face: tuple[int, ...], ineqs, eqs, tight, dims: dict, dim: int) -
 
 def build_fan(dim, rays, max_cones, allow_nonprimitive: bool = False) -> Fan:
     """Validate and assemble a Fan: every face, with its dual description,
-    indexed by its ray-index set. Maximal cones and faces are sorted."""
-    rays, cones = _check_fan(dim, rays, max_cones, allow_nonprimitive)
+    indexed by its ray-index set. Maximal cones and faces are sorted. A fan
+    that :func:`_certify_complete` certifies is stored as complete once the
+    coverage check of :func:`is_complete` has cross-checked it."""
+    rays, cones, certified = _check_fan(dim, rays, max_cones, allow_nonprimitive)
     owner = {}
     for idx in sorted(cones):
         for f in cones[idx][2]:
@@ -349,8 +469,12 @@ def build_fan(dim, rays, max_cones, allow_nonprimitive: bool = False) -> Fan:
         dims[f] = cone.dim
         faces.append(cone)
     max_cones = tuple(c for c in faces if c.ray_indices in cones)
-    return Fan(dim, rays, tuple(sorted(max_cones, key=lambda c: c.ray_indices)),
-               tuple(faces), frozenset(owner))
+    fan = Fan(dim, rays, tuple(sorted(max_cones, key=lambda c: c.ray_indices)),
+              tuple(faces), frozenset(owner))
+    if certified:
+        _check_coverage(fan)
+        object.__setattr__(fan, "_complete", True)
+    return fan
 
 
 # ---------------------------------------------------------------------------
@@ -370,7 +494,10 @@ def is_complete(fan: Fan) -> bool:
     facet normal a at once, as fields of b bits in packed integers, with b
     chosen so that 9|a|_1 < 2^(b-1) for every normal; then no field can
     overflow (see :func:`_first_uncovered`). The answer is stored on the
-    fan, so later calls on it are free.
+    fan, so later calls on it are free. A fan that :func:`build_fan`
+    certified complete (see :func:`_certify_complete`) has it stored at
+    build, after the same coverage check; this criterion decides the rest:
+    fans that failed the certificate or were assembled by hand.
 
     The criterion needs no connectivity test. The support S is closed. Let
     V be N_R minus the spans of the cones of dimension at most n-2. A point
@@ -394,10 +521,16 @@ def _decide_complete(fan: Fan) -> bool:
     for f in fan.all_faces:
         if f.dim == fan.dim - 1 and sum(c.issuperset(f.ray_indices) for c in cones) != 2:
             return False
+    _check_coverage(fan)
+    return True
+
+
+def _check_coverage(fan: Fan) -> None:
+    """Raise InternalError naming the first seeded direction that no
+    maximal cone of a fan found complete covers."""
     miss = _first_uncovered(fan, _coverage_directions(fan.dim))
     if miss is not None:
         raise InternalError(f"complete fan fails to cover direction {miss}")
-    return True
 
 
 def _coverage_directions(dim: int) -> list[Vec]:

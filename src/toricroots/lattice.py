@@ -357,9 +357,14 @@ def dual_rays(rows: Sequence[Vec], width: int) -> tuple[Vec, ...] | None:
     """Primitive extreme rays of {x : <a, x> >= 0 for every row a}, sorted, or
     None when the rows do not span Q^width (the cone then contains a line).
 
-    The first `width` independent rows bound a simplicial cone, whose rays
-    are the columns of the adjugate of those rows (cofactor vectors, each
-    orthogonal to all rows but one); :func:`cut_cone` cuts it with the rest.
+    The first `width` independent rows B bound a simplicial cone, whose rays
+    are the columns of B^-1 (each orthogonal to all rows but one);
+    :func:`cut_cone` cuts it with the rest. They are read off one
+    fraction-free Gauss-Jordan pass on [B | I]: every entry after pivot
+    step k is a minor of order k + 1 of the input, so each division is
+    exact, and the pass ends at [d I | d B^-1] with d = +-det B. Column k of
+    the right block, made primitive and signed so that <b_k, u> > 0, is the
+    k-th ray.
     """
     basis: list[Vec] = []
     rest: list[Vec] = []
@@ -370,13 +375,18 @@ def dual_rays(rows: Sequence[Vec], width: int) -> tuple[Vec, ...] | None:
             rest.append(a)
     if len(basis) < width:
         return None
-    sign = 1 if determinant(basis) > 0 else -1
-    start = []
+    m = [list(b) + [int(i == j) for j in range(width)] for i, b in enumerate(basis)]
+    prev = 1
     for k in range(width):
-        minor = basis[:k] + basis[k + 1:]
-        u = tuple((-1) ** (k + t) * determinant([r[:t] + r[t + 1:] for r in minor])
-                  for t in range(width))
-        start.append(primitive(u if sign > 0 else neg(u)))
+        piv = next(i for i in range(k, width) if m[i][k] != 0)
+        m[k], m[piv] = m[piv], m[k]
+        p, row = m[k][k], m[k]
+        for i in range(width):
+            if i != k:
+                f = m[i][k]
+                m[i] = [(p * x - f * y) // prev for x, y in zip(m[i], row)]
+        prev = p
+    start = [primitive(u if prev > 0 else neg(u)) for u in zip(*(r[width:] for r in m))]
     return cut_cone(start, basis, rest)
 
 

@@ -11,14 +11,19 @@ more were replaced by local tests: root condition (2) on every face of the
 fan (``condition2_on_all_faces``; the library now checks the maximal
 cones) and the double-description test that a homogeneous system has only
 the zero solution (``recession_cone_is_zero``; ``lattice_points`` now reads
-boundedness off its Fourier-Motzkin projections). The
+boundedness off its Fourier-Motzkin projections). ``dual_rays`` keeps the
+start of the double description it had before one Gauss-Jordan pass
+replaced it: one cofactor determinant of order n - 1 per entry of the
+adjugate. The
 code is kept as it was; only the module references differ, and only the
 cache of ``minimal_rays`` (keyed on vectors, not on fans) is kept. Every rank inside the oracles is the
 ``Fraction`` rank below and every dual description the subset scan, so the
 oracles share no elimination code with what they check. The exceptions are
-``condition2_on_all_faces``, which reads the fan's face index, and
+``condition2_on_all_faces``, which reads the fan's face index;
 ``recession_cone_is_zero``, which runs the library's double-description
-kernel and so shares no code with the Fourier-Motzkin scan it checks.
+kernel and so shares no code with the Fourier-Motzkin scan it checks; and
+``dual_rays``, which shares the library's ``rank`` and ``cut_cone`` and
+differs from ``lattice.dual_rays`` only in how it finds the start rays.
 """
 
 from __future__ import annotations
@@ -89,6 +94,33 @@ def recession_cone_is_zero(ineqs: Sequence[Vec], dim: int) -> bool:
     """True iff {x : a.x >= 0 for all a} is exactly {0}: the rows have rank
     dim and the double description leaves no ray."""
     return lattice.dual_rays(ineqs, dim) == ()
+
+
+def dual_rays(rows: Sequence[Vec], width: int) -> tuple[Vec, ...] | None:
+    """Primitive extreme rays of {x : <a, x> >= 0 for every row a}, sorted, or
+    None when the rows do not span Q^width (the cone then contains a line).
+
+    The first `width` independent rows bound a simplicial cone, whose rays
+    are the columns of the adjugate of those rows (cofactor vectors, each
+    orthogonal to all rows but one); :func:`cut_cone` cuts it with the rest.
+    """
+    basis: list[Vec] = []
+    rest: list[Vec] = []
+    for a in rows:
+        if len(basis) < width and lattice.rank(basis + [a], width) > len(basis):
+            basis.append(a)
+        else:
+            rest.append(a)
+    if len(basis) < width:
+        return None
+    sign = 1 if lattice.determinant(basis) > 0 else -1
+    start = []
+    for k in range(width):
+        minor = basis[:k] + basis[k + 1:]
+        u = tuple((-1) ** (k + t) * lattice.determinant([r[:t] + r[t + 1:] for r in minor])
+                  for t in range(width))
+        start.append(primitive(u if sign > 0 else neg(u)))
+    return lattice.cut_cone(start, basis, rest)
 
 
 def dual_description(gens: tuple[Vec, ...], dim: int) -> tuple[tuple[Vec, ...], tuple[Vec, ...]]:

@@ -18,6 +18,7 @@ from operator import mul
 import pytest
 
 import oracles
+from helpers import quadrant_fan
 from test_cli import counting
 from test_face_index import COMPLETE, cross_polytope_fan, fans_in_dim
 from test_kernel import random_unimodular
@@ -216,15 +217,21 @@ def test_normal_fan_is_built_once_per_polytope(monkeypatch):
 
 
 def test_stored_fields_do_not_change_equality_hash_or_repr():
-    filled, fresh = projective_space(3), projective_space(3)
-    assert is_complete(filled)
-    assert filled._complete is True and fresh._complete is None
+    """A fan certified complete at build stores the answer then; a fan the
+    certificate rejects stores it on its first is_complete call."""
+    built, asked = projective_space(3), projective_space(3)
+    assert built._complete is True and is_complete(asked)
+    assert built == asked and hash(built) == hash(asked) and repr(built) == repr(asked)
+    filled, fresh = quadrant_fan(), quadrant_fan()
+    assert not is_complete(filled)
+    assert filled._complete is False and fresh._complete is None
     assert filled == fresh and hash(filled) == hash(fresh) and repr(filled) == repr(fresh)
     p, q = trapezoid(), trapezoid()
     normal_fan(p)
     assert p._normal_fan is not None and q._normal_fan is None
     assert p == q and hash(p) == hash(q) and repr(p) == repr(q)
-    assert "_normal_fan" not in repr(p) and "_complete" not in repr(filled)
+    assert "_normal_fan" not in repr(p)
+    assert "_complete" not in repr(filled) + repr(built)
 
 
 def test_polytope_and_its_normal_fan_are_freed():

@@ -2,7 +2,8 @@
 
 The oracles are the subset scans and the rational rank the kernel replaced
 (``oracles.py``) and sympy, a test-only dependency. Every random case is
-drawn from a fixed seed, in dimensions 2 to 5.
+drawn from a fixed seed, in dimensions 2 to 5 (1 to 6 for the start rays
+of ``dual_rays``, against the cofactor start it replaced).
 
 The scans call ``smith_normal_form``, whose entries grow exponentially on
 some matrices with two-digit entries in dimension 5 (see
@@ -165,6 +166,25 @@ def test_dual_rays_of_pointed_cones(dim):
         ineqs, eqs = oracles.dual_description(tuple(gens), dim)
         assert eqs == ()
         assert dual_rays(gens, dim) == ineqs
+
+
+@pytest.mark.parametrize("dim", (1, 2, 3, 4, 5, 6))
+def test_dual_rays_start_matches_the_cofactor_start(dim):
+    """The Gauss-Jordan start gives what the adjugate's cofactors gave, on
+    seeded rows: rows that span and rows that do not, rows with a dependent
+    one before the basis is full, and entries up to 40."""
+    rng = random.Random(350 + dim)
+    outcomes = set()
+    for k in range(120):
+        count = rng.randint(max(dim - 1, 1), dim + 4)
+        size = 3 if k % 3 else 40
+        rows = random_vectors(rng, count, dim, -size, size)
+        if k % 4 == 0 and count > 1:  # a multiple of an earlier row first
+            rows[1] = tuple(2 * x for x in rows[0])
+        got = dual_rays(rows, dim)
+        assert got == oracles.dual_rays(rows, dim), rows
+        outcomes.add(got is None)
+    assert False in outcomes and (True in outcomes or dim == 1)
 
 
 def test_full_dimensional_cone_skips_the_smith_form():
