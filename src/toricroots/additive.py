@@ -13,7 +13,7 @@ from itertools import permutations
 
 from . import lattice
 from .demazure import DemazureRoot, all_roots, is_demazure_root, pairing_row
-from .errors import InfiniteRoots, NoWitness, NotComplete
+from .errors import InfiniteRoots, NoWitness, NotComplete, NotSquare, NotUnimodular
 from .fan import Fan, LatticeAutomorphism, is_complete, is_fan_automorphism
 from .lattice import Mat, Vec, dot, neg
 
@@ -126,7 +126,7 @@ def verify_witness(fan: Fan, c1: CompleteCollection, c2: CompleteCollection,
     map carries the first root set onto the second."""
     try:
         g = witness.automorphism()
-    except Exception:
+    except (NotSquare, NotUnimodular):
         return False
     if not is_fan_automorphism(fan, g):
         return False

@@ -15,17 +15,18 @@ cone generated by some rays S of the fan is a cone of the fan iff S is a
 face's ray-index set (``S in fan.face_sets``).
 
 Validation checks each maximal cone on its own, then that any two meet in
-a common face. For n-dimensional maximal cones, a local certificate does
-the latter (:func:`_certify_complete`): every facet is shared by exactly
-one other maximal cone, on its other side, and one point of the first cone
-lies in no other. It holds exactly when the cones form a complete fan, so
-such a fan is known complete at build and no two of its cones are
-intersected. Any other fan intersects every pair of maximal cones.
+a common face. When every maximal cone is n-dimensional, a local
+certificate is tried first (:func:`_certify_complete`): every facet is
+shared by exactly one other maximal cone, on its other side, and one point
+of the first cone lies in no other. It holds exactly when the cones form a
+complete fan, so a certified fan needs no pair of its cones intersected,
+and any other fan intersects every pair. The certificate is also the one
+decision of completeness: :func:`build_fan` stores its answer on the fan,
+and :func:`is_complete` returns it.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 from itertools import combinations
 from math import gcd
@@ -35,15 +36,11 @@ from . import lattice
 from .errors import (
     BadParams,
     DimensionMismatch,
-    InternalError,
     InvalidFan,
     NotStronglyConvex,
     NotUnimodular,
 )
 from .lattice import Mat, Vec, dot, is_zero, neg, primitive, vec
-
-_COVERAGE_SEED = 0x5EED
-_COVERAGE_SAMPLES = 200
 
 
 @dataclass(frozen=True)
@@ -112,11 +109,10 @@ class Fan:
     all_faces: tuple[Cone, ...]
     face_sets: frozenset[tuple[int, ...]] = field(repr=False)
     _by_rays: dict = field(init=False, repr=False, compare=False)
-    _complete: bool | None = field(init=False, repr=False, compare=False)  # see is_complete
+    _complete: bool = field(default=False, init=False, repr=False, compare=False)  # see is_complete
 
     def __post_init__(self):
         object.__setattr__(self, "_by_rays", {c.ray_indices: c for c in self.all_faces})
-        object.__setattr__(self, "_complete", None)
 
     def cone(self, ray_indices) -> Cone:
         key = tuple(sorted(ray_indices))
@@ -448,9 +444,9 @@ def _face_cone(face: tuple[int, ...], ineqs, eqs, tight, dims: dict, dim: int) -
 
 def build_fan(dim, rays, max_cones, allow_nonprimitive: bool = False) -> Fan:
     """Validate and assemble a Fan: every face, with its dual description,
-    indexed by its ray-index set. Maximal cones and faces are sorted. A fan
-    that :func:`_certify_complete` certifies is stored as complete once the
-    coverage check of :func:`is_complete` has cross-checked it."""
+    indexed by its ray-index set. Maximal cones and faces are sorted. The
+    answer of :func:`_certify_complete` is stored on the fan as its
+    completeness."""
     rays, cones, certified = _check_fan(dim, rays, max_cones, allow_nonprimitive)
     owner = {}
     for idx in sorted(cones):
@@ -471,9 +467,7 @@ def build_fan(dim, rays, max_cones, allow_nonprimitive: bool = False) -> Fan:
     max_cones = tuple(c for c in faces if c.ray_indices in cones)
     fan = Fan(dim, rays, tuple(sorted(max_cones, key=lambda c: c.ray_indices)),
               tuple(faces), frozenset(owner))
-    if certified:
-        _check_coverage(fan)
-        object.__setattr__(fan, "_complete", True)
+    object.__setattr__(fan, "_complete", certified)
     return fan
 
 
@@ -484,103 +478,12 @@ def build_fan(dim, rays, max_cones, allow_nonprimitive: bool = False) -> Fan:
 def is_complete(fan: Fan) -> bool:
     """True iff the support of the fan is all of N_Q.
 
-    Criterion: every maximal cone is n-dimensional and every cone of
-    dimension n-1 (a ridge) lies in exactly two maximal cones. A cone of
-    the fan inside a maximal cone is a face of it, so the count is over the
-    maximal cones whose ray sets contain the ridge's. A seeded coverage
-    check cross-validates positive answers: each of 200 directions drawn
-    uniformly from [-9, 9]^n must lie in some maximal cone, else
-    InternalError names the first one missed. All 200 are tested against a
-    facet normal a at once, as fields of b bits in packed integers, with b
-    chosen so that 9|a|_1 < 2^(b-1) for every normal; then no field can
-    overflow (see :func:`_first_uncovered`). The answer is stored on the
-    fan, so later calls on it are free. A fan that :func:`build_fan`
-    certified complete (see :func:`_certify_complete`) has it stored at
-    build, after the same coverage check; this criterion decides the rest:
-    fans that failed the certificate or were assembled by hand.
-
-    The criterion needs no connectivity test. The support S is closed. Let
-    V be N_R minus the spans of the cones of dimension at most n-2. A point
-    of S in V lies in the relative interior of a maximal cone or of a
-    ridge. The two maximal cones on a ridge lie on opposite sides of it:
-    otherwise they would share interior points, so their intersection, a
-    face of both, would be n-dimensional and they would be equal. So S is
-    open in V as well as closed. V, the complement of finitely many
-    subspaces of codimension 2, is connected, so V lies in S, and so does
-    its closure N_R.
+    :func:`build_fan` decides this once, by :func:`_certify_complete`, whose
+    docstring proves that the certificate holds exactly when the maximal
+    cones form a complete fan; this returns the stored answer. A Fan
+    assembled without :func:`build_fan` has none and reads as not complete.
     """
-    if fan._complete is None:
-        object.__setattr__(fan, "_complete", _decide_complete(fan))
     return fan._complete
-
-
-def _decide_complete(fan: Fan) -> bool:
-    if not fan.max_cones or any(c.dim != fan.dim for c in fan.max_cones):
-        return False
-    cones = [frozenset(c.ray_indices) for c in fan.max_cones]
-    for f in fan.all_faces:
-        if f.dim == fan.dim - 1 and sum(c.issuperset(f.ray_indices) for c in cones) != 2:
-            return False
-    _check_coverage(fan)
-    return True
-
-
-def _check_coverage(fan: Fan) -> None:
-    """Raise InternalError naming the first seeded direction that no
-    maximal cone of a fan found complete covers."""
-    miss = _first_uncovered(fan, _coverage_directions(fan.dim))
-    if miss is not None:
-        raise InternalError(f"complete fan fails to cover direction {miss}")
-
-
-def _coverage_directions(dim: int) -> list[Vec]:
-    """The seeded directions of the coverage check, uniform on [-9, 9]^dim."""
-    coords = random.Random(_COVERAGE_SEED).choices(range(-9, 10), k=_COVERAGE_SAMPLES * dim)
-    return [tuple(coords[k:k + dim]) for k in range(0, len(coords), dim)]
-
-
-def _first_uncovered(fan: Fan, directions: list[Vec]) -> Vec | None:
-    """The first of `directions` that lies in no maximal cone of `fan`, or
-    None. The coordinates must lie in [-9, 9] and the maximal cones must be
-    n-dimensional (they have no equations).
-
-    Every direction is tested against an inequality a in one integer
-    operation. Direction k owns the k-th b-bit field of one int per
-    coordinate j, which holds v_j + 9, in [0, 18]. Adding a_j times that
-    column for a_j > 0 and |a_j| times its complement (18 - (v_j + 9) in
-    each field) for a_j < 0 puts <a, v> + 9|a|_1 in each field from
-    nonnegative terms; adding 2^(b-1) - 9|a|_1 leaves 2^(b-1) + <a, v>.
-    With 9|a|_1 < 2^(b-1) for every inequality, that value and every partial
-    sum lie in [0, 2^b), so no field carries into the next, and a field's
-    top bit is set iff <a, v> >= 0. The masks are ANDed over a cone's
-    inequalities and ORed over the cones.
-    """
-    n, m = fan.dim, len(directions)
-    bound = 9 * max((sum(map(abs, a)) for c in fan.max_cones for a in c.inequalities),
-                    default=0)
-    b = bound.bit_length() + 1
-    half = 1 << (b - 1)
-    ones = ((1 << (m * b)) - 1) // ((1 << b) - 1)
-    top = half * ones
-    cols = [sum((v[j] + 9) << (k * b) for k, v in enumerate(directions)) for j in range(n)]
-    flips = [18 * ones - col for col in cols]
-    covered = 0
-    for c in fan.max_cones:
-        inside = top
-        for a in c.inequalities:
-            s = (half - 9 * sum(map(abs, a))) * ones
-            for x, col, flip in zip(a, cols, flips):
-                if x > 0:
-                    s += x * col
-                elif x < 0:
-                    s -= x * flip
-            inside &= s
-        covered |= inside
-        if covered == top:
-            return None
-    low = top & ~covered
-    low &= -low
-    return directions[(low.bit_length() - b) // b]
 
 
 # ---------------------------------------------------------------------------

@@ -471,10 +471,6 @@ def _ceil_div(p: int, q: int) -> int:
     return -((-p) // q)
 
 
-def _floor_div(p: int, q: int) -> int:
-    return p // q
-
-
 def lattice_points(constraints: Sequence[Constraint], dim: int):
     """All integer solutions, in lexicographic order, or UNBOUNDED.
 
@@ -519,7 +515,7 @@ def lattice_points(constraints: Sequence[Constraint], dim: int):
                 cand = _ceil_div(b - partial, coeff)
                 lo = cand if lo is None else max(lo, cand)
             else:
-                cand = _floor_div(b - partial, coeff)
+                cand = (b - partial) // coeff
                 hi = cand if hi is None else min(hi, cand)
         if lo is None or hi is None:
             raise InternalError("unbounded slice inside a bounded polyhedron")

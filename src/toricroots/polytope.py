@@ -78,11 +78,6 @@ def facets(p: LatticePolytope) -> tuple[FacetInequality, ...]:
     return p._facets
 
 
-def _tight_facets(p: LatticePolytope) -> dict[Vec, tuple[int, ...]]:
-    """Per vertex, the indices in facets(p) of the facets through it."""
-    return p._tight
-
-
 def edge_directions_at(p: LatticePolytope, v: Vec) -> tuple[Vec, ...]:
     """Primitive directions of the edges of p containing the vertex v.
 
@@ -90,7 +85,7 @@ def edge_directions_at(p: LatticePolytope, v: Vec) -> tuple[Vec, ...]:
     rank dim-1; this works for non-simple polytopes too.
     """
     fs = facets(p)
-    tight = _tight_facets(p)
+    tight = p._tight
     mine = set(tight[v])
     dirs = []
     for w in p.vertices:
@@ -114,7 +109,7 @@ class RectangleWitness:
 def inscribed_in_rectangle(p: LatticePolytope) -> RectangleWitness | None:
     """First witness in vertex order that p is inscribed in a rectangle, or None."""
     fs = facets(p)
-    tight = _tight_facets(p)
+    tight = p._tight
     for v in p.vertices:
         dirs = edge_directions_at(p, v)
         if len(dirs) != p.dim:
@@ -133,7 +128,7 @@ def normal_fan(p: LatticePolytope) -> Fan:
     per polytope and stored on it."""
     if p._normal_fan is None:
         fs = facets(p)
-        tight = _tight_facets(p)
+        tight = p._tight
         inner = sorted(neg(f.normal) for f in fs)
         index = {r: i for i, r in enumerate(inner)}
         cones = sorted(tuple(sorted(index[neg(fs[k].normal)] for k in tight[v]))

@@ -24,18 +24,6 @@ def quadrant_fan() -> Fan:
     return build_fan(2, [(1, 0), (0, 1)], [(0, 1)])
 
 
-def folded_quadrant_fan() -> Fan:
-    """Fan data that passes the ridge count but leaves the plane uncovered,
-    assembled by hand since build_fan rejects it: rays (1,0), (0,1), (1,1),
-    the quadrant split by the third ray into cones {0,2} and {2,1}, and the
-    whole quadrant {0,1} as well. Every ray lies on exactly two maximal cones."""
-    rays = [(1, 0), (0, 1), (1, 1)]
-    split = build_fan(2, rays, [(0, 2), (2, 1)])
-    quadrant = build_fan(2, rays[:2], [(0, 1)]).cone((0, 1))
-    return Fan(2, split.rays, split.max_cones + (quadrant,), split.all_faces + (quadrant,),
-               split.face_sets | {(0, 1)})
-
-
 def torsion_fan() -> Fan:
     """Rays (1,1), (1,-1) with one maximal cone: class group Z/2."""
     return build_fan(2, [(1, 1), (1, -1)], [(0, 1)])

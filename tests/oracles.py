@@ -5,8 +5,11 @@ that the double-description kernel and the fraction-free elimination in
 ``toricroots.lattice`` replaced, and the geometric routines that the fan's
 face index replaced: root condition (2) decided on minimal generators, the
 2^k face scan of a cone, the C(m, n) scan for complete collections and the
-ridge-and-adjacency completeness test (without its coverage check), and the
-coverage check's loop over directions that packed integers replaced. Two
+ridge-and-adjacency completeness test (without its coverage check). The
+build-time certificate replaced two more tests of completeness: the ridge
+count over the face index (``ridge_count_complete``, without its coverage
+check) and the coverage check itself (``first_uncovered``, the loop over
+directions that packed integers had replaced). Two
 more were replaced by local tests: root condition (2) on every face of the
 fan (``condition2_on_all_faces``; the library now checks the maximal
 cones) and the double-description test that a homogeneous system has only
@@ -339,10 +342,31 @@ def is_complete(fan: Fan) -> bool:
     return len(seen) == len(fan.max_cones)
 
 
+def ridge_count_complete(fan: Fan) -> bool:
+    """Completeness by the ridge count over the face index: every maximal
+    cone n-dimensional and every (n-1)-dimensional face (a ridge) in exactly
+    two maximal cones, those whose ray sets contain its rays.
+
+    No connectivity test is needed. The support S is closed. Let V be N_R
+    minus the spans of the cones of dimension at most n-2. A point of S in
+    V lies in the relative interior of a maximal cone or of a ridge, and
+    the two maximal cones on a ridge lie on opposite sides of it (else
+    their intersection, a face of both, would be n-dimensional). So S is
+    open in V as well as closed; V is connected, so V lies in S, and so
+    does its closure N_R.
+    """
+    if not fan.max_cones or any(c.dim != fan.dim for c in fan.max_cones):
+        return False
+    cones = [frozenset(c.ray_indices) for c in fan.max_cones]
+    for f in fan.all_faces:
+        if f.dim == fan.dim - 1 and sum(c.issuperset(f.ray_indices) for c in cones) != 2:
+            return False
+    return True
+
+
 def first_uncovered(fan: Fan, directions) -> Vec | None:
     """The first nonzero direction in no maximal cone of the fan, or None:
-    the coverage check of ``is_complete`` as one Fan.contains_point call per
-    direction."""
+    the coverage check as one Fan.contains_point call per direction."""
     for v in directions:
         if is_zero(v):
             continue

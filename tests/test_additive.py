@@ -173,6 +173,27 @@ def test_witness_composition_on_p2():
     assert verify_witness(fan, c1, c3, EquivalenceWitness(composed, chained))
 
 
+def test_verify_witness_rejects_bad_matrices_and_lets_other_errors_through(monkeypatch):
+    """A matrix that is not square or not unimodular is not a witness; any
+    other error raised while checking it is not an answer and propagates."""
+    from toricroots import lattice
+    from toricroots.additive import EquivalenceWitness
+    from toricroots.errors import InternalError
+
+    fan = projective_space(2)
+    c1, c2, _ = complete_collections(fan)
+    w = find_equivalence(fan, c1, c2)
+    assert not verify_witness(fan, c1, c2, EquivalenceWitness(((1, 0),), w.ray_map))
+    assert not verify_witness(fan, c1, c2, EquivalenceWitness(((2, 0), (0, 1)), w.ray_map))
+
+    def broken(m):
+        raise InternalError("determinant failed")
+
+    monkeypatch.setattr(lattice, "determinant", broken)
+    with pytest.raises(InternalError, match="determinant failed"):
+        verify_witness(fan, c1, c2, w)
+
+
 def test_equivalence_count_p1n():
     for n in range(1, 5):
         fan = product_p1(n)

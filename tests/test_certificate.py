@@ -3,13 +3,15 @@
 ``fan._certify_complete`` certifies n-dimensional maximal cones as a
 complete fan by pairing their facets and testing one point of degree one;
 ``_check_fan`` then skips the scan that intersects every pair of maximal
-cones. With the certificate forced off, that scan runs on every fan, and
-serves as the oracle: on complete fans in dimensions 2 to 6 (the bundled
+cones, and ``build_fan`` stores the answer as the fan's completeness. With
+the certificate forced off, that scan runs on every fan, and serves as the
+oracle of validity: on complete fans in dimensions 1 to 6 (the bundled
 fans, the root corpus's face fans, normal fans of random polytopes and
 GL_n(Z) images of all of these) both paths must build equal fans with the
-same completeness and validation answers. Near misses must fail the
-certificate and get exactly the scan's violations, and the number of
-``_intersection_rays`` calls shows which path ran.
+same validation answers, and ``oracles.is_complete`` and
+``oracles.ridge_count_complete`` must call them complete. Near misses must
+fail the certificate and get exactly the scan's violations, and the number
+of ``_intersection_rays`` calls shows which path ran.
 """
 
 import random
@@ -17,9 +19,10 @@ from math import comb
 
 import pytest
 
+import oracles
 from helpers import bundled_complete_fans, random_complete_fans_2d
 from test_cli import counting
-from test_face_index import COMPLETE, subfan
+from test_face_index import COMPLETE, orthant, subfan
 from test_faces import LOWER_DIMENSIONAL
 from test_kernel import random_unimodular
 from test_root_corpus import corpus
@@ -33,9 +36,9 @@ from toricroots import (
     product_p1,
     projective_space,
     validate_fan,
+    wps_one,
 )
 from toricroots import fan as fan_module
-from toricroots.errors import InternalError
 from toricroots.lattice import dot, is_primitive, rank
 from toricroots.polytope import _hull_facets, cube
 
@@ -82,6 +85,9 @@ def random_normal_fans(dim, rng, count):
 
 
 def complete_fans(dim, rng):
+    if dim == 1:
+        fans = [projective_space(1), wps_one(3)]
+        return fans + [apply_automorphism(f, LatticeAutomorphism(((-1,),))) for f in fans]
     fans = [f for _, f in bundled_complete_fans() if f.dim == dim]
     fans += [f for f in COMPLETE.get(dim, ()) if f not in fans]
     if dim == 2:
@@ -94,20 +100,22 @@ def complete_fans(dim, rng):
                    for f in fans]
 
 
-@pytest.mark.parametrize("dim", (2, 3, 4, 5, 6))
+@pytest.mark.parametrize("dim", (1, 2, 3, 4, 5, 6))
 def test_certified_fans_match_the_pair_scan(dim):
     """Every complete fan is certified whatever the order of its maximal
     cones (which fixes the degree-one point) and equals the fan the pair
-    scan builds; completeness and validation agree."""
+    scan builds; validation and the oracles' completeness agree. In
+    dimension 1 the one-ray fan is a negative case."""
     rng = random.Random(1600 + dim)
-    for fan in complete_fans(dim, rng):
-        assert fan._complete is True, fan
+    cases = [(fan, True) for fan in complete_fans(dim, rng)]
+    for fan, want in cases + ([(orthant(1), False)] if dim == 1 else []):
+        assert fan._complete is want, fan
         dim_, rays, cones, allow = fan_data(fan)
         rng.shuffle(cones)
-        assert build_fan(dim_, rays, cones, allow)._complete is True
+        assert build_fan(dim_, rays, cones, allow)._complete is want
         scanned = by_pair_scan(build_fan, dim_, rays, cones, allow)
-        assert scanned == fan and scanned._complete is None
-        assert is_complete(scanned) is True
+        assert scanned == fan and scanned._complete is False
+        assert oracles.is_complete(fan) is want is oracles.ridge_count_complete(fan)
         assert validate_fan(dim_, rays, cones, allow) == []
         assert by_pair_scan(validate_fan, dim_, rays, cones, allow) == []
 
@@ -171,7 +179,7 @@ def test_subfans_fail_the_certificate_and_build_as_by_the_scan(dim, monkeypatch)
         keep = sorted(rng.sample(range(count), count - 1))
         answers.clear()
         part = subfan(fan, keep)
-        assert answers == [False] and part._complete is None
+        assert answers == [False] and part._complete is False
         data = fan_data(part)
         assert validate_fan(*data) == [] == by_pair_scan(validate_fan, *data)
         assert by_pair_scan(build_fan, *data) == part
@@ -196,12 +204,17 @@ def test_rejected_fans_intersect_every_pair_of_cones(monkeypatch):
     assert len(calls) == comb(7, 2)
     again = build_fan(*fan_data(lower))
     assert len(calls) == comb(7, 2) + comb(len(lower.max_cones), 2)
-    assert part._complete is None and again._complete is None
+    assert part._complete is False and again._complete is False
+
 
 
 def test_a_wrong_certificate_is_caught_by_the_coverage_check(monkeypatch):
-    """build_fan cross-checks a certified fan against the seeded directions."""
+    """A certificate that accepted a subfan would store it as complete; the
+    coverage check of test_coverage.py finds directions it misses."""
+    from test_coverage import draws
+
     data = fan_data(subfan(projective_space(3), range(3)))
     monkeypatch.setattr(fan_module, "_certify_complete", lambda *_: True)
-    with pytest.raises(InternalError, match="fails to cover direction"):
-        build_fan(*data)
+    fan = build_fan(*data)
+    assert is_complete(fan)
+    assert oracles.first_uncovered(fan, draws(3, random.Random(0))[0]) is not None

@@ -160,10 +160,13 @@ def test_maximal_cone_that_is_not_a_list(tmp_path):
 def test_internal_error_exits_3(f2_file, monkeypatch, capsys):
     """A failed consistency check is exit 3 with status "internal", not a
     traceback, and survives python -O (it is not an assert)."""
-    from helpers import folded_quadrant_fan
     from toricroots import cli
+    from toricroots.errors import InternalError
 
-    monkeypatch.setattr(cli.fans, "fan_from_json_dict", lambda data: folded_quadrant_fan())
+    def broken(fan):
+        raise InternalError("face index is inconsistent")
+
+    monkeypatch.setattr(cli.fans, "is_complete", broken)
     for fmt, check in (("json", json.loads), ("text", str)):
         code = cli.main(["fan-check", f2_file, "--format", fmt])
         out = check(capsys.readouterr().out)
@@ -171,9 +174,9 @@ def test_internal_error_exits_3(f2_file, monkeypatch, capsys):
         if fmt == "json":
             assert out["status"] == "internal" and out["exit_code"] == 3
             assert out["error"]["type"] == "InternalError"
-            assert "fails to cover direction" in out["error"]["message"]
+            assert out["error"]["message"] == "face index is inconsistent"
         else:
-            assert out.startswith("error: complete fan fails to cover direction")
+            assert out.startswith("error: face index is inconsistent")
 
 
 # ---------------------------------------------------------------------------

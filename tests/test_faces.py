@@ -195,14 +195,13 @@ def test_containment_rejects_a_vector_of_the_wrong_length():
 # answers stored on the object
 
 
-def test_is_complete_checks_coverage_once_per_fan(monkeypatch):
-    calls = counting(monkeypatch, fan_module, "_first_uncovered")
-    fan = product_p1(3)
-    assert is_complete(fan) and is_complete(fan)
-    once = len(calls)
-    assert once == 1
-    assert is_complete(product_p1(3))  # an equal, fresh fan checks again
-    assert len(calls) == 2 * once
+def test_is_complete_makes_no_dot_certificate_or_build_call(monkeypatch):
+    """build_fan stores the certificate's answer; is_complete only reads it."""
+    fans = [product_p1(3), twenty_four_cell_fan(), quadrant_fan(), build_fan(2, [], [])]
+    calls = [counting(monkeypatch, fan_module, name)
+             for name in ("dot", "_certify_complete", "build_fan")]
+    assert [is_complete(f) for f in fans] == [True, True, False, False]
+    assert calls == [[], [], []]
 
 
 def test_normal_fan_is_built_once_per_polytope(monkeypatch):
@@ -216,22 +215,22 @@ def test_normal_fan_is_built_once_per_polytope(monkeypatch):
     assert normal_fan(cube(3)) is not nf and len(builds) == 2
 
 
-def test_stored_fields_do_not_change_equality_hash_or_repr():
-    """A fan certified complete at build stores the answer then; a fan the
-    certificate rejects stores it on its first is_complete call."""
-    built, asked = projective_space(3), projective_space(3)
-    assert built._complete is True and is_complete(asked)
-    assert built == asked and hash(built) == hash(asked) and repr(built) == repr(asked)
-    filled, fresh = quadrant_fan(), quadrant_fan()
-    assert not is_complete(filled)
-    assert filled._complete is False and fresh._complete is None
-    assert filled == fresh and hash(filled) == hash(fresh) and repr(filled) == repr(fresh)
+def test_stored_fields_do_not_change_equality_hash_or_repr(monkeypatch):
+    """Every fan stores the certificate's answer at build, so the same data
+    built with the certificate forced off stores False and is still equal."""
+    built = projective_space(3)
+    with monkeypatch.context() as mp:
+        mp.setattr(fan_module, "_certify_complete", lambda *_: False)
+        scanned = projective_space(3)
+    assert built._complete is True and scanned._complete is False
+    assert built == scanned and hash(built) == hash(scanned) and repr(built) == repr(scanned)
+    assert quadrant_fan()._complete is False
     p, q = trapezoid(), trapezoid()
     normal_fan(p)
     assert p._normal_fan is not None and q._normal_fan is None
     assert p == q and hash(p) == hash(q) and repr(p) == repr(q)
     assert "_normal_fan" not in repr(p)
-    assert "_complete" not in repr(filled) + repr(built)
+    assert "_complete" not in repr(built)
 
 
 def test_polytope_and_its_normal_fan_are_freed():

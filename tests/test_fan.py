@@ -7,7 +7,6 @@ import pytest
 
 from helpers import (
     bundled_complete_fans,
-    folded_quadrant_fan,
     quadrant_fan,
     random_complete_fans_2d,
 )
@@ -271,14 +270,6 @@ def test_mixed_incomplete_fan_roots_work():
     assert not is_complete(fan)
     statuses = {rr.ray: rr.status for rr in all_roots(fan).per_ray}
     assert statuses == {0: "infinite", 1: "infinite", 2: "finite"}
-
-
-def test_coverage_failure_is_an_internal_error():
-    from toricroots.errors import InternalError
-
-    fan = folded_quadrant_fan()
-    with pytest.raises(InternalError, match="fails to cover direction"):
-        is_complete(fan)
 
 
 def test_validate_fan_rejects_non_integer_dim_and_indices():
