@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from itertools import permutations
 
 from . import lattice
-from .demazure import DemazureRoot, all_roots, is_demazure_root, pairing_row
+from .demazure import DemazureRoot, _root, all_roots
 from .errors import InfiniteRoots, NoWitness, NotComplete, NotSquare, NotUnimodular
 from .fan import Fan, LatticeAutomorphism, is_complete, is_fan_automorphism
 from .lattice import Mat, Vec, dot, neg
@@ -56,16 +56,17 @@ def complete_collections(fan: Fan) -> tuple[CompleteCollection, ...]:
     n = fan.dim
     out = []
     for cone in fan.max_cones:
-        basis = tuple(fan.rays[i] for i in cone.ray_indices)
-        if len(basis) != n or abs(lattice.determinant(basis)) != 1:
+        if len(cone.ray_indices) != n:
             continue
-        dual = lattice.dual_basis(basis)
+        try:
+            dual = lattice.dual_basis([fan.rays[i] for i in cone.ray_indices])
+        except NotUnimodular:
+            continue
         roots = []
-        for pos, ray_idx in enumerate(cone.ray_indices):
-            e = neg(dual[pos])
-            if not is_demazure_root(fan, e, ray_idx):
+        for q, ray_idx in zip(dual, cone.ray_indices):
+            roots.append(_root(fan, neg(q), ray_idx))
+            if roots[-1] is None:
                 break
-            roots.append(DemazureRoot(e, ray_idx, pairing_row(fan, e)))
         else:
             out.append(CompleteCollection(tuple(roots)))
     return tuple(out)

@@ -62,9 +62,12 @@ def pairing_row(fan: Fan, e: Vec) -> Vec:
     return tuple(dot(p, e) for p in fan.rays)
 
 
-def satisfies_condition1(fan: Fan, e: Vec, ray: int) -> bool:
-    row = pairing_row(fan, e)
+def _condition1(row: Vec, ray: int) -> bool:
     return row[ray] == -1 and all(v >= 0 for i, v in enumerate(row) if i != ray)
+
+
+def satisfies_condition1(fan: Fan, e: Vec, ray: int) -> bool:
+    return _condition1(pairing_row(fan, e), ray)
 
 
 def satisfies_condition2(fan: Fan, e: Vec, ray: int) -> bool:
@@ -97,22 +100,36 @@ def satisfies_condition2(fan: Fan, e: Vec, ray: int) -> bool:
     ``fan.face_sets``.
     """
     row = pairing_row(fan, e)
-    if row[ray] != -1 or any(v < 0 for i, v in enumerate(row) if i != ray):
+    if not _condition1(row, ray):
         raise ValueError(f"{list(e)} does not satisfy condition (1) for ray {ray}")
+    return _condition2(fan, row, ray)
+
+
+def _condition2(fan: Fan, row: Vec, ray: int) -> bool:
     return all(tuple(sorted([ray, *(i for i in c.ray_indices if row[i] == 0)])) in fan.face_sets
                for c in fan.max_cones if ray not in c.ray_indices)
 
 
+def _root(fan: Fan, e: Vec, ray: int) -> DemazureRoot | None:
+    """The root e of the ray, or None if its one pairing row fails condition
+    (1) or (2); InvalidFan for a ray index out of range."""
+    if not 0 <= ray < len(fan.rays):
+        raise InvalidFan([f"no ray with index {ray}"])
+    row = pairing_row(fan, e)
+    if _condition1(row, ray) and _condition2(fan, row, ray):
+        return DemazureRoot(e, ray, row)
+    return None
+
+
 def is_demazure_root(fan: Fan, e, ray: int) -> bool:
-    e = tuple(e)
-    return satisfies_condition1(fan, e, ray) and satisfies_condition2(fan, e, ray)
+    return _root(fan, tuple(e), ray) is not None
 
 
 def demazure_root(fan: Fan, e, ray: int) -> DemazureRoot:
-    e = tuple(e)
-    if not is_demazure_root(fan, e, ray):
+    root = _root(fan, tuple(e), ray)
+    if root is None:
         raise ValueError(f"{list(e)} is not a Demazure root with distinguished ray {ray}")
-    return DemazureRoot(e, ray, pairing_row(fan, e))
+    return root
 
 
 def _condition1_system(fan: Fan, ray: int) -> list[Constraint]:
@@ -150,8 +167,7 @@ def roots_for_ray(fan: Fan, ray: int, bound: int | None = None) -> RayRoots:
         points = lattice.lattice_points(system, fan.dim)
         if points is UNBOUNDED:
             raise InternalError(f"root polyhedron of ray {ray} is unbounded inside a box")
-    roots = tuple(DemazureRoot(e, ray, pairing_row(fan, e))
-                  for e in points if satisfies_condition2(fan, e, ray))
+    roots = tuple(r for r in (_root(fan, e, ray) for e in points) if r is not None)
     return RayRoots(ray, status, roots, bound if status == "truncated" else None)
 
 

@@ -4,8 +4,9 @@ The lattice N is identified with Z^n and its dual M with Z^n via the standard
 dot pairing. Cones are stored by indices into the fan's ray list together
 with an exact dual description (facet inequalities plus span equations), so
 non-simplicial cones are supported throughout. Only the maximal cones'
-descriptions are computed; every other face reads its description off the
-first maximal cone (in sorted order) that contains it (see :class:`Cone`).
+descriptions are computed; every other face is found by walking down
+through facets from the first maximal cone (in sorted order) that contains
+it, and reads its description off that cone (see :class:`Cone`).
 
 A :class:`Fan` indexes all its cones by their ray-index sets, computed once
 in :func:`build_fan`. Questions about cones of the fan are lookups in that
@@ -182,14 +183,12 @@ def cone_dual_description(generators, dim: int | None = None):
     return ineqs, eqs
 
 
-def _faces(idx: tuple[int, ...], facets) -> set[tuple[int, ...]]:
-    """Ray-index sets of all faces of the cone with rays `idx`, given the ray
-    sets of its facets: every face is an intersection of facets, so close the
-    facets under intersection."""
-    faces = {idx}
-    for facet in facets:
-        faces |= {tuple(i for i in f if i in facet) for f in faces}
-    return faces
+def _is_face(s: tuple[int, ...], idx: tuple[int, ...], facets) -> bool:
+    """True iff the rays `s` are the ray set of a face of the cone with rays
+    `idx`, given the ray sets of its facets: every face is an intersection
+    of facets, so iff s equals its closure, the intersection of the facet
+    ray sets that contain it (all of idx if none does)."""
+    return set(idx).intersection(*(t for t in facets if t.issuperset(s))) == set(s)
 
 
 def _intersection_rays(gens: tuple[Vec, ...], rows, ineqs, eqs) -> tuple[Vec, ...]:
@@ -207,11 +206,11 @@ def _check_fan(dim, rays, max_cones, allow_nonprimitive: bool):
     """Validate fan data in one pass; raise InvalidFan with every violation.
 
     Returns the rays; keyed by each maximal cone's sorted ray indices, its
-    dual description, the ray sets its facet normals vanish on (one set per
-    inequality) and the ray-index sets of its faces; and whether
-    :func:`_certify_complete` certified the fan complete. A certified fan is
-    a fan by that certificate; any other runs the scan of all pairs of
-    maximal cones, which checks that they meet in a common face.
+    dual description and the ray sets its facet normals vanish on (one set
+    per inequality); and whether :func:`_certify_complete` certified the fan
+    complete. A certified fan is a fan by that certificate; any other runs
+    the scan of all pairs of maximal cones, which checks that they meet in a
+    common face.
     """
     if not lattice.is_integer(dim):
         raise InvalidFan(["dim must be an integer"])
@@ -263,14 +262,13 @@ def _check_fan(dim, rays, max_cones, allow_nonprimitive: bool):
     if violations:
         raise InvalidFan(violations)
 
-    descs, tights, faces = {}, {}, {}
+    descs, tights = {}, {}
     for idx in cones or [()]:  # no maximal cones: the fan of the zero cone
         ineqs, _ = descs[idx] = _dual_description(tuple(rays[i] for i in idx), dim)
         tights[idx] = [frozenset(i for i in idx if dot(a, rays[i]) == 0) for a in ineqs]
-        faces[idx] = _faces(idx, tights[idx])
-        if () not in faces[idx]:  # the smallest face of a cone is its lineality space
+        if not _is_face((), idx, tights[idx]):  # the smallest face is the lineality space
             violations.append(f"cone {list(idx)} is not strongly convex")
-        elif any((i,) not in faces[idx] for i in idx):
+        elif any(not _is_face((i,), idx, tights[idx]) for i in idx):
             violations.append(f"cone {list(idx)}: listed rays are not its minimal generators")
     if violations:
         raise InvalidFan(violations)
@@ -280,13 +278,9 @@ def _check_fan(dim, rays, max_cones, allow_nonprimitive: bool):
     for a, b in () if certified else combinations(cones, 2):
         gens = tuple(sorted({prims[i] for i in a}))
         meet = _intersection_rays(gens, descs[a][0], *descs[b])
-        try:
-            meet_idx = tuple(sorted(prim_index[r] for r in meet))
-        except KeyError:
-            violations.append(
-                f"intersection of cones {list(a)} and {list(b)} is not a face of both")
-            continue
-        if meet_idx not in faces[a] or meet_idx not in faces[b]:
+        # a meet ray that is no ray of the fan (index -1) is in no face
+        meet_idx = tuple(sorted(prim_index.get(r, -1) for r in meet))
+        if not (_is_face(meet_idx, a, tights[a]) and _is_face(meet_idx, b, tights[b])):
             violations.append(
                 f"intersection of cones {list(a)} and {list(b)} is not a face of both")
         elif meet_idx in (a, b) and a != b:
@@ -294,7 +288,7 @@ def _check_fan(dim, rays, max_cones, allow_nonprimitive: bool):
                 f"maximal cone {list(meet_idx)} is contained in another maximal cone")
     if violations:
         raise InvalidFan(violations)
-    return rays, {idx: (descs[idx], tights[idx], faces[idx]) for idx in descs}, certified
+    return rays, {idx: (descs[idx], tights[idx]) for idx in descs}, certified
 
 
 def _certify_complete(rays, cones, descs, tights) -> bool:
@@ -412,15 +406,13 @@ def validate_fan(dim, rays, max_cones, allow_nonprimitive: bool = False) -> list
     return []
 
 
-def _face_cone(face: tuple[int, ...], ineqs, eqs, tight, dims: dict, dim: int) -> Cone:
-    """The face of a maximal cone with rays `face`, described by the maximal
-    cone's rows: `tight[k]` is the set of rays on which ineqs[k] vanishes.
-
-    The face's span is cut out by the cone's equations and the normals that
-    vanish on the face, so an independent subset of those is its equations.
-    Its facets are the inclusion-maximal sets face & tight[k] over the other
-    normals, and each facet keeps the first such normal. `dims` holds the
-    dimensions of the smaller faces, a facet's being one less than the face's.
+def _face_cone(face: tuple[int, ...], ineqs, eqs, tight, d: int, dim: int):
+    """The face with rays `face`, of dimension d, of a maximal cone, described
+    by the cone's rows (ineqs[k] vanishes on the rays tight[k]), and the ray
+    sets of its facets. Its equations are the first independent rows among
+    the cone's equations and the normals vanishing on it (one Gauss-Jordan
+    pass on their transpose); its facets are the inclusion-maximal sets
+    face & tight[k] over the other normals, each with the first such normal.
     """
     on = set(face)
     rows = list(eqs)
@@ -431,42 +423,32 @@ def _face_cone(face: tuple[int, ...], ineqs, eqs, tight, dims: dict, dim: int) -
         else:
             cuts.setdefault(z & on, a)
     facets = [s for s in cuts if not any(s < t for t in cuts)]
-    d = dims[tuple(sorted(facets[0]))] + 1
-    if len(rows) > dim - d:  # dependent: keep an independent subset, the cone's equations first
-        rows, normals = list(eqs), rows[len(eqs):]
-        for a in normals:
-            if len(rows) == dim - d:
-                break
-            if lattice.rank(rows + [a], dim) > len(rows):
-                rows.append(a)
-    return Cone(face, tuple(cuts[s] for s in facets), tuple(rows), d)
+    if len(rows) > dim - d:
+        rows = [rows[k] for k in lattice._gauss_jordan(lattice.transpose(rows), len(rows))[0]]
+    return Cone(face, tuple(cuts[s] for s in facets), tuple(rows), d), facets
 
 
 def build_fan(dim, rays, max_cones, allow_nonprimitive: bool = False) -> Fan:
     """Validate and assemble a Fan: every face, with its dual description,
-    indexed by its ray-index set. Maximal cones and faces are sorted. The
-    answer of :func:`_certify_complete` is stored on the fan as its
-    completeness."""
+    indexed by its ray-index set; maximal cones and faces sorted. A walk
+    from each maximal cone, in sorted order, down through the facets of its
+    faces (:func:`_face_cone`) skips the faces already described, so each
+    face is described once, by the first maximal cone containing it. The
+    answer of :func:`_certify_complete` is stored as the fan's completeness.
+    """
     rays, cones, certified = _check_fan(dim, rays, max_cones, allow_nonprimitive)
-    owner = {}
+    faces = {(): Cone((), (), _canonical_rows(lattice.identity(dim)), 0)}
     for idx in sorted(cones):
-        for f in cones[idx][2]:
-            owner.setdefault(f, idx)
-    dims = {(): 0}
-    faces = []
-    for f in sorted(owner, key=lambda s: (len(s), s)):
-        (ineqs, eqs), tight, _ = cones[owner[f]]
-        if f == owner[f]:
-            cone = Cone(f, ineqs, eqs, dim - len(eqs))  # the equations are independent
-        elif not f:
-            cone = Cone((), (), _canonical_rows(lattice.identity(dim)), 0)
-        else:
-            cone = _face_cone(f, ineqs, eqs, tight, dims, dim)
-        dims[f] = cone.dim
-        faces.append(cone)
-    max_cones = tuple(c for c in faces if c.ray_indices in cones)
-    fan = Fan(dim, rays, tuple(sorted(max_cones, key=lambda c: c.ray_indices)),
-              tuple(faces), frozenset(owner))
+        (ineqs, eqs), tight = cones[idx]
+        stack = [(idx, dim - len(eqs))]  # a maximal cone's equations are independent
+        while stack:
+            f, d = stack.pop()
+            if f not in faces:
+                faces[f], facets = _face_cone(f, ineqs, eqs, tight, d, dim)
+                stack.extend((tuple(sorted(s)), d - 1) for s in facets)
+    fan = Fan(dim, rays, tuple(faces[idx] for idx in sorted(cones)),
+              tuple(sorted(faces.values(), key=lambda c: (len(c.ray_indices), c.ray_indices))),
+              frozenset(faces))
     object.__setattr__(fan, "_complete", certified)
     return fan
 

@@ -2,7 +2,7 @@
 
 Vectors are tuples of Python ints and matrices are tuples of row vectors.
 Every computation is done in integers: elimination is fraction-free
-(Bareiss, Hermite, Smith) and cones are converted between their ray and
+(Gauss-Jordan, Hermite, Smith) and cones are converted between their ray and
 inequality descriptions by an integer double-description kernel. No
 floating point or rational number is used anywhere in this package.
 """
@@ -102,69 +102,83 @@ def mat_mul(a: Mat, b: Mat) -> Mat:
     return tuple(tuple(dot(row, col) for col in bt) for row in a)
 
 
-def _bareiss(rows: Sequence[Vec], width: int) -> tuple[int, int]:
-    """Fraction-free (Bareiss) forward elimination of the rows.
+def _gauss_jordan(rows: Sequence[Vec], width: int) -> tuple[list[int], list[list[int]], int]:
+    """Fraction-free Gauss-Jordan elimination on the first `width` columns.
 
-    Returns (rank, last pivot signed by the row swaps). Every intermediate
-    entry is a minor of the input, so each division is exact; for a square
-    matrix of full rank the second value is its determinant.
+    Returns the pivot columns, the reduced rows (a longer row carries the
+    rest along) and the last pivot d signed by the row swaps. Row k has its
+    pivot in column pivots[k]; each pivot column ends as d (unsigned) there
+    and 0 elsewhere. Every entry is a minor of the input, so each division
+    is exact. The pivot columns are the first independent columns; for a
+    square matrix of full rank the signed d is its determinant.
     """
     a = [list(row) for row in rows]
-    r, sign, prev = 0, 1, 1
+    pivots: list[int] = []
+    sign, prev = 1, 1
     for col in range(width):
+        r = len(pivots)
         piv = next((i for i in range(r, len(a)) if a[i][col] != 0), None)
         if piv is None:
             continue
         if piv != r:
             a[r], a[piv] = a[piv], a[r]
             sign = -sign
-        p = a[r][col]
-        for i in range(r + 1, len(a)):
-            f = a[i][col]
-            a[i] = [(x * p - f * y) // prev for x, y in zip(a[i], a[r])]
-        prev, r = p, r + 1
-        if r == len(a):
+        p, row = a[r][col], a[r]
+        for i in range(len(a)):
+            if i != r:
+                f = a[i][col]
+                a[i] = [(p * x - f * y) // prev for x, y in zip(a[i], row)]
+        prev = p
+        pivots.append(col)
+        if len(pivots) == len(a):
             break
-    return r, sign * prev
+    return pivots, a, sign * prev
+
+
+def _check_width(rows: Sequence[Vec], width: int) -> None:
+    if any(len(row) != width for row in rows):
+        raise ValueError(f"dimension mismatch: every row must have length {width}")
 
 
 def determinant(m: Mat) -> int:
-    """Exact determinant by fraction-free (Bareiss) elimination."""
+    """Exact determinant by fraction-free Gauss-Jordan elimination."""
     n = len(m)
     if any(len(row) != n for row in m):
         raise NotSquare(f"matrix is {len(m)}x{len(m[0]) if m else 0}, not square")
-    r, d = _bareiss(m, n)
-    return d if r == n else 0
+    pivots, _, d = _gauss_jordan(m, n)
+    return d if len(pivots) == n else 0
 
 
 def rank(rows: Sequence[Vec], width: int | None = None) -> int:
-    """Rank over Q, by fraction-free (Bareiss) elimination."""
+    """Rank over Q; ValueError for a row whose length is not `width`."""
     rows = list(rows)
     if width is None:
         if not rows:
             raise ValueError("rank of an empty matrix needs an explicit width")
         width = len(rows[0])
-    return _bareiss(rows, width)[0]
+    _check_width(rows, width)
+    return len(_gauss_jordan(rows, width)[0])
 
 
 def invert_unimodular(m: Mat) -> Mat:
     """Inverse of a matrix with determinant +-1; exact and integral.
 
-    The Hermite form of [m | I] is [I | m^-1]: its left block is echelon with
-    positive pivots of product |det m| = 1, each reduced above.
+    One fraction-free Gauss-Jordan pass takes [m | I] to [d I | d m^-1],
+    with d = +-det m when m has full rank; m is unimodular iff d = +-1,
+    and then the right block divided by d is m^-1.
     """
-    d = determinant(m)
-    if abs(d) != 1:
-        raise NotUnimodular(f"determinant is {d}, expected +-1")
     n = len(m)
-    h = hermite_row_form(tuple(tuple(row) + e for row, e in zip(m, identity(n))))
-    return tuple(row[n:] for row in h)
+    if any(len(row) != n for row in m):
+        raise NotSquare(f"matrix is {n}x{len(m[0]) if m else 0}, not square")
+    pivots, a, d = _gauss_jordan([tuple(row) + e for row, e in zip(m, identity(n))], n)
+    if len(pivots) < n or abs(d) != 1:
+        raise NotUnimodular(f"determinant is {d if len(pivots) == n else 0}, expected +-1")
+    return tuple(tuple(x // row[k] for x in row[n:]) for k, row in enumerate(a))
 
 
 def dual_basis(basis: Sequence[Vec]) -> Mat:
     """Vectors q_1..q_n with <p_i, q_j> = delta_ij for a unimodular basis."""
-    p = tuple(tuple(row) for row in basis)
-    return transpose(invert_unimodular(p))
+    return transpose(invert_unimodular(basis))
 
 
 # ---------------------------------------------------------------------------
@@ -258,6 +272,7 @@ def kernel_basis(rows: Sequence[Vec], width: int | None = None) -> Mat:
         if not rows:
             raise ValueError("kernel of an empty matrix needs an explicit width")
         width = len(rows[0])
+    _check_width(rows, width)
     if not rows:
         return identity(width)
     _, d, v = smith_normal_form(tuple(rows))
@@ -359,35 +374,19 @@ def dual_rays(rows: Sequence[Vec], width: int) -> tuple[Vec, ...] | None:
 
     The first `width` independent rows B bound a simplicial cone, whose rays
     are the columns of B^-1 (each orthogonal to all rows but one);
-    :func:`cut_cone` cuts it with the rest. They are read off one
-    fraction-free Gauss-Jordan pass on [B | I]: every entry after pivot
-    step k is a minor of order k + 1 of the input, so each division is
-    exact, and the pass ends at [d I | d B^-1] with d = +-det B. Column k of
-    the right block, made primitive and signed so that <b_k, u> > 0, is the
-    k-th ray.
+    :func:`cut_cone` cuts it with the rest. One fraction-free Gauss-Jordan
+    pass on [rows^T | I] finds both: its pivot columns pick B, and its right
+    block E ends with E B^T = d I, so row k of E, made primitive and signed
+    by the pivot d, is the k-th ray (<b_k, u> > 0).
     """
-    basis: list[Vec] = []
-    rest: list[Vec] = []
-    for a in rows:
-        if len(basis) < width and rank(basis + [a], width) > len(basis):
-            basis.append(a)
-        else:
-            rest.append(a)
-    if len(basis) < width:
+    m = len(rows)
+    pivots, a, _ = _gauss_jordan(
+        [[r[t] for r in rows] + [int(i == t) for i in range(width)] for t in range(width)], m)
+    if len(pivots) < width:
         return None
-    m = [list(b) + [int(i == j) for j in range(width)] for i, b in enumerate(basis)]
-    prev = 1
-    for k in range(width):
-        piv = next(i for i in range(k, width) if m[i][k] != 0)
-        m[k], m[piv] = m[piv], m[k]
-        p, row = m[k][k], m[k]
-        for i in range(width):
-            if i != k:
-                f = m[i][k]
-                m[i] = [(p * x - f * y) // prev for x, y in zip(m[i], row)]
-        prev = p
-    start = [primitive(u if prev > 0 else neg(u)) for u in zip(*(r[width:] for r in m))]
-    return cut_cone(start, basis, rest)
+    start = [primitive(row[m:] if row[k] > 0 else neg(row[m:])) for row, k in zip(a, pivots)]
+    rest = [r for k, r in enumerate(rows) if k not in pivots]
+    return cut_cone(start, [rows[k] for k in pivots], rest)
 
 
 # ---------------------------------------------------------------------------

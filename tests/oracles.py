@@ -27,6 +27,19 @@ oracles share no elimination code with what they check. The exceptions are
 kernel and so shares no code with the Fourier-Motzkin scan it checks; and
 ``dual_rays``, which shares the library's ``rank`` and ``cut_cone`` and
 differs from ``lattice.dual_rays`` only in how it finds the start rays.
+
+One fraction-free Gauss-Jordan kernel then replaced three eliminations of
+``lattice``, and a walk down through facets the closure of each maximal
+cone's facets in ``fan.build_fan``; the replaced code is kept below, with
+only its names changed: the forward Bareiss elimination with its ``rank``
+and ``determinant`` (``bareiss``, ``bareiss_rank``,
+``bareiss_determinant``), the inverse read off the Hermite form of
+[m | I] (``hermite_invert_unimodular``), ``dual_rays`` with its start basis
+found by one rank per row (``basis_dual_rays``), and the face closure
+(``faces``) with the owner/dims assembly of ``build_fan``
+(``build_fan_by_closure``, which calls ``face_cone_by_rank``). These call
+each other, so they share no elimination code with the kernel; the
+assembly runs the library's validation and dual descriptions.
 """
 
 from __future__ import annotations
@@ -39,8 +52,10 @@ from typing import Sequence
 from toricroots import lattice
 from toricroots.additive import CompleteCollection
 from toricroots.demazure import DemazureRoot, pairing_row, satisfies_condition1
+from toricroots import fan as fan_module
+from toricroots.errors import NotSquare, NotUnimodular
 from toricroots.fan import Cone, Fan, _canonical_rows
-from toricroots.lattice import Vec, _eliminate, content, dot, is_zero, neg, primitive, sub
+from toricroots.lattice import Mat, Vec, _eliminate, content, dot, is_zero, neg, primitive, sub
 from toricroots.polytope import FacetInequality
 
 
@@ -373,3 +388,169 @@ def first_uncovered(fan: Fan, directions) -> Vec | None:
         if not fan.contains_point(v):
             return v
     return None
+
+
+def bareiss(rows: Sequence[Vec], width: int) -> tuple[int, int]:
+    """Fraction-free (Bareiss) forward elimination of the rows.
+
+    Returns (rank, last pivot signed by the row swaps). Every intermediate
+    entry is a minor of the input, so each division is exact; for a square
+    matrix of full rank the second value is its determinant.
+    """
+    a = [list(row) for row in rows]
+    r, sign, prev = 0, 1, 1
+    for col in range(width):
+        piv = next((i for i in range(r, len(a)) if a[i][col] != 0), None)
+        if piv is None:
+            continue
+        if piv != r:
+            a[r], a[piv] = a[piv], a[r]
+            sign = -sign
+        p = a[r][col]
+        for i in range(r + 1, len(a)):
+            f = a[i][col]
+            a[i] = [(x * p - f * y) // prev for x, y in zip(a[i], a[r])]
+        prev, r = p, r + 1
+        if r == len(a):
+            break
+    return r, sign * prev
+
+
+def bareiss_determinant(m: Mat) -> int:
+    """Exact determinant by fraction-free (Bareiss) elimination."""
+    n = len(m)
+    if any(len(row) != n for row in m):
+        raise NotSquare(f"matrix is {len(m)}x{len(m[0]) if m else 0}, not square")
+    r, d = bareiss(m, n)
+    return d if r == n else 0
+
+
+def bareiss_rank(rows: Sequence[Vec], width: int | None = None) -> int:
+    """Rank over Q, by fraction-free (Bareiss) elimination."""
+    rows = list(rows)
+    if width is None:
+        if not rows:
+            raise ValueError("rank of an empty matrix needs an explicit width")
+        width = len(rows[0])
+    return bareiss(rows, width)[0]
+
+
+def hermite_invert_unimodular(m: Mat) -> Mat:
+    """Inverse of a matrix with determinant +-1; exact and integral.
+
+    The Hermite form of [m | I] is [I | m^-1]: its left block is echelon with
+    positive pivots of product |det m| = 1, each reduced above.
+    """
+    d = bareiss_determinant(m)
+    if abs(d) != 1:
+        raise NotUnimodular(f"determinant is {d}, expected +-1")
+    n = len(m)
+    h = lattice.hermite_row_form(tuple(tuple(row) + e for row, e in zip(m, lattice.identity(n))))
+    return tuple(row[n:] for row in h)
+
+
+def basis_dual_rays(rows: Sequence[Vec], width: int) -> tuple[Vec, ...] | None:
+    """Primitive extreme rays of {x : <a, x> >= 0 for every row a}, sorted, or
+    None when the rows do not span Q^width (the cone then contains a line).
+
+    The first `width` independent rows B bound a simplicial cone, whose rays
+    are the columns of B^-1 (each orthogonal to all rows but one);
+    :func:`cut_cone` cuts it with the rest. They are read off one
+    fraction-free Gauss-Jordan pass on [B | I]: every entry after pivot
+    step k is a minor of order k + 1 of the input, so each division is
+    exact, and the pass ends at [d I | d B^-1] with d = +-det B. Column k of
+    the right block, made primitive and signed so that <b_k, u> > 0, is the
+    k-th ray.
+    """
+    basis: list[Vec] = []
+    rest: list[Vec] = []
+    for a in rows:
+        if len(basis) < width and bareiss_rank(basis + [a], width) > len(basis):
+            basis.append(a)
+        else:
+            rest.append(a)
+    if len(basis) < width:
+        return None
+    m = [list(b) + [int(i == j) for j in range(width)] for i, b in enumerate(basis)]
+    prev = 1
+    for k in range(width):
+        piv = next(i for i in range(k, width) if m[i][k] != 0)
+        m[k], m[piv] = m[piv], m[k]
+        p, row = m[k][k], m[k]
+        for i in range(width):
+            if i != k:
+                f = m[i][k]
+                m[i] = [(p * x - f * y) // prev for x, y in zip(m[i], row)]
+        prev = p
+    start = [primitive(u if prev > 0 else neg(u)) for u in zip(*(r[width:] for r in m))]
+    return lattice.cut_cone(start, basis, rest)
+
+
+def faces(idx: tuple[int, ...], facets) -> set[tuple[int, ...]]:
+    """Ray-index sets of all faces of the cone with rays `idx`, given the ray
+    sets of its facets: every face is an intersection of facets, so close the
+    facets under intersection."""
+    faces = {idx}
+    for facet in facets:
+        faces |= {tuple(i for i in f if i in facet) for f in faces}
+    return faces
+
+
+def face_cone_by_rank(face: tuple[int, ...], ineqs, eqs, tight, dims: dict, dim: int) -> Cone:
+    """The face of a maximal cone with rays `face`, described by the maximal
+    cone's rows: `tight[k]` is the set of rays on which ineqs[k] vanishes.
+
+    The face's span is cut out by the cone's equations and the normals that
+    vanish on the face, so an independent subset of those is its equations.
+    Its facets are the inclusion-maximal sets face & tight[k] over the other
+    normals, and each facet keeps the first such normal. `dims` holds the
+    dimensions of the smaller faces, a facet's being one less than the face's.
+    """
+    on = set(face)
+    rows = list(eqs)
+    cuts: dict[frozenset, Vec] = {}
+    for a, z in zip(ineqs, tight):
+        if on <= z:
+            rows.append(a)
+        else:
+            cuts.setdefault(z & on, a)
+    facets = [s for s in cuts if not any(s < t for t in cuts)]
+    d = dims[tuple(sorted(facets[0]))] + 1
+    if len(rows) > dim - d:  # dependent: keep an independent subset, the cone's equations first
+        rows, normals = list(eqs), rows[len(eqs):]
+        for a in normals:
+            if len(rows) == dim - d:
+                break
+            if bareiss_rank(rows + [a], dim) > len(rows):
+                rows.append(a)
+    return Cone(face, tuple(cuts[s] for s in facets), tuple(rows), d)
+
+
+def build_fan_by_closure(dim, rays, max_cones, allow_nonprimitive: bool = False) -> Fan:
+    """Validate and assemble a Fan: every face, with its dual description,
+    indexed by its ray-index set. Maximal cones and faces are sorted. The
+    answer of :func:`_certify_complete` is stored on the fan as its
+    completeness. (The face sets are closed here, from the facet ray sets
+    that the library's validation returns.)"""
+    rays, cones, certified = fan_module._check_fan(dim, rays, max_cones, allow_nonprimitive)
+    owner = {}
+    for idx in sorted(cones):
+        for f in faces(idx, cones[idx][1]):
+            owner.setdefault(f, idx)
+    dims = {(): 0}
+    all_faces = []
+    for f in sorted(owner, key=lambda s: (len(s), s)):
+        (ineqs, eqs), tight = cones[owner[f]]
+        if f == owner[f]:
+            cone = Cone(f, ineqs, eqs, dim - len(eqs))  # the equations are independent
+        elif not f:
+            cone = Cone((), (), _canonical_rows(lattice.identity(dim)), 0)
+        else:
+            cone = face_cone_by_rank(f, ineqs, eqs, tight, dims, dim)
+        dims[f] = cone.dim
+        all_faces.append(cone)
+    max_cones = tuple(c for c in all_faces if c.ray_indices in cones)
+    fan = Fan(dim, rays, tuple(sorted(max_cones, key=lambda c: c.ray_indices)),
+              tuple(all_faces), frozenset(owner))
+    object.__setattr__(fan, "_complete", certified)
+    return fan

@@ -3,11 +3,13 @@
 import pytest
 
 from helpers import bundled_complete_fans, quadrant_fan, random_complete_fans_2d
+from test_cli import counting
 from toricroots import (
     all_roots,
     bracket_oracle,
     build_fan,
     commute,
+    complete_collections,
     demazure_root,
     derivation,
     format_derivation,
@@ -18,7 +20,9 @@ from toricroots import (
     projective_space,
     roots_for_ray,
 )
+from toricroots import demazure
 from toricroots.demazure import satisfies_condition1, satisfies_condition2
+from toricroots.errors import InvalidFan
 from toricroots.lattice import UNBOUNDED, Constraint, dot, lattice_points
 
 
@@ -249,3 +253,33 @@ def test_unbounded_box_is_an_internal_error(monkeypatch):
     monkeypatch.setattr(demazure.lattice, "lattice_points", lambda system, dim: UNBOUNDED)
     with pytest.raises(InternalError):
         roots_for_ray(quadrant_fan(), 0, bound=2)
+
+
+# ---------------------------------------------------------------------------
+# one pairing row per candidate
+
+
+def test_ray_index_out_of_range_is_an_invalid_fan():
+    fan = projective_space(2)
+    for ray in (7, 3, -1):
+        with pytest.raises(InvalidFan):
+            is_demazure_root(fan, (-1, 0), ray)
+        with pytest.raises(InvalidFan):
+            demazure_root(fan, (-1, 0), ray)
+    assert is_demazure_root(fan, (-1, 0), 0)
+
+
+def test_one_pairing_row_per_candidate(monkeypatch):
+    """is_demazure_root and demazure_root compute one pairing row; the roots
+    of a ray and the complete collections one per candidate vector."""
+    rows = counting(monkeypatch, demazure, "pairing_row")
+    fan = hirzebruch(2)
+    assert is_demazure_root(fan, (-1, 0), 0) and len(rows) == 1
+    assert not is_demazure_root(fan, (1, 0), 0) and len(rows) == 2
+    assert demazure_root(fan, (-1, 0), 0).pairings == (-1, 0, 1, 0) and len(rows) == 3
+    rows.clear()
+    found = roots_for_ray(fan, 3)  # e = (k, 1), k = 0, 1, 2
+    assert len(rows) == len(found.roots) > 1
+    cube = product_p1(3)  # every maximal cone carries a collection
+    rows.clear()
+    assert len(complete_collections(cube)) == 8 and len(rows) == 3 * 8

@@ -1,0 +1,205 @@
+"""The Gauss-Jordan kernel and the face walk against the code they replaced.
+
+``lattice._gauss_jordan`` gives rank, determinant, the inverse of a
+unimodular matrix and the start of the double description; ``oracles.py``
+keeps the forward Bareiss elimination, the Hermite-form inverse and the
+per-row rank start it replaced (and the cofactor start before that), and
+sympy checks all of them. Matrices are seeded, in dimensions 1 to 7, with
+entries up to 40: square, rectangular, rank-deficient and with repeated
+rows.
+
+``build_fan`` walks down from each maximal cone through facets and decides
+faces during validation by the closure of their rays (``fan._is_face``);
+``oracles.build_fan_by_closure`` keeps the closure of all facet ray sets
+and the owner/dims assembly it replaced. Every fan of the face and
+certificate corpora must build equal to it, face for face.
+"""
+
+import random
+from itertools import combinations
+
+import pytest
+import sympy
+
+import oracles
+from test_certificate import complete_fans, fan_data
+from test_cli import counting
+from test_face_index import COMPLETE, subfan
+from test_faces import LOWER_DIMENSIONAL, fans_to_check
+from test_kernel import random_unimodular
+from toricroots import normal_fan, product_p1
+from toricroots import fan as fan_module
+from toricroots.errors import NotSquare, NotUnimodular
+from toricroots.lattice import (
+    determinant,
+    dot,
+    dual_rays,
+    identity,
+    invert_unimodular,
+    kernel_basis,
+    mat_mul,
+    rank,
+)
+from toricroots.polytope import cube
+
+DIMS = (1, 2, 3, 4, 5, 6, 7)
+
+
+def random_matrix(rng, nrows, width, size):
+    """A seeded matrix of one of four kinds, by a draw: generic, a product
+    of lower rank, one with a repeated (or scaled) row, or one with a zero
+    row."""
+    def entries(n, w, s):
+        return [tuple(rng.randint(-s, s) for _ in range(w)) for _ in range(n)]
+
+    kind = rng.randrange(4)
+    if kind == 1 and nrows > 1 and width > 1:
+        k = rng.randint(1, min(nrows, width) - 1)
+        rows = list(mat_mul(tuple(entries(nrows, k, 6)), tuple(entries(k, width, 6))))
+    else:
+        rows = entries(nrows, width, size)
+    if kind == 2 and nrows > 1:
+        i, j = rng.sample(range(nrows), 2)
+        rows[j] = tuple(rng.choice((1, -1, 2)) * x for x in rows[i])
+    if kind == 3 and nrows:
+        rows[rng.randrange(nrows)] = (0,) * width
+    return rows
+
+
+@pytest.mark.parametrize("dim", DIMS)
+def test_rank_and_determinant_match_bareiss_and_sympy(dim):
+    rng = random.Random(2000 + dim)
+    seen = set()
+    for k in range(40):
+        size = 40 if k % 2 else 3
+        square = random_matrix(rng, dim, dim, size)
+        want = oracles.bareiss_determinant(square)
+        assert determinant(square) == want == sympy.Matrix(square).det(), square
+        nrows = rng.randint(0, dim + 3)
+        rows = random_matrix(rng, nrows, dim, size)
+        got = rank(rows, dim)
+        assert got == oracles.bareiss_rank(rows, dim) == oracles.rank(rows, dim), rows
+        if rows:
+            assert got == sympy.Matrix(rows).rank()
+        seen.add(("singular", want == 0))
+        seen.add(("deficient", got < min(nrows, dim)))
+    assert len(seen) == 4
+
+
+@pytest.mark.parametrize("dim", DIMS)
+def test_invert_unimodular_matches_the_hermite_inverse(dim):
+    """Unimodular matrices invert as by the Hermite form of [m | I]; others
+    raise NotUnimodular with the same determinant in the message."""
+    rng = random.Random(2100 + dim)
+    for k in range(15):
+        m = random_unimodular(rng, dim, 3 * dim)
+        inv = invert_unimodular(m)
+        assert inv == oracles.hermite_invert_unimodular(m)
+        assert mat_mul(m, inv) == identity(dim) == mat_mul(inv, m)
+        bad = random_matrix(rng, dim, dim, 40 if k % 2 else 3)
+        if abs(oracles.bareiss_determinant(bad)) == 1:
+            continue
+        with pytest.raises(NotUnimodular) as got:
+            invert_unimodular(bad)
+        with pytest.raises(NotUnimodular) as want:
+            oracles.hermite_invert_unimodular(bad)
+        assert str(got.value) == str(want.value)
+    with pytest.raises(NotSquare):
+        invert_unimodular(((1, 0, 0), (0, 1, 0)))
+
+
+@pytest.mark.parametrize("dim", DIMS)
+def test_dual_rays_match_both_old_starts(dim):
+    """The one-pass start on [rows^T | I] gives what the per-row rank start
+    and the cofactor start gave, on rows that span and rows that do not."""
+    rng = random.Random(2200 + dim)
+    outcomes = set()
+    for k in range(30 if dim < 7 else 15):
+        count = rng.randint(max(dim - 1, 1), dim + 3)
+        rows = [r for r in random_matrix(rng, count, dim, 40 if k % 3 == 0 else 3) if any(r)]
+        got = dual_rays(rows, dim)
+        assert got == oracles.basis_dual_rays(rows, dim) == oracles.dual_rays(rows, dim), rows
+        outcomes.add(got is None)
+    assert outcomes == {True, False} or dim == 1 and outcomes == {False}
+
+
+def test_ragged_rows_are_rejected():
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        rank([(1, 0), (0,)], 2)
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        rank([(1, 0, 0)], 2)
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        kernel_basis([(1, 0, 0)], 2)
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        kernel_basis([(1, 0), (1,)])
+    assert kernel_basis([(1, 0, 0)], 3) == ((0, 1, 0), (0, 0, 1))
+
+
+# ---------------------------------------------------------------------------
+# the face walk
+
+
+def corpus_fans():
+    """The face corpus (dimensions 2 to 5, with the lower-dimensional fans)
+    and the certificate corpus (complete fans in dimensions 1 to 5, and
+    subfans of the complete builtin fans)."""
+    for dim in (2, 3, 4, 5):
+        yield from fans_to_check(dim)
+    for dim in (1, 2, 3, 4, 5):
+        rng = random.Random(1600 + dim)
+        yield from complete_fans(dim, rng)
+        for fan in COMPLETE.get(dim, ()):
+            count = len(fan.max_cones)
+            yield subfan(fan, sorted(rng.sample(range(count), count - 1)))
+
+
+def test_corpus_fans_equal_the_closure_assembly():
+    built = 0
+    for fan in corpus_fans():
+        old = oracles.build_fan_by_closure(*fan_data(fan))
+        assert old == fan and old.all_faces == fan.all_faces
+        assert old.max_cones == fan.max_cones and old.face_sets == fan.face_sets
+        assert hash(old) == hash(fan) and repr(old) == repr(fan)
+        assert old._complete is fan._complete
+        built += 1
+    assert built > 100
+
+
+def test_the_walk_describes_each_face_once(monkeypatch):
+    """One _face_cone call per face other than the zero cone, never two for
+    the same face; a certified fan makes one closure test per maximal cone
+    (strong convexity) and one per ray of it (minimal generators), none per
+    face."""
+    calls = counting(monkeypatch, fan_module, "_face_cone")
+    closures = counting(monkeypatch, fan_module, "_is_face")
+    for make in (lambda: product_p1(5), lambda: normal_fan(cube(4)), *LOWER_DIMENSIONAL):
+        calls.clear()
+        closures.clear()
+        fan = make()
+        described = [args[0] for args in calls]
+        assert len(described) == len(set(described)) == len(fan.all_faces) - 1
+        assert set(described) | {()} == fan.face_sets
+        if fan._complete:
+            assert len(closures) == sum(1 + len(c.ray_indices) for c in fan.max_cones)
+    assert len(product_p1(5).all_faces) == 3 ** 5
+
+
+@pytest.mark.parametrize("dim", (2, 3, 4))
+def test_closure_test_matches_the_face_scan(dim):
+    """On every subset of each maximal cone's rays, _is_face agrees with
+    oracles.cone_face_sets; sets with a ray outside the cone are no face."""
+    checked = 0
+    for fan in fans_to_check(dim):
+        for cone in fan.max_cones:
+            idx = cone.ray_indices
+            tight = [frozenset(i for i in idx if dot(a, fan.rays[i]) == 0)
+                     for a in cone.inequalities]
+            want = set(oracles.cone_face_sets(cone, fan.rays))
+            for k in range(len(idx) + 1):
+                for s in combinations(idx, k):
+                    assert fan_module._is_face(s, idx, tight) == (s in want), (fan.rays, idx, s)
+                    checked += 1
+            outside = next((i for i in range(len(fan.rays)) if i not in idx), None)
+            if outside is not None:
+                assert not fan_module._is_face((outside,), idx, tight)
+    assert checked > 200
