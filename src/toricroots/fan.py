@@ -178,7 +178,8 @@ def cone_dual_description(generators, dim: int | None = None):
         if is_zero(g):
             raise ValueError("zero vector is not a cone generator")
     ineqs, eqs = _dual_description(gens, dim)
-    if lattice.rank(ineqs + eqs, dim) < dim:
+    on = [frozenset(i for i, g in enumerate(gens) if dot(a, g) == 0) for a in ineqs]
+    if not _is_face((), range(len(gens)), on):  # a generator on every facet: a line
         raise NotStronglyConvex("cone contains a line")
     return ineqs, eqs
 

@@ -266,20 +266,24 @@ def smith_normal_form(m: Mat) -> tuple[Mat, Mat, Mat]:
 
 
 def kernel_basis(rows: Sequence[Vec], width: int | None = None) -> Mat:
-    """Basis of the saturated integer kernel {x : rows * x = 0}."""
+    """Basis of the saturated integer kernel {x : rows * x = 0}, in Hermite
+    form.
+
+    The Hermite form of [rows^T | I] is [H | U] with U unimodular and
+    U rows^T = H. H has rank r, so its last width - r rows are zero, and the
+    matching rows of U lie in the kernel; as rows of a unimodular matrix
+    they span a saturated sublattice, of the kernel's rank, so all of it.
+    """
     rows = [tuple(r) for r in rows]
     if width is None:
         if not rows:
             raise ValueError("kernel of an empty matrix needs an explicit width")
         width = len(rows[0])
     _check_width(rows, width)
-    if not rows:
-        return identity(width)
-    _, d, v = smith_normal_form(tuple(rows))
-    r = min(len(rows), width)
-    free = [j for j in range(width) if j >= r or d[j][j] == 0]
-    cols = transpose(v)
-    return tuple(cols[j] for j in free)
+    m = len(rows)
+    cols = [tuple(r[t] for r in rows) for t in range(width)]
+    h = hermite_row_form(tuple(c + e for c, e in zip(cols, identity(width))))
+    return tuple(row[m:] for row in h if is_zero(row[:m]))
 
 
 def hermite_row_form(m: Mat) -> Mat:
@@ -422,8 +426,11 @@ class Unbounded:
 
 UNBOUNDED = Unbounded()
 
-# internal inequality representation: (coeffs, rhs) meaning coeffs . x >= rhs
+# internal row representation: (coeffs, rhs) meaning coeffs . x >= rhs (or
+# = rhs, for an equation); a row of the elimination also carries the
+# bitmask of the input inequalities it combines
 _Ineq = tuple[Vec, int]
+_Row = tuple[Vec, int, int]
 
 
 def _reduce_ineq(coeffs: Vec, rhs: int) -> _Ineq:
@@ -433,36 +440,57 @@ def _reduce_ineq(coeffs: Vec, rhs: int) -> _Ineq:
     return coeffs, rhs
 
 
-def _split(constraints: Sequence[Constraint], dim: int) -> list[_Ineq]:
-    out = []
-    for c in constraints:
-        if len(c.normal) != dim:
-            raise ValueError(f"constraint dimension {len(c.normal)} != {dim}")
-        out.append(_reduce_ineq(tuple(c.normal), c.rhs))
-        if c.relation == "=":
-            out.append(_reduce_ineq(neg(c.normal), -c.rhs))
-    return out
+def _substitute(row: _Ineq, pivot: _Ineq, k: int) -> _Ineq:
+    """row minus a multiple of the equation `pivot`, with x_k cancelled; the
+    row is scaled by |pivot[k]| > 0, so an inequality keeps its direction."""
+    (a, b), (p, c) = row, pivot
+    m1, m2 = (p[k], a[k]) if p[k] > 0 else (-p[k], -a[k])
+    return _reduce_ineq(tuple(m1 * x - m2 * y for x, y in zip(a, p)), m1 * b - m2 * c)
 
 
-def _eliminate(ineqs: Sequence[_Ineq], k: int) -> list[_Ineq]:
-    """Fourier-Motzkin elimination of variable k; exact over Q."""
+def _eliminate(rows: Sequence[_Row], k: int, done: int) -> list[_Row]:
+    """Fourier-Motzkin elimination of variable k, the `done`-th elimination;
+    exact over Q, with Chernikov's rule.
+
+    A row (a, b, h) is a.x >= b, a positive combination of the input rows
+    (inequalities, with equations substituted into them) whose bits are set
+    in h. Rows with a[k] = 0 pass, each pair with opposite signs at k gives
+    one combination, and a combination of more than done + 1 input rows is
+    dropped (Chernikov's rule; Fukuda and Prodon, "Double description method
+    revisited", 1996). It is implied by the rows kept. Proof: the weights lambda >= 0 on the m input rows that
+    cancel the `done` eliminated variables form a pointed cone C in Q^m,
+    cut out by `done` equations, and each row is the combination by some
+    lambda in C whose support is its h. On the support S of an extreme ray
+    of C, those equations have a kernel of dimension one, so |S| <= done + 1;
+    a lambda with larger support is a sum of extreme rays, and its row the
+    sum of theirs. Without the rule, elimination forms every extreme ray of
+    C from two adjacent extreme rays of the cone before it, whose supports
+    lie inside its own (Motzkin's double description lemma); by induction
+    each is formed, with its support as h, and none is dropped. So each
+    system still cuts out its projection exactly. Rows are kept apart by
+    their histories too, so that each h is the support of its own lambda:
+    keeping one history per row can lose a bound.
+    """
     pos, negs, zero = [], [], []
-    for a, b in ineqs:
+    for a, b, h in rows:
         if a[k] > 0:
-            pos.append((a, b))
+            pos.append((a, b, h))
         elif a[k] < 0:
-            negs.append((a, b))
+            negs.append((a, b, h))
         elif not is_zero(a) or b > 0:  # keep infeasibility witnesses 0 >= b > 0
-            zero.append((a, b))
+            zero.append((a, b, h))
     out = set(zero)
-    for ap, bp in pos:
-        for an, bn in negs:
+    for ap, bp, hp in pos:
+        for an, bn, hn in negs:
+            h = hp | hn
+            if h.bit_count() > done + 1:
+                continue
             m1, m2 = ap[k], -an[k]
             coeffs = tuple(m2 * x + m1 * y for x, y in zip(ap, an))
             rhs = m2 * bp + m1 * bn
             if is_zero(coeffs) and rhs <= 0:
                 continue
-            out.add(_reduce_ineq(coeffs, rhs))
+            out.add(_reduce_ineq(coeffs, rhs) + (h,))
     return sorted(out)
 
 
@@ -473,27 +501,46 @@ def _ceil_div(p: int, q: int) -> int:
 def lattice_points(constraints: Sequence[Constraint], dim: int):
     """All integer solutions, in lexicographic order, or UNBOUNDED.
 
-    Fourier-Motzkin elimination projects the polyhedron P onto its leading
-    coordinates, exactly over Q: ``systems[k + 1]`` cuts out the projection
-    P_k of P onto x_0..x_k. If eliminating every variable leaves a row
-    0 >= b > 0, P is empty and there are no solutions. A non-empty P is
-    bounded iff for every k, ``systems[k + 1]`` has a row with a[k] > 0 and
-    a row with a[k] < 0. Proof: if no row has a[k] < 0, then moving x_k up
-    from any point of P_k keeps every row satisfied, so P_k, and hence P,
-    is unbounded; likewise for a[k] > 0 downwards. If both signs occur at
-    every k, then by induction on k, P_{k-1} is bounded and x_k lies
-    between affine functions of x_0..x_{k-1}, so P_k is bounded. Enumeration
-    takes those per-coordinate bounds from the projections and descends
-    recursively.
+    The polyhedron P is projected onto its leading coordinates, exactly over
+    Q: ``systems[k + 1]`` cuts out the projection P_k of P onto x_0..x_k.
+    Variables go from the last. An equation with a nonzero coefficient at
+    x_k fixes x_k on P_k, so substituting it into the other rows projects
+    exactly (:func:`_substitute`); otherwise Fourier-Motzkin elimination
+    with Chernikov's rule (:func:`_eliminate`) projects the inequalities,
+    each still one input inequality after any substitution. When every
+    variable is gone, P is empty iff a row 0 >= b > 0 or 0 = b != 0 is
+    left. A non-empty P is bounded iff for every k, ``systems[k + 1]`` has
+    a row with a[k] > 0 and a row with a[k] < 0 (an equation gives one of
+    each). Proof: if no row has a[k] < 0, then moving x_k up from any point
+    of P_k keeps every row satisfied, so P_k, and hence P, is unbounded;
+    likewise for a[k] > 0 downwards. If both signs occur at every k, then
+    by induction on k, P_{k-1} is bounded and x_k lies between affine
+    functions of x_0..x_{k-1}, so P_k is bounded. Enumeration takes those
+    per-coordinate bounds from the projections and descends recursively.
     """
     if dim < 1:
         raise ValueError("dimension must be positive")
-    ineqs = _split(constraints, dim)
+    for c in constraints:
+        if len(c.normal) != dim:
+            raise ValueError(f"constraint dimension {len(c.normal)} != {dim}")
+    eqs = [_reduce_ineq(tuple(c.normal), c.rhs) for c in constraints if c.relation == "="]
+    rows = [_reduce_ineq(tuple(c.normal), c.rhs) + (1 << i,)
+            for i, c in enumerate(c for c in constraints if c.relation == ">=")]
     systems: list[list[_Ineq]] = [[] for _ in range(dim + 1)]
-    systems[dim] = ineqs
-    for d in range(dim - 1, -1, -1):
-        systems[d] = _eliminate(systems[d + 1], d)
-    if systems[0]:  # only rows 0 >= b > 0 survive the last elimination
+    done = 0
+    for k in range(dim - 1, -1, -1):
+        systems[k + 1] = list(dict.fromkeys([(a, b) for a, b, _ in rows] + eqs
+                                            + [(neg(a), -b) for a, b in eqs]))
+        pivot = next((e for e in eqs if e[0][k]), None)
+        if pivot is None:
+            done += 1
+            rows = _eliminate(rows, k, done)
+            continue
+        eqs.remove(pivot)
+        eqs = [_substitute(e, pivot, k) for e in eqs]
+        rows = [_substitute((a, b), pivot, k) + (h,) for a, b, h in rows]
+        rows = [(a, b, h) for a, b, h in rows if not is_zero(a) or b > 0]
+    if rows or any(b for _, b in eqs):  # only rows 0 >= b > 0 and 0 = b are left
         return ()
     if any(len({a[k] > 0 for a, _ in systems[k + 1] if a[k]}) < 2 for k in range(dim)):
         return UNBOUNDED

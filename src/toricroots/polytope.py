@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 from . import lattice
 from .errors import BadParams, DegeneratePolytope, InvalidPolytope
-from .fan import Fan, build_fan
+from .fan import Fan, _is_face, build_fan
 from .lattice import Vec, dot, neg, primitive, sub, vec
 
 
@@ -39,16 +39,19 @@ def _hull_facets(points: tuple[Vec, ...], dim: int) -> tuple[FacetInequality, ..
 class LatticePolytope:
     """A full-dimensional lattice polytope given by its vertex set.
 
-    Vertices are stored sorted; construction rejects listed points that are
-    not extreme, so the stored set is exactly the hull's vertex set.
+    Vertices are stored sorted, with the indices of those on each facet,
+    which the fan's face test :func:`toricroots.fan._is_face` reads. Every
+    face is an intersection of facets, so construction rejects a listed
+    point that is not the only one on the facets through it: the stored set
+    is exactly the hull's vertex set.
     """
 
     dim: int
     vertices: tuple[Vec, ...]
-    # derived on construction: the facets, and per vertex the indices of
-    # the facets through it; the normal fan is stored on first use
+    # derived on construction: the facets, and per facet the indices of the
+    # vertices on it; the normal fan is stored on first use
     _facets: tuple[FacetInequality, ...] = field(init=False, repr=False, compare=False)
-    _tight: dict[Vec, tuple[int, ...]] = field(init=False, repr=False, compare=False)
+    _on: tuple[frozenset[int], ...] = field(init=False, repr=False, compare=False)
     _normal_fan: Fan | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -63,13 +66,14 @@ class LatticePolytope:
         fs = _hull_facets(pts, self.dim)
         if fs is None:
             raise DegeneratePolytope("polytope is not full-dimensional")
-        tight = {v: tuple(k for k, f in enumerate(fs) if dot(f.normal, v) == f.rhs) for v in pts}
-        for v in pts:
-            if lattice.rank([fs[k].normal for k in tight[v]], self.dim) != self.dim:
+        on = tuple(frozenset(i for i, v in enumerate(pts) if dot(f.normal, v) == f.rhs)
+                   for f in fs)
+        for i, v in enumerate(pts):
+            if not _is_face((i,), range(len(pts)), on):
                 raise InvalidPolytope(f"listed point {list(v)} is not a vertex")
         object.__setattr__(self, "vertices", pts)
         object.__setattr__(self, "_facets", fs)
-        object.__setattr__(self, "_tight", tight)
+        object.__setattr__(self, "_on", on)
         object.__setattr__(self, "_normal_fan", None)
 
 
@@ -81,20 +85,14 @@ def facets(p: LatticePolytope) -> tuple[FacetInequality, ...]:
 def edge_directions_at(p: LatticePolytope, v: Vec) -> tuple[Vec, ...]:
     """Primitive directions of the edges of p containing the vertex v.
 
-    A vertex pair spans an edge iff their common tight facet normals have
-    rank dim-1; this works for non-simple polytopes too.
+    Two vertices span an edge iff they are the only vertices on the facets
+    through both (a face with two vertices is an edge), the closure test of
+    :func:`toricroots.fan._is_face`; this works for non-simple polytopes too.
     """
-    fs = facets(p)
-    tight = p._tight
-    mine = set(tight[v])
-    dirs = []
-    for w in p.vertices:
-        if w == v:
-            continue
-        common = [fs[k].normal for k in tight[w] if k in mine]
-        if lattice.rank(common, p.dim) == p.dim - 1:
-            dirs.append(primitive(sub(w, v)))
-    return tuple(sorted(dirs))
+    i = p.vertices.index(v)
+    every = range(len(p.vertices))
+    return tuple(sorted(primitive(sub(w, v)) for j, w in enumerate(p.vertices)
+                        if j != i and _is_face((i, j), every, p._on)))
 
 
 @dataclass(frozen=True)
@@ -109,14 +107,11 @@ class RectangleWitness:
 def inscribed_in_rectangle(p: LatticePolytope) -> RectangleWitness | None:
     """First witness in vertex order that p is inscribed in a rectangle, or None."""
     fs = facets(p)
-    tight = p._tight
-    for v in p.vertices:
+    for i, v in enumerate(p.vertices):
         dirs = edge_directions_at(p, v)
-        if len(dirs) != p.dim:
+        if len(dirs) != p.dim or abs(lattice.determinant(dirs)) != 1:
             continue
-        if abs(lattice.determinant(dirs)) != 1:
-            continue
-        away = [fs[k] for k in range(len(fs)) if k not in tight[v]]
+        away = [f for f, on in zip(fs, p._on) if i not in on]
         if all(dot(f.normal, e) >= 0 for f in away for e in dirs):
             return RectangleWitness(v, dirs)
     return None
@@ -127,12 +122,11 @@ def normal_fan(p: LatticePolytope) -> Fan:
     per vertex, generated by the inner normals of its facets. It is built once
     per polytope and stored on it."""
     if p._normal_fan is None:
-        fs = facets(p)
-        tight = p._tight
-        inner = sorted(neg(f.normal) for f in fs)
-        index = {r: i for i, r in enumerate(inner)}
-        cones = sorted(tuple(sorted(index[neg(fs[k].normal)] for k in tight[v]))
-                       for v in p.vertices)
+        # negation reverses the lexicographic order of the facet normals
+        inner = [neg(f.normal) for f in reversed(facets(p))]
+        last = len(inner) - 1
+        cones = sorted(tuple(sorted(last - k for k, on in enumerate(p._on) if i in on))
+                       for i in range(len(p.vertices)))
         object.__setattr__(p, "_normal_fan", build_fan(p.dim, inner, cones))
     return p._normal_fan
 

@@ -40,6 +40,19 @@ found by one rank per row (``basis_dual_rays``), and the face closure
 (``build_fan_by_closure``, which calls ``face_cone_by_rank``). These call
 each other, so they share no elimination code with the kernel; the
 assembly runs the library's validation and dual descriptions.
+
+Then the closure test on a facet incidence replaced rank in the
+polytope's vertex and edge tests and in the pointedness test of
+``cone_dual_description``, and Chernikov's rule with the substitution of
+equations replaced plain Fourier-Motzkin elimination in ``lattice_points``.
+Kept below, unchanged but for names and for taking the data they read off
+the polytope as arguments: the vertex test with its vertex->facet map
+(``rank_vertex_tight``), the edge test (``rank_edge_directions_at``) and
+the pointedness test (``rank_cone_dual_description``), which use the
+library's ``rank`` and so share no code with the closure test; and the
+splitting of equations into two rows (``split``), the elimination
+(``eliminate``) and ``lattice_points`` on them (``fm_lattice_points``),
+which share only ``_reduce_ineq`` and ``_ceil_div`` with the library.
 """
 
 from __future__ import annotations
@@ -53,10 +66,31 @@ from toricroots import lattice
 from toricroots.additive import CompleteCollection
 from toricroots.demazure import DemazureRoot, pairing_row, satisfies_condition1
 from toricroots import fan as fan_module
-from toricroots.errors import NotSquare, NotUnimodular
+from toricroots.errors import (
+    DimensionMismatch,
+    InternalError,
+    InvalidPolytope,
+    NotSquare,
+    NotStronglyConvex,
+    NotUnimodular,
+)
 from toricroots.fan import Cone, Fan, _canonical_rows
-from toricroots.lattice import Mat, Vec, _eliminate, content, dot, is_zero, neg, primitive, sub
-from toricroots.polytope import FacetInequality
+from toricroots.lattice import (
+    UNBOUNDED,
+    Constraint,
+    Mat,
+    Vec,
+    _ceil_div,
+    _reduce_ineq,
+    content,
+    dot,
+    is_zero,
+    neg,
+    primitive,
+    sub,
+    vec,
+)
+from toricroots.polytope import FacetInequality, _hull_facets
 
 
 def rank(rows: Sequence[Vec], width: int | None = None) -> int:
@@ -100,7 +134,7 @@ def trivial_homogeneous_cone(ineqs: Sequence[Vec], dim: int) -> bool:
         cur = rows
         for j in range(dim):
             if j != i:
-                cur = _eliminate(cur, j)
+                cur = eliminate(cur, j)
         has_pos = any(a[i] > 0 for a, _ in cur)
         has_neg = any(a[i] < 0 for a, _ in cur)
         if not (has_pos and has_neg):
@@ -554,3 +588,150 @@ def build_fan_by_closure(dim, rays, max_cones, allow_nonprimitive: bool = False)
               tuple(all_faces), frozenset(owner))
     object.__setattr__(fan, "_complete", certified)
     return fan
+
+
+def split(constraints: Sequence[Constraint], dim: int):
+    out = []
+    for c in constraints:
+        if len(c.normal) != dim:
+            raise ValueError(f"constraint dimension {len(c.normal)} != {dim}")
+        out.append(_reduce_ineq(tuple(c.normal), c.rhs))
+        if c.relation == "=":
+            out.append(_reduce_ineq(neg(c.normal), -c.rhs))
+    return out
+
+
+def eliminate(ineqs, k: int):
+    """Fourier-Motzkin elimination of variable k; exact over Q."""
+    pos, negs, zero = [], [], []
+    for a, b in ineqs:
+        if a[k] > 0:
+            pos.append((a, b))
+        elif a[k] < 0:
+            negs.append((a, b))
+        elif not is_zero(a) or b > 0:  # keep infeasibility witnesses 0 >= b > 0
+            zero.append((a, b))
+    out = set(zero)
+    for ap, bp in pos:
+        for an, bn in negs:
+            m1, m2 = ap[k], -an[k]
+            coeffs = tuple(m2 * x + m1 * y for x, y in zip(ap, an))
+            rhs = m2 * bp + m1 * bn
+            if is_zero(coeffs) and rhs <= 0:
+                continue
+            out.add(_reduce_ineq(coeffs, rhs))
+    return sorted(out)
+
+
+def fm_lattice_points(constraints: Sequence[Constraint], dim: int):
+    """All integer solutions, in lexicographic order, or UNBOUNDED.
+
+    Fourier-Motzkin elimination projects the polyhedron P onto its leading
+    coordinates, exactly over Q: ``systems[k + 1]`` cuts out the projection
+    P_k of P onto x_0..x_k. If eliminating every variable leaves a row
+    0 >= b > 0, P is empty and there are no solutions. A non-empty P is
+    bounded iff for every k, ``systems[k + 1]`` has a row with a[k] > 0 and
+    a row with a[k] < 0. Proof: if no row has a[k] < 0, then moving x_k up
+    from any point of P_k keeps every row satisfied, so P_k, and hence P,
+    is unbounded; likewise for a[k] > 0 downwards. If both signs occur at
+    every k, then by induction on k, P_{k-1} is bounded and x_k lies
+    between affine functions of x_0..x_{k-1}, so P_k is bounded. Enumeration
+    takes those per-coordinate bounds from the projections and descends
+    recursively.
+    """
+    if dim < 1:
+        raise ValueError("dimension must be positive")
+    ineqs = split(constraints, dim)
+    systems = [[] for _ in range(dim + 1)]
+    systems[dim] = ineqs
+    for d in range(dim - 1, -1, -1):
+        systems[d] = eliminate(systems[d + 1], d)
+    if systems[0]:  # only rows 0 >= b > 0 survive the last elimination
+        return ()
+    if any(len({a[k] > 0 for a, _ in systems[k + 1] if a[k]}) < 2 for k in range(dim)):
+        return UNBOUNDED
+
+    out: list[Vec] = []
+    point = [0] * dim
+
+    def descend(k: int) -> None:
+        lo: int | None = None
+        hi: int | None = None
+        for a, b in systems[k + 1]:
+            partial = sum(a[j] * point[j] for j in range(k))
+            coeff = a[k]
+            if coeff == 0:
+                if partial < b:
+                    return
+            elif coeff > 0:
+                cand = _ceil_div(b - partial, coeff)
+                lo = cand if lo is None else max(lo, cand)
+            else:
+                cand = (b - partial) // coeff
+                hi = cand if hi is None else min(hi, cand)
+        if lo is None or hi is None:
+            raise InternalError("unbounded slice inside a bounded polyhedron")
+        for x in range(lo, hi + 1):
+            point[k] = x
+            if k + 1 == dim:
+                out.append(tuple(point))
+            else:
+                descend(k + 1)
+
+    # an empty 1-variable system would mean an unbounded axis, caught above
+    descend(0)
+    return tuple(out)
+
+
+def rank_vertex_tight(dim: int, points) -> tuple[tuple[FacetInequality, ...], dict]:
+    """The facets of conv(points) and, per point, the indices of the facets
+    through it; InvalidPolytope for a listed point that is not a vertex,
+    where the normals of the facets through it have rank below dim. The
+    sorted points must be full-dimensional."""
+    pts = tuple(sorted(vec(v) for v in points))
+    fs = _hull_facets(pts, dim)
+    tight = {v: tuple(k for k, f in enumerate(fs) if dot(f.normal, v) == f.rhs) for v in pts}
+    for v in pts:
+        if lattice.rank([fs[k].normal for k in tight[v]], dim) != dim:
+            raise InvalidPolytope(f"listed point {list(v)} is not a vertex")
+    return fs, tight
+
+
+def rank_edge_directions_at(dim: int, vertices, v: Vec) -> tuple[Vec, ...]:
+    """Primitive directions of the edges of conv(vertices) containing the
+    vertex v.
+
+    A vertex pair spans an edge iff their common tight facet normals have
+    rank dim-1; this works for non-simple polytopes too.
+    """
+    fs, tight = rank_vertex_tight(dim, vertices)
+    mine = set(tight[v])
+    dirs = []
+    for w in sorted(vertices):
+        if w == v:
+            continue
+        common = [fs[k].normal for k in tight[w] if k in mine]
+        if lattice.rank(common, dim) == dim - 1:
+            dirs.append(primitive(sub(w, v)))
+    return tuple(sorted(dirs))
+
+
+def rank_cone_dual_description(generators, dim: int | None = None):
+    """Public dual description of a strongly convex cone.
+
+    Raises NotStronglyConvex when the generated cone contains a line.
+    """
+    gens = tuple(vec(g) for g in generators)
+    if dim is None:
+        if not gens:
+            raise ValueError("explicit dim required for the zero cone")
+        dim = len(gens[0])
+    for g in gens:
+        if len(g) != dim:
+            raise DimensionMismatch("generators of mixed dimension")
+        if is_zero(g):
+            raise ValueError("zero vector is not a cone generator")
+    ineqs, eqs = fan_module._dual_description(gens, dim)
+    if lattice.rank(ineqs + eqs, dim) < dim:
+        raise NotStronglyConvex("cone contains a line")
+    return ineqs, eqs

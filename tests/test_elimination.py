@@ -13,32 +13,46 @@ faces during validation by the closure of their rays (``fan._is_face``);
 ``oracles.build_fan_by_closure`` keeps the closure of all facet ray sets
 and the owner/dims assembly it replaced. Every fan of the face and
 certificate corpora must build equal to it, face for face.
+
+``lattice._eliminate`` drops, by Chernikov's rule, the combinations of more
+input rows than it has eliminated variables plus one; ``lattice_points``
+must find what it found with ``oracles.eliminate``, Fourier-Motzkin without
+the rule. ``kernel_basis`` reads the kernel off the Hermite form of
+[rows^T | I], and sympy checks its rank and saturation.
 """
 
 import random
+import time
 from itertools import combinations
 
 import pytest
 import sympy
+from sympy.matrices.normalforms import smith_normal_form
+from sympy.polys.domains import ZZ
 
 import oracles
 from test_certificate import complete_fans, fan_data
 from test_cli import counting
 from test_face_index import COMPLETE, subfan
 from test_faces import LOWER_DIMENSIONAL, fans_to_check
-from test_kernel import random_unimodular
+from test_kernel import farkas_empty, random_unimodular
 from toricroots import normal_fan, product_p1
 from toricroots import fan as fan_module
 from toricroots.errors import NotSquare, NotUnimodular
 from toricroots.lattice import (
+    UNBOUNDED,
+    Constraint,
     determinant,
     dot,
     dual_rays,
     identity,
     invert_unimodular,
     kernel_basis,
+    lattice_points,
     mat_mul,
+    primitive,
     rank,
+    transpose,
 )
 from toricroots.polytope import cube
 
@@ -133,6 +147,113 @@ def test_ragged_rows_are_rejected():
     with pytest.raises(ValueError, match="dimension mismatch"):
         kernel_basis([(1, 0), (1,)])
     assert kernel_basis([(1, 0, 0)], 3) == ((0, 1, 0), (0, 0, 1))
+
+
+# The generator matrix on which the Smith form's entries explode (see
+# test_kernel.test_full_dimensional_cone_skips_the_smith_form).
+SMITH_BLOWUP = ((-30, 25, 12, -10, 52), (-47, 36, 17, -10, 59), (-30, 28, 14, -10, 52),
+                (-39, 34, 16, -10, 55), (-1, 12, 6, -9, 35), (-33, 29, 14, -9, 49))
+
+
+@pytest.mark.parametrize("dim", DIMS)
+def test_kernel_basis_is_the_saturated_kernel(dim):
+    """On seeded matrices the basis has sympy's nullity, lies in the kernel
+    and is saturated: its Smith form (sympy's) has only units."""
+    rng = random.Random(2300 + dim)
+    empty = 0
+    for k in range(43):
+        rows = random_matrix(rng, rng.randint(1, dim + 2), dim, 40 if k % 3 == 0 else 3)
+        ker = kernel_basis(rows, dim)
+        assert len(ker) == len(sympy.Matrix(rows).nullspace()), rows
+        assert all(dot(r, x) == 0 for r in rows for x in ker)
+        if not ker:
+            empty += 1
+            continue
+        snf = smith_normal_form(sympy.Matrix(ker), domain=ZZ)
+        assert all(abs(snf[i, i]) == 1 for i in range(len(ker))), (rows, ker)
+    assert 0 < empty < 43 or dim == 1
+
+
+def test_kernel_basis_skips_the_smith_form():
+    """Both kernels of the matrix that hangs the Smith form, in well under a
+    second: none for its six rows of rank 5, one line for its transpose."""
+    start = time.perf_counter()
+    assert kernel_basis(SMITH_BLOWUP) == ()
+    (u,) = kernel_basis(transpose(SMITH_BLOWUP))
+    assert time.perf_counter() - start < 1
+    (want,) = sympy.Matrix(transpose(SMITH_BLOWUP)).nullspace()
+    want = primitive(tuple(int(x) for x in want * sympy.ilcm(*[x.q for x in want])))
+    assert u in (want, tuple(-x for x in want))
+
+
+# ---------------------------------------------------------------------------
+# Fourier-Motzkin with Chernikov's rule
+
+
+def random_system(rng, dim):
+    """Seeded rows a.x >= b and a.x = b with entries in [-2, 2] and
+    [-3, 3]. Half are bounded by a box around the origin, or in dimensions
+    4 and 5 by a small simplex and at most two more rows; a few repeat a row and
+    add the sum of two rows. Small enough for Fourier-Motzkin without the
+    rule to finish."""
+    bounded = rng.random() < 0.5
+    rows = []
+    for _ in range(rng.randint(1, dim + 3 if dim < 4 else 2 if bounded else dim)):
+        a = tuple(rng.randint(-2, 2) for _ in range(dim))
+        rows.append(Constraint(a, "=" if rng.random() < 0.15 else ">=", rng.randint(-3, 3)))
+    if bounded:
+        r = rng.randint(1, 3) if dim < 4 else 1
+        rows += [Constraint(e, ">=", -r) for e in identity(dim)]
+        if dim < 4:
+            rows += [Constraint(tuple(-x for x in e), ">=", -r) for e in identity(dim)]
+        else:
+            rows.append(Constraint((-1,) * dim, ">=", -r))
+    if len(rows) > 1 and rng.random() < 0.3:
+        first, second = rows[:2]
+        rows += [first, Constraint(tuple(map(sum, zip(first.normal, second.normal))), ">=",
+                                   first.rhs + second.rhs)]
+    return rows
+
+
+@pytest.mark.parametrize("dim", (1, 2, 3, 4, 5))
+def test_chernikov_rule_keeps_the_points_of_fourier_motzkin(dim):
+    """lattice_points with the rule finds what it found without, on seeded
+    systems with equations: the same points, UNBOUNDED or none."""
+    rng = random.Random(2400 + dim)
+    seen = set()
+    for _ in range(600):
+        rows = random_system(rng, dim)
+        got = lattice_points(rows, dim)
+        assert got == oracles.fm_lattice_points(rows, dim), rows
+        seen.add("unbounded" if got is UNBOUNDED else "points" if got else "empty")
+    assert seen == {"unbounded", "points", "empty"}
+
+
+def test_rows_with_two_histories_are_both_kept():
+    """A row reached with two histories keeps both. Here the combinations of
+    row 0 and of its repeat (row 6) give equal rows; keeping only the
+    smaller history of each loses a bound, and this bounded system with 54
+    points would read UNBOUNDED."""
+    rows = [Constraint(a, rel, b) for a, rel, b in (
+        ((-1, 2, -2, 1, 1), ">=", -2), ((1, 2, -2, 2, 2), ">=", 0), ((-2, 2, -2, 1, 2), "=", 2),
+        ((2, -1, 0, -1, 2), ">=", -2), ((-2, -2, 0, 2, -2), ">=", 2), ((-2, 0, 1, -1, 0), "=", -3),
+        ((-1, 2, -2, 1, 1), ">=", -2), ((0, 4, -4, 3, 3), ">=", -2))]
+    got = lattice_points(rows, 5)
+    assert got is not UNBOUNDED and len(got) == 54
+    assert got == oracles.fm_lattice_points(rows, 5)
+
+
+def test_the_seeded_twelve_row_system_is_fast():
+    """Without the rule the rows of this system grew 12 -> 35 -> 250 -> 1,346
+    and lattice_points took about 2 s; with it, 12 -> 35 -> 54 -> 28. It
+    is empty, by Farkas' lemma."""
+    rng = random.Random(28)
+    rows = [Constraint(tuple(rng.randint(-2, 2) for _ in range(4)), ">=", rng.randint(-3, 3))
+            for _ in range(12)]
+    start = time.perf_counter()
+    assert lattice_points(rows, 4) == ()
+    assert time.perf_counter() - start < 1
+    assert farkas_empty([(c.normal, c.rhs) for c in rows], 4)
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,12 @@ cone (not complete, so root condition (2) does real work). The collections
 must match the C(m, n) subset scan in ``oracles.py``, whose condition (2)
 is the minimal-generator check.
 
+The normal fans of the cross-polytopes in dimensions 3 to 5 and their
+GL_n(Z) images are decided too, with their roots: each image's roots must
+be the images of the fan's. On the GL_4(Z) image by
+``random_unimodular(random.Random(1), 4)``, Fourier-Motzkin without
+Chernikov's rule ran for minutes.
+
 Cox degrees are left out: ``smith_normal_form`` can blow up on GL_n(Z)
 images (see ``test_kernel.py``).
 """
@@ -22,17 +28,18 @@ import random
 import pytest
 
 import oracles
-from test_face_index import subfan
+from test_face_index import cross_polytope_fan, subfan
 from test_kernel import random_unimodular
 from toricroots import (
     LatticeAutomorphism,
     admits_additive,
+    all_roots,
     apply_automorphism,
     build_fan,
     complete_collections,
     is_complete,
 )
-from toricroots.lattice import dot, primitive, rank
+from toricroots.lattice import dot, invert_unimodular, mat_vec, primitive, rank, transpose
 from toricroots.polytope import _hull_facets
 
 
@@ -84,3 +91,27 @@ def test_corpus_answers_are_invariant_and_match_the_subset_scan(dim):
         part = subfan(fan, rng.sample(range(count), count - 1))
         assert complete_collections(part) == oracles.complete_collections(part), part.rays
     assert seen == {True, False}
+
+
+@pytest.mark.parametrize("dim", (3, 4, 5))
+def test_cross_polytope_fans_and_their_images_have_the_same_roots(dim):
+    """On GL_n(Z) images of the cross-polytope's normal fan, each ray has
+    the roots g^-T e of the fan's roots e for the same ray, with the same
+    status. There are none: the rays are the 2^n sign vectors, whose
+    pairings with e all have the parity of sum(e), so a root's would be -1
+    and 2^n - 1 values >= 1, yet the rays sum to 0. Every system is empty,
+    so no image has a complete collection or an additive action."""
+    fan = cross_polytope_fan(dim)
+    roots = all_roots(fan)
+    assert all(r.status == "finite" and not r.roots for r in roots.per_ray)
+    images = [random_unimodular(random.Random(1), dim)]
+    if dim < 5:  # a second image; in dimension 5 each takes about a second
+        images.append(random_unimodular(random.Random(dim), dim, 3 * dim))
+    for g in images:
+        image = apply_automorphism(fan, LatticeAutomorphism(g))
+        dual = transpose(invert_unimodular(g))
+        for want, got in zip(roots.per_ray, all_roots(image).per_ray):
+            assert (got.ray, got.status) == (want.ray, want.status)
+            assert (sorted(r.vector for r in got.roots)
+                    == sorted(mat_vec(dual, r.vector) for r in want.roots))
+        assert complete_collections(image) == () and not admits_additive(image).admits
