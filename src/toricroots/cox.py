@@ -3,8 +3,11 @@
 The Cox ring has one variable per ray, graded by the divisor class group:
 the cokernel of the pairing map sending a character to its values on the
 ray generators. Degrees are reported in a Smith-normal-form basis of the
-free part; golden comparisons go through a Hermite canonicalization since
-the basis choice is not unique.
+free part, and the torsion is read off its invariant factors. This is the
+one Smith form left in the package: the ``degrees`` of every ``cox``
+report are rows of its transform, and the benchmark's golden reports pin
+them byte for byte. Comparisons go through a Hermite canonicalization
+(:func:`canonical_degrees`), since the basis choice is not unique.
 """
 
 from __future__ import annotations

@@ -6,7 +6,9 @@ with an exact dual description (facet inequalities plus span equations), so
 non-simplicial cones are supported throughout. Only the maximal cones'
 descriptions are computed; every other face is found by walking down
 through facets from the first maximal cone (in sorted order) that contains
-it, and reads its description off that cone (see :class:`Cone`).
+it, and reads its description off that cone (see :class:`Cone`). A
+lower-dimensional cone is described in pivot coordinates, not by the Smith
+form (:func:`_dual_description`).
 
 A :class:`Fan` indexes all its cones by their ray-index sets, computed once
 in :func:`build_fan`. Questions about cones of the fan are lookups in that
@@ -50,8 +52,9 @@ class Cone:
 
     The cone is {x : <a, x> >= 0 for a in inequalities, <b, x> = 0 for b in
     equations}, with one inequality per facet. A maximal cone's description
-    is its own (its equations a lattice basis of its orthogonal complement).
-    Any other face's inequalities are one normal per facet, taken from its
+    is its own, the canonical one of :func:`_dual_description` (a nonzero
+    cone's equations are the Hermite basis of its orthogonal lattice). Any
+    other face's inequalities are one normal per facet, taken from its
     maximal cone, and its equations are independent rows that span its
     orthogonal complement over Q, not necessarily a lattice basis.
     """
@@ -130,36 +133,29 @@ class Fan:
 
 
 def _dual_description(gens: tuple[Vec, ...], dim: int) -> tuple[tuple[Vec, ...], tuple[Vec, ...]]:
-    """(inequalities, equations) cutting out cone(gens), exactly.
+    """(inequalities, equations) cutting out cone(gens) exactly, in a
+    canonical form: it depends on the cone, not on how it is listed.
 
-    The facet normals are the extreme rays of the dual cone, found by the
-    double description. For a cone of lower dimension d, the Smith form V
-    of the generator matrix gives coordinates on the saturated span (its
-    first d columns) to find them in, and the span equations (the rest).
-    Works for non-pointed cones too.
+    The facet normals are the primitive extreme rays of the dual cone (the
+    double description). For a cone of lower dimension d with span L, the
+    pivot columns J of one Gauss-Jordan pass on the generators are the
+    first d coordinates independent on L, so they depend only on L. The
+    normals are the rays w of the dual of pi_J(cone) in Q^d, lifted to a by
+    zeros off J; the equations are the Hermite basis of the lattice
+    orthogonal to L (:func:`lattice.kernel_basis`). Proof: pi_J is injective
+    on L and a.x = w.pi_J(x) for every x, so x is in the cone iff it is in
+    L and every a is >= 0 on it; each a is primitive because w is. Works
+    for non-pointed cones too.
     """
-    if not gens:
-        return (), _canonical_rows(lattice.identity(dim))
+    if not gens:  # the unit vectors, sorted
+        return (), lattice.identity(dim)[::-1]
     normals = lattice.dual_rays(gens, dim)
     if normals is not None:  # full-dimensional: no change of coordinates
         return normals, ()
-    _, d_mat, v = lattice.smith_normal_form(gens)
-    d = sum(1 for j in range(min(len(gens), dim)) if d_mat[j][j] != 0)
-    cols = lattice.transpose(v)
-    coords = [tuple(dot(g, col) for col in cols[:d]) for g in gens]
-    normals = lattice.dual_rays(coords, d)
-    inequalities = tuple(sorted(tuple(sum(v[t][j] * w[j] for j in range(d)) for t in range(dim))
-                                for w in normals))
-    return inequalities, _canonical_rows(cols[d:])
-
-
-def _canonical_rows(rows) -> tuple[Vec, ...]:
-    out = []
-    for row in rows:
-        row = tuple(row)
-        nz = next((x for x in row if x != 0), 0)
-        out.append(neg(row) if nz < 0 else row)
-    return tuple(sorted(out))
+    at = {j: k for k, j in enumerate(lattice._gauss_jordan(gens, dim)[0])}  # J, in order
+    normals = lattice.dual_rays([tuple(g[j] for j in at) for g in gens], len(at))
+    lifted = (tuple(w[at[t]] if t in at else 0 for t in range(dim)) for w in normals)
+    return tuple(sorted(lifted)), lattice.kernel_basis(gens, dim)
 
 
 def cone_dual_description(generators, dim: int | None = None):
@@ -438,7 +434,7 @@ def build_fan(dim, rays, max_cones, allow_nonprimitive: bool = False) -> Fan:
     answer of :func:`_certify_complete` is stored as the fan's completeness.
     """
     rays, cones, certified = _check_fan(dim, rays, max_cones, allow_nonprimitive)
-    faces = {(): Cone((), (), _canonical_rows(lattice.identity(dim)), 0)}
+    faces = {(): Cone((), (), lattice.identity(dim)[::-1], 0)}
     for idx in sorted(cones):
         (ineqs, eqs), tight = cones[idx]
         stack = [(idx, dim - len(eqs))]  # a maximal cone's equations are independent

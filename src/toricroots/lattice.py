@@ -44,20 +44,12 @@ def dot(u: Vec, v: Vec) -> int:
     return sum(map(mul, u, v))
 
 
-def add(u: Vec, v: Vec) -> Vec:
-    return tuple(a + b for a, b in zip(u, v))
-
-
 def sub(u: Vec, v: Vec) -> Vec:
     return tuple(a - b for a, b in zip(u, v))
 
 
 def neg(u: Vec) -> Vec:
     return tuple(-a for a in u)
-
-
-def scaled(u: Vec, k: int) -> Vec:
-    return tuple(k * a for a in u)
 
 
 def is_zero(u: Vec) -> bool:
@@ -193,6 +185,7 @@ def smith_normal_form(m: Mat) -> tuple[Mat, Mat, Mat]:
     """
     nrows = len(m)
     ncols = len(m[0]) if nrows else 0
+    _check_width(m, ncols)
     a = [list(row) for row in m]
     u = [[int(i == j) for j in range(nrows)] for i in range(nrows)]
     v = [[int(i == j) for j in range(ncols)] for i in range(ncols)]
@@ -295,6 +288,7 @@ def hermite_row_form(m: Mat) -> Mat:
     if not m:
         return ()
     nrows, ncols = len(m), len(m[0])
+    _check_width(m, ncols)
     h = [list(row) for row in m]
     r = 0
     for col in range(ncols):
@@ -328,6 +322,7 @@ def hermite_row_form(m: Mat) -> Mat:
 
 def hermite_column_form(m: Mat) -> Mat:
     """Canonical representative of m under right-multiplication by GL(Z)."""
+    _check_width(m, len(m[0]) if m else 0)
     if not m or not m[0]:
         return tuple(tuple(row) for row in m)
     return transpose(hermite_row_form(transpose(m)))

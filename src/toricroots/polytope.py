@@ -43,7 +43,8 @@ class LatticePolytope:
     which the fan's face test :func:`toricroots.fan._is_face` reads. Every
     face is an intersection of facets, so construction rejects a listed
     point that is not the only one on the facets through it: the stored set
-    is exactly the hull's vertex set.
+    is exactly the hull's vertex set. A dim or a coordinate that is not an
+    int raises InvalidPolytope, with the messages of the JSON reader.
     """
 
     dim: int
@@ -55,9 +56,14 @@ class LatticePolytope:
     _normal_fan: Fan | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if not lattice.is_integer(self.dim):
+            raise InvalidPolytope(f"bad polytope data: dim must be an integer, got {self.dim!r}")
+        try:
+            pts = tuple(vec(v) for v in self.vertices)
+        except TypeError as exc:
+            raise InvalidPolytope(f"bad polytope data: {exc}") from None
         if self.dim < 1:
             raise DegeneratePolytope("dimension must be positive")
-        pts = tuple(vec(v) for v in self.vertices)
         if any(len(v) != self.dim for v in pts):
             raise InvalidPolytope("vertex of wrong dimension")
         if len(set(pts)) != len(pts):
@@ -88,7 +94,10 @@ def edge_directions_at(p: LatticePolytope, v: Vec) -> tuple[Vec, ...]:
     Two vertices span an edge iff they are the only vertices on the facets
     through both (a face with two vertices is an edge), the closure test of
     :func:`toricroots.fan._is_face`; this works for non-simple polytopes too.
+    ValueError when v is not a vertex of p.
     """
+    if v not in p.vertices:
+        raise ValueError(f"point {list(v)} is not a vertex of the polytope")
     i = p.vertices.index(v)
     every = range(len(p.vertices))
     return tuple(sorted(primitive(sub(w, v)) for j, w in enumerate(p.vertices)
@@ -234,10 +243,4 @@ def polytope_from_json_dict(data: dict) -> LatticePolytope:
     missing = {"dim", "vertices"} - set(data)
     if missing:
         raise InvalidPolytope(f"polytope JSON lacks keys {sorted(missing)}")
-    if not lattice.is_integer(data["dim"]):
-        raise InvalidPolytope(f"bad polytope data: dim must be an integer, got {data['dim']!r}")
-    try:
-        vertices = tuple(vec(v) for v in data["vertices"])
-    except TypeError as exc:
-        raise InvalidPolytope(f"bad polytope data: {exc}") from None
-    return LatticePolytope(data["dim"], vertices)
+    return LatticePolytope(data["dim"], data["vertices"])

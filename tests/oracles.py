@@ -74,7 +74,7 @@ from toricroots.errors import (
     NotStronglyConvex,
     NotUnimodular,
 )
-from toricroots.fan import Cone, Fan, _canonical_rows
+from toricroots.fan import Cone, Fan
 from toricroots.lattice import (
     UNBOUNDED,
     Constraint,
@@ -173,6 +173,17 @@ def dual_rays(rows: Sequence[Vec], width: int) -> tuple[Vec, ...] | None:
                   for t in range(width))
         start.append(primitive(u if sign > 0 else neg(u)))
     return lattice.cut_cone(start, basis, rest)
+
+
+def _canonical_rows(rows) -> tuple[Vec, ...]:
+    """The rows, each signed to a positive first nonzero entry, sorted: the
+    oracle's form of a cone's equations."""
+    out = []
+    for row in rows:
+        row = tuple(row)
+        nz = next((x for x in row if x != 0), 0)
+        out.append(neg(row) if nz < 0 else row)
+    return tuple(sorted(out))
 
 
 def dual_description(gens: tuple[Vec, ...], dim: int) -> tuple[tuple[Vec, ...], tuple[Vec, ...]]:

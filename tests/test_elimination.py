@@ -36,7 +36,7 @@ from test_cli import counting
 from test_face_index import COMPLETE, subfan
 from test_faces import LOWER_DIMENSIONAL, fans_to_check
 from test_kernel import farkas_empty, random_unimodular
-from toricroots import normal_fan, product_p1
+from toricroots import cone_dual_description, lattice, normal_fan, product_p1, validate_fan
 from toricroots import fan as fan_module
 from toricroots.errors import NotSquare, NotUnimodular
 from toricroots.lattice import (
@@ -146,6 +146,11 @@ def test_ragged_rows_are_rejected():
         kernel_basis([(1, 0, 0)], 2)
     with pytest.raises(ValueError, match="dimension mismatch"):
         kernel_basis([(1, 0), (1,)])
+    for form in (lattice.hermite_row_form, lattice.hermite_column_form,
+                 lattice.smith_normal_form):
+        for m in (((1,), (3, 4)), ((1, 2), (3,)), ((), (1,))):
+            with pytest.raises(ValueError, match="dimension mismatch"):
+                form(m)
     assert kernel_basis([(1, 0, 0)], 3) == ((0, 1, 0), (0, 0, 1))
 
 
@@ -184,6 +189,29 @@ def test_kernel_basis_skips_the_smith_form():
     (want,) = sympy.Matrix(transpose(SMITH_BLOWUP)).nullspace()
     want = primitive(tuple(int(x) for x in want * sympy.ilcm(*[x.q for x in want])))
     assert u in (want, tuple(-x for x in want))
+
+
+# The rows of SMITH_BLOWUP made primitive, in Z^6 with a last coordinate 0:
+# one 5-dimensional cone, which fan-check, additive, roots and collections
+# take as a fan (the CI runs them on it under a timeout).
+BLOWUP_FAN = {"dim": 6, "rays": [list(primitive(r)) + [0] for r in SMITH_BLOWUP],
+              "max_cones": [list(range(6))]}
+
+
+def test_lower_dimensional_cone_skips_the_smith_form():
+    """The fan on BLOWUP_FAN validates, and its cone gets its description,
+    in well under a second each; the Smith form ran for minutes on both.
+    The normals are those of the 5-dimensional cone on SMITH_BLOWUP (as
+    test_kernel.test_full_dimensional_cone_skips_the_smith_form checks
+    them), lifted by a zero last coordinate; the equation is e_6."""
+    start = time.perf_counter()
+    assert validate_fan(**BLOWUP_FAN) == []
+    assert time.perf_counter() - start < 1
+    start = time.perf_counter()
+    ineqs, eqs = cone_dual_description(BLOWUP_FAN["rays"])
+    assert time.perf_counter() - start < 1
+    assert eqs == ((0, 0, 0, 0, 0, 1),)
+    assert ineqs == tuple(a + (0,) for a in dual_rays(SMITH_BLOWUP, 5))
 
 
 # ---------------------------------------------------------------------------

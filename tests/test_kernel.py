@@ -10,6 +10,11 @@ some matrices with two-digit entries in dimension 5 (see
 ``test_full_dimensional_cone_skips_the_smith_form``). So the random cones
 and fans below are moved by GL_n(Z) maps of n elementary steps, which keep
 their entries small enough for the oracles to finish.
+
+A lower-dimensional cone's facet normals are unique only up to adding rows
+orthogonal to its span, and its equations only up to GL(Z): the oracle
+takes both from Smith-form coordinates, the library from pivot coordinates
+and the Hermite kernel. ``assert_matches_oracle`` compares them as such.
 """
 
 import random
@@ -30,6 +35,7 @@ from toricroots.lattice import (
     determinant,
     dot,
     dual_rays,
+    hermite_row_form,
     identity,
     invert_unimodular,
     lattice_points,
@@ -133,13 +139,51 @@ def random_cone_gens(rng, dim, kind):
     return random_vectors(rng, rng.randint(1, dim + 4), dim)  # anything, lines too
 
 
+def assert_matches_oracle(got, gens, dim):
+    """`got`, a dual description of cone(gens), describes the oracle's cone
+    the oracle's way: exactly for a full-dimensional cone; otherwise with
+    equations of the same Hermite form, and as many facets, each with the
+    oracle's tight set and values on the generators that are a positive
+    multiple of the oracle's (the same primitive value vector)."""
+    want = oracles.dual_description(gens, dim)
+    if not want[1]:
+        assert got == want, gens
+        return
+
+    def values(ineqs):
+        return sorted(primitive(tuple(dot(a, g) for g in gens)) for a in ineqs)
+
+    assert hermite_row_form(got[1]) == hermite_row_form(want[1]), gens
+    assert len(got[0]) == len(want[0]) and values(got[0]) == values(want[0]), gens
+
+
 @pytest.mark.parametrize("dim", DIMS)
 @pytest.mark.parametrize("kind", ["pointed", "flat", "any"])
 def test_dual_description_matches_subset_scan(dim, kind):
     rng = random.Random(1000 * dim + len(kind))
     for _ in range(25 if dim < 5 else 12):
         gens = tuple(random_cone_gens(rng, dim, kind))
-        assert _dual_description(gens, dim) == oracles.dual_description(gens, dim)
+        assert_matches_oracle(_dual_description(gens, dim), gens, dim)
+
+
+@pytest.mark.parametrize("dim", (3, 4, 5))
+def test_lower_dimensional_descriptions_do_not_depend_on_generator_order(dim):
+    """Reversed, shuffled or repeated, the generators of a lower-dimensional
+    cone give the same description: its pivot coordinates and Hermite
+    kernel depend on its span only."""
+    rng = random.Random(3 + dim)
+    seen = 0
+    for _ in range(40):
+        gens = tuple(random_cone_gens(rng, dim, rng.choice(["flat", "any"])))
+        if rank(gens, dim) == dim:
+            continue
+        want = _dual_description(gens, dim)
+        shuffled = list(gens) + [gens[0]]
+        rng.shuffle(shuffled)
+        assert _dual_description(gens[::-1], dim) == want, gens
+        assert _dual_description(tuple(shuffled), dim) == want, gens
+        seen += 1
+    assert seen > 20
 
 
 @pytest.mark.parametrize("dim", DIMS)
@@ -151,7 +195,7 @@ def test_cones_with_a_line_are_rejected(dim):
         gens = gens + [tuple(-x for x in line)]
         with pytest.raises(NotStronglyConvex):
             cone_dual_description(gens, dim)
-        assert _dual_description(tuple(gens), dim) == oracles.dual_description(tuple(gens), dim)
+        assert_matches_oracle(_dual_description(tuple(gens), dim), tuple(gens), dim)
 
 
 @pytest.mark.parametrize("dim", DIMS)

@@ -109,6 +109,11 @@ def test_skew_triangle_not_inscribed():
     assert inscribed_in_rectangle(poly) is None
 
 
+def test_edge_directions_at_a_point_that_is_no_vertex():
+    with pytest.raises(ValueError, match=r"point \[5, 5\] is not a vertex"):
+        edge_directions_at(cube(2), (5, 5))
+
+
 def test_simplex_witness_at_origin():
     for n in (1, 2, 3):
         for d in (1, 2, 3):
@@ -224,9 +229,21 @@ def test_polytope_json_rejects_non_extreme():
 
 
 def test_polytope_json_rejects_non_integer_dim():
-    for dim in (2.5, 2.0, "2", True):
-        with pytest.raises(InvalidPolytope, match="dim must be an integer"):
-            polytope_from_json_dict({"dim": dim, "vertices": [[0, 0], [1, 0], [0, 1]]})
+    """The reader and the constructor reject a non-integer dim or
+    coordinate alike, with the same message."""
+    def read(dim, vertices):
+        return polytope_from_json_dict({"dim": dim, "vertices": vertices})
+
+    for make in (read, LatticePolytope):
+        for dim in (2.5, 2.0, "2", True):
+            with pytest.raises(InvalidPolytope, match="bad polytope data: dim must be an integer"):
+                make(dim, [[0, 0], [1, 0], [0, 1]])
+        for point in ([1.5, 0], [True, 0], ["1", 0]):
+            with pytest.raises(InvalidPolytope,
+                               match="bad polytope data: integer coordinate expected, got"):
+                make(2, [[0, 0], point, [0, 1]])
+        with pytest.raises(InvalidPolytope, match="bad polytope data: "):
+            make(2, [[0, 0], 1, [0, 1]])
 
 
 def test_derived_facet_data_is_stored_not_compared():
