@@ -10,6 +10,12 @@ uniqueness theorem (any two normalized additive actions are isomorphic), with
 a fan automorphism from the first collection to each other one; a missing
 witness is an internal error.
 
+Each command imports the library modules it runs inside its own function,
+so a cold process compiles no module it does not use (``fan-check`` and
+``gen`` of a fan load only ``fan`` and ``lattice``), and ``hashlib`` is
+imported only to write the input digest of a JSON report. Library functions
+are read as module attributes at call time.
+
 Exit codes: 0 success, 1 "answer is no" for decision commands under
 ``--strict``, 2 invalid input, 3 internal error (a consistency check inside
 the library failed; never expected, reported with ``status: "internal"``).
@@ -18,12 +24,15 @@ the library failed; never expected, reported with ``status: "internal"``).
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import sys
+from typing import TYPE_CHECKING
 
-from . import additive, cox, demazure, fan as fans, polytope as polytopes
 from .errors import InternalError, InvalidFan, ToricError
+
+if TYPE_CHECKING:
+    from .additive import CompleteCollection, EquivalenceWitness
+    from .demazure import DemazureRoot, RayRoots
 
 _INT_LIMIT = 2 ** 53
 
@@ -52,13 +61,13 @@ def _read_bytes(path: str) -> bytes:
 
 
 def _load_json(path: str):
+    """The parsed JSON and the raw bytes, which a JSON report hashes."""
     raw = _read_bytes(path)
-    digest = hashlib.sha256(raw).hexdigest()
     try:
         data = json.loads(raw.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise ToricError(f"not valid JSON: {exc}") from None
-    return data, digest
+    return data, raw
 
 
 def _unwrap(data, kind: str):
@@ -83,24 +92,28 @@ def _unwrap(data, kind: str):
 
 
 def _load_fan(path: str):
-    data, digest = _load_json(path)
-    return fans.fan_from_json_dict(_unwrap(data, "fan")), digest
+    from . import fan as fans
+
+    data, raw = _load_json(path)
+    return fans.fan_from_json_dict(_unwrap(data, "fan")), raw
 
 
 def _load_polytope(path: str):
-    data, digest = _load_json(path)
-    return polytopes.polytope_from_json_dict(_unwrap(data, "polytope")), digest
+    from . import polytope as polytopes
+
+    data, raw = _load_json(path)
+    return polytopes.polytope_from_json_dict(_unwrap(data, "polytope")), raw
 
 
 # ---------------------------------------------------------------------------
 # serialization helpers
 
 
-def _root_dict(r: demazure.DemazureRoot) -> dict:
+def _root_dict(r: DemazureRoot) -> dict:
     return {"vector": list(r.vector), "ray": r.ray}
 
 
-def _ray_roots_dict(rr: demazure.RayRoots) -> dict:
+def _ray_roots_dict(rr: RayRoots) -> dict:
     out = {"ray": rr.ray, "status": rr.status,
            "roots": [_root_dict(r) for r in rr.roots]}
     if rr.bound is not None:
@@ -108,7 +121,9 @@ def _ray_roots_dict(rr: demazure.RayRoots) -> dict:
     return out
 
 
-def _collection_dict(fan_obj, c: additive.CompleteCollection) -> dict:
+def _collection_dict(fan_obj, c: CompleteCollection) -> dict:
+    from . import demazure
+
     return {
         "rays": list(c.ray_indices),
         "roots": [list(v) for v in c.root_vectors],
@@ -117,7 +132,7 @@ def _collection_dict(fan_obj, c: additive.CompleteCollection) -> dict:
     }
 
 
-def _witness_dict(w: additive.EquivalenceWitness) -> dict:
+def _witness_dict(w: EquivalenceWitness) -> dict:
     return {"matrix": [list(row) for row in w.matrix],
             "ray_map": [list(pair) for pair in w.ray_map]}
 
@@ -131,15 +146,18 @@ def _cone_dict(c) -> dict:
 
 
 def _report(args, command: str, result, status: str, exit_code: int,
-            digest: str | None, text_lines) -> int:
-    envelope = {
-        "command": command,
-        "input": {"path": getattr(args, "file", None), "sha256": digest} if digest else None,
-        "result": result,
-        "status": status,
-        "exit_code": exit_code,
-    }
+            raw: bytes | None, text_lines) -> int:
+    """Print the report; a JSON envelope names the input by the SHA-256 of
+    its raw bytes (none for a command without input)."""
     if args.format == "json":
+        source = None
+        if raw is not None:
+            import hashlib
+
+            source = {"path": getattr(args, "file", None),
+                      "sha256": hashlib.sha256(raw).hexdigest()}
+        envelope = {"command": command, "input": source, "result": result,
+                    "status": status, "exit_code": exit_code}
         sys.stdout.write(_dumps(envelope))
     else:
         for line in text_lines:
@@ -156,22 +174,26 @@ def _yesno(flag: bool) -> str:
 
 
 def _cmd_fan_check(args) -> int:
-    data, digest = _load_json(args.file)
+    from . import fan as fans
+
+    data, raw = _load_json(args.file)
     payload = _unwrap(data, "fan")
     try:
         fan_obj = fans.fan_from_json_dict(payload)
     except InvalidFan as exc:
         result = {"valid": False, "violations": exc.violations, "complete": None}
         lines = ["valid: no"] + [f"violation: {v}" for v in exc.violations]
-        return _report(args, "fan-check", result, "invalid", 2, digest, lines)
+        return _report(args, "fan-check", result, "invalid", 2, raw, lines)
     complete = fans.is_complete(fan_obj)
     result = {"valid": True, "violations": [], "complete": complete}
     lines = ["valid: yes", f"complete: {_yesno(complete)}"]
-    return _report(args, "fan-check", result, "ok", 0, digest, lines)
+    return _report(args, "fan-check", result, "ok", 0, raw, lines)
 
 
 def _cmd_roots(args) -> int:
-    fan_obj, digest = _load_fan(args.file)
+    from . import demazure
+
+    fan_obj, raw = _load_fan(args.file)
     rs = demazure.all_roots(fan_obj, args.bound)
     per_ray = [_ray_roots_dict(rr) for rr in rs.per_ray]
     result = {"per_ray": per_ray, "finite": rs.finite,
@@ -183,11 +205,13 @@ def _cmd_roots(args) -> int:
         suffix = f" (bound {rr.bound})" if rr.bound is not None else ""
         lines.append(f"ray {rr.ray} {list(ray)}: {rr.status}{suffix} [{vecs}]")
     lines.append(f"total listed roots: {result['total_listed']}")
-    return _report(args, "roots", result, "ok", 0, digest, lines)
+    return _report(args, "roots", result, "ok", 0, raw, lines)
 
 
 def _cmd_collections(args) -> int:
-    fan_obj, digest = _load_fan(args.file)
+    from . import additive
+
+    fan_obj, raw = _load_fan(args.file)
     cols = additive.complete_collections(fan_obj)
     result = {"count": len(cols),
               "collections": [_collection_dict(fan_obj, c) for c in cols]}
@@ -204,11 +228,13 @@ def _cmd_collections(args) -> int:
     status, code = "ok", 0
     if args.strict and not cols:
         status, code = "no", 1
-    return _report(args, "collections", result, status, code, digest, lines)
+    return _report(args, "collections", result, status, code, raw, lines)
 
 
 def _cmd_additive(args) -> int:
-    fan_obj, digest = _load_fan(args.file)
+    from . import additive, cox
+
+    fan_obj, raw = _load_fan(args.file)
     decision = additive.admits_additive(fan_obj)
     result = {
         "admits": decision.admits,
@@ -233,11 +259,13 @@ def _cmd_additive(args) -> int:
     status, code = "ok", 0
     if args.strict and not decision.admits:
         status, code = "no", 1
-    return _report(args, "additive", result, status, code, digest, lines)
+    return _report(args, "additive", result, status, code, raw, lines)
 
 
 def _cmd_cox(args) -> int:
-    fan_obj, digest = _load_fan(args.file)
+    from . import cox
+
+    fan_obj, raw = _load_fan(args.file)
     pres = cox.cox_presentation(fan_obj)
     canon = cox.canonical_degrees(pres)
     result = {
@@ -251,10 +279,12 @@ def _cmd_cox(args) -> int:
              f"torsion: {list(pres.torsion)}"]
     for i, v in enumerate(canon):
         lines.append(f"deg x{i + 1} = {list(v)}")
-    return _report(args, "cox", result, "ok", 0, digest, lines)
+    return _report(args, "cox", result, "ok", 0, raw, lines)
 
 
-def _parse_root(fan_obj, spec: str) -> demazure.DemazureRoot:
+def _parse_root(fan_obj, spec: str) -> DemazureRoot:
+    from . import demazure
+
     try:
         ray_part, vec_part = spec.split(":", 1)
         ray = int(ray_part)
@@ -272,7 +302,9 @@ def _parse_root(fan_obj, spec: str) -> demazure.DemazureRoot:
 
 
 def _cmd_pairs(args) -> int:
-    fan_obj, digest = _load_fan(args.file)
+    from . import demazure
+
+    fan_obj, raw = _load_fan(args.file)
     root = _parse_root(fan_obj, args.root)
     pairs = demazure.he_connected_pairs(fan_obj, root)
     result = {
@@ -283,11 +315,13 @@ def _cmd_pairs(args) -> int:
     for a, b in pairs:
         lines.append(f"  facet {list(a.ray_indices)} (dim {a.dim}) "
                      f"< cone {list(b.ray_indices)} (dim {b.dim})")
-    return _report(args, "pairs", result, "ok", 0, digest, lines)
+    return _report(args, "pairs", result, "ok", 0, raw, lines)
 
 
 def _cmd_polytope(args) -> int:
-    poly, digest = _load_polytope(args.file)
+    from . import fan as fans, polytope as polytopes
+
+    poly, raw = _load_polytope(args.file)
     if args.action == "check":
         report = polytopes.check_polytope_theorem(poly)
         witness = report.witness
@@ -307,33 +341,37 @@ def _cmd_polytope(args) -> int:
         status, code = "ok", 0
         if args.strict and not report.inscribed:
             status, code = "no", 1
-        return _report(args, "polytope check", result, status, code, digest, lines)
+        return _report(args, "polytope check", result, status, code, raw, lines)
     if args.action == "normalfan":
         fan_obj = polytopes.normal_fan(poly)
         payload = fans.fan_to_json_dict(fan_obj)
         result = {"fan": payload}
         lines = [json.dumps(_json_safe(payload), sort_keys=True)]
-        return _report(args, "polytope normalfan", result, "ok", 0, digest, lines)
+        return _report(args, "polytope normalfan", result, "ok", 0, raw, lines)
     scaled = polytopes.scale(poly, args.k)
     payload = polytopes.polytope_to_json_dict(scaled)
     result = {"polytope": payload}
     lines = [json.dumps(_json_safe(payload), sort_keys=True)]
-    return _report(args, "polytope scale", result, "ok", 0, digest, lines)
+    return _report(args, "polytope scale", result, "ok", 0, raw, lines)
 
 
 def _cmd_gen(args) -> int:
+    from . import fan as fans
+
     params = tuple(int(x) for x in args.params)
     if args.name in fans._BUILTIN_FANS:
         obj = fans.builtin_fan(args.name, *params)
         payload = fans.fan_to_json_dict(obj)
         kind = "fan"
-    elif args.name in polytopes._BUILTIN_POLYTOPES:
+    else:
+        from . import polytope as polytopes
+
+        if args.name not in polytopes._BUILTIN_POLYTOPES:
+            known = sorted(fans._BUILTIN_FANS) + sorted(polytopes._BUILTIN_POLYTOPES)
+            raise ToricError(f"unknown generator {args.name!r}; known: {', '.join(known)}")
         obj = polytopes.builtin_polytope(args.name, *params)
         payload = polytopes.polytope_to_json_dict(obj)
         kind = "polytope"
-    else:
-        known = sorted(fans._BUILTIN_FANS) + sorted(polytopes._BUILTIN_POLYTOPES)
-        raise ToricError(f"unknown generator {args.name!r}; known: {', '.join(known)}")
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(_dumps(payload))

@@ -13,13 +13,16 @@ them byte for byte. Comparisons go through a Hermite canonicalization
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from . import lattice
-from .additive import CompleteCollection
 from .demazure import _monomial, derivation
 from .errors import RaysDoNotSpan, TorsionClassGroup
 from .fan import Fan
 from .lattice import Mat, Vec
+
+if TYPE_CHECKING:
+    from .additive import CompleteCollection
 
 
 @dataclass(frozen=True)
@@ -31,11 +34,12 @@ class CoxPresentation:
 
 
 def cox_presentation(fan: Fan) -> CoxPresentation:
+    """The Cox presentation; RaysDoNotSpan, before any Smith form, if the
+    rays have rank below the dimension."""
     m, n = len(fan.rays), fan.dim
-    u, d, _ = lattice.smith_normal_form(fan.rays)
-    r = sum(1 for j in range(min(m, n)) if d[j][j] != 0)
-    if r < n:
+    if lattice.rank(fan.rays, n) < n:
         raise RaysDoNotSpan("the rays do not span N_Q")
+    u, d, _ = lattice.smith_normal_form(fan.rays)
     torsion = tuple(d[j][j] for j in range(n) if d[j][j] > 1)
     degrees = tuple(tuple(u[i][var] for i in range(n, m)) for var in range(m))
     return CoxPresentation(m, m - n, degrees, torsion)

@@ -160,13 +160,13 @@ def test_maximal_cone_that_is_not_a_list(tmp_path):
 def test_internal_error_exits_3(f2_file, monkeypatch, capsys):
     """A failed consistency check is exit 3 with status "internal", not a
     traceback, and survives python -O (it is not an assert)."""
-    from toricroots import cli
+    from toricroots import cli, fan as fans
     from toricroots.errors import InternalError
 
     def broken(fan):
         raise InternalError("face index is inconsistent")
 
-    monkeypatch.setattr(cli.fans, "is_complete", broken)
+    monkeypatch.setattr(fans, "is_complete", broken)
     for fmt, check in (("json", json.loads), ("text", str)):
         code = cli.main(["fan-check", f2_file, "--format", fmt])
         out = check(capsys.readouterr().out)

@@ -21,6 +21,7 @@ the rule. ``kernel_basis`` reads the kernel off the Hermite form of
 [rows^T | I], and sympy checks its rank and saturation.
 """
 
+import json
 import random
 import time
 from itertools import combinations
@@ -36,9 +37,18 @@ from test_cli import counting
 from test_face_index import COMPLETE, subfan
 from test_faces import LOWER_DIMENSIONAL, fans_to_check
 from test_kernel import farkas_empty, random_unimodular
-from toricroots import cone_dual_description, lattice, normal_fan, product_p1, validate_fan
+from toricroots import (
+    cli,
+    cone_dual_description,
+    cox_presentation,
+    fan_from_json_dict,
+    lattice,
+    normal_fan,
+    product_p1,
+    validate_fan,
+)
 from toricroots import fan as fan_module
-from toricroots.errors import NotSquare, NotUnimodular
+from toricroots.errors import NotSquare, NotUnimodular, RaysDoNotSpan
 from toricroots.lattice import (
     UNBOUNDED,
     Constraint,
@@ -212,6 +222,24 @@ def test_lower_dimensional_cone_skips_the_smith_form():
     assert time.perf_counter() - start < 1
     assert eqs == ((0, 0, 0, 0, 0, 1),)
     assert ineqs == tuple(a + (0,) for a in dual_rays(SMITH_BLOWUP, 5))
+
+
+def test_cox_refuses_rays_that_do_not_span_before_the_smith_form(tmp_path, capsys):
+    """The rays of BLOWUP_FAN have rank 5 in Z^6, so the Cox presentation is
+    refused with RaysDoNotSpan, in well under a second, also by the ``cox``
+    command (exit 2); the Smith form that used to run first did not finish
+    in minutes."""
+    fan = fan_from_json_dict(BLOWUP_FAN)
+    start = time.perf_counter()
+    with pytest.raises(RaysDoNotSpan, match="^the rays do not span N_Q$"):
+        cox_presentation(fan)
+    assert time.perf_counter() - start < 1
+    path = tmp_path / "blowup.json"
+    path.write_text(json.dumps(BLOWUP_FAN))
+    start = time.perf_counter()
+    assert cli.main(["cox", str(path)]) == 2
+    assert time.perf_counter() - start < 1
+    assert json.loads(capsys.readouterr().out)["error"]["type"] == "RaysDoNotSpan"
 
 
 # ---------------------------------------------------------------------------
