@@ -8,21 +8,22 @@ fans their existence also settles the non-normalized question.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import permutations
 
 from . import lattice
 from .demazure import DemazureRoot, _root, all_roots
 from .errors import InfiniteRoots, NoWitness, NotComplete, NotSquare, NotUnimodular
 from .fan import Fan, LatticeAutomorphism, is_complete, is_fan_automorphism
-from .lattice import Mat, Vec, dot, neg
+from .lattice import Mat, Value, Vec, dot, neg
 
 
-@dataclass(frozen=True)
-class CompleteCollection:
+class CompleteCollection(Value):
     """n roots e_1..e_n with <p_i, e_j> = -delta_ij; sorted by ray index."""
 
-    roots: tuple[DemazureRoot, ...]
+    __slots__ = _fields = ("roots",)
+
+    def __init__(self, roots: tuple[DemazureRoot, ...]):
+        object.__setattr__(self, "roots", roots)
 
     @property
     def ray_indices(self) -> tuple[int, ...]:
@@ -72,11 +73,13 @@ def complete_collections(fan: Fan) -> tuple[CompleteCollection, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class AdditiveDecision:
-    admits: bool
-    witness: CompleteCollection | None
-    fan_complete: bool
+class AdditiveDecision(Value):
+    __slots__ = _fields = ("admits", "witness", "fan_complete")
+
+    def __init__(self, admits: bool, witness: CompleteCollection | None, fan_complete: bool):
+        object.__setattr__(self, "admits", admits)
+        object.__setattr__(self, "witness", witness)
+        object.__setattr__(self, "fan_complete", fan_complete)
 
     @property
     def reading(self) -> str:
@@ -110,12 +113,14 @@ def condition4_distinguished_span(fan: Fan, bound: int | None = None) -> bool:
     return lattice.rank(vectors, fan.dim) == fan.dim
 
 
-@dataclass(frozen=True)
-class EquivalenceWitness:
+class EquivalenceWitness(Value):
     """A fan automorphism carrying one collection onto another."""
 
-    matrix: Mat  # gamma, acting on N; gamma(p_i) = p'_{pi(i)}
-    ray_map: tuple[tuple[int, int], ...]
+    __slots__ = _fields = ("matrix", "ray_map")
+
+    def __init__(self, matrix: Mat, ray_map: tuple[tuple[int, int], ...]):
+        object.__setattr__(self, "matrix", matrix)  # gamma, acting on N; gamma(p_i) = p'_{pi(i)}
+        object.__setattr__(self, "ray_map", ray_map)
 
     def automorphism(self) -> LatticeAutomorphism:
         return LatticeAutomorphism(self.matrix)
@@ -162,10 +167,12 @@ def find_equivalence(fan: Fan, c1: CompleteCollection,
         "input fan or the collections are corrupt")
 
 
-@dataclass(frozen=True)
-class ThreeConReport:
-    complete_collection_exists: bool
-    distinguished_span: bool
+class ThreeConReport(Value):
+    __slots__ = _fields = ("complete_collection_exists", "distinguished_span")
+
+    def __init__(self, complete_collection_exists: bool, distinguished_span: bool):
+        object.__setattr__(self, "complete_collection_exists", complete_collection_exists)
+        object.__setattr__(self, "distinguished_span", distinguished_span)
 
 
 def theorem3con_report(fan: Fan) -> ThreeConReport:

@@ -26,10 +26,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import TYPE_CHECKING
 
 from .errors import InternalError, InvalidFan, ToricError
 
+TYPE_CHECKING = False
 if TYPE_CHECKING:
     from .additive import CompleteCollection, EquivalenceWitness
     from .demazure import DemazureRoot, RayRoots

@@ -12,25 +12,26 @@ them byte for byte. Comparisons go through a Hermite canonicalization
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
-
 from . import lattice
 from .demazure import _monomial, derivation
 from .errors import RaysDoNotSpan, TorsionClassGroup
 from .fan import Fan
-from .lattice import Mat, Vec
+from .lattice import Mat, Value, Vec
 
+TYPE_CHECKING = False
 if TYPE_CHECKING:
     from .additive import CompleteCollection
 
 
-@dataclass(frozen=True)
-class CoxPresentation:
-    num_vars: int
-    class_rank: int
-    degrees: tuple[Vec, ...]  # free-part degree of each variable, in ray order
-    torsion: tuple[int, ...]  # invariant factors > 1
+class CoxPresentation(Value):
+    __slots__ = _fields = ("num_vars", "class_rank", "degrees", "torsion")
+
+    def __init__(self, num_vars: int, class_rank: int, degrees: tuple[Vec, ...],
+                 torsion: tuple[int, ...]):
+        object.__setattr__(self, "num_vars", num_vars)
+        object.__setattr__(self, "class_rank", class_rank)
+        object.__setattr__(self, "degrees", degrees)  # free-part degree per variable, in ray order
+        object.__setattr__(self, "torsion", torsion)  # invariant factors > 1
 
 
 def cox_presentation(fan: Fan) -> CoxPresentation:
@@ -50,13 +51,15 @@ def canonical_degrees(pres: CoxPresentation) -> Mat:
     return lattice.hermite_column_form(pres.degrees)
 
 
-@dataclass(frozen=True)
-class GaActionFormula:
+class GaActionFormula(Value):
     """One coordinate rule x_target -> x_target + s_k * monomial."""
 
-    target: int
-    param_index: int  # 1-based k of the parameter s_k
-    exponents: tuple[tuple[int, int], ...]  # (variable, power), target omitted
+    __slots__ = _fields = ("target", "param_index", "exponents")
+
+    def __init__(self, target: int, param_index: int, exponents: tuple[tuple[int, int], ...]):
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "param_index", param_index)  # 1-based k of the parameter s_k
+        object.__setattr__(self, "exponents", exponents)  # (variable, power), target omitted
 
 
 def action_formulas(fan: Fan, collection: CompleteCollection) -> tuple[GaActionFormula, ...]:

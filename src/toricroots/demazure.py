@@ -19,36 +19,41 @@ rho is in ``fan.face_sets``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import lattice
 from .errors import InternalError, InvalidFan
 from .fan import Cone, Fan
-from .lattice import UNBOUNDED, Constraint, Vec, dot
+from .lattice import UNBOUNDED, Constraint, Value, Vec, dot
 
 
-@dataclass(frozen=True)
-class DemazureRoot:
+class DemazureRoot(Value):
     """A root e with its distinguished ray index and cached pairing row."""
 
-    vector: Vec
-    ray: int
-    pairings: Vec  # <p_rho', e> over all rays, in ray order
+    __slots__ = _fields = ("vector", "ray", "pairings")
+
+    def __init__(self, vector: Vec, ray: int, pairings: Vec):
+        object.__setattr__(self, "vector", vector)
+        object.__setattr__(self, "ray", ray)
+        object.__setattr__(self, "pairings", pairings)  # <p_rho', e> over all rays, in ray order
 
 
-@dataclass(frozen=True)
-class RayRoots:
+class RayRoots(Value):
     """Roots attached to one ray: a finite list, or an infinite/truncated marker."""
 
-    ray: int
-    status: str  # "finite" | "infinite" | "truncated"
-    roots: tuple[DemazureRoot, ...]
-    bound: int | None = None
+    __slots__ = _fields = ("ray", "status", "roots", "bound")
+
+    def __init__(self, ray: int, status: str, roots: tuple[DemazureRoot, ...],
+                 bound: int | None = None):
+        object.__setattr__(self, "ray", ray)
+        object.__setattr__(self, "status", status)  # "finite" | "infinite" | "truncated"
+        object.__setattr__(self, "roots", roots)
+        object.__setattr__(self, "bound", bound)
 
 
-@dataclass(frozen=True)
-class RootSet:
-    per_ray: tuple[RayRoots, ...]
+class RootSet(Value):
+    __slots__ = _fields = ("per_ray",)
+
+    def __init__(self, per_ray: tuple[RayRoots, ...]):
+        object.__setattr__(self, "per_ray", per_ray)
 
     @property
     def finite(self) -> bool:
@@ -190,12 +195,14 @@ def commute(a: DemazureRoot, b: DemazureRoot) -> bool:
 # Cox-ring derivations
 
 
-@dataclass(frozen=True)
-class CoxDerivation:
+class CoxDerivation(Value):
     """monomial * d/dx_target, the monomial given by per-variable exponents."""
 
-    target: int
-    exponents: tuple[tuple[int, int], ...]  # (variable index, power), target omitted
+    __slots__ = _fields = ("target", "exponents")
+
+    def __init__(self, target: int, exponents: tuple[tuple[int, int], ...]):
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "exponents", exponents)  # (variable index, power), target omitted
 
     @property
     def num_vars(self) -> int:

@@ -30,7 +30,6 @@ and :func:`is_complete` returns it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import combinations
 from math import gcd
 from operator import mul
@@ -43,11 +42,10 @@ from .errors import (
     NotStronglyConvex,
     NotUnimodular,
 )
-from .lattice import Mat, Vec, dot, is_zero, neg, primitive, vec
+from .lattice import Mat, Value, Vec, dot, is_zero, neg, primitive, vec
 
 
-@dataclass(frozen=True)
-class Cone:
+class Cone(Value):
     """A cone of a fan: generating ray indices plus its dual description.
 
     The cone is {x : <a, x> >= 0 for a in inequalities, <b, x> = 0 for b in
@@ -59,10 +57,14 @@ class Cone:
     orthogonal complement over Q, not necessarily a lattice basis.
     """
 
-    ray_indices: tuple[int, ...]
-    inequalities: tuple[Vec, ...]
-    equations: tuple[Vec, ...]
-    dim: int
+    __slots__ = _fields = ("ray_indices", "inequalities", "equations", "dim")
+
+    def __init__(self, ray_indices: tuple[int, ...], inequalities: tuple[Vec, ...],
+                 equations: tuple[Vec, ...], dim: int):
+        object.__setattr__(self, "ray_indices", ray_indices)
+        object.__setattr__(self, "inequalities", inequalities)
+        object.__setattr__(self, "equations", equations)
+        object.__setattr__(self, "dim", dim)
 
     def contains(self, v: Vec) -> bool:
         """True iff v lies in the cone; ValueError for a vector of the wrong length."""
@@ -78,16 +80,16 @@ class Cone:
         return True
 
 
-@dataclass(frozen=True)
-class LatticeAutomorphism:
+class LatticeAutomorphism(Value):
     """A unimodular integer matrix acting on N by left multiplication."""
 
-    matrix: Mat
+    __slots__ = _fields = ("matrix",)
 
-    def __post_init__(self):
-        d = lattice.determinant(self.matrix)
+    def __init__(self, matrix: Mat):
+        d = lattice.determinant(matrix)
         if abs(d) != 1:
             raise NotUnimodular(f"automorphism matrix has determinant {d}")
+        object.__setattr__(self, "matrix", matrix)
 
     @property
     def dim(self) -> int:
@@ -103,20 +105,24 @@ class LatticeAutomorphism:
         return LatticeAutomorphism(lattice.mat_mul(self.matrix, other.matrix))
 
 
-@dataclass(frozen=True)
-class Fan:
+class Fan(Value):
     """A validated fan. Construct through :func:`build_fan`."""
 
-    dim: int
-    rays: tuple[Vec, ...]
-    max_cones: tuple[Cone, ...]
-    all_faces: tuple[Cone, ...]
-    face_sets: frozenset[tuple[int, ...]] = field(repr=False)
-    _by_rays: dict = field(init=False, repr=False, compare=False)
-    _complete: bool = field(default=False, init=False, repr=False, compare=False)  # see is_complete
+    _fields = ("dim", "rays", "max_cones", "all_faces", "face_sets")
+    _shown = _fields[:4]
+    # stored, not compared: the faces by ray indices, and whether the fan
+    # is certified complete (see is_complete)
+    __slots__ = (*_fields, "_by_rays", "_complete", "__weakref__")
 
-    def __post_init__(self):
-        object.__setattr__(self, "_by_rays", {c.ray_indices: c for c in self.all_faces})
+    def __init__(self, dim: int, rays: tuple[Vec, ...], max_cones: tuple[Cone, ...],
+                 all_faces: tuple[Cone, ...], face_sets: frozenset[tuple[int, ...]]):
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "rays", rays)
+        object.__setattr__(self, "max_cones", max_cones)
+        object.__setattr__(self, "all_faces", all_faces)
+        object.__setattr__(self, "face_sets", face_sets)
+        object.__setattr__(self, "_by_rays", {c.ray_indices: c for c in all_faces})
+        object.__setattr__(self, "_complete", False)
 
     def cone(self, ray_indices) -> Cone:
         key = tuple(sorted(ray_indices))

@@ -10,14 +10,61 @@ floating point or rational number is used anywhere in this package.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from operator import mul
-from typing import Iterable, Sequence
 
 from .errors import InternalError, NotSquare, NotUnimodular, ZeroVector
 
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from collections.abc import Iterable, Sequence
+
 Vec = tuple[int, ...]
 Mat = tuple[Vec, ...]
+
+
+class Value:
+    """Base of the package's frozen value types.
+
+    A subclass declares ``__slots__``, names its fields in ``_fields`` and
+    sets them in its ``__init__`` with ``object.__setattr__``. ``==`` and
+    ``hash`` read the fields as one tuple and only objects of the same class
+    compare equal; ``repr`` shows the fields named in ``_shown`` (all of
+    them by default). Assigning or deleting an attribute raises
+    AttributeError. Copy and pickle restore every slot, stored derived data
+    included, without running ``__init__``.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+    _shown: tuple[str, ...] | None = None
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._shown or self._fields)
+        return f"{self.__class__.__qualname__}({shown})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __getstate__(self):
+        return {name: getattr(self, name) for name in self.__slots__ if name != "__weakref__"}
+
+    def __setstate__(self, state):
+        for name, value in state.items():
+            object.__setattr__(self, name, value)
 
 
 # ---------------------------------------------------------------------------
@@ -392,17 +439,17 @@ def dual_rays(rows: Sequence[Vec], width: int) -> tuple[Vec, ...] | None:
 # lattice-point enumeration
 
 
-@dataclass(frozen=True)
-class Constraint:
+class Constraint(Value):
     """One linear condition <normal, x> REL rhs with REL in {">=", "="}."""
 
-    normal: Vec
-    relation: str
-    rhs: int
+    __slots__ = _fields = ("normal", "relation", "rhs")
 
-    def __post_init__(self):
-        if self.relation not in (">=", "="):
-            raise ValueError(f"relation must be '>=' or '=', got {self.relation!r}")
+    def __init__(self, normal: Vec, relation: str, rhs: int):
+        if relation not in (">=", "="):
+            raise ValueError(f"relation must be '>=' or '=', got {relation!r}")
+        object.__setattr__(self, "normal", normal)
+        object.__setattr__(self, "relation", relation)
+        object.__setattr__(self, "rhs", rhs)
 
 
 class Unbounded:

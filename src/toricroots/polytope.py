@@ -7,20 +7,20 @@ the inner normals of the facets through it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from . import lattice
 from .errors import BadParams, DegeneratePolytope, InvalidPolytope
 from .fan import Fan, _is_face, build_fan
-from .lattice import Vec, dot, neg, primitive, sub, vec
+from .lattice import Value, Vec, dot, neg, primitive, sub, vec
 
 
-@dataclass(frozen=True)
-class FacetInequality:
+class FacetInequality(Value):
     """<normal, x> <= rhs, tight on the facet; normal is primitive and outer."""
 
-    normal: Vec
-    rhs: int
+    __slots__ = _fields = ("normal", "rhs")
+
+    def __init__(self, normal: Vec, rhs: int):
+        object.__setattr__(self, "normal", normal)
+        object.__setattr__(self, "rhs", rhs)
 
 
 def _hull_facets(points: tuple[Vec, ...], dim: int) -> tuple[FacetInequality, ...] | None:
@@ -35,8 +35,7 @@ def _hull_facets(points: tuple[Vec, ...], dim: int) -> tuple[FacetInequality, ..
     return tuple(FacetInequality(u, a) for u, a in sorted((neg(r[:dim]), r[dim]) for r in rays))
 
 
-@dataclass(frozen=True)
-class LatticePolytope:
+class LatticePolytope(Value):
     """A full-dimensional lattice polytope given by its vertex set.
 
     Vertices are stored sorted, with the indices of those on each facet,
@@ -47,29 +46,26 @@ class LatticePolytope:
     int raises InvalidPolytope, with the messages of the JSON reader.
     """
 
-    dim: int
-    vertices: tuple[Vec, ...]
+    _fields = ("dim", "vertices")
     # derived on construction: the facets, and per facet the indices of the
     # vertices on it; the normal fan is stored on first use
-    _facets: tuple[FacetInequality, ...] = field(init=False, repr=False, compare=False)
-    _on: tuple[frozenset[int], ...] = field(init=False, repr=False, compare=False)
-    _normal_fan: Fan | None = field(init=False, repr=False, compare=False)
+    __slots__ = (*_fields, "_facets", "_on", "_normal_fan", "__weakref__")
 
-    def __post_init__(self):
-        if not lattice.is_integer(self.dim):
-            raise InvalidPolytope(f"bad polytope data: dim must be an integer, got {self.dim!r}")
+    def __init__(self, dim: int, vertices: tuple[Vec, ...]):
+        if not lattice.is_integer(dim):
+            raise InvalidPolytope(f"bad polytope data: dim must be an integer, got {dim!r}")
         try:
-            pts = tuple(vec(v) for v in self.vertices)
+            pts = tuple(vec(v) for v in vertices)
         except TypeError as exc:
             raise InvalidPolytope(f"bad polytope data: {exc}") from None
-        if self.dim < 1:
+        if dim < 1:
             raise DegeneratePolytope("dimension must be positive")
-        if any(len(v) != self.dim for v in pts):
+        if any(len(v) != dim for v in pts):
             raise InvalidPolytope("vertex of wrong dimension")
         if len(set(pts)) != len(pts):
             raise InvalidPolytope("vertices are not pairwise distinct")
         pts = tuple(sorted(pts))
-        fs = _hull_facets(pts, self.dim)
+        fs = _hull_facets(pts, dim)
         if fs is None:
             raise DegeneratePolytope("polytope is not full-dimensional")
         on = tuple(frozenset(i for i, v in enumerate(pts) if dot(f.normal, v) == f.rhs)
@@ -77,6 +73,7 @@ class LatticePolytope:
         for i, v in enumerate(pts):
             if not _is_face((i,), range(len(pts)), on):
                 raise InvalidPolytope(f"listed point {list(v)} is not a vertex")
+        object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "vertices", pts)
         object.__setattr__(self, "_facets", fs)
         object.__setattr__(self, "_on", on)
@@ -104,13 +101,15 @@ def edge_directions_at(p: LatticePolytope, v: Vec) -> tuple[Vec, ...]:
                         if j != i and _is_face((i, j), every, p._on)))
 
 
-@dataclass(frozen=True)
-class RectangleWitness:
+class RectangleWitness(Value):
     """A vertex whose primitive edge directions are a lattice basis pairing
     nonnegatively with every facet normal away from it."""
 
-    vertex: Vec
-    edge_basis: tuple[Vec, ...]
+    __slots__ = _fields = ("vertex", "edge_basis")
+
+    def __init__(self, vertex: Vec, edge_basis: tuple[Vec, ...]):
+        object.__setattr__(self, "vertex", vertex)
+        object.__setattr__(self, "edge_basis", edge_basis)
 
 
 def inscribed_in_rectangle(p: LatticePolytope) -> RectangleWitness | None:
@@ -151,11 +150,13 @@ def scale(p: LatticePolytope, k: int) -> LatticePolytope:
     return LatticePolytope(p.dim, tuple(tuple(k * x for x in v) for v in p.vertices))
 
 
-@dataclass(frozen=True)
-class PolytopeTheoremReport:
-    inscribed: bool
-    fan_admits: bool
-    witness: RectangleWitness | None
+class PolytopeTheoremReport(Value):
+    __slots__ = _fields = ("inscribed", "fan_admits", "witness")
+
+    def __init__(self, inscribed: bool, fan_admits: bool, witness: RectangleWitness | None):
+        object.__setattr__(self, "inscribed", inscribed)
+        object.__setattr__(self, "fan_admits", fan_admits)
+        object.__setattr__(self, "witness", witness)
 
 
 def check_polytope_theorem(p: LatticePolytope) -> PolytopeTheoremReport:

@@ -53,13 +53,24 @@ library's ``rank`` and so share no code with the closure test; and the
 splitting of equations into two rows (``split``), the elimination
 (``eliminate``) and ``lattice_points`` on them (``fm_lattice_points``),
 which share only ``_reduce_ineq`` and ``_ceil_div`` with the library.
+
+Last, plain ``__slots__`` classes on ``lattice.Value`` replaced the
+``@dataclass(frozen=True)`` value types, so that no command imports
+``dataclasses``. The class ``dataclass_values`` holds the eighteen
+definitions unchanged; they are nested in it so that their names do not
+shadow the library's, and their ``repr`` reads ``dataclass_values.Fan(...)``
+where the library's reads ``Fan(...)``. Their methods run the library's
+code, but their ``__init__``, ``__eq__``, ``__hash__`` and ``__repr__`` are
+the ones ``dataclasses`` generates.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
+from operator import mul
 from typing import Sequence
 
 from toricroots import lattice
@@ -67,6 +78,7 @@ from toricroots.additive import CompleteCollection
 from toricroots.demazure import DemazureRoot, pairing_row, satisfies_condition1
 from toricroots import fan as fan_module
 from toricroots.errors import (
+    DegeneratePolytope,
     DimensionMismatch,
     InternalError,
     InvalidPolytope,
@@ -74,7 +86,7 @@ from toricroots.errors import (
     NotStronglyConvex,
     NotUnimodular,
 )
-from toricroots.fan import Cone, Fan
+from toricroots.fan import Cone, Fan, LatticeAutomorphism, _is_face
 from toricroots.lattice import (
     UNBOUNDED,
     Constraint,
@@ -746,3 +758,276 @@ def rank_cone_dual_description(generators, dim: int | None = None):
     if lattice.rank(ineqs + eqs, dim) < dim:
         raise NotStronglyConvex("cone contains a line")
     return ineqs, eqs
+
+
+# ---------------------------------------------------------------------------
+# the value types as frozen dataclasses
+
+
+class dataclass_values:
+    """The value types of ``lattice``, ``fan``, ``demazure``, ``cox``,
+    ``additive`` and ``polytope`` as they were defined before ``Value``."""
+
+    @dataclass(frozen=True)
+    class Constraint:
+        """One linear condition <normal, x> REL rhs with REL in {">=", "="}."""
+
+        normal: Vec
+        relation: str
+        rhs: int
+
+        def __post_init__(self):
+            if self.relation not in (">=", "="):
+                raise ValueError(f"relation must be '>=' or '=', got {self.relation!r}")
+
+    @dataclass(frozen=True)
+    class Cone:
+        """A cone of a fan: generating ray indices plus its dual description.
+
+        The cone is {x : <a, x> >= 0 for a in inequalities, <b, x> = 0 for b in
+        equations}, with one inequality per facet. A maximal cone's description
+        is its own, the canonical one of :func:`_dual_description` (a nonzero
+        cone's equations are the Hermite basis of its orthogonal lattice). Any
+        other face's inequalities are one normal per facet, taken from its
+        maximal cone, and its equations are independent rows that span its
+        orthogonal complement over Q, not necessarily a lattice basis.
+        """
+
+        ray_indices: tuple[int, ...]
+        inequalities: tuple[Vec, ...]
+        equations: tuple[Vec, ...]
+        dim: int
+
+        def contains(self, v: Vec) -> bool:
+            """True iff v lies in the cone; ValueError for a vector of the wrong length."""
+            first = self.inequalities[:1] or self.equations[:1]
+            if first and len(first[0]) != len(v):
+                raise ValueError(f"dimension mismatch: {len(first[0])} vs {len(v)}")
+            for a in self.inequalities:
+                if sum(map(mul, a, v)) < 0:
+                    return False
+            for b in self.equations:
+                if sum(map(mul, b, v)):
+                    return False
+            return True
+
+    @dataclass(frozen=True)
+    class LatticeAutomorphism:
+        """A unimodular integer matrix acting on N by left multiplication."""
+
+        matrix: Mat
+
+        def __post_init__(self):
+            d = lattice.determinant(self.matrix)
+            if abs(d) != 1:
+                raise NotUnimodular(f"automorphism matrix has determinant {d}")
+
+        @property
+        def dim(self) -> int:
+            return len(self.matrix)
+
+        def apply(self, v: Vec) -> Vec:
+            return lattice.mat_vec(self.matrix, v)
+
+        def inverse(self) -> "LatticeAutomorphism":
+            return LatticeAutomorphism(lattice.invert_unimodular(self.matrix))
+
+        def compose(self, other: "LatticeAutomorphism") -> "LatticeAutomorphism":
+            return LatticeAutomorphism(lattice.mat_mul(self.matrix, other.matrix))
+
+    @dataclass(frozen=True)
+    class Fan:
+        """A validated fan. Construct through :func:`build_fan`."""
+
+        dim: int
+        rays: tuple[Vec, ...]
+        max_cones: tuple[Cone, ...]
+        all_faces: tuple[Cone, ...]
+        face_sets: frozenset[tuple[int, ...]] = field(repr=False)
+        _by_rays: dict = field(init=False, repr=False, compare=False)
+        _complete: bool = field(default=False, init=False, repr=False, compare=False)  # see is_complete
+
+        def __post_init__(self):
+            object.__setattr__(self, "_by_rays", {c.ray_indices: c for c in self.all_faces})
+
+        def cone(self, ray_indices) -> Cone:
+            key = tuple(sorted(ray_indices))
+            if key not in self._by_rays:
+                raise KeyError(f"no cone with rays {key}")
+            return self._by_rays[key]
+
+        def contains_point(self, v: Vec) -> bool:
+            return any(c.contains(v) for c in self.max_cones)
+
+    @dataclass(frozen=True)
+    class DemazureRoot:
+        """A root e with its distinguished ray index and cached pairing row."""
+
+        vector: Vec
+        ray: int
+        pairings: Vec  # <p_rho', e> over all rays, in ray order
+
+    @dataclass(frozen=True)
+    class RayRoots:
+        """Roots attached to one ray: a finite list, or an infinite/truncated marker."""
+
+        ray: int
+        status: str  # "finite" | "infinite" | "truncated"
+        roots: tuple[DemazureRoot, ...]
+        bound: int | None = None
+
+    @dataclass(frozen=True)
+    class RootSet:
+        per_ray: tuple[RayRoots, ...]
+
+        @property
+        def finite(self) -> bool:
+            return all(r.status == "finite" for r in self.per_ray)
+
+        def roots(self) -> tuple[DemazureRoot, ...]:
+            return tuple(r for ray in self.per_ray for r in ray.roots)
+
+    @dataclass(frozen=True)
+    class CoxDerivation:
+        """monomial * d/dx_target, the monomial given by per-variable exponents."""
+
+        target: int
+        exponents: tuple[tuple[int, int], ...]  # (variable index, power), target omitted
+
+        @property
+        def num_vars(self) -> int:
+            return len(self.exponents) + 1
+
+    @dataclass(frozen=True)
+    class CoxPresentation:
+        num_vars: int
+        class_rank: int
+        degrees: tuple[Vec, ...]  # free-part degree of each variable, in ray order
+        torsion: tuple[int, ...]  # invariant factors > 1
+
+    @dataclass(frozen=True)
+    class GaActionFormula:
+        """One coordinate rule x_target -> x_target + s_k * monomial."""
+
+        target: int
+        param_index: int  # 1-based k of the parameter s_k
+        exponents: tuple[tuple[int, int], ...]  # (variable, power), target omitted
+
+    @dataclass(frozen=True)
+    class CompleteCollection:
+        """n roots e_1..e_n with <p_i, e_j> = -delta_ij; sorted by ray index."""
+
+        roots: tuple[DemazureRoot, ...]
+
+        @property
+        def ray_indices(self) -> tuple[int, ...]:
+            return tuple(r.ray for r in self.roots)
+
+        @property
+        def root_vectors(self) -> tuple[Vec, ...]:
+            return tuple(r.vector for r in self.roots)
+
+        def basis_matrix(self, fan: Fan) -> Mat:
+            return tuple(fan.rays[i] for i in self.ray_indices)
+
+        def pairing_matrix(self, fan: Fan) -> Mat:
+            return tuple(tuple(dot(fan.rays[i], r.vector) for r in self.roots)
+                         for i in self.ray_indices)
+
+    @dataclass(frozen=True)
+    class AdditiveDecision:
+        admits: bool
+        witness: CompleteCollection | None
+        fan_complete: bool
+
+        @property
+        def reading(self) -> str:
+            """Which statement the answer decides for this fan.
+
+            On complete fans a collection settles arbitrary additive actions;
+            otherwise only the torus-normalized ones.
+            """
+            return "additive" if self.fan_complete else "normalized_additive"
+
+    @dataclass(frozen=True)
+    class EquivalenceWitness:
+        """A fan automorphism carrying one collection onto another."""
+
+        matrix: Mat  # gamma, acting on N; gamma(p_i) = p'_{pi(i)}
+        ray_map: tuple[tuple[int, int], ...]
+
+        def automorphism(self) -> LatticeAutomorphism:
+            return LatticeAutomorphism(self.matrix)
+
+    @dataclass(frozen=True)
+    class ThreeConReport:
+        complete_collection_exists: bool
+        distinguished_span: bool
+
+    @dataclass(frozen=True)
+    class FacetInequality:
+        """<normal, x> <= rhs, tight on the facet; normal is primitive and outer."""
+
+        normal: Vec
+        rhs: int
+
+    @dataclass(frozen=True)
+    class LatticePolytope:
+        """A full-dimensional lattice polytope given by its vertex set.
+
+        Vertices are stored sorted, with the indices of those on each facet,
+        which the fan's face test :func:`toricroots.fan._is_face` reads. Every
+        face is an intersection of facets, so construction rejects a listed
+        point that is not the only one on the facets through it: the stored set
+        is exactly the hull's vertex set. A dim or a coordinate that is not an
+        int raises InvalidPolytope, with the messages of the JSON reader.
+        """
+
+        dim: int
+        vertices: tuple[Vec, ...]
+        # derived on construction: the facets, and per facet the indices of the
+        # vertices on it; the normal fan is stored on first use
+        _facets: tuple[FacetInequality, ...] = field(init=False, repr=False, compare=False)
+        _on: tuple[frozenset[int], ...] = field(init=False, repr=False, compare=False)
+        _normal_fan: Fan | None = field(init=False, repr=False, compare=False)
+
+        def __post_init__(self):
+            if not lattice.is_integer(self.dim):
+                raise InvalidPolytope(f"bad polytope data: dim must be an integer, got {self.dim!r}")
+            try:
+                pts = tuple(vec(v) for v in self.vertices)
+            except TypeError as exc:
+                raise InvalidPolytope(f"bad polytope data: {exc}") from None
+            if self.dim < 1:
+                raise DegeneratePolytope("dimension must be positive")
+            if any(len(v) != self.dim for v in pts):
+                raise InvalidPolytope("vertex of wrong dimension")
+            if len(set(pts)) != len(pts):
+                raise InvalidPolytope("vertices are not pairwise distinct")
+            pts = tuple(sorted(pts))
+            fs = _hull_facets(pts, self.dim)
+            if fs is None:
+                raise DegeneratePolytope("polytope is not full-dimensional")
+            on = tuple(frozenset(i for i, v in enumerate(pts) if dot(f.normal, v) == f.rhs)
+                       for f in fs)
+            for i, v in enumerate(pts):
+                if not _is_face((i,), range(len(pts)), on):
+                    raise InvalidPolytope(f"listed point {list(v)} is not a vertex")
+            object.__setattr__(self, "vertices", pts)
+            object.__setattr__(self, "_facets", fs)
+            object.__setattr__(self, "_on", on)
+            object.__setattr__(self, "_normal_fan", None)
+
+    @dataclass(frozen=True)
+    class RectangleWitness:
+        """A vertex whose primitive edge directions are a lattice basis pairing
+        nonnegatively with every facet normal away from it."""
+
+        vertex: Vec
+        edge_basis: tuple[Vec, ...]
+
+    @dataclass(frozen=True)
+    class PolytopeTheoremReport:
+        inscribed: bool
+        fan_admits: bool
+        witness: RectangleWitness | None

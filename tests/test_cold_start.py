@@ -2,7 +2,9 @@
 
 ``import toricroots`` and ``import toricroots.cli`` load no analysis module;
 each CLI command imports the modules it runs, and the package resolves its
-public names on first access (PEP 562). The import checks run in fresh
+public names on first access (PEP 562). No command loads ``dataclasses``,
+``inspect`` or ``typing``: the value types are plain classes and type names
+are imported only for the type checker. The import checks run in fresh
 interpreters, since this test process has long since imported everything.
 """
 
@@ -75,6 +77,18 @@ def loaded_after(code: str) -> set[str]:
     return {m.split(".", 1)[1] for m in modules} & set(ANALYSIS)
 
 
+def stdlib_loaded_after(code: str) -> set[str]:
+    """Which of ``dataclasses``, ``inspect`` and ``typing`` are loaded once
+    ``code`` has run in a fresh ``python -S`` interpreter. Without -S, a
+    ``.pth`` file in site-packages may import ``typing`` during ``site``."""
+    code += ("\nimport sys\nprint(__import__('json').dumps(sorted(m for m in sys.modules "
+             "if m in ('dataclasses', 'inspect', 'typing'))))")
+    env = {**os.environ, "PYTHONPATH": SRC}
+    proc = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True,
+                          text=True, check=True)
+    return set(json.loads(proc.stdout.splitlines()[-1]))
+
+
 def run_main(*argv: str) -> str:
     """Code that runs cli.main on argv, discards the report and fails on a
     non-zero exit code."""
@@ -105,6 +119,7 @@ def test_importing_the_cli_loads_no_analysis_module():
     assert loaded_after("import toricroots") == set()
     code = "import sys, toricroots.cli\nassert 'hashlib' not in sys.modules"
     assert loaded_after(code) == set()
+    assert stdlib_loaded_after("import toricroots.cli") == set()
 
 
 def test_fan_check_loads_only_the_fan_layer(p2_file):
@@ -128,6 +143,21 @@ def test_roots_and_pairs_add_only_demazure(p2_file, command):
 def test_polytope_normalfan_and_scale_load_no_roots(square_file, action):
     argv = ["polytope", action[0], square_file, *action[1:]]
     assert loaded_after(run_main(*argv)) == {"polytope", "fan", "lattice"}
+
+
+COMMANDS = [
+    ["fan-check", "FAN"], ["gen", "pn", "2"], ["gen", "cube", "2"], ["roots", "FAN"],
+    ["pairs", "FAN", "--root", "0:-1,0"], ["collections", "FAN"], ["additive", "FAN"],
+    ["cox", "FAN"], ["polytope", "check", "POLYTOPE"], ["polytope", "normalfan", "POLYTOPE"],
+    ["polytope", "scale", "POLYTOPE", "2"],
+]
+
+
+@pytest.mark.parametrize("argv", COMMANDS, ids=lambda argv: " ".join(argv[:2]))
+def test_no_command_loads_dataclasses_inspect_or_typing(p2_file, square_file, argv):
+    argv = [{"FAN": p2_file, "POLYTOPE": square_file}.get(a, a) for a in argv]
+    assert stdlib_loaded_after(run_main(*argv)) == set()
+    assert stdlib_loaded_after(run_main(*argv, "--format", "text")) == set()
 
 
 # ---------------------------------------------------------------------------
