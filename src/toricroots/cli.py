@@ -3,22 +3,41 @@
 Every command reads fan/polytope JSON (a file path or ``-`` for stdin), runs
 one analysis, and prints a deterministic report. Reports are JSON by default
 (sorted keys, two-space indent) or ``--format text`` tables; integers beyond
-the 53-bit range are serialized as decimal strings.
+the 53-bit range are serialized as decimal strings. ``--format`` goes after
+the command, and after the action for ``polytope``.
+
+One table, ``_COMMANDS``, builds the argparse tree. Each entry gives the
+report name, the help text, the input kind (``"fan"``, ``"polytope"`` or
+None), the handler and any extra arguments. A handler only computes: it takes
+the parsed arguments and the loaded input and returns the JSON result, the
+text lines and its answer (True or False for a decision, else None). There is
+one report path. ``main`` reads and unwraps the input by kind, runs the
+handler, maps the answer and ``--strict`` to the status and exit code, and
+``_write`` prints the report, or the error envelope that ``_error`` builds
+when the command fails; a JSON report names its input by the SHA-256 of the
+raw bytes.
+
+``fan-check`` reports an invalid fan as its answer on the input (status
+``"invalid"``, the violations in its result); every other command reports
+it, like any other error, in the error envelope, whose ``command`` is the
+top-level command (``"polytope"`` for the polytope actions).
 
 ``collections --equivalence`` reports all collections as one class, by the
 uniqueness theorem (any two normalized additive actions are isomorphic), with
 a fan automorphism from the first collection to each other one; a missing
 witness is an internal error.
 
-Each command imports the library modules it runs inside its own function,
-so a cold process compiles no module it does not use (``fan-check`` and
-``gen`` of a fan load only ``fan`` and ``lattice``), and ``hashlib`` is
-imported only to write the input digest of a JSON report. Library functions
-are read as module attributes at call time.
+Each handler imports the library modules it runs inside its own function,
+and ``main`` imports only the module that reads its input kind, so a cold
+process compiles no module it does not use (``fan-check`` and ``gen`` of a
+fan load only ``fan`` and ``lattice``), and ``hashlib`` is imported only to
+write the input digest of a JSON report. Library functions are read as
+module attributes at call time.
 
 Exit codes: 0 success, 1 "answer is no" for decision commands under
-``--strict``, 2 invalid input, 3 internal error (a consistency check inside
-the library failed; never expected, reported with ``status: "internal"``).
+``--strict``, 2 invalid input (argparse usage errors included), 3 internal
+error (a consistency check inside the library failed; never expected,
+reported with ``status: "internal"``).
 """
 
 from __future__ import annotations
@@ -53,21 +72,9 @@ def _dumps(payload) -> str:
     return json.dumps(_json_safe(payload), sort_keys=True, indent=2) + "\n"
 
 
-def _read_bytes(path: str) -> bytes:
-    if path == "-":
-        return sys.stdin.buffer.read()
-    with open(path, "rb") as fh:
-        return fh.read()
-
-
-def _load_json(path: str):
-    """The parsed JSON and the raw bytes, which a JSON report hashes."""
-    raw = _read_bytes(path)
-    try:
-        data = json.loads(raw.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
-        raise ToricError(f"not valid JSON: {exc}") from None
-    return data, raw
+def _line(payload) -> str:
+    """A JSON object on one line, the text report of a command that emits one."""
+    return json.dumps(_json_safe(payload), sort_keys=True)
 
 
 def _unwrap(data, kind: str):
@@ -89,20 +96,6 @@ def _unwrap(data, kind: str):
         stack += [data[key] for key in reversed(("result", "fan", "polytope", "object"))
                   if key in data]
     raise ToricError(f"no {kind} object found in input JSON")
-
-
-def _load_fan(path: str):
-    from . import fan as fans
-
-    data, raw = _load_json(path)
-    return fans.fan_from_json_dict(_unwrap(data, "fan")), raw
-
-
-def _load_polytope(path: str):
-    from . import polytope as polytopes
-
-    data, raw = _load_json(path)
-    return polytopes.polytope_from_json_dict(_unwrap(data, "polytope")), raw
 
 
 # ---------------------------------------------------------------------------
@@ -141,59 +134,25 @@ def _cone_dict(c) -> dict:
     return {"rays": list(c.ray_indices), "dim": c.dim}
 
 
-# ---------------------------------------------------------------------------
-# report plumbing
-
-
-def _report(args, command: str, result, status: str, exit_code: int,
-            raw: bytes | None, text_lines) -> int:
-    """Print the report; a JSON envelope names the input by the SHA-256 of
-    its raw bytes (none for a command without input)."""
-    if args.format == "json":
-        source = None
-        if raw is not None:
-            import hashlib
-
-            source = {"path": getattr(args, "file", None),
-                      "sha256": hashlib.sha256(raw).hexdigest()}
-        envelope = {"command": command, "input": source, "result": result,
-                    "status": status, "exit_code": exit_code}
-        sys.stdout.write(_dumps(envelope))
-    else:
-        for line in text_lines:
-            sys.stdout.write(line + "\n")
-    return exit_code
-
-
 def _yesno(flag: bool) -> str:
     return "yes" if flag else "no"
 
 
 # ---------------------------------------------------------------------------
-# commands
+# handlers: (args, input) -> (result, text lines, answer)
 
 
-def _cmd_fan_check(args) -> int:
+def _fan_check(args, fan_obj):
     from . import fan as fans
 
-    data, raw = _load_json(args.file)
-    payload = _unwrap(data, "fan")
-    try:
-        fan_obj = fans.fan_from_json_dict(payload)
-    except InvalidFan as exc:
-        result = {"valid": False, "violations": exc.violations, "complete": None}
-        lines = ["valid: no"] + [f"violation: {v}" for v in exc.violations]
-        return _report(args, "fan-check", result, "invalid", 2, raw, lines)
     complete = fans.is_complete(fan_obj)
-    result = {"valid": True, "violations": [], "complete": complete}
-    lines = ["valid: yes", f"complete: {_yesno(complete)}"]
-    return _report(args, "fan-check", result, "ok", 0, raw, lines)
+    return ({"valid": True, "violations": [], "complete": complete},
+            ["valid: yes", f"complete: {_yesno(complete)}"], None)
 
 
-def _cmd_roots(args) -> int:
+def _roots(args, fan_obj):
     from . import demazure
 
-    fan_obj, raw = _load_fan(args.file)
     rs = demazure.all_roots(fan_obj, args.bound)
     per_ray = [_ray_roots_dict(rr) for rr in rs.per_ray]
     result = {"per_ray": per_ray, "finite": rs.finite,
@@ -205,13 +164,12 @@ def _cmd_roots(args) -> int:
         suffix = f" (bound {rr.bound})" if rr.bound is not None else ""
         lines.append(f"ray {rr.ray} {list(ray)}: {rr.status}{suffix} [{vecs}]")
     lines.append(f"total listed roots: {result['total_listed']}")
-    return _report(args, "roots", result, "ok", 0, raw, lines)
+    return result, lines, None
 
 
-def _cmd_collections(args) -> int:
+def _collections(args, fan_obj):
     from . import additive
 
-    fan_obj, raw = _load_fan(args.file)
     cols = additive.complete_collections(fan_obj)
     result = {"count": len(cols),
               "collections": [_collection_dict(fan_obj, c) for c in cols]}
@@ -225,16 +183,12 @@ def _cmd_collections(args) -> int:
         lines.append("equivalence classes: 1")
         for w in witnesses:
             lines.append(f"  witness {w['from']} -> {w['to']}: matrix {w['matrix']}")
-    status, code = "ok", 0
-    if args.strict and not cols:
-        status, code = "no", 1
-    return _report(args, "collections", result, status, code, raw, lines)
+    return result, lines, bool(cols)
 
 
-def _cmd_additive(args) -> int:
+def _additive(args, fan_obj):
     from . import additive, cox
 
-    fan_obj, raw = _load_fan(args.file)
     decision = additive.admits_additive(fan_obj)
     result = {
         "admits": decision.admits,
@@ -256,16 +210,12 @@ def _cmd_additive(args) -> int:
         }
         lines.append(
             f"theorem flags: collection {_yesno(decision.admits)}, span {_yesno(span)}")
-    status, code = "ok", 0
-    if args.strict and not decision.admits:
-        status, code = "no", 1
-    return _report(args, "additive", result, status, code, raw, lines)
+    return result, lines, decision.admits
 
 
-def _cmd_cox(args) -> int:
+def _cox(args, fan_obj):
     from . import cox
 
-    fan_obj, raw = _load_fan(args.file)
     pres = cox.cox_presentation(fan_obj)
     canon = cox.canonical_degrees(pres)
     result = {
@@ -279,33 +229,26 @@ def _cmd_cox(args) -> int:
              f"torsion: {list(pres.torsion)}"]
     for i, v in enumerate(canon):
         lines.append(f"deg x{i + 1} = {list(v)}")
-    return _report(args, "cox", result, "ok", 0, raw, lines)
+    return result, lines, None
 
 
-def _parse_root(fan_obj, spec: str) -> DemazureRoot:
+def _pairs(args, fan_obj):
     from . import demazure
 
     try:
-        ray_part, vec_part = spec.split(":", 1)
+        ray_part, vec_part = args.root.split(":", 1)
         ray = int(ray_part)
         coords = tuple(int(x) for x in vec_part.split(","))
     except ValueError:
-        raise ToricError(f"bad root spec {spec!r}; expected 'rayIndex:c1,c2,...'") from None
+        raise ToricError(f"bad root spec {args.root!r}; expected 'rayIndex:c1,c2,...'") from None
     if not 0 <= ray < len(fan_obj.rays):
         raise ToricError(f"no ray with index {ray}")
     if len(coords) != fan_obj.dim:
         raise ToricError(f"root vector has dimension {len(coords)}, expected {fan_obj.dim}")
     try:
-        return demazure.demazure_root(fan_obj, coords, ray)
+        root = demazure.demazure_root(fan_obj, coords, ray)
     except ValueError as exc:
         raise ToricError(str(exc)) from None
-
-
-def _cmd_pairs(args) -> int:
-    from . import demazure
-
-    fan_obj, raw = _load_fan(args.file)
-    root = _parse_root(fan_obj, args.root)
     pairs = demazure.he_connected_pairs(fan_obj, root)
     result = {
         "root": _root_dict(root),
@@ -315,53 +258,49 @@ def _cmd_pairs(args) -> int:
     for a, b in pairs:
         lines.append(f"  facet {list(a.ray_indices)} (dim {a.dim}) "
                      f"< cone {list(b.ray_indices)} (dim {b.dim})")
-    return _report(args, "pairs", result, "ok", 0, raw, lines)
+    return result, lines, None
 
 
-def _cmd_polytope(args) -> int:
+def _polytope_check(args, poly):
+    from . import polytope as polytopes
+
+    report = polytopes.check_polytope_theorem(poly)
+    witness = report.witness
+    result = {
+        "inscribed": report.inscribed,
+        "fan_admits": report.fan_admits,
+        "agree": report.inscribed == report.fan_admits,
+        "witness": ({"vertex": list(witness.vertex),
+                     "edge_basis": [list(e) for e in witness.edge_basis]}
+                    if witness else None),
+    }
+    lines = [f"inscribed in a rectangle: {_yesno(report.inscribed)}",
+             f"normal fan admits additive action: {_yesno(report.fan_admits)}"]
+    if witness:
+        lines.append(f"witness vertex {list(witness.vertex)} "
+                     f"edge basis {[list(e) for e in witness.edge_basis]}")
+    return result, lines, report.inscribed
+
+
+def _polytope_normalfan(args, poly):
     from . import fan as fans, polytope as polytopes
 
-    poly, raw = _load_polytope(args.file)
-    if args.action == "check":
-        report = polytopes.check_polytope_theorem(poly)
-        witness = report.witness
-        result = {
-            "inscribed": report.inscribed,
-            "fan_admits": report.fan_admits,
-            "agree": report.inscribed == report.fan_admits,
-            "witness": ({"vertex": list(witness.vertex),
-                         "edge_basis": [list(e) for e in witness.edge_basis]}
-                        if witness else None),
-        }
-        lines = [f"inscribed in a rectangle: {_yesno(report.inscribed)}",
-                 f"normal fan admits additive action: {_yesno(report.fan_admits)}"]
-        if witness:
-            lines.append(f"witness vertex {list(witness.vertex)} "
-                         f"edge basis {[list(e) for e in witness.edge_basis]}")
-        status, code = "ok", 0
-        if args.strict and not report.inscribed:
-            status, code = "no", 1
-        return _report(args, "polytope check", result, status, code, raw, lines)
-    if args.action == "normalfan":
-        fan_obj = polytopes.normal_fan(poly)
-        payload = fans.fan_to_json_dict(fan_obj)
-        result = {"fan": payload}
-        lines = [json.dumps(_json_safe(payload), sort_keys=True)]
-        return _report(args, "polytope normalfan", result, "ok", 0, raw, lines)
-    scaled = polytopes.scale(poly, args.k)
-    payload = polytopes.polytope_to_json_dict(scaled)
-    result = {"polytope": payload}
-    lines = [json.dumps(_json_safe(payload), sort_keys=True)]
-    return _report(args, "polytope scale", result, "ok", 0, raw, lines)
+    payload = fans.fan_to_json_dict(polytopes.normal_fan(poly))
+    return {"fan": payload}, [_line(payload)], None
 
 
-def _cmd_gen(args) -> int:
+def _polytope_scale(args, poly):
+    from . import polytope as polytopes
+
+    payload = polytopes.polytope_to_json_dict(polytopes.scale(poly, args.k))
+    return {"polytope": payload}, [_line(payload)], None
+
+
+def _gen(args, _):
     from . import fan as fans
 
-    params = tuple(int(x) for x in args.params)
     if args.name in fans._BUILTIN_FANS:
-        obj = fans.builtin_fan(args.name, *params)
-        payload = fans.fan_to_json_dict(obj)
+        payload = fans.fan_to_json_dict(fans.builtin_fan(args.name, *args.params))
         kind = "fan"
     else:
         from . import polytope as polytopes
@@ -369,21 +308,50 @@ def _cmd_gen(args) -> int:
         if args.name not in polytopes._BUILTIN_POLYTOPES:
             known = sorted(fans._BUILTIN_FANS) + sorted(polytopes._BUILTIN_POLYTOPES)
             raise ToricError(f"unknown generator {args.name!r}; known: {', '.join(known)}")
-        obj = polytopes.builtin_polytope(args.name, *params)
-        payload = polytopes.polytope_to_json_dict(obj)
+        payload = polytopes.polytope_to_json_dict(
+            polytopes.builtin_polytope(args.name, *args.params))
         kind = "polytope"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(_dumps(payload))
-    result = {"kind": kind, "object": payload, "written": args.out}
-    lines = [json.dumps(_json_safe(payload), sort_keys=True)]
-    if args.out:
-        lines.append(f"written: {args.out}")
-    return _report(args, "gen", result, "ok", 0, None, lines)
+    lines = [_line(payload)] + ([f"written: {args.out}"] if args.out else [])
+    return {"kind": kind, "object": payload, "written": args.out}, lines, None
 
 
 # ---------------------------------------------------------------------------
-# argument parsing
+# the command table and the one report path
+
+
+def _arg(*names, **kwargs):
+    return names, kwargs
+
+
+# (report name, help, input kind, handler, extra arguments); a two-word name
+# is an action under the first word's command group.
+_COMMANDS = (
+    ("fan-check", "validate a fan and decide completeness", "fan", _fan_check, ()),
+    ("roots", "Demazure roots per ray", "fan", _roots, (
+        _arg("--bound", type=int, default=None,
+             help="truncate infinite root sets at this sup-norm"),)),
+    ("collections", "complete collections of Demazure roots", "fan", _collections, (
+        _arg("--equivalence", action="store_true",
+             help="also give a fan automorphism from the first collection "
+                  "to each other one (all form one class)"),
+        _arg("--strict", action="store_true", help="exit 1 when no collection exists"))),
+    ("additive", "decide existence of an additive action", "fan", _additive, (
+        _arg("--strict", action="store_true", help="exit 1 on a negative answer"),)),
+    ("cox", "Cox presentation (degrees, torsion)", "fan", _cox, ()),
+    ("pairs", "orbit-connecting cone pairs of one root", "fan", _pairs, (
+        _arg("--root", required=True, metavar="RAY:C1,C2,...",
+             help="root as distinguished ray index and vector"),)),
+    ("polytope check", "inscribed-in-a-rectangle test plus the fan-side answer",
+     "polytope", _polytope_check, (
+         _arg("--strict", action="store_true", help="exit 1 when not inscribed"),)),
+    ("polytope normalfan", "emit the normal fan as fan JSON", "polytope",
+     _polytope_normalfan, ()),
+    ("polytope scale", "dilate the polytope by k", "polytope", _polytope_scale, (
+        _arg("k", type=int),)),
+    ("gen", "write a builtin fan or polytope", None, _gen, (
+        _arg("name"), _arg("params", nargs="*", type=int),
+        _arg("--out", default=None, help="write the object JSON to this file"))),
+)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -394,92 +362,92 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("json", "text"), default="json",
                         help="report format (default: json)")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("fan-check", parents=[common],
-                       help="validate a fan and decide completeness")
-    p.add_argument("file")
-    p.set_defaults(func=_cmd_fan_check)
-
-    p = sub.add_parser("roots", parents=[common], help="Demazure roots per ray")
-    p.add_argument("file")
-    p.add_argument("--bound", type=int, default=None,
-                   help="truncate infinite root sets at this sup-norm")
-    p.set_defaults(func=_cmd_roots)
-
-    p = sub.add_parser("collections", parents=[common],
-                       help="complete collections of Demazure roots")
-    p.add_argument("file")
-    p.add_argument("--equivalence", action="store_true",
-                   help="also give a fan automorphism from the first collection "
-                        "to each other one (all form one class)")
-    p.add_argument("--strict", action="store_true",
-                   help="exit 1 when no collection exists")
-    p.set_defaults(func=_cmd_collections)
-
-    p = sub.add_parser("additive", parents=[common],
-                       help="decide existence of an additive action")
-    p.add_argument("file")
-    p.add_argument("--strict", action="store_true", help="exit 1 on a negative answer")
-    p.set_defaults(func=_cmd_additive)
-
-    p = sub.add_parser("cox", parents=[common], help="Cox presentation (degrees, torsion)")
-    p.add_argument("file")
-    p.set_defaults(func=_cmd_cox)
-
-    p = sub.add_parser("pairs", parents=[common],
-                       help="orbit-connecting cone pairs of one root")
-    p.add_argument("file")
-    p.add_argument("--root", required=True, metavar="RAY:C1,C2,...",
-                   help="root as distinguished ray index and vector")
-    p.set_defaults(func=_cmd_pairs)
-
-    p = sub.add_parser("polytope", parents=[common], help="lattice polytope analyses")
-    psub = p.add_subparsers(dest="action", required=True)
-    pc = psub.add_parser("check", parents=[common],
-                         help="inscribed-in-a-rectangle test plus the fan-side answer")
-    pc.add_argument("file")
-    pc.add_argument("--strict", action="store_true", help="exit 1 when not inscribed")
-    pc.set_defaults(func=_cmd_polytope, action="check")
-    pn = psub.add_parser("normalfan", parents=[common], help="emit the normal fan as fan JSON")
-    pn.add_argument("file")
-    pn.set_defaults(func=_cmd_polytope, action="normalfan")
-    ps = psub.add_parser("scale", parents=[common], help="dilate the polytope by k")
-    ps.add_argument("file")
-    ps.add_argument("k", type=int)
-    ps.set_defaults(func=_cmd_polytope, action="scale")
-
-    p = sub.add_parser("gen", parents=[common], help="write a builtin fan or polytope")
-    p.add_argument("name")
-    p.add_argument("params", nargs="*")
-    p.add_argument("--out", default=None, help="write the object JSON to this file")
-    p.set_defaults(func=_cmd_gen)
+    groups = {"": parser.add_subparsers(dest="command", required=True)}
+    for name, help_text, kind, handler, extra in _COMMANDS:
+        group, _, command = name.rpartition(" ")
+        if group not in groups:  # "polytope", the one group
+            # the group takes no --format, so it cannot come before the action
+            actions = groups[""].add_parser(group, help="lattice polytope analyses")
+            groups[group] = actions.add_subparsers(dest="action", required=True)
+        p = groups[group].add_parser(command, parents=[common], help=help_text)
+        if kind:
+            p.add_argument("file")
+        for names, kwargs in extra:
+            p.add_argument(*names, **kwargs)
+        p.set_defaults(entry=(name, kind, handler))
     return parser
 
 
-def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    status, code = "invalid", 2
+def _load(kind: str, raw: bytes):
+    """The fan or polytope in the raw input, bare or in a report envelope."""
     try:
-        return args.func(args)
-    except InvalidFan as exc:
-        error = {"type": type(exc).__name__, "message": str(exc),
-                 "violations": exc.violations}
-    except InternalError as exc:
-        error = {"type": type(exc).__name__, "message": str(exc)}
-        status, code = "internal", 3
-    except (ToricError, OSError, ValueError) as exc:
-        error = {"type": type(exc).__name__, "message": str(exc)}
-    envelope = {"command": args.command, "input": None, "result": None,
-                "error": error, "status": status, "exit_code": code}
+        data = json.loads(raw.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+        raise ToricError(f"not valid JSON: {exc}") from None
+    if kind == "fan":
+        from . import fan as fans
+
+        return fans.fan_from_json_dict(_unwrap(data, kind))
+    from . import polytope as polytopes
+
+    return polytopes.polytope_from_json_dict(_unwrap(data, kind))
+
+
+def _write(args, envelope: dict, lines, raw: bytes | None = None) -> int:
+    """Print one report and return its exit code. A JSON envelope names the
+    input by the SHA-256 of its raw bytes (none for ``gen`` or an error)."""
     if args.format == "json":
+        if raw is not None:
+            import hashlib
+
+            envelope["input"] = {"path": args.file,
+                                 "sha256": hashlib.sha256(raw).hexdigest()}
         sys.stdout.write(_dumps(envelope))
     else:
-        sys.stdout.write(f"error: {error['message']}\n")
-        for v in error.get("violations", []):
-            sys.stdout.write(f"violation: {v}\n")
-    return code
+        sys.stdout.write("".join(line + "\n" for line in lines))
+    return envelope["exit_code"]
+
+
+def _error(args, exc) -> int:
+    """Print the error envelope. Its command is the top-level command
+    (``"polytope"`` for the polytope actions)."""
+    error = {"type": type(exc).__name__, "message": str(exc)}
+    lines = [f"error: {exc}"]
+    if isinstance(exc, InvalidFan):
+        error["violations"] = exc.violations
+        lines += [f"violation: {v}" for v in exc.violations]
+    status, code = ("internal", 3) if isinstance(exc, InternalError) else ("invalid", 2)
+    return _write(args, {"command": args.command, "input": None, "result": None,
+                         "error": error, "status": status, "exit_code": code}, lines)
+
+
+def main(argv=None) -> int:
+    args = _build_parser().parse_args(argv)
+    name, kind, handler = args.entry
+    raw = None
+    try:
+        if kind:
+            if args.file == "-":
+                raw = sys.stdin.buffer.read()
+            else:
+                with open(args.file, "rb") as fh:
+                    raw = fh.read()
+        result, lines, answer = handler(args, _load(kind, raw) if kind else None)
+        if getattr(args, "out", None):  # gen --out FILE gets the object alone
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(_dumps(result["object"]))
+        status, code = "ok", 0
+        if answer is False and getattr(args, "strict", False):
+            status, code = "no", 1
+    except (ToricError, OSError, ValueError) as exc:
+        if not (isinstance(exc, InvalidFan) and name == "fan-check"):
+            return _error(args, exc)
+        # fan-check reports an invalid fan as its answer on the input
+        result = {"valid": False, "violations": exc.violations, "complete": None}
+        lines = ["valid: no"] + [f"violation: {v}" for v in exc.violations]
+        status, code = "invalid", 2
+    return _write(args, {"command": name, "input": None, "result": result,
+                         "status": status, "exit_code": code}, lines, raw)
 
 
 def run() -> None:

@@ -513,3 +513,142 @@ def test_big_integers_serialize_as_strings():
     assert _json_safe(2 ** 53) == str(2 ** 53)
     assert _json_safe([-(2 ** 60), 3]) == [str(-(2 ** 60)), 3]
     assert _json_safe({"k": (1, 2 ** 90)}) == {"k": [1, str(2 ** 90)]}
+
+
+# ---------------------------------------------------------------------------
+# the command table, in process
+
+
+# One argv per table entry; FAN and POLYTOPE name the input files below.
+TABLE_ARGV = {
+    "fan-check": ["fan-check", "FAN"],
+    "roots": ["roots", "FAN"],
+    "collections": ["collections", "FAN", "--equivalence"],
+    "additive": ["additive", "FAN"],
+    "cox": ["cox", "FAN"],
+    "pairs": ["pairs", "FAN", "--root", "0:-1,0"],
+    "polytope check": ["polytope", "check", "POLYTOPE"],
+    "polytope normalfan": ["polytope", "normalfan", "POLYTOPE"],
+    "polytope scale": ["polytope", "scale", "POLYTOPE", "2"],
+    "gen": ["gen", "pn", "2"],
+}
+
+# Decision commands on an input whose answer is no, and their first text line.
+NEGATIVE_ARGV = [
+    (["collections", "P235"], "complete collections: 0"),
+    (["additive", "P235"], "admits additive action: no"),
+    (["polytope", "check", "TRIANGLE"], "inscribed in a rectangle: no"),
+]
+
+
+@pytest.fixture(scope="module")
+def inputs(tmp_path_factory):
+    """Input files by placeholder: P^2, the square, the P(2,3,5) model and
+    a triangle not inscribed in a rectangle."""
+    import toricroots
+
+    out = tmp_path_factory.mktemp("table")
+    objects = {
+        "FAN": toricroots.fan_to_json_dict(toricroots.projective_space(2)),
+        "POLYTOPE": toricroots.polytope_to_json_dict(toricroots.builtin_polytope("cube", 2)),
+        "P235": toricroots.fan_to_json_dict(toricroots.p235_model()),
+        "TRIANGLE": toricroots.polytope_to_json_dict(toricroots.builtin_polytope("triangle")),
+    }
+    paths = {}
+    for key, obj in objects.items():
+        paths[key] = out / f"{key}.json"
+        paths[key].write_text(json.dumps(obj))
+    return paths
+
+
+def run_in_process(argv, inputs, capsys):
+    from toricroots import cli
+
+    code = cli.main([str(inputs.get(a, a)) for a in argv])
+    return code, capsys.readouterr().out
+
+
+def test_every_table_entry_has_a_case():
+    from toricroots import cli
+
+    assert [entry[0] for entry in cli._COMMANDS] == list(TABLE_ARGV)
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+@pytest.mark.parametrize("name", list(TABLE_ARGV))
+def test_every_command_reports_in_both_formats(name, fmt, inputs, capsys):
+    import hashlib
+
+    argv = TABLE_ARGV[name]
+    code, out = run_in_process([*argv, "--format", fmt], inputs, capsys)
+    assert code == 0
+    if fmt == "text":
+        assert out.endswith("\n") and '"exit_code"' not in out
+        return
+    report = json.loads(out)
+    assert (report["command"], report["status"], report["exit_code"]) == (name, "ok", 0)
+    if name == "gen":
+        assert report["input"] is None
+    else:
+        path = next(inputs[a] for a in argv if a in inputs)
+        assert report["input"] == {"path": str(path),
+                                   "sha256": hashlib.sha256(path.read_bytes()).hexdigest()}
+    # an unreadable input is an error envelope named by the top-level command
+    if name != "gen":
+        missing = [a if a not in inputs else "missing.json" for a in argv]
+        code, out = run_in_process(missing, inputs, capsys)
+        report = json.loads(out)
+        assert code == 2 and report["exit_code"] == 2 and report["status"] == "invalid"
+        assert report["command"] == argv[0] and report["input"] is None
+        assert report["error"]["type"] == "FileNotFoundError"
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+@pytest.mark.parametrize("argv, first_line", NEGATIVE_ARGV,
+                         ids=[" ".join(argv[:-1]) for argv, _ in NEGATIVE_ARGV])
+def test_strict_turns_a_negative_answer_into_exit_1(argv, first_line, fmt, inputs, capsys):
+    code, out = run_in_process([*argv, "--format", fmt], inputs, capsys)
+    assert code == 0
+    code, out = run_in_process([*argv, "--strict", "--format", fmt], inputs, capsys)
+    assert code == 1
+    if fmt == "json":
+        report = json.loads(out)
+        assert report["status"] == "no" and report["exit_code"] == 1
+    else:
+        assert out.startswith(first_line)
+
+
+@pytest.mark.parametrize("argv", [name.split() for name in TABLE_ARGV] + [["polytope"]],
+                         ids=" ".join)
+def test_help_exits_0(argv, capsys):
+    from toricroots import cli
+
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*argv, "-h"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: toricroots " + " ".join(argv))
+
+
+def test_format_goes_after_the_polytope_action(inputs, capsys):
+    from toricroots import cli
+
+    code, out = run_in_process(["polytope", "check", "POLYTOPE", "--format", "text"],
+                               inputs, capsys)
+    assert code == 0 and out.startswith("inscribed in a rectangle: yes\n")
+    # before the action it used to be overwritten by the action's default
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["polytope", "--format", "text", "check", str(inputs["POLYTOPE"])])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "usage: toricroots" in captured.err
+
+
+def test_gen_parameters_are_integers(capsys):
+    from toricroots import cli
+
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["gen", "pn", "1.5"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "argument params: invalid int value: '1.5'" in captured.err
