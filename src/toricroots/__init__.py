@@ -69,7 +69,6 @@ _EXPORTS = {
         "RayRoots",
         "RootSet",
         "all_roots",
-        "bracket_oracle",
         "commute",
         "demazure_root",
         "derivation",
@@ -96,7 +95,6 @@ _EXPORTS = {
         "action_formulas",
         "canonical_degrees",
         "cox_presentation",
-        "degree_zero_check",
         "format_formula",
     ),
     "polytope": (

@@ -53,9 +53,13 @@ def complete_collections(fan: Fan) -> tuple[CompleteCollection, ...]:
     cone(p_k..p_n) is in the fan. So cone(p_1..p_n) is an n-dimensional
     cone of the fan, hence maximal, and by the lemma in
     :mod:`toricroots.fan` its rays are exactly p_1..p_n.
+
+    A candidate (q, ray) recurs on every cone through the ray that has q in
+    its dual basis, so each distinct one is checked once per call.
     """
     n = fan.dim
     out = []
+    checked: dict[tuple[Vec, int], DemazureRoot | None] = {}
     for cone in fan.max_cones:
         if len(cone.ray_indices) != n:
             continue
@@ -64,8 +68,10 @@ def complete_collections(fan: Fan) -> tuple[CompleteCollection, ...]:
         except NotUnimodular:
             continue
         roots = []
-        for q, ray_idx in zip(dual, cone.ray_indices):
-            roots.append(_root(fan, neg(q), ray_idx))
+        for key in zip(dual, cone.ray_indices):
+            if key not in checked:
+                checked[key] = _root(fan, neg(key[0]), key[1])
+            roots.append(checked[key])
             if roots[-1] is None:
                 break
         else:

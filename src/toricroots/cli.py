@@ -354,6 +354,11 @@ _COMMANDS = (
 )
 
 
+def _misplaced_format(value: str):
+    raise argparse.ArgumentTypeError(
+        f"goes after the action, as in 'toricroots polytope check FILE --format {value}'")
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="toricroots",
@@ -366,8 +371,10 @@ def _build_parser() -> argparse.ArgumentParser:
     for name, help_text, kind, handler, extra in _COMMANDS:
         group, _, command = name.rpartition(" ")
         if group not in groups:  # "polytope", the one group
-            # the group takes no --format, so it cannot come before the action
             actions = groups[""].add_parser(group, help="lattice polytope analyses")
+            # --format before the action is a usage error that says where it goes
+            actions.add_argument("--format", type=_misplaced_format,
+                                 default=argparse.SUPPRESS, help=argparse.SUPPRESS)
             groups[group] = actions.add_subparsers(dest="action", required=True)
         p = groups[group].add_parser(command, parents=[common], help=help_text)
         if kind:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from . import lattice
 from .demazure import _monomial, derivation
-from .errors import RaysDoNotSpan, TorsionClassGroup
+from .errors import RaysDoNotSpan
 from .fan import Fan
 from .lattice import Mat, Value, Vec
 
@@ -74,14 +74,3 @@ def format_formula(f: GaActionFormula) -> str:
     x = f"x{f.target + 1}"
     mono = _monomial(f.exponents)
     return f"{x} -> {x} + s{f.param_index}{'*' if mono else ''}{mono}"
-
-
-def degree_zero_check(pres: CoxPresentation, f: GaActionFormula) -> bool:
-    """True iff the rule's monomial degree equals the target variable degree."""
-    if pres.torsion:
-        raise TorsionClassGroup("degree check requires a free class group")
-    total = [0] * pres.class_rank
-    for var, power in f.exponents:
-        for i, x in enumerate(pres.degrees[var]):
-            total[i] += power * x
-    return tuple(total) == pres.degrees[f.target]

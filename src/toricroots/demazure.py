@@ -111,7 +111,8 @@ def satisfies_condition2(fan: Fan, e: Vec, ray: int) -> bool:
 
 
 def _condition2(fan: Fan, row: Vec, ray: int) -> bool:
-    return all(tuple(sorted([ray, *(i for i in c.ray_indices if row[i] == 0)])) in fan.face_sets
+    faces = fan._by_rays
+    return all(tuple(sorted([ray, *(i for i in c.ray_indices if row[i] == 0)])) in faces
                for c in fan.max_cones if ray not in c.ray_indices)
 
 
@@ -212,36 +213,6 @@ class CoxDerivation(Value):
 def derivation(fan: Fan, root: DemazureRoot) -> CoxDerivation:
     expo = tuple((i, root.pairings[i]) for i in range(len(fan.rays)) if i != root.ray)
     return CoxDerivation(root.ray, expo)
-
-
-def _apply(d: CoxDerivation, poly: dict[tuple, int]) -> dict[tuple, int]:
-    out: dict[tuple, int] = {}
-    for mono, coeff in poly.items():
-        k = mono[d.target]
-        if k == 0:
-            continue
-        new = list(mono)
-        new[d.target] -= 1
-        for var, power in d.exponents:
-            new[var] += power
-        key = tuple(new)
-        out[key] = out.get(key, 0) + coeff * k
-    return {m: c for m, c in out.items() if c}
-
-
-def bracket_oracle(a: CoxDerivation, b: CoxDerivation) -> bool:
-    """Symbolically check [a, b] = 0 by applying both orders to each variable.
-
-    Independent of :func:`commute`; serves as its oracle.
-    """
-    if a.num_vars != b.num_vars:
-        raise ValueError("derivations live on different polynomial rings")
-    m = a.num_vars
-    for j in range(m):
-        x_j = {tuple(int(i == j) for i in range(m)): 1}
-        if _apply(a, _apply(b, x_j)) != _apply(b, _apply(a, x_j)):
-            return False
-    return True
 
 
 def _monomial(exponents: tuple[tuple[int, int], ...]) -> str:

@@ -10,12 +10,15 @@ it, and reads its description off that cone (see :class:`Cone`). A
 lower-dimensional cone is described in pivot coordinates, not by the Smith
 form (:func:`_dual_description`).
 
-A :class:`Fan` indexes all its cones by their ray-index sets, computed once
-in :func:`build_fan`. Questions about cones of the fan are lookups in that
-index, by one lemma: in a fan, a ray rho meets any cone tau in a face of
-tau, so a ray of the fan that lies in tau is one of tau's rays. Hence a
-cone generated by some rays S of the fan is a cone of the fan iff S is a
-face's ray-index set (``S in fan.face_sets``).
+A :class:`Fan` is the value of its defining data, the dimension, the rays
+and the maximal cones: it compares, hashes and prints by those alone, since
+every other cone is derived from them. :func:`build_fan` derives the faces
+once and keeps them in one index by ray-index set, which ``all_faces``,
+``face_sets`` and ``Fan.cone`` read. Questions about cones of the fan are
+lookups in that index, by one lemma: in a fan, a ray rho meets any cone tau
+in a face of tau, so a ray of the fan that lies in tau is one of tau's
+rays. Hence a cone generated by some rays S of the fan is a cone of the fan
+iff S is a face's ray-index set (``S in fan.face_sets``).
 
 Validation checks each maximal cone on its own, then that any two meet in
 a common face. When every maximal cone is n-dimensional, a local
@@ -106,23 +109,34 @@ class LatticeAutomorphism(Value):
 
 
 class Fan(Value):
-    """A validated fan. Construct through :func:`build_fan`."""
+    """A validated fan. Construct through :func:`build_fan`.
 
-    _fields = ("dim", "rays", "max_cones", "all_faces", "face_sets")
-    _shown = _fields[:4]
-    # stored, not compared: the faces by ray indices, and whether the fan
-    # is certified complete (see is_complete)
+    A fan is its dim, rays and maximal cones: ``==``, ``hash`` and ``repr``
+    read those alone. Stored beside them, and neither compared nor shown:
+    the faces, derived data kept in one index by ray-index set in (size,
+    indices) order, and whether the fan is certified complete (see
+    :func:`is_complete`).
+    """
+
+    _fields = ("dim", "rays", "max_cones")
     __slots__ = (*_fields, "_by_rays", "_complete", "__weakref__")
 
     def __init__(self, dim: int, rays: tuple[Vec, ...], max_cones: tuple[Cone, ...],
-                 all_faces: tuple[Cone, ...], face_sets: frozenset[tuple[int, ...]]):
+                 all_faces: tuple[Cone, ...]):
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "rays", rays)
         object.__setattr__(self, "max_cones", max_cones)
-        object.__setattr__(self, "all_faces", all_faces)
-        object.__setattr__(self, "face_sets", face_sets)
         object.__setattr__(self, "_by_rays", {c.ray_indices: c for c in all_faces})
         object.__setattr__(self, "_complete", False)
+
+    @property
+    def all_faces(self) -> tuple[Cone, ...]:
+        return tuple(self._by_rays.values())
+
+    @property
+    def face_sets(self):
+        """The faces' ray-index sets, a set-like view of the index."""
+        return self._by_rays.keys()
 
     def cone(self, ray_indices) -> Cone:
         key = tuple(sorted(ray_indices))
@@ -450,8 +464,7 @@ def build_fan(dim, rays, max_cones, allow_nonprimitive: bool = False) -> Fan:
                 faces[f], facets = _face_cone(f, ineqs, eqs, tight, d, dim)
                 stack.extend((tuple(sorted(s)), d - 1) for s in facets)
     fan = Fan(dim, rays, tuple(faces[idx] for idx in sorted(cones)),
-              tuple(sorted(faces.values(), key=lambda c: (len(c.ray_indices), c.ray_indices))),
-              frozenset(faces))
+              tuple(sorted(faces.values(), key=lambda c: (len(c.ray_indices), c.ray_indices))))
     object.__setattr__(fan, "_complete", certified)
     return fan
 

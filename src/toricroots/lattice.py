@@ -28,15 +28,13 @@ class Value:
     A subclass declares ``__slots__``, names its fields in ``_fields`` and
     sets them in its ``__init__`` with ``object.__setattr__``. ``==`` and
     ``hash`` read the fields as one tuple and only objects of the same class
-    compare equal; ``repr`` shows the fields named in ``_shown`` (all of
-    them by default). Assigning or deleting an attribute raises
-    AttributeError. Copy and pickle restore every slot, stored derived data
-    included, without running ``__init__``.
+    compare equal; ``repr`` shows the fields. Assigning or deleting an
+    attribute raises AttributeError. Copy and pickle restore every slot,
+    stored derived data included, without running ``__init__``.
     """
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
-    _shown: tuple[str, ...] | None = None
 
     def _values(self) -> tuple:
         return tuple([getattr(self, name) for name in self._fields])
@@ -50,7 +48,7 @@ class Value:
         return hash(self._values())
 
     def __repr__(self):
-        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._shown or self._fields)
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
         return f"{self.__class__.__qualname__}({shown})"
 
     def __setattr__(self, name, value):

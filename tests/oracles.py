@@ -61,7 +61,16 @@ definitions unchanged; they are nested in it so that their names do not
 shadow the library's, and their ``repr`` reads ``dataclass_values.Fan(...)``
 where the library's reads ``Fan(...)``. Their methods run the library's
 code, but their ``__init__``, ``__eq__``, ``__hash__`` and ``__repr__`` are
-the ones ``dataclasses`` generates.
+the ones ``dataclasses`` generates. ``Fan`` then became the value of its
+dim, rays and maximal cones, with one face index; its dataclass follows it
+(``all_faces`` is an ``__init__`` argument outside compare and repr, and
+``face_sets`` a view of the index).
+
+Two routines that only tests called moved here unchanged from ``src/``:
+the symbolic check that two Cox derivations commute (``bracket_oracle``,
+with ``_apply``), the oracle of ``demazure.commute``; and
+``degree_zero_check``, which checks that an action rule is homogeneous of
+degree zero in the Cox grading.
 """
 
 from __future__ import annotations
@@ -75,7 +84,8 @@ from typing import Sequence
 
 from toricroots import lattice
 from toricroots.additive import CompleteCollection
-from toricroots.demazure import DemazureRoot, pairing_row, satisfies_condition1
+from toricroots.cox import CoxPresentation, GaActionFormula
+from toricroots.demazure import CoxDerivation, DemazureRoot, pairing_row, satisfies_condition1
 from toricroots import fan as fan_module
 from toricroots.errors import (
     DegeneratePolytope,
@@ -85,6 +95,7 @@ from toricroots.errors import (
     NotSquare,
     NotStronglyConvex,
     NotUnimodular,
+    TorsionClassGroup,
 )
 from toricroots.fan import Cone, Fan, LatticeAutomorphism, _is_face
 from toricroots.lattice import (
@@ -607,8 +618,7 @@ def build_fan_by_closure(dim, rays, max_cones, allow_nonprimitive: bool = False)
         dims[f] = cone.dim
         all_faces.append(cone)
     max_cones = tuple(c for c in all_faces if c.ray_indices in cones)
-    fan = Fan(dim, rays, tuple(sorted(max_cones, key=lambda c: c.ray_indices)),
-              tuple(all_faces), frozenset(owner))
+    fan = Fan(dim, rays, tuple(sorted(max_cones, key=lambda c: c.ray_indices)), all_faces)
     object.__setattr__(fan, "_complete", certified)
     return fan
 
@@ -842,13 +852,16 @@ class dataclass_values:
         dim: int
         rays: tuple[Vec, ...]
         max_cones: tuple[Cone, ...]
-        all_faces: tuple[Cone, ...]
-        face_sets: frozenset[tuple[int, ...]] = field(repr=False)
+        all_faces: tuple[Cone, ...] = field(repr=False, compare=False)
         _by_rays: dict = field(init=False, repr=False, compare=False)
         _complete: bool = field(default=False, init=False, repr=False, compare=False)  # see is_complete
 
         def __post_init__(self):
             object.__setattr__(self, "_by_rays", {c.ray_indices: c for c in self.all_faces})
+
+        @property
+        def face_sets(self):
+            return self._by_rays.keys()
 
         def cone(self, ray_indices) -> Cone:
             key = tuple(sorted(ray_indices))
@@ -1031,3 +1044,48 @@ class dataclass_values:
         inscribed: bool
         fan_admits: bool
         witness: RectangleWitness | None
+
+
+# ---------------------------------------------------------------------------
+# the commutation and degree checks that only tests call
+
+
+def _apply(d: CoxDerivation, poly: dict[tuple, int]) -> dict[tuple, int]:
+    out: dict[tuple, int] = {}
+    for mono, coeff in poly.items():
+        k = mono[d.target]
+        if k == 0:
+            continue
+        new = list(mono)
+        new[d.target] -= 1
+        for var, power in d.exponents:
+            new[var] += power
+        key = tuple(new)
+        out[key] = out.get(key, 0) + coeff * k
+    return {m: c for m, c in out.items() if c}
+
+
+def bracket_oracle(a: CoxDerivation, b: CoxDerivation) -> bool:
+    """Symbolically check [a, b] = 0 by applying both orders to each variable.
+
+    Independent of :func:`commute`; serves as its oracle.
+    """
+    if a.num_vars != b.num_vars:
+        raise ValueError("derivations live on different polynomial rings")
+    m = a.num_vars
+    for j in range(m):
+        x_j = {tuple(int(i == j) for i in range(m)): 1}
+        if _apply(a, _apply(b, x_j)) != _apply(b, _apply(a, x_j)):
+            return False
+    return True
+
+
+def degree_zero_check(pres: CoxPresentation, f: GaActionFormula) -> bool:
+    """True iff the rule's monomial degree equals the target variable degree."""
+    if pres.torsion:
+        raise TorsionClassGroup("degree check requires a free class group")
+    total = [0] * pres.class_rank
+    for var, power in f.exponents:
+        for i, x in enumerate(pres.degrees[var]):
+            total[i] += power * x
+    return tuple(total) == pres.degrees[f.target]

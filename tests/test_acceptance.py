@@ -10,11 +10,11 @@ from helpers import (
     random_complete_fans_2d,
     random_lattice_polygons,
 )
+from oracles import bracket_oracle
 from toricroots import (
     action_formulas,
     admits_additive,
     all_roots,
-    bracket_oracle,
     canonical_degrees,
     commute,
     complete_collections,

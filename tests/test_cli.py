@@ -635,12 +635,14 @@ def test_format_goes_after_the_polytope_action(inputs, capsys):
     code, out = run_in_process(["polytope", "check", "POLYTOPE", "--format", "text"],
                                inputs, capsys)
     assert code == 0 and out.startswith("inscribed in a rectangle: yes\n")
-    # before the action it used to be overwritten by the action's default
+    # before the action, --format is a usage error that says where it goes
     with pytest.raises(SystemExit) as exc:
         cli.main(["polytope", "--format", "text", "check", str(inputs["POLYTOPE"])])
     assert exc.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == "" and "usage: toricroots" in captured.err
+    assert "error: argument --format: goes after the action" in captured.err
+    assert "invalid choice" not in captured.err
 
 
 def test_gen_parameters_are_integers(capsys):

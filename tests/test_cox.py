@@ -3,6 +3,7 @@
 import pytest
 
 from helpers import bundled_complete_fans, torsion_fan
+from oracles import degree_zero_check
 from toricroots import (
     action_formulas,
     admits_additive,
@@ -10,7 +11,6 @@ from toricroots import (
     canonical_degrees,
     complete_collections,
     cox_presentation,
-    degree_zero_check,
     derivation,
     format_formula,
     hermite_column_form,

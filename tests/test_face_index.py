@@ -1,7 +1,7 @@
 """The fan's face index against the geometric routines it replaced.
 
 Root condition (2), the faces of each maximal cone and the complete
-collections are read off ``Fan.face_sets``; ``oracles.py`` keeps the
+collections are read off the fan's face index; ``oracles.py`` keeps the
 minimal-generator check, the 2^k face scan and the C(m, n) collection scan
 they replaced, and the scan of condition (2) over every face that the
 maximal-cone test replaced. The fans cover dimensions 2 to 5: GL_n(Z) images of builtin
@@ -18,6 +18,7 @@ from itertools import product
 import pytest
 
 import oracles
+from test_cli import counting
 from test_kernel import random_unimodular
 from toricroots import (
     Fan,
@@ -36,6 +37,7 @@ from toricroots import (
     validate_fan,
     wps_one,
 )
+from toricroots import additive
 from toricroots.demazure import pairing_row, satisfies_condition1, satisfies_condition2
 from toricroots.lattice import identity, is_primitive
 
@@ -138,28 +140,37 @@ def test_condition2_requires_condition1():
             satisfies_condition2(fan, e, ray)
 
 
-class CountingSet(frozenset):
-    """A frozenset that counts membership tests."""
+class CountingDict(dict):
+    """A dict that counts membership tests and refuses any other read."""
 
     lookups = 0
 
-    def __contains__(self, item):
+    def __contains__(self, key):
         self.lookups += 1
-        return super().__contains__(item)
+        return super().__contains__(key)
+
+    def __getitem__(self, key):
+        raise AssertionError(f"face {key} read")
+
+    def __iter__(self):
+        raise AssertionError("faces iterated")
+
+    keys = values = items = __iter__
 
 
 def test_condition2_reads_only_the_maximal_cones():
-    """On (P^1)^7 each check makes at most one face_sets lookup per maximal
+    """On (P^1)^7 each check makes at most one face index lookup per maximal
     cone not through the distinguished ray (64 of 128, of 2,187 faces), and
     reads no other face."""
     fan = product_p1(7)
-    bare = Fan(fan.dim, fan.rays, fan.max_cones, (), CountingSet(fan.face_sets))
+    bare = Fan(fan.dim, fan.rays, fan.max_cones, fan.all_faces)
+    object.__setattr__(bare, "_by_rays", CountingDict(bare._by_rays))
     for ray in range(len(fan.rays)):
         e = tuple(-x for x in fan.rays[ray])  # the rays are the +-unit vectors
         outside = sum(ray not in c.ray_indices for c in fan.max_cones)
-        bare.face_sets.lookups = 0
+        bare._by_rays.lookups = 0
         assert satisfies_condition2(bare, e, ray)
-        assert 0 < bare.face_sets.lookups <= outside == 64
+        assert 0 < bare._by_rays.lookups <= outside == 64
 
 
 @pytest.mark.parametrize("dim", (2, 3, 4, 5))
@@ -171,6 +182,17 @@ def test_complete_collections_match_the_subset_scan(dim):
         counts[is_complete(fan)].append(len(got))
     # non-complete fans with and without collections
     assert 0 in counts[False] and max(counts[False]) >= 1 and max(counts[True]) >= 1
+
+
+@pytest.mark.parametrize("n", (3, 4, 5, 6))
+def test_complete_collections_check_each_candidate_once(n, monkeypatch):
+    """(P^1)^n has 2^n maximal cones, each with n candidates (-q, ray), but
+    only 2n distinct ones: the negated unit vector of each ray. Each is
+    checked once, however many cones share it."""
+    checks = counting(monkeypatch, additive, "_root")
+    fan = product_p1(n)
+    assert len(complete_collections(fan)) == 2 ** n
+    assert len(checks) == len({(e, ray) for _, e, ray in checks}) == 2 * n
 
 
 @pytest.mark.parametrize("dim", (2, 3, 4, 5))

@@ -8,7 +8,8 @@ a fan that is not complete) and the polytopes ``cube 3`` and
 ``dsimplex 3 4`` produce, and must agree on ``repr``, ``==`` and ``hash``.
 The values must also be frozen, build from keywords with the old defaults,
 reject bad fields with the old errors, and survive copy and pickle with
-their stored data.
+their stored data. A ``Fan`` compares, hashes and prints by its dim, rays
+and maximal cones alone; its faces are derived data in one index.
 """
 
 import copy
@@ -26,6 +27,7 @@ from helpers import quadrant_fan
 from test_kernel import random_unimodular
 from toricroots import (
     Constraint,
+    Fan,
     LatticeAutomorphism,
     LatticePolytope,
     RayRoots,
@@ -167,7 +169,7 @@ def test_fields_repr_fields_and_signature_match_the_dataclass(name):
     cls, old = getattr(toricroots, name), getattr(OLD, name)
     assert issubclass(cls, lattice.Value) and not dataclasses.is_dataclass(cls)
     assert cls._fields == tuple(f.name for f in dataclasses.fields(old) if f.compare)
-    assert (cls._shown or cls._fields) == tuple(f.name for f in dataclasses.fields(old) if f.repr)
+    assert cls._fields == tuple(f.name for f in dataclasses.fields(old) if f.repr)
 
     def params(c):
         return [(p.name, p.default, p.kind) for p in inspect.signature(c).parameters.values()]
@@ -266,7 +268,8 @@ def test_stored_fields_survive_copy_and_pickle():
         for f in fans:
             r = trip(f)
             assert r._complete is f._complete and r._by_rays == f._by_rays
-            assert r.cone(r.max_cones[0].ray_indices) == f.max_cones[0]
+            assert r.all_faces == f.all_faces and r.face_sets == f.face_sets
+            assert all(r.cone(c.ray_indices) == c for c in f.all_faces)
             assert is_complete(r) is f._complete
         for p in (fresh, used):
             r = trip(p)
@@ -275,3 +278,45 @@ def test_stored_fields_survive_copy_and_pickle():
         assert trip(fresh)._normal_fan is None
         assert trip(used)._normal_fan is not None
         assert admits_additive(normal_fan(trip(used))).admits
+
+
+def defining(fan):
+    return fan.dim, fan.rays, fan.max_cones
+
+
+def test_a_fan_is_its_dim_rays_and_max_cones():
+    """Two fans are equal, with equal hashes, exactly when their dim, rays
+    and maximal cones are; the faces they carry play no part."""
+    fans = [f for d in FANS for f in (FANS[d](), FANS[d]())] + [quadrant_fan(), cone_fan(3)]
+    p1 = product_p1(3)
+    fans += [
+        Fan(p1.dim, p1.rays, p1.max_cones, ()),
+        Fan(p1.dim, p1.rays, p1.max_cones, p1.all_faces[:5]),
+        Fan(p1.dim + 1, p1.rays, p1.max_cones, p1.all_faces),
+        Fan(p1.dim, p1.rays[::-1], p1.max_cones, p1.all_faces),
+        Fan(p1.dim, p1.rays, p1.max_cones[1:], p1.all_faces),
+    ]
+    seen = set()
+    for f, g in combinations(fans, 2):
+        assert (f == g) == (defining(f) == defining(g)) == (not f != g)
+        if f == g:
+            assert hash(f) == hash(g) == hash(defining(f))
+        seen.add(f == g)
+    assert seen == {True, False}
+
+
+def test_a_fan_repr_shows_no_faces():
+    fan = product_p1(4)
+    assert repr(fan) == f"Fan(dim=4, rays={fan.rays!r}, max_cones={fan.max_cones!r})"
+    assert repr(fan).count("Cone(") == len(fan.max_cones) == 16 < len(fan.all_faces) == 81
+
+
+@pytest.mark.parametrize("make", [*FANS.values(), quadrant_fan, lambda: cone_fan(3)])
+def test_the_face_sets_are_the_faces_ray_sets(make):
+    fan = make()
+    assert fan.face_sets == {c.ray_indices for c in fan.all_faces}
+    assert list(fan.face_sets) == [c.ray_indices for c in fan.all_faces]
+    assert fan.all_faces == tuple(sorted(fan.all_faces,
+                                         key=lambda c: (len(c.ray_indices), c.ray_indices)))
+    assert all(fan.cone(c.ray_indices) is c for c in fan.all_faces)
+    assert set(fan.max_cones) <= set(fan.all_faces)
