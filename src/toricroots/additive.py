@@ -9,11 +9,12 @@ fans their existence also settles the non-normalized question.
 from __future__ import annotations
 
 from itertools import permutations
+from operator import mul
 
 from . import lattice
 from .demazure import DemazureRoot, _root, all_roots
 from .errors import InfiniteRoots, NoWitness, NotComplete, NotSquare, NotUnimodular
-from .fan import Fan, LatticeAutomorphism, is_complete, is_fan_automorphism
+from .fan import Cone, Fan, LatticeAutomorphism, is_complete, is_fan_automorphism
 from .lattice import Mat, Value, Vec, dot, neg
 
 
@@ -54,6 +55,22 @@ def complete_collections(fan: Fan) -> tuple[CompleteCollection, ...]:
     cone of the fan, hence maximal, and by the lemma in
     :mod:`toricroots.fan` its rays are exactly p_1..p_n.
 
+    The dual basis is read off the cone's stored facet normals, with no
+    elimination. A maximal cone with n rays and no equations is
+    full-dimensional, so its rays are independent and it is simplicial:
+    for each ray p_j exactly one primitive normal a_j does not vanish on
+    p_j, and A P^T = diag(c) with every c_j = <a_j, p_j> > 0. The cone is
+    unimodular iff every c_j = 1, and then the a_j are its dual basis.
+    Proof: if A P^T = I then det A det P = 1 over Z, so P is unimodular.
+    Conversely, if P is unimodular its dual vectors q_j are integral and
+    primitive (q_j pairs to 1 with p_j), and q_j is a positive multiple of
+    a_j (both vanish on the other rays and are positive on p_j); two
+    primitive vectors on one ray are equal, so a_j = q_j and c_j = 1. A
+    cone with equations is skipped: it is not full-dimensional, so by the
+    above it holds no collection, and its normals need not single out one
+    ray each (the cone over the unit square in Z^4 has 4 rays, and each
+    normal pairs to 0 or 1 with every one of them).
+
     A candidate (q, ray) recurs on every cone through the ray that has q in
     its dual basis, so each distinct one is checked once per call.
     """
@@ -61,11 +78,10 @@ def complete_collections(fan: Fan) -> tuple[CompleteCollection, ...]:
     out = []
     checked: dict[tuple[Vec, int], DemazureRoot | None] = {}
     for cone in fan.max_cones:
-        if len(cone.ray_indices) != n:
+        if len(cone.ray_indices) != n or cone.equations:
             continue
-        try:
-            dual = lattice.dual_basis([fan.rays[i] for i in cone.ray_indices])
-        except NotUnimodular:
+        dual = _unit_normals(cone, fan.rays)
+        if dual is None:
             continue
         roots = []
         for key in zip(dual, cone.ray_indices):
@@ -77,6 +93,22 @@ def complete_collections(fan: Fan) -> tuple[CompleteCollection, ...]:
         else:
             out.append(CompleteCollection(tuple(roots)))
     return tuple(out)
+
+
+def _unit_normals(cone: Cone, rays: tuple[Vec, ...]) -> list[Vec] | None:
+    """For each ray p_j of a simplicial full-dimensional cone, the one facet
+    normal a_j that does not vanish on it; None unless every <a_j, p_j> = 1."""
+    out = []
+    for i in cone.ray_indices:
+        p = rays[i]
+        for a in cone.inequalities:
+            c = sum(map(mul, a, p))
+            if c:
+                break
+        if c != 1:
+            return None
+        out.append(a)
+    return out
 
 
 class AdditiveDecision(Value):
@@ -135,7 +167,13 @@ class EquivalenceWitness(Value):
 def verify_witness(fan: Fan, c1: CompleteCollection, c2: CompleteCollection,
                    witness: EquivalenceWitness) -> bool:
     """Check the witness: fan automorphism, ray bijection, and that the dual
-    map carries the first root set onto the second."""
+    map carries the first root set onto the second.
+
+    Building the automorphism checks that g is unimodular (one
+    elimination, the determinant), so the dual map g^-T is a bijection of
+    M. It carries c1's roots onto c2's iff g^T carries c2's roots onto
+    c1's, which is what is checked: no inverse is computed.
+    """
     try:
         g = witness.automorphism()
     except (NotSquare, NotUnimodular):
@@ -145,9 +183,9 @@ def verify_witness(fan: Fan, c1: CompleteCollection, c2: CompleteCollection,
     for i, j in witness.ray_map:
         if g.apply(fan.rays[i]) != fan.rays[j]:
             return False
-    pushforward = lattice.transpose(lattice.invert_unimodular(witness.matrix))
-    image = {lattice.mat_vec(pushforward, e) for e in c1.root_vectors}
-    return image == set(c2.root_vectors)
+    pullback = lattice.transpose(witness.matrix)
+    image = {lattice.mat_vec(pullback, e) for e in c2.root_vectors}
+    return image == set(c1.root_vectors)
 
 
 def find_equivalence(fan: Fan, c1: CompleteCollection,
@@ -155,12 +193,15 @@ def find_equivalence(fan: Fan, c1: CompleteCollection,
     """Search ray bijections for an automorphism mapping c1 onto c2.
 
     The automorphism is solved exactly from gamma(p_i) = p'_{pi(i)} over the
-    unimodular basis of c1 and then verified unconditionally. A witness
+    unimodular basis P_1 of c1. No elimination is needed: c1's roots are
+    the negated dual basis of P_1, so P_1^-1 is the matrix whose columns are
+    the negated roots. Each candidate is then verified unconditionally, so a
+    c1 whose roots are not that dual basis yields no witness. A witness
     always exists for two complete collections of the same fan, so failure
     raises NoWitness loudly.
     """
     rays1 = c1.ray_indices
-    p1_inv = lattice.invert_unimodular(c1.basis_matrix(fan))
+    p1_inv = lattice.transpose(tuple(neg(e) for e in c1.root_vectors))
     for perm in permutations(c2.ray_indices):
         p2 = tuple(fan.rays[j] for j in perm)
         gamma = lattice.transpose(lattice.mat_mul(p1_inv, p2))

@@ -19,9 +19,15 @@ start of the double description it had before one Gauss-Jordan pass
 replaced it: one cofactor determinant of order n - 1 per entry of the
 adjugate. The
 code is kept as it was; only the module references differ, and only the
-cache of ``minimal_rays`` (keyed on vectors, not on fans) is kept. Every rank inside the oracles is the
-``Fraction`` rank below and every dual description the subset scan, so the
-oracles share no elimination code with what they check. The exceptions are
+cache of ``minimal_rays`` (keyed on vectors, not on fans) is kept. Two
+changes since make the C(m, n) collection scan fast enough for dimension 6
+without changing an answer: ``generated_cone_in_fan`` reads the primitive
+ray index from ``primitive_index``, cached on the ray tuple, where it built
+it on each call, and ``satisfies_condition2`` finds the rays on which e
+vanishes once per call, where it paired e with each face's rays. Every
+rank inside the oracles is the ``Fraction`` rank below and every dual
+description the subset scan, so the oracles share no elimination code with
+what they check. The exceptions are
 ``condition2_on_all_faces``, which reads the fan's face index;
 ``recession_cone_is_zero``, which runs the library's double-description
 kernel and so shares no code with the Fourier-Motzkin scan it checks; and
@@ -71,6 +77,15 @@ the symbolic check that two Cox derivations commute (``bracket_oracle``,
 with ``_apply``), the oracle of ``demazure.commute``; and
 ``degree_zero_check``, which checks that an action rule is homogeneous of
 degree zero in the Cox grading.
+
+After that, the collections and the equivalence check stopped inverting
+matrices: ``additive.complete_collections`` reads each unimodular cone's
+dual basis off its stored facet normals, and ``additive.verify_witness``
+pulls the second collection's roots back by the transpose of the witness.
+Kept below unchanged but for names: the maximal-cone scan that inverted
+each n-ray cone through ``lattice.dual_basis`` (``dual_basis_collections``)
+and the witness check that pushed the first collection's roots forward by
+the transposed inverse (``pushforward_verify_witness``).
 """
 
 from __future__ import annotations
@@ -83,9 +98,15 @@ from operator import mul
 from typing import Sequence
 
 from toricroots import lattice
-from toricroots.additive import CompleteCollection
+from toricroots.additive import CompleteCollection, EquivalenceWitness
 from toricroots.cox import CoxPresentation, GaActionFormula
-from toricroots.demazure import CoxDerivation, DemazureRoot, pairing_row, satisfies_condition1
+from toricroots.demazure import (
+    CoxDerivation,
+    DemazureRoot,
+    _root,
+    pairing_row,
+    satisfies_condition1,
+)
 from toricroots import fan as fan_module
 from toricroots.errors import (
     DegeneratePolytope,
@@ -97,7 +118,7 @@ from toricroots.errors import (
     NotUnimodular,
     TorsionClassGroup,
 )
-from toricroots.fan import Cone, Fan, LatticeAutomorphism, _is_face
+from toricroots.fan import Cone, Fan, LatticeAutomorphism, _is_face, is_fan_automorphism
 from toricroots.lattice import (
     UNBOUNDED,
     Constraint,
@@ -327,12 +348,17 @@ def minimal_rays(gens: tuple[Vec, ...], dim: int):
     return tuple(out)
 
 
+@lru_cache(maxsize=None)
+def primitive_index(rays: tuple[Vec, ...]) -> dict[Vec, int]:
+    return {primitive(r): i for i, r in enumerate(rays)}
+
+
 def generated_cone_in_fan(fan: Fan, gens: tuple[Vec, ...]) -> bool:
     """Is cone(gens) a cone of the fan? Decided on minimal generators."""
     minimal = minimal_rays(gens, fan.dim)
     if minimal is None:
         return False
-    prim_index = {primitive(r): i for i, r in enumerate(fan.rays)}
+    prim_index = primitive_index(fan.rays)
     try:
         idx = tuple(sorted(prim_index[r] for r in minimal))
     except KeyError:
@@ -341,8 +367,9 @@ def generated_cone_in_fan(fan: Fan, gens: tuple[Vec, ...]) -> bool:
 
 
 def satisfies_condition2(fan: Fan, e: Vec, ray: int) -> bool:
+    zero = {i for i, p in enumerate(fan.rays) if dot(p, e) == 0}
     for face in fan.all_faces:
-        if all(dot(fan.rays[i], e) == 0 for i in face.ray_indices):
+        if zero.issuperset(face.ray_indices):
             gens = tuple(fan.rays[i] for i in face.ray_indices) + (fan.rays[ray],)
             if not generated_cone_in_fan(fan, tuple(sorted(gens))):
                 return False
@@ -1089,3 +1116,63 @@ def degree_zero_check(pres: CoxPresentation, f: GaActionFormula) -> bool:
         for i, x in enumerate(pres.degrees[var]):
             total[i] += power * x
     return tuple(total) == pres.degrees[f.target]
+
+
+# ---------------------------------------------------------------------------
+# the collection scan and the witness check that inverted matrices
+
+
+def dual_basis_collections(fan: Fan) -> tuple[CompleteCollection, ...]:
+    """All complete collections, ordered by their sorted ray-index tuples.
+
+    A collection is forced by its distinguished rays: those must be a
+    unimodular basis and the roots are the negated dual basis. The rays
+    span a maximal cone of the fan, complete or not, so it suffices to scan
+    the maximal cones with n rays. Proof: let e_1..e_n have distinguished
+    rays p_1..p_n. For k = n down to 1, e_k vanishes on cone(p_{k+1}..p_n),
+    a cone of the fan (the zero cone for k = n), so by root condition (2)
+    cone(p_k..p_n) is in the fan. So cone(p_1..p_n) is an n-dimensional
+    cone of the fan, hence maximal, and by the lemma in
+    :mod:`toricroots.fan` its rays are exactly p_1..p_n.
+
+    A candidate (q, ray) recurs on every cone through the ray that has q in
+    its dual basis, so each distinct one is checked once per call.
+    """
+    n = fan.dim
+    out = []
+    checked: dict[tuple[Vec, int], DemazureRoot | None] = {}
+    for cone in fan.max_cones:
+        if len(cone.ray_indices) != n:
+            continue
+        try:
+            dual = lattice.dual_basis([fan.rays[i] for i in cone.ray_indices])
+        except NotUnimodular:
+            continue
+        roots = []
+        for key in zip(dual, cone.ray_indices):
+            if key not in checked:
+                checked[key] = _root(fan, neg(key[0]), key[1])
+            roots.append(checked[key])
+            if roots[-1] is None:
+                break
+        else:
+            out.append(CompleteCollection(tuple(roots)))
+    return tuple(out)
+
+
+def pushforward_verify_witness(fan: Fan, c1: CompleteCollection, c2: CompleteCollection,
+                               witness: EquivalenceWitness) -> bool:
+    """Check the witness: fan automorphism, ray bijection, and that the dual
+    map carries the first root set onto the second."""
+    try:
+        g = witness.automorphism()
+    except (NotSquare, NotUnimodular):
+        return False
+    if not is_fan_automorphism(fan, g):
+        return False
+    for i, j in witness.ray_map:
+        if g.apply(fan.rays[i]) != fan.rays[j]:
+            return False
+    pushforward = lattice.transpose(lattice.invert_unimodular(witness.matrix))
+    image = {lattice.mat_vec(pushforward, e) for e in c1.root_vectors}
+    return image == set(c2.root_vectors)
