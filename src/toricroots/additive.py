@@ -8,14 +8,13 @@ fans their existence also settles the non-normalized question.
 
 from __future__ import annotations
 
-from itertools import permutations
 from operator import mul
 
 from . import lattice
 from .demazure import DemazureRoot, _root, all_roots
 from .errors import InfiniteRoots, NoWitness, NotComplete, NotSquare, NotUnimodular
 from .fan import Cone, Fan, LatticeAutomorphism, is_complete, is_fan_automorphism
-from .lattice import Mat, Value, Vec, dot, neg
+from .lattice import Mat, Value, Vec, neg
 
 
 class CompleteCollection(Value):
@@ -38,8 +37,8 @@ class CompleteCollection(Value):
         return tuple(fan.rays[i] for i in self.ray_indices)
 
     def pairing_matrix(self, fan: Fan) -> Mat:
-        return tuple(tuple(dot(fan.rays[i], r.vector) for r in self.roots)
-                     for i in self.ray_indices)
+        """<p_i, e_j>, read off the roots' stored pairing rows (the fan's rays)."""
+        return tuple(tuple(r.pairings[i] for r in self.roots) for i in self.ray_indices)
 
 
 def complete_collections(fan: Fan) -> tuple[CompleteCollection, ...]:
@@ -72,8 +71,13 @@ def complete_collections(fan: Fan) -> tuple[CompleteCollection, ...]:
     normal pairs to 0 or 1 with every one of them).
 
     A candidate (q, ray) recurs on every cone through the ray that has q in
-    its dual basis, so each distinct one is checked once per call.
+    its dual basis, so each distinct one is checked once. The first call
+    stores the collections on the fan (``Fan._collections``), and every
+    later call, :func:`admits_additive` and :func:`theorem3con_report`
+    included, returns the stored tuple without a scan.
     """
+    if fan._collections is not None:
+        return fan._collections
     n = fan.dim
     out = []
     checked: dict[tuple[Vec, int], DemazureRoot | None] = {}
@@ -92,7 +96,8 @@ def complete_collections(fan: Fan) -> tuple[CompleteCollection, ...]:
                 break
         else:
             out.append(CompleteCollection(tuple(roots)))
-    return tuple(out)
+    object.__setattr__(fan, "_collections", tuple(out))
+    return fan._collections
 
 
 def _unit_normals(cone: Cone, rays: tuple[Vec, ...]) -> list[Vec] | None:
@@ -198,11 +203,14 @@ def find_equivalence(fan: Fan, c1: CompleteCollection,
     the negated roots. Each candidate is then verified unconditionally, so a
     c1 whose roots are not that dual basis yields no witness. A witness
     always exists for two complete collections of the same fan, so failure
-    raises NoWitness loudly.
+    raises NoWitness loudly. The candidates are the ray orders of
+    :func:`_ray_orders`: those of ``itertools.permutations(c2.ray_indices)``
+    that no pairing row rules out, in that order, so the first witness is
+    the first one in permutation order.
     """
     rays1 = c1.ray_indices
     p1_inv = lattice.transpose(tuple(neg(e) for e in c1.root_vectors))
-    for perm in permutations(c2.ray_indices):
+    for perm in _ray_orders(fan, c1, c2):
         p2 = tuple(fan.rays[j] for j in perm)
         gamma = lattice.transpose(lattice.mat_mul(p1_inv, p2))
         witness = EquivalenceWitness(gamma, tuple(zip(rays1, perm)))
@@ -212,6 +220,42 @@ def find_equivalence(fan: Fan, c1: CompleteCollection,
         f"no automorphism maps collection {rays1} onto {c2.ray_indices}; "
         "this contradicts uniqueness of normalized actions and means the "
         "input fan or the collections are corrupt")
+
+
+def _ray_orders(fan: Fan, c1: CompleteCollection, c2: CompleteCollection):
+    """The orders pi of c2's rays that the roots' pairing rows allow, in
+    ``itertools.permutations`` order, so c2's own order comes first if it
+    is allowed.
+
+    A witness gamma with gamma(p_i) = p'_pi(i) permutes the fan's rays, and
+    its dual map gamma^-T carries c1's root e_i to e'_pi(i), c2's root of
+    the ray p'_pi(i): both collections are the negated dual bases of their
+    rays. So <gamma(rho), e'_pi(i)> = <rho, e_i> for every ray rho, and for
+    each k the rays' rows (<rho, e_1>, .., <rho, e_k>) and
+    (<rho, e'_pi(1)>, .., <rho, e'_pi(k)>) are the same multiset. Orders
+    are assigned one position at a time, trying c2's rays in their own
+    order, and a prefix whose multisets differ is cut with every order that
+    extends it: it belongs to no witness. The rows are the roots' stored
+    ``pairings``, extended by one root per position.
+    """
+    wanted, rows = [], [()] * len(fan.rays)
+    for root in c1.roots:
+        rows = [row + (v,) for row, v in zip(rows, root.pairings)]
+        wanted.append(sorted(rows))
+    pairings = {root.ray: root.pairings for root in c2.roots}
+
+    def extend(prefix, rows):
+        k = len(prefix)
+        if k == len(wanted):
+            yield prefix
+            return
+        for j in c2.ray_indices:
+            if j not in prefix:
+                longer = [row + (v,) for row, v in zip(rows, pairings[j])]
+                if sorted(longer) == wanted[k]:
+                    yield from extend(prefix + (j,), longer)
+
+    return extend((), [()] * len(fan.rays))
 
 
 class ThreeConReport(Value):

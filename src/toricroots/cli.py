@@ -202,14 +202,12 @@ def _additive(args, fan_obj):
         rules = cox.action_formulas(fan_obj, decision.witness)
         result["formulas"] = [cox.format_formula(r) for r in rules]
         lines.extend(f"  {s}" for s in result["formulas"])
-    if decision.fan_complete:  # the two flags of additive.theorem3con_report
-        span = additive.condition4_distinguished_span(fan_obj)
-        result["theorem3con"] = {
-            "complete_collection_exists": decision.admits,
-            "distinguished_span": span,
-        }
-        lines.append(
-            f"theorem flags: collection {_yesno(decision.admits)}, span {_yesno(span)}")
+    if decision.fan_complete:
+        flags = additive.theorem3con_report(fan_obj)
+        result["theorem3con"] = {"complete_collection_exists": flags.complete_collection_exists,
+                                 "distinguished_span": flags.distinguished_span}
+        lines.append(f"theorem flags: collection {_yesno(flags.complete_collection_exists)}, "
+                     f"span {_yesno(flags.distinguished_span)}")
     return result, lines, decision.admits
 
 

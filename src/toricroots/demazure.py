@@ -235,12 +235,13 @@ def he_connected_pairs(fan: Fan, root: DemazureRoot) -> tuple[tuple[Cone, Cone],
     """All cone pairs (sigma1, sigma2) with e <= 0 on sigma2, e not identically
     zero there, and sigma1 the facet of sigma2 cut out by <., e> = 0.
 
-    The zero cone counts as the facet of a ray.
+    The zero cone counts as the facet of a ray. The values of e on the rays
+    are read off the root's stored pairing row, so the root must be one of
+    this fan's.
     """
-    e = root.vector
     out = []
     for c2 in fan.all_faces:
-        vals = [dot(fan.rays[i], e) for i in c2.ray_indices]
+        vals = [root.pairings[i] for i in c2.ray_indices]
         if not vals or any(v > 0 for v in vals) or all(v == 0 for v in vals):
             continue
         sub = tuple(i for i, v in zip(c2.ray_indices, vals) if v == 0)

@@ -114,12 +114,14 @@ class Fan(Value):
     A fan is its dim, rays and maximal cones: ``==``, ``hash`` and ``repr``
     read those alone. Stored beside them, and neither compared nor shown:
     the faces, derived data kept in one index by ray-index set in (size,
-    indices) order, and whether the fan is certified complete (see
-    :func:`is_complete`).
+    indices) order; whether the fan is certified complete (see
+    :func:`is_complete`); and its complete collections, None until
+    :func:`toricroots.additive.complete_collections` first scans the fan.
+    Copy and pickle keep all three.
     """
 
     _fields = ("dim", "rays", "max_cones")
-    __slots__ = (*_fields, "_by_rays", "_complete", "__weakref__")
+    __slots__ = (*_fields, "_by_rays", "_complete", "_collections", "__weakref__")
 
     def __init__(self, dim: int, rays: tuple[Vec, ...], max_cones: tuple[Cone, ...],
                  all_faces: tuple[Cone, ...]):
@@ -128,6 +130,7 @@ class Fan(Value):
         object.__setattr__(self, "max_cones", max_cones)
         object.__setattr__(self, "_by_rays", {c.ray_indices: c for c in all_faces})
         object.__setattr__(self, "_complete", False)
+        object.__setattr__(self, "_collections", None)
 
     @property
     def all_faces(self) -> tuple[Cone, ...]:
@@ -269,6 +272,8 @@ def _check_fan(dim, rays, max_cones, allow_nonprimitive: bool):
         if any(i < 0 or i >= len(rays) for i in idx):
             violations.append(f"maximal cone {k} references a missing ray")
             continue
+        if len(idx) < len(c):
+            violations.append(f"maximal cone {k} lists a ray more than once")
         cones.append(idx)
     if len(set(cones)) != len(cones):
         violations.append("maximal cones are not pairwise distinct")
@@ -498,19 +503,30 @@ def apply_automorphism(fan: Fan, g: LatticeAutomorphism) -> Fan:
 
 
 def is_fan_automorphism(fan: Fan, g: LatticeAutomorphism) -> bool:
-    """True iff g permutes the rays and the maximal-cone set of the fan."""
+    """True iff g permutes the rays and the maximal cones of the fan.
+
+    Once g is known to permute the rays, it permutes the maximal cones iff
+    it sends each maximal cone onto a cone of the fan. The image of a
+    maximal cone is generated by rays of the fan, so by the lemma in the
+    module docstring that is one lookup of their index set in the face
+    index. Proof of the
+    "if": g is a linear bijection, so it maps the faces of a cone onto the
+    faces of its image, and a fan holds the faces of its cones. So g maps
+    every cone of the fan onto a cone of the fan, and distinct cones onto
+    distinct cones. The cones are finitely many, so this map is onto them,
+    and g^-1 maps every cone of the fan onto a cone of the fan too. Both
+    preserve inclusion. If g(C) lay strictly inside a cone D of the fan for
+    a maximal cone C, then C would lie strictly inside the cone g^-1(D).
+    So g maps the maximal cones into themselves, one-to-one, hence onto.
+    """
     if g.dim != fan.dim:
         raise DimensionMismatch(f"automorphism dim {g.dim} != fan dim {fan.dim}")
     index = {r: i for i, r in enumerate(fan.rays)}
-    perm = {}
-    for i, p in enumerate(fan.rays):
-        img = g.apply(p)
-        if img not in index:
-            return False
-        perm[i] = index[img]
-    cone_sets = {c.ray_indices for c in fan.max_cones}
-    return all(tuple(sorted(perm[i] for i in c.ray_indices)) in cone_sets
-               for c in fan.max_cones)
+    perm = [index.get(g.apply(p)) for p in fan.rays]
+    if None in perm:
+        return False
+    faces = fan._by_rays
+    return all(tuple(sorted(perm[i] for i in c.ray_indices)) in faces for c in fan.max_cones)
 
 
 # ---------------------------------------------------------------------------

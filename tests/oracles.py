@@ -86,6 +86,15 @@ Kept below unchanged but for names: the maximal-cone scan that inverted
 each n-ray cone through ``lattice.dual_basis`` (``dual_basis_collections``)
 and the witness check that pushed the first collection's roots forward by
 the transposed inverse (``pushforward_verify_witness``).
+
+Then the witness search stopped trying every ray order, and the
+automorphism test stopped building a set. ``additive.find_equivalence``
+tries only the orders of the second collection's rays that the roots'
+pairing rows allow, and ``fan.is_fan_automorphism`` looks each maximal
+cone's image up in the face index. Kept below unchanged but for names: the
+loop over ``itertools.permutations`` (``permutation_find_equivalence``,
+which runs the library's ``verify_witness``) and the test against the set
+of maximal cones built per call (``cone_set_is_fan_automorphism``).
 """
 
 from __future__ import annotations
@@ -93,12 +102,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, permutations
 from operator import mul
 from typing import Sequence
 
 from toricroots import lattice
-from toricroots.additive import CompleteCollection, EquivalenceWitness
+from toricroots.additive import CompleteCollection, EquivalenceWitness, verify_witness
 from toricroots.cox import CoxPresentation, GaActionFormula
 from toricroots.demazure import (
     CoxDerivation,
@@ -113,6 +122,7 @@ from toricroots.errors import (
     DimensionMismatch,
     InternalError,
     InvalidPolytope,
+    NoWitness,
     NotSquare,
     NotStronglyConvex,
     NotUnimodular,
@@ -1176,3 +1186,49 @@ def pushforward_verify_witness(fan: Fan, c1: CompleteCollection, c2: CompleteCol
     pushforward = lattice.transpose(lattice.invert_unimodular(witness.matrix))
     image = {lattice.mat_vec(pushforward, e) for e in c1.root_vectors}
     return image == set(c2.root_vectors)
+
+
+# ---------------------------------------------------------------------------
+# the witness search over every ray order and the automorphism test on a set
+
+
+def permutation_find_equivalence(fan: Fan, c1: CompleteCollection,
+                                 c2: CompleteCollection) -> EquivalenceWitness:
+    """Search ray bijections for an automorphism mapping c1 onto c2.
+
+    The automorphism is solved exactly from gamma(p_i) = p'_{pi(i)} over the
+    unimodular basis P_1 of c1. No elimination is needed: c1's roots are
+    the negated dual basis of P_1, so P_1^-1 is the matrix whose columns are
+    the negated roots. Each candidate is then verified unconditionally, so a
+    c1 whose roots are not that dual basis yields no witness. A witness
+    always exists for two complete collections of the same fan, so failure
+    raises NoWitness loudly.
+    """
+    rays1 = c1.ray_indices
+    p1_inv = lattice.transpose(tuple(neg(e) for e in c1.root_vectors))
+    for perm in permutations(c2.ray_indices):
+        p2 = tuple(fan.rays[j] for j in perm)
+        gamma = lattice.transpose(lattice.mat_mul(p1_inv, p2))
+        witness = EquivalenceWitness(gamma, tuple(zip(rays1, perm)))
+        if verify_witness(fan, c1, c2, witness):
+            return witness
+    raise NoWitness(
+        f"no automorphism maps collection {rays1} onto {c2.ray_indices}; "
+        "this contradicts uniqueness of normalized actions and means the "
+        "input fan or the collections are corrupt")
+
+
+def cone_set_is_fan_automorphism(fan: Fan, g: LatticeAutomorphism) -> bool:
+    """True iff g permutes the rays and the maximal-cone set of the fan."""
+    if g.dim != fan.dim:
+        raise DimensionMismatch(f"automorphism dim {g.dim} != fan dim {fan.dim}")
+    index = {r: i for i, r in enumerate(fan.rays)}
+    perm = {}
+    for i, p in enumerate(fan.rays):
+        img = g.apply(p)
+        if img not in index:
+            return False
+        perm[i] = index[img]
+    cone_sets = {c.ray_indices for c in fan.max_cones}
+    return all(tuple(sorted(perm[i] for i in c.ray_indices)) in cone_sets
+               for c in fan.max_cones)

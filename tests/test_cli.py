@@ -83,6 +83,15 @@ def test_fan_check_nonprimitive_ray(tmp_path):
     assert any("not primitive" in v for v in report["result"]["violations"])
 
 
+def test_fan_check_rejects_a_cone_that_lists_a_ray_twice(tmp_path):
+    path = tmp_path / "twice.json"
+    path.write_text(json.dumps({"dim": 2, "rays": [[1, 0], [0, 1], [-1, -1]],
+                                "max_cones": [[0, 0, 1], [1, 2], [2, 0]]}))
+    code, report = run_json("fan-check", str(path))
+    assert code == 2 and report["status"] == "invalid"
+    assert report["result"]["violations"] == ["maximal cone 0 lists a ray more than once"]
+
+
 def test_fan_check_validates_once(f2_file, tmp_path, monkeypatch, capsys):
     from toricroots import cli, fan
 
@@ -327,13 +336,14 @@ def test_additive_no(p235_file):
 
 
 def test_additive_decides_once(f2_file, monkeypatch, capsys):
+    """The decision and the theorem flags read one scan of the maximal
+    cones: one dual basis per 2-ray maximal cone of F_2, four in all."""
     from toricroots import additive, cli
 
-    collections = counting(monkeypatch, additive, "complete_collections")
-    complete = counting(monkeypatch, additive, "is_complete")
+    scanned = counting(monkeypatch, additive, "_unit_normals")
     assert cli.main(["additive", f2_file]) == 0
     result = json.loads(capsys.readouterr().out)["result"]
-    assert len(collections) == 1 and len(complete) == 1
+    assert len(scanned) == 4
     assert result["theorem3con"] == {
         "complete_collection_exists": True, "distinguished_span": True}
 

@@ -18,6 +18,7 @@ from itertools import islice, permutations
 import pytest
 
 import oracles
+from helpers import shuffled
 from test_cli import counting
 from test_face_index import fans_in_dim
 from test_kernel import random_unimodular
@@ -37,17 +38,6 @@ from toricroots import additive, lattice
 from toricroots.additive import CompleteCollection, EquivalenceWitness
 from toricroots.demazure import DemazureRoot, pairing_row
 from toricroots.errors import NoWitness
-from toricroots.lattice import is_primitive
-
-
-def shuffled(fan, rng):
-    """The same fan with its rays listed in a random order."""
-    order = list(range(len(fan.rays)))
-    rng.shuffle(order)
-    pos = {old: new for new, old in enumerate(order)}
-    return build_fan(fan.dim, [fan.rays[i] for i in order],
-                     [[pos[i] for i in c.ray_indices] for c in fan.max_cones],
-                     allow_nonprimitive=not all(map(is_primitive, fan.rays)))
 
 
 @functools.lru_cache(maxsize=None)

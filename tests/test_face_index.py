@@ -35,6 +35,7 @@ from toricroots import (
     p235_model,
     product_p1,
     projective_space,
+    theorem3con_report,
     validate_fan,
     wps_one,
 )
@@ -196,6 +197,21 @@ def test_complete_collections_check_each_candidate_once(n, monkeypatch):
     fan = product_p1(n)
     assert len(complete_collections(fan)) == 2 ** n
     assert len(checks) == len({(e, ray) for _, e, ray in checks}) == 2 * n
+
+
+def test_collections_are_scanned_once_per_fan(monkeypatch):
+    """The first complete_collections call stores the tuple on the fan. A
+    second call, admits_additive and theorem3con_report return it with no
+    scan of the maximal cones and no root check."""
+    fan = product_p1(3)
+    assert fan._collections is None
+    first = complete_collections(fan)
+    scans = counting(monkeypatch, additive, "_unit_normals")
+    checks = counting(monkeypatch, additive, "_root")
+    assert complete_collections(fan) is first and fan._collections is first
+    assert admits_additive(fan).witness is first[0]
+    assert theorem3con_report(fan).complete_collection_exists
+    assert scans == [] and checks == []
 
 
 @pytest.mark.parametrize("dim", (2, 3, 4, 5))

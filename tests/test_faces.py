@@ -29,6 +29,7 @@ from toricroots import (
     apply_automorphism,
     build_fan,
     check_polytope_theorem,
+    complete_collections,
     he_connected_pairs,
     hirzebruch,
     is_complete,
@@ -215,7 +216,8 @@ def test_normal_fan_is_built_once_per_polytope(monkeypatch):
 
 def test_stored_fields_do_not_change_equality_hash_or_repr(monkeypatch):
     """Every fan stores the certificate's answer at build, so the same data
-    built with the certificate forced off stores False and is still equal."""
+    built with the certificate forced off stores False and is still equal.
+    A fan whose collections are stored equals one not yet scanned."""
     built = projective_space(3)
     with monkeypatch.context() as mp:
         mp.setattr(fan_module, "_certify_complete", lambda *_: False)
@@ -229,6 +231,10 @@ def test_stored_fields_do_not_change_equality_hash_or_repr(monkeypatch):
     assert p == q and hash(p) == hash(q) and repr(p) == repr(q)
     assert "_normal_fan" not in repr(p)
     assert "_complete" not in repr(built)
+    fresh = projective_space(3)
+    assert len(complete_collections(built)) == 4 and fresh._collections is None
+    assert built == fresh and hash(built) == hash(fresh) and repr(built) == repr(fresh)
+    assert "_collections" not in repr(built)
 
 
 def test_polytope_and_its_normal_fan_are_freed():

@@ -118,6 +118,19 @@ def test_validate_missing_ray_use():
     assert any("does not appear" in v for v in violations)
 
 
+def test_validate_a_cone_that_lists_a_ray_twice():
+    """A repeated index is a violation, as repeated rays and cones are; it
+    is not read as the cone on the distinct indices."""
+    rays = [(1, 0), (0, 1), (-1, -1)]
+    assert validate_fan(2, rays, [(0, 0, 1), (1, 2), (2, 0)]) == [
+        "maximal cone 0 lists a ray more than once"]
+    assert validate_fan(2, rays, [(0, 1), (1, 2, 2, 1), (2, 0, 2)]) == [
+        "maximal cone 1 lists a ray more than once",
+        "maximal cone 2 lists a ray more than once"]
+    with pytest.raises(InvalidFan):
+        build_fan(2, rays, [(0, 0, 1), (1, 2), (2, 0)])
+
+
 def test_build_fan_raises():
     with pytest.raises(InvalidFan):
         build_fan(2, [(2, 0), (0, 1)], [(0, 1)])

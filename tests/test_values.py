@@ -261,16 +261,25 @@ def test_every_value_type_survives_copy_and_pickle(corpus):
 
 def test_stored_fields_survive_copy_and_pickle():
     fans = [product_p1(3), quadrant_fan()]
+    scanned = [product_p1(3), quadrant_fan()]
+    for f in scanned:
+        complete_collections(f)
     fresh, used = builtin_polytope("cube", 3), builtin_polytope("cube", 3)
     normal_fan(used)
     assert [f._complete for f in fans] == [True, False]
+    assert [len(f._collections) for f in scanned] == [8, 1]
     for trip in ROUND_TRIPS:
-        for f in fans:
+        for f in fans + scanned:
             r = trip(f)
             assert r._complete is f._complete and r._by_rays == f._by_rays
             assert r.all_faces == f.all_faces and r.face_sets == f.face_sets
             assert all(r.cone(c.ray_indices) == c for c in f.all_faces)
             assert is_complete(r) is f._complete
+            assert r._collections == f._collections
+        assert all(trip(f)._collections is None for f in fans)
+        for f in scanned:
+            r = trip(f)
+            assert complete_collections(r) is r._collections == f._collections
         for p in (fresh, used):
             r = trip(p)
             assert r._facets == p._facets and r._on == p._on
