@@ -3,18 +3,19 @@
 A root is a lattice vector e pairing to -1 with exactly one ray generator
 (its distinguished ray) and nonnegatively with every other, such that for
 every cone on which e vanishes, the cone spanned together with the
-distinguished ray is again in the fan. The second condition is implied by
-the first on fans with convex support (Demazure 1970 defines the roots of a
-complete fan by the first alone), but no branch depends on that.
+distinguished ray is again in the fan.
 
 Given the first condition, the second is local to the maximal cones: for
 each maximal cone C not containing the distinguished ray rho, the face of C
-on which e vanishes, spanned together with rho, must be a cone of the fan
-(the proof is in :func:`satisfies_condition2`). Each test is a lookup in
-the fan's face index, by the lemma in :mod:`toricroots.fan`: a ray of a
-fan that lies in a cone tau of the fan is one of tau's rays, so
-cone(sigma + rho) is a cone of the fan iff the ray-index set of sigma plus
-rho is in ``fan.face_sets``.
+on which e vanishes, spanned together with rho, must be a cone of the fan.
+On a fan certified complete it always is, so the first condition alone
+decides (Demazure 1970 defines the roots of a complete fan by it; Cox,
+Little and Schenck, section 3.4); both proofs are in
+:func:`satisfies_condition2`. On any other fan each test is a lookup in the
+fan's face index, by the lemma in :mod:`toricroots.fan`: a ray of a fan
+that lies in a cone tau of the fan is one of tau's rays, so cone(sigma +
+rho) is a cone of the fan iff the ray-index set of sigma plus rho is in
+``fan.face_sets``. The index is built on the first such test.
 """
 
 from __future__ import annotations
@@ -103,6 +104,23 @@ def satisfies_condition2(fan: Fan, e: Vec, ray: int) -> bool:
     By the lemma in :mod:`toricroots.fan`, the ray set of cone(sigma + rho)
     is exactly the rays of sigma plus rho, so each test is one lookup in
     ``fan.face_sets``.
+
+    On a complete fan every test passes, so nothing is looked up (and the
+    face index is not built). Let C be a maximal cone not containing rho
+    and x a point of the relative interior of Z_C. The segment x + t p_rho,
+    t in [0, 1], is covered by the finitely many closed maximal cones, each
+    of which meets it in a closed subsegment. Those through x meet it in
+    pieces t in [0, a], and those that miss x miss all t in some [0, s]
+    with s > 0, so the pieces [0, a] cover [0, s]: one maximal cone D
+    holds x + t p_rho for all t in some [0, t1] with t1 > 0. The point
+    y = x + t1 p_rho has <y, e> = -t1 < 0, while e >= 0 on every ray of
+    the fan but rho: as y is a nonnegative combination of D's rays, rho is
+    one of them. D & C is a face of C that holds x, and a face of C through
+    a relative interior point of its face Z_C contains Z_C; so Z_C is a
+    face of D & C, hence of D. By (a), cone(Z_C + rho) is a face of D, a
+    cone of the fan. The fans read as complete are those
+    :func:`toricroots.fan.is_complete` certifies; any other fan takes the
+    lookups.
     """
     row = pairing_row(fan, e)
     if not _condition1(row, ray):
@@ -111,7 +129,9 @@ def satisfies_condition2(fan: Fan, e: Vec, ray: int) -> bool:
 
 
 def _condition2(fan: Fan, row: Vec, ray: int) -> bool:
-    faces = fan._by_rays
+    if fan._complete:
+        return True
+    faces = fan._index
     return all(tuple(sorted([ray, *(i for i in c.ray_indices if row[i] == 0)])) in faces
                for c in fan.max_cones if ray not in c.ray_indices)
 

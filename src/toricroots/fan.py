@@ -3,22 +3,26 @@
 The lattice N is identified with Z^n and its dual M with Z^n via the standard
 dot pairing. Cones are stored by indices into the fan's ray list together
 with an exact dual description (facet inequalities plus span equations), so
-non-simplicial cones are supported throughout. Only the maximal cones'
-descriptions are computed; every other face is found by walking down
-through facets from the first maximal cone (in sorted order) that contains
-it, and reads its description off that cone (see :class:`Cone`). A
-lower-dimensional cone is described in pivot coordinates, not by the Smith
-form (:func:`_dual_description`).
+non-simplicial cones are supported throughout. :func:`build_fan` computes
+the maximal cones' descriptions and nothing else. A lower-dimensional cone
+is described in pivot coordinates, not by the Smith form
+(:func:`_dual_description`).
 
 A :class:`Fan` is the value of its defining data, the dimension, the rays
 and the maximal cones: it compares, hashes and prints by those alone, since
-every other cone is derived from them. :func:`build_fan` derives the faces
-once and keeps them in one index by ray-index set, which ``all_faces``,
-``face_sets`` and ``Fan.cone`` read. Questions about cones of the fan are
-lookups in that index, by one lemma: in a fan, a ray rho meets any cone tau
-in a face of tau, so a ray of the fan that lies in tau is one of tau's
-rays. Hence a cone generated by some rays S of the fan is a cone of the fan
-iff S is a face's ray-index set (``S in fan.face_sets``).
+every other cone is derived from them. The other faces are derived on
+demand: the first use of ``all_faces``, ``face_sets`` or ``Fan.cone``
+walks down through facets from the first maximal cone (in sorted order)
+that contains each face, reads its description off that cone (see
+:class:`Cone`), and keeps the faces in one index by ray-index set
+(:func:`_face_index`). Questions about cones of the fan are lookups in
+that index, by one lemma: in a fan, a ray rho meets any cone tau in a face
+of tau, so a ray of the fan that lies in tau is one of tau's rays. Hence a
+cone generated by some rays S of the fan is a cone of the fan iff S is a
+face's ray-index set (``S in fan.face_sets``). The decision engine needs no
+such question on a complete fan (see
+:func:`toricroots.demazure.satisfies_condition2`), so it never builds the
+index there.
 
 Validation checks each maximal cone on its own, then that any two meet in
 a common face. When every maximal cone is n-dimensional, a local
@@ -113,8 +117,9 @@ class Fan(Value):
 
     A fan is its dim, rays and maximal cones: ``==``, ``hash`` and ``repr``
     read those alone. Stored beside them, and neither compared nor shown:
-    the faces, derived data kept in one index by ray-index set in (size,
-    indices) order; whether the fan is certified complete (see
+    the face index by ray-index set in (size, indices) order, None until the
+    first use of ``all_faces``, ``face_sets`` or ``cone`` builds it
+    (:func:`_face_index`); whether the fan is certified complete (see
     :func:`is_complete`); and its complete collections, None until
     :func:`toricroots.additive.complete_collections` first scans the fan.
     Copy and pickle keep all three.
@@ -123,29 +128,35 @@ class Fan(Value):
     _fields = ("dim", "rays", "max_cones")
     __slots__ = (*_fields, "_by_rays", "_complete", "_collections", "__weakref__")
 
-    def __init__(self, dim: int, rays: tuple[Vec, ...], max_cones: tuple[Cone, ...],
-                 all_faces: tuple[Cone, ...]):
+    def __init__(self, dim: int, rays: tuple[Vec, ...], max_cones: tuple[Cone, ...]):
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "rays", rays)
         object.__setattr__(self, "max_cones", max_cones)
-        object.__setattr__(self, "_by_rays", {c.ray_indices: c for c in all_faces})
+        object.__setattr__(self, "_by_rays", None)
         object.__setattr__(self, "_complete", False)
         object.__setattr__(self, "_collections", None)
 
     @property
+    def _index(self) -> dict:
+        """The face index, built on first use."""
+        if self._by_rays is None:
+            object.__setattr__(self, "_by_rays", _face_index(self))
+        return self._by_rays
+
+    @property
     def all_faces(self) -> tuple[Cone, ...]:
-        return tuple(self._by_rays.values())
+        return tuple(self._index.values())
 
     @property
     def face_sets(self):
         """The faces' ray-index sets, a set-like view of the index."""
-        return self._by_rays.keys()
+        return self._index.keys()
 
     def cone(self, ray_indices) -> Cone:
         key = tuple(sorted(ray_indices))
-        if key not in self._by_rays:
+        if key not in self._index:
             raise KeyError(f"no cone with rays {key}")
-        return self._by_rays[key]
+        return self._index[key]
 
     def contains_point(self, v: Vec) -> bool:
         return any(c.contains(v) for c in self.max_cones)
@@ -225,12 +236,11 @@ def _intersection_rays(gens: tuple[Vec, ...], rows, ineqs, eqs) -> tuple[Vec, ..
 def _check_fan(dim, rays, max_cones, allow_nonprimitive: bool):
     """Validate fan data in one pass; raise InvalidFan with every violation.
 
-    Returns the rays; keyed by each maximal cone's sorted ray indices, its
-    dual description and the ray sets its facet normals vanish on (one set
-    per inequality); and whether :func:`_certify_complete` certified the fan
-    complete. A certified fan is a fan by that certificate; any other runs
-    the scan of all pairs of maximal cones, which checks that they meet in a
-    common face.
+    Returns the rays; each maximal cone's dual description, keyed by its
+    sorted ray indices; and whether :func:`_certify_complete` certified the
+    fan complete. A certified fan is a fan by that certificate; any other
+    runs the scan of all pairs of maximal cones, which checks that they meet
+    in a common face.
     """
     if not lattice.is_integer(dim):
         raise InvalidFan(["dim must be an integer"])
@@ -310,7 +320,7 @@ def _check_fan(dim, rays, max_cones, allow_nonprimitive: bool):
                 f"maximal cone {list(meet_idx)} is contained in another maximal cone")
     if violations:
         raise InvalidFan(violations)
-    return rays, {idx: (descs[idx], tights[idx]) for idx in descs}, certified
+    return rays, descs, certified
 
 
 def _certify_complete(rays, cones, descs, tights) -> bool:
@@ -450,26 +460,36 @@ def _face_cone(face: tuple[int, ...], ineqs, eqs, tight, d: int, dim: int):
     return Cone(face, tuple(cuts[s] for s in facets), tuple(rows), d), facets
 
 
-def build_fan(dim, rays, max_cones, allow_nonprimitive: bool = False) -> Fan:
-    """Validate and assemble a Fan: every face, with its dual description,
-    indexed by its ray-index set; maximal cones and faces sorted. A walk
-    from each maximal cone, in sorted order, down through the facets of its
-    faces (:func:`_face_cone`) skips the faces already described, so each
-    face is described once, by the first maximal cone containing it. The
-    answer of :func:`_certify_complete` is stored as the fan's completeness.
-    """
-    rays, cones, certified = _check_fan(dim, rays, max_cones, allow_nonprimitive)
-    faces = {(): Cone((), (), lattice.identity(dim)[::-1], 0)}
-    for idx in sorted(cones):
-        (ineqs, eqs), tight = cones[idx]
-        stack = [(idx, dim - len(eqs))]  # a maximal cone's equations are independent
+def _face_index(fan: Fan) -> dict:
+    """Every face of the fan with its dual description, keyed by its
+    ray-index set in (size, indices) order. A walk from each maximal cone,
+    in sorted order, down through the facets of its faces
+    (:func:`_face_cone`) skips the faces already described, so each face is
+    described once, by the first maximal cone containing it. Each maximal
+    cone's tight sets are read off its stored inequalities."""
+    faces = {(): Cone((), (), lattice.identity(fan.dim)[::-1], 0)}
+    for c in fan.max_cones:
+        tight = [frozenset(i for i in c.ray_indices if dot(a, fan.rays[i]) == 0)
+                 for a in c.inequalities]
+        stack = [(c.ray_indices, c.dim)]
         while stack:
             f, d = stack.pop()
             if f not in faces:
-                faces[f], facets = _face_cone(f, ineqs, eqs, tight, d, dim)
+                faces[f], facets = _face_cone(f, c.inequalities, c.equations, tight, d, fan.dim)
                 stack.extend((tuple(sorted(s)), d - 1) for s in facets)
-    fan = Fan(dim, rays, tuple(faces[idx] for idx in sorted(cones)),
-              tuple(sorted(faces.values(), key=lambda c: (len(c.ray_indices), c.ray_indices))))
+    return {f: faces[f] for f in sorted(faces, key=lambda s: (len(s), s))}
+
+
+def build_fan(dim, rays, max_cones, allow_nonprimitive: bool = False) -> Fan:
+    """Validate and assemble a Fan: the maximal cones, sorted, each with its
+    stored dual description (its equations are independent, so its
+    dimension is dim minus their number). The other faces are described on
+    first use (:func:`_face_index`). The answer of
+    :func:`_certify_complete` is stored as the fan's completeness.
+    """
+    rays, descs, certified = _check_fan(dim, rays, max_cones, allow_nonprimitive)
+    fan = Fan(dim, rays, tuple(Cone(idx, ineqs, eqs, dim - len(eqs))
+                               for idx, (ineqs, eqs) in sorted(descs.items())))
     object.__setattr__(fan, "_complete", certified)
     return fan
 
@@ -505,19 +525,11 @@ def apply_automorphism(fan: Fan, g: LatticeAutomorphism) -> Fan:
 def is_fan_automorphism(fan: Fan, g: LatticeAutomorphism) -> bool:
     """True iff g permutes the rays and the maximal cones of the fan.
 
-    Once g is known to permute the rays, it permutes the maximal cones iff
-    it sends each maximal cone onto a cone of the fan. The image of a
-    maximal cone is generated by rays of the fan, so by the lemma in the
-    module docstring that is one lookup of their index set in the face
-    index. Proof of the
-    "if": g is a linear bijection, so it maps the faces of a cone onto the
-    faces of its image, and a fan holds the faces of its cones. So g maps
-    every cone of the fan onto a cone of the fan, and distinct cones onto
-    distinct cones. The cones are finitely many, so this map is onto them,
-    and g^-1 maps every cone of the fan onto a cone of the fan too. Both
-    preserve inclusion. If g(C) lay strictly inside a cone D of the fan for
-    a maximal cone C, then C would lie strictly inside the cone g^-1(D).
-    So g maps the maximal cones into themselves, one-to-one, hence onto.
+    Once g permutes the rays, the image of a maximal cone is the cone over
+    the images of its rays, so it is a maximal cone iff their index set is
+    one of the maximal cones' ray-index sets. Distinct maximal cones have
+    distinct ray sets, and so distinct images: a map of the maximal cones
+    into themselves that is one-to-one is a permutation.
     """
     if g.dim != fan.dim:
         raise DimensionMismatch(f"automorphism dim {g.dim} != fan dim {fan.dim}")
@@ -525,8 +537,8 @@ def is_fan_automorphism(fan: Fan, g: LatticeAutomorphism) -> bool:
     perm = [index.get(g.apply(p)) for p in fan.rays]
     if None in perm:
         return False
-    faces = fan._by_rays
-    return all(tuple(sorted(perm[i] for i in c.ray_indices)) in faces for c in fan.max_cones)
+    cones = {c.ray_indices for c in fan.max_cones}
+    return all(tuple(sorted(perm[i] for i in c.ray_indices)) in cones for c in fan.max_cones)
 
 
 # ---------------------------------------------------------------------------
@@ -547,13 +559,8 @@ def product_p1(n: int) -> Fan:
     """Fan of (P^1)^n: rays +-e_i interleaved, one cone per sign pattern."""
     if n < 1:
         raise BadParams("product_p1 needs n >= 1")
-    rays = []
-    for i in range(n):
-        e = tuple(int(i == j) for j in range(n))
-        rays.extend([e, neg(e)])
-    cones = []
-    for mask in range(2 ** n):
-        cones.append(tuple(2 * i + ((mask >> i) & 1) for i in range(n)))
+    rays = [tuple(s * int(i == j) for j in range(n)) for i in range(n) for s in (1, -1)]
+    cones = [tuple(2 * i + ((mask >> i) & 1) for i in range(n)) for mask in range(2 ** n)]
     return build_fan(n, rays, cones)
 
 
@@ -604,11 +611,9 @@ def builtin_fan(name: str, *params: int) -> Fan:
     if name not in _BUILTIN_FANS:
         raise BadParams(f"unknown fan generator {name!r}")
     func, arity = _BUILTIN_FANS[name]
-    if arity is None:
-        if not params:
-            raise BadParams(f"{name} needs at least one parameter")
-        return func(*params)
-    if len(params) != arity:
+    if arity is None and not params:
+        raise BadParams(f"{name} needs at least one parameter")
+    if arity is not None and len(params) != arity:
         raise BadParams(f"{name} takes {arity} parameter(s), got {len(params)}")
     return func(*params)
 

@@ -69,8 +69,8 @@ where the library's reads ``Fan(...)``. Their methods run the library's
 code, but their ``__init__``, ``__eq__``, ``__hash__`` and ``__repr__`` are
 the ones ``dataclasses`` generates. ``Fan`` then became the value of its
 dim, rays and maximal cones, with one face index; its dataclass follows it
-(``all_faces`` is an ``__init__`` argument outside compare and repr, and
-``face_sets`` a view of the index).
+(the index is built on first use, outside ``__init__``, compare and repr,
+and ``face_sets`` is a view of it).
 
 Two routines that only tests called moved here unchanged from ``src/``:
 the symbolic check that two Cox derivations commute (``bracket_oracle``,
@@ -636,8 +636,11 @@ def build_fan_by_closure(dim, rays, max_cones, allow_nonprimitive: bool = False)
     indexed by its ray-index set. Maximal cones and faces are sorted. The
     answer of :func:`_certify_complete` is stored on the fan as its
     completeness. (The face sets are closed here, from the facet ray sets
-    that the library's validation returns.)"""
-    rays, cones, certified = fan_module._check_fan(dim, rays, max_cones, allow_nonprimitive)
+    of the dual descriptions that the library's validation returns.)"""
+    rays, descs, certified = fan_module._check_fan(dim, rays, max_cones, allow_nonprimitive)
+    cones = {idx: ((ineqs, eqs), [frozenset(i for i in idx if dot(a, rays[i]) == 0)
+                                  for a in ineqs])
+             for idx, (ineqs, eqs) in descs.items()}
     owner = {}
     for idx in sorted(cones):
         for f in faces(idx, cones[idx][1]):
@@ -655,7 +658,8 @@ def build_fan_by_closure(dim, rays, max_cones, allow_nonprimitive: bool = False)
         dims[f] = cone.dim
         all_faces.append(cone)
     max_cones = tuple(c for c in all_faces if c.ray_indices in cones)
-    fan = Fan(dim, rays, tuple(sorted(max_cones, key=lambda c: c.ray_indices)), all_faces)
+    fan = Fan(dim, rays, tuple(sorted(max_cones, key=lambda c: c.ray_indices)))
+    object.__setattr__(fan, "_by_rays", {c.ray_indices: c for c in all_faces})
     object.__setattr__(fan, "_complete", certified)
     return fan
 
@@ -889,20 +893,22 @@ class dataclass_values:
         dim: int
         rays: tuple[Vec, ...]
         max_cones: tuple[Cone, ...]
-        all_faces: tuple[Cone, ...] = field(repr=False, compare=False)
-        _by_rays: dict = field(init=False, repr=False, compare=False)
+        _by_rays: dict = field(default=None, init=False, repr=False, compare=False)
         _complete: bool = field(default=False, init=False, repr=False, compare=False)  # see is_complete
 
-        def __post_init__(self):
-            object.__setattr__(self, "_by_rays", {c.ray_indices: c for c in self.all_faces})
+        @property
+        def _index(self) -> dict:
+            if self._by_rays is None:
+                object.__setattr__(self, "_by_rays", fan_module._face_index(self))
+            return self._by_rays
 
         @property
         def face_sets(self):
-            return self._by_rays.keys()
+            return self._index.keys()
 
         def cone(self, ray_indices) -> Cone:
             key = tuple(sorted(ray_indices))
-            if key not in self._by_rays:
+            if key not in self._index:
                 raise KeyError(f"no cone with rays {key}")
             return self._by_rays[key]
 

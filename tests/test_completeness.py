@@ -67,7 +67,7 @@ def ridge_on_three_cones():
     rays = [(1, 0), (0, 1), (-1, -1), (1, 1)]
     blowup = build_fan(2, rays, [(0, 3), (3, 1), (1, 2), (2, 0)])
     quadrant = build_fan(2, rays[:3], [(0, 1), (1, 2), (2, 0)]).cone((0, 1))
-    return Fan(2, blowup.rays, blowup.max_cones + (quadrant,), blowup.all_faces + (quadrant,))
+    return Fan(2, blowup.rays, blowup.max_cones + (quadrant,))
 
 
 @pytest.mark.parametrize("dim", (1, 2, 3, 4, 5))

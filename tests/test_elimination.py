@@ -343,21 +343,25 @@ def test_corpus_fans_equal_the_closure_assembly():
 
 
 def test_the_walk_describes_each_face_once(monkeypatch):
-    """One _face_cone call per face other than the zero cone, never two for
-    the same face; a certified fan makes one closure test per maximal cone
-    (strong convexity) and one per ray of it (minimal generators), none per
-    face."""
+    """The build describes no face; the first all_faces access makes one
+    _face_cone call per face other than the zero cone, never two for the
+    same face, and a second access makes none. A certified fan makes one
+    closure test per maximal cone (strong convexity) and one per ray of it
+    (minimal generators), none per face."""
     calls = counting(monkeypatch, fan_module, "_face_cone")
     closures = counting(monkeypatch, fan_module, "_is_face")
     for make in (lambda: product_p1(5), lambda: normal_fan(cube(4)), *LOWER_DIMENSIONAL):
         calls.clear()
         closures.clear()
         fan = make()
-        described = [args[0] for args in calls]
-        assert len(described) == len(set(described)) == len(fan.all_faces) - 1
-        assert set(described) | {()} == fan.face_sets
+        assert calls == [] and fan._by_rays is None
         if fan._complete:
             assert len(closures) == sum(1 + len(c.ray_indices) for c in fan.max_cones)
+        faces = fan.all_faces
+        described = [args[0] for args in calls]
+        assert len(described) == len(set(described)) == len(faces) - 1
+        assert set(described) | {()} == fan.face_sets
+        assert fan.all_faces == faces and len(calls) == len(described)
     assert len(product_p1(5).all_faces) == 3 ** 5
 
 

@@ -167,8 +167,8 @@ def test_condition2_reads_only_the_maximal_cones():
     cone not through the distinguished ray (64 of 128, of 2,187 faces), and
     reads no other face."""
     fan = product_p1(7)
-    bare = Fan(fan.dim, fan.rays, fan.max_cones, fan.all_faces)
-    object.__setattr__(bare, "_by_rays", CountingDict(bare._by_rays))
+    bare = Fan(fan.dim, fan.rays, fan.max_cones)  # not certified complete
+    object.__setattr__(bare, "_by_rays", CountingDict(fan._index))
     for ray in range(len(fan.rays)):
         e = tuple(-x for x in fan.rays[ray])  # the rays are the +-unit vectors
         outside = sum(ray not in c.ray_indices for c in fan.max_cones)

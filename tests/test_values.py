@@ -289,6 +289,22 @@ def test_stored_fields_survive_copy_and_pickle():
         assert admits_additive(normal_fan(trip(used))).admits
 
 
+@pytest.mark.parametrize("make", [lambda: product_p1(3), quadrant_fan,
+                                  lambda: normal_fan(builtin_polytope("cube", 3))])
+def test_a_fan_copies_before_and_after_its_index_is_built(make):
+    """A copy keeps the index if the original had built it, and builds an
+    equal one on first use if not."""
+    for trip in ROUND_TRIPS:
+        for built in (False, True):
+            f = make()
+            if built:
+                f.all_faces
+            r = trip(f)
+            assert (r._by_rays is not None) is built and (f._by_rays is not None) is built
+            assert r == f and hash(r) == hash(f) and repr(r) == repr(f)
+            assert r.all_faces == f.all_faces and r.face_sets == f.face_sets
+
+
 def defining(fan):
     return fan.dim, fan.rays, fan.max_cones
 
@@ -298,12 +314,18 @@ def test_a_fan_is_its_dim_rays_and_max_cones():
     and maximal cones are; the faces they carry play no part."""
     fans = [f for d in FANS for f in (FANS[d](), FANS[d]())] + [quadrant_fan(), cone_fan(3)]
     p1 = product_p1(3)
+    p1.all_faces  # builds its index
+    empty, partial = Fan(p1.dim, p1.rays, p1.max_cones), Fan(p1.dim, p1.rays, p1.max_cones)
+    object.__setattr__(empty, "_by_rays", {})
+    object.__setattr__(partial, "_by_rays", dict(list(p1._by_rays.items())[:5]))
     fans += [
-        Fan(p1.dim, p1.rays, p1.max_cones, ()),
-        Fan(p1.dim, p1.rays, p1.max_cones, p1.all_faces[:5]),
-        Fan(p1.dim + 1, p1.rays, p1.max_cones, p1.all_faces),
-        Fan(p1.dim, p1.rays[::-1], p1.max_cones, p1.all_faces),
-        Fan(p1.dim, p1.rays, p1.max_cones[1:], p1.all_faces),
+        p1,
+        Fan(p1.dim, p1.rays, p1.max_cones),
+        empty,
+        partial,
+        Fan(p1.dim + 1, p1.rays, p1.max_cones),
+        Fan(p1.dim, p1.rays[::-1], p1.max_cones),
+        Fan(p1.dim, p1.rays, p1.max_cones[1:]),
     ]
     seen = set()
     for f, g in combinations(fans, 2):
