@@ -22,9 +22,6 @@ class CompleteCollection(Value):
 
     __slots__ = _fields = ("roots",)
 
-    def __init__(self, roots: tuple[DemazureRoot, ...]):
-        object.__setattr__(self, "roots", roots)
-
     @property
     def ray_indices(self) -> tuple[int, ...]:
         return tuple(r.ray for r in self.roots)
@@ -117,12 +114,10 @@ def _unit_normals(cone: Cone, rays: tuple[Vec, ...]) -> list[Vec] | None:
 
 
 class AdditiveDecision(Value):
-    __slots__ = _fields = ("admits", "witness", "fan_complete")
+    """Whether the fan admits a complete collection, the first one (or
+    None), and whether the fan is complete."""
 
-    def __init__(self, admits: bool, witness: CompleteCollection | None, fan_complete: bool):
-        object.__setattr__(self, "admits", admits)
-        object.__setattr__(self, "witness", witness)
-        object.__setattr__(self, "fan_complete", fan_complete)
+    __slots__ = _fields = ("admits", "witness", "fan_complete")
 
     @property
     def reading(self) -> str:
@@ -157,13 +152,11 @@ def condition4_distinguished_span(fan: Fan, bound: int | None = None) -> bool:
 
 
 class EquivalenceWitness(Value):
-    """A fan automorphism carrying one collection onto another."""
+    """A fan automorphism carrying one collection onto another: ``matrix``
+    is gamma acting on N, with gamma(p_i) = p'_{pi(i)}, and ``ray_map``
+    holds the pairs (i, pi(i))."""
 
     __slots__ = _fields = ("matrix", "ray_map")
-
-    def __init__(self, matrix: Mat, ray_map: tuple[tuple[int, int], ...]):
-        object.__setattr__(self, "matrix", matrix)  # gamma, acting on N; gamma(p_i) = p'_{pi(i)}
-        object.__setattr__(self, "ray_map", ray_map)
 
     def automorphism(self) -> LatticeAutomorphism:
         return LatticeAutomorphism(self.matrix)
@@ -259,11 +252,10 @@ def _ray_orders(fan: Fan, c1: CompleteCollection, c2: CompleteCollection):
 
 
 class ThreeConReport(Value):
-    __slots__ = _fields = ("complete_collection_exists", "distinguished_span")
+    """The two decidable flags of a complete fan: a complete collection
+    exists, and the distinguished rays of its roots span N_Q."""
 
-    def __init__(self, complete_collection_exists: bool, distinguished_span: bool):
-        object.__setattr__(self, "complete_collection_exists", complete_collection_exists)
-        object.__setattr__(self, "distinguished_span", distinguished_span)
+    __slots__ = _fields = ("complete_collection_exists", "distinguished_span")
 
 
 def theorem3con_report(fan: Fan) -> ThreeConReport:

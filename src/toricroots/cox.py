@@ -16,7 +16,7 @@ from . import lattice
 from .demazure import _monomial, derivation
 from .errors import RaysDoNotSpan
 from .fan import Fan
-from .lattice import Mat, Value, Vec
+from .lattice import Mat, Value
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
@@ -24,14 +24,10 @@ if TYPE_CHECKING:
 
 
 class CoxPresentation(Value):
-    __slots__ = _fields = ("num_vars", "class_rank", "degrees", "torsion")
+    """The Cox ring's grading: ``degrees`` holds each variable's free-part
+    degree, in ray order, and ``torsion`` the invariant factors > 1."""
 
-    def __init__(self, num_vars: int, class_rank: int, degrees: tuple[Vec, ...],
-                 torsion: tuple[int, ...]):
-        object.__setattr__(self, "num_vars", num_vars)
-        object.__setattr__(self, "class_rank", class_rank)
-        object.__setattr__(self, "degrees", degrees)  # free-part degree per variable, in ray order
-        object.__setattr__(self, "torsion", torsion)  # invariant factors > 1
+    __slots__ = _fields = ("num_vars", "class_rank", "degrees", "torsion")
 
 
 def cox_presentation(fan: Fan) -> CoxPresentation:
@@ -52,14 +48,11 @@ def canonical_degrees(pres: CoxPresentation) -> Mat:
 
 
 class GaActionFormula(Value):
-    """One coordinate rule x_target -> x_target + s_k * monomial."""
+    """One coordinate rule x_target -> x_target + s_k * monomial:
+    ``param_index`` is the 1-based k, and ``exponents`` holds the
+    monomial's (variable, power) pairs, the target omitted."""
 
     __slots__ = _fields = ("target", "param_index", "exponents")
-
-    def __init__(self, target: int, param_index: int, exponents: tuple[tuple[int, int], ...]):
-        object.__setattr__(self, "target", target)
-        object.__setattr__(self, "param_index", param_index)  # 1-based k of the parameter s_k
-        object.__setattr__(self, "exponents", exponents)  # (variable, power), target omitted
 
 
 def action_formulas(fan: Fan, collection: CompleteCollection) -> tuple[GaActionFormula, ...]:

@@ -27,34 +27,31 @@ from .lattice import UNBOUNDED, Constraint, Value, Vec, dot
 
 
 class DemazureRoot(Value):
-    """A root e with its distinguished ray index and cached pairing row."""
+    """A root e with its distinguished ray index and cached pairing row:
+    ``pairings`` holds <p_rho', e> over all rays rho', in ray order."""
 
     __slots__ = _fields = ("vector", "ray", "pairings")
 
-    def __init__(self, vector: Vec, ray: int, pairings: Vec):
-        object.__setattr__(self, "vector", vector)
-        object.__setattr__(self, "ray", ray)
-        object.__setattr__(self, "pairings", pairings)  # <p_rho', e> over all rays, in ray order
-
 
 class RayRoots(Value):
-    """Roots attached to one ray: a finite list, or an infinite/truncated marker."""
+    """Roots attached to one ray: a finite list, or an infinite/truncated
+    marker. ``status`` is "finite", "infinite" or "truncated"; ``bound`` is
+    the sup-norm bound of a truncated enumeration and None otherwise."""
 
     __slots__ = _fields = ("ray", "status", "roots", "bound")
 
     def __init__(self, ray: int, status: str, roots: tuple[DemazureRoot, ...],
                  bound: int | None = None):
         object.__setattr__(self, "ray", ray)
-        object.__setattr__(self, "status", status)  # "finite" | "infinite" | "truncated"
+        object.__setattr__(self, "status", status)
         object.__setattr__(self, "roots", roots)
         object.__setattr__(self, "bound", bound)
 
 
 class RootSet(Value):
-    __slots__ = _fields = ("per_ray",)
+    """The roots of a fan: one :class:`RayRoots` per ray, in ray order."""
 
-    def __init__(self, per_ray: tuple[RayRoots, ...]):
-        object.__setattr__(self, "per_ray", per_ray)
+    __slots__ = _fields = ("per_ray",)
 
     @property
     def finite(self) -> bool:
@@ -186,8 +183,7 @@ def roots_for_ray(fan: Fan, ray: int, bound: int | None = None) -> RayRoots:
         if bound is None:
             return RayRoots(ray, "infinite", ())
         status = "truncated"
-        unit = [tuple(int(i == j) for j in range(fan.dim)) for i in range(fan.dim)]
-        for u in unit:
+        for u in lattice.identity(fan.dim):
             system.append(Constraint(u, ">=", -bound))
             system.append(Constraint(tuple(-x for x in u), ">=", -bound))
         points = lattice.lattice_points(system, fan.dim)
@@ -217,13 +213,10 @@ def commute(a: DemazureRoot, b: DemazureRoot) -> bool:
 
 
 class CoxDerivation(Value):
-    """monomial * d/dx_target, the monomial given by per-variable exponents."""
+    """monomial * d/dx_target, the monomial given by per-variable exponents:
+    ``exponents`` holds (variable index, power) pairs, the target omitted."""
 
     __slots__ = _fields = ("target", "exponents")
-
-    def __init__(self, target: int, exponents: tuple[tuple[int, int], ...]):
-        object.__setattr__(self, "target", target)
-        object.__setattr__(self, "exponents", exponents)  # (variable index, power), target omitted
 
     @property
     def num_vars(self) -> int:

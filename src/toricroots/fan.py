@@ -66,13 +66,6 @@ class Cone(Value):
 
     __slots__ = _fields = ("ray_indices", "inequalities", "equations", "dim")
 
-    def __init__(self, ray_indices: tuple[int, ...], inequalities: tuple[Vec, ...],
-                 equations: tuple[Vec, ...], dim: int):
-        object.__setattr__(self, "ray_indices", ray_indices)
-        object.__setattr__(self, "inequalities", inequalities)
-        object.__setattr__(self, "equations", equations)
-        object.__setattr__(self, "dim", dim)
-
     def contains(self, v: Vec) -> bool:
         """True iff v lies in the cone; ValueError for a vector of the wrong length."""
         first = self.inequalities[:1] or self.equations[:1]
@@ -467,7 +460,7 @@ def _face_index(fan: Fan) -> dict:
     (:func:`_face_cone`) skips the faces already described, so each face is
     described once, by the first maximal cone containing it. Each maximal
     cone's tight sets are read off its stored inequalities."""
-    faces = {(): Cone((), (), lattice.identity(fan.dim)[::-1], 0)}
+    faces = {(): Cone((), *_dual_description((), fan.dim), 0)}
     for c in fan.max_cones:
         tight = [frozenset(i for i in c.ray_indices if dot(a, fan.rays[i]) == 0)
                  for a in c.inequalities]
@@ -549,10 +542,7 @@ def projective_space(n: int) -> Fan:
     """Fan of P^n: rays e_1..e_n and -(e_1+...+e_n), all n-subsets as cones."""
     if n < 1:
         raise BadParams("projective_space needs n >= 1")
-    rays = [tuple(int(i == j) for j in range(n)) for i in range(n)]
-    rays.append(tuple([-1] * n))
-    cones = list(combinations(range(n + 1), n))
-    return build_fan(n, rays, cones)
+    return wps_one(*[1] * n)
 
 
 def product_p1(n: int) -> Fan:

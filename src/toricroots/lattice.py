@@ -25,16 +25,27 @@ Mat = tuple[Vec, ...]
 class Value:
     """Base of the package's frozen value types.
 
-    A subclass declares ``__slots__``, names its fields in ``_fields`` and
-    sets them in its ``__init__`` with ``object.__setattr__``. ``==`` and
-    ``hash`` read the fields as one tuple and only objects of the same class
-    compare equal; ``repr`` shows the fields. Assigning or deleting an
-    attribute raises AttributeError. Copy and pickle restore every slot,
-    stored derived data included, without running ``__init__``.
+    A subclass declares ``__slots__`` and names its fields in ``_fields``.
+    If it declares ``_fields`` in its own body and defines no ``__init__``,
+    it gets a generated ``__init__(self, <fields in order>)`` that stores
+    each argument with ``object.__setattr__``; a subclass that adds no
+    fields inherits that constructor. A type whose constructor checks its
+    arguments, derives data or has a default writes its own ``__init__``
+    and stores its fields the same way. ``==`` and ``hash`` read the fields
+    as one tuple and only objects of the same class compare equal; ``repr``
+    shows the fields. Assigning or deleting an attribute raises
+    AttributeError. Copy and pickle restore every slot of every class in
+    the MRO, stored derived data included, without running ``__init__``.
     """
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        body = vars(cls)
+        if "_fields" in body and "__init__" not in body:
+            cls.__init__ = _storing_init(cls)
 
     def _values(self) -> tuple:
         return tuple([getattr(self, name) for name in self._fields])
@@ -58,11 +69,25 @@ class Value:
         raise AttributeError(f"cannot delete field {name!r}")
 
     def __getstate__(self):
-        return {name: getattr(self, name) for name in self.__slots__ if name != "__weakref__"}
+        return {name: getattr(self, name) for cls in type(self).__mro__
+                for name in vars(cls).get("__slots__", ()) if name != "__weakref__"}
 
     def __setstate__(self, state):
         for name, value in state.items():
             object.__setattr__(self, name, value)
+
+
+def _storing_init(cls):
+    """``__init__(self, <cls._fields>)`` storing each argument, compiled
+    once per class the way ``collections.namedtuple`` builds its ``__new__``."""
+    fields = cls._fields
+    stores = "".join(f"\n    _set(self, {name!r}, {name})" for name in fields)
+    namespace = {"_set": object.__setattr__}
+    exec(f"def __init__(self, {', '.join(fields)}):{stores}", namespace)
+    init = namespace["__init__"]
+    init.__qualname__ = f"{cls.__qualname__}.__init__"
+    init.__module__ = cls.__module__
+    return init
 
 
 # ---------------------------------------------------------------------------

@@ -18,10 +18,6 @@ class FacetInequality(Value):
 
     __slots__ = _fields = ("normal", "rhs")
 
-    def __init__(self, normal: Vec, rhs: int):
-        object.__setattr__(self, "normal", normal)
-        object.__setattr__(self, "rhs", rhs)
-
 
 def _hull_facets(points: tuple[Vec, ...], dim: int) -> tuple[FacetInequality, ...] | None:
     """Facets of conv(points), or None when the points are not full-dimensional.
@@ -107,10 +103,6 @@ class RectangleWitness(Value):
 
     __slots__ = _fields = ("vertex", "edge_basis")
 
-    def __init__(self, vertex: Vec, edge_basis: tuple[Vec, ...]):
-        object.__setattr__(self, "vertex", vertex)
-        object.__setattr__(self, "edge_basis", edge_basis)
-
 
 def inscribed_in_rectangle(p: LatticePolytope) -> RectangleWitness | None:
     """First witness in vertex order that p is inscribed in a rectangle, or None."""
@@ -151,12 +143,10 @@ def scale(p: LatticePolytope, k: int) -> LatticePolytope:
 
 
 class PolytopeTheoremReport(Value):
-    __slots__ = _fields = ("inscribed", "fan_admits", "witness")
+    """Both sides of the polytope criterion: inscribed in a rectangle, and
+    the normal fan admits an additive action; the rectangle witness or None."""
 
-    def __init__(self, inscribed: bool, fan_admits: bool, witness: RectangleWitness | None):
-        object.__setattr__(self, "inscribed", inscribed)
-        object.__setattr__(self, "fan_admits", fan_admits)
-        object.__setattr__(self, "witness", witness)
+    __slots__ = _fields = ("inscribed", "fan_admits", "witness")
 
 
 def check_polytope_theorem(p: LatticePolytope) -> PolytopeTheoremReport:

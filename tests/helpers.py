@@ -183,3 +183,32 @@ def random_lattice_polygons(seed: int, count: int) -> list[LatticePolytope]:
         if poly is not None:
             out.append(poly)
     return out
+
+
+if __name__ == "__main__":
+    # python tests/helpers.py NAME prints one scaling fixture's fan JSON:
+    # product9, cross4 or blowup. The test modules are imported here, so
+    # importing helpers imports none of them.
+    import json
+    import sys
+
+    from toricroots import fan_to_json_dict
+
+    def _product9():
+        return fan_to_json_dict(shuffled_products()["F1xF2xF3xF4xP1"])
+
+    def _cross4():
+        from test_face_index import cross_polytope_fan
+        from test_kernel import random_unimodular
+        from toricroots import LatticeAutomorphism, apply_automorphism
+        g = LatticeAutomorphism(random_unimodular(random.Random(1), 4))
+        return fan_to_json_dict(apply_automorphism(cross_polytope_fan(4), g))
+
+    def _blowup():
+        from test_elimination import BLOWUP_FAN
+        return BLOWUP_FAN
+
+    fixtures = {"product9": _product9, "cross4": _cross4, "blowup": _blowup}
+    if len(sys.argv) != 2 or sys.argv[1] not in fixtures:
+        sys.exit(f"usage: python tests/helpers.py {{{','.join(fixtures)}}}")
+    print(json.dumps(fixtures[sys.argv[1]]()))

@@ -247,6 +247,18 @@ def test_builtin_bad_params():
         wps_one()
 
 
+@pytest.mark.parametrize("n", range(1, 7))
+def test_projective_space_is_wps_one_of_ones(n):
+    fan = projective_space(n)
+    assert fan == wps_one(*(1,) * n)
+    assert fan.all_faces == wps_one(*(1,) * n).all_faces
+
+
+def test_projective_space_rejects_n_zero():
+    with pytest.raises(BadParams, match=r"^projective_space needs n >= 1$"):
+        projective_space(0)
+
+
 def test_builtins_validate_and_complete():
     for name, fan in bundled_complete_fans():
         assert is_complete(fan), name

@@ -9,7 +9,10 @@ a fan that is not complete) and the polytopes ``cube 3`` and
 The values must also be frozen, build from keywords with the old defaults,
 reject bad fields with the old errors, and survive copy and pickle with
 their stored data. A ``Fan`` compares, hashes and prints by its dim, rays
-and maximal cones alone; its faces are derived data in one index.
+and maximal cones alone; its faces are derived data in one index. The
+constructor ``Value`` generates for a type that only stores its fields is
+tested on value types defined here, and so are copy and pickle of
+subclasses of the library's types.
 """
 
 import copy
@@ -27,6 +30,7 @@ from helpers import quadrant_fan
 from test_kernel import random_unimodular
 from toricroots import (
     Constraint,
+    DemazureRoot,
     Fan,
     LatticeAutomorphism,
     LatticePolytope,
@@ -57,6 +61,45 @@ from toricroots.polytope import FacetInequality, RectangleWitness
 
 OLD = oracles.dataclass_values
 VALUE_TYPES = sorted(name for name, cls in vars(OLD).items() if isinstance(cls, type))
+
+
+class Pair(lattice.Value):
+    """A value type with a generated constructor."""
+
+    __slots__ = _fields = ("left", "right")
+
+
+class SubPair(Pair):
+    """Adds no field, so it inherits Pair's constructor."""
+
+    __slots__ = ()
+
+
+class Triple(Pair):
+    """Adds a field, so it gets a constructor of its own."""
+
+    __slots__ = ("third",)
+    _fields = ("left", "right", "third")
+
+
+class Checked(lattice.Value):
+    """Writes its own constructor, which checks its argument."""
+
+    __slots__ = _fields = ("left",)
+
+    def __init__(self, left):
+        if left < 0:
+            raise ValueError("left must be nonnegative")
+        object.__setattr__(self, "left", left)
+
+
+class SubFacet(FacetInequality):
+    __slots__ = ()
+
+
+class SubRoot(DemazureRoot):
+    __slots__ = ()
+
 
 FANS = {
     2: lambda: hirzebruch(2),
@@ -220,6 +263,59 @@ def test_keyword_construction_and_defaults():
     assert p.vertices == ((0, 0), (0, 1), (1, 0))
 
 
+def test_a_generated_constructor_binds_like_a_written_one():
+    assert Pair(1, 2) == Pair(right=2, left=1) == Pair(1, right=2)
+    assert (Pair(1, 2).left, Pair(1, 2).right) == (1, 2)
+    assert repr(Pair(1, (2,))) == "Pair(left=1, right=(2,))"
+    assert Pair(1, 2) != Pair(2, 1) and hash(Pair(1, 2)) == hash((1, 2))
+    for args, kwargs in [((1,), {}), ((), {"right": 2}), ((1, 2, 3), {}),
+                         ((1, 2), {"other": 3}), ((1,), {"top": 2}),
+                         ((1, 2), {"left": 1})]:
+        with pytest.raises(TypeError):
+            Pair(*args, **kwargs)
+    assert Triple(1, 2, 3)._values() == (1, 2, 3)
+    with pytest.raises(TypeError):
+        Triple(1, 2)
+
+
+def test_a_generated_constructor_makes_frozen_values():
+    v = Pair(1, 2)
+    assert not hasattr(v, "__dict__")
+    for name in ("left", "right", "unknown"):
+        with pytest.raises(AttributeError):
+            setattr(v, name, 0)
+        with pytest.raises(AttributeError):
+            delattr(v, name)
+    assert v == Pair(1, 2)
+
+
+def test_a_generated_constructor_is_named_for_its_class():
+    for cls in (Pair, Triple):
+        assert cls.__init__.__qualname__ == f"{cls.__name__}.__init__"
+        assert cls.__init__.__module__ == __name__
+
+    class Local(lattice.Value):
+        __slots__ = _fields = ("only",)
+
+    assert Local.__init__.__qualname__.endswith(".<locals>.Local.__init__")
+    assert Local(1).only == 1
+    with pytest.raises(TypeError, match=r"Local\.__init__\(\)"):
+        Local()
+
+
+def test_constructors_are_inherited_generated_or_kept():
+    assert SubPair.__init__ is Pair.__init__ and "__init__" not in vars(SubPair)
+    assert SubPair(1, right=2).right == 2 and SubPair(1, 2) != Pair(1, 2)
+    assert Triple.__init__ is not Pair.__init__
+    assert SubRoot.__init__ is DemazureRoot.__init__
+    assert Checked(0).left == 0
+    with pytest.raises(ValueError, match="nonnegative"):
+        Checked(-1)
+    written = {name for name in VALUE_TYPES
+               if getattr(toricroots, name).__init__.__code__.co_filename != "<string>"}
+    assert written == {"Constraint", "LatticeAutomorphism", "Fan", "LatticePolytope", "RayRoots"}
+
+
 BAD_FIELDS = [
     (Constraint, ((1, 0), "<=", 0)),
     (LatticeAutomorphism, (((2, 0), (0, 1)),)),
@@ -254,6 +350,20 @@ ROUND_TRIPS = [copy.copy, copy.deepcopy] + [
 def test_every_value_type_survives_copy_and_pickle(corpus):
     one = {type(v): v for v in corpus}
     for v in one.values():
+        for trip in ROUND_TRIPS:
+            r = trip(v)
+            assert type(r) is type(v) and r == v and hash(r) == hash(v) and repr(r) == repr(v)
+
+
+SUBCLASSED = [SubFacet((1, 0), 0), SubRoot((0, 1), 0, (-1, 0, 1)),
+              SubPair(1, (2,)), Triple(1, 2, (3,))]
+
+
+def test_subclasses_of_value_types_survive_copy_and_pickle():
+    """The state holds the slots of every class in the MRO, so a subclass
+    that adds no slot keeps its base's fields."""
+    for v in SUBCLASSED:
+        assert v.__getstate__() == dict(zip(v._fields, v._values()))
         for trip in ROUND_TRIPS:
             r = trip(v)
             assert type(r) is type(v) and r == v and hash(r) == hash(v) and repr(r) == repr(v)
