@@ -389,6 +389,9 @@ def _load(kind: str, raw: bytes):
         data = json.loads(raw.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise ToricError(f"not valid JSON: {exc}") from None
+    except ValueError:  # the decoder's limit on the digits of one integer
+        raise ToricError("input has an integer of more than "
+                         f"{sys.get_int_max_str_digits()} digits") from None
     if kind == "fan":
         from . import fan as fans
 

@@ -2,15 +2,18 @@
 
 Facet inequalities are stored with outer normals (<p, x> <= a); the normal
 fan uses inner normals (-p), with the maximal cone at a vertex generated by
-the inner normals of the facets through it.
+the inner normals of the facets through it. The edge directions at a vertex
+are the stored inequalities of that cone.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
+
 from . import lattice
 from .errors import BadParams, DegeneratePolytope, InvalidPolytope
-from .fan import Fan, _is_face, build_fan
-from .lattice import Value, Vec, dot, neg, primitive, sub, vec
+from .fan import Cone, Fan, _is_face, build_fan
+from .lattice import Value, Vec, dot, neg, vec
 
 
 class FacetInequality(Value):
@@ -82,19 +85,31 @@ def facets(p: LatticePolytope) -> tuple[FacetInequality, ...]:
 
 
 def edge_directions_at(p: LatticePolytope, v: Vec) -> tuple[Vec, ...]:
-    """Primitive directions of the edges of p containing the vertex v.
+    """Primitive directions of the edges of p containing the vertex v, sorted.
 
-    Two vertices span an edge iff they are the only vertices on the facets
-    through both (a face with two vertices is an edge), the closure test of
-    :func:`toricroots.fan._is_face`; this works for non-simple polytopes too.
+    They are the stored inequalities of v's maximal cone in the normal fan.
+    Proof: let F_v be the facets <p_k, x> <= a_k through v. Near v the other
+    facet inequalities are strict, so the tangent cone T = cone(p - v) is
+    {x : <p_k, x> <= 0 for k in F_v}, and the faces of T are the cones
+    cone(G - v) over the faces G of p through v (Ziegler, *Lectures on
+    Polytopes*, Lecture 7). Its rays are therefore the half-lines from v
+    along the edges at v, and no two edges at v share a direction, since the
+    shorter would lie inside the longer. The normal cone at v is
+    cone(-p_k : k in F_v), and T is its dual (Cox-Little-Schenck, §2.3).
+    v is a vertex, so T is pointed and the normal cone full-dimensional,
+    and the facets of a full-dimensional cone correspond one to one to the
+    rays of its dual, each facet's primitive normal spanning its ray. The
+    cone's stored description (:func:`toricroots.fan._dual_description`) is
+    these primitive normals, sorted, with no equation. Nothing here asks
+    that v lie on exactly dim facets or have exactly dim edges, so this
+    holds for polytopes that are not simple.
+
+    The cone is found without the fan's face index (:func:`_normal_cone`).
     ValueError when v is not a vertex of p.
     """
     if v not in p.vertices:
         raise ValueError(f"point {list(v)} is not a vertex of the polytope")
-    i = p.vertices.index(v)
-    every = range(len(p.vertices))
-    return tuple(sorted(primitive(sub(w, v)) for j, w in enumerate(p.vertices)
-                        if j != i and _is_face((i, j), every, p._on)))
+    return _normal_cone(p, p.vertices.index(v)).inequalities
 
 
 class RectangleWitness(Value):
@@ -108,7 +123,7 @@ def inscribed_in_rectangle(p: LatticePolytope) -> RectangleWitness | None:
     """First witness in vertex order that p is inscribed in a rectangle, or None."""
     fs = facets(p)
     for i, v in enumerate(p.vertices):
-        dirs = edge_directions_at(p, v)
+        dirs = _normal_cone(p, i).inequalities  # the edge directions at v
         if len(dirs) != p.dim or abs(lattice.determinant(dirs)) != 1:
             continue
         away = [f for f, on in zip(fs, p._on) if i not in on]
@@ -124,11 +139,23 @@ def normal_fan(p: LatticePolytope) -> Fan:
     if p._normal_fan is None:
         # negation reverses the lexicographic order of the facet normals
         inner = [neg(f.normal) for f in reversed(facets(p))]
-        last = len(inner) - 1
-        cones = sorted(tuple(sorted(last - k for k, on in enumerate(p._on) if i in on))
-                       for i in range(len(p.vertices)))
+        cones = sorted(_cone_rays(p, i) for i in range(len(p.vertices)))
         object.__setattr__(p, "_normal_fan", build_fan(p.dim, inner, cones))
     return p._normal_fan
+
+
+def _cone_rays(p: LatticePolytope, i: int) -> tuple[int, ...]:
+    """The sorted ray indices of vertex i's cone in the normal fan, whose
+    rays are the facets' inner normals in reverse order."""
+    return tuple(r for r, on in enumerate(reversed(p._on)) if i in on)
+
+
+def _normal_cone(p: LatticePolytope, i: int) -> Cone:
+    """Vertex i's maximal cone in the normal fan, by bisection: build_fan
+    sorts the maximal cones by ray set, and distinct vertices lie on
+    distinct facet sets. No face index is built."""
+    cones = normal_fan(p).max_cones
+    return cones[bisect_left(cones, _cone_rays(p, i), key=lambda c: c.ray_indices)]
 
 
 def scale(p: LatticePolytope, k: int) -> LatticePolytope:
@@ -151,7 +178,15 @@ class PolytopeTheoremReport(Value):
 
 def check_polytope_theorem(p: LatticePolytope) -> PolytopeTheoremReport:
     """Both sides of the polytope criterion, and the rectangle witness if any;
-    the two sides must agree."""
+    the two sides must agree.
+
+    They are decided by separate code, the rectangle test on the edge
+    directions (:func:`inscribed_in_rectangle`) and the complete-collection
+    scan of the normal fan (:func:`toricroots.additive.admits_additive`),
+    so the report is a cross-check. Both read the same stored descriptions
+    of the normal fan's maximal cones, the edge directions being each
+    cone's inequalities (:func:`edge_directions_at`).
+    """
     from .additive import admits_additive
 
     witness = inscribed_in_rectangle(p)
@@ -175,10 +210,8 @@ def segment(d: int) -> LatticePolytope:
 def cube(n: int) -> LatticePolytope:
     if n < 1:
         raise BadParams("cube needs n >= 1")
-    verts = []
-    for mask in range(2 ** n):
-        verts.append(tuple((mask >> i) & 1 for i in range(n)))
-    return LatticePolytope(n, tuple(verts))
+    return LatticePolytope(n, tuple(tuple((mask >> i) & 1 for i in range(n))
+                                    for mask in range(2 ** n)))
 
 
 def dilated_simplex(n: int, d: int) -> LatticePolytope:

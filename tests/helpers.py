@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import functools
 import random
-from itertools import product
+from itertools import permutations, product
 
 from toricroots import (
     Fan,
@@ -185,10 +185,17 @@ def random_lattice_polygons(seed: int, count: int) -> list[LatticePolytope]:
     return out
 
 
+def permutohedron(n: int) -> list[tuple[int, ...]]:
+    """Vertices of the permutohedron of order n in dimension n - 1: the
+    permutations of 0..n-1 without their last coordinate. It is simple, with
+    n! vertices and 2^n - 2 facets."""
+    return [p[:-1] for p in permutations(range(n))]
+
+
 if __name__ == "__main__":
-    # python tests/helpers.py NAME prints one scaling fixture's fan JSON:
-    # product9, cross4 or blowup. The test modules are imported here, so
-    # importing helpers imports none of them.
+    # python tests/helpers.py NAME prints one scaling fixture: the fan JSON
+    # of product9, cross4 or blowup, or the polytope JSON of perm6. The test
+    # modules are imported here, so importing helpers imports none of them.
     import json
     import sys
 
@@ -208,7 +215,10 @@ if __name__ == "__main__":
         from test_elimination import BLOWUP_FAN
         return BLOWUP_FAN
 
-    fixtures = {"product9": _product9, "cross4": _cross4, "blowup": _blowup}
+    def _perm6():
+        return {"dim": 5, "vertices": [list(v) for v in permutohedron(6)]}
+
+    fixtures = {"product9": _product9, "cross4": _cross4, "blowup": _blowup, "perm6": _perm6}
     if len(sys.argv) != 2 or sys.argv[1] not in fixtures:
         sys.exit(f"usage: python tests/helpers.py {{{','.join(fixtures)}}}")
     print(json.dumps(fixtures[sys.argv[1]]()))

@@ -95,6 +95,17 @@ cone's image up in the face index. Kept below unchanged but for names: the
 loop over ``itertools.permutations`` (``permutation_find_equivalence``,
 which runs the library's ``verify_witness``) and the test against the set
 of maximal cones built per call (``cone_set_is_fan_automorphism``).
+
+Then a polytope's edges stopped being found by testing vertex pairs:
+``polytope.edge_directions_at`` reads them off the stored inequalities of
+the vertex's cone in the normal fan. Kept below unchanged but for its name:
+the closure test of each other vertex together with v on the facet
+incidence (``pair_edge_directions_at``), which reads the polytope's
+``_on`` and shares only ``fan._is_face`` with the library. The rank edge
+test is asked once per vertex, which on the order-5 permutohedron meant
+120 hulls of one polytope; it now takes the hull and the vertex->facet map
+from a small cache keyed on the sorted points (``_vertex_tight_of``), with
+the same answers.
 """
 
 from __future__ import annotations
@@ -144,7 +155,7 @@ from toricroots.lattice import (
     sub,
     vec,
 )
-from toricroots.polytope import FacetInequality, _hull_facets
+from toricroots.polytope import FacetInequality, LatticePolytope, _hull_facets
 
 
 def rank(rows: Sequence[Vec], width: int | None = None) -> int:
@@ -771,6 +782,13 @@ def rank_vertex_tight(dim: int, points) -> tuple[tuple[FacetInequality, ...], di
     return fs, tight
 
 
+@lru_cache(maxsize=4)
+def _vertex_tight_of(dim: int, points: tuple[Vec, ...]):
+    """rank_vertex_tight, cached on the sorted points: the edge test asks it
+    once per vertex of the same polytope."""
+    return rank_vertex_tight(dim, points)
+
+
 def rank_edge_directions_at(dim: int, vertices, v: Vec) -> tuple[Vec, ...]:
     """Primitive directions of the edges of conv(vertices) containing the
     vertex v.
@@ -778,7 +796,7 @@ def rank_edge_directions_at(dim: int, vertices, v: Vec) -> tuple[Vec, ...]:
     A vertex pair spans an edge iff their common tight facet normals have
     rank dim-1; this works for non-simple polytopes too.
     """
-    fs, tight = rank_vertex_tight(dim, vertices)
+    fs, tight = _vertex_tight_of(dim, tuple(sorted(vec(w) for w in vertices)))
     mine = set(tight[v])
     dirs = []
     for w in sorted(vertices):
@@ -809,6 +827,22 @@ def rank_cone_dual_description(generators, dim: int | None = None):
     if lattice.rank(ineqs + eqs, dim) < dim:
         raise NotStronglyConvex("cone contains a line")
     return ineqs, eqs
+
+
+def pair_edge_directions_at(p: LatticePolytope, v: Vec) -> tuple[Vec, ...]:
+    """Primitive directions of the edges of p containing the vertex v.
+
+    Two vertices span an edge iff they are the only vertices on the facets
+    through both (a face with two vertices is an edge), the closure test of
+    :func:`toricroots.fan._is_face`; this works for non-simple polytopes too.
+    ValueError when v is not a vertex of p.
+    """
+    if v not in p.vertices:
+        raise ValueError(f"point {list(v)} is not a vertex of the polytope")
+    i = p.vertices.index(v)
+    every = range(len(p.vertices))
+    return tuple(sorted(primitive(sub(w, v)) for j, w in enumerate(p.vertices)
+                        if j != i and _is_face((i, j), every, p._on)))
 
 
 # ---------------------------------------------------------------------------

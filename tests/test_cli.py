@@ -122,6 +122,29 @@ def test_bad_json_exits_2(tmp_path):
         assert report["error"]["type"] == "ToricError"
 
 
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits")
+                    or sys.get_int_max_str_digits() == 0,
+                    reason="this Python has no limit on the digits of a parsed int")
+def test_an_integer_past_the_digit_limit_is_a_typed_refusal(tmp_path, capsys):
+    """Python's decoder refuses an int of more digits than its limit with a
+    ValueError that advises sys.set_int_max_str_digits(); the reader reports
+    a ToricError (exit 2) that names the limit and gives no such advice."""
+    from toricroots import cli
+
+    limit = sys.get_int_max_str_digits()
+    path = tmp_path / "huge.json"
+    path.write_text('{"dim": 1, "rays": [[1], [-1' + "0" * limit + ']], "max_cones": [[0], [1]]}')
+    for fmt, read in (("json", json.loads), ("text", str)):
+        assert cli.main(["fan-check", str(path), "--format", fmt]) == 2
+        out = read(capsys.readouterr().out)
+        message = f"input has an integer of more than {limit} digits"
+        if fmt == "json":
+            assert out["status"] == "invalid" and out["exit_code"] == 2
+            assert out["error"] == {"type": "ToricError", "message": message}
+        else:
+            assert out == f"error: {message}\n"
+
+
 def test_envelopes_are_unwrapped_at_any_depth():
     from toricroots import cli
     from toricroots.errors import ToricError

@@ -287,6 +287,14 @@ def test_fan_json_rejects_missing_keys():
         fan_from_json_dict({"dim": 2})
 
 
+def test_fan_json_ignores_unknown_keys():
+    """Keys other than dim, rays and max_cones are ignored, as the README
+    states, whatever their values."""
+    data = fan_to_json_dict(hirzebruch(2))
+    extra = dict(data, name="F_2", cones=[[0]], weights=None, ray=[[2, 0]])
+    assert fan_from_json_dict(extra) == fan_from_json_dict(data) == hirzebruch(2)
+
+
 def test_mixed_incomplete_fan_roots_work():
     # P^1 x affine line: one ray has a finite root set, the others infinite
     from toricroots import all_roots

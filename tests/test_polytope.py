@@ -228,6 +228,14 @@ def test_polytope_json_rejects_non_extreme():
         polytope_from_json_dict({"dim": 1, "vertices": [[0], [1], [2]]})
 
 
+def test_polytope_json_ignores_unknown_keys():
+    """Keys other than dim and vertices are ignored, as the README states,
+    whatever their values."""
+    data = polytope_to_json_dict(trapezoid())
+    extra = dict(data, name="trapezoid", facets=[[1, 0]], points=[[9, 9]], dims=3)
+    assert polytope_from_json_dict(extra) == polytope_from_json_dict(data) == trapezoid()
+
+
 def test_polytope_json_rejects_non_integer_dim():
     """The reader and the constructor reject a non-integer dim or
     coordinate alike, with the same message."""
