@@ -21,7 +21,7 @@ rho) is a cone of the fan iff the ray-index set of sigma plus rho is in
 from __future__ import annotations
 
 from . import lattice
-from .errors import InternalError, InvalidFan
+from .errors import BadParams, InternalError, InvalidFan
 from .fan import Cone, Fan
 from .lattice import UNBOUNDED, Constraint, Value, Vec, dot
 
@@ -175,7 +175,7 @@ def roots_for_ray(fan: Fan, ray: int, bound: int | None = None) -> RayRoots:
     if not 0 <= ray < len(fan.rays):
         raise InvalidFan([f"no ray with index {ray}"])
     if bound is not None and bound < 1:
-        raise ValueError("bound must be a positive integer")
+        raise BadParams("bound must be a positive integer")
     system = _condition1_system(fan, ray)
     points = lattice.lattice_points(system, fan.dim)
     status = "finite"

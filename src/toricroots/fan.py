@@ -261,6 +261,7 @@ def _check_fan(dim, rays, max_cones, allow_nonprimitive: bool):
     if len(set(prims)) != len(prims):
         violations.append("two rays lie on the same half-line")
     cones = []
+    used = set()
     for k, c in enumerate(max_cones):
         try:
             c = tuple(c)
@@ -269,18 +270,20 @@ def _check_fan(dim, rays, max_cones, allow_nonprimitive: bool):
             continue
         try:
             idx = tuple(sorted(set(vec(c))))
+            bad = "references a missing ray" if any(i < 0 or i >= len(rays) for i in idx) else None
         except TypeError:
-            violations.append(f"maximal cone {k} has non-integer ray indices")
-            continue
-        if any(i < 0 or i >= len(rays) for i in idx):
-            violations.append(f"maximal cone {k} references a missing ray")
+            bad = "has non-integer ray indices"
+        if bad:
+            violations.append(f"maximal cone {k} {bad}")
+            # the rays that the skipped cone does list still appear in it
+            used.update(i for i in c if lattice.is_integer(i) and 0 <= i < len(rays))
             continue
         if len(idx) < len(c):
             violations.append(f"maximal cone {k} lists a ray more than once")
         cones.append(idx)
     if len(set(cones)) != len(cones):
         violations.append("maximal cones are not pairwise distinct")
-    used = set().union(*cones) if cones else set()
+    used.update(*cones)
     for i in range(len(rays)):
         if i not in used:
             violations.append(f"ray {i} does not appear in any maximal cone")

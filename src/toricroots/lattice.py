@@ -1,10 +1,12 @@
 """Exact integer linear algebra and lattice-point enumeration.
 
 Vectors are tuples of Python ints and matrices are tuples of row vectors.
-Every computation is done in integers: elimination is fraction-free
-(Gauss-Jordan, Hermite, Smith) and cones are converted between their ray and
-inequality descriptions by an integer double-description kernel. No
-floating point or rational number is used anywhere in this package.
+Every computation is done in integers: Gauss-Jordan elimination is
+fraction-free, the Hermite and Smith normal forms share one unimodular
+Euclid step (each row loses its floor multiple of the pivot row), and cones
+are converted between their ray and inequality descriptions by an integer
+double-description kernel. No floating point or rational number is used
+anywhere in this package.
 """
 
 from __future__ import annotations
@@ -148,7 +150,7 @@ def is_primitive(v: Vec) -> bool:
 
 
 def identity(n: int) -> Mat:
-    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+    return tuple((0,) * i + (1,) + (0,) * (n - 1 - i) for i in range(n))
 
 
 def transpose(m: Mat) -> Mat:
@@ -202,11 +204,19 @@ def _check_width(rows: Sequence[Vec], width: int) -> None:
         raise ValueError(f"dimension mismatch: every row must have length {width}")
 
 
+def _check_square(m: Mat) -> int:
+    """The order of a square matrix; NotSquare names a row of another length."""
+    n = len(m)
+    for k, row in enumerate(m):
+        if len(row) != n:
+            raise NotSquare(f"matrix is not square: it has {n} rows but row {k} "
+                            f"has length {len(row)}")
+    return n
+
+
 def determinant(m: Mat) -> int:
     """Exact determinant by fraction-free Gauss-Jordan elimination."""
-    n = len(m)
-    if any(len(row) != n for row in m):
-        raise NotSquare(f"matrix is {len(m)}x{len(m[0]) if m else 0}, not square")
+    n = _check_square(m)
     pivots, _, d = _gauss_jordan(m, n)
     return d if len(pivots) == n else 0
 
@@ -229,9 +239,7 @@ def invert_unimodular(m: Mat) -> Mat:
     with d = +-det m when m has full rank; m is unimodular iff d = +-1,
     and then the right block divided by d is m^-1.
     """
-    n = len(m)
-    if any(len(row) != n for row in m):
-        raise NotSquare(f"matrix is {n}x{len(m[0]) if m else 0}, not square")
+    n = _check_square(m)
     pivots, a, d = _gauss_jordan([tuple(row) + e for row, e in zip(m, identity(n))], n)
     if len(pivots) < n or abs(d) != 1:
         raise NotUnimodular(f"determinant is {d if len(pivots) == n else 0}, expected +-1")
@@ -247,85 +255,72 @@ def dual_basis(basis: Sequence[Vec]) -> Mat:
 # Smith and Hermite normal forms
 
 
+def _euclid(a: list[list[int]], t: int, col: int, stop: int) -> bool:
+    """One Euclidean pass on column `col`: rows t+1..stop-1 each lose their
+    floor multiple of row t, and a row left with a nonzero remainder is
+    swapped into row t. Returns whether a row was swapped; the entry of row
+    t then shrank, so repeating the pass ends with zeros below it.
+    """
+    swapped = False
+    for i in range(t + 1, stop):
+        if a[i][col] != 0:
+            q = a[i][col] // a[t][col]
+            a[i] = [x - q * y for x, y in zip(a[i], a[t])]
+            if a[i][col] != 0:
+                a[t], a[i] = a[i], a[t]
+                swapped = True
+    return swapped
+
+
 def smith_normal_form(m: Mat) -> tuple[Mat, Mat, Mat]:
     """(U, D, V) with U*m*V = D, U and V unimodular, D diagonal, d_i | d_{i+1}.
 
     Deterministic: pivots are chosen as the smallest-magnitude nonzero entry,
-    ties broken by position.
+    ties broken by position. The reduction runs on one working matrix
+    [[m | I], [I | 0]]: row operations on its first rows carry U along and
+    column operations on its first columns carry V, so U, D and V are its
+    blocks.
     """
     nrows = len(m)
     ncols = len(m[0]) if nrows else 0
     _check_width(m, ncols)
-    a = [list(row) for row in m]
-    u = [[int(i == j) for j in range(nrows)] for i in range(nrows)]
-    v = [[int(i == j) for j in range(ncols)] for i in range(ncols)]
-
-    def row_op(i: int, k: int, q: int) -> None:  # row_i -= q * row_k
-        a[i] = [x - q * y for x, y in zip(a[i], a[k])]
-        u[i] = [x - q * y for x, y in zip(u[i], u[k])]
-
-    def col_op(j: int, k: int, q: int) -> None:  # col_j -= q * col_k
-        for r in range(nrows):
-            a[r][j] -= q * a[r][k]
-        for r in range(ncols):
-            v[r][j] -= q * v[r][k]
-
-    def row_swap(i: int, k: int) -> None:
-        a[i], a[k] = a[k], a[i]
-        u[i], u[k] = u[k], u[i]
-
-    def col_swap(j: int, k: int) -> None:
-        for r in range(nrows):
-            a[r][j], a[r][k] = a[r][k], a[r][j]
-        for r in range(ncols):
-            v[r][j], v[r][k] = v[r][k], v[r][j]
-
-    t = 0
-    while True:
-        best = None
-        for i in range(t, nrows):
-            for j in range(t, ncols):
-                if a[i][j] != 0 and (best is None or abs(a[i][j]) < abs(a[best[0]][best[1]])):
-                    best = (i, j)
+    w = ([[*row, *e] for row, e in zip(m, identity(nrows))]
+         + [[*e] + [0] * nrows for e in identity(ncols)])
+    for t in range(min(nrows, ncols)):
+        best = min(((abs(x), i, j) for i in range(t, nrows)
+                    for j, x in enumerate(w[i][t:ncols], t) if x != 0), default=None)
         if best is None:
             break
-        row_swap(t, best[0])
-        col_swap(t, best[1])
+        _, i0, j0 = best
+        w[t], w[i0] = w[i0], w[t]
+        for row in w:
+            row[t], row[j0] = row[j0], row[t]
         while True:
             # clear the pivot row and column, shrinking the pivot via gcd steps
             changed = True
             while changed:
-                changed = False
-                for i in range(t + 1, nrows):
-                    if a[i][t] != 0:
-                        q = a[i][t] // a[t][t]
-                        row_op(i, t, q)
-                        if a[i][t] != 0:
-                            row_swap(t, i)
-                            changed = True
+                changed = _euclid(w, t, t, nrows)
                 for j in range(t + 1, ncols):
-                    if a[t][j] != 0:
-                        q = a[t][j] // a[t][t]
-                        col_op(j, t, q)
-                        if a[t][j] != 0:
-                            col_swap(t, j)
+                    if w[t][j] != 0:
+                        q = w[t][j] // w[t][t]
+                        for row in w:
+                            row[j] -= q * row[t]
+                        if w[t][j] != 0:
+                            for row in w:
+                                row[t], row[j] = row[j], row[t]
                             changed = True
-            piv = a[t][t]
-            bad = next(((i, j) for i in range(t + 1, nrows) for j in range(t + 1, ncols)
-                        if a[i][j] % piv != 0), None)
+            piv = w[t][t]
+            bad = next((i for i in range(t + 1, nrows) for x in w[i][t + 1:ncols]
+                        if x % piv != 0), None)
             if bad is None:
                 break
             # fold the offending row into the pivot row and re-clear
-            a[t] = [x + y for x, y in zip(a[t], a[bad[0]])]
-            u[t] = [x + y for x, y in zip(u[t], u[bad[0]])]
-        if a[t][t] < 0:
-            a[t] = [-x for x in a[t]]
-            u[t] = [-x for x in u[t]]
-        t += 1
-
-    return (tuple(tuple(r) for r in u),
-            tuple(tuple(r) for r in a),
-            tuple(tuple(r) for r in v))
+            w[t] = [x + y for x, y in zip(w[t], w[bad])]
+        if w[t][t] < 0:
+            w[t] = [-x for x in w[t]]
+    return (tuple(tuple(row[ncols:]) for row in w[:nrows]),
+            tuple(tuple(row[:ncols]) for row in w[:nrows]),
+            tuple(tuple(row[:ncols]) for row in w[nrows:]))
 
 
 def kernel_basis(rows: Sequence[Vec], width: int | None = None) -> Mat:
@@ -362,31 +357,21 @@ def hermite_row_form(m: Mat) -> Mat:
     h = [list(row) for row in m]
     r = 0
     for col in range(ncols):
-        while True:
-            nz = [i for i in range(r, nrows) if h[i][col] != 0]
-            if not nz:
-                break
-            i0 = min(nz, key=lambda i: (abs(h[i][col]), i))
-            h[r], h[i0] = h[i0], h[r]
-            done = True
-            for i in range(r + 1, nrows):
-                if h[i][col] != 0:
-                    q = h[i][col] // h[r][col]
-                    h[i] = [x - q * y for x, y in zip(h[i], h[r])]
-                    if h[i][col] != 0:
-                        done = False
-            if done:
-                break
-        if r < nrows and h[r][col] != 0:
-            if h[r][col] < 0:
-                h[r] = [-x for x in h[r]]
-            for i in range(r):
-                q = h[i][col] // h[r][col]
-                if q:
-                    h[i] = [x - q * y for x, y in zip(h[i], h[r])]
-            r += 1
-            if r == nrows:
-                break
+        piv = next((i for i in range(r, nrows) if h[i][col] != 0), None)
+        if piv is None:
+            continue
+        h[r], h[piv] = h[piv], h[r]
+        while _euclid(h, r, col, nrows):
+            pass
+        if h[r][col] < 0:
+            h[r] = [-x for x in h[r]]
+        for i in range(r):
+            q = h[i][col] // h[r][col]
+            if q:
+                h[i] = [x - q * y for x, y in zip(h[i], h[r])]
+        r += 1
+        if r == nrows:
+            break
     return tuple(tuple(row) for row in h)
 
 

@@ -194,8 +194,9 @@ def permutohedron(n: int) -> list[tuple[int, ...]]:
 
 if __name__ == "__main__":
     # python tests/helpers.py NAME prints one scaling fixture: the fan JSON
-    # of product9, cross4 or blowup, or the polytope JSON of perm6. The test
-    # modules are imported here, so importing helpers imports none of them.
+    # of product9, cross4, blowup or z5, or the polytope JSON of perm6. The
+    # test modules are imported here, so importing helpers imports none of
+    # them.
     import json
     import sys
 
@@ -215,10 +216,17 @@ if __name__ == "__main__":
         from test_elimination import BLOWUP_FAN
         return BLOWUP_FAN
 
+    def _z5():
+        from test_elimination import SMITH_BLOWUP
+        from toricroots.lattice import primitive
+        return {"dim": 5, "rays": [list(primitive(r)) for r in SMITH_BLOWUP],
+                "max_cones": [[i] for i in range(len(SMITH_BLOWUP))]}
+
     def _perm6():
         return {"dim": 5, "vertices": [list(v) for v in permutohedron(6)]}
 
-    fixtures = {"product9": _product9, "cross4": _cross4, "blowup": _blowup, "perm6": _perm6}
+    fixtures = {"product9": _product9, "cross4": _cross4, "blowup": _blowup, "z5": _z5,
+                "perm6": _perm6}
     if len(sys.argv) != 2 or sys.argv[1] not in fixtures:
         sys.exit(f"usage: python tests/helpers.py {{{','.join(fixtures)}}}")
     print(json.dumps(fixtures[sys.argv[1]]()))

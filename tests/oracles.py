@@ -106,6 +106,18 @@ test is asked once per vertex, which on the order-5 permutohedron meant
 120 hulls of one polytope; it now takes the hull and the vertex->facet map
 from a small cache keyed on the sorted points (``_vertex_tight_of``), with
 the same answers.
+
+Last, the Hermite and Smith forms came to share one Euclidean row step
+(``lattice._euclid``), and the Smith form came to run on one working matrix
+[[m | I], [I | 0]] whose blocks are U, D and V. Kept below unchanged: the
+Smith form that kept the matrix and both transforms in step with four
+closures (``smith_normal_form``) and the Hermite form that took the
+smallest nonzero entry of a column as pivot on each pass
+(``hermite_row_form``). Both read only the library's ``_check_width``. The
+new Smith form makes the same operations in the same order, so it returns
+the same (U, D, V); the new Hermite form takes the first nonzero entry as
+pivot, and the row-style Hermite form is unique, so it returns the same
+matrix.
 """
 
 from __future__ import annotations
@@ -146,6 +158,7 @@ from toricroots.lattice import (
     Mat,
     Vec,
     _ceil_div,
+    _check_width,
     _reduce_ineq,
     content,
     dot,
@@ -1272,3 +1285,125 @@ def cone_set_is_fan_automorphism(fan: Fan, g: LatticeAutomorphism) -> bool:
     cone_sets = {c.ray_indices for c in fan.max_cones}
     return all(tuple(sorted(perm[i] for i in c.ray_indices)) in cone_sets
                for c in fan.max_cones)
+
+
+def smith_normal_form(m: Mat) -> tuple[Mat, Mat, Mat]:
+    """(U, D, V) with U*m*V = D, U and V unimodular, D diagonal, d_i | d_{i+1}.
+
+    Deterministic: pivots are chosen as the smallest-magnitude nonzero entry,
+    ties broken by position.
+    """
+    nrows = len(m)
+    ncols = len(m[0]) if nrows else 0
+    _check_width(m, ncols)
+    a = [list(row) for row in m]
+    u = [[int(i == j) for j in range(nrows)] for i in range(nrows)]
+    v = [[int(i == j) for j in range(ncols)] for i in range(ncols)]
+
+    def row_op(i: int, k: int, q: int) -> None:  # row_i -= q * row_k
+        a[i] = [x - q * y for x, y in zip(a[i], a[k])]
+        u[i] = [x - q * y for x, y in zip(u[i], u[k])]
+
+    def col_op(j: int, k: int, q: int) -> None:  # col_j -= q * col_k
+        for r in range(nrows):
+            a[r][j] -= q * a[r][k]
+        for r in range(ncols):
+            v[r][j] -= q * v[r][k]
+
+    def row_swap(i: int, k: int) -> None:
+        a[i], a[k] = a[k], a[i]
+        u[i], u[k] = u[k], u[i]
+
+    def col_swap(j: int, k: int) -> None:
+        for r in range(nrows):
+            a[r][j], a[r][k] = a[r][k], a[r][j]
+        for r in range(ncols):
+            v[r][j], v[r][k] = v[r][k], v[r][j]
+
+    t = 0
+    while True:
+        best = None
+        for i in range(t, nrows):
+            for j in range(t, ncols):
+                if a[i][j] != 0 and (best is None or abs(a[i][j]) < abs(a[best[0]][best[1]])):
+                    best = (i, j)
+        if best is None:
+            break
+        row_swap(t, best[0])
+        col_swap(t, best[1])
+        while True:
+            # clear the pivot row and column, shrinking the pivot via gcd steps
+            changed = True
+            while changed:
+                changed = False
+                for i in range(t + 1, nrows):
+                    if a[i][t] != 0:
+                        q = a[i][t] // a[t][t]
+                        row_op(i, t, q)
+                        if a[i][t] != 0:
+                            row_swap(t, i)
+                            changed = True
+                for j in range(t + 1, ncols):
+                    if a[t][j] != 0:
+                        q = a[t][j] // a[t][t]
+                        col_op(j, t, q)
+                        if a[t][j] != 0:
+                            col_swap(t, j)
+                            changed = True
+            piv = a[t][t]
+            bad = next(((i, j) for i in range(t + 1, nrows) for j in range(t + 1, ncols)
+                        if a[i][j] % piv != 0), None)
+            if bad is None:
+                break
+            # fold the offending row into the pivot row and re-clear
+            a[t] = [x + y for x, y in zip(a[t], a[bad[0]])]
+            u[t] = [x + y for x, y in zip(u[t], u[bad[0]])]
+        if a[t][t] < 0:
+            a[t] = [-x for x in a[t]]
+            u[t] = [-x for x in u[t]]
+        t += 1
+
+    return (tuple(tuple(r) for r in u),
+            tuple(tuple(r) for r in a),
+            tuple(tuple(r) for r in v))
+
+
+def hermite_row_form(m: Mat) -> Mat:
+    """Unique row-style Hermite normal form (left-multiplication by GL_n(Z)).
+
+    Echelon with positive pivots; entries above each pivot are reduced into
+    [0, pivot).
+    """
+    if not m:
+        return ()
+    nrows, ncols = len(m), len(m[0])
+    _check_width(m, ncols)
+    h = [list(row) for row in m]
+    r = 0
+    for col in range(ncols):
+        while True:
+            nz = [i for i in range(r, nrows) if h[i][col] != 0]
+            if not nz:
+                break
+            i0 = min(nz, key=lambda i: (abs(h[i][col]), i))
+            h[r], h[i0] = h[i0], h[r]
+            done = True
+            for i in range(r + 1, nrows):
+                if h[i][col] != 0:
+                    q = h[i][col] // h[r][col]
+                    h[i] = [x - q * y for x, y in zip(h[i], h[r])]
+                    if h[i][col] != 0:
+                        done = False
+            if done:
+                break
+        if r < nrows and h[r][col] != 0:
+            if h[r][col] < 0:
+                h[r] = [-x for x in h[r]]
+            for i in range(r):
+                q = h[i][col] // h[r][col]
+                if q:
+                    h[i] = [x - q * y for x, y in zip(h[i], h[r])]
+            r += 1
+            if r == nrows:
+                break
+    return tuple(tuple(row) for row in h)

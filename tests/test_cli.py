@@ -177,6 +177,15 @@ def test_fan_check_rejects_float_and_string_coercion(tmp_path):
         f"maximal cone {k} has non-integer ray indices" for k in (1, 2, 3)]
 
 
+def test_a_bound_below_one_is_bad_params(quadrant_file, capsys):
+    """roots --bound 0 is refused with exit 2 and a BadParams envelope."""
+    from toricroots import cli
+
+    assert cli.main(["roots", quadrant_file, "--bound", "0"]) == 2
+    report = json.loads(capsys.readouterr().out)
+    assert report["status"] == "invalid" and report["error"]["type"] == "BadParams"
+
+
 def test_maximal_cone_that_is_not_a_list(tmp_path):
     path = tmp_path / "scalar.json"
     path.write_bytes(b'{"dim": 2, "rays": [[1,0],[0,1]], "max_cones": [[0,1], 5]}')

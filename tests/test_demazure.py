@@ -22,7 +22,7 @@ from toricroots import (
 )
 from toricroots import demazure
 from toricroots.demazure import satisfies_condition1, satisfies_condition2
-from toricroots.errors import InvalidFan
+from toricroots.errors import BadParams, InvalidFan
 from toricroots.lattice import UNBOUNDED, Constraint, dot, lattice_points
 
 
@@ -236,7 +236,7 @@ def test_pairs_dimension_law():
 
 
 def test_bound_must_be_positive():
-    with pytest.raises(ValueError):
+    with pytest.raises(BadParams):
         roots_for_ray(quadrant_fan(), 0, bound=0)
 
 

@@ -118,6 +118,15 @@ def test_validate_missing_ray_use():
     assert any("does not appear" in v for v in violations)
 
 
+def test_a_ray_listed_in_a_skipped_cone_appears():
+    """A cone refused for a missing ray or a non-integer index still lists
+    its in-range integer indices, so those rays are not reported unused."""
+    assert validate_fan(1, [(1,), (-1,)], [(0,), (1, 5)]) == [
+        "maximal cone 1 references a missing ray"]
+    assert validate_fan(1, [(1,), (-1,)], [(0,), (1, 1.5)]) == [
+        "maximal cone 1 has non-integer ray indices"]
+
+
 def test_validate_a_cone_that_lists_a_ray_twice():
     """A repeated index is a violation, as repeated rays and cones are; it
     is not read as the cone on the distinct indices."""

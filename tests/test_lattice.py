@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from toricroots.errors import NotSquare, NotUnimodular, ZeroVector
 from toricroots.lattice import (
     UNBOUNDED,
@@ -21,6 +22,7 @@ from toricroots.lattice import (
     dot,
     dual_basis,
     hermite_column_form,
+    hermite_row_form,
     identity,
     invert_unimodular,
     kernel_basis,
@@ -137,6 +139,17 @@ def test_determinant_matches_laplace(rows):
     assert determinant(m) == laplace_det([list(r) for r in m])
 
 
+def test_a_ragged_matrix_names_the_row_of_another_length():
+    """determinant and invert_unimodular share one square check, whose
+    message names the first row whose length is not the number of rows."""
+    for f in (determinant, invert_unimodular):
+        with pytest.raises(NotSquare, match="it has 2 rows but row 1 has length 1"):
+            f(((1, 0), (0,)))
+        with pytest.raises(NotSquare, match="it has 3 rows but row 0 has length 2"):
+            f(((1, 0), (0, 1), (-1, -1)))
+    assert determinant(()) == 1 and invert_unimodular(()) == ()
+
+
 # ---------------------------------------------------------------------------
 # dual basis
 
@@ -196,6 +209,23 @@ def test_snf_properties(nrows, ncols, data):
     for a, b in zip(diag, diag[1:]):
         assert a >= 0 and (a == 0 and b == 0 or b % a == 0 if a else b == 0)
     assert diag == invariant_factors(m)
+
+
+def test_normal_forms_match_the_replaced_code():
+    """The Smith form on one working matrix returns the (U, D, V) of the
+    four-closure form it replaced, and the Hermite form on the shared
+    Euclid step the matrix of the smallest-pivot form, on 1,000 seeded
+    matrices of 1-6 rows and 1-5 columns and on their [M^T | I]
+    augmentations (the input that kernel_basis builds). Every third matrix
+    has entries in [-1, 1], so zero columns and rows are common."""
+    rng = random.Random(2201)
+    for k in range(1000):
+        nrows, ncols, size = rng.randint(1, 6), rng.randint(1, 5), 1 if k % 3 == 0 else 6
+        m = tuple(tuple(rng.randint(-size, size) for _ in range(ncols)) for _ in range(nrows))
+        aug = tuple(col + e for col, e in zip(transpose(m), identity(ncols)))
+        for x in (m, aug):
+            assert smith_normal_form(x) == oracles.smith_normal_form(x), x
+            assert hermite_row_form(x) == oracles.hermite_row_form(x), x
 
 
 def test_kernel_basis():
