@@ -25,6 +25,13 @@ from .errors import BadParams, InternalError, InvalidFan
 from .fan import Cone, Fan
 from .lattice import UNBOUNDED, Constraint, Value, Vec, dot
 
+# The most lattice points a truncated root enumeration may have to visit
+# for one ray. A root e lies on <p_rho, e> = -1, and a hyperplane meets the
+# box of sup-norm `bound` in at most (2 * bound + 1)^(dim - 1) lattice
+# points (drop a coordinate where p_rho is nonzero); a bound for which that
+# exceeds this limit is refused with BadParams.
+MAX_BOX_POINTS = 10 ** 5
+
 
 class DemazureRoot(Value):
     """A root e with its distinguished ray index and cached pairing row:
@@ -169,8 +176,9 @@ def roots_for_ray(fan: Fan, ray: int, bound: int | None = None) -> RayRoots:
     The roots are the lattice points of the condition-(1) polyhedron that
     satisfy condition (2). "infinite" means that polyhedron is non-empty and
     unbounded; then a supplied bound gives a "truncated" enumeration of its
-    points with sup-norm <= bound. An empty polyhedron is "finite" with no
-    roots. Complete fans always land in the "finite" case.
+    points with sup-norm <= bound, refused with BadParams when the box could
+    hold more than MAX_BOX_POINTS of them. An empty polyhedron is "finite"
+    with no roots. Complete fans always land in the "finite" case.
     """
     if not 0 <= ray < len(fan.rays):
         raise InvalidFan([f"no ray with index {ray}"])
@@ -183,6 +191,9 @@ def roots_for_ray(fan: Fan, ray: int, bound: int | None = None) -> RayRoots:
         if bound is None:
             return RayRoots(ray, "infinite", ())
         status = "truncated"
+        if min(2 * bound + 1, MAX_BOX_POINTS + 1) ** (fan.dim - 1) > MAX_BOX_POINTS:
+            raise BadParams(f"bound {bound} is too large in dimension {fan.dim}: up to "
+                            f"(2*bound+1)^{fan.dim - 1} points, more than {MAX_BOX_POINTS}")
         for u in lattice.identity(fan.dim):
             system.append(Constraint(u, ">=", -bound))
             system.append(Constraint(tuple(-x for x in u), ">=", -bound))

@@ -25,7 +25,10 @@ such question on a complete fan (see
 index there.
 
 Validation checks each maximal cone on its own, then that any two meet in
-a common face. When every maximal cone is n-dimensional, a local
+a common face. Each maximal cone's facet ray sets come with its dual
+description, as the double description reports them, and validation, the
+completeness certificate and the pair scan read them as bitmasks of ray
+indices. When every maximal cone is n-dimensional, a local
 certificate is tried first (:func:`_certify_complete`): every facet is
 shared by exactly one other maximal cone, on its other side, and one point
 of the first cone lies in no other. It holds exactly when the cones form a
@@ -159,9 +162,11 @@ class Fan(Value):
 # dual descriptions
 
 
-def _dual_description(gens: tuple[Vec, ...], dim: int) -> tuple[tuple[Vec, ...], tuple[Vec, ...]]:
+def _dual_description(gens: tuple[Vec, ...], dim: int) -> tuple[tuple, tuple, tuple]:
     """(inequalities, equations) cutting out cone(gens) exactly, in a
-    canonical form: it depends on the cone, not on how it is listed.
+    canonical form that depends on the cone, not on how it is listed; and
+    for each inequality the bitmask of the generators on which it vanishes
+    (bit k for gens[k]), which the double description reports.
 
     The facet normals are the primitive extreme rays of the dual cone (the
     double description). For a cone of lower dimension d with span L, the
@@ -171,18 +176,20 @@ def _dual_description(gens: tuple[Vec, ...], dim: int) -> tuple[tuple[Vec, ...],
     zeros off J; the equations are the Hermite basis of the lattice
     orthogonal to L (:func:`lattice.kernel_basis`). Proof: pi_J is injective
     on L and a.x = w.pi_J(x) for every x, so x is in the cone iff it is in
-    L and every a is >= 0 on it; each a is primitive because w is. Works
-    for non-pointed cones too.
+    L and every a is >= 0 on it, and a vanishes on the generators on which
+    w does; each a is primitive because w is. Lifting keeps the
+    lexicographic order, as J is increasing. Works for non-pointed cones
+    too.
     """
     if not gens:  # the unit vectors, sorted
-        return (), lattice.identity(dim)[::-1]
-    normals = lattice.dual_rays(gens, dim)
-    if normals is not None:  # full-dimensional: no change of coordinates
-        return normals, ()
+        return (), lattice.identity(dim)[::-1], ()
+    dd = lattice._double_description(gens, dim)
+    if dd is not None:  # full-dimensional: no change of coordinates
+        return dd[0], (), dd[1]
     at = {j: k for k, j in enumerate(lattice._gauss_jordan(gens, dim)[0])}  # J, in order
-    normals = lattice.dual_rays([tuple(g[j] for j in at) for g in gens], len(at))
-    lifted = (tuple(w[at[t]] if t in at else 0 for t in range(dim)) for w in normals)
-    return tuple(sorted(lifted)), lattice.kernel_basis(gens, dim)
+    normals, tight = lattice._double_description([tuple(g[j] for j in at) for g in gens], len(at))
+    lifted = tuple(tuple(w[at[t]] if t in at else 0 for t in range(dim)) for w in normals)
+    return lifted, lattice.kernel_basis(gens, dim), tight
 
 
 def cone_dual_description(generators, dim: int | None = None):
@@ -195,24 +202,32 @@ def cone_dual_description(generators, dim: int | None = None):
         if not gens:
             raise ValueError("explicit dim required for the zero cone")
         dim = len(gens[0])
-    for g in gens:
+    for k, g in enumerate(gens):
         if len(g) != dim:
-            raise DimensionMismatch("generators of mixed dimension")
+            raise DimensionMismatch(f"generator {k} has dimension {len(g)}, expected {dim}")
         if is_zero(g):
             raise ValueError("zero vector is not a cone generator")
-    ineqs, eqs = _dual_description(gens, dim)
-    on = [frozenset(i for i, g in enumerate(gens) if dot(a, g) == 0) for a in ineqs]
-    if not _is_face((), range(len(gens)), on):  # a generator on every facet: a line
+    ineqs, eqs, tight = _dual_description(gens, dim)
+    if not _is_face(0, (1 << len(gens)) - 1, tight):  # a generator on every facet: a line
         raise NotStronglyConvex("cone contains a line")
     return ineqs, eqs
 
 
-def _is_face(s: tuple[int, ...], idx: tuple[int, ...], facets) -> bool:
+def _is_face(s: int, rays: int, facets) -> bool:
     """True iff the rays `s` are the ray set of a face of the cone with rays
-    `idx`, given the ray sets of its facets: every face is an intersection
-    of facets, so iff s equals its closure, the intersection of the facet
-    ray sets that contain it (all of idx if none does)."""
-    return set(idx).intersection(*(t for t in facets if t.issuperset(s))) == set(s)
+    `rays`, given the ray sets of its facets, each set a bitmask of ray
+    indices: every face is an intersection of facets, so iff s equals its
+    closure, the intersection of the facet ray sets that contain it (all of
+    `rays` if none does)."""
+    for t in facets:
+        if s & t == s:
+            rays &= t
+    return rays == s
+
+
+def _bits(indices) -> int:
+    """The bitmask with bit i set for each index i."""
+    return sum(1 << i for i in indices)
 
 
 def _intersection_rays(gens: tuple[Vec, ...], rows, ineqs, eqs) -> tuple[Vec, ...]:
@@ -292,12 +307,16 @@ def _check_fan(dim, rays, max_cones, allow_nonprimitive: bool):
 
     descs, tights = {}, {}
     for idx in cones or [()]:  # no maximal cones: the fan of the zero cone
-        ineqs, _ = descs[idx] = _dual_description(tuple(rays[i] for i in idx), dim)
-        tights[idx] = [frozenset(i for i in idx if dot(a, rays[i]) == 0) for a in ineqs]
-        if not _is_face((), idx, tights[idx]):  # the smallest face is the lineality space
-            violations.append(f"cone {list(idx)} is not strongly convex")
-        elif any(not _is_face((i,), idx, tights[idx]) for i in idx):
-            violations.append(f"cone {list(idx)}: listed rays are not its minimal generators")
+        *descs[idx], local = _dual_description(tuple(rays[i] for i in idx), dim)
+        tights[idx] = [_bits(i for k, i in enumerate(idx) if t >> k & 1) for t in local]
+        # the closure of the empty set lies in each ray's closure, so if
+        # every ray is a face, the smallest face, the lineality space, holds
+        # at most one ray; a nonzero linear space needs two: no line
+        full = (1 << len(idx)) - 1
+        if not all(_is_face(1 << k, full, local) for k in range(len(idx))):
+            violations.append(f"cone {list(idx)}: listed rays are not its minimal generators"
+                              if _is_face(0, full, local) else
+                              f"cone {list(idx)} is not strongly convex")
     if violations:
         raise InvalidFan(violations)
 
@@ -306,9 +325,10 @@ def _check_fan(dim, rays, max_cones, allow_nonprimitive: bool):
     for a, b in () if certified else combinations(cones, 2):
         gens = tuple(sorted({prims[i] for i in a}))
         meet = _intersection_rays(gens, descs[a][0], *descs[b])
-        # a meet ray that is no ray of the fan (index -1) is in no face
-        meet_idx = tuple(sorted(prim_index.get(r, -1) for r in meet))
-        if not (_is_face(meet_idx, a, tights[a]) and _is_face(meet_idx, b, tights[b])):
+        # a meet ray that is no ray of the fan (index len(rays)) is in no face
+        meet_idx = tuple(sorted(prim_index.get(r, len(rays)) for r in meet))
+        s = _bits(meet_idx)
+        if not (_is_face(s, _bits(a), tights[a]) and _is_face(s, _bits(b), tights[b])):
             violations.append(
                 f"intersection of cones {list(a)} and {list(b)} is not a face of both")
         elif meet_idx in (a, b) and a != b:
@@ -324,8 +344,8 @@ def _certify_complete(rays, cones, descs, tights) -> bool:
     n-dimensional and pass the two local tests below; then, and only then,
     they are the maximal cones of a complete fan. The cones are pointed and
     listed by their minimal generators, with their facet normals and the
-    ray set T of each facet (`tights`): the checks of :func:`_check_fan`
-    before this one.
+    ray set T of each facet (`tights`, bitmasks of ray indices): the checks
+    of :func:`_check_fan` before this one.
 
     (a) *Facet pairing.* Each facet ray set T of a cone C_k is a facet ray
         set of exactly one other maximal cone C_j, and <a, r> < 0 for every
@@ -409,7 +429,7 @@ def _certify_complete(rays, cones, descs, tights) -> bool:
     """
     if not cones or any(descs[idx][1] for idx in cones):
         return False
-    owners: dict[frozenset, list] = {}
+    owners: dict[int, list] = {}
     for idx in cones:
         for a, t in zip(descs[idx][0], tights[idx]):
             owners.setdefault(t, []).append((idx, a))
@@ -417,7 +437,7 @@ def _certify_complete(rays, cones, descs, tights) -> bool:
         if len(pair) != 2:
             return False
         (_, a), (other, _) = pair
-        if any(dot(a, rays[i]) >= 0 for i in other if i not in t):
+        if any(dot(a, rays[i]) >= 0 for i in other if not t >> i & 1):
             return False
     first = cones[0]
     p = tuple(map(sum, zip(*(rays[i] for i in first))))
@@ -463,7 +483,7 @@ def _face_index(fan: Fan) -> dict:
     (:func:`_face_cone`) skips the faces already described, so each face is
     described once, by the first maximal cone containing it. Each maximal
     cone's tight sets are read off its stored inequalities."""
-    faces = {(): Cone((), *_dual_description((), fan.dim), 0)}
+    faces = {(): Cone((), *_dual_description((), fan.dim)[:2], 0)}
     for c in fan.max_cones:
         tight = [frozenset(i for i in c.ray_indices if dot(a, fan.rays[i]) == 0)
                  for a in c.inequalities]

@@ -5,7 +5,9 @@ Every computation is done in integers: Gauss-Jordan elimination is
 fraction-free, the Hermite and Smith normal forms share one unimodular
 Euclid step (each row loses its floor multiple of the pivot row), and cones
 are converted between their ray and inequality descriptions by an integer
-double-description kernel. No floating point or rational number is used
+double-description kernel, which returns each extreme ray with the bitmask
+of the input rows that vanish on it, so that its callers need not pair rays
+with rows again to find them. No floating point or rational number is used
 anywhere in this package.
 """
 
@@ -189,8 +191,8 @@ def _gauss_jordan(rows: Sequence[Vec], width: int) -> tuple[list[int], list[list
             sign = -sign
         p, row = a[r][col], a[r]
         for i in range(len(a)):
-            if i != r:
-                f = a[i][col]
+            f = a[i][col]
+            if i != r and (f or p != prev):  # else the update leaves row i as it is
                 a[i] = [(p * x - f * y) // prev for x, y in zip(a[i], row)]
         prev = p
         pivots.append(col)
@@ -390,57 +392,87 @@ def hermite_column_form(m: Mat) -> Mat:
 def cut_cone(rays: Sequence[Vec], rows: Sequence[Vec], cuts: Iterable[Vec]) -> tuple[Vec, ...]:
     """Primitive extreme rays of {x in C : <c, x> >= 0 for every cut c}, sorted.
 
-    Motzkin's double description method: `rays` are the primitive extreme
-    rays of a pointed cone C, and `rows` inequalities that cut C out within
-    its span. The cuts are applied one at a time. Two rays of the current
-    cone are adjacent iff no third ray is tight on every row tight on both
-    (exact, as every row so far is kept); each adjacent pair on opposite
-    sides of the cut yields the ray where their edge crosses it.
+    `rays` are the primitive extreme rays of a pointed cone C, and `rows`
+    inequalities that cut C out within its span; :func:`_motzkin` applies
+    the cuts. The dimension of C is not given, and finding it would cost an
+    elimination per call, so its pair filter is off (d = 0).
     """
-    rays, rows = list(rays), list(rows)
-    # bit k of tight[i] is set iff rows[k] vanishes on rays[i]
     tight = [sum(1 << k for k, a in enumerate(rows) if dot(a, r) == 0) for r in rays]
-    for c in cuts:
-        bit = 1 << len(rows)
-        rows.append(c)
+    return tuple(sorted(_motzkin(rays, tight, enumerate(cuts, len(rows)), 0)[0]))
+
+
+def _motzkin(rays: list[Vec], tight: list[int], cuts, d: int) -> tuple[list[Vec], list[int]]:
+    """Motzkin's double description method: the rays of a pointed cone P in a
+    space L of dimension d, each with its incidence (bit k of tight[i] is set
+    iff the k-th row vanishes on rays[i]), cut by each (k, c) of `cuts` in
+    turn, the cut <c, x> >= 0 taking bit k. Returns the extreme rays of the
+    result with their incidences, in no particular order.
+
+    Two rays of the current cone are adjacent iff no third ray is tight on
+    every row tight on both (exact, as every row so far is kept); each
+    adjacent pair on opposite sides of the cut yields the ray where their
+    edge crosses it. A pair tight together on fewer than d - 2 rows is
+    dropped before that scan over all rays, as it is not adjacent (a 2-face
+    of P is cut out by rows of rank d - 2). Proof: let y = r_i + r_j and S
+    the rows tight on both, which are the rows vanishing on y, as every row
+    is >= 0 on P. Let V be the subspace of L where the rows of S vanish;
+    each row lowers the dimension by at most one, so dim V >= d - |S|.
+    Every row not in S is > 0 at y, so a neighbourhood of y in V lies in P,
+    and so in the face G = P cut by <a, x> = 0 for the rows a in S. If
+    cone(r_i, r_j) is a face of P, it is G, the smallest face holding y, so
+    d - |S| <= dim V <= dim G = 2.
+    """
+    for k, c in cuts:
+        bit = 1 << k
         vals = [dot(c, r) for r in rays]
+        pos = [(i, v) for i, v in enumerate(vals) if v > 0]
+        negs = [(j, v) for j, v in enumerate(vals) if v < 0]
         new_rays, new_tight = [], []
-        for i, vi in enumerate(vals):
-            if vi <= 0:
-                continue
-            for j, vj in enumerate(vals):
-                if vj >= 0:
-                    continue
+        for i, vi in pos:
+            for j, vj in negs:
                 common = tight[i] & tight[j]
-                if any(common & t == common for k, t in enumerate(tight) if k != i and k != j):
+                if common.bit_count() < d - 2 or any(
+                        common & t == common for m, t in enumerate(tight) if m != i and m != j):
                     continue
                 new_rays.append(primitive(tuple(vi * y - vj * x for x, y in zip(rays[i], rays[j]))))
                 new_tight.append(common | bit)
         keep = [i for i, v in enumerate(vals) if v >= 0]
         rays = [rays[i] for i in keep] + new_rays
         tight = [tight[i] | (bit if vals[i] == 0 else 0) for i in keep] + new_tight
-    return tuple(sorted(rays))
+    return rays, tight
+
+
+def _double_description(rows: Sequence[Vec], width: int) -> tuple[tuple, tuple] | None:
+    """The sorted rays of :func:`dual_rays` and, for each, the bitmask of
+    the rows that vanish on it (bit k for rows[k]), or None.
+
+    The first `width` independent rows B bound a simplicial cone, whose rays
+    are the columns of B^-1 (each orthogonal to all rows but one);
+    :func:`_motzkin` cuts it with the rest. One fraction-free Gauss-Jordan
+    pass on [rows^T | I] finds both: its pivot columns pick B, and its right
+    block E ends with E B^T = d I, so row k of E, made primitive and signed
+    by the pivot d, is the k-th ray (<b_k, u> > 0), tight on every row of B
+    but b_k.
+    """
+    m = len(rows)
+    pivots, a, _ = _gauss_jordan([[*c, *e] for c, e in zip(zip(*rows), identity(width))], m)
+    if len(pivots) < width:
+        return None
+    basis = sum(1 << k for k in pivots)
+    rays, tight = _motzkin(
+        [primitive(row[m:] if row[k] > 0 else neg(row[m:])) for row, k in zip(a, pivots)],
+        [basis ^ (1 << k) for k in pivots],
+        [(k, r) for k, r in enumerate(rows) if not basis >> k & 1], width)
+    order = sorted(range(len(rays)), key=rays.__getitem__)
+    return tuple(rays[i] for i in order), tuple(tight[i] for i in order)
 
 
 def dual_rays(rows: Sequence[Vec], width: int) -> tuple[Vec, ...] | None:
     """Primitive extreme rays of {x : <a, x> >= 0 for every row a}, sorted, or
     None when the rows do not span Q^width (the cone then contains a line).
-
-    The first `width` independent rows B bound a simplicial cone, whose rays
-    are the columns of B^-1 (each orthogonal to all rows but one);
-    :func:`cut_cone` cuts it with the rest. One fraction-free Gauss-Jordan
-    pass on [rows^T | I] finds both: its pivot columns pick B, and its right
-    block E ends with E B^T = d I, so row k of E, made primitive and signed
-    by the pivot d, is the k-th ray (<b_k, u> > 0).
-    """
-    m = len(rows)
-    pivots, a, _ = _gauss_jordan(
-        [[r[t] for r in rows] + [int(i == t) for i in range(width)] for t in range(width)], m)
-    if len(pivots) < width:
-        return None
-    start = [primitive(row[m:] if row[k] > 0 else neg(row[m:])) for row, k in zip(a, pivots)]
-    rest = [r for k, r in enumerate(rows) if k not in pivots]
-    return cut_cone(start, [rows[k] for k in pivots], rest)
+    Computed by :func:`_double_description`."""
+    dd = _double_description(rows, width)
+    return None if dd is None else dd[0]
 
 
 # ---------------------------------------------------------------------------

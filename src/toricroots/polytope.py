@@ -1,9 +1,10 @@
 """Lattice polytopes: facets, the inscribed-in-a-rectangle test, normal fans.
 
-Facet inequalities are stored with outer normals (<p, x> <= a); the normal
-fan uses inner normals (-p), with the maximal cone at a vertex generated by
-the inner normals of the facets through it. The edge directions at a vertex
-are the stored inequalities of that cone.
+Facet inequalities are stored with outer normals (<p, x> <= a), each with
+the bitmask of the vertices on it, both from one double description of the
+hull; the normal fan uses inner normals (-p), with the maximal cone at a
+vertex generated by the inner normals of the facets through it. The edge
+directions at a vertex are the stored inequalities of that cone.
 """
 
 from __future__ import annotations
@@ -22,23 +23,28 @@ class FacetInequality(Value):
     __slots__ = _fields = ("normal", "rhs")
 
 
-def _hull_facets(points: tuple[Vec, ...], dim: int) -> tuple[FacetInequality, ...] | None:
-    """Facets of conv(points), or None when the points are not full-dimensional.
+def _hull_facets(points: tuple[Vec, ...], dim: int) -> tuple[tuple, tuple]:
+    """The facets of conv(points) in lexicographic order, and for each the
+    bitmask of the points on it (bit i for points[i]). DegeneratePolytope
+    when the points are not full-dimensional.
 
     The facet <p, x> <= a is the extreme ray (-p, a) of the cone dual to the
-    cone over the lifted points (v, 1).
+    cone over the lifted points (v, 1), and the points on it are those whose
+    lifts vanish on that ray, as the double description reports.
     """
-    rays = lattice.dual_rays([v + (1,) for v in points], dim + 1)
-    if rays is None:
-        return None
-    return tuple(FacetInequality(u, a) for u, a in sorted((neg(r[:dim]), r[dim]) for r in rays))
+    dd = lattice._double_description([v + (1,) for v in points], dim + 1)
+    if dd is None:
+        raise DegeneratePolytope("polytope is not full-dimensional")
+    fs = sorted((neg(r[:dim]), r[dim], on) for r, on in zip(*dd))
+    return tuple(FacetInequality(u, a) for u, a, _ in fs), tuple(on for *_, on in fs)
 
 
 class LatticePolytope(Value):
     """A full-dimensional lattice polytope given by its vertex set.
 
-    Vertices are stored sorted, with the indices of those on each facet,
-    which the fan's face test :func:`toricroots.fan._is_face` reads. Every
+    Vertices are stored sorted, with the bitmask of those on each facet,
+    which the hull's double description reports and the fan's face test
+    :func:`toricroots.fan._is_face` reads. Every
     face is an intersection of facets, so construction rejects a listed
     point that is not the only one on the facets through it: the stored set
     is exactly the hull's vertex set. A dim or a coordinate that is not an
@@ -46,7 +52,7 @@ class LatticePolytope(Value):
     """
 
     _fields = ("dim", "vertices")
-    # derived on construction: the facets, and per facet the indices of the
+    # derived on construction: the facets, and per facet the bitmask of the
     # vertices on it; the normal fan is stored on first use
     __slots__ = (*_fields, "_facets", "_on", "_normal_fan", "__weakref__")
 
@@ -64,13 +70,9 @@ class LatticePolytope(Value):
         if len(set(pts)) != len(pts):
             raise InvalidPolytope("vertices are not pairwise distinct")
         pts = tuple(sorted(pts))
-        fs = _hull_facets(pts, dim)
-        if fs is None:
-            raise DegeneratePolytope("polytope is not full-dimensional")
-        on = tuple(frozenset(i for i, v in enumerate(pts) if dot(f.normal, v) == f.rhs)
-                   for f in fs)
+        fs, on = _hull_facets(pts, dim)
         for i, v in enumerate(pts):
-            if not _is_face((i,), range(len(pts)), on):
+            if not _is_face(1 << i, (1 << len(pts)) - 1, on):
                 raise InvalidPolytope(f"listed point {list(v)} is not a vertex")
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "vertices", pts)
@@ -126,7 +128,7 @@ def inscribed_in_rectangle(p: LatticePolytope) -> RectangleWitness | None:
         dirs = _normal_cone(p, i).inequalities  # the edge directions at v
         if len(dirs) != p.dim or abs(lattice.determinant(dirs)) != 1:
             continue
-        away = [f for f, on in zip(fs, p._on) if i not in on]
+        away = [f for f, on in zip(fs, p._on) if not on >> i & 1]
         if all(dot(f.normal, e) >= 0 for f in away for e in dirs):
             return RectangleWitness(v, dirs)
     return None
@@ -147,7 +149,7 @@ def normal_fan(p: LatticePolytope) -> Fan:
 def _cone_rays(p: LatticePolytope, i: int) -> tuple[int, ...]:
     """The sorted ray indices of vertex i's cone in the normal fan, whose
     rays are the facets' inner normals in reverse order."""
-    return tuple(r for r, on in enumerate(reversed(p._on)) if i in on)
+    return tuple(r for r, on in enumerate(reversed(p._on)) if on >> i & 1)
 
 
 def _normal_cone(p: LatticePolytope, i: int) -> Cone:

@@ -101,7 +101,8 @@ Then a polytope's edges stopped being found by testing vertex pairs:
 the vertex's cone in the normal fan. Kept below unchanged but for its name:
 the closure test of each other vertex together with v on the facet
 incidence (``pair_edge_directions_at``), which reads the polytope's
-``_on`` and shares only ``fan._is_face`` with the library. The rank edge
+``_on`` (as sets, from its bitmasks) and shares nothing else with the
+library. The rank edge
 test is asked once per vertex, which on the order-5 permutohedron meant
 120 hulls of one polytope; it now takes the hull and the vertex->facet map
 from a small cache keyed on the sorted points (``_vertex_tight_of``), with
@@ -118,6 +119,21 @@ new Smith form makes the same operations in the same order, so it returns
 the same (U, D, V); the new Hermite form takes the first nonzero entry as
 pivot, and the row-style Hermite form is unique, so it returns the same
 matrix.
+
+Then the double description came to hand back, with each extreme ray, the
+bitmask of the input rows that vanish on it, and fan validation, the
+completeness certificate and the polytope read those incidences where they
+paired rays with rows by ``dot``. Kept below, unchanged but for names: the
+closure test on sets (``set_is_face``; the library's ``fan._is_face`` now
+takes bitmasks), the Motzkin step without the filter that drops a pair
+tight together on fewer than d - 2 rows (``motzkin_cut_cone``, the old
+``cut_cone``), the tight sets of a maximal cone (``cone_tight_sets``), the
+hull's facets without incidences (``dot_hull_facets``) and the vertices on
+each facet (``vertex_facet_sets``). ``rank_vertex_tight``, the dataclass
+``LatticePolytope`` and ``pair_edge_directions_at`` now call these in place
+of the library's ``_hull_facets`` and ``_is_face``, and
+``rank_cone_dual_description`` takes the first two entries of
+``fan._dual_description``.
 """
 
 from __future__ import annotations
@@ -151,7 +167,7 @@ from toricroots.errors import (
     NotUnimodular,
     TorsionClassGroup,
 )
-from toricroots.fan import Cone, Fan, LatticeAutomorphism, _is_face, is_fan_automorphism
+from toricroots.fan import Cone, Fan, LatticeAutomorphism, is_fan_automorphism
 from toricroots.lattice import (
     UNBOUNDED,
     Constraint,
@@ -168,7 +184,7 @@ from toricroots.lattice import (
     sub,
     vec,
 )
-from toricroots.polytope import FacetInequality, LatticePolytope, _hull_facets
+from toricroots.polytope import FacetInequality, LatticePolytope
 
 
 def rank(rows: Sequence[Vec], width: int | None = None) -> int:
@@ -787,7 +803,7 @@ def rank_vertex_tight(dim: int, points) -> tuple[tuple[FacetInequality, ...], di
     where the normals of the facets through it have rank below dim. The
     sorted points must be full-dimensional."""
     pts = tuple(sorted(vec(v) for v in points))
-    fs = _hull_facets(pts, dim)
+    fs = dot_hull_facets(pts, dim)
     tight = {v: tuple(k for k, f in enumerate(fs) if dot(f.normal, v) == f.rhs) for v in pts}
     for v in pts:
         if lattice.rank([fs[k].normal for k in tight[v]], dim) != dim:
@@ -836,7 +852,7 @@ def rank_cone_dual_description(generators, dim: int | None = None):
             raise DimensionMismatch("generators of mixed dimension")
         if is_zero(g):
             raise ValueError("zero vector is not a cone generator")
-    ineqs, eqs = fan_module._dual_description(gens, dim)
+    ineqs, eqs = fan_module._dual_description(gens, dim)[:2]
     if lattice.rank(ineqs + eqs, dim) < dim:
         raise NotStronglyConvex("cone contains a line")
     return ineqs, eqs
@@ -847,15 +863,16 @@ def pair_edge_directions_at(p: LatticePolytope, v: Vec) -> tuple[Vec, ...]:
 
     Two vertices span an edge iff they are the only vertices on the facets
     through both (a face with two vertices is an edge), the closure test of
-    :func:`toricroots.fan._is_face`; this works for non-simple polytopes too.
+    :func:`set_is_face`; this works for non-simple polytopes too.
     ValueError when v is not a vertex of p.
     """
     if v not in p.vertices:
         raise ValueError(f"point {list(v)} is not a vertex of the polytope")
     i = p.vertices.index(v)
     every = range(len(p.vertices))
+    on = [frozenset(k for k in every if t >> k & 1) for t in p._on]
     return tuple(sorted(primitive(sub(w, v)) for j, w in enumerate(p.vertices)
-                        if j != i and _is_face((i, j), every, p._on)))
+                        if j != i and set_is_face((i, j), every, on)))
 
 
 # ---------------------------------------------------------------------------
@@ -1108,13 +1125,13 @@ class dataclass_values:
             if len(set(pts)) != len(pts):
                 raise InvalidPolytope("vertices are not pairwise distinct")
             pts = tuple(sorted(pts))
-            fs = _hull_facets(pts, self.dim)
+            fs = dot_hull_facets(pts, self.dim)
             if fs is None:
                 raise DegeneratePolytope("polytope is not full-dimensional")
             on = tuple(frozenset(i for i, v in enumerate(pts) if dot(f.normal, v) == f.rhs)
                        for f in fs)
             for i, v in enumerate(pts):
-                if not _is_face((i,), range(len(pts)), on):
+                if not set_is_face((i,), range(len(pts)), on):
                     raise InvalidPolytope(f"listed point {list(v)} is not a vertex")
             object.__setattr__(self, "vertices", pts)
             object.__setattr__(self, "_facets", fs)
@@ -1407,3 +1424,74 @@ def hermite_row_form(m: Mat) -> Mat:
             if r == nrows:
                 break
     return tuple(tuple(row) for row in h)
+
+
+# ---------------------------------------------------------------------------
+# incidences recomputed by dot products
+
+
+def set_is_face(s: tuple[int, ...], idx: tuple[int, ...], facets) -> bool:
+    """True iff the rays `s` are the ray set of a face of the cone with rays
+    `idx`, given the ray sets of its facets: every face is an intersection
+    of facets, so iff s equals its closure, the intersection of the facet
+    ray sets that contain it (all of idx if none does)."""
+    return set(idx).intersection(*(t for t in facets if t.issuperset(s))) == set(s)
+
+
+def motzkin_cut_cone(rays: Sequence[Vec], rows: Sequence[Vec], cuts) -> tuple[Vec, ...]:
+    """Primitive extreme rays of {x in C : <c, x> >= 0 for every cut c}, sorted.
+
+    Motzkin's double description method: `rays` are the primitive extreme
+    rays of a pointed cone C, and `rows` inequalities that cut C out within
+    its span. The cuts are applied one at a time. Two rays of the current
+    cone are adjacent iff no third ray is tight on every row tight on both
+    (exact, as every row so far is kept); each adjacent pair on opposite
+    sides of the cut yields the ray where their edge crosses it.
+    """
+    rays, rows = list(rays), list(rows)
+    # bit k of tight[i] is set iff rows[k] vanishes on rays[i]
+    tight = [sum(1 << k for k, a in enumerate(rows) if dot(a, r) == 0) for r in rays]
+    for c in cuts:
+        bit = 1 << len(rows)
+        rows.append(c)
+        vals = [dot(c, r) for r in rays]
+        new_rays, new_tight = [], []
+        for i, vi in enumerate(vals):
+            if vi <= 0:
+                continue
+            for j, vj in enumerate(vals):
+                if vj >= 0:
+                    continue
+                common = tight[i] & tight[j]
+                if any(common & t == common for k, t in enumerate(tight) if k != i and k != j):
+                    continue
+                new_rays.append(primitive(tuple(vi * y - vj * x for x, y in zip(rays[i], rays[j]))))
+                new_tight.append(common | bit)
+        keep = [i for i, v in enumerate(vals) if v >= 0]
+        rays = [rays[i] for i in keep] + new_rays
+        tight = [tight[i] | (bit if vals[i] == 0 else 0) for i in keep] + new_tight
+    return tuple(sorted(rays))
+
+
+def cone_tight_sets(idx: tuple[int, ...], ineqs, rays) -> list[frozenset]:
+    """Per inequality of the cone with rays `idx`, the indices of the rays on
+    which it vanishes."""
+    return [frozenset(i for i in idx if dot(a, rays[i]) == 0) for a in ineqs]
+
+
+def dot_hull_facets(points: tuple[Vec, ...], dim: int) -> tuple[FacetInequality, ...] | None:
+    """Facets of conv(points), or None when the points are not full-dimensional.
+
+    The facet <p, x> <= a is the extreme ray (-p, a) of the cone dual to the
+    cone over the lifted points (v, 1).
+    """
+    rays = lattice.dual_rays([v + (1,) for v in points], dim + 1)
+    if rays is None:
+        return None
+    return tuple(FacetInequality(u, a) for u, a in sorted((neg(r[:dim]), r[dim]) for r in rays))
+
+
+def vertex_facet_sets(pts: tuple[Vec, ...], fs) -> tuple[frozenset, ...]:
+    """Per facet, the indices of the points on it."""
+    return tuple(frozenset(i for i, v in enumerate(pts) if dot(f.normal, v) == f.rhs)
+                 for f in fs)

@@ -39,6 +39,7 @@ from toricroots import (
     wps_one,
 )
 from toricroots import fan as fan_module
+from toricroots.errors import DegeneratePolytope
 from toricroots.lattice import dot, is_primitive, rank
 from toricroots.polytope import _hull_facets, cube
 
@@ -75,8 +76,9 @@ def random_normal_fans(dim, rng, count):
     while len(out) < count:
         points = tuple(sorted({tuple(rng.randint(-2, 2) for _ in range(dim))
                                for _ in range(dim + 3)}))
-        fs = _hull_facets(points, dim)
-        if fs is None:
+        try:
+            fs, _ = _hull_facets(points, dim)
+        except DegeneratePolytope:
             continue
         verts = [v for v in points
                  if rank([f.normal for f in fs if dot(f.normal, v) == f.rhs], dim) == dim]

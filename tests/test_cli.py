@@ -186,6 +186,15 @@ def test_a_bound_below_one_is_bad_params(quadrant_file, capsys):
     assert report["status"] == "invalid" and report["error"]["type"] == "BadParams"
 
 
+def test_a_bound_too_large_for_the_box_is_refused(quadrant_file):
+    """roots --bound 10^20 on the quadrant asked for 10^20 roots per ray and
+    ran until it was killed; it is refused at once, with exit 2."""
+    code, report = run_json("roots", quadrant_file, "--bound", str(10 ** 20))
+    assert code == 2 and report["status"] == "invalid"
+    assert report["error"]["type"] == "BadParams"
+    assert report["error"]["message"].startswith("bound 100000000000000000000 is too large")
+
+
 def test_maximal_cone_that_is_not_a_list(tmp_path):
     path = tmp_path / "scalar.json"
     path.write_bytes(b'{"dim": 2, "rays": [[1,0],[0,1]], "max_cones": [[0,1], 5]}')

@@ -23,7 +23,7 @@ from toricroots import (
 from toricroots import demazure
 from toricroots.demazure import satisfies_condition1, satisfies_condition2
 from toricroots.errors import BadParams, InvalidFan
-from toricroots.lattice import UNBOUNDED, Constraint, dot, lattice_points
+from toricroots.lattice import UNBOUNDED, Constraint, dot, identity, lattice_points
 
 
 def _root_vectors(fan):
@@ -238,6 +238,25 @@ def test_pairs_dimension_law():
 def test_bound_must_be_positive():
     with pytest.raises(BadParams):
         roots_for_ray(quadrant_fan(), 0, bound=0)
+
+
+def test_a_bound_whose_box_is_too_large_is_refused(monkeypatch):
+    """A truncated enumeration refuses a bound for which the box may hold
+    more than MAX_BOX_POINTS points on <p_rho, e> = -1, that is
+    (2 * bound + 1)^(dim - 1), before it builds the box; a bound at the
+    limit is enumerated. Roots that are finite ignore the bound."""
+    quadrant, octant = quadrant_fan(), build_fan(3, identity(3), [(0, 1, 2)])
+    with pytest.raises(BadParams, match="^bound 100000000000000000000 is too large"):
+        roots_for_ray(quadrant, 0, bound=10 ** 20)
+    assert all_roots(projective_space(2), bound=10 ** 20) == all_roots(projective_space(2))
+    for dim, bound in ((2, 6), (3, 5), (4, 3)):  # the largest boxes the benchmark asks for
+        assert (2 * bound + 1) ** (dim - 1) <= demazure.MAX_BOX_POINTS
+    monkeypatch.setattr(demazure, "MAX_BOX_POINTS", 9)
+    assert roots_for_ray(quadrant, 0, bound=4).roots[-1].vector == (-1, 4)
+    assert len(roots_for_ray(octant, 0, bound=1).roots) == 4
+    for fan, bound in ((quadrant, 5), (octant, 2)):  # 11 and 25 points
+        with pytest.raises(BadParams, match="more than 9$"):
+            roots_for_ray(fan, 0, bound=bound)
 
 
 def test_complete_fan_roots_ignore_bound():

@@ -346,8 +346,8 @@ def test_the_walk_describes_each_face_once(monkeypatch):
     """The build describes no face; the first all_faces access makes one
     _face_cone call per face other than the zero cone, never two for the
     same face, and a second access makes none. A certified fan makes one
-    closure test per maximal cone (strong convexity) and one per ray of it
-    (minimal generators), none per face."""
+    closure test per ray of each maximal cone (minimal generators, which
+    implies strong convexity), none per face."""
     calls = counting(monkeypatch, fan_module, "_face_cone")
     closures = counting(monkeypatch, fan_module, "_is_face")
     for make in (lambda: product_p1(5), lambda: normal_fan(cube(4)), *LOWER_DIMENSIONAL):
@@ -356,7 +356,7 @@ def test_the_walk_describes_each_face_once(monkeypatch):
         fan = make()
         assert calls == [] and fan._by_rays is None
         if fan._complete:
-            assert len(closures) == sum(1 + len(c.ray_indices) for c in fan.max_cones)
+            assert len(closures) == sum(len(c.ray_indices) for c in fan.max_cones)
         faces = fan.all_faces
         described = [args[0] for args in calls]
         assert len(described) == len(set(described)) == len(faces) - 1
@@ -367,20 +367,24 @@ def test_the_walk_describes_each_face_once(monkeypatch):
 
 @pytest.mark.parametrize("dim", (2, 3, 4))
 def test_closure_test_matches_the_face_scan(dim):
-    """On every subset of each maximal cone's rays, _is_face agrees with
-    oracles.cone_face_sets; sets with a ray outside the cone are no face."""
+    """On every subset of each maximal cone's rays, _is_face on bitmasks
+    agrees with oracles.cone_face_sets and with the closure on sets it
+    replaced (oracles.set_is_face); sets with a ray outside the cone are no
+    face."""
     checked = 0
     for fan in fans_to_check(dim):
         for cone in fan.max_cones:
             idx = cone.ray_indices
-            tight = [frozenset(i for i in idx if dot(a, fan.rays[i]) == 0)
-                     for a in cone.inequalities]
+            tight = oracles.cone_tight_sets(idx, cone.inequalities, fan.rays)
+            masks = [fan_module._bits(t) for t in tight]
             want = set(oracles.cone_face_sets(cone, fan.rays))
             for k in range(len(idx) + 1):
                 for s in combinations(idx, k):
-                    assert fan_module._is_face(s, idx, tight) == (s in want), (fan.rays, idx, s)
+                    got = fan_module._is_face(fan_module._bits(s), fan_module._bits(idx), masks)
+                    assert got == (s in want) == oracles.set_is_face(s, idx, tight), (idx, s)
                     checked += 1
             outside = next((i for i in range(len(fan.rays)) if i not in idx), None)
             if outside is not None:
-                assert not fan_module._is_face((outside,), idx, tight)
+                assert not fan_module._is_face(1 << outside, fan_module._bits(idx), masks)
+                assert not oracles.set_is_face((outside,), idx, tight)
     assert checked > 200

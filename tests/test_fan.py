@@ -73,6 +73,15 @@ def test_dual_description_rejects_line():
         cone_dual_description([(1, 0), (-1, 0)])
 
 
+def test_a_generator_of_another_dimension_is_named():
+    """Generators of one length that differs from dim are not of mixed
+    dimension: the message names the first one and both dimensions."""
+    with pytest.raises(DimensionMismatch, match=r"^generator 0 has dimension 2, expected 3$"):
+        cone_dual_description([(1, 0), (0, 1)], 3)
+    with pytest.raises(DimensionMismatch, match=r"^generator 1 has dimension 3, expected 2$"):
+        cone_dual_description([(1, 0), (0, 1, 0)])
+
+
 def test_dual_description_single_ray():
     ineqs, eqs = cone_dual_description([(1, 0)])
     assert ineqs == ((1, 0),)

@@ -144,8 +144,14 @@ def assert_matches_oracle(got, gens, dim):
     the oracle's way: exactly for a full-dimensional cone; otherwise with
     equations of the same Hermite form, and as many facets, each with the
     oracle's tight set and values on the generators that are a positive
-    multiple of the oracle's (the same primitive value vector)."""
+    multiple of the oracle's (the same primitive value vector). If `got`
+    carries incidences, bit k of each is set iff its inequality vanishes on
+    gens[k]."""
     want = oracles.dual_description(gens, dim)
+    if len(got) == 3:
+        assert got[2] == tuple(sum(1 << k for k, g in enumerate(gens) if dot(a, g) == 0)
+                               for a in got[0]), gens
+        got = got[:2]
     if not want[1]:
         assert got == want, gens
         return
@@ -177,11 +183,11 @@ def test_lower_dimensional_descriptions_do_not_depend_on_generator_order(dim):
         gens = tuple(random_cone_gens(rng, dim, rng.choice(["flat", "any"])))
         if rank(gens, dim) == dim:
             continue
-        want = _dual_description(gens, dim)
+        want = _dual_description(gens, dim)[:2]
         shuffled = list(gens) + [gens[0]]
         rng.shuffle(shuffled)
-        assert _dual_description(gens[::-1], dim) == want, gens
-        assert _dual_description(tuple(shuffled), dim) == want, gens
+        assert _dual_description(gens[::-1], dim)[:2] == want, gens
+        assert _dual_description(tuple(shuffled), dim)[:2] == want, gens
         seen += 1
     assert seen > 20
 
@@ -250,7 +256,7 @@ def test_full_dimensional_cone_skips_the_smith_form():
             want.add(u)
         elif all(x <= 0 for x in vals):
             want.add(tuple(-x for x in u))
-    assert _dual_description(gens, 5) == (tuple(sorted(want)), ())
+    assert _dual_description(gens, 5)[:2] == (tuple(sorted(want)), ())
 
 
 @pytest.mark.parametrize("dim", (1, 2, 3, 4))

@@ -68,7 +68,7 @@ def vertex_sets(dim, rng):
 
 def oracle_vertices(points, dim):
     """The points on dim independent facets of the hull."""
-    fs = polytope._hull_facets(tuple(sorted(points)), dim)
+    fs, _ = polytope._hull_facets(tuple(sorted(points)), dim)
     return [v for v in points
             if rank([f.normal for f in fs if dot(f.normal, v) == f.rhs], dim) == dim]
 

@@ -46,7 +46,7 @@ from toricroots.polytope import _hull_facets
 def face_fan(points, dim):
     """The fan of cones over the facets of conv(points), on its vertices;
     the origin must be interior and the vertices primitive."""
-    fs = _hull_facets(tuple(points), dim)
+    fs, _ = _hull_facets(tuple(points), dim)
     verts = [v for v in points
              if rank([f.normal for f in fs if dot(f.normal, v) == f.rhs], dim) == dim]
     cones = [[i for i, v in enumerate(verts) if dot(f.normal, v) == f.rhs] for f in fs]
