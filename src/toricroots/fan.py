@@ -35,7 +35,9 @@ of the first cone lies in no other. It holds exactly when the cones form a
 complete fan, so a certified fan needs no pair of its cones intersected,
 and any other fan intersects every pair. The certificate is also the one
 decision of completeness: :func:`build_fan` stores its answer on the fan,
-and :func:`is_complete` returns it.
+and :func:`is_complete` returns it. The one fan built otherwise is a
+polytope's normal fan, which :func:`toricroots.polytope.normal_fan`
+assembles from the hull's incidence, complete by theorem.
 """
 
 from __future__ import annotations
@@ -109,7 +111,10 @@ class LatticeAutomorphism(Value):
 
 
 class Fan(Value):
-    """A validated fan. Construct through :func:`build_fan`.
+    """A validated fan. Construct through :func:`build_fan`; the one other
+    constructor is :func:`toricroots.polytope.normal_fan`, which assembles a
+    polytope's normal fan from the hull's incidence, with the same value and
+    completeness that build_fan gives it.
 
     A fan is its dim, rays and maximal cones: ``==``, ``hash`` and ``repr``
     read those alone. Stored beside them, and neither compared nor shown:
@@ -230,11 +235,17 @@ def _bits(indices) -> int:
     return sum(1 << i for i in indices)
 
 
-def _intersection_rays(gens: tuple[Vec, ...], rows, ineqs, eqs) -> tuple[Vec, ...]:
-    """Primitive extreme rays of the intersection of two pointed cones: the
-    first cone's rays `gens` (its inequalities `rows`) cut by the second
-    cone's inequalities `ineqs` and by its equations `eqs` in both signs."""
-    return lattice.cut_cone(gens, rows, ineqs + eqs + tuple(neg(e) for e in eqs))
+def _intersection_rays(gens: list[Vec], start: list[int], nrows: int, d: int,
+                       ineqs, eqs) -> list[Vec]:
+    """Primitive extreme rays of the intersection of two pointed cones, in
+    no particular order: the first cone, of dimension d, with extreme rays
+    `gens` and `nrows` inequalities, bit m of start[k] set iff the m-th
+    vanishes on gens[k], cut by the second cone's inequalities `ineqs` and
+    by its equations `eqs` in both signs. :func:`lattice._motzkin` filters
+    pairs by d, the dimension of the first cone's span, in which its
+    inequalities cut it out."""
+    cuts = enumerate(ineqs + eqs + tuple(neg(e) for e in eqs), nrows)
+    return lattice._motzkin(gens, start, cuts, d)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -322,9 +333,12 @@ def _check_fan(dim, rays, max_cones, allow_nonprimitive: bool):
 
     certified = _certify_complete(rays, cones, descs, tights)
     prim_index = {p: i for i, p in enumerate(prims)}
+    # per ray of each cone, the bitmask of the cone's facets through it
+    starts = {} if certified else {
+        a: [sum(1 << m for m, t in enumerate(tights[a]) if t >> i & 1) for i in a] for a in cones}
     for a, b in () if certified else combinations(cones, 2):
-        gens = tuple(sorted({prims[i] for i in a}))
-        meet = _intersection_rays(gens, descs[a][0], *descs[b])
+        meet = _intersection_rays([prims[i] for i in a], starts[a], len(tights[a]),
+                                  dim - len(descs[a][1]), *descs[b])
         # a meet ray that is no ray of the fan (index len(rays)) is in no face
         meet_idx = tuple(sorted(prim_index.get(r, len(rays)) for r in meet))
         s = _bits(meet_idx)
@@ -519,8 +533,11 @@ def is_complete(fan: Fan) -> bool:
 
     :func:`build_fan` decides this once, by :func:`_certify_complete`, whose
     docstring proves that the certificate holds exactly when the maximal
-    cones form a complete fan; this returns the stored answer. A Fan
-    assembled without :func:`build_fan` has none and reads as not complete.
+    cones form a complete fan; this returns the stored answer.
+    :func:`toricroots.polytope.normal_fan` assembles the normal fan without
+    build_fan and stores True, as a polytope's normal fan is complete by
+    theorem (the proof is in its docstring). Any other Fan assembled without
+    build_fan has no answer stored and reads as not complete.
     """
     return fan._complete
 

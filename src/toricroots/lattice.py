@@ -395,7 +395,9 @@ def cut_cone(rays: Sequence[Vec], rows: Sequence[Vec], cuts: Iterable[Vec]) -> t
     `rays` are the primitive extreme rays of a pointed cone C, and `rows`
     inequalities that cut C out within its span; :func:`_motzkin` applies
     the cuts. The dimension of C is not given, and finding it would cost an
-    elimination per call, so its pair filter is off (d = 0).
+    elimination per call, so its pair filter is off (d = 0). Fan validation
+    knows both the incidences and the dimension, and calls :func:`_motzkin`
+    itself (:func:`toricroots.fan._intersection_rays`).
     """
     tight = [sum(1 << k for k, a in enumerate(rows) if dot(a, r) == 0) for r in rays]
     return tuple(sorted(_motzkin(rays, tight, enumerate(cuts, len(rows)), 0)[0]))
@@ -406,7 +408,12 @@ def _motzkin(rays: list[Vec], tight: list[int], cuts, d: int) -> tuple[list[Vec]
     space L of dimension d, each with its incidence (bit k of tight[i] is set
     iff the k-th row vanishes on rays[i]), cut by each (k, c) of `cuts` in
     turn, the cut <c, x> >= 0 taking bit k. Returns the extreme rays of the
-    result with their incidences, in no particular order.
+    result with their incidences, in no particular order. L need not be the
+    whole space: it is any linear space that holds P and in which the rows
+    cut P out, as {x in L : <a, x> >= 0 for every row a}. So it may be the
+    span of the start cone (as in :func:`toricroots.fan._intersection_rays`),
+    whose inequalities cut it out within its span; each cut keeps the cone
+    in L and cut out there by the rows so far. d = 0 turns the filter off.
 
     Two rays of the current cone are adjacent iff no third ray is tight on
     every row tight on both (exact, as every row so far is kept); each
@@ -417,10 +424,11 @@ def _motzkin(rays: list[Vec], tight: list[int], cuts, d: int) -> tuple[list[Vec]
     the rows tight on both, which are the rows vanishing on y, as every row
     is >= 0 on P. Let V be the subspace of L where the rows of S vanish;
     each row lowers the dimension by at most one, so dim V >= d - |S|.
-    Every row not in S is > 0 at y, so a neighbourhood of y in V lies in P,
-    and so in the face G = P cut by <a, x> = 0 for the rows a in S. If
-    cone(r_i, r_j) is a face of P, it is G, the smallest face holding y, so
-    d - |S| <= dim V <= dim G = 2.
+    Every row not in S is > 0 at y, so, as the rows cut P out within L, a
+    neighbourhood of y in V lies in P, and so in the face G = P cut by
+    <a, x> = 0 for the rows a in S. If cone(r_i, r_j) is a face of P, it is
+    G, the smallest face holding y, so d - |S| <= dim V <= dim G = 2. The
+    proof reads only points of L, so it holds for any such L.
     """
     for k, c in cuts:
         bit = 1 << k

@@ -4,7 +4,11 @@ Facet inequalities are stored with outer normals (<p, x> <= a), each with
 the bitmask of the vertices on it, both from one double description of the
 hull; the normal fan uses inner normals (-p), with the maximal cone at a
 vertex generated by the inner normals of the facets through it. The edge
-directions at a vertex are the stored inequalities of that cone.
+directions at a vertex are the stored inequalities of that cone. The
+normal fan is assembled from that incidence alone (:func:`normal_fan`):
+the edges are found by the closure test on it, and the fan is complete by
+theorem, so no cone gets a double description and nothing is validated
+again.
 """
 
 from __future__ import annotations
@@ -13,8 +17,8 @@ from bisect import bisect_left
 
 from . import lattice
 from .errors import BadParams, DegeneratePolytope, InvalidPolytope
-from .fan import Cone, Fan, _is_face, build_fan
-from .lattice import Value, Vec, dot, neg, vec
+from .fan import Cone, Fan, _is_face
+from .lattice import Value, Vec, dot, neg, primitive, sub, vec
 
 
 class FacetInequality(Value):
@@ -89,9 +93,11 @@ def facets(p: LatticePolytope) -> tuple[FacetInequality, ...]:
 def edge_directions_at(p: LatticePolytope, v: Vec) -> tuple[Vec, ...]:
     """Primitive directions of the edges of p containing the vertex v, sorted.
 
-    They are the stored inequalities of v's maximal cone in the normal fan.
-    Proof: let F_v be the facets <p_k, x> <= a_k through v. Near v the other
-    facet inequalities are strict, so the tangent cone T = cone(p - v) is
+    They are the stored inequalities of v's maximal cone in the normal fan,
+    which :func:`normal_fan` reads off the hull's incidence, and they are
+    that cone's facet normals. Proof: let F_v be the facets
+    <p_k, x> <= a_k through v. Near v the other facet inequalities are
+    strict, so the tangent cone T = cone(p - v) is
     {x : <p_k, x> <= 0 for k in F_v}, and the faces of T are the cones
     cone(G - v) over the faces G of p through v (Ziegler, *Lectures on
     Polytopes*, Lecture 7). Its rays are therefore the half-lines from v
@@ -101,14 +107,15 @@ def edge_directions_at(p: LatticePolytope, v: Vec) -> tuple[Vec, ...]:
     v is a vertex, so T is pointed and the normal cone full-dimensional,
     and the facets of a full-dimensional cone correspond one to one to the
     rays of its dual, each facet's primitive normal spanning its ray. The
-    cone's stored description (:func:`toricroots.fan._dual_description`) is
-    these primitive normals, sorted, with no equation. Nothing here asks
+    cone's canonical description (:func:`toricroots.fan._dual_description`)
+    is these primitive normals, sorted, with no equation. Nothing here asks
     that v lie on exactly dim facets or have exactly dim edges, so this
     holds for polytopes that are not simple.
 
     The cone is found without the fan's face index (:func:`_normal_cone`).
-    ValueError when v is not a vertex of p.
+    v is any sequence of ints; ValueError when it is not a vertex of p.
     """
+    v = vec(v)
     if v not in p.vertices:
         raise ValueError(f"point {list(v)} is not a vertex of the polytope")
     return _normal_cone(p, p.vertices.index(v)).inequalities
@@ -137,13 +144,94 @@ def inscribed_in_rectangle(p: LatticePolytope) -> RectangleWitness | None:
 def normal_fan(p: LatticePolytope) -> Fan:
     """The complete fan with rays the inner facet normals and one maximal cone
     per vertex, generated by the inner normals of its facets. It is built once
-    per polytope and stored on it."""
+    per polytope and stored on it.
+
+    It is assembled from the hull's vertex-facet incidence, with no double
+    description and no validation, and equals what
+    :func:`toricroots.fan.build_fan` returns on the same rays and cones. The rays are the inner normals in
+    reverse facet order, and vertex i's cone has as rays the facets through
+    i. Its inequalities are the primitive directions w - v of the edges vw
+    at v, sorted (:func:`_edges` finds them), with no equation: by
+    :func:`edge_directions_at` these are the facet normals of the normal
+    cone, which is full-dimensional, and the canonical description of a
+    full-dimensional cone (:func:`toricroots.fan._dual_description`) is its
+    primitive facet normals, sorted. The cones are sorted by ray set, as
+    build_fan sorts them; distinct vertices lie on distinct facet sets.
+
+    *Completeness.* The normal fan of a full-dimensional lattice polytope is
+    a complete fan (Cox-Little-Schenck, Theorem 2.3.2): for u in N_R, the
+    linear function <u, x> attains its minimum over p at some vertex v, so
+    <u, w - v> >= 0 for every vertex w, and in particular for every edge
+    direction at v: u lies in v's cone. That the cones meet in common faces
+    is the same theorem, and the rays of each cone are its minimal
+    generators, since each facet through v gives a facet of the tangent
+    cone at v, so a ray of the dual. :func:`toricroots.fan._certify_complete`
+    holds exactly when the maximal cones form a complete fan, so build_fan
+    would store True: this stores True.
+    """
     if p._normal_fan is None:
-        # negation reverses the lexicographic order of the facet normals
-        inner = [neg(f.normal) for f in reversed(facets(p))]
-        cones = sorted(_cone_rays(p, i) for i in range(len(p.vertices)))
-        object.__setattr__(p, "_normal_fan", build_fan(p.dim, inner, cones))
+        on = p._on[::-1]  # negation reverses the lexicographic order of the normals
+        through: list[list[int]] = [[] for _ in p.vertices]  # each vertex's ray indices
+        for r, mask in enumerate(on):
+            for i in _indices(mask):
+                through[i].append(r)
+        full = (1 << len(p.vertices)) - 1
+        cones = []
+        for i, (v, rs) in enumerate(zip(p.vertices, through)):
+            edges = _edges(full, [on[r] for r in rs], i, p.dim)
+            dirs = tuple(sorted(primitive(sub(p.vertices[j], v)) for j in edges))
+            cones.append(Cone(tuple(rs), dirs, (), p.dim))
+        cones.sort(key=lambda c: c.ray_indices)
+        fan = Fan(p.dim, tuple(neg(f.normal) for f in reversed(p._facets)), tuple(cones))
+        object.__setattr__(fan, "_complete", True)
+        object.__setattr__(p, "_normal_fan", fan)
     return p._normal_fan
+
+
+def _indices(mask: int):
+    """The positions of the set bits of mask, in increasing order."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _edges(full: int, facets: list[int], i: int, dim: int) -> list[int]:
+    """The indices of the vertices w such that vw is an edge, where v is
+    vertex i of a polytope p of dimension dim, `full` the bitmask of all its
+    vertices and `facets` the bitmasks of the vertices on each facet
+    through v.
+
+    *Edge test.* vw is an edge iff the vertices on every facet through both
+    v and w are exactly v and w (all vertices if no facet holds both). The
+    set is the vertex set of G, the intersection of p with those facets,
+    since every face of p is the intersection of p with the facets
+    containing it (p itself if there are none). G is the smallest face
+    holding v and w. If vw is an edge, G lies in it and holds both ends, so
+    it is the edge; if G has the vertices v and w only, it is the segment
+    vw, a face of dimension 1. This is the closure test of
+    :func:`toricroots.fan._is_face` on the facets through v, since a facet
+    through v holds w iff it holds both.
+
+    *Candidates.* Only a vertex on at least dim - 1 of v's facets is tested.
+    Proof: let y = (v + w) / 2 and S the facets through v and w, which are
+    the facets whose inequalities are tight at y, as both ends satisfy
+    them. Let V be the affine space where the inequalities of S are tight;
+    each lowers the dimension by at most one, so dim V >= dim - |S|. Every
+    other inequality is strict at y, so a neighbourhood of y in V lies in
+    p, and so in G. If vw is an edge, G is that edge, so
+    dim - |S| <= dim V <= 1. The count is kept by bitmasks: after v's
+    facets r_1..r_k, near[s] holds the vertices on at least s of them, as a
+    vertex is on s of r_1..r_k iff it is on s of r_1..r_(k-1), or on s - 1
+    of them and on r_k. Counting stops at dim - 1, and near[s] is updated
+    before near[s - 1] so that it reads the previous count.
+    """
+    near = [full] + [0] * (dim - 1)
+    for k, mask in enumerate(facets, 1):
+        for s in range(min(k, dim - 1), 0, -1):
+            near[s] |= near[s - 1] & mask
+    v = 1 << i
+    return [j for j in _indices(near[dim - 1] & ~v) if _is_face(v | 1 << j, near[0], facets)]
 
 
 def _cone_rays(p: LatticePolytope, i: int) -> tuple[int, ...]:
@@ -153,7 +241,7 @@ def _cone_rays(p: LatticePolytope, i: int) -> tuple[int, ...]:
 
 
 def _normal_cone(p: LatticePolytope, i: int) -> Cone:
-    """Vertex i's maximal cone in the normal fan, by bisection: build_fan
+    """Vertex i's maximal cone in the normal fan, by bisection: normal_fan
     sorts the maximal cones by ray set, and distinct vertices lie on
     distinct facet sets. No face index is built."""
     cones = normal_fan(p).max_cones

@@ -194,7 +194,8 @@ def permutohedron(n: int) -> list[tuple[int, ...]]:
 
 if __name__ == "__main__":
     # python tests/helpers.py NAME prints one scaling fixture: the fan JSON
-    # of product9, cross4, blowup or z5, or the polytope JSON of perm6. The
+    # of product9, cross4, blowup or z5, or the polytope JSON of perm6 or
+    # cross5 (the 5-dimensional cross-polytope, each vertex on 16 facets). The
     # test modules are imported here, so importing helpers imports none of
     # them.
     import json
@@ -225,8 +226,12 @@ if __name__ == "__main__":
     def _perm6():
         return {"dim": 5, "vertices": [list(v) for v in permutohedron(6)]}
 
+    def _cross5():
+        from test_polytope_faces import cross_polytope
+        return {"dim": 5, "vertices": [list(v) for v in cross_polytope(5)]}
+
     fixtures = {"product9": _product9, "cross4": _cross4, "blowup": _blowup, "z5": _z5,
-                "perm6": _perm6}
+                "perm6": _perm6, "cross5": _cross5}
     if len(sys.argv) != 2 or sys.argv[1] not in fixtures:
         sys.exit(f"usage: python tests/helpers.py {{{','.join(fixtures)}}}")
     print(json.dumps(fixtures[sys.argv[1]]()))

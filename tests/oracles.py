@@ -134,6 +134,14 @@ each facet (``vertex_facet_sets``). ``rank_vertex_tight``, the dataclass
 of the library's ``_hull_facets`` and ``_is_face``, and
 ``rank_cone_dual_description`` takes the first two entries of
 ``fan._dual_description``.
+
+Then ``polytope.normal_fan`` stopped building the normal fan through
+``fan.build_fan``: it assembles each vertex's cone from the hull's
+incidence, with the edges at the vertex as its inequalities, and stores the
+fan as complete by theorem. Kept below, unchanged but for module
+references: the route through ``build_fan`` (``built_normal_fan``), which
+gives each maximal cone a double description and validates and certifies
+the fan.
 """
 
 from __future__ import annotations
@@ -184,6 +192,7 @@ from toricroots.lattice import (
     sub,
     vec,
 )
+from toricroots import polytope as polytope_module
 from toricroots.polytope import FacetInequality, LatticePolytope
 
 
@@ -873,6 +882,15 @@ def pair_edge_directions_at(p: LatticePolytope, v: Vec) -> tuple[Vec, ...]:
     on = [frozenset(k for k in every if t >> k & 1) for t in p._on]
     return tuple(sorted(primitive(sub(w, v)) for j, w in enumerate(p.vertices)
                         if j != i and set_is_face((i, j), every, on)))
+
+
+def built_normal_fan(p: LatticePolytope) -> Fan:
+    """The complete fan with rays the inner facet normals and one maximal cone
+    per vertex, generated by the inner normals of its facets."""
+    # negation reverses the lexicographic order of the facet normals
+    inner = [neg(f.normal) for f in reversed(polytope_module.facets(p))]
+    cones = sorted(polytope_module._cone_rays(p, i) for i in range(len(p.vertices)))
+    return fan_module.build_fan(p.dim, inner, cones)
 
 
 # ---------------------------------------------------------------------------

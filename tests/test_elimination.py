@@ -43,7 +43,6 @@ from toricroots import (
     cox_presentation,
     fan_from_json_dict,
     lattice,
-    normal_fan,
     product_p1,
     validate_fan,
 )
@@ -347,10 +346,13 @@ def test_the_walk_describes_each_face_once(monkeypatch):
     _face_cone call per face other than the zero cone, never two for the
     same face, and a second access makes none. A certified fan makes one
     closure test per ray of each maximal cone (minimal generators, which
-    implies strong convexity), none per face."""
+    implies strong convexity), none per face. The 4-cube's normal fan is
+    built through build_fan (oracles.built_normal_fan), as normal_fan
+    assembles it without validation."""
     calls = counting(monkeypatch, fan_module, "_face_cone")
     closures = counting(monkeypatch, fan_module, "_is_face")
-    for make in (lambda: product_p1(5), lambda: normal_fan(cube(4)), *LOWER_DIMENSIONAL):
+    for make in (lambda: product_p1(5), lambda: oracles.built_normal_fan(cube(4)),
+                 *LOWER_DIMENSIONAL):
         calls.clear()
         closures.clear()
         fan = make()

@@ -21,7 +21,7 @@ import pytest
 import oracles
 from helpers import quadrant_fan
 from test_cli import counting
-from test_face_index import COMPLETE, cross_polytope_fan, fans_in_dim
+from test_face_index import COMPLETE, fans_in_dim
 from test_kernel import assert_matches_oracle, random_unimodular
 from toricroots import (
     LatticeAutomorphism,
@@ -163,8 +163,12 @@ def test_he_connected_pairs_match_rank_oracle(dim):
 def test_maximal_cones_only_get_a_dual_description(monkeypatch):
     descriptions = counting(monkeypatch, fan_module, "_dual_description")
     smith = counting(monkeypatch, lattice, "smith_normal_form")
+    # the normal fans go through build_fan: normal_fan describes no cone
+    cross4 = lattice.identity(4) + tuple(map(lattice.neg, lattice.identity(4)))
     full = (lambda: product_p1(4), lambda: projective_space(5),
-            lambda: cross_polytope_fan(4), lambda: normal_fan(cube(4)), twenty_four_cell_fan)
+            lambda: oracles.built_normal_fan(LatticePolytope(4, cross4)),
+            lambda: oracles.built_normal_fan(cube(4)),
+            lambda: oracles.built_normal_fan(LatticePolytope(4, tuple(TWENTY_FOUR_CELL))))
     lower = 0
     for make in full + LOWER_DIMENSIONAL:
         fan = make()
@@ -204,7 +208,8 @@ def test_is_complete_makes_no_dot_certificate_or_build_call(monkeypatch):
 
 
 def test_normal_fan_is_built_once_per_polytope(monkeypatch):
-    builds = counting(monkeypatch, polytope, "build_fan")
+    """Counted by the assembly of the Fan: normal_fan calls no build_fan."""
+    builds = counting(monkeypatch, polytope, "Fan")
     p = cube(3)
     nf = normal_fan(p)
     assert normal_fan(p) is nf

@@ -204,18 +204,20 @@ def fail(*_):
 
 
 def test_building_computes_no_incidence_by_a_dot_product(monkeypatch):
-    """Building (P^1)^5 and the normal fan of the 4-cube runs no dot product
-    in the double description (every cone is simplicial, so nothing is cut)
-    and in the fan only those of the certificate: one per shared facet (the
-    partner's ray off it) and, for the degree test, one per inequality of
-    each other cone until one is negative at the sum p of the first cone's
-    rays. Constructing the 4-cube pairs no vertex with a facet; its hull's
-    double description pairs each cut with the current rays only."""
+    """Building (P^1)^5 and the normal fan of the 4-cube through build_fan
+    (oracles.built_normal_fan) runs no dot product in the double
+    description (every cone is simplicial, so nothing is cut) and in the fan
+    only those of the certificate: one per shared facet (the partner's ray
+    off it) and, for the degree test, one per inequality of each other cone
+    until one is negative at the sum p of the first cone's rays.
+    Constructing the 4-cube pairs no vertex with a facet; its hull's double
+    description pairs each cut with the current rays only. normal_fan, which
+    assembles the same fan from the hull's incidence, runs no dot product."""
     monkeypatch.setattr(polytope, "dot", fail)
     p = cube(4)
     calls = counting(monkeypatch, fan_module, "dot")
     monkeypatch.setattr(lattice, "dot", fail)
-    for make in (lambda: product_p1(5), lambda: normal_fan(p)):
+    for make in (lambda: product_p1(5), lambda: oracles.built_normal_fan(p)):
         calls.clear()
         fan = make()
         assert fan._complete
@@ -226,3 +228,5 @@ def test_building_computes_no_incidence_by_a_dot_product(monkeypatch):
                           if sum(x * y for x, y in zip(a, p_sum)) < 0) for c in cones[1:])
         assert len(calls) == shared + degree
         assert [args[1] for args in calls[shared:]] == [p_sum] * degree
+    calls.clear()
+    assert normal_fan(p) == fan and calls == []

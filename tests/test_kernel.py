@@ -332,14 +332,24 @@ def _image_fans(seed):
         yield name, apply_automorphism(fan, g)
 
 
+def intersection_rays(fan, c1, c2):
+    """fan._intersection_rays on two cones of the fan, sorted, with the
+    incidences of c1's rays and inequalities found by dot products and its
+    dimension as the filter's d."""
+    gens = [primitive(fan.rays[i]) for i in c1.ray_indices]
+    start = [sum(1 << m for m, a in enumerate(c1.inequalities) if dot(a, g) == 0) for g in gens]
+    got = _intersection_rays(gens, start, len(c1.inequalities), c1.dim,
+                             c2.inequalities, c2.equations)
+    return tuple(sorted(got))
+
+
 @pytest.mark.parametrize("seed", (5, 6))
 def test_intersections_of_maximal_cones_match_subset_scan(seed):
     pairs = 0
     for name, fan in _image_fans(seed):
         for a, b in combinations(fan.max_cones, 2):
             for c1, c2 in ((a, b), (b, a)):
-                gens = tuple(sorted({primitive(fan.rays[i]) for i in c1.ray_indices}))
-                got = _intersection_rays(gens, c1.inequalities, c2.inequalities, c2.equations)
+                got = intersection_rays(fan, c1, c2)
                 assert got == oracles.intersection_rays(c1, c2, fan.dim), (name, c1, c2)
                 pairs += 1
     assert pairs > 100
@@ -349,9 +359,7 @@ def test_intersections_of_faces_match_subset_scan():
     """Lower-dimensional cones: every pair of faces of a fan in dimension 3."""
     fan = next(f for name, f in _image_fans(9) if name == "(P1)^3")
     for c1, c2 in combinations(fan.all_faces, 2):
-        gens = tuple(sorted({primitive(fan.rays[i]) for i in c1.ray_indices}))
-        got = _intersection_rays(gens, c1.inequalities, c2.inequalities, c2.equations)
-        assert got == oracles.intersection_rays(c1, c2, fan.dim)
+        assert intersection_rays(fan, c1, c2) == oracles.intersection_rays(c1, c2, fan.dim)
 
 
 # ---------------------------------------------------------------------------

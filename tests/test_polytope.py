@@ -114,6 +114,15 @@ def test_edge_directions_at_a_point_that_is_no_vertex():
         edge_directions_at(cube(2), (5, 5))
 
 
+def test_edge_directions_at_a_vertex_given_as_a_list():
+    p = cube(2)
+    for v in p.vertices:
+        assert edge_directions_at(p, list(v)) == edge_directions_at(p, v)
+    assert edge_directions_at(p, [0, 0]) == ((0, 1), (1, 0))
+    with pytest.raises(ValueError, match=r"point \[5, 5\] is not a vertex"):
+        edge_directions_at(p, [5, 5])
+
+
 def test_simplex_witness_at_origin():
     for n in (1, 2, 3):
         for d in (1, 2, 3):

@@ -144,11 +144,16 @@ def test_rectangle_vertices_are_the_normal_cones_with_a_collection():
 
 def test_edges_read_no_vertex_pair_and_build_no_face_index(monkeypatch):
     """On the order-5 permutohedron (120 vertices, no witness, so every
-    vertex is tried), the rectangle test and the edges at every vertex make
-    no closure test and leave the normal fan's face index unbuilt."""
+    vertex is tried), the only closure tests are those of the normal fan's
+    assembly: one per vertex and candidate neighbour, and on this simple
+    polytope the candidates are the 4 neighbours, not the 119 other
+    vertices. The edges at every vertex then make none, and the normal
+    fan's face index stays unbuilt."""
     p = LatticePolytope(4, tuple(permutohedron(5)))
     closures = counting(monkeypatch, polytope, "_is_face")
     assert inscribed_in_rectangle(p) is None
+    assert len(closures) == 120 * 4
+    closures.clear()
     for v in p.vertices:
         assert len(edge_directions_at(p, v)) == 4
     assert closures == []
