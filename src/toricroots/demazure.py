@@ -16,14 +16,25 @@ fan's face index, by the lemma in :mod:`toricroots.fan`: a ray of a fan
 that lies in a cone tau of the fan is one of tau's rays, so cone(sigma +
 rho) is a cone of the fan iff the ray-index set of sigma plus rho is in
 ``fan.face_sets``. The index is built on the first such test.
+
+The roots of a ray are found in one of two ways. On a fan certified
+complete the fan bounds them itself: each root's pairings with n rays of
+a maximal cone through its ray are bounded by the cones that hold the
+opposites of those rays, and the bounded pairings of integral vectors
+are searched depth first, with no elimination (:func:`roots_for_ray` has
+the proofs). On any other fan the condition-(1) polyhedron may be
+unbounded, and its lattice points come from Fourier-Motzkin elimination
+(:func:`toricroots.lattice.lattice_points`).
 """
 
 from __future__ import annotations
 
+from operator import mul
+
 from . import lattice
 from .errors import BadParams, InternalError, InvalidFan
 from .fan import Cone, Fan
-from .lattice import UNBOUNDED, Constraint, Value, Vec, dot
+from .lattice import UNBOUNDED, Constraint, Value, Vec, dot, neg
 
 # The most lattice points a truncated root enumeration may have to visit
 # for one ray. A root e lies on <p_rho, e> = -1, and a hyperplane meets the
@@ -171,19 +182,91 @@ def _condition1_system(fan: Fan, ray: int) -> list[Constraint]:
 
 
 def roots_for_ray(fan: Fan, ray: int, bound: int | None = None) -> RayRoots:
-    """Roots with the given distinguished ray.
+    """Roots with the given distinguished ray rho.
 
     The roots are the lattice points of the condition-(1) polyhedron that
-    satisfy condition (2). "infinite" means that polyhedron is non-empty and
-    unbounded; then a supplied bound gives a "truncated" enumeration of its
-    points with sup-norm <= bound, refused with BadParams when the box could
-    hold more than MAX_BOX_POINTS of them. An empty polyhedron is "finite"
-    with no roots. Complete fans always land in the "finite" case.
+    satisfy condition (2). On a fan that is not complete they are found by
+    Fourier-Motzkin elimination (:func:`toricroots.lattice.lattice_points`).
+    "infinite" means that polyhedron is non-empty and unbounded; then a
+    supplied bound gives a "truncated" enumeration of its points with
+    sup-norm <= bound, refused with BadParams when the box could hold more
+    than MAX_BOX_POINTS of them. An empty polyhedron is "finite" with no
+    roots.
+
+    A complete fan is always "finite", and its roots are enumerated in
+    pairing coordinates with no elimination (the bound is not used). Write
+    y_i = <p_i, e>, so a root has y_rho = -1 and y_i >= 0 for i != rho, and
+    on a complete fan that is all (:func:`satisfies_condition2`). Every
+    maximal cone of a fan certified complete is full-dimensional: the
+    certificate is tried only then, and a polytope's normal cones are.
+
+    *Bound* (Demazure 1970, section 3; Cox-Little-Schenck, section 3.4).
+    For k != rho, -p_k lies in some maximal cone, as the fan is complete:
+    -p_k = sum c_i p_i with c_i >= 0 over that cone's rays, among which k
+    is not, since a strongly convex cone does not hold both p_k and -p_k.
+    Pairing with a root e gives -y_k = sum c_i y_i >= -c_rho, so
+    0 <= y_k <= floor(c_rho), with c_rho = 0 when rho is not in that cone.
+    The bounds are pairings, so a GL_n(Z) image of the fan has the same.
+
+    *Basis read-off.* Take n independent rays of a maximal cone through
+    rho, rho among them, as the rows of a matrix B. A root e is B^-1 y_B,
+    y_B its pairings with those rays, so it is among the integral B^-1 y
+    with y_rho = -1 and 0 <= y_b <= floor(c_rho) for the -p_b of the other
+    basis rays. Write B^-1 = W / D with W integral and D > 0. One
+    fraction-free Gauss-Jordan pass (:func:`toricroots.lattice._gauss_jordan`)
+    on the matrix G whose columns are the cone's rays, rho first, finds
+    the first n independent columns, which are the basis, so B^T is G
+    restricted to them. Carried on [G | I], the pass left-multiplies by
+    some E with E B^T = D I, so its right block is E = D (B^-1)^T, and the
+    rows of E are the columns of W. Another ray p_j pairs with
+    W y / D to L_j y / D, where L_j holds the integers <p_j, w_b>. So y
+    gives a root iff every L_j y >= 0 and y lies in the lattice B Z^n:
+    then e = W y / D is integral and satisfies condition (1).
+
+    *Search.* Order the basis with rho first, then the rays whose bound is
+    0, then the others. The column Hermite form H of B in that order is
+    lower triangular with a positive diagonal, and H Z^n = B Z^n (H = I
+    when D = 1), so the y in the lattice are the H z with z integral, and
+    z is read off y one coordinate at a time: given z_1 .. z_(i-1), the
+    values of y_i are the r_i + H_ii t, r_i = sum H_im z_m over m < i. The
+    fixed y_i (-1 and 0) either give z_i or show that there are no roots.
+    The others are searched depth first, each over the values r_i + H_ii t
+    in [0, its bound], so every full y is the pairing vector of an
+    integral e, and no point of the box off the lattice is visited. The
+    unassigned y_b can add at most sum max(0, L_jb) floor(c_rho) to L_j y,
+    and a branch where some row stays negative even then is cut
+    (:func:`_descend`).
+
+    *Peel.* -p_k is decomposed in the first maximal cone C whose stored
+    inequalities hold it, and 1 * p_j when it is itself the ray p_j. Let
+    x = -p_k and F the face of C cut out by the inequalities tight at x,
+    the smallest face that holds x. While x != 0, F has a ray p_r. The
+    normals of the pointed full-dimensional C span the dual space and are
+    >= 0 on p_r, so some a has <a, p_r> > 0; no such a is tight at x, as
+    the tight ones vanish on F. So t = min <a, x> / <a, p_r> over them is
+    positive, x - t p_r lies in C, and it is tight where x was and at the
+    minimizing a, which does not vanish on p_r. Its smallest face is then a
+    proper face of F, of lower dimension, so after at most n steps x = 0,
+    and x is the sum of the t p_r, each ray used once (:func:`_peel`,
+    exact over the integers). Within one :func:`all_roots` call the
+    decomposition of each -p_k is computed once, and only for the rays
+    some basis uses, and a basis with its inverse serves every ray in it.
+
+    The roots are sorted, as lattice_points lists them.
     """
+    return _roots_for_ray(fan, ray, bound, {}, {})
+
+
+def _roots_for_ray(fan: Fan, ray: int, bound: int | None, opposite: dict,
+                   inverses: dict) -> RayRoots:
+    """roots_for_ray, with the decompositions of the -p_k kept in `opposite`
+    and in `inverses`, for each ray, a basis inverse whose basis holds it."""
     if not 0 <= ray < len(fan.rays):
         raise InvalidFan([f"no ray with index {ray}"])
     if bound is not None and bound < 1:
         raise BadParams("bound must be a positive integer")
+    if fan._complete:
+        return RayRoots(ray, "finite", _complete_roots(fan, ray, opposite, inverses))
     system = _condition1_system(fan, ray)
     points = lattice.lattice_points(system, fan.dim)
     status = "finite"
@@ -205,7 +288,133 @@ def roots_for_ray(fan: Fan, ray: int, bound: int | None = None) -> RayRoots:
 
 
 def all_roots(fan: Fan, bound: int | None = None) -> RootSet:
-    return RootSet(tuple(roots_for_ray(fan, i, bound) for i in range(len(fan.rays))))
+    opposite: dict = {}
+    inverses: dict = {}
+    return RootSet(tuple(_roots_for_ray(fan, i, bound, opposite, inverses)
+                         for i in range(len(fan.rays))))
+
+
+def _complete_roots(fan: Fan, ray: int, opposite: dict,
+                    inverses: dict) -> tuple[DemazureRoot, ...]:
+    """The roots of the ray on a complete fan, sorted; the proofs are in
+    :func:`roots_for_ray`."""
+    n, rays = fan.dim, fan.rays
+    if ray not in inverses:
+        cone = next(c.ray_indices for c in fan.max_cones if ray in c.ray_indices)
+        inverse = _basis_inverse(rays, [ray, *(i for i in cone if i != ray)])
+        for b in inverse[0]:
+            inverses.setdefault(b, inverse)
+    basis, cols, d = inverses[ray]
+    tops = []
+    for b in basis:
+        if b == ray:
+            tops.append(-1)
+            continue
+        if b not in opposite:
+            opposite[b] = _decompose(fan, neg(rays[b]))
+        num, den = opposite[b].get(ray, (0, 1))
+        tops.append(num // den)
+    # search order: the ray, the pairings held at 0, then the bounded ones
+    order = sorted(range(n), key=lambda pos: (tops[pos] >= 0, tops[pos] > 0))
+    basis, cols, tops = ([seq[pos] for pos in order] for seq in (basis, cols, tops))
+    h = lattice.identity(n) if d == 1 else lattice.hermite_column_form([rays[b] for b in basis])
+    fixed = sum(top <= 0 for top in tops)
+    y, z = [-1] + [0] * (n - 1), [0] * n
+    for pos in range(fixed):
+        z[pos], off = divmod(y[pos] - sum(map(mul, h[pos], z)), h[pos][pos])
+        if off:
+            return ()
+    others = [rays[j] for j in range(len(rays)) if j not in basis]
+    # the columns of the rows L_j that the search reads: rho's and the steps'
+    rows = {pos: [sum(map(mul, p, cols[pos])) for p in others] for pos in (0, *range(fixed, n))}
+    steps = [(pos, tops[pos], rows[pos], h[pos]) for pos in range(fixed, n)]
+    tails = [[0] * len(others)]
+    for _, top, coeffs, _ in reversed(steps):
+        tails.append([t + top * c if c > 0 else t for t, c in zip(tails[-1], coeffs)])
+    tails.reverse()
+    found: list[list[int]] = []
+    sums = [-c for c in rows[0]]
+    if all(s + t >= 0 for s, t in zip(sums, tails[0])):
+        _descend(steps, tails, 0, sums, y, z, found)
+    w = list(zip(*cols))
+    vectors = sorted(tuple(sum(map(mul, pairings, row)) // d for row in w) for pairings in found)
+    return tuple(DemazureRoot(e, ray, pairing_row(fan, e)) for e in vectors)
+
+
+def _descend(steps, tails, level: int, sums: list[int], y: list[int], z: list[int],
+             found: list) -> None:
+    """Extend the pairings y = H z at steps[level:] (each a basis position,
+    its bound, its column of the rows L and its row of H), collecting every
+    full y. At each position y steps by H's diagonal entry through the
+    values in [0, bound] that the earlier z allow, so every full y is B e
+    for an integral e. A value is taken only if the rows `sums` = L y can
+    still reach 0 with the most that the later steps add (tails[level +
+    1]), so every full y has L y >= 0; the caller checks the first node."""
+    if level == len(steps):
+        found.append(list(y))
+        return
+    pos, top, coeffs, hrow = steps[level]
+    tail = tails[level + 1]
+    z[pos] = 0
+    r, step = sum(map(mul, hrow, z)), hrow[pos]
+    for v in range(r % step, top + 1, step):
+        new = [s + v * c for s, c in zip(sums, coeffs)]
+        if all(s + t >= 0 for s, t in zip(new, tail)):
+            y[pos], z[pos] = v, (v - r) // step
+            _descend(steps, tails, level + 1, new, y, z, found)
+
+
+def _basis_inverse(rays: tuple[Vec, ...], gens: list[int]) -> tuple[list[int], list[Vec], int]:
+    """The first n independent rays among `gens` (ray indices), and (W, D)
+    with D > 0 and B^-1 = W / D for the matrix B of those rays as rows; W
+    is given by its columns, in the same order."""
+    n, m = len(rays[0]), len(gens)
+    columns = lattice.transpose([rays[i] for i in gens])
+    picked, a, _ = lattice._gauss_jordan([c + u for c, u in zip(columns, lattice.identity(n))], m)
+    sign = 1 if a[0][picked[0]] > 0 else -1
+    return ([gens[j] for j in picked], [tuple(sign * x for x in row[m:]) for row in a],
+            abs(a[0][picked[0]]))
+
+
+def _decompose(fan: Fan, x: Vec) -> dict[int, tuple[int, int]]:
+    """x = sum (num / den) p_i with every coefficient >= 0, over the rays of
+    the first maximal cone that holds x, as {i: (num, den)} with den > 0;
+    {j: (1, 1)} when x is the ray p_j. x must be in the fan's support."""
+    if x in fan.rays:
+        return {fan.rays.index(x): (1, 1)}
+    cone = next((c for c in fan.max_cones if c.contains(x)), None)
+    if cone is None:
+        raise InternalError(f"{list(x)} lies in no maximal cone of a complete fan")
+    return _peel(x, cone, fan.rays)
+
+
+def _peel(x: Vec, cone: Cone, rays: tuple[Vec, ...]) -> dict[int, tuple[int, int]]:
+    """x in a full-dimensional cone as sum (num / den) p_r over rays of the
+    cone, each coefficient positive, taken off one ray of the smallest face
+    holding x at a time (the proof is in :func:`roots_for_ray`). The rest
+    r / scale is carried by its pairings with the inequalities, integers
+    that are all 0 iff r = 0, as the normals span the dual space. A ray
+    passed over, or taken, has a tight inequality that does not vanish on
+    it, and the rest stays tight there, so the rays are scanned once."""
+    ineqs = cone.inequalities
+    out = {}
+    vals, scale = [sum(map(mul, a, x)) for a in ineqs], 1
+    candidates = iter(cone.ray_indices)
+    while any(vals):
+        for r in candidates:
+            col = [sum(map(mul, a, rays[r])) for a in ineqs]
+            if not any(c for c, v in zip(col, vals) if not v):
+                break
+        else:
+            raise InternalError(f"{list(x)} has left the cone {cone.ray_indices}")
+        num, den = None, None
+        for ap, ax in zip(col, vals):
+            if ap > 0 and (num is None or ax * den < num * ap):
+                num, den = ax, ap
+        out[r] = (num, scale * den)
+        vals = [den * v - num * c for v, c in zip(vals, col)]
+        scale *= den
+    return out
 
 
 def commute(a: DemazureRoot, b: DemazureRoot) -> bool:

@@ -57,8 +57,9 @@ class LatticePolytope(Value):
 
     _fields = ("dim", "vertices")
     # derived on construction: the facets, and per facet the bitmask of the
-    # vertices on it; the normal fan is stored on first use
-    __slots__ = (*_fields, "_facets", "_on", "_normal_fan", "__weakref__")
+    # vertices on it; the normal fan is stored on first use, with the
+    # position of each vertex's cone among its maximal cones
+    __slots__ = (*_fields, "_facets", "_on", "_normal_fan", "_cone_at", "__weakref__")
 
     def __init__(self, dim: int, vertices: tuple[Vec, ...]):
         if not lattice.is_integer(dim):
@@ -83,6 +84,7 @@ class LatticePolytope(Value):
         object.__setattr__(self, "_facets", fs)
         object.__setattr__(self, "_on", on)
         object.__setattr__(self, "_normal_fan", None)
+        object.__setattr__(self, "_cone_at", None)
 
 
 def facets(p: LatticePolytope) -> tuple[FacetInequality, ...]:
@@ -112,13 +114,15 @@ def edge_directions_at(p: LatticePolytope, v: Vec) -> tuple[Vec, ...]:
     that v lie on exactly dim facets or have exactly dim edges, so this
     holds for polytopes that are not simple.
 
-    The cone is found without the fan's face index (:func:`_normal_cone`).
-    v is any sequence of ints; ValueError when it is not a vertex of p.
+    The cone is found without the fan's face index (:func:`_normal_cone`),
+    and v by bisection in the sorted vertices. v is any sequence of ints;
+    ValueError when it is not a vertex of p.
     """
     v = vec(v)
-    if v not in p.vertices:
+    i = bisect_left(p.vertices, v)
+    if i == len(p.vertices) or p.vertices[i] != v:
         raise ValueError(f"point {list(v)} is not a vertex of the polytope")
-    return _normal_cone(p, p.vertices.index(v)).inequalities
+    return _normal_cone(p, i).inequalities
 
 
 class RectangleWitness(Value):
@@ -129,14 +133,21 @@ class RectangleWitness(Value):
 
 
 def inscribed_in_rectangle(p: LatticePolytope) -> RectangleWitness | None:
-    """First witness in vertex order that p is inscribed in a rectangle, or None."""
+    """First witness in vertex order that p is inscribed in a rectangle, or None.
+
+    The facets through a vertex are read off its normal cone, whose ray r
+    is the inner normal of facet F - 1 - r of the F facets, and the check
+    of the others stops at the first one that fails."""
     fs = facets(p)
+    last = len(fs) - 1
     for i, v in enumerate(p.vertices):
-        dirs = _normal_cone(p, i).inequalities  # the edge directions at v
+        cone = _normal_cone(p, i)
+        dirs = cone.inequalities  # the edge directions at v
         if len(dirs) != p.dim or abs(lattice.determinant(dirs)) != 1:
             continue
-        away = [f for f, on in zip(fs, p._on) if not on >> i & 1]
-        if all(dot(f.normal, e) >= 0 for f in away for e in dirs):
+        through = {last - r for r in cone.ray_indices}
+        if all(dot(f.normal, e) >= 0
+               for k, f in enumerate(fs) if k not in through for e in dirs):
             return RectangleWitness(v, dirs)
     return None
 
@@ -181,10 +192,15 @@ def normal_fan(p: LatticePolytope) -> Fan:
             edges = _edges(full, [on[r] for r in rs], i, p.dim)
             dirs = tuple(sorted(primitive(sub(p.vertices[j], v)) for j in edges))
             cones.append(Cone(tuple(rs), dirs, (), p.dim))
-        cones.sort(key=lambda c: c.ray_indices)
-        fan = Fan(p.dim, tuple(neg(f.normal) for f in reversed(p._facets)), tuple(cones))
+        order = sorted(range(len(cones)), key=through.__getitem__)
+        cone_at = [0] * len(cones)
+        for k, i in enumerate(order):
+            cone_at[i] = k
+        fan = Fan(p.dim, tuple(neg(f.normal) for f in reversed(p._facets)),
+                  tuple(cones[i] for i in order))
         object.__setattr__(fan, "_complete", True)
         object.__setattr__(p, "_normal_fan", fan)
+        object.__setattr__(p, "_cone_at", tuple(cone_at))
     return p._normal_fan
 
 
@@ -234,18 +250,10 @@ def _edges(full: int, facets: list[int], i: int, dim: int) -> list[int]:
     return [j for j in _indices(near[dim - 1] & ~v) if _is_face(v | 1 << j, near[0], facets)]
 
 
-def _cone_rays(p: LatticePolytope, i: int) -> tuple[int, ...]:
-    """The sorted ray indices of vertex i's cone in the normal fan, whose
-    rays are the facets' inner normals in reverse order."""
-    return tuple(r for r, on in enumerate(reversed(p._on)) if on >> i & 1)
-
-
 def _normal_cone(p: LatticePolytope, i: int) -> Cone:
-    """Vertex i's maximal cone in the normal fan, by bisection: normal_fan
-    sorts the maximal cones by ray set, and distinct vertices lie on
-    distinct facet sets. No face index is built."""
-    cones = normal_fan(p).max_cones
-    return cones[bisect_left(cones, _cone_rays(p, i), key=lambda c: c.ray_indices)]
+    """Vertex i's maximal cone in the normal fan, at the position that
+    :func:`normal_fan` stored for it. No face index is built."""
+    return normal_fan(p).max_cones[p._cone_at[i]]
 
 
 def scale(p: LatticePolytope, k: int) -> LatticePolytope:

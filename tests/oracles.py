@@ -884,12 +884,18 @@ def pair_edge_directions_at(p: LatticePolytope, v: Vec) -> tuple[Vec, ...]:
                         if j != i and set_is_face((i, j), every, on)))
 
 
+def cone_rays(p: LatticePolytope, i: int) -> tuple[int, ...]:
+    """The sorted ray indices of vertex i's cone in the normal fan, whose
+    rays are the facets' inner normals in reverse order."""
+    return tuple(r for r, on in enumerate(reversed(p._on)) if on >> i & 1)
+
+
 def built_normal_fan(p: LatticePolytope) -> Fan:
     """The complete fan with rays the inner facet normals and one maximal cone
     per vertex, generated by the inner normals of its facets."""
     # negation reverses the lexicographic order of the facet normals
     inner = [neg(f.normal) for f in reversed(polytope_module.facets(p))]
-    cones = sorted(polytope_module._cone_rays(p, i) for i in range(len(p.vertices)))
+    cones = sorted(cone_rays(p, i) for i in range(len(p.vertices)))
     return fan_module.build_fan(p.dim, inner, cones)
 
 

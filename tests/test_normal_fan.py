@@ -93,3 +93,16 @@ def test_normal_fan_makes_no_elimination_and_no_build(monkeypatch):
     fan = normal_fan(p)
     assert calls == [[]] * 6 and not hasattr(polytope, "build_fan")
     assert len(fan.max_cones) == 120 and is_complete(fan)
+
+
+@pytest.mark.parametrize("name,p", NAMED, ids=[n for n, _ in NAMED])
+def test_each_vertex_finds_its_own_cone(name, p):
+    """The position normal_fan stores for each vertex is that of the cone
+    whose rays are the facets through the vertex, as the rescan of every
+    facet found it; the rectangle test and the edge directions read it."""
+    fan = normal_fan(p)
+    for i, v in enumerate(p.vertices):
+        cone = polytope._normal_cone(p, i)
+        assert cone.ray_indices == oracles.cone_rays(p, i)
+        assert polytope.edge_directions_at(p, v) == cone.inequalities
+    assert sorted(p._cone_at) == list(range(len(fan.max_cones)))

@@ -123,6 +123,17 @@ def test_edge_directions_at_a_vertex_given_as_a_list():
         edge_directions_at(p, [5, 5])
 
 
+def test_edge_directions_at_points_between_and_beyond_the_vertices():
+    """The vertex is found by bisection in the sorted vertices: a point
+    before the first, after the last, between two, or of another length
+    is not one."""
+    p = cube(3)
+    for bad in [(-1, 0, 0), (2, 2, 2), (0, 0, 2), (0, 1), (0, 0, 0, 0), ()]:
+        with pytest.raises(ValueError, match="is not a vertex"):
+            edge_directions_at(p, bad)
+    assert edge_directions_at(p, (1, 1, 1)) == ((-1, 0, 0), (0, -1, 0), (0, 0, -1))
+
+
 def test_simplex_witness_at_origin():
     for n in (1, 2, 3):
         for d in (1, 2, 3):
