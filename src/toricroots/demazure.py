@@ -17,14 +17,16 @@ that lies in a cone tau of the fan is one of tau's rays, so cone(sigma +
 rho) is a cone of the fan iff the ray-index set of sigma plus rho is in
 ``fan.face_sets``. The index is built on the first such test.
 
-The roots of a ray are found in one of two ways. On a fan certified
-complete the fan bounds them itself: each root's pairings with n rays of
-a maximal cone through its ray are bounded by the cones that hold the
-opposites of those rays, and the bounded pairings of integral vectors
-are searched depth first, with no elimination (:func:`roots_for_ray` has
-the proofs). On any other fan the condition-(1) polyhedron may be
-unbounded, and its lattice points come from Fourier-Motzkin elimination
-(:func:`toricroots.lattice.lattice_points`).
+The roots of a ray are found in one of two ways, which share one search
+(:func:`toricroots.lattice._search`): the integral vectors whose pairings
+with n independent rays lie in given bounds and whose pairings with the
+other rays are >= 0. On a fan certified complete the fan gives the
+bounds itself: each root's pairings with n rays of a maximal cone through
+its ray are bounded by the cones that hold the opposites of those rays
+(:func:`roots_for_ray` has the proofs). On any other fan the
+condition-(1) polyhedron may be unbounded, and
+:func:`toricroots.lattice.lattice_points` decides that by its double
+description and bounds each pairing over its vertices.
 """
 
 from __future__ import annotations
@@ -185,20 +187,21 @@ def roots_for_ray(fan: Fan, ray: int, bound: int | None = None) -> RayRoots:
     """Roots with the given distinguished ray rho.
 
     The roots are the lattice points of the condition-(1) polyhedron that
-    satisfy condition (2). On a fan that is not complete they are found by
-    Fourier-Motzkin elimination (:func:`toricroots.lattice.lattice_points`).
-    "infinite" means that polyhedron is non-empty and unbounded; then a
-    supplied bound gives a "truncated" enumeration of its points with
-    sup-norm <= bound, refused with BadParams when the box could hold more
-    than MAX_BOX_POINTS of them. An empty polyhedron is "finite" with no
-    roots.
+    satisfy condition (2). On a fan that is not complete they are its
+    points by :func:`toricroots.lattice.lattice_points`, from its double
+    description and the search over its vertex bounds. "infinite" means
+    that polyhedron is non-empty and unbounded; then a supplied bound gives
+    a "truncated" enumeration of its points with sup-norm <= bound, refused
+    with BadParams when the box could hold more than MAX_BOX_POINTS of
+    them. An empty polyhedron is "finite" with no roots.
 
     A complete fan is always "finite", and its roots are enumerated in
-    pairing coordinates with no elimination (the bound is not used). Write
-    y_i = <p_i, e>, so a root has y_rho = -1 and y_i >= 0 for i != rho, and
-    on a complete fan that is all (:func:`satisfies_condition2`). Every
-    maximal cone of a fan certified complete is full-dimensional: the
-    certificate is tried only then, and a polytope's normal cones are.
+    pairing coordinates with no double description (the bound is not
+    used). Write y_i = <p_i, e>, so a root has y_rho = -1 and y_i >= 0 for
+    i != rho, and on a complete fan that is all
+    (:func:`satisfies_condition2`). Every maximal cone of a fan certified
+    complete is full-dimensional: the certificate is tried only then, and
+    a polytope's normal cones are.
 
     *Bound* (Demazure 1970, section 3; Cox-Little-Schenck, section 3.4).
     For k != rho, -p_k lies in some maximal cone, as the fan is complete:
@@ -208,34 +211,16 @@ def roots_for_ray(fan: Fan, ray: int, bound: int | None = None) -> RayRoots:
     0 <= y_k <= floor(c_rho), with c_rho = 0 when rho is not in that cone.
     The bounds are pairings, so a GL_n(Z) image of the fan has the same.
 
-    *Basis read-off.* Take n independent rays of a maximal cone through
-    rho, rho among them, as the rows of a matrix B. A root e is B^-1 y_B,
-    y_B its pairings with those rays, so it is among the integral B^-1 y
-    with y_rho = -1 and 0 <= y_b <= floor(c_rho) for the -p_b of the other
-    basis rays. Write B^-1 = W / D with W integral and D > 0. One
-    fraction-free Gauss-Jordan pass (:func:`toricroots.lattice._gauss_jordan`)
-    on the matrix G whose columns are the cone's rays, rho first, finds
-    the first n independent columns, which are the basis, so B^T is G
-    restricted to them. Carried on [G | I], the pass left-multiplies by
-    some E with E B^T = D I, so its right block is E = D (B^-1)^T, and the
-    rows of E are the columns of W. Another ray p_j pairs with
-    W y / D to L_j y / D, where L_j holds the integers <p_j, w_b>. So y
-    gives a root iff every L_j y >= 0 and y lies in the lattice B Z^n:
-    then e = W y / D is integral and satisfies condition (1).
-
-    *Search.* Order the basis with rho first, then the rays whose bound is
-    0, then the others. The column Hermite form H of B in that order is
-    lower triangular with a positive diagonal, and H Z^n = B Z^n (H = I
-    when D = 1), so the y in the lattice are the H z with z integral, and
-    z is read off y one coordinate at a time: given z_1 .. z_(i-1), the
-    values of y_i are the r_i + H_ii t, r_i = sum H_im z_m over m < i. The
-    fixed y_i (-1 and 0) either give z_i or show that there are no roots.
-    The others are searched depth first, each over the values r_i + H_ii t
-    in [0, its bound], so every full y is the pairing vector of an
-    integral e, and no point of the box off the lattice is visited. The
-    unassigned y_b can add at most sum max(0, L_jb) floor(c_rho) to L_j y,
-    and a branch where some row stays negative even then is cut
-    (:func:`_descend`).
+    *Search.* Take n independent rays of a maximal cone through rho, rho
+    first, as a basis B (:func:`toricroots.lattice._basis_inverse`). A
+    root e is B^-1 y_B, y_B its pairings with those rays, so the roots are
+    the integral e with y_rho = -1, 0 <= y_b <= floor(c_rho) for the other
+    basis rays b, and every other pairing >= 0:
+    :func:`toricroots.lattice._search` lists them, over the lattice B Z^n
+    of pairing vectors of integral e, with the proofs. Its order is rho
+    first, then the rays whose bound is 0, then the others, so the fixed
+    pairings come first and give the first coordinates of its lattice
+    search with no branching.
 
     *Peel.* -p_k is decomposed in the first maximal cone C whose stored
     inequalities hold it, and 1 * p_j when it is itself the ray p_j. Let
@@ -301,7 +286,7 @@ def _complete_roots(fan: Fan, ray: int, opposite: dict,
     n, rays = fan.dim, fan.rays
     if ray not in inverses:
         cone = next(c.ray_indices for c in fan.max_cones if ray in c.ray_indices)
-        inverse = _basis_inverse(rays, [ray, *(i for i in cone if i != ray)])
+        inverse = lattice._basis_inverse(rays, [ray, *(i for i in cone if i != ray)])
         for b in inverse[0]:
             inverses.setdefault(b, inverse)
     basis, cols, d = inverses[ray]
@@ -317,63 +302,10 @@ def _complete_roots(fan: Fan, ray: int, opposite: dict,
     # search order: the ray, the pairings held at 0, then the bounded ones
     order = sorted(range(n), key=lambda pos: (tops[pos] >= 0, tops[pos] > 0))
     basis, cols, tops = ([seq[pos] for pos in order] for seq in (basis, cols, tops))
-    h = lattice.identity(n) if d == 1 else lattice.hermite_column_form([rays[b] for b in basis])
-    fixed = sum(top <= 0 for top in tops)
-    y, z = [-1] + [0] * (n - 1), [0] * n
-    for pos in range(fixed):
-        z[pos], off = divmod(y[pos] - sum(map(mul, h[pos], z)), h[pos][pos])
-        if off:
-            return ()
     others = [rays[j] for j in range(len(rays)) if j not in basis]
-    # the columns of the rows L_j that the search reads: rho's and the steps'
-    rows = {pos: [sum(map(mul, p, cols[pos])) for p in others] for pos in (0, *range(fixed, n))}
-    steps = [(pos, tops[pos], rows[pos], h[pos]) for pos in range(fixed, n)]
-    tails = [[0] * len(others)]
-    for _, top, coeffs, _ in reversed(steps):
-        tails.append([t + top * c if c > 0 else t for t, c in zip(tails[-1], coeffs)])
-    tails.reverse()
-    found: list[list[int]] = []
-    sums = [-c for c in rows[0]]
-    if all(s + t >= 0 for s, t in zip(sums, tails[0])):
-        _descend(steps, tails, 0, sums, y, z, found)
-    w = list(zip(*cols))
-    vectors = sorted(tuple(sum(map(mul, pairings, row)) // d for row in w) for pairings in found)
+    vectors = lattice._search([rays[b] for b in basis], cols, d, [min(t, 0) for t in tops],
+                              tops, others, [0] * len(others))
     return tuple(DemazureRoot(e, ray, pairing_row(fan, e)) for e in vectors)
-
-
-def _descend(steps, tails, level: int, sums: list[int], y: list[int], z: list[int],
-             found: list) -> None:
-    """Extend the pairings y = H z at steps[level:] (each a basis position,
-    its bound, its column of the rows L and its row of H), collecting every
-    full y. At each position y steps by H's diagonal entry through the
-    values in [0, bound] that the earlier z allow, so every full y is B e
-    for an integral e. A value is taken only if the rows `sums` = L y can
-    still reach 0 with the most that the later steps add (tails[level +
-    1]), so every full y has L y >= 0; the caller checks the first node."""
-    if level == len(steps):
-        found.append(list(y))
-        return
-    pos, top, coeffs, hrow = steps[level]
-    tail = tails[level + 1]
-    z[pos] = 0
-    r, step = sum(map(mul, hrow, z)), hrow[pos]
-    for v in range(r % step, top + 1, step):
-        new = [s + v * c for s, c in zip(sums, coeffs)]
-        if all(s + t >= 0 for s, t in zip(new, tail)):
-            y[pos], z[pos] = v, (v - r) // step
-            _descend(steps, tails, level + 1, new, y, z, found)
-
-
-def _basis_inverse(rays: tuple[Vec, ...], gens: list[int]) -> tuple[list[int], list[Vec], int]:
-    """The first n independent rays among `gens` (ray indices), and (W, D)
-    with D > 0 and B^-1 = W / D for the matrix B of those rays as rows; W
-    is given by its columns, in the same order."""
-    n, m = len(rays[0]), len(gens)
-    columns = lattice.transpose([rays[i] for i in gens])
-    picked, a, _ = lattice._gauss_jordan([c + u for c, u in zip(columns, lattice.identity(n))], m)
-    sign = 1 if a[0][picked[0]] > 0 else -1
-    return ([gens[j] for j in picked], [tuple(sign * x for x in row[m:]) for row in a],
-            abs(a[0][picked[0]]))
 
 
 def _decompose(fan: Fan, x: Vec) -> dict[int, tuple[int, int]]:

@@ -7,8 +7,13 @@ Euclid step (each row loses its floor multiple of the pivot row), and cones
 are converted between their ray and inequality descriptions by an integer
 double-description kernel, which returns each extreme ray with the bitmask
 of the input rows that vanish on it, so that its callers need not pair rays
-with rows again to find them. No floating point or rational number is used
-anywhere in this package.
+with rows again to find them. Lattice points of a polyhedron come from the
+same kernel: the double description of its homogenization decides whether
+it is empty or unbounded and gives its vertices, which bound each row, and
+one depth-first search over the lattice of a basis of rows lists the
+points (:func:`lattice_points`; the roots of complete fans use the same
+search). No floating point or rational number is used anywhere in this
+package.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ from __future__ import annotations
 import math
 from operator import mul
 
-from .errors import InternalError, NotSquare, NotUnimodular, ZeroVector
+from .errors import NotSquare, NotUnimodular, ZeroVector
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
@@ -516,152 +521,162 @@ class Unbounded:
 
 UNBOUNDED = Unbounded()
 
-# internal row representation: (coeffs, rhs) meaning coeffs . x >= rhs (or
-# = rhs, for an equation); a row of the elimination also carries the
-# bitmask of the input inequalities it combines
-_Ineq = tuple[Vec, int]
-_Row = tuple[Vec, int, int]
-
-
-def _reduce_ineq(coeffs: Vec, rhs: int) -> _Ineq:
-    g = math.gcd(content(coeffs), abs(rhs))
-    if g > 1:
-        return tuple(c // g for c in coeffs), rhs // g
-    return coeffs, rhs
-
-
-def _substitute(row: _Ineq, pivot: _Ineq, k: int) -> _Ineq:
-    """row minus a multiple of the equation `pivot`, with x_k cancelled; the
-    row is scaled by |pivot[k]| > 0, so an inequality keeps its direction."""
-    (a, b), (p, c) = row, pivot
-    m1, m2 = (p[k], a[k]) if p[k] > 0 else (-p[k], -a[k])
-    return _reduce_ineq(tuple(m1 * x - m2 * y for x, y in zip(a, p)), m1 * b - m2 * c)
-
-
-def _eliminate(rows: Sequence[_Row], k: int, done: int) -> list[_Row]:
-    """Fourier-Motzkin elimination of variable k, the `done`-th elimination;
-    exact over Q, with Chernikov's rule.
-
-    A row (a, b, h) is a.x >= b, a positive combination of the input rows
-    (inequalities, with equations substituted into them) whose bits are set
-    in h. Rows with a[k] = 0 pass, each pair with opposite signs at k gives
-    one combination, and a combination of more than done + 1 input rows is
-    dropped (Chernikov's rule; Fukuda and Prodon, "Double description method
-    revisited", 1996). It is implied by the rows kept. Proof: the weights lambda >= 0 on the m input rows that
-    cancel the `done` eliminated variables form a pointed cone C in Q^m,
-    cut out by `done` equations, and each row is the combination by some
-    lambda in C whose support is its h. On the support S of an extreme ray
-    of C, those equations have a kernel of dimension one, so |S| <= done + 1;
-    a lambda with larger support is a sum of extreme rays, and its row the
-    sum of theirs. Without the rule, elimination forms every extreme ray of
-    C from two adjacent extreme rays of the cone before it, whose supports
-    lie inside its own (Motzkin's double description lemma); by induction
-    each is formed, with its support as h, and none is dropped. So each
-    system still cuts out its projection exactly. Rows are kept apart by
-    their histories too, so that each h is the support of its own lambda:
-    keeping one history per row can lose a bound.
-    """
-    pos, negs, zero = [], [], []
-    for a, b, h in rows:
-        if a[k] > 0:
-            pos.append((a, b, h))
-        elif a[k] < 0:
-            negs.append((a, b, h))
-        elif not is_zero(a) or b > 0:  # keep infeasibility witnesses 0 >= b > 0
-            zero.append((a, b, h))
-    out = set(zero)
-    for ap, bp, hp in pos:
-        for an, bn, hn in negs:
-            h = hp | hn
-            if h.bit_count() > done + 1:
-                continue
-            m1, m2 = ap[k], -an[k]
-            coeffs = tuple(m2 * x + m1 * y for x, y in zip(ap, an))
-            rhs = m2 * bp + m1 * bn
-            if is_zero(coeffs) and rhs <= 0:
-                continue
-            out.add(_reduce_ineq(coeffs, rhs) + (h,))
-    return sorted(out)
-
-
-def _ceil_div(p: int, q: int) -> int:
-    return -((-p) // q)
-
 
 def lattice_points(constraints: Sequence[Constraint], dim: int):
     """All integer solutions, in lexicographic order, or UNBOUNDED.
 
-    The polyhedron P is projected onto its leading coordinates, exactly over
-    Q: ``systems[k + 1]`` cuts out the projection P_k of P onto x_0..x_k.
-    Variables go from the last. An equation with a nonzero coefficient at
-    x_k fixes x_k on P_k, so substituting it into the other rows projects
-    exactly (:func:`_substitute`); otherwise Fourier-Motzkin elimination
-    with Chernikov's rule (:func:`_eliminate`) projects the inequalities,
-    each still one input inequality after any substitution. When every
-    variable is gone, P is empty iff a row 0 >= b > 0 or 0 = b != 0 is
-    left. A non-empty P is bounded iff for every k, ``systems[k + 1]`` has
-    a row with a[k] > 0 and a row with a[k] < 0 (an equation gives one of
-    each). Proof: if no row has a[k] < 0, then moving x_k up from any point
-    of P_k keeps every row satisfied, so P_k, and hence P, is unbounded;
-    likewise for a[k] > 0 downwards. If both signs occur at every k, then
-    by induction on k, P_{k-1} is bounded and x_k lies between affine
-    functions of x_0..x_{k-1}, so P_k is bounded. Enumeration takes those
-    per-coordinate bounds from the projections and descends recursively.
+    Each equation a.x = b is taken as the two rows a.x >= b and -a.x >= -b,
+    and P is the polyhedron of all rows.
+
+    *Status.* P is the slice t = 1 of the cone C of the homogenized rows
+    a.x - b t >= 0 and t >= 0. When the normals a span Q^dim, so do those
+    rows in Q^(dim + 1) (a vector orthogonal to all of them has t = 0 and
+    is orthogonal to every a), so C is pointed, the sum of its extreme
+    rays, which :func:`dual_rays` finds. A point x of P puts
+    (x, 1) in C, a sum of extreme rays, one of which then has t > 0; a ray
+    (x, t) with t > 0 gives the point x / t. So P is empty iff no extreme
+    ray has t > 0. The recession cone {x : a.x >= 0 for every row} of P is
+    C cut by t = 0, a face of C as t >= 0 on C, so it is spanned by the
+    extreme rays with t = 0: a non-empty P is bounded iff no ray has
+    t = 0, and then its vertices are the x / t.
+
+    *Lines.* When the normals have rank below dim, :func:`dual_rays`
+    returns None. Then they vanish on a nonzero space L, and P + L = P, so
+    a non-empty P holds a line and is unbounded. P meets the orthogonal
+    complement of L iff it is non-empty, as a point of P less its
+    projection onto L is again in P. So cutting P by <l, x> = 0 for a
+    basis l of L (:func:`kernel_basis`) gives normals of rank dim, and the
+    test above decides emptiness.
+
+    *Search.* A linear function takes its least and greatest values on a
+    polytope at vertices. So on every integral point x of a bounded P, each
+    row's a.x is an integer in [lo, hi], lo the least ceiling and hi the
+    greatest floor of <a, x> / t over the rays (x, t), both integer
+    divisions; lo >= b, as the vertices satisfy the row. Conversely an
+    integral x with a.x >= lo for every row lies in P. The first dim
+    independent normals in order of increasing width hi - lo are a basis
+    B, and :func:`_search` lists exactly the integral x with every B row in
+    its [lo, hi] and every other row's a.x >= lo (its proofs are there): so
+    it misses no point of P and lists nothing outside it. Narrow rows
+    first keep the search tree small: the equations fix the first
+    coordinates of the search, and the widest rows branch last.
     """
     if dim < 1:
         raise ValueError("dimension must be positive")
     for c in constraints:
         if len(c.normal) != dim:
             raise ValueError(f"constraint dimension {len(c.normal)} != {dim}")
-    eqs = [_reduce_ineq(tuple(c.normal), c.rhs) for c in constraints if c.relation == "="]
-    rows = [_reduce_ineq(tuple(c.normal), c.rhs) + (1 << i,)
-            for i, c in enumerate(c for c in constraints if c.relation == ">=")]
-    systems: list[list[_Ineq]] = [[] for _ in range(dim + 1)]
-    done = 0
-    for k in range(dim - 1, -1, -1):
-        systems[k + 1] = list(dict.fromkeys([(a, b) for a, b, _ in rows] + eqs
-                                            + [(neg(a), -b) for a, b in eqs]))
-        pivot = next((e for e in eqs if e[0][k]), None)
-        if pivot is None:
-            done += 1
-            rows = _eliminate(rows, k, done)
-            continue
-        eqs.remove(pivot)
-        eqs = [_substitute(e, pivot, k) for e in eqs]
-        rows = [_substitute((a, b), pivot, k) + (h,) for a, b, h in rows]
-        rows = [(a, b, h) for a, b, h in rows if not is_zero(a) or b > 0]
-    if rows or any(b for _, b in eqs):  # only rows 0 >= b > 0 and 0 = b are left
+    rows = [(tuple(c.normal), c.rhs) for c in constraints]
+    rows += [(neg(c.normal), -c.rhs) for c in constraints if c.relation == "="]
+    normals = [a for a, _ in rows]
+    cone = [(*a, -b) for a, b in rows] + [(0,) * dim + (1,)]
+    rays = dual_rays(cone, dim + 1)
+    if rays is None:
+        cuts = [(*u, 0) for u in kernel_basis(normals, dim)]
+        rays = dual_rays(cone + cuts + [neg(u) for u in cuts], dim + 1)
+        return UNBOUNDED if any(r[-1] for r in rays) else ()
+    if not any(r[-1] for r in rays):
         return ()
-    if any(len({a[k] > 0 for a, _ in systems[k + 1] if a[k]}) < 2 for k in range(dim)):
+    if not all(r[-1] for r in rays):
         return UNBOUNDED
+    values = [[(sum(map(mul, a, r)), r[-1]) for r in rays] for a in normals]
+    lows = [min(-(-v // t) for v, t in vals) for vals in values]
+    highs = [max(v // t for v, t in vals) for vals in values]
+    order = sorted(range(len(rows)), key=lambda k: highs[k] - lows[k])
+    basis, cols, d = _basis_inverse(normals, order)
+    others = [k for k in order if k not in basis]
+    return tuple(_search([normals[k] for k in basis], cols, d, [lows[k] for k in basis],
+                         [highs[k] for k in basis], [normals[k] for k in others],
+                         [lows[k] for k in others]))
 
-    out: list[Vec] = []
-    point = [0] * dim
 
-    def descend(k: int) -> None:
-        lo: int | None = None
-        hi: int | None = None
-        for a, b in systems[k + 1]:
-            partial = sum(a[j] * point[j] for j in range(k))
-            coeff = a[k]
-            if coeff == 0:
-                if partial < b:
-                    return
-            elif coeff > 0:
-                cand = _ceil_div(b - partial, coeff)
-                lo = cand if lo is None else max(lo, cand)
-            else:
-                cand = (b - partial) // coeff
-                hi = cand if hi is None else min(hi, cand)
-        if lo is None or hi is None:
-            raise InternalError("unbounded slice inside a bounded polyhedron")
-        for x in range(lo, hi + 1):
-            point[k] = x
-            if k + 1 == dim:
-                out.append(tuple(point))
-            else:
-                descend(k + 1)
+def _basis_inverse(rows: Sequence[Vec], order: Sequence[int]) -> tuple[list[int], list[Vec], int]:
+    """The first n independent rows in `order` (indices into rows, which
+    span Q^n), and (W, D) with D > 0 and B^-1 = W / D for the matrix B of
+    those rows; W is given by its columns, in the same order.
 
-    # an empty 1-variable system would mean an unbounded axis, caught above
-    descend(0)
-    return tuple(out)
+    One fraction-free Gauss-Jordan pass (:func:`_gauss_jordan`) on [G | I],
+    G the rows in `order` as columns, picks the first n independent columns,
+    so B^T is G restricted to them, and left-multiplies by some E with
+    E B^T = D I. So its right block is E = D (B^-1)^T, whose rows are the
+    columns of W.
+    """
+    n, m = len(rows[0]), len(order)
+    columns = transpose([rows[i] for i in order])
+    picked, a, _ = _gauss_jordan([c + u for c, u in zip(columns, identity(n))], m)
+    sign = 1 if a[0][picked[0]] > 0 else -1
+    return ([order[j] for j in picked], [tuple(sign * x for x in row[m:]) for row in a],
+            abs(a[0][picked[0]]))
+
+
+def _search(basis: Sequence[Vec], cols: Sequence[Vec], d: int, lows: Sequence[int],
+            highs: Sequence[int], rows: Sequence[Vec], floors: Sequence[int]) -> list[Vec]:
+    """The integral x with lows[i] <= <basis[i], x> <= highs[i] for every i
+    and <rows[j], x> >= floors[j] for every j, sorted.
+
+    The n vectors of `basis` are the rows of an invertible matrix B, and
+    B^-1 = W / d with d > 0 and W given by its columns `cols`
+    (:func:`_basis_inverse`). An integral x is W y / d for y = B x in the
+    lattice B Z^n, and d <a, x> = L_a y with L_a the integers <a, w_i>. The
+    column Hermite form H of B is lower triangular with a positive diagonal
+    and H Z^n = B Z^n (H = I when d = 1), so the y in the lattice are the
+    H z with z integral, and z is read off y one coordinate at a time:
+    given z_0 .. z_(i-1), the values of y_i are the r_i + H_ii t, r_i =
+    sum H_im z_m over m < i. A leading run of fixed coordinates (equal
+    bounds) either gives its z or shows that there is no point. The others
+    are searched depth first (:func:`_descend`), each over the values
+    r_i + H_ii t in its bounds, so every full y is B x for an integral x,
+    and no point of the box off the lattice is visited. The coordinates
+    not yet taken can add at most sum max(lo L_ai, hi L_ai) to L_a y over
+    their bounds [lo, hi], and a value is taken only if every row's L_a y
+    can still reach d floors[a] with that much. So every full y meets every
+    row, and no y that does is cut.
+    """
+    n = len(basis)
+    h = identity(n) if d == 1 else hermite_column_form(basis)
+    y, z = [0] * n, [0] * n
+    fixed = 0
+    while fixed < n and lows[fixed] == highs[fixed]:
+        y[fixed] = lows[fixed]
+        z[fixed], off = divmod(y[fixed] - sum(map(mul, h[fixed], z)), h[fixed][fixed])
+        if off:
+            return []
+        fixed += 1
+    w = list(zip(*cols))
+    start = [sum(map(mul, y, row)) for row in w]  # W y, y fixed so far
+    sums = [sum(map(mul, a, start)) - d * f for a, f in zip(rows, floors)]
+    steps, tail = [], [0] * len(rows)
+    for pos in range(n - 1, fixed - 1, -1):
+        lo, hi, coeffs = lows[pos], highs[pos], [sum(map(mul, a, cols[pos])) for a in rows]
+        steps.append((pos, lo, hi, coeffs, h[pos], tail))
+        tail = [t + max(lo * c, hi * c) for t, c in zip(tail, coeffs)]
+    steps.reverse()
+    found: list[list[int]] = []
+    if steps or min(sums, default=0) >= 0:  # with no step, _descend checks no row
+        _descend(steps, 0, sums, y, z, found)
+    return sorted(tuple(sum(map(mul, pairings, row)) // d for row in w) for pairings in found)
+
+
+def _descend(steps, level: int, sums: list[int], y: list[int], z: list[int], found: list) -> None:
+    """Extend y = H z at steps[level:] (each a position, its bounds, its
+    column of the rows L, its row of H and the most that the later steps
+    add to each row), collecting every full y. The values of y at the
+    position that keep every row of `sums` = L y - d floors within reach of
+    0 form an interval, cut by the bounds; y steps through it by H's
+    diagonal entry from the value the earlier z allow."""
+    if level == len(steps):
+        found.append(list(y))
+        return
+    pos, lo, hi, coeffs, hrow, tail = steps[level]
+    for s, t, c in zip(sums, tail, coeffs):
+        if c > 0:
+            lo = max(lo, -((s + t) // c))
+        elif c < 0:
+            hi = min(hi, (s + t) // -c)
+        elif s + t < 0:
+            return
+    z[pos] = 0
+    r, step = sum(map(mul, hrow, z)), hrow[pos]
+    for v in range(lo + (r - lo) % step, hi + 1, step):
+        y[pos], z[pos] = v, (v - r) // step
+        _descend(steps, level + 1, [s + v * c for s, c in zip(sums, coeffs)], y, z, found)

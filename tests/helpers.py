@@ -194,10 +194,12 @@ def permutohedron(n: int) -> list[tuple[int, ...]]:
 
 if __name__ == "__main__":
     # python tests/helpers.py NAME prints one scaling fixture: the fan JSON
-    # of product9, cross4, glcross5, blowup or z5, or the polytope JSON of
-    # perm6 or cross5 (the 5-dimensional cross-polytope, each vertex on 16
-    # facets). cross4 and glcross5 are the images of the cross-polytope's
-    # normal fan by random_unimodular(random.Random(1), n). The
+    # of product9, cross4, glcross5, glcross5-1, blowup or z5, or the
+    # polytope JSON of perm6 or cross5 (the 5-dimensional cross-polytope,
+    # each vertex on 16 facets). cross4 and glcross5 are the images of the
+    # cross-polytope's normal fan by random_unimodular(random.Random(1), n);
+    # glcross5-1 is glcross5 without its first maximal cone, a fan that is
+    # not complete, whose roots come from lattice_points. The
     # test modules are imported here, so importing helpers imports none of
     # them.
     import json
@@ -208,12 +210,13 @@ if __name__ == "__main__":
     def _product9():
         return fan_to_json_dict(shuffled_products()["F1xF2xF3xF4xP1"])
 
-    def _gl_cross(n):
+    def _gl_cross(n, drop=0):
         from test_face_index import cross_polytope_fan
         from test_kernel import random_unimodular
         from toricroots import LatticeAutomorphism, apply_automorphism
         g = LatticeAutomorphism(random_unimodular(random.Random(1), n))
-        return fan_to_json_dict(apply_automorphism(cross_polytope_fan(n), g))
+        data = fan_to_json_dict(apply_automorphism(cross_polytope_fan(n), g))
+        return {**data, "max_cones": data["max_cones"][drop:]}
 
     def _blowup():
         from test_elimination import BLOWUP_FAN
@@ -233,7 +236,8 @@ if __name__ == "__main__":
         return {"dim": 5, "vertices": [list(v) for v in cross_polytope(5)]}
 
     fixtures = {"product9": _product9, "cross4": lambda: _gl_cross(4),
-                "glcross5": lambda: _gl_cross(5), "blowup": _blowup, "z5": _z5,
+                "glcross5": lambda: _gl_cross(5), "glcross5-1": lambda: _gl_cross(5, 1),
+                "blowup": _blowup, "z5": _z5,
                 "perm6": _perm6, "cross5": _cross5}
     if len(sys.argv) != 2 or sys.argv[1] not in fixtures:
         sys.exit(f"usage: python tests/helpers.py {{{','.join(fixtures)}}}")

@@ -13,13 +13,16 @@ directions that packed integers had replaced). Two
 more were replaced by local tests: root condition (2) on every face of the
 fan (``condition2_on_all_faces``; the library now checks the maximal
 cones) and the double-description test that a homogeneous system has only
-the zero solution (``recession_cone_is_zero``; ``lattice_points`` now reads
-boundedness off its Fourier-Motzkin projections). ``dual_rays`` keeps the
+the zero solution (``recession_cone_is_zero``; ``lattice_points`` then
+read boundedness off its Fourier-Motzkin projections, and now reads it off
+the double description of its homogenized system). ``dual_rays`` keeps the
 start of the double description it had before one Gauss-Jordan pass
 replaced it: one cofactor determinant of order n - 1 per entry of the
 adjugate. The
 code is kept as it was; only the module references differ, and only the
-cache of ``minimal_rays`` (keyed on vectors, not on fans) is kept. Two
+cache of ``minimal_rays`` (keyed on vectors, not on fans) is kept, and
+``dual_description`` is cached on its generators, so a cone that several
+fans or tests share is scanned once. Two
 changes since make the C(m, n) collection scan fast enough for dimension 6
 without changing an answer: ``generated_cone_in_fan`` reads the primitive
 ray index from ``primitive_index``, cached on the ray tuple, where it built
@@ -30,9 +33,12 @@ description the subset scan, so the oracles share no elimination code with
 what they check. The exceptions are
 ``condition2_on_all_faces``, which reads the fan's face index;
 ``recession_cone_is_zero``, which runs the library's double-description
-kernel and so shares no code with the Fourier-Motzkin scan it checks; and
-``dual_rays``, which shares the library's ``rank`` and ``cut_cone`` and
-differs from ``lattice.dual_rays`` only in how it finds the start rays.
+kernel, as ``lattice_points`` now does too, so that a test of
+``lattice_points`` needs the Fourier-Motzkin verdicts below
+(``trivial_homogeneous_cone``, ``chernikov_lattice_points``) beside it to
+stay independent; and ``dual_rays``, which shares the library's ``rank``
+and ``cut_cone`` and differs from ``lattice.dual_rays`` only in how it
+finds the start rays.
 
 One fraction-free Gauss-Jordan kernel then replaced three eliminations of
 ``lattice``, and a walk down through facets the closure of each maximal
@@ -58,7 +64,8 @@ the pointedness test (``rank_cone_dual_description``), which use the
 library's ``rank`` and so share no code with the closure test; and the
 splitting of equations into two rows (``split``), the elimination
 (``eliminate``) and ``lattice_points`` on them (``fm_lattice_points``),
-which share only ``_reduce_ineq`` and ``_ceil_div`` with the library.
+which share only ``_reduce_ineq`` and ``_ceil_div`` with the Chernikov
+route below.
 
 Last, plain ``__slots__`` classes on ``lattice.Value`` replaced the
 ``@dataclass(frozen=True)`` value types, so that no command imports
@@ -142,10 +149,21 @@ fan as complete by theorem. Kept below, unchanged but for module
 references: the route through ``build_fan`` (``built_normal_fan``), which
 gives each maximal cone a double description and validates and certifies
 the fan.
+
+Then ``lattice_points`` stopped eliminating: the double description of the
+homogenized system decides emptiness and boundedness and gives the
+vertices, and one lattice search, shared with the roots of complete fans,
+lists the points within the vertex bounds of each row. Kept below,
+unchanged but for its name: Fourier-Motzkin elimination with Chernikov's
+rule and the substitution of equations (``chernikov_lattice_points``, with
+``_reduce_ineq``, ``_substitute``, ``_eliminate`` and ``_ceil_div``). It
+runs no double description and no code of the library's search, so it is
+the independent oracle of ``lattice_points``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -181,9 +199,7 @@ from toricroots.lattice import (
     Constraint,
     Mat,
     Vec,
-    _ceil_div,
     _check_width,
-    _reduce_ineq,
     content,
     dot,
     is_zero,
@@ -289,6 +305,7 @@ def _canonical_rows(rows) -> tuple[Vec, ...]:
     return tuple(sorted(out))
 
 
+@lru_cache(maxsize=4096)
 def dual_description(gens: tuple[Vec, ...], dim: int) -> tuple[tuple[Vec, ...], tuple[Vec, ...]]:
     """(inequalities, equations) cutting out cone(gens), exactly.
 
@@ -711,6 +728,157 @@ def build_fan_by_closure(dim, rays, max_cones, allow_nonprimitive: bool = False)
     object.__setattr__(fan, "_by_rays", {c.ray_indices: c for c in all_faces})
     object.__setattr__(fan, "_complete", certified)
     return fan
+
+
+# internal row representation: (coeffs, rhs) meaning coeffs . x >= rhs (or
+# = rhs, for an equation); a row of the elimination also carries the
+# bitmask of the input inequalities it combines
+_Ineq = tuple[Vec, int]
+_Row = tuple[Vec, int, int]
+
+
+def _reduce_ineq(coeffs: Vec, rhs: int) -> _Ineq:
+    g = math.gcd(content(coeffs), abs(rhs))
+    if g > 1:
+        return tuple(c // g for c in coeffs), rhs // g
+    return coeffs, rhs
+
+
+def _substitute(row: _Ineq, pivot: _Ineq, k: int) -> _Ineq:
+    """row minus a multiple of the equation `pivot`, with x_k cancelled; the
+    row is scaled by |pivot[k]| > 0, so an inequality keeps its direction."""
+    (a, b), (p, c) = row, pivot
+    m1, m2 = (p[k], a[k]) if p[k] > 0 else (-p[k], -a[k])
+    return _reduce_ineq(tuple(m1 * x - m2 * y for x, y in zip(a, p)), m1 * b - m2 * c)
+
+
+def _eliminate(rows: Sequence[_Row], k: int, done: int) -> list[_Row]:
+    """Fourier-Motzkin elimination of variable k, the `done`-th elimination;
+    exact over Q, with Chernikov's rule.
+
+    A row (a, b, h) is a.x >= b, a positive combination of the input rows
+    (inequalities, with equations substituted into them) whose bits are set
+    in h. Rows with a[k] = 0 pass, each pair with opposite signs at k gives
+    one combination, and a combination of more than done + 1 input rows is
+    dropped (Chernikov's rule; Fukuda and Prodon, "Double description method
+    revisited", 1996). It is implied by the rows kept. Proof: the weights lambda >= 0 on the m input rows that
+    cancel the `done` eliminated variables form a pointed cone C in Q^m,
+    cut out by `done` equations, and each row is the combination by some
+    lambda in C whose support is its h. On the support S of an extreme ray
+    of C, those equations have a kernel of dimension one, so |S| <= done + 1;
+    a lambda with larger support is a sum of extreme rays, and its row the
+    sum of theirs. Without the rule, elimination forms every extreme ray of
+    C from two adjacent extreme rays of the cone before it, whose supports
+    lie inside its own (Motzkin's double description lemma); by induction
+    each is formed, with its support as h, and none is dropped. So each
+    system still cuts out its projection exactly. Rows are kept apart by
+    their histories too, so that each h is the support of its own lambda:
+    keeping one history per row can lose a bound.
+    """
+    pos, negs, zero = [], [], []
+    for a, b, h in rows:
+        if a[k] > 0:
+            pos.append((a, b, h))
+        elif a[k] < 0:
+            negs.append((a, b, h))
+        elif not is_zero(a) or b > 0:  # keep infeasibility witnesses 0 >= b > 0
+            zero.append((a, b, h))
+    out = set(zero)
+    for ap, bp, hp in pos:
+        for an, bn, hn in negs:
+            h = hp | hn
+            if h.bit_count() > done + 1:
+                continue
+            m1, m2 = ap[k], -an[k]
+            coeffs = tuple(m2 * x + m1 * y for x, y in zip(ap, an))
+            rhs = m2 * bp + m1 * bn
+            if is_zero(coeffs) and rhs <= 0:
+                continue
+            out.add(_reduce_ineq(coeffs, rhs) + (h,))
+    return sorted(out)
+
+
+def _ceil_div(p: int, q: int) -> int:
+    return -((-p) // q)
+
+
+def chernikov_lattice_points(constraints: Sequence[Constraint], dim: int):
+    """All integer solutions, in lexicographic order, or UNBOUNDED.
+
+    The polyhedron P is projected onto its leading coordinates, exactly over
+    Q: ``systems[k + 1]`` cuts out the projection P_k of P onto x_0..x_k.
+    Variables go from the last. An equation with a nonzero coefficient at
+    x_k fixes x_k on P_k, so substituting it into the other rows projects
+    exactly (:func:`_substitute`); otherwise Fourier-Motzkin elimination
+    with Chernikov's rule (:func:`_eliminate`) projects the inequalities,
+    each still one input inequality after any substitution. When every
+    variable is gone, P is empty iff a row 0 >= b > 0 or 0 = b != 0 is
+    left. A non-empty P is bounded iff for every k, ``systems[k + 1]`` has
+    a row with a[k] > 0 and a row with a[k] < 0 (an equation gives one of
+    each). Proof: if no row has a[k] < 0, then moving x_k up from any point
+    of P_k keeps every row satisfied, so P_k, and hence P, is unbounded;
+    likewise for a[k] > 0 downwards. If both signs occur at every k, then
+    by induction on k, P_{k-1} is bounded and x_k lies between affine
+    functions of x_0..x_{k-1}, so P_k is bounded. Enumeration takes those
+    per-coordinate bounds from the projections and descends recursively.
+    """
+    if dim < 1:
+        raise ValueError("dimension must be positive")
+    for c in constraints:
+        if len(c.normal) != dim:
+            raise ValueError(f"constraint dimension {len(c.normal)} != {dim}")
+    eqs = [_reduce_ineq(tuple(c.normal), c.rhs) for c in constraints if c.relation == "="]
+    rows = [_reduce_ineq(tuple(c.normal), c.rhs) + (1 << i,)
+            for i, c in enumerate(c for c in constraints if c.relation == ">=")]
+    systems: list[list[_Ineq]] = [[] for _ in range(dim + 1)]
+    done = 0
+    for k in range(dim - 1, -1, -1):
+        systems[k + 1] = list(dict.fromkeys([(a, b) for a, b, _ in rows] + eqs
+                                            + [(neg(a), -b) for a, b in eqs]))
+        pivot = next((e for e in eqs if e[0][k]), None)
+        if pivot is None:
+            done += 1
+            rows = _eliminate(rows, k, done)
+            continue
+        eqs.remove(pivot)
+        eqs = [_substitute(e, pivot, k) for e in eqs]
+        rows = [_substitute((a, b), pivot, k) + (h,) for a, b, h in rows]
+        rows = [(a, b, h) for a, b, h in rows if not is_zero(a) or b > 0]
+    if rows or any(b for _, b in eqs):  # only rows 0 >= b > 0 and 0 = b are left
+        return ()
+    if any(len({a[k] > 0 for a, _ in systems[k + 1] if a[k]}) < 2 for k in range(dim)):
+        return UNBOUNDED
+
+    out: list[Vec] = []
+    point = [0] * dim
+
+    def descend(k: int) -> None:
+        lo: int | None = None
+        hi: int | None = None
+        for a, b in systems[k + 1]:
+            partial = sum(a[j] * point[j] for j in range(k))
+            coeff = a[k]
+            if coeff == 0:
+                if partial < b:
+                    return
+            elif coeff > 0:
+                cand = _ceil_div(b - partial, coeff)
+                lo = cand if lo is None else max(lo, cand)
+            else:
+                cand = (b - partial) // coeff
+                hi = cand if hi is None else min(hi, cand)
+        if lo is None or hi is None:
+            raise InternalError("unbounded slice inside a bounded polyhedron")
+        for x in range(lo, hi + 1):
+            point[k] = x
+            if k + 1 == dim:
+                out.append(tuple(point))
+            else:
+                descend(k + 1)
+
+    # an empty 1-variable system would mean an unbounded axis, caught above
+    descend(0)
+    return tuple(out)
 
 
 def split(constraints: Sequence[Constraint], dim: int):

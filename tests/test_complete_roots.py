@@ -4,9 +4,12 @@ On a fan certified complete, ``roots_for_ray`` enumerates a ray's roots by
 their pairings with n rays of one maximal cone, each bounded by the
 coefficient of the ray in the decomposition of the opposite of that basis
 ray (the proofs are in its docstring), and makes no elimination.
-``lattice.lattice_points`` on the ray's condition-(1) system is the
-oracle: on a complete fan condition (1) alone decides, so its points are
-exactly the roots. The corpus: the bundled complete fans, seeded random
+``oracles.chernikov_lattice_points`` on the ray's condition-(1) system is
+the oracle: on a complete fan condition (1) alone decides, so its points
+are exactly the roots. It is the Fourier-Motzkin elimination that
+``lattice.lattice_points`` ran before; ``lattice_points`` now shares its
+lattice search (``lattice._search``) with the route under test, so it is
+not the oracle here. The corpus: the bundled complete fans, seeded random
 complete surfaces, products with shuffled rays, weighted projective
 spaces, GL_n(Z) images built from at least 25 elementary steps, the
 cross-polytope fans of dimensions 3 to 5 (not simplicial) and the normal
@@ -19,6 +22,7 @@ from fractions import Fraction
 
 import pytest
 
+import oracles
 from helpers import (
     bundled_complete_fans,
     product_fan,
@@ -59,7 +63,7 @@ def assert_roots_match_elimination(fan):
     assert fan._complete
     for ray in range(len(fan.rays)):
         got = roots_for_ray(fan, ray)
-        points = lattice.lattice_points(_condition1_system(fan, ray), fan.dim)
+        points = oracles.chernikov_lattice_points(_condition1_system(fan, ray), fan.dim)
         assert points is not UNBOUNDED
         assert (got.ray, got.status, got.bound) == (ray, "finite", None)
         assert [r.vector for r in got.roots] == list(points), (fan.rays, ray)
@@ -218,7 +222,7 @@ def test_a_basis_of_large_index_walks_only_pairings_of_integral_vectors(monkeypa
     and one per root, whatever the index; walking the box would not end
     (with index 10^3 it would make some 10^4 calls)."""
     fan = make(large_index_surface(index, 10))
-    nodes = counting(monkeypatch, demazure, "_descend")
+    nodes = counting(monkeypatch, lattice, "_descend")
     roots = all_roots(fan)
     assert sorted(len(r.roots) for r in roots.per_ray)[-1] == 11
     assert len(nodes) <= len(fan.rays) + len(roots.roots())
@@ -231,7 +235,7 @@ def test_projective_space_visits_few_nodes(monkeypatch, n):
     box of one ray has 2^(n-1) points; the cut keeps the search near the
     roots, at most about n nodes per root. A GL_n(Z) image visits the same
     nodes: the bounds and the rows are pairings."""
-    nodes = counting(monkeypatch, demazure, "_descend")
+    nodes = counting(monkeypatch, lattice, "_descend")
     fan = projective_space(n)
     roots = all_roots(fan).roots()
     assert len(roots) == n * (n + 1)

@@ -14,11 +14,13 @@ faces during validation by the closure of their rays (``fan._is_face``);
 and the owner/dims assembly it replaced. Every fan of the face and
 certificate corpora must build equal to it, face for face.
 
-``lattice._eliminate`` drops, by Chernikov's rule, the combinations of more
-input rows than it has eliminated variables plus one; ``lattice_points``
-must find what it found with ``oracles.eliminate``, Fourier-Motzkin without
-the rule. ``kernel_basis`` reads the kernel off the Hermite form of
-[rows^T | I], and sympy checks its rank and saturation.
+``oracles._eliminate``, the elimination of ``lattice_points`` before it
+came to run on the double description, drops, by Chernikov's rule, the
+combinations of more input rows than it has eliminated variables plus one;
+``oracles.chernikov_lattice_points`` must find what
+``oracles.fm_lattice_points`` finds, Fourier-Motzkin without the rule, and
+``lattice_points`` the same. ``kernel_basis`` reads the kernel off the
+Hermite form of [rows^T | I], and sympy checks its rank and saturation.
 """
 
 import json
@@ -272,14 +274,15 @@ def random_system(rng, dim):
 
 @pytest.mark.parametrize("dim", (1, 2, 3, 4, 5))
 def test_chernikov_rule_keeps_the_points_of_fourier_motzkin(dim):
-    """lattice_points with the rule finds what it found without, on seeded
-    systems with equations: the same points, UNBOUNDED or none."""
+    """Fourier-Motzkin with the rule finds what it finds without, on seeded
+    systems with equations: the same points, UNBOUNDED or none; and so does
+    lattice_points."""
     rng = random.Random(2400 + dim)
     seen = set()
     for _ in range(600):
         rows = random_system(rng, dim)
-        got = lattice_points(rows, dim)
-        assert got == oracles.fm_lattice_points(rows, dim), rows
+        got = oracles.chernikov_lattice_points(rows, dim)
+        assert got == oracles.fm_lattice_points(rows, dim) == lattice_points(rows, dim), rows
         seen.add("unbounded" if got is UNBOUNDED else "points" if got else "empty")
     assert seen == {"unbounded", "points", "empty"}
 
@@ -293,18 +296,22 @@ def test_rows_with_two_histories_are_both_kept():
         ((-1, 2, -2, 1, 1), ">=", -2), ((1, 2, -2, 2, 2), ">=", 0), ((-2, 2, -2, 1, 2), "=", 2),
         ((2, -1, 0, -1, 2), ">=", -2), ((-2, -2, 0, 2, -2), ">=", 2), ((-2, 0, 1, -1, 0), "=", -3),
         ((-1, 2, -2, 1, 1), ">=", -2), ((0, 4, -4, 3, 3), ">=", -2))]
-    got = lattice_points(rows, 5)
+    got = oracles.chernikov_lattice_points(rows, 5)
     assert got is not UNBOUNDED and len(got) == 54
-    assert got == oracles.fm_lattice_points(rows, 5)
+    assert got == oracles.fm_lattice_points(rows, 5) == lattice_points(rows, 5)
 
 
 def test_the_seeded_twelve_row_system_is_fast():
     """Without the rule the rows of this system grew 12 -> 35 -> 250 -> 1,346
-    and lattice_points took about 2 s; with it, 12 -> 35 -> 54 -> 28. It
-    is empty, by Farkas' lemma."""
+    and the elimination took about 2 s; with it, 12 -> 35 -> 54 -> 28. It
+    is empty, by Farkas' lemma, and lattice_points finds it so, each
+    within the same bound."""
     rng = random.Random(28)
     rows = [Constraint(tuple(rng.randint(-2, 2) for _ in range(4)), ">=", rng.randint(-3, 3))
             for _ in range(12)]
+    start = time.perf_counter()
+    assert oracles.chernikov_lattice_points(rows, 4) == ()
+    assert time.perf_counter() - start < 1
     start = time.perf_counter()
     assert lattice_points(rows, 4) == ()
     assert time.perf_counter() - start < 1

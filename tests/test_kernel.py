@@ -263,16 +263,21 @@ def test_full_dimensional_cone_skips_the_smith_form():
 def test_trivial_homogeneous_cone_matches_fourier_motzkin(dim):
     """lattice_points finds a homogeneous system UNBOUNDED iff both oracles
     (double description, and Fourier-Motzkin onto each axis) say its cone
-    is not {0}; otherwise the origin is its only solution."""
+    is not {0}; otherwise the origin is its only solution. lattice_points
+    runs the double description too, so the Fourier-Motzkin verdicts
+    (trivial_homogeneous_cone, and the points of the Chernikov
+    elimination) are the independent ones."""
     rng = random.Random(400 + dim)
     seen = set()
     for _ in range(80):
         rows = [tuple(rng.randint(-2, 2) for _ in range(dim))
                 for _ in range(rng.randint(0, dim + 3))]
-        trivial = oracles.recession_cone_is_zero(rows, dim)
-        assert trivial == oracles.trivial_homogeneous_cone(rows, dim)
-        got = lattice_points([Constraint(a, ">=", 0) for a in rows], dim)
+        trivial = oracles.trivial_homogeneous_cone(rows, dim)
+        assert trivial == oracles.recession_cone_is_zero(rows, dim)
+        system = [Constraint(a, ">=", 0) for a in rows]
+        got = lattice_points(system, dim)
         assert got == (UNBOUNDED if not trivial else ((0,) * dim,)), rows
+        assert got == oracles.chernikov_lattice_points(system, dim), rows
         seen.add(trivial)
     assert seen == {True, False}
 
@@ -291,17 +296,24 @@ def farkas_empty(rows, dim):
 def test_lattice_points_boundedness_on_inhomogeneous_systems(dim):
     """Random systems a.x >= b: lattice_points finds none when Farkas' lemma
     says the polyhedron is empty, and otherwise UNBOUNDED iff its recession
-    cone is not {0} (double description); all three outcomes occur."""
+    cone is not {0}; all three outcomes occur. Farkas' lemma and the
+    recession test run the double description, as lattice_points does, so
+    each verdict is also checked by Fourier-Motzkin (the Chernikov
+    elimination's answer, and trivial_homogeneous_cone)."""
     rng = random.Random(500 + dim)
     seen = set()
     for _ in range(60):
         rows = [(tuple(rng.randint(-2, 2) for _ in range(dim)), rng.randint(-3, 3))
                 for _ in range(rng.randint(1, 2 * dim + 1))]
-        got = lattice_points([Constraint(a, ">=", b) for a, b in rows], dim)
+        system = [Constraint(a, ">=", b) for a, b in rows]
+        got = lattice_points(system, dim)
+        assert got == oracles.chernikov_lattice_points(system, dim), rows
+        trivial = oracles.trivial_homogeneous_cone([a for a, _ in rows], dim)
+        assert trivial == oracles.recession_cone_is_zero([a for a, _ in rows], dim)
         if farkas_empty(rows, dim):
             want = "empty"
             assert got == (), rows
-        elif oracles.recession_cone_is_zero([a for a, _ in rows], dim):
+        elif trivial:
             want = "bounded"
             assert got is not UNBOUNDED, rows
             assert all(dot(a, x) >= b for x in got for a, b in rows)
