@@ -3,17 +3,18 @@
 A complete collection is a set of n Demazure roots pairing with their
 distinguished ray generators as -identity; such collections classify the
 torus-normalized actions of the n-dimensional vector group, and on complete
-fans their existence also settles the non-normalized question.
+fans their existence also settles the non-normalized question. Each one
+is read off the stored facet normals of a unimodular maximal cone
+(:func:`toricroots.fan._simplicial_normals`), and a witness of equivalence
+is checked with the transpose of its matrix: neither inverts a matrix.
 """
 
 from __future__ import annotations
 
-from operator import mul
-
 from . import lattice
 from .demazure import DemazureRoot, _root, all_roots
 from .errors import InfiniteRoots, NoWitness, NotComplete, NotSquare, NotUnimodular
-from .fan import Cone, Fan, LatticeAutomorphism, is_complete, is_fan_automorphism
+from .fan import Fan, LatticeAutomorphism, _ray_permutation, _simplicial_normals, is_complete
 from .lattice import Mat, Value, Vec, neg
 
 
@@ -52,20 +53,13 @@ def complete_collections(fan: Fan) -> tuple[CompleteCollection, ...]:
     :mod:`toricroots.fan` its rays are exactly p_1..p_n.
 
     The dual basis is read off the cone's stored facet normals, with no
-    elimination. A maximal cone with n rays and no equations is
-    full-dimensional, so its rays are independent and it is simplicial:
-    for each ray p_j exactly one primitive normal a_j does not vanish on
-    p_j, and A P^T = diag(c) with every c_j = <a_j, p_j> > 0. The cone is
-    unimodular iff every c_j = 1, and then the a_j are its dual basis.
-    Proof: if A P^T = I then det A det P = 1 over Z, so P is unimodular.
-    Conversely, if P is unimodular its dual vectors q_j are integral and
-    primitive (q_j pairs to 1 with p_j), and q_j is a positive multiple of
-    a_j (both vanish on the other rays and are positive on p_j); two
-    primitive vectors on one ray are equal, so a_j = q_j and c_j = 1. A
-    cone with equations is skipped: it is not full-dimensional, so by the
-    above it holds no collection, and its normals need not single out one
-    ray each (the cone over the unit square in Z^4 has 4 rays, and each
-    normal pairs to 0 or 1 with every one of them).
+    elimination (:func:`toricroots.fan._simplicial_normals`): a maximal
+    cone with n rays and no equations is simplicial, its normal a_j is the
+    one that does not vanish on its ray p_j, and the cone is unimodular iff
+    every c_j = <a_j, p_j> is 1, when the a_j are its dual basis (the proof
+    is there). Any other maximal cone is skipped: one with equations is not
+    full-dimensional, and one with more than n rays is not a basis, so by
+    the above neither holds a collection.
 
     A candidate (q, ray) recurs on every cone through the ray that has q in
     its dual basis, so each distinct one is checked once. The first call
@@ -75,42 +69,23 @@ def complete_collections(fan: Fan) -> tuple[CompleteCollection, ...]:
     """
     if fan._collections is not None:
         return fan._collections
-    n = fan.dim
     out = []
     checked: dict[tuple[Vec, int], DemazureRoot | None] = {}
     for cone in fan.max_cones:
-        if len(cone.ray_indices) != n or cone.equations:
-            continue
-        dual = _unit_normals(cone, fan.rays)
-        if dual is None:
+        found = _simplicial_normals(cone, fan.rays, cone.ray_indices)
+        if found is None or any(c != 1 for _, c in found):
             continue
         roots = []
-        for key in zip(dual, cone.ray_indices):
-            if key not in checked:
-                checked[key] = _root(fan, neg(key[0]), key[1])
-            roots.append(checked[key])
+        for (a, _), ray in zip(found, cone.ray_indices):
+            if (a, ray) not in checked:
+                checked[a, ray] = _root(fan, neg(a), ray)
+            roots.append(checked[a, ray])
             if roots[-1] is None:
                 break
         else:
             out.append(CompleteCollection(tuple(roots)))
     object.__setattr__(fan, "_collections", tuple(out))
     return fan._collections
-
-
-def _unit_normals(cone: Cone, rays: tuple[Vec, ...]) -> list[Vec] | None:
-    """For each ray p_j of a simplicial full-dimensional cone, the one facet
-    normal a_j that does not vanish on it; None unless every <a_j, p_j> = 1."""
-    out = []
-    for i in cone.ray_indices:
-        p = rays[i]
-        for a in cone.inequalities:
-            c = sum(map(mul, a, p))
-            if c:
-                break
-        if c != 1:
-            return None
-        out.append(a)
-    return out
 
 
 class AdditiveDecision(Value):
@@ -176,11 +151,9 @@ def verify_witness(fan: Fan, c1: CompleteCollection, c2: CompleteCollection,
         g = witness.automorphism()
     except (NotSquare, NotUnimodular):
         return False
-    if not is_fan_automorphism(fan, g):
+    perm = _ray_permutation(fan, g)
+    if perm is None or any(perm[i] != j for i, j in witness.ray_map):
         return False
-    for i, j in witness.ray_map:
-        if g.apply(fan.rays[i]) != fan.rays[j]:
-            return False
     pullback = lattice.transpose(witness.matrix)
     image = {lattice.mat_vec(pullback, e) for e in c2.root_vectors}
     return image == set(c1.root_vectors)

@@ -31,12 +31,13 @@ description and bounds each pairing over its vertices.
 
 from __future__ import annotations
 
+from math import lcm
 from operator import mul
 
 from . import lattice
 from .errors import BadParams, InternalError, InvalidFan
-from .fan import Cone, Fan
-from .lattice import UNBOUNDED, Constraint, Value, Vec, dot, neg
+from .fan import Cone, Fan, _simplicial_normals
+from .lattice import UNBOUNDED, Constraint, Value, Vec, neg
 
 # The most lattice points a truncated root enumeration may have to visit
 # for one ray. A root e lies on <p_rho, e> = -1, and a hyperplane meets the
@@ -82,7 +83,9 @@ class RootSet(Value):
 
 
 def pairing_row(fan: Fan, e: Vec) -> Vec:
-    return tuple(dot(p, e) for p in fan.rays)
+    if len(e) != fan.dim:
+        raise ValueError(f"dimension mismatch: {fan.dim} vs {len(e)}")
+    return tuple(sum(map(mul, p, e)) for p in fan.rays)
 
 
 def _condition1(row: Vec, ray: int) -> bool:
@@ -211,8 +214,15 @@ def roots_for_ray(fan: Fan, ray: int, bound: int | None = None) -> RayRoots:
     0 <= y_k <= floor(c_rho), with c_rho = 0 when rho is not in that cone.
     The bounds are pairings, so a GL_n(Z) image of the fan has the same.
 
-    *Search.* Take n independent rays of a maximal cone through rho, rho
-    first, as a basis B (:func:`toricroots.lattice._basis_inverse`). A
+    *Search.* Take n independent rays of the first maximal cone through
+    rho, rho first, as a basis B. On a simplicial cone, B^-1 = W / D is
+    read off the cone's stored facet normals: W has the columns
+    (D / c_j) a_j, a_j the normal not vanishing on the j-th ray and
+    D = lcm(c_j) of the c_j = <a_j, p_j>, so that B W = D I, and D = 1
+    iff the cone is unimodular (:func:`toricroots.fan._simplicial_normals`
+    has the proofs). Only a cone with more than n rays takes one
+    Gauss-Jordan pass (:func:`toricroots.lattice._basis_inverse`). The
+    search reads W / D alone, so it visits the same nodes either way. A
     root e is B^-1 y_B, y_B its pairings with those rays, so the roots are
     the integral e with y_rho = -1, 0 <= y_b <= floor(c_rho) for the other
     basis rays b, and every other pairing >= 0:
@@ -285,8 +295,14 @@ def _complete_roots(fan: Fan, ray: int, opposite: dict,
     :func:`roots_for_ray`."""
     n, rays = fan.dim, fan.rays
     if ray not in inverses:
-        cone = next(c.ray_indices for c in fan.max_cones if ray in c.ray_indices)
-        inverse = lattice._basis_inverse(rays, [ray, *(i for i in cone if i != ray)])
+        cone = next(c for c in fan.max_cones if ray in c.ray_indices)
+        order = [ray, *(i for i in cone.ray_indices if i != ray)]
+        found = _simplicial_normals(cone, rays, order)
+        if found is None:
+            inverse = lattice._basis_inverse(rays, order)
+        else:
+            d = lcm(*(c for _, c in found))
+            inverse = order, [tuple(d // c * x for x in a) for a, c in found], d
         for b in inverse[0]:
             inverses.setdefault(b, inverse)
     basis, cols, d = inverses[ray]

@@ -218,6 +218,51 @@ def cone_dual_description(generators, dim: int | None = None):
     return ineqs, eqs
 
 
+def _simplicial_normals(cone: Cone, rays: tuple[Vec, ...], order) -> list[tuple] | None:
+    """For each ray p_j of a simplicial full-dimensional cone, in `order`
+    (the cone's ray indices into `rays`, in any order), the one stored
+    normal a_j with c_j = <a_j, p_j> != 0, as the pair (a_j, c_j); None for
+    any other cone, that is unless the cone has n = dim rays and no
+    equations. No elimination is run.
+
+    Such a cone's n rays span Q^n, so they are independent: each of its n
+    facets holds n - 1 of them and misses one, and its stored inequalities
+    are its primitive facet normals, one per facet. So exactly one normal
+    a_j is nonzero on p_j, c_j > 0, and A P^T = diag(c) for the matrix A of
+    the a_j and P of the p_j (rows, in `order`). Three readings follow.
+
+    (1) *Inverse.* With D = lcm(c_j) and W the matrix with columns
+        (D / c_j) a_j, P W = D I, since entry (i, j) is
+        (D / c_j) <p_i, a_j> = D delta_ij: P^-1 = W / D, read off the
+        stored normals with no Gauss-Jordan pass.
+    (2) *Unimodular.* D = 1, that is every c_j = 1, iff the p_j are a
+        lattice basis, and then the a_j are its dual basis. If A P^T = I
+        then det A det P = 1 over Z. Conversely, if P is unimodular its dual
+        vectors q_j are integral and primitive (q_j pairs to 1 with p_j),
+        and q_j is a positive multiple of a_j (both vanish on the other rays
+        and are positive on p_j); two primitive vectors on one ray are
+        equal, so a_j = q_j and c_j = 1.
+    (3) *Determinant.* When the p_j are primitive, |det A| = 1 iff every
+        c_j = 1. det A det P = prod c_j gives one way. If |det A| = 1, then
+        A^-1 is integral and P^T = A^-1 diag(c), so p_j is c_j times an
+        integral vector, and c_j = 1 as p_j is primitive.
+
+    A cone with equations need not single out one ray per normal (the cone
+    over the unit square in Z^4 has 4 rays, and each normal pairs to 0 or 1
+    with every one of them); a cone with more than n rays is not simplicial.
+    """
+    if cone.equations or len(cone.ray_indices) != cone.dim:
+        return None
+    out = []
+    for i in order:
+        for a in cone.inequalities:
+            c = sum(map(mul, a, rays[i]))
+            if c:
+                break
+        out.append((a, c))
+    return out
+
+
 def _is_face(s: int, rays: int, facets) -> bool:
     """True iff the rays `s` are the ray set of a face of the cone with rays
     `rays`, given the ray sets of its facets, each set a bitmask of ray
@@ -283,7 +328,7 @@ def _check_fan(dim, rays, max_cones, allow_nonprimitive: bool):
         raise InvalidFan(violations)
     if len(set(rays)) != len(rays):
         violations.append("rays are not pairwise distinct")
-    prims = [primitive(r) for r in rays]
+    prims = [primitive(r) for r in rays] if allow_nonprimitive else rays  # checked primitive above
     if len(set(prims)) != len(prims):
         violations.append("two rays lie on the same half-line")
     cones = []
@@ -564,14 +609,20 @@ def is_fan_automorphism(fan: Fan, g: LatticeAutomorphism) -> bool:
     distinct ray sets, and so distinct images: a map of the maximal cones
     into themselves that is one-to-one is a permutation.
     """
+    return _ray_permutation(fan, g) is not None
+
+
+def _ray_permutation(fan: Fan, g: LatticeAutomorphism) -> list[int] | None:
+    """For a fan automorphism g (:func:`is_fan_automorphism`), the index of
+    g(p_i) among the rays for each ray p_i; None when g is not one."""
     if g.dim != fan.dim:
         raise DimensionMismatch(f"automorphism dim {g.dim} != fan dim {fan.dim}")
     index = {r: i for i, r in enumerate(fan.rays)}
     perm = [index.get(g.apply(p)) for p in fan.rays]
-    if None in perm:
-        return False
     cones = {c.ray_indices for c in fan.max_cones}
-    return all(tuple(sorted(perm[i] for i in c.ray_indices)) in cones for c in fan.max_cones)
+    ok = None not in perm and all(tuple(sorted(perm[i] for i in c.ray_indices)) in cones
+                                  for c in fan.max_cones)
+    return perm if ok else None
 
 
 # ---------------------------------------------------------------------------

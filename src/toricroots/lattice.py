@@ -165,12 +165,19 @@ def transpose(m: Mat) -> Mat:
 
 
 def mat_vec(m: Mat, v: Vec) -> Vec:
-    return tuple(dot(row, v) for row in m)
+    """m v; ValueError when m's rows and v differ in length (m is read as
+    rectangular, so only its first row is measured)."""
+    if m and len(m[0]) != len(v):
+        raise ValueError(f"dimension mismatch: {len(m[0])} vs {len(v)}")
+    return tuple(sum(map(mul, row, v)) for row in m)
 
 
 def mat_mul(a: Mat, b: Mat) -> Mat:
+    """a b; ValueError when a's rows and b's columns differ in length."""
+    if a and len(a[0]) != len(b):
+        raise ValueError(f"dimension mismatch: {len(a[0])} vs {len(b)}")
     bt = transpose(b)
-    return tuple(tuple(dot(row, col) for col in bt) for row in a)
+    return tuple(tuple(sum(map(mul, row, col)) for col in bt) for row in a)
 
 
 def _gauss_jordan(rows: Sequence[Vec], width: int) -> tuple[list[int], list[list[int]], int]:
@@ -402,7 +409,8 @@ def cut_cone(rays: Sequence[Vec], rows: Sequence[Vec], cuts: Iterable[Vec]) -> t
     the cuts. The dimension of C is not given, and finding it would cost an
     elimination per call, so its pair filter is off (d = 0). Fan validation
     knows both the incidences and the dimension, and calls :func:`_motzkin`
-    itself (:func:`toricroots.fan._intersection_rays`).
+    itself (:func:`toricroots.fan._intersection_rays`). The rows' lengths
+    are checked against the rays, the cuts' are not.
     """
     tight = [sum(1 << k for k, a in enumerate(rows) if dot(a, r) == 0) for r in rays]
     return tuple(sorted(_motzkin(rays, tight, enumerate(cuts, len(rows)), 0)[0]))
@@ -433,11 +441,12 @@ def _motzkin(rays: list[Vec], tight: list[int], cuts, d: int) -> tuple[list[Vec]
     neighbourhood of y in V lies in P, and so in the face G = P cut by
     <a, x> = 0 for the rows a in S. If cone(r_i, r_j) is a face of P, it is
     G, the smallest face holding y, so d - |S| <= dim V <= dim G = 2. The
-    proof reads only points of L, so it holds for any such L.
+    proof reads only points of L, so it holds for any such L. The lengths of
+    the cuts are not checked: each must have the rays' length.
     """
     for k, c in cuts:
         bit = 1 << k
-        vals = [dot(c, r) for r in rays]
+        vals = [sum(map(mul, c, r)) for r in rays]
         pos = [(i, v) for i, v in enumerate(vals) if v > 0]
         negs = [(j, v) for j, v in enumerate(vals) if v < 0]
         new_rays, new_tight = [], []
@@ -631,6 +640,13 @@ def _search(basis: Sequence[Vec], cols: Sequence[Vec], d: int, lows: Sequence[in
     their bounds [lo, hi], and a value is taken only if every row's L_a y
     can still reach d floors[a] with that much. So every full y meets every
     row, and no y that does is cut.
+
+    Only W / d enters: scaling W and d by one factor k > 0 scales every L_a,
+    every sum L_a y - d floors[a] and every tail by k, and
+    floor(k s / (k c)) = floor(s / c), so each interval of :func:`_descend`
+    is unchanged and the same nodes are visited; the last division by d is
+    exact either way. Any such W / d with d = 1 makes B^-1 integral, so B is
+    unimodular and H = I is its Hermite form.
     """
     n = len(basis)
     h = identity(n) if d == 1 else hermite_column_form(basis)

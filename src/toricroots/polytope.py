@@ -4,7 +4,9 @@ Facet inequalities are stored with outer normals (<p, x> <= a), each with
 the bitmask of the vertices on it, both from one double description of the
 hull; the normal fan uses inner normals (-p), with the maximal cone at a
 vertex generated by the inner normals of the facets through it. The edge
-directions at a vertex are the stored inequalities of that cone. The
+directions at a vertex are the stored inequalities of that cone, and the
+rectangle test reads whether they are a lattice basis off those
+inequalities and the cone's rays, with no determinant. The
 normal fan is assembled from that incidence alone (:func:`normal_fan`):
 the edges are found by the closure test on it, and the fan is complete by
 theorem, so no cone gets a double description and nothing is validated
@@ -17,7 +19,7 @@ from bisect import bisect_left
 
 from . import lattice
 from .errors import BadParams, DegeneratePolytope, InvalidPolytope
-from .fan import Cone, Fan, _is_face
+from .fan import Cone, Fan, _is_face, _simplicial_normals
 from .lattice import Value, Vec, dot, neg, primitive, sub, vec
 
 
@@ -137,14 +139,25 @@ def inscribed_in_rectangle(p: LatticePolytope) -> RectangleWitness | None:
 
     The facets through a vertex are read off its normal cone, whose ray r
     is the inner normal of facet F - 1 - r of the F facets, and the check
-    of the others stops at the first one that fails."""
+    of the others stops at the first one that fails.
+
+    The edge directions at v are the facet normals A of v's normal cone
+    (:func:`edge_directions_at`). They are a lattice basis iff there are
+    dim of them and |det A| = 1, that is iff the cone is simplicial and
+    each ray p_j pairs to 1 with the one normal not vanishing on it: the
+    normal fan's rays are primitive, so
+    :func:`toricroots.fan._simplicial_normals` proves the two tests the
+    same, and no determinant is computed. A full-dimensional cone has dim
+    facets iff it has dim rays, both meaning that it is simplicial."""
     fs = facets(p)
     last = len(fs) - 1
+    rays = normal_fan(p).rays
     for i, v in enumerate(p.vertices):
         cone = _normal_cone(p, i)
-        dirs = cone.inequalities  # the edge directions at v
-        if len(dirs) != p.dim or abs(lattice.determinant(dirs)) != 1:
+        found = _simplicial_normals(cone, rays, cone.ray_indices)
+        if found is None or any(c != 1 for _, c in found):
             continue
+        dirs = cone.inequalities  # the edge directions at v
         through = {last - r for r in cone.ray_indices}
         if all(dot(f.normal, e) >= 0
                for k, f in enumerate(fs) if k not in through for e in dirs):

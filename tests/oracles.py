@@ -159,6 +159,13 @@ rule and the substitution of equations (``chernikov_lattice_points``, with
 ``_reduce_ineq``, ``_substitute``, ``_eliminate`` and ``_ceil_div``). It
 runs no double description and no code of the library's search, so it is
 the independent oracle of ``lattice_points``.
+
+Then the rectangle test stopped computing a determinant: a vertex's edge
+directions are a lattice basis iff its normal cone is simplicial and each
+ray pairs to 1 with the one facet normal not vanishing on it, which
+``fan._simplicial_normals`` reads off the stored normals. Kept below
+unchanged but for module references: the test by ``lattice.determinant``
+(``determinant_inscribed_in_rectangle``).
 """
 
 from __future__ import annotations
@@ -1687,3 +1694,23 @@ def vertex_facet_sets(pts: tuple[Vec, ...], fs) -> tuple[frozenset, ...]:
     """Per facet, the indices of the points on it."""
     return tuple(frozenset(i for i, v in enumerate(pts) if dot(f.normal, v) == f.rhs)
                  for f in fs)
+
+
+def determinant_inscribed_in_rectangle(p: LatticePolytope):
+    """First witness in vertex order that p is inscribed in a rectangle, or None.
+
+    The facets through a vertex are read off its normal cone, whose ray r
+    is the inner normal of facet F - 1 - r of the F facets, and the check
+    of the others stops at the first one that fails."""
+    fs = polytope_module.facets(p)
+    last = len(fs) - 1
+    for i, v in enumerate(p.vertices):
+        cone = polytope_module._normal_cone(p, i)
+        dirs = cone.inequalities  # the edge directions at v
+        if len(dirs) != p.dim or abs(lattice.determinant(dirs)) != 1:
+            continue
+        through = {last - r for r in cone.ray_indices}
+        if all(dot(f.normal, e) >= 0
+               for k, f in enumerate(fs) if k not in through for e in dirs):
+            return polytope_module.RectangleWitness(v, dirs)
+    return None

@@ -194,6 +194,24 @@ def test_verify_witness_rejects_bad_matrices_and_lets_other_errors_through(monke
         verify_witness(fan, c1, c2, w)
 
 
+def test_verify_witness_rejects_each_corruption():
+    """One matrix that is not unimodular, one unimodular matrix that is not
+    a fan automorphism, a true automorphism with a wrong ray map, and a
+    true witness checked against the wrong collection: each is rejected."""
+    from toricroots.additive import EquivalenceWitness
+
+    fan = projective_space(2)
+    c1, c2, c3 = complete_collections(fan)
+    w = find_equivalence(fan, c1, c2)
+    assert verify_witness(fan, c1, c2, w)
+    (i, j), (k, l) = w.ray_map
+    for bad in (EquivalenceWitness(((2, 0), (0, 1)), w.ray_map),
+                EquivalenceWitness(((1, 1), (0, 1)), w.ray_map),
+                EquivalenceWitness(w.matrix, ((i, l), (k, j)))):
+        assert not verify_witness(fan, c1, c2, bad)
+    assert not verify_witness(fan, c1, c3, w)
+
+
 def test_equivalence_count_p1n():
     for n in range(1, 5):
         fan = product_p1(n)

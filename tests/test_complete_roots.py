@@ -14,11 +14,15 @@ complete surfaces, products with shuffled rays, weighted projective
 spaces, GL_n(Z) images built from at least 25 elementary steps, the
 cross-polytope fans of dimensions 3 to 5 (not simplicial) and the normal
 fans of the polytopes of ``test_normal_fan.py``, some of which are not
-simple.
+simple. The basis inverse of a simplicial cone is read off its stored
+facet normals (``fan._simplicial_normals``); on a corpus of simplicial
+fans it is checked against ``lattice._basis_inverse``, the Gauss-Jordan
+pass that the cones with more than n rays still take.
 """
 
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -43,9 +47,11 @@ from toricroots import (
     product_p1,
     projective_space,
     roots_for_ray,
+    wps_one,
 )
 from toricroots import demazure, lattice
 from toricroots.demazure import _condition1_system, _peel, pairing_row
+from toricroots.fan import _simplicial_normals
 from toricroots.lattice import UNBOUNDED, kernel_basis, transpose
 
 
@@ -244,3 +250,78 @@ def test_projective_space_visits_few_nodes(monkeypatch, n):
     nodes.clear()
     assert len(all_roots(skewed(fan, n)).roots()) == len(roots)
     assert len(nodes) == visited
+
+
+# A complete fan over the faces of a tetrahedron whose cone [0, 1, 2], the
+# first through rays 0, 1 and 2, has the coefficients c = (15, 6, 10):
+# D = lcm(c_j) = 30 exceeds every c_j.
+TETRAHEDRON = build_fan(3, [(-1, 2, 2), (2, -1, 2), (2, 1, -4), (-1, -1, 1)],
+                        [[0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3]])
+
+
+def simplicial_corpus():
+    """Complete fans whose maximal cones are all simplicial, many of them
+    not unimodular: P(1, 2, 3, 7, 11) as ``wps_one`` builds it (and
+    P(1, 2, 4, 6), whose last ray is not primitive), the weighted
+    projective spaces above, the tetrahedron fan, P^4 and (P^1)^4, seeded
+    random surfaces and GL_n(Z) images up to dimension 6."""
+    fans = [wps_one(2, 3, 7, 11), wps_one(2, 4, 6), TETRAHEDRON, projective_space(4),
+            product_p1(4)]
+    fans += [weighted_projective_space(*w) for w in ((1, 2, 3, 5), (2, 3, 7, 11), (3, 5, 7))]
+    fans += random_complete_fans_2d(25, 20)
+    fans += [skewed(fan, k) for k, fan in enumerate(fans[:8])]
+    fans += [skewed(make(dim), dim) for dim in (5, 6) for make in (projective_space, product_p1)]
+    return fans
+
+
+def assert_gauss_jordan_inverse(fan, order, cols, d):
+    """W / D, W given by its columns, is the inverse that
+    lattice._basis_inverse computes for the rays in `order`, as a rational
+    matrix, and P W = D I."""
+    basis, want, e = lattice._basis_inverse(fan.rays, order)
+    assert basis == list(order)
+    assert [[Fraction(x, d) for x in col] for col in cols] \
+        == [[Fraction(x, e) for x in col] for col in want]
+    assert [[sum(p * x for p, x in zip(fan.rays[i], col)) for col in cols] for i in order] \
+        == [[d * int(i == j) for j in order] for i in order]
+
+
+def test_the_stored_normals_give_the_gauss_jordan_inverse():
+    """On every simplicial maximal cone of the corpus, and each ray of it
+    taken first as roots_for_ray takes it, the inverse W / D read off the
+    stored normals, with D = lcm(c_j), is the Gauss-Jordan one; so is each
+    inverse that the roots of the fan's rays were searched with. Some D
+    are 1, some exceed 1, and one exceeds every c_j of its cone."""
+    denominators, gaps = set(), 0
+    for fan in simplicial_corpus():
+        assert fan._complete
+        for cone in fan.max_cones:
+            assert len(cone.ray_indices) == fan.dim
+            for ray in cone.ray_indices:
+                order = [ray, *(i for i in cone.ray_indices if i != ray)]
+                found = _simplicial_normals(cone, fan.rays, order)
+                d = lcm(*(c for _, c in found))
+                cols = [[d // c * x for x in a] for a, c in found]
+                assert_gauss_jordan_inverse(fan, order, cols, d)
+                denominators.add(d)
+                gaps += d > max(c for _, c in found)
+        inverses = {}
+        for ray in range(len(fan.rays)):
+            demazure._roots_for_ray(fan, ray, None, {}, inverses)
+        for basis, cols, d in inverses.values():
+            assert_gauss_jordan_inverse(fan, basis, cols, d)
+    assert 1 in denominators and max(denominators) > 1 and gaps
+    assert_roots_match_elimination(TETRAHEDRON)
+
+
+def test_simplicial_complete_fans_take_no_gauss_jordan_pass(monkeypatch):
+    """all_roots reads every basis inverse of a simplicial complete fan off
+    the stored normals; the cross-polytope image glcross5, whose cones have
+    16 rays, takes the Gauss-Jordan pass."""
+    calls = counting(monkeypatch, lattice, "_basis_inverse")
+    for fan in simplicial_corpus():
+        all_roots(fan)
+    assert calls == []
+    g = LatticeAutomorphism(random_unimodular(random.Random(1), 5))
+    all_roots(apply_automorphism(cross_polytope_fan(5), g))
+    assert calls

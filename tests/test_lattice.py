@@ -28,6 +28,7 @@ from toricroots.lattice import (
     kernel_basis,
     lattice_points,
     mat_mul,
+    mat_vec,
     primitive,
     rank,
     smith_normal_form,
@@ -97,6 +98,39 @@ def test_dot_matches_the_generator_form_and_checks_lengths():
     for u, v in (((1, 2), (1, 2, 3)), ((), (0,)), ((2**70,), ())):
         with pytest.raises(ValueError, match=f"dimension mismatch: {len(u)} vs {len(v)}"):
             dot(u, v)
+
+
+def test_matrix_products_check_the_inner_dimension():
+    """mat_vec and mat_mul compare the length of the first row with the
+    vector, or with the rows of the right factor, once per call; the
+    automorphism's apply and compose and the public root tests, which pair
+    a vector with every ray of a fan, raise ValueError on a wrong length
+    too."""
+    from toricroots.demazure import is_demazure_root, satisfies_condition1
+    from toricroots.fan import LatticeAutomorphism, projective_space
+
+    m = ((1, 2), (3, 4), (5, 6))
+    assert mat_vec(m, (1, -1)) == (-1, -1, -1)
+    assert mat_mul(m, ((1, 0, 2), (0, 1, 1))) == ((1, 2, 4), (3, 4, 10), (5, 6, 16))
+    assert mat_vec((), (1, 2)) == () and mat_mul((), m) == ()
+    for v in ((), (1,), (1, 2, 3)):
+        with pytest.raises(ValueError, match=f"dimension mismatch: 2 vs {len(v)}"):
+            mat_vec(m, v)
+    with pytest.raises(ValueError, match="dimension mismatch: 2 vs 3"):
+        mat_mul(m, m)
+    g = LatticeAutomorphism(((1, 1), (0, 1)))
+    for v in ((1,), (1, 0, 0)):
+        with pytest.raises(ValueError, match=f"dimension mismatch: 2 vs {len(v)}"):
+            g.apply(v)
+    with pytest.raises(ValueError, match="dimension mismatch: 2 vs 3"):
+        g.compose(LatticeAutomorphism(identity(3)))
+    fan = projective_space(2)
+    assert is_demazure_root(fan, (-1, 0), 0)
+    for e in ((-1,), (-1, 0, 0)):
+        with pytest.raises(ValueError, match=f"dimension mismatch: 2 vs {len(e)}"):
+            is_demazure_root(fan, e, 0)
+        with pytest.raises(ValueError, match=f"dimension mismatch: 2 vs {len(e)}"):
+            satisfies_condition1(fan, e, 0)
 
 
 # ---------------------------------------------------------------------------

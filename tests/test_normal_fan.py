@@ -10,6 +10,9 @@ must give the same fan, cone by cone, on cubes, dilated simplices and a
 segment, polytopes that are not simple (cross-polytopes, a paraboloid lift
 whose lower facets are squares, a pyramid over an octagon), permutohedra
 of orders 3 to 5, seeded lattice polygons, and a GL_n(Z) image of each.
+The rectangle test, which reads the same normal cones, is checked on that
+corpus against its determinant version
+(``oracles.determinant_inscribed_in_rectangle``).
 """
 
 import random
@@ -106,3 +109,38 @@ def test_each_vertex_finds_its_own_cone(name, p):
         assert cone.ray_indices == oracles.cone_rays(p, i)
         assert polytope.edge_directions_at(p, v) == cone.inequalities
     assert sorted(p._cone_at) == list(range(len(fan.max_cones)))
+
+
+def rectangle_corpus():
+    """The corpus above and seeded polygons, and a GL_n(Z) image of each
+    member of dimension 2 to 5."""
+    rng = random.Random(27)
+    out = [p for _, p in NAMED] + random_lattice_polygons(27, 100)
+    return out + [image(p, rng) for p in out if 2 <= p.dim <= 5]
+
+
+def test_the_rectangle_test_matches_the_determinant_test(monkeypatch):
+    """inscribed_in_rectangle returns the witness of the determinant
+    version (``oracles.determinant_inscribed_in_rectangle``) and computes no
+    determinant. At each vertex the unit-normal test of its normal cone
+    agrees with |det| = 1 of its dim edge directions; the corpus has
+    unimodular cones, simplicial cones that are not, and cones that are
+    not simplicial, and polytopes with a witness and without one."""
+    determinants = counting(monkeypatch, lattice, "determinant")
+    kinds, answers = set(), set()
+    for p in rectangle_corpus():
+        got = polytope.inscribed_in_rectangle(p)
+        assert determinants == []
+        assert got == oracles.determinant_inscribed_in_rectangle(p)
+        answers.add(got is None)
+        rays = normal_fan(p).rays
+        for i in range(len(p.vertices)):
+            cone = polytope._normal_cone(p, i)
+            found = fan_module._simplicial_normals(cone, rays, cone.ray_indices)
+            dirs = cone.inequalities
+            unimodular = len(dirs) == p.dim and abs(lattice.determinant(dirs)) == 1
+            assert (found is not None and {c for _, c in found} == {1}) == unimodular
+            assert (found is None) == (len(dirs) != p.dim)
+            kinds.add("not simplicial" if found is None else unimodular)
+        determinants.clear()
+    assert kinds == {"not simplicial", True, False} and answers == {True, False}
