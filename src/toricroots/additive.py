@@ -5,7 +5,7 @@ distinguished ray generators as -identity; such collections classify the
 torus-normalized actions of the n-dimensional vector group, and on complete
 fans their existence also settles the non-normalized question. Each one
 is read off the stored facet normals of a unimodular maximal cone
-(:func:`toricroots.fan._simplicial_normals`), and a witness of equivalence
+(:func:`toricroots.fan._simplicial_inverse`), and a witness of equivalence
 is checked with the transpose of its matrix: neither inverts a matrix.
 """
 
@@ -14,7 +14,7 @@ from __future__ import annotations
 from . import lattice
 from .demazure import DemazureRoot, _root, all_roots
 from .errors import InfiniteRoots, NoWitness, NotComplete, NotSquare, NotUnimodular
-from .fan import Fan, LatticeAutomorphism, _ray_permutation, _simplicial_normals, is_complete
+from .fan import Fan, LatticeAutomorphism, _ray_permutation, _simplicial_inverse, is_complete
 from .lattice import Mat, Value, Vec, neg
 
 
@@ -53,11 +53,11 @@ def complete_collections(fan: Fan) -> tuple[CompleteCollection, ...]:
     :mod:`toricroots.fan` its rays are exactly p_1..p_n.
 
     The dual basis is read off the cone's stored facet normals, with no
-    elimination (:func:`toricroots.fan._simplicial_normals`): a maximal
-    cone with n rays and no equations is simplicial, its normal a_j is the
-    one that does not vanish on its ray p_j, and the cone is unimodular iff
-    every c_j = <a_j, p_j> is 1, when the a_j are its dual basis (the proof
-    is there). Any other maximal cone is skipped: one with equations is not
+    elimination (:func:`toricroots.fan._simplicial_inverse`): a maximal
+    cone with n rays and no equations is simplicial, and its inverse
+    (basis, W, D) has D = 1 iff the cone is unimodular, when W's columns,
+    its facet normals, are its dual basis (the proof is there). Any other
+    maximal cone is skipped: one with equations is not
     full-dimensional, and one with more than n rays is not a basis, so by
     the above neither holds a collection.
 
@@ -72,11 +72,11 @@ def complete_collections(fan: Fan) -> tuple[CompleteCollection, ...]:
     out = []
     checked: dict[tuple[Vec, int], DemazureRoot | None] = {}
     for cone in fan.max_cones:
-        found = _simplicial_normals(cone, fan.rays, cone.ray_indices)
-        if found is None or any(c != 1 for _, c in found):
+        inverse = _simplicial_inverse(cone, fan.rays, cone.ray_indices)
+        if inverse is None or inverse[2] != 1:
             continue
         roots = []
-        for (a, _), ray in zip(found, cone.ray_indices):
+        for a, ray in zip(inverse[1], cone.ray_indices):
             if (a, ray) not in checked:
                 checked[a, ray] = _root(fan, neg(a), ray)
             roots.append(checked[a, ray])

@@ -31,12 +31,11 @@ description and bounds each pairing over its vertices.
 
 from __future__ import annotations
 
-from math import lcm
 from operator import mul
 
 from . import lattice
 from .errors import BadParams, InternalError, InvalidFan
-from .fan import Cone, Fan, _simplicial_normals
+from .fan import Cone, Fan, _simplicial_inverse
 from .lattice import UNBOUNDED, Constraint, Value, Vec, neg
 
 # The most lattice points a truncated root enumeration may have to visit
@@ -215,14 +214,13 @@ def roots_for_ray(fan: Fan, ray: int, bound: int | None = None) -> RayRoots:
     The bounds are pairings, so a GL_n(Z) image of the fan has the same.
 
     *Search.* Take n independent rays of the first maximal cone through
-    rho, rho first, as a basis B. On a simplicial cone, B^-1 = W / D is
-    read off the cone's stored facet normals: W has the columns
-    (D / c_j) a_j, a_j the normal not vanishing on the j-th ray and
-    D = lcm(c_j) of the c_j = <a_j, p_j>, so that B W = D I, and D = 1
-    iff the cone is unimodular (:func:`toricroots.fan._simplicial_normals`
-    has the proofs). Only a cone with more than n rays takes one
-    Gauss-Jordan pass (:func:`toricroots.lattice._basis_inverse`). The
-    search reads W / D alone, so it visits the same nodes either way. A
+    rho, rho first, as a basis B, with its inverse as (B, W, D), B W = D I
+    and D > 0. On a simplicial cone it is read off the cone's stored facet
+    normals (:func:`toricroots.fan._simplicial_inverse` has the proofs);
+    only a cone with more than n rays takes the Gauss-Jordan pass of
+    :func:`toricroots.lattice._basis_inverse`, which gives the same
+    format. The search reads W / D alone, so it visits the same nodes
+    either way. A
     root e is B^-1 y_B, y_B its pairings with those rays, so the roots are
     the integral e with y_rho = -1, 0 <= y_b <= floor(c_rho) for the other
     basis rays b, and every other pairing >= 0:
@@ -297,12 +295,7 @@ def _complete_roots(fan: Fan, ray: int, opposite: dict,
     if ray not in inverses:
         cone = next(c for c in fan.max_cones if ray in c.ray_indices)
         order = [ray, *(i for i in cone.ray_indices if i != ray)]
-        found = _simplicial_normals(cone, rays, order)
-        if found is None:
-            inverse = lattice._basis_inverse(rays, order)
-        else:
-            d = lcm(*(c for _, c in found))
-            inverse = order, [tuple(d // c * x for x in a) for a, c in found], d
+        inverse = _simplicial_inverse(cone, rays, order) or lattice._basis_inverse(rays, order, n)
         for b in inverse[0]:
             inverses.setdefault(b, inverse)
     basis, cols, d = inverses[ray]

@@ -43,7 +43,7 @@ assembles from the hull's incidence, complete by theorem.
 from __future__ import annotations
 
 from itertools import combinations
-from math import gcd
+from math import gcd, lcm
 from operator import mul
 
 from . import lattice
@@ -200,13 +200,16 @@ def _dual_description(gens: tuple[Vec, ...], dim: int) -> tuple[tuple, tuple, tu
 def cone_dual_description(generators, dim: int | None = None):
     """Public dual description of a strongly convex cone.
 
-    Raises NotStronglyConvex when the generated cone contains a line.
+    Raises NotStronglyConvex when the generated cone contains a line, and
+    BadParams when `dim` is given and is not a positive int.
     """
     gens = tuple(vec(g) for g in generators)
     if dim is None:
         if not gens:
             raise ValueError("explicit dim required for the zero cone")
         dim = len(gens[0])
+    elif not lattice.is_integer(dim) or dim < 1:
+        raise BadParams(f"dim must be a positive integer, got {dim!r}")
     for k, g in enumerate(gens):
         if len(g) != dim:
             raise DimensionMismatch(f"generator {k} has dimension {len(g)}, expected {dim}")
@@ -218,34 +221,38 @@ def cone_dual_description(generators, dim: int | None = None):
     return ineqs, eqs
 
 
-def _simplicial_normals(cone: Cone, rays: tuple[Vec, ...], order) -> list[tuple] | None:
-    """For each ray p_j of a simplicial full-dimensional cone, in `order`
-    (the cone's ray indices into `rays`, in any order), the one stored
-    normal a_j with c_j = <a_j, p_j> != 0, as the pair (a_j, c_j); None for
-    any other cone, that is unless the cone has n = dim rays and no
+def _simplicial_inverse(cone: Cone, rays: tuple[Vec, ...], order) -> tuple | None:
+    """(order, W, D) with P W = D I and D > 0, for the matrix P whose rows
+    are the rays of a simplicial full-dimensional cone in `order` (the
+    cone's ray indices into `rays`, in any order), read off its stored
+    normals: the format of :func:`toricroots.lattice._basis_inverse`. None
+    for any other cone, that is unless the cone has n = dim rays and no
     equations. No elimination is run.
 
     Such a cone's n rays span Q^n, so they are independent: each of its n
     facets holds n - 1 of them and misses one, and its stored inequalities
     are its primitive facet normals, one per facet. So exactly one normal
-    a_j is nonzero on p_j, c_j > 0, and A P^T = diag(c) for the matrix A of
-    the a_j and P of the p_j (rows, in `order`). Three readings follow.
+    a_j is nonzero on p_j, c_j = <a_j, p_j> > 0, and A P^T = diag(c) for
+    the matrix A of the a_j and P of the p_j (rows, in `order`). Three
+    readings follow.
 
     (1) *Inverse.* With D = lcm(c_j) and W the matrix with columns
         (D / c_j) a_j, P W = D I, since entry (i, j) is
         (D / c_j) <p_i, a_j> = D delta_ij: P^-1 = W / D, read off the
-        stored normals with no Gauss-Jordan pass.
+        stored normals with no Gauss-Jordan pass. A column with c_j = D is
+        a_j itself.
     (2) *Unimodular.* D = 1, that is every c_j = 1, iff the p_j are a
-        lattice basis, and then the a_j are its dual basis. If A P^T = I
-        then det A det P = 1 over Z. Conversely, if P is unimodular its dual
-        vectors q_j are integral and primitive (q_j pairs to 1 with p_j),
-        and q_j is a positive multiple of a_j (both vanish on the other rays
-        and are positive on p_j); two primitive vectors on one ray are
-        equal, so a_j = q_j and c_j = 1.
+        lattice basis, and then the a_j, the columns of W, are its dual
+        basis. If A P^T = I then det A det P = 1 over Z. Conversely, if P is
+        unimodular its dual vectors q_j are integral and primitive (q_j
+        pairs to 1 with p_j), and q_j is a positive multiple of a_j (both
+        vanish on the other rays and are positive on p_j); two primitive
+        vectors on one ray are equal, so a_j = q_j and c_j = 1.
     (3) *Determinant.* When the p_j are primitive, |det A| = 1 iff every
-        c_j = 1. det A det P = prod c_j gives one way. If |det A| = 1, then
-        A^-1 is integral and P^T = A^-1 diag(c), so p_j is c_j times an
-        integral vector, and c_j = 1 as p_j is primitive.
+        c_j = 1, that is iff D = 1. det A det P = prod c_j gives one way.
+        If |det A| = 1, then A^-1 is integral and P^T = A^-1 diag(c), so
+        p_j is c_j times an integral vector, and c_j = 1 as p_j is
+        primitive.
 
     A cone with equations need not single out one ray per normal (the cone
     over the unit square in Z^4 has 4 rays, and each normal pairs to 0 or 1
@@ -253,14 +260,15 @@ def _simplicial_normals(cone: Cone, rays: tuple[Vec, ...], order) -> list[tuple]
     """
     if cone.equations or len(cone.ray_indices) != cone.dim:
         return None
-    out = []
+    pairs = []
     for i in order:
         for a in cone.inequalities:
             c = sum(map(mul, a, rays[i]))
             if c:
                 break
-        out.append((a, c))
-    return out
+        pairs.append((a, c))
+    d = lcm(*[c for _, c in pairs])
+    return order, [a if c == d else tuple([d // c * x for x in a]) for a, c in pairs], d
 
 
 def _is_face(s: int, rays: int, facets) -> bool:

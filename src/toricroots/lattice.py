@@ -2,18 +2,20 @@
 
 Vectors are tuples of Python ints and matrices are tuples of row vectors.
 Every computation is done in integers: Gauss-Jordan elimination is
-fraction-free, the Hermite and Smith normal forms share one unimodular
-Euclid step (each row loses its floor multiple of the pivot row), and cones
-are converted between their ray and inequality descriptions by an integer
-double-description kernel, which returns each extreme ray with the bitmask
-of the input rows that vanish on it, so that its callers need not pair rays
-with rows again to find them. Lattice points of a polyhedron come from the
-same kernel: the double description of its homogenization decides whether
-it is empty or unbounded and gives its vertices, which bound each row, and
-one depth-first search over the lattice of a basis of rows lists the
-points (:func:`lattice_points`; the roots of complete fans use the same
-search). No floating point or rational number is used anywhere in this
-package.
+fraction-free, and the inverse of a basis is one pass of it on
+[rows^T | I], returned as (basis, W, D) with B W = D I
+(:func:`_basis_inverse`); the Hermite and Smith normal forms share one
+unimodular Euclid step (each row loses its floor multiple of the pivot
+row), and cones are converted between their ray and inequality
+descriptions by an integer double-description kernel, which returns each
+extreme ray with the bitmask of the input rows that vanish on it, so that
+its callers need not pair rays with rows again to find them. Lattice
+points of a polyhedron come from the same kernel: the double description
+of its homogenization decides whether it is empty or unbounded and gives
+its vertices, which bound each row, and one depth-first search over the
+lattice of a basis of rows lists the points (:func:`lattice_points`; the
+roots of complete fans use the same search). No floating point or
+rational number is used anywhere in this package.
 """
 
 from __future__ import annotations
@@ -249,15 +251,16 @@ def rank(rows: Sequence[Vec], width: int | None = None) -> int:
 def invert_unimodular(m: Mat) -> Mat:
     """Inverse of a matrix with determinant +-1; exact and integral.
 
-    One fraction-free Gauss-Jordan pass takes [m | I] to [d I | d m^-1],
-    with d = +-det m when m has full rank; m is unimodular iff d = +-1,
-    and then the right block divided by d is m^-1.
+    :func:`_basis_inverse` on the rows of m, in order, picks all n of them
+    when m has full rank, and then gives m W = D I with D = |det m|. So m is
+    unimodular iff D = 1, and then m^-1 = W. The determinant is computed
+    for the message only.
     """
     n = _check_square(m)
-    pivots, a, d = _gauss_jordan([tuple(row) + e for row, e in zip(m, identity(n))], n)
-    if len(pivots) < n or abs(d) != 1:
-        raise NotUnimodular(f"determinant is {d if len(pivots) == n else 0}, expected +-1")
-    return tuple(tuple(x // row[k] for x in row[n:]) for k, row in enumerate(a))
+    picked, w, d = _basis_inverse(m, range(n), n)
+    if len(picked) < n or d != 1:
+        raise NotUnimodular(f"determinant is {determinant(m)}, expected +-1")
+    return transpose(w)
 
 
 def dual_basis(basis: Sequence[Vec]) -> Mat:
@@ -401,21 +404,6 @@ def hermite_column_form(m: Mat) -> Mat:
 # cones: the double description
 
 
-def cut_cone(rays: Sequence[Vec], rows: Sequence[Vec], cuts: Iterable[Vec]) -> tuple[Vec, ...]:
-    """Primitive extreme rays of {x in C : <c, x> >= 0 for every cut c}, sorted.
-
-    `rays` are the primitive extreme rays of a pointed cone C, and `rows`
-    inequalities that cut C out within its span; :func:`_motzkin` applies
-    the cuts. The dimension of C is not given, and finding it would cost an
-    elimination per call, so its pair filter is off (d = 0). Fan validation
-    knows both the incidences and the dimension, and calls :func:`_motzkin`
-    itself (:func:`toricroots.fan._intersection_rays`). The rows' lengths
-    are checked against the rays, the cuts' are not.
-    """
-    tight = [sum(1 << k for k, a in enumerate(rows) if dot(a, r) == 0) for r in rays]
-    return tuple(sorted(_motzkin(rays, tight, enumerate(cuts, len(rows)), 0)[0]))
-
-
 def _motzkin(rays: list[Vec], tight: list[int], cuts, d: int) -> tuple[list[Vec], list[int]]:
     """Motzkin's double description method: the rays of a pointed cone P in a
     space L of dimension d, each with its incidence (bit k of tight[i] is set
@@ -426,7 +414,7 @@ def _motzkin(rays: list[Vec], tight: list[int], cuts, d: int) -> tuple[list[Vec]
     cut P out, as {x in L : <a, x> >= 0 for every row a}. So it may be the
     span of the start cone (as in :func:`toricroots.fan._intersection_rays`),
     whose inequalities cut it out within its span; each cut keeps the cone
-    in L and cut out there by the rows so far. d = 0 turns the filter off.
+    in L and cut out there by the rows so far.
 
     Two rays of the current cone are adjacent iff no third ray is tight on
     every row tight on both (exact, as every row so far is kept); each
@@ -466,25 +454,21 @@ def _motzkin(rays: list[Vec], tight: list[int], cuts, d: int) -> tuple[list[Vec]
 
 def _double_description(rows: Sequence[Vec], width: int) -> tuple[tuple, tuple] | None:
     """The sorted rays of :func:`dual_rays` and, for each, the bitmask of
-    the rows that vanish on it (bit k for rows[k]), or None.
+    the rows that vanish on it (bit k for rows[k]); None when fewer than
+    `width` rows are independent.
 
     The first `width` independent rows B bound a simplicial cone, whose rays
     are the columns of B^-1 (each orthogonal to all rows but one);
-    :func:`_motzkin` cuts it with the rest. One fraction-free Gauss-Jordan
-    pass on [rows^T | I] finds both: its pivot columns pick B, and its right
-    block E ends with E B^T = d I, so row k of E, made primitive and signed
-    by the pivot d, is the k-th ray (<b_k, u> > 0), tight on every row of B
-    but b_k.
+    :func:`_motzkin` cuts it with the rest. :func:`_basis_inverse` picks B
+    and gives B W = D I with D > 0, so column k of W, made primitive, is the
+    k-th ray (<b_k, w_k> = D > 0), tight on every row of B but b_k.
     """
-    m = len(rows)
-    pivots, a, _ = _gauss_jordan([[*c, *e] for c, e in zip(zip(*rows), identity(width))], m)
-    if len(pivots) < width:
+    picked, cols, _ = _basis_inverse(rows, range(len(rows)), width)
+    if len(picked) < width:
         return None
-    basis = sum(1 << k for k in pivots)
-    rays, tight = _motzkin(
-        [primitive(row[m:] if row[k] > 0 else neg(row[m:])) for row, k in zip(a, pivots)],
-        [basis ^ (1 << k) for k in pivots],
-        [(k, r) for k, r in enumerate(rows) if not basis >> k & 1], width)
+    basis = sum(1 << k for k in picked)
+    rays, tight = _motzkin([primitive(w) for w in cols], [basis ^ (1 << k) for k in picked],
+                           [(k, r) for k, r in enumerate(rows) if not basis >> k & 1], width)
     order = sorted(range(len(rays)), key=rays.__getitem__)
     return tuple(rays[i] for i in order), tuple(tight[i] for i in order)
 
@@ -592,30 +576,34 @@ def lattice_points(constraints: Sequence[Constraint], dim: int):
     lows = [min(-(-v // t) for v, t in vals) for vals in values]
     highs = [max(v // t for v, t in vals) for vals in values]
     order = sorted(range(len(rows)), key=lambda k: highs[k] - lows[k])
-    basis, cols, d = _basis_inverse(normals, order)
+    basis, cols, d = _basis_inverse(normals, order, dim)
     others = [k for k in order if k not in basis]
     return tuple(_search([normals[k] for k in basis], cols, d, [lows[k] for k in basis],
                          [highs[k] for k in basis], [normals[k] for k in others],
                          [lows[k] for k in others]))
 
 
-def _basis_inverse(rows: Sequence[Vec], order: Sequence[int]) -> tuple[list[int], list[Vec], int]:
-    """The first n independent rows in `order` (indices into rows, which
-    span Q^n), and (W, D) with D > 0 and B^-1 = W / D for the matrix B of
-    those rows; W is given by its columns, in the same order.
+def _basis_inverse(rows: Sequence[Vec], order: Sequence[int], width: int) -> tuple:
+    """(basis, W, D): `basis` lists the first independent rows in `order`
+    (indices into rows, each of length `width`). When there are `width` of
+    them, B W = D I with D > 0 for the matrix B of those rows, W given by
+    its columns in the same order; when there are fewer, W and D mean
+    nothing, and a caller that does not know that the rows span Q^width
+    checks len(basis). This is the package's one inverse of a basis: the
+    double description starts from it, and :func:`invert_unimodular`,
+    :func:`lattice_points` and the roots of complete fans read it.
 
     One fraction-free Gauss-Jordan pass (:func:`_gauss_jordan`) on [G | I],
-    G the rows in `order` as columns, picks the first n independent columns,
+    G the rows in `order` as columns, picks the first independent columns,
     so B^T is G restricted to them, and left-multiplies by some E with
-    E B^T = D I. So its right block is E = D (B^-1)^T, whose rows are the
-    columns of W.
+    E B^T = p I, p the last pivot, which is +-det B. So the rows of E
+    signed by p are the columns of W, and D = |p| = |det B|.
     """
-    n, m = len(rows[0]), len(order)
-    columns = transpose([rows[i] for i in order])
-    picked, a, _ = _gauss_jordan([c + u for c, u in zip(columns, identity(n))], m)
-    sign = 1 if a[0][picked[0]] > 0 else -1
-    return ([order[j] for j in picked], [tuple(sign * x for x in row[m:]) for row in a],
-            abs(a[0][picked[0]]))
+    m = len(order)
+    columns = zip(*[rows[i] for i in order])
+    picked, a, _ = _gauss_jordan([c + u for c, u in zip(columns, identity(width))], m)
+    p = a[0][picked[0]] if picked else 1
+    return [order[j] for j in picked], [tuple(r[m:]) if p > 0 else neg(r[m:]) for r in a], abs(p)
 
 
 def _search(basis: Sequence[Vec], cols: Sequence[Vec], d: int, lows: Sequence[int],

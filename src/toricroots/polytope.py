@@ -19,7 +19,7 @@ from bisect import bisect_left
 
 from . import lattice
 from .errors import BadParams, DegeneratePolytope, InvalidPolytope
-from .fan import Cone, Fan, _is_face, _simplicial_normals
+from .fan import Cone, Fan, _is_face, _simplicial_inverse
 from .lattice import Value, Vec, dot, neg, primitive, sub, vec
 
 
@@ -143,19 +143,19 @@ def inscribed_in_rectangle(p: LatticePolytope) -> RectangleWitness | None:
 
     The edge directions at v are the facet normals A of v's normal cone
     (:func:`edge_directions_at`). They are a lattice basis iff there are
-    dim of them and |det A| = 1, that is iff the cone is simplicial and
-    each ray p_j pairs to 1 with the one normal not vanishing on it: the
-    normal fan's rays are primitive, so
-    :func:`toricroots.fan._simplicial_normals` proves the two tests the
-    same, and no determinant is computed. A full-dimensional cone has dim
-    facets iff it has dim rays, both meaning that it is simplicial."""
+    dim of them and |det A| = 1, that is iff the cone is simplicial and the
+    inverse (basis, W, D) read off its stored normals has D = 1: the normal
+    fan's rays are primitive, so :func:`toricroots.fan._simplicial_inverse`
+    proves the two tests the same, and no determinant is computed. A
+    full-dimensional cone has dim facets iff it has dim rays, both meaning
+    that it is simplicial."""
     fs = facets(p)
     last = len(fs) - 1
     rays = normal_fan(p).rays
     for i, v in enumerate(p.vertices):
         cone = _normal_cone(p, i)
-        found = _simplicial_normals(cone, rays, cone.ray_indices)
-        if found is None or any(c != 1 for _, c in found):
+        inverse = _simplicial_inverse(cone, rays, cone.ray_indices)
+        if inverse is None or inverse[2] != 1:
             continue
         dirs = cone.inequalities  # the edge directions at v
         through = {last - r for r in cone.ray_indices}

@@ -1,11 +1,16 @@
 """Shared fixtures: the bundled fan corpus, products of fans with shuffled
-rays, and seeded random generators."""
+rays, and seeded random generators; and the code-line count of ``src/``
+(``python tests/helpers.py codelines``)."""
 
 from __future__ import annotations
 
+import ast
 import functools
+import io
 import random
+import tokenize
 from itertools import permutations, product
+from pathlib import Path
 
 from toricroots import (
     Fan,
@@ -192,7 +197,36 @@ def permutohedron(n: int) -> list[tuple[int, ...]]:
     return [p[:-1] for p in permutations(range(n))]
 
 
+_NOT_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
+             tokenize.DEDENT, tokenize.ENDMARKER}
+
+
+def code_lines(source: str) -> int:
+    """The number of code lines of a Python source: the lines that hold a
+    token other than a comment, outside every module, class and function
+    docstring. So blank lines, comment lines and docstrings do not count,
+    and each line of a statement continued over several lines does."""
+    docs = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)) \
+                and ast.get_docstring(node, clean=False) is not None:
+            docs.update(range(node.body[0].lineno, node.body[0].end_lineno + 1))
+    lines = set()
+    for tok in tokenize.generate_tokens(io.StringIO(source).readline):
+        if tok.type not in _NOT_CODE:
+            lines.update(range(tok.start[0], tok.end[0] + 1))
+    return len(lines - docs)
+
+
+def src_code_lines() -> dict[str, int]:
+    """code_lines of each module of the package, by module name."""
+    package = Path(__file__).resolve().parent.parent / "src" / "toricroots"
+    return {path.stem: code_lines(path.read_text()) for path in sorted(package.glob("*.py"))}
+
+
 if __name__ == "__main__":
+    # python tests/helpers.py codelines prints the code lines of each module
+    # of src/toricroots (no blanks, comments or docstrings) and their total.
     # python tests/helpers.py NAME prints one scaling fixture: the fan JSON
     # of product9, cross4, glcross5, glcross5-1, blowup or z5, or the
     # polytope JSON of perm6 or cross5 (the 5-dimensional cross-polytope,
@@ -239,6 +273,12 @@ if __name__ == "__main__":
                 "glcross5": lambda: _gl_cross(5), "glcross5-1": lambda: _gl_cross(5, 1),
                 "blowup": _blowup, "z5": _z5,
                 "perm6": _perm6, "cross5": _cross5}
+    if sys.argv[1:] == ["codelines"]:
+        counts = src_code_lines()
+        for name, count in counts.items():
+            print(f"{name:<10} {count:>5}")
+        print(f"{'total':<10} {sum(counts.values()):>5}")
+        sys.exit(0)
     if len(sys.argv) != 2 or sys.argv[1] not in fixtures:
-        sys.exit(f"usage: python tests/helpers.py {{{','.join(fixtures)}}}")
+        sys.exit(f"usage: python tests/helpers.py {{codelines,{','.join(fixtures)}}}")
     print(json.dumps(fixtures[sys.argv[1]]()))

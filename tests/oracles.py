@@ -37,8 +37,7 @@ kernel, as ``lattice_points`` now does too, so that a test of
 ``lattice_points`` needs the Fourier-Motzkin verdicts below
 (``trivial_homogeneous_cone``, ``chernikov_lattice_points``) beside it to
 stay independent; and ``dual_rays``, which shares the library's ``rank``
-and ``cut_cone`` and differs from ``lattice.dual_rays`` only in how it
-finds the start rays.
+and differs from ``lattice.dual_rays`` in how it finds the start rays.
 
 One fraction-free Gauss-Jordan kernel then replaced three eliminations of
 ``lattice``, and a walk down through facets the closure of each maximal
@@ -163,9 +162,17 @@ the independent oracle of ``lattice_points``.
 Then the rectangle test stopped computing a determinant: a vertex's edge
 directions are a lattice basis iff its normal cone is simplicial and each
 ray pairs to 1 with the one facet normal not vanishing on it, which
-``fan._simplicial_normals`` reads off the stored normals. Kept below
+``fan._simplicial_normals`` (now ``_simplicial_inverse``) reads off the
+stored normals. Kept below
 unchanged but for module references: the test by ``lattice.determinant``
 (``determinant_inscribed_in_rectangle``).
+
+Then every inverse of a basis came to be one format, (basis, W, D) with
+B W = D I and D > 0, from one routine (``lattice._basis_inverse``, or
+``fan._simplicial_inverse`` on a simplicial cone), and ``lattice.cut_cone``,
+which no library code called, was deleted. ``dual_rays`` and
+``basis_dual_rays`` now cut their start cones with ``motzkin_cut_cone``, so
+neither runs the library's Motzkin step, which they are compared against.
 """
 
 from __future__ import annotations
@@ -280,7 +287,8 @@ def dual_rays(rows: Sequence[Vec], width: int) -> tuple[Vec, ...] | None:
 
     The first `width` independent rows bound a simplicial cone, whose rays
     are the columns of the adjugate of those rows (cofactor vectors, each
-    orthogonal to all rows but one); :func:`cut_cone` cuts it with the rest.
+    orthogonal to all rows but one); :func:`motzkin_cut_cone` cuts it with
+    the rest.
     """
     basis: list[Vec] = []
     rest: list[Vec] = []
@@ -298,7 +306,7 @@ def dual_rays(rows: Sequence[Vec], width: int) -> tuple[Vec, ...] | None:
         u = tuple((-1) ** (k + t) * lattice.determinant([r[:t] + r[t + 1:] for r in minor])
                   for t in range(width))
         start.append(primitive(u if sign > 0 else neg(u)))
-    return lattice.cut_cone(start, basis, rest)
+    return motzkin_cut_cone(start, basis, rest)
 
 
 def _canonical_rows(rows) -> tuple[Vec, ...]:
@@ -633,7 +641,7 @@ def basis_dual_rays(rows: Sequence[Vec], width: int) -> tuple[Vec, ...] | None:
 
     The first `width` independent rows B bound a simplicial cone, whose rays
     are the columns of B^-1 (each orthogonal to all rows but one);
-    :func:`cut_cone` cuts it with the rest. They are read off one
+    :func:`motzkin_cut_cone` cuts it with the rest. They are read off one
     fraction-free Gauss-Jordan pass on [B | I]: every entry after pivot
     step k is a minor of order k + 1 of the input, so each division is
     exact, and the pass ends at [d I | d B^-1] with d = +-det B. Column k of
@@ -661,7 +669,7 @@ def basis_dual_rays(rows: Sequence[Vec], width: int) -> tuple[Vec, ...] | None:
                 m[i] = [(p * x - f * y) // prev for x, y in zip(m[i], row)]
         prev = p
     start = [primitive(u if prev > 0 else neg(u)) for u in zip(*(r[width:] for r in m))]
-    return lattice.cut_cone(start, basis, rest)
+    return motzkin_cut_cone(start, basis, rest)
 
 
 def faces(idx: tuple[int, ...], facets) -> set[tuple[int, ...]]:

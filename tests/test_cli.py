@@ -381,7 +381,7 @@ def test_additive_decides_once(f2_file, monkeypatch, capsys):
     cones: one dual basis per 2-ray maximal cone of F_2, four in all."""
     from toricroots import additive, cli
 
-    scanned = counting(monkeypatch, additive, "_simplicial_normals")
+    scanned = counting(monkeypatch, additive, "_simplicial_inverse")
     assert cli.main(["additive", f2_file]) == 0
     result = json.loads(capsys.readouterr().out)["result"]
     assert len(scanned) == 4

@@ -14,15 +14,15 @@ complete surfaces, products with shuffled rays, weighted projective
 spaces, GL_n(Z) images built from at least 25 elementary steps, the
 cross-polytope fans of dimensions 3 to 5 (not simplicial) and the normal
 fans of the polytopes of ``test_normal_fan.py``, some of which are not
-simple. The basis inverse of a simplicial cone is read off its stored
-facet normals (``fan._simplicial_normals``); on a corpus of simplicial
-fans it is checked against ``lattice._basis_inverse``, the Gauss-Jordan
-pass that the cones with more than n rays still take.
+simple. The basis inverse (basis, W, D) of a simplicial cone is read off
+its stored facet normals (``fan._simplicial_inverse``); on a corpus of
+simplicial fans it is checked against ``lattice._basis_inverse``, the
+Gauss-Jordan pass that the cones with more than n rays still take.
 """
 
 import random
 from fractions import Fraction
-from math import lcm
+from math import gcd
 
 import pytest
 
@@ -51,7 +51,7 @@ from toricroots import (
 )
 from toricroots import demazure, lattice
 from toricroots.demazure import _condition1_system, _peel, pairing_row
-from toricroots.fan import _simplicial_normals
+from toricroots.fan import _simplicial_inverse
 from toricroots.lattice import UNBOUNDED, kernel_basis, transpose
 
 
@@ -278,7 +278,7 @@ def assert_gauss_jordan_inverse(fan, order, cols, d):
     """W / D, W given by its columns, is the inverse that
     lattice._basis_inverse computes for the rays in `order`, as a rational
     matrix, and P W = D I."""
-    basis, want, e = lattice._basis_inverse(fan.rays, order)
+    basis, want, e = lattice._basis_inverse(fan.rays, order, fan.dim)
     assert basis == list(order)
     assert [[Fraction(x, d) for x in col] for col in cols] \
         == [[Fraction(x, e) for x in col] for col in want]
@@ -291,7 +291,8 @@ def test_the_stored_normals_give_the_gauss_jordan_inverse():
     taken first as roots_for_ray takes it, the inverse W / D read off the
     stored normals, with D = lcm(c_j), is the Gauss-Jordan one; so is each
     inverse that the roots of the fan's rays were searched with. Some D
-    are 1, some exceed 1, and one exceeds every c_j of its cone."""
+    are 1, some exceed 1, and one exceeds every c_j of its cone: column j
+    of W is (D / c_j) a_j with a_j primitive, so its content is D / c_j."""
     denominators, gaps = set(), 0
     for fan in simplicial_corpus():
         assert fan._complete
@@ -299,12 +300,11 @@ def test_the_stored_normals_give_the_gauss_jordan_inverse():
             assert len(cone.ray_indices) == fan.dim
             for ray in cone.ray_indices:
                 order = [ray, *(i for i in cone.ray_indices if i != ray)]
-                found = _simplicial_normals(cone, fan.rays, order)
-                d = lcm(*(c for _, c in found))
-                cols = [[d // c * x for x in a] for a, c in found]
+                basis, cols, d = _simplicial_inverse(cone, fan.rays, order)
+                assert basis == order
                 assert_gauss_jordan_inverse(fan, order, cols, d)
                 denominators.add(d)
-                gaps += d > max(c for _, c in found)
+                gaps += d > max(d // gcd(*col) for col in cols)
         inverses = {}
         for ray in range(len(fan.rays)):
             demazure._roots_for_ray(fan, ray, None, {}, inverses)
@@ -317,11 +317,15 @@ def test_the_stored_normals_give_the_gauss_jordan_inverse():
 def test_simplicial_complete_fans_take_no_gauss_jordan_pass(monkeypatch):
     """all_roots reads every basis inverse of a simplicial complete fan off
     the stored normals; the cross-polytope image glcross5, whose cones have
-    16 rays, takes the Gauss-Jordan pass."""
+    16 rays, takes the Gauss-Jordan pass. The fans are built before the
+    count starts, as each cone's double description starts from
+    ``_basis_inverse`` too."""
+    fans = simplicial_corpus()
+    g = LatticeAutomorphism(random_unimodular(random.Random(1), 5))
+    glcross5 = apply_automorphism(cross_polytope_fan(5), g)
     calls = counting(monkeypatch, lattice, "_basis_inverse")
-    for fan in simplicial_corpus():
+    for fan in fans:
         all_roots(fan)
     assert calls == []
-    g = LatticeAutomorphism(random_unimodular(random.Random(1), 5))
-    all_roots(apply_automorphism(cross_polytope_fan(5), g))
+    all_roots(glcross5)
     assert calls

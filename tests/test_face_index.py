@@ -206,7 +206,7 @@ def test_collections_are_scanned_once_per_fan(monkeypatch):
     fan = product_p1(3)
     assert fan._collections is None
     first = complete_collections(fan)
-    scans = counting(monkeypatch, additive, "_simplicial_normals")
+    scans = counting(monkeypatch, additive, "_simplicial_inverse")
     checks = counting(monkeypatch, additive, "_root")
     assert complete_collections(fan) is first and fan._collections is first
     assert admits_additive(fan).witness is first[0]

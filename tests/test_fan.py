@@ -82,6 +82,18 @@ def test_a_generator_of_another_dimension_is_named():
         cone_dual_description([(1, 0), (0, 1, 0)])
 
 
+@pytest.mark.parametrize("gens, dim", [
+    ([], True), ([(1,)], True), ([], 0), ([], -1), ([(1, 0)], -1),
+    ([], 2.5), ([(1, 0)], 2.5), ([(1, 0)], 2.0), ([], "2"),
+])
+def test_dual_description_rejects_a_dim_that_is_not_a_positive_int(gens, dim):
+    """An explicit dim must be an int, not a bool, and at least 1: the zero
+    cone, a cone with generators, and a float equal to an int are all
+    refused with BadParams, not described or failed with a TypeError."""
+    with pytest.raises(BadParams, match=r"^dim must be a positive integer, got "):
+        cone_dual_description(gens, dim)
+
+
 def test_dual_description_single_ray():
     ineqs, eqs = cone_dual_description([(1, 0)])
     assert ineqs == ((1, 0),)

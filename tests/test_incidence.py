@@ -13,9 +13,8 @@ cross-polytopes, permutohedra and random polygons. The Motzkin step
 (``lattice._motzkin``) drops a pair tight together on fewer than d - 2 rows
 before its adjacency scan, for a cone of dimension d; with d the rank of the
 start rays it must still return what the step without that filter, the old
-``cut_cone`` (``oracles.motzkin_cut_cone``), returned on seeded systems, and
-so must ``cut_cone``, which passes no dimension. Building a fan or a
-polytope computes no incidence by a dot product at all.
+``cut_cone`` (``oracles.motzkin_cut_cone``), returned on seeded systems.
+Building a fan or a polytope computes no incidence by a dot product at all.
 """
 
 import random
@@ -40,7 +39,7 @@ from toricroots import (
 )
 from toricroots import fan as fan_module
 from toricroots import lattice, polytope
-from toricroots.lattice import cut_cone, dot, is_primitive, mat_vec, primitive, rank
+from toricroots.lattice import dot, is_primitive, mat_vec, primitive, rank
 from toricroots.polytope import cube
 
 
@@ -185,12 +184,11 @@ def cut_systems(dim, rng):
 def test_filtered_motzkin_step_matches_the_unfiltered_step(dim):
     """Given the rank of the start rays as d, the filtered step returns the
     old cut_cone's rays, each with the mask of the rows and cuts vanishing
-    on it; cut_cone returns the same rays."""
+    on it."""
     rng = random.Random(2900 + dim)
     nonempty = 0
     for rays, rows, cuts in cut_systems(dim, rng):
         want = oracles.motzkin_cut_cone(rays, rows, cuts)
-        assert cut_cone(rays, rows, cuts) == want, (rays, rows, cuts)
         got, tight = lattice._motzkin(list(rays), list(masks_by_dot(rows, rays)),
                                       enumerate(cuts, len(rows)), rank(rays, dim))
         assert tuple(sorted(got)) == want, (rays, rows, cuts)

@@ -25,13 +25,12 @@ import sympy
 
 import oracles
 from helpers import bundled_fans
-from toricroots import LatticeAutomorphism, apply_automorphism
+from toricroots import LatticeAutomorphism, apply_automorphism, lattice
 from toricroots.errors import InvalidPolytope, NotStronglyConvex
 from toricroots.fan import _dual_description, _intersection_rays, cone_dual_description
 from toricroots.lattice import (
     UNBOUNDED,
     Constraint,
-    cut_cone,
     determinant,
     dot,
     dual_rays,
@@ -282,13 +281,22 @@ def test_trivial_homogeneous_cone_matches_fourier_motzkin(dim):
     assert seen == {True, False}
 
 
+def motzkin(rays, rows, cuts, d):
+    """The sorted extreme rays that lattice._motzkin leaves of the cone on
+    `rays`, of dimension d, cut out by `rows` within its span, after the
+    `cuts`; the incidences of the start rays are found by dot products."""
+    tight = [sum(1 << k for k, a in enumerate(rows) if dot(a, r) == 0) for r in rays]
+    return tuple(sorted(lattice._motzkin(list(rays), tight, enumerate(cuts, len(rows)), d)[0]))
+
+
 def farkas_empty(rows, dim):
     """Is {x : a.x >= b for every (a, b) in rows} empty over Q? By Farkas'
     lemma, iff some y >= 0 with sum y_i a_i = 0 has sum y_i b_i > 0; the
-    extreme rays of that pointed cone come from cut_cone on the orthant."""
+    extreme rays of that pointed cone come from the Motzkin step on the
+    orthant, of dimension len(rows)."""
     unit = [tuple(int(i == j) for j in range(len(rows))) for i in range(len(rows))]
     cols = [tuple(a[j] for a, _ in rows) for j in range(dim)]
-    ys = cut_cone(unit, unit, cols + [tuple(-x for x in c) for c in cols])
+    ys = motzkin(unit, unit, cols + [tuple(-x for x in c) for c in cols], len(rows))
     return any(dot(y, tuple(b for _, b in rows)) > 0 for y in ys)
 
 
@@ -324,15 +332,16 @@ def test_lattice_points_boundedness_on_inhomogeneous_systems(dim):
     assert seen == {"empty", "bounded", "unbounded"}
 
 
-def test_cut_cone_hand_examples():
+def test_motzkin_hand_examples():
+    """The Motzkin step on the quadrant, of dimension 2."""
     quadrant = [(1, 0), (0, 1)]
-    assert cut_cone(quadrant, quadrant, []) == ((0, 1), (1, 0))
+    assert motzkin(quadrant, quadrant, [], 2) == ((0, 1), (1, 0))
     # the diagonal cut keeps one ray and crosses the edge at (1, 1)
-    assert cut_cone(quadrant, quadrant, [(-1, 1)]) == ((0, 1), (1, 1))
+    assert motzkin(quadrant, quadrant, [(-1, 1)], 2) == ((0, 1), (1, 1))
     # a cut and its opposite leave the ray on the hyperplane
-    assert cut_cone(quadrant, quadrant, [(-1, 1), (1, -1)]) == ((1, 1),)
+    assert motzkin(quadrant, quadrant, [(-1, 1), (1, -1)], 2) == ((1, 1),)
     # a cut missing the interior leaves only the origin
-    assert cut_cone(quadrant, quadrant, [(-1, -1)]) == ()
+    assert motzkin(quadrant, quadrant, [(-1, -1)], 2) == ()
 
 
 def _image_fans(seed):

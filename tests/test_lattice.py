@@ -7,6 +7,7 @@ Smith form, and brute-force box scans for integer points.
 
 import math
 import random
+from fractions import Fraction
 from itertools import combinations, product
 
 import pytest
@@ -14,6 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from test_cli import counting
+from toricroots import lattice
 from toricroots.errors import NotSquare, NotUnimodular, ZeroVector
 from toricroots.lattice import (
     UNBOUNDED,
@@ -202,6 +205,88 @@ def test_dual_basis_pairing_identity():
     for i, p in enumerate(basis):
         for j, q in enumerate(dual):
             assert dot(p, q) == int(i == j)
+
+
+# ---------------------------------------------------------------------------
+# basis inverse
+
+
+def fraction_inverse(m):
+    """m^-1 over Q, by Gauss-Jordan elimination on Fractions."""
+    n = len(m)
+    a = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+         for i, row in enumerate(m)]
+    for k in range(n):
+        piv = next(i for i in range(k, n) if a[i][k] != 0)
+        a[k], a[piv] = a[piv], a[k]
+        a[k] = [x / a[k][k] for x in a[k]]
+        for i in range(n):
+            f = a[i][k]
+            if i != k and f:
+                a[i] = [x - f * y for x, y in zip(a[i], a[k])]
+    return [row[n:] for row in a]
+
+
+def basis_inverse_cases(rng, dim):
+    """Seeded integer matrices with dim columns: some of full rank, some
+    whose rows lie in a sublattice of lower rank, each with a repeated row
+    and a row that is the sum of two others, in shuffled row order."""
+    for k in range(30):
+        r = dim if k % 3 else rng.randint(1, dim)
+        gens = [[rng.randint(-3, 3) for _ in range(dim)] for _ in range(r)]
+        rows = []
+        for _ in range(rng.randint(max(1, dim - 1), dim + 3)):
+            c = [rng.randint(-2, 2) for _ in gens]
+            rows.append(tuple(sum(ci * g[t] for ci, g in zip(c, gens)) for t in range(dim)))
+        rows += [rows[0], tuple(a + b for a, b in zip(rows[0], rows[-1]))]
+        rng.shuffle(rows)
+        yield rows
+
+
+def test_basis_inverse_contract(monkeypatch):
+    """_basis_inverse(rows, order, width) picks the first independent rows
+    in `order` (those that raise the rank of the rows before them), and
+    when there are width of them returns (basis, W, D) with B W = D I,
+    D = |det B| and W / D = B^-1. _double_description returns None when
+    fewer than width rows are independent, and otherwise starts from the
+    primitive columns of W, each positive on its own basis row and zero on
+    the others. Dims 1 to 6, several orders of each matrix, some of rank
+    below the dim."""
+    starts = counting(monkeypatch, lattice, "_motzkin")
+    short = 0
+    for dim in range(1, 7):
+        rng = random.Random(3300 + dim)
+        for rows in basis_inverse_cases(rng, dim):
+            for _ in range(3):
+                order = list(range(len(rows)))
+                rng.shuffle(order)
+                want = [i for j, i in enumerate(order)
+                        if oracles.bareiss_rank([rows[t] for t in order[:j + 1]], dim)
+                        > oracles.bareiss_rank([rows[t] for t in order[:j]], dim)]
+                basis, cols, d = lattice._basis_inverse(rows, order, dim)
+                assert basis == want, (rows, order)
+                if len(basis) < dim:
+                    continue
+                b = [rows[i] for i in basis]
+                w = transpose(cols)
+                assert d > 0
+                assert mat_mul(b, w) == tuple(tuple(d * x for x in e) for e in identity(dim))
+                assert d == abs(oracles.bareiss_determinant(b))
+                assert [[Fraction(x, d) for x in row] for row in w] == fraction_inverse(b)
+            starts.clear()
+            dd = lattice._double_description(rows, dim)
+            if oracles.bareiss_rank(rows, dim) < dim:
+                assert dd is None and starts == [], rows
+                short += 1
+                continue
+            basis, cols, _ = lattice._basis_inverse(rows, range(len(rows)), dim)
+            start = starts[0][0]
+            assert start == [primitive(c) for c in cols]
+            for j, u in enumerate(start):
+                assert [(dot(rows[i], u) > 0) - (dot(rows[i], u) < 0) for i in basis] \
+                    == [int(i == j) for i in range(dim)]
+    assert short > 10
+    assert lattice._double_description([], 2) is None
 
 
 # ---------------------------------------------------------------------------

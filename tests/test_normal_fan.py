@@ -122,10 +122,11 @@ def rectangle_corpus():
 def test_the_rectangle_test_matches_the_determinant_test(monkeypatch):
     """inscribed_in_rectangle returns the witness of the determinant
     version (``oracles.determinant_inscribed_in_rectangle``) and computes no
-    determinant. At each vertex the unit-normal test of its normal cone
-    agrees with |det| = 1 of its dim edge directions; the corpus has
-    unimodular cones, simplicial cones that are not, and cones that are
-    not simplicial, and polytopes with a witness and without one."""
+    determinant. At each vertex the test D = 1 on the inverse (basis, W, D)
+    read off its normal cone agrees with |det| = 1 of its dim edge
+    directions; the corpus has unimodular cones, simplicial cones that are
+    not, and cones that are not simplicial, and polytopes with a witness
+    and without one."""
     determinants = counting(monkeypatch, lattice, "determinant")
     kinds, answers = set(), set()
     for p in rectangle_corpus():
@@ -136,10 +137,10 @@ def test_the_rectangle_test_matches_the_determinant_test(monkeypatch):
         rays = normal_fan(p).rays
         for i in range(len(p.vertices)):
             cone = polytope._normal_cone(p, i)
-            found = fan_module._simplicial_normals(cone, rays, cone.ray_indices)
+            found = fan_module._simplicial_inverse(cone, rays, cone.ray_indices)
             dirs = cone.inequalities
             unimodular = len(dirs) == p.dim and abs(lattice.determinant(dirs)) == 1
-            assert (found is not None and {c for _, c in found} == {1}) == unimodular
+            assert (found is not None and found[2] == 1) == unimodular
             assert (found is None) == (len(dirs) != p.dim)
             kinds.add("not simplicial" if found is None else unimodular)
         determinants.clear()
