@@ -4,7 +4,7 @@ A complete collection is a set of n Demazure roots pairing with their
 distinguished ray generators as -identity; such collections classify the
 torus-normalized actions of the n-dimensional vector group, and on complete
 fans their existence also settles the non-normalized question. Each one
-is read off the stored facet normals of a unimodular maximal cone
+is read off the basis inverse that a unimodular maximal cone stores
 (:func:`toricroots.fan._simplicial_inverse`), and a witness of equivalence
 is checked with the transpose of its matrix: neither inverts a matrix.
 """
@@ -13,7 +13,8 @@ from __future__ import annotations
 
 from . import lattice
 from .demazure import DemazureRoot, _root, all_roots
-from .errors import InfiniteRoots, NoWitness, NotComplete, NotSquare, NotUnimodular
+from .errors import (DimensionMismatch, InfiniteRoots, NoWitness, NotComplete, NotSquare,
+                     NotUnimodular)
 from .fan import Fan, LatticeAutomorphism, _ray_permutation, _simplicial_inverse, is_complete
 from .lattice import Mat, Value, Vec, neg
 
@@ -52,12 +53,13 @@ def complete_collections(fan: Fan) -> tuple[CompleteCollection, ...]:
     cone of the fan, hence maximal, and by the lemma in
     :mod:`toricroots.fan` its rays are exactly p_1..p_n.
 
-    The dual basis is read off the cone's stored facet normals, with no
-    elimination (:func:`toricroots.fan._simplicial_inverse`): a maximal
-    cone with n rays and no equations is simplicial, and its inverse
-    (basis, W, D) has D = 1 iff the cone is unimodular, when W's columns,
-    its facet normals, are its dual basis (the proof is there). Any other
-    maximal cone is skipped: one with equations is not
+    The dual basis is the inverse that the cone stores, with no elimination
+    (:func:`toricroots.fan._simplicial_inverse`): a maximal cone with n
+    rays and no equations is simplicial, and its inverse (basis, W, D) has
+    D = 1 iff the cone is unimodular, when W is the inverse of its ray
+    matrix, so W's columns are its dual basis, whichever D the cone stored
+    (the proofs are there). So each cone costs one lookup and one test of
+    D. Any other maximal cone is skipped: one with equations is not
     full-dimensional, and one with more than n rays is not a basis, so by
     the above neither holds a collection.
 
@@ -145,13 +147,14 @@ def verify_witness(fan: Fan, c1: CompleteCollection, c2: CompleteCollection,
     Building the automorphism checks that g is unimodular (one
     elimination, the determinant), so the dual map g^-T is a bijection of
     M. It carries c1's roots onto c2's iff g^T carries c2's roots onto
-    c1's, which is what is checked: no inverse is computed.
+    c1's, which is what is checked: no inverse is computed. A matrix that
+    is not square, not unimodular or not of the fan's dimension is no
+    witness: False.
     """
     try:
-        g = witness.automorphism()
-    except (NotSquare, NotUnimodular):
+        perm = _ray_permutation(fan, witness.automorphism())
+    except (DimensionMismatch, NotSquare, NotUnimodular):
         return False
-    perm = _ray_permutation(fan, g)
     if perm is None or any(perm[i] != j for i, j in witness.ray_map):
         return False
     pullback = lattice.transpose(witness.matrix)

@@ -32,9 +32,11 @@ class CoxPresentation(Value):
 
 def cox_presentation(fan: Fan) -> CoxPresentation:
     """The Cox presentation; RaysDoNotSpan, before any Smith form, if the
-    rays have rank below the dimension."""
+    rays have rank below the dimension. A maximal cone with no equations
+    is full-dimensional, so its rays span N_Q, and then no rank is
+    computed."""
     m, n = len(fan.rays), fan.dim
-    if lattice.rank(fan.rays, n) < n:
+    if all(c.equations for c in fan.max_cones) and lattice.rank(fan.rays, n) < n:
         raise RaysDoNotSpan("the rays do not span N_Q")
     u, d, _ = lattice.smith_normal_form(fan.rays)
     torsion = tuple(d[j][j] for j in range(n) if d[j][j] > 1)

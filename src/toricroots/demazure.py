@@ -157,8 +157,8 @@ def _condition2(fan: Fan, row: Vec, ray: int) -> bool:
 
 def _root(fan: Fan, e: Vec, ray: int) -> DemazureRoot | None:
     """The root e of the ray, or None if its one pairing row fails condition
-    (1) or (2); InvalidFan for a ray index out of range."""
-    if not 0 <= ray < len(fan.rays):
+    (1) or (2); InvalidFan for a ray index that is not an int in range."""
+    if not lattice.is_integer(ray) or not 0 <= ray < len(fan.rays):
         raise InvalidFan([f"no ray with index {ray}"])
     row = pairing_row(fan, e)
     if _condition1(row, ray) and _condition2(fan, row, ray):
@@ -195,7 +195,9 @@ def roots_for_ray(fan: Fan, ray: int, bound: int | None = None) -> RayRoots:
     that polyhedron is non-empty and unbounded; then a supplied bound gives
     a "truncated" enumeration of its points with sup-norm <= bound, refused
     with BadParams when the box could hold more than MAX_BOX_POINTS of
-    them. An empty polyhedron is "finite" with no roots.
+    them. An empty polyhedron is "finite" with no roots. A ray index that is
+    not an int in range raises InvalidFan, and a bound that is not a
+    positive int BadParams (bool included, as the strict readers refuse it).
 
     A complete fan is always "finite", and its roots are enumerated in
     pairing coordinates with no double description (the bound is not
@@ -215,25 +217,31 @@ def roots_for_ray(fan: Fan, ray: int, bound: int | None = None) -> RayRoots:
 
     *Search.* Take n independent rays of the first maximal cone through
     rho, rho first, as a basis B, with its inverse as (B, W, D), B W = D I
-    and D > 0. On a simplicial cone it is read off the cone's stored facet
-    normals (:func:`toricroots.fan._simplicial_inverse` has the proofs);
-    only a cone with more than n rays takes the Gauss-Jordan pass of
-    :func:`toricroots.lattice._basis_inverse`, which gives the same
+    and D > 0. A simplicial cone stores it, with its columns permuted to
+    put rho first (:func:`toricroots.fan._simplicial_inverse` has the
+    proofs); only a cone with more than n rays takes the Gauss-Jordan pass
+    of :func:`toricroots.lattice._basis_inverse`, which gives the same
     format. The search reads W / D alone, so it visits the same nodes
-    either way. A
-    root e is B^-1 y_B, y_B its pairings with those rays, so the roots are
-    the integral e with y_rho = -1, 0 <= y_b <= floor(c_rho) for the other
-    basis rays b, and every other pairing >= 0:
-    :func:`toricroots.lattice._search` lists them, over the lattice B Z^n
-    of pairing vectors of integral e, with the proofs. Its order is rho
-    first, then the rays whose bound is 0, then the others, so the fixed
-    pairings come first and give the first coordinates of its lattice
-    search with no branching.
+    whichever D the cone stored. A root e is B^-1 y_B, y_B its pairings
+    with those rays, so the roots are the integral e with y_rho = -1,
+    0 <= y_b <= floor(c_rho) for the other basis rays b, and every other
+    pairing >= 0: :func:`toricroots.lattice._search` lists them, over the
+    lattice B Z^n of pairing vectors of integral e, with the proofs. Its
+    order is rho first, then the rays whose bound is 0, then the others, so
+    the fixed pairings come first and give the first coordinates of its
+    lattice search with no branching.
 
-    *Peel.* -p_k is decomposed in the first maximal cone C whose stored
-    inequalities hold it, and 1 * p_j when it is itself the ray p_j. Let
-    x = -p_k and F the face of C cut out by the inequalities tight at x,
-    the smallest face that holds x. While x != 0, F has a ray p_r. The
+    *Opposites.* x = -p_k is decomposed in the first maximal cone C whose
+    stored inequalities hold it, and 1 * p_j when it is itself the ray p_j.
+    When C is simplicial, with its rays the rows of P, they are
+    independent, so x = P^T c for one c, read off C's stored inverse
+    (basis, W, D), P W = D I: W^T x = W^T P^T c = (P W)^T c = D c, so
+    c_i = <w_i, x> / D, and only that value enters a bound
+    (:func:`_decompose`).
+
+    *Peel.* A cone C that is not simplicial is peeled. Let F be the face
+    of C cut out by the inequalities tight at x, the smallest face that
+    holds x. While x != 0, F has a ray p_r. The
     normals of the pointed full-dimensional C span the dual space and are
     >= 0 on p_r, so some a has <a, p_r> > 0; no such a is tight at x, as
     the tight ones vanish on F. So t = min <a, x> / <a, p_r> over them is
@@ -241,9 +249,11 @@ def roots_for_ray(fan: Fan, ray: int, bound: int | None = None) -> RayRoots:
     minimizing a, which does not vanish on p_r. Its smallest face is then a
     proper face of F, of lower dimension, so after at most n steps x = 0,
     and x is the sum of the t p_r, each ray used once (:func:`_peel`,
-    exact over the integers). Within one :func:`all_roots` call the
-    decomposition of each -p_k is computed once, and only for the rays
-    some basis uses, and a basis with its inverse serves every ray in it.
+    exact over the integers; on a simplicial cone it gives the one
+    decomposition above, and the tests keep it as the reference). Within
+    one :func:`all_roots` call the decomposition of each -p_k is computed
+    once, and only for the rays some basis uses, and a basis with its
+    inverse serves every ray in it.
 
     The roots are sorted, as lattice_points lists them.
     """
@@ -254,9 +264,9 @@ def _roots_for_ray(fan: Fan, ray: int, bound: int | None, opposite: dict,
                    inverses: dict) -> RayRoots:
     """roots_for_ray, with the decompositions of the -p_k kept in `opposite`
     and in `inverses`, for each ray, a basis inverse whose basis holds it."""
-    if not 0 <= ray < len(fan.rays):
+    if not lattice.is_integer(ray) or not 0 <= ray < len(fan.rays):
         raise InvalidFan([f"no ray with index {ray}"])
-    if bound is not None and bound < 1:
+    if bound is not None and (not lattice.is_integer(bound) or bound < 1):
         raise BadParams("bound must be a positive integer")
     if fan._complete:
         return RayRoots(ray, "finite", _complete_roots(fan, ray, opposite, inverses))
@@ -318,15 +328,21 @@ def _complete_roots(fan: Fan, ray: int, opposite: dict,
 
 
 def _decompose(fan: Fan, x: Vec) -> dict[int, tuple[int, int]]:
-    """x = sum (num / den) p_i with every coefficient >= 0, over the rays of
+    """x = sum (num / den) p_i with every coefficient > 0, over the rays of
     the first maximal cone that holds x, as {i: (num, den)} with den > 0;
-    {j: (1, 1)} when x is the ray p_j. x must be in the fan's support."""
+    {j: (1, 1)} when x is the ray p_j. x must be in the fan's support. A
+    simplicial cone gives num = <w_i, x> and den = D from its stored
+    inverse (the proof is in :func:`roots_for_ray`); any other is peeled."""
     if x in fan.rays:
         return {fan.rays.index(x): (1, 1)}
     cone = next((c for c in fan.max_cones if c.contains(x)), None)
     if cone is None:
         raise InternalError(f"{list(x)} lies in no maximal cone of a complete fan")
-    return _peel(x, cone, fan.rays)
+    inverse = _simplicial_inverse(cone, fan.rays, cone.ray_indices)
+    if inverse is None:
+        return _peel(x, cone, fan.rays)
+    basis, cols, d = inverse
+    return {i: (num, d) for i, w in zip(basis, cols) if (num := sum(map(mul, w, x)))}
 
 
 def _peel(x: Vec, cone: Cone, rays: tuple[Vec, ...]) -> dict[int, tuple[int, int]]:

@@ -4,7 +4,9 @@ The lattice N is identified with Z^n and its dual M with Z^n via the standard
 dot pairing. Cones are stored by indices into the fan's ray list together
 with an exact dual description (facet inequalities plus span equations), so
 non-simplicial cones are supported throughout. :func:`build_fan` computes
-the maximal cones' descriptions and nothing else. A lower-dimensional cone
+the maximal cones' descriptions and nothing else; a simplicial one keeps
+the basis inverse that its double description starts from
+(:func:`_simplicial_inverse`). A lower-dimensional cone
 is described in pivot coordinates, not by the Smith form
 (:func:`_dual_description`).
 
@@ -67,9 +69,14 @@ class Cone(Value):
     other face's inequalities are one normal per facet, taken from its
     maximal cone, and its equations are independent rows that span its
     orthogonal complement over Q, not necessarily a lattice basis.
+
+    Stored beside the fields, and neither compared nor shown: a simplicial
+    full-dimensional cone's basis inverse (see :func:`_simplicial_inverse`),
+    set by :func:`build_fan` and otherwise on first use.
     """
 
-    __slots__ = _fields = ("ray_indices", "inequalities", "equations", "dim")
+    _fields = ("ray_indices", "inequalities", "equations", "dim")
+    __slots__ = (*_fields, "_inverse")
 
     def contains(self, v: Vec) -> bool:
         """True iff v lies in the cone; ValueError for a vector of the wrong length."""
@@ -167,11 +174,13 @@ class Fan(Value):
 # dual descriptions
 
 
-def _dual_description(gens: tuple[Vec, ...], dim: int) -> tuple[tuple, tuple, tuple]:
+def _dual_description(gens: tuple[Vec, ...], dim: int) -> tuple[tuple, tuple, tuple, tuple]:
     """(inequalities, equations) cutting out cone(gens) exactly, in a
-    canonical form that depends on the cone, not on how it is listed; and
-    for each inequality the bitmask of the generators on which it vanishes
-    (bit k for gens[k]), which the double description reports.
+    canonical form that depends on the cone, not on how it is listed; for
+    each inequality the bitmask of the generators on which it vanishes
+    (bit k for gens[k]), which the double description reports; and for a
+    full-dimensional cone the double description's start inverse (basis,
+    W, D), basis indexing gens (:func:`lattice._basis_inverse`), else None.
 
     The facet normals are the primitive extreme rays of the dual cone (the
     double description). For a cone of lower dimension d with span L, the
@@ -187,14 +196,14 @@ def _dual_description(gens: tuple[Vec, ...], dim: int) -> tuple[tuple, tuple, tu
     too.
     """
     if not gens:  # the unit vectors, sorted
-        return (), lattice.identity(dim)[::-1], ()
+        return (), lattice.identity(dim)[::-1], (), None
     dd = lattice._double_description(gens, dim)
     if dd is not None:  # full-dimensional: no change of coordinates
-        return dd[0], (), dd[1]
+        return dd[0], (), dd[1], dd[2]
     at = {j: k for k, j in enumerate(lattice._gauss_jordan(gens, dim)[0])}  # J, in order
-    normals, tight = lattice._double_description([tuple(g[j] for j in at) for g in gens], len(at))
+    normals, tight, _ = lattice._double_description([[g[j] for j in at] for g in gens], len(at))
     lifted = tuple(tuple(w[at[t]] if t in at else 0 for t in range(dim)) for w in normals)
-    return lifted, lattice.kernel_basis(gens, dim), tight
+    return lifted, lattice.kernel_basis(gens, dim), tight, None
 
 
 def cone_dual_description(generators, dim: int | None = None):
@@ -215,7 +224,7 @@ def cone_dual_description(generators, dim: int | None = None):
             raise DimensionMismatch(f"generator {k} has dimension {len(g)}, expected {dim}")
         if is_zero(g):
             raise ValueError("zero vector is not a cone generator")
-    ineqs, eqs, tight = _dual_description(gens, dim)
+    ineqs, eqs, tight, _ = _dual_description(gens, dim)
     if not _is_face(0, (1 << len(gens)) - 1, tight):  # a generator on every facet: a line
         raise NotStronglyConvex("cone contains a line")
     return ineqs, eqs
@@ -224,23 +233,30 @@ def cone_dual_description(generators, dim: int | None = None):
 def _simplicial_inverse(cone: Cone, rays: tuple[Vec, ...], order) -> tuple | None:
     """(order, W, D) with P W = D I and D > 0, for the matrix P whose rows
     are the rays of a simplicial full-dimensional cone in `order` (the
-    cone's ray indices into `rays`, in any order), read off its stored
-    normals: the format of :func:`toricroots.lattice._basis_inverse`. None
-    for any other cone, that is unless the cone has n = dim rays and no
-    equations. No elimination is run.
+    cone's ray indices into `rays`, in any order): the format of
+    :func:`toricroots.lattice._basis_inverse`. None for any other cone,
+    that is unless the cone has n = dim rays and no equations.
 
-    Such a cone's n rays span Q^n, so they are independent: each of its n
-    facets holds n - 1 of them and misses one, and its stored inequalities
-    are its primitive facet normals, one per facet. So exactly one normal
-    a_j is nonzero on p_j, c_j = <a_j, p_j> > 0, and A P^T = diag(c) for
-    the matrix A of the a_j and P of the p_j (rows, in `order`). Three
-    readings follow.
+    The cone stores its inverse for its rays in their own order. A cone
+    that :func:`build_fan` made keeps the start inverse of its double
+    description, whose basis is all its rays in order, with D = |det P|.
+    Any other cone, as those of :func:`toricroots.polytope.normal_fan`,
+    reads it off its stored normals on first use, with D = lcm(c_j) (below,
+    no elimination), and stores it. Another `order` permutes the rows of P
+    and so the columns of W the same way, and keeps D: if P W = D I and
+    S is a permutation matrix, (S P)(W S^T) = D S S^T = D I.
+
+    *Normals.* Such a cone's n rays span Q^n, so they are independent: each
+    of its n facets holds n - 1 of them and misses one, and its stored
+    inequalities are its primitive facet normals, one per facet. So exactly
+    one normal a_j is nonzero on p_j, c_j = <a_j, p_j> > 0, and
+    A P^T = diag(c) for the matrix A of the a_j and P of the p_j (rows, in
+    `order`). Three readings follow.
 
     (1) *Inverse.* With D = lcm(c_j) and W the matrix with columns
         (D / c_j) a_j, P W = D I, since entry (i, j) is
-        (D / c_j) <p_i, a_j> = D delta_ij: P^-1 = W / D, read off the
-        stored normals with no Gauss-Jordan pass. A column with c_j = D is
-        a_j itself.
+        (D / c_j) <p_i, a_j> = D delta_ij: P^-1 = W / D. A column with
+        c_j = D is a_j itself.
     (2) *Unimodular.* D = 1, that is every c_j = 1, iff the p_j are a
         lattice basis, and then the a_j, the columns of W, are its dual
         basis. If A P^T = I then det A det P = 1 over Z. Conversely, if P is
@@ -254,21 +270,32 @@ def _simplicial_inverse(cone: Cone, rays: tuple[Vec, ...], order) -> tuple | Non
         p_j is c_j times an integral vector, and c_j = 1 as p_j is
         primitive.
 
+    *Either D.* The two D can differ (the cone over (1, 0, 0), (1, 2, 0),
+    (1, 0, 2) has every c_j = 2 and |det P| = 4), but every reader sees
+    only W / D and whether D = 1, which agree. W / D = P^-1 for both.
+    |det P| = 1 iff P is unimodular, and so, by (2), iff lcm(c_j) = 1; and
+    when D = 1, W = P^-1 for both. The root search reads W / D
+    (:func:`toricroots.lattice._search` proves it), the opposite
+    decompositions the values of the fractions <w_i, x> / D
+    (:func:`toricroots.demazure._decompose`), and the collection scan and
+    the rectangle test whether D = 1, and then W. So search nodes, bounds
+    and reports do not depend on which D a cone stored.
+
     A cone with equations need not single out one ray per normal (the cone
     over the unit square in Z^4 has 4 rays, and each normal pairs to 0 or 1
     with every one of them); a cone with more than n rays is not simplicial.
     """
     if cone.equations or len(cone.ray_indices) != cone.dim:
         return None
-    pairs = []
-    for i in order:
-        for a in cone.inequalities:
-            c = sum(map(mul, a, rays[i]))
-            if c:
-                break
-        pairs.append((a, c))
-    d = lcm(*[c for _, c in pairs])
-    return order, [a if c == d else tuple([d // c * x for x in a]) for a, c in pairs], d
+    inverse = getattr(cone, "_inverse", None)
+    if inverse is None:  # (a_j, c_j) for each ray p_j
+        pairs = [next((a, c) for a in cone.inequalities if (c := sum(map(mul, a, rays[i]))))
+                 for i in cone.ray_indices]
+        d = lcm(*[c for _, c in pairs])
+        inverse = cone.ray_indices, [tuple([d // c * x for x in a]) for a, c in pairs], d
+        object.__setattr__(cone, "_inverse", inverse)
+    basis, cols, d = inverse
+    return inverse if order is basis else (order, [cols[basis.index(i)] for i in order], d)
 
 
 def _is_face(s: int, rays: int, facets) -> bool:
@@ -309,8 +336,10 @@ def _check_fan(dim, rays, max_cones, allow_nonprimitive: bool):
     """Validate fan data in one pass; raise InvalidFan with every violation.
 
     Returns the rays; each maximal cone's dual description, keyed by its
-    sorted ray indices; and whether :func:`_certify_complete` certified the
-    fan complete. A certified fan is a fan by that certificate; any other
+    sorted ray indices; whether :func:`_certify_complete` certified the
+    fan complete; and each maximal cone's start inverse from
+    :func:`_dual_description` (None unless it is full-dimensional), keyed
+    the same way. A certified fan is a fan by that certificate; any other
     runs the scan of all pairs of maximal cones, which checks that they meet
     in a common face.
     """
@@ -369,9 +398,9 @@ def _check_fan(dim, rays, max_cones, allow_nonprimitive: bool):
     if violations:
         raise InvalidFan(violations)
 
-    descs, tights = {}, {}
+    descs, tights, inverses = {}, {}, {}
     for idx in cones or [()]:  # no maximal cones: the fan of the zero cone
-        *descs[idx], local = _dual_description(tuple(rays[i] for i in idx), dim)
+        *descs[idx], local, inverses[idx] = _dual_description(tuple(rays[i] for i in idx), dim)
         tights[idx] = [_bits(i for k, i in enumerate(idx) if t >> k & 1) for t in local]
         # the closure of the empty set lies in each ray's closure, so if
         # every ray is a face, the smallest face, the lineality space, holds
@@ -403,7 +432,7 @@ def _check_fan(dim, rays, max_cones, allow_nonprimitive: bool):
                 f"maximal cone {list(meet_idx)} is contained in another maximal cone")
     if violations:
         raise InvalidFan(violations)
-    return rays, descs, certified
+    return rays, descs, certified, inverses
 
 
 def _certify_complete(rays, cones, descs, tights) -> bool:
@@ -568,11 +597,17 @@ def build_fan(dim, rays, max_cones, allow_nonprimitive: bool = False) -> Fan:
     stored dual description (its equations are independent, so its
     dimension is dim minus their number). The other faces are described on
     first use (:func:`_face_index`). The answer of
-    :func:`_certify_complete` is stored as the fan's completeness.
+    :func:`_certify_complete` is stored as the fan's completeness, and a
+    full-dimensional cone with dim rays keeps its double description's
+    start inverse, whose basis is all its rays in order, as its basis
+    inverse (:func:`_simplicial_inverse`).
     """
-    rays, descs, certified = _check_fan(dim, rays, max_cones, allow_nonprimitive)
+    rays, descs, certified, inverses = _check_fan(dim, rays, max_cones, allow_nonprimitive)
     fan = Fan(dim, rays, tuple(Cone(idx, ineqs, eqs, dim - len(eqs))
                                for idx, (ineqs, eqs) in sorted(descs.items())))
+    for c in fan.max_cones:
+        if len(c.ray_indices) == dim and not c.equations:  # simplicial: its start is its inverse
+            object.__setattr__(c, "_inverse", (c.ray_indices, *inverses[c.ray_indices][1:]))
     object.__setattr__(fan, "_complete", certified)
     return fan
 
@@ -704,6 +739,8 @@ def builtin_fan(name: str, *params: int) -> Fan:
         raise BadParams(f"{name} needs at least one parameter")
     if arity is not None and len(params) != arity:
         raise BadParams(f"{name} takes {arity} parameter(s), got {len(params)}")
+    if not all(map(lattice.is_integer, params)):
+        raise BadParams(f"{name} takes integer parameters, got {list(params)}")
     return func(*params)
 
 

@@ -46,7 +46,8 @@ class Value:
     as one tuple and only objects of the same class compare equal; ``repr``
     shows the fields. Assigning or deleting an attribute raises
     AttributeError. Copy and pickle restore every slot of every class in
-    the MRO, stored derived data included, without running ``__init__``.
+    the MRO, stored derived data included (a slot never set comes back as
+    None), without running ``__init__``.
     """
 
     __slots__ = ()
@@ -80,7 +81,7 @@ class Value:
         raise AttributeError(f"cannot delete field {name!r}")
 
     def __getstate__(self):
-        return {name: getattr(self, name) for cls in type(self).__mro__
+        return {name: getattr(self, name, None) for cls in type(self).__mro__
                 for name in vars(cls).get("__slots__", ()) if name != "__weakref__"}
 
     def __setstate__(self, state):
@@ -452,25 +453,29 @@ def _motzkin(rays: list[Vec], tight: list[int], cuts, d: int) -> tuple[list[Vec]
     return rays, tight
 
 
-def _double_description(rows: Sequence[Vec], width: int) -> tuple[tuple, tuple] | None:
-    """The sorted rays of :func:`dual_rays` and, for each, the bitmask of
-    the rows that vanish on it (bit k for rows[k]); None when fewer than
-    `width` rows are independent.
+def _double_description(rows: Sequence[Vec], width: int) -> tuple[tuple, tuple, tuple] | None:
+    """The sorted rays of :func:`dual_rays`; for each, the bitmask of the
+    rows that vanish on it (bit k for rows[k]); and the start inverse
+    (basis, W, D) of :func:`_basis_inverse`. None when fewer than `width`
+    rows are independent.
 
     The first `width` independent rows B bound a simplicial cone, whose rays
     are the columns of B^-1 (each orthogonal to all rows but one);
     :func:`_motzkin` cuts it with the rest. :func:`_basis_inverse` picks B
     and gives B W = D I with D > 0, so column k of W, made primitive, is the
-    k-th ray (<b_k, w_k> = D > 0), tight on every row of B but b_k.
+    k-th ray (<b_k, w_k> = D > 0), tight on every row of B but b_k. When
+    D = 1 the columns are primitive already: B W = I makes det W = +-1, and
+    the content of a column divides det W.
     """
-    picked, cols, _ = _basis_inverse(rows, range(len(rows)), width)
+    start = picked, cols, d = _basis_inverse(rows, range(len(rows)), width)
     if len(picked) < width:
         return None
     basis = sum(1 << k for k in picked)
-    rays, tight = _motzkin([primitive(w) for w in cols], [basis ^ (1 << k) for k in picked],
-                           [(k, r) for k, r in enumerate(rows) if not basis >> k & 1], width)
+    cuts = [(k, r) for k, r in enumerate(rows) if not basis >> k & 1]
+    rays, tight = _motzkin(cols if d == 1 else [primitive(w) for w in cols],
+                           [basis ^ (1 << k) for k in picked], cuts, width)
     order = sorted(range(len(rays)), key=rays.__getitem__)
-    return tuple(rays[i] for i in order), tuple(tight[i] for i in order)
+    return tuple(rays[i] for i in order), tuple(tight[i] for i in order), start
 
 
 def dual_rays(rows: Sequence[Vec], width: int) -> tuple[Vec, ...] | None:

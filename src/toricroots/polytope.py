@@ -41,7 +41,7 @@ def _hull_facets(points: tuple[Vec, ...], dim: int) -> tuple[tuple, tuple]:
     dd = lattice._double_description([v + (1,) for v in points], dim + 1)
     if dd is None:
         raise DegeneratePolytope("polytope is not full-dimensional")
-    fs = sorted((neg(r[:dim]), r[dim], on) for r, on in zip(*dd))
+    fs = sorted((neg(r[:dim]), r[dim], on) for r, on in zip(dd[0], dd[1]))
     return tuple(FacetInequality(u, a) for u, a, _ in fs), tuple(on for *_, on in fs)
 
 
@@ -60,8 +60,9 @@ class LatticePolytope(Value):
     _fields = ("dim", "vertices")
     # derived on construction: the facets, and per facet the bitmask of the
     # vertices on it; the normal fan is stored on first use, with the
-    # position of each vertex's cone among its maximal cones
-    __slots__ = (*_fields, "_facets", "_on", "_normal_fan", "_cone_at", "__weakref__")
+    # position of each vertex's cone among its maximal cones, and so is the
+    # rectangle witness (False until the first test)
+    __slots__ = (*_fields, "_facets", "_on", "_normal_fan", "_cone_at", "_witness", "__weakref__")
 
     def __init__(self, dim: int, vertices: tuple[Vec, ...]):
         if not lattice.is_integer(dim):
@@ -87,6 +88,7 @@ class LatticePolytope(Value):
         object.__setattr__(self, "_on", on)
         object.__setattr__(self, "_normal_fan", None)
         object.__setattr__(self, "_cone_at", None)
+        object.__setattr__(self, "_witness", False)
 
 
 def facets(p: LatticePolytope) -> tuple[FacetInequality, ...]:
@@ -139,30 +141,39 @@ def inscribed_in_rectangle(p: LatticePolytope) -> RectangleWitness | None:
 
     The facets through a vertex are read off its normal cone, whose ray r
     is the inner normal of facet F - 1 - r of the F facets, and the check
-    of the others stops at the first one that fails.
+    of the others stops at the first one that fails. The answer is stored
+    on p, so a later call, :func:`check_polytope_theorem` included, reads
+    it without a scan.
 
     The edge directions at v are the facet normals A of v's normal cone
     (:func:`edge_directions_at`). They are a lattice basis iff there are
-    dim of them and |det A| = 1, that is iff the cone is simplicial and the
-    inverse (basis, W, D) read off its stored normals has D = 1: the normal
-    fan's rays are primitive, so :func:`toricroots.fan._simplicial_inverse`
-    proves the two tests the same, and no determinant is computed. A
+    dim of them and |det A| = 1, that is iff the cone is simplicial and its
+    inverse (basis, W, D) has D = 1: the normal fan's rays are primitive,
+    so :func:`toricroots.fan._simplicial_inverse` proves the two tests the
+    same, and no determinant is computed. That inverse is read off the
+    cone's stored normals once and stored on the cone, where the
+    complete-collection scan of the normal fan reads it again. A
     full-dimensional cone has dim facets iff it has dim rays, both meaning
     that it is simplicial."""
+    if p._witness is False:
+        object.__setattr__(p, "_witness", next(_rectangle_witnesses(p), None))
+    return p._witness
+
+
+def _rectangle_witnesses(p: LatticePolytope):
+    """The rectangle witnesses of p in vertex order; the test is in
+    :func:`inscribed_in_rectangle`."""
     fs = facets(p)
-    last = len(fs) - 1
-    rays = normal_fan(p).rays
     for i, v in enumerate(p.vertices):
         cone = _normal_cone(p, i)
-        inverse = _simplicial_inverse(cone, rays, cone.ray_indices)
+        inverse = _simplicial_inverse(cone, normal_fan(p).rays, cone.ray_indices)
         if inverse is None or inverse[2] != 1:
             continue
         dirs = cone.inequalities  # the edge directions at v
-        through = {last - r for r in cone.ray_indices}
+        through = {len(fs) - 1 - r for r in cone.ray_indices}
         if all(dot(f.normal, e) >= 0
                for k, f in enumerate(fs) if k not in through for e in dirs):
-            return RectangleWitness(v, dirs)
-    return None
+            yield RectangleWitness(v, dirs)
 
 
 def normal_fan(p: LatticePolytope) -> Fan:
@@ -296,7 +307,11 @@ def check_polytope_theorem(p: LatticePolytope) -> PolytopeTheoremReport:
     scan of the normal fan (:func:`toricroots.additive.admits_additive`),
     so the report is a cross-check. Both read the same stored descriptions
     of the normal fan's maximal cones, the edge directions being each
-    cone's inequalities (:func:`edge_directions_at`).
+    cone's inequalities (:func:`edge_directions_at`), and the same stored
+    basis inverse of each simplicial cone, derived once. Each side is
+    stored, on p and on its normal fan, so after
+    :func:`inscribed_in_rectangle` and
+    :func:`toricroots.additive.admits_additive` this scans nothing again.
     """
     from .additive import admits_additive
 
@@ -360,6 +375,8 @@ def builtin_polytope(name: str, *params: int) -> LatticePolytope:
     func, arity = _BUILTIN_POLYTOPES[name]
     if len(params) != arity:
         raise BadParams(f"{name} takes {arity} parameter(s), got {len(params)}")
+    if not all(map(lattice.is_integer, params)):
+        raise BadParams(f"{name} takes integer parameters, got {list(params)}")
     return func(*params)
 
 

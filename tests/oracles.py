@@ -718,7 +718,7 @@ def build_fan_by_closure(dim, rays, max_cones, allow_nonprimitive: bool = False)
     answer of :func:`_certify_complete` is stored on the fan as its
     completeness. (The face sets are closed here, from the facet ray sets
     of the dual descriptions that the library's validation returns.)"""
-    rays, descs, certified = fan_module._check_fan(dim, rays, max_cones, allow_nonprimitive)
+    rays, descs, certified, _ = fan_module._check_fan(dim, rays, max_cones, allow_nonprimitive)
     cones = {idx: ((ineqs, eqs), [frozenset(i for i in idx if dot(a, rays[i]) == 0)
                                   for a in ineqs])
              for idx, (ineqs, eqs) in descs.items()}

@@ -17,6 +17,7 @@ from toricroots import (
     verify_witness,
     wps_one,
 )
+from toricroots.additive import EquivalenceWitness
 from toricroots.errors import InfiniteRoots, NotComplete
 from toricroots.lattice import invert_unimodular, mat_mul, mat_vec
 
@@ -133,6 +134,22 @@ def test_hirzebruch_witness_matrix(d):
     assert g.apply((-1, d)) == (1, 0)
     assert g.apply((0, 1)) == (0, 1)
     assert g.apply((0, -1)) == (0, -1)
+
+
+@pytest.mark.parametrize("matrix", [
+    ((1, 0, 0), (0, 1, 0), (0, 0, 1)),  # square and unimodular, but of dim 3
+    ((1,),),
+    (),
+    ((1, 0), (0, 1), (0, 0)),  # not square
+    ((2, 0), (0, 1)),  # not unimodular
+])
+def test_a_witness_that_is_no_automorphism_of_the_fan_is_refused(matrix):
+    """verify_witness returns False, and raises nothing, for a matrix of
+    the wrong dimension, as for one that is not square or not unimodular."""
+    fan = projective_space(2)
+    c = complete_collections(fan)[0]
+    w = EquivalenceWitness(matrix, ((0, 0), (1, 1)))
+    assert verify_witness(fan, c, c, w) is False
 
 
 def test_identity_witness():

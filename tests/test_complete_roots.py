@@ -38,6 +38,7 @@ from test_face_index import cross_polytope_fan, orthant, subfan
 from test_kernel import random_unimodular
 from test_normal_fan import NAMED
 from toricroots import (
+    Cone,
     LatticeAutomorphism,
     all_roots,
     apply_automorphism,
@@ -289,10 +290,12 @@ def assert_gauss_jordan_inverse(fan, order, cols, d):
 def test_the_stored_normals_give_the_gauss_jordan_inverse():
     """On every simplicial maximal cone of the corpus, and each ray of it
     taken first as roots_for_ray takes it, the inverse W / D read off the
-    stored normals, with D = lcm(c_j), is the Gauss-Jordan one; so is each
-    inverse that the roots of the fan's rays were searched with. Some D
-    are 1, some exceed 1, and one exceeds every c_j of its cone: column j
-    of W is (D / c_j) a_j with a_j primitive, so its content is D / c_j."""
+    stored normals, with D = lcm(c_j), is the Gauss-Jordan one (the cone is
+    copied without the inverse that build_fan stored on it, so that it is
+    read off the normals); so is each inverse that the roots of the fan's
+    rays were searched with. Some D are 1, some exceed 1, and one exceeds
+    every c_j of its cone: column j of W is (D / c_j) a_j with a_j
+    primitive, so its content is D / c_j."""
     denominators, gaps = set(), 0
     for fan in simplicial_corpus():
         assert fan._complete
@@ -300,7 +303,7 @@ def test_the_stored_normals_give_the_gauss_jordan_inverse():
             assert len(cone.ray_indices) == fan.dim
             for ray in cone.ray_indices:
                 order = [ray, *(i for i in cone.ray_indices if i != ray)]
-                basis, cols, d = _simplicial_inverse(cone, fan.rays, order)
+                basis, cols, d = _simplicial_inverse(Cone(*cone._values()), fan.rays, order)
                 assert basis == order
                 assert_gauss_jordan_inverse(fan, order, cols, d)
                 denominators.add(d)
@@ -316,10 +319,10 @@ def test_the_stored_normals_give_the_gauss_jordan_inverse():
 
 def test_simplicial_complete_fans_take_no_gauss_jordan_pass(monkeypatch):
     """all_roots reads every basis inverse of a simplicial complete fan off
-    the stored normals; the cross-polytope image glcross5, whose cones have
-    16 rays, takes the Gauss-Jordan pass. The fans are built before the
-    count starts, as each cone's double description starts from
-    ``_basis_inverse`` too."""
+    its cones, which stored them when the fan was built; the cross-polytope
+    image glcross5, whose cones have 16 rays, takes the Gauss-Jordan pass.
+    The fans are built before the count starts, as each cone's double
+    description starts from ``_basis_inverse``."""
     fans = simplicial_corpus()
     g = LatticeAutomorphism(random_unimodular(random.Random(1), 5))
     glcross5 = apply_automorphism(cross_polytope_fan(5), g)

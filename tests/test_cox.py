@@ -4,6 +4,8 @@ import pytest
 
 from helpers import bundled_complete_fans, torsion_fan
 from oracles import degree_zero_check
+from test_cli import counting
+from test_elimination import BLOWUP_FAN
 from toricroots import (
     action_formulas,
     admits_additive,
@@ -19,6 +21,7 @@ from toricroots import (
     projective_space,
     wps_one,
 )
+from toricroots import lattice
 from toricroots.cox import GaActionFormula
 from toricroots.errors import RaysDoNotSpan, TorsionClassGroup
 from toricroots.fan import build_fan
@@ -55,6 +58,29 @@ def test_rays_do_not_span():
     fan = build_fan(2, [(1, 0), (-1, 0)], [(0,), (1,)])
     with pytest.raises(RaysDoNotSpan):
         cox_presentation(fan)
+
+
+def test_a_full_dimensional_cone_skips_the_rank(monkeypatch):
+    """A maximal cone with no equations spans N_Q, so no rank is computed;
+    without one the rank decides, and RaysDoNotSpan comes before any Smith
+    form (the blowup fixture, whose Smith form blows up)."""
+    fans = [fan for _, fan in bundled_complete_fans()] + [
+        build_fan(2, [(1, 0), (0, 1), (-1, 0)], [(0, 1), (2,)])]
+    spanning = build_fan(2, [(1, 0), (-1, 1)], [(0,), (1,)])
+    flat = [build_fan(BLOWUP_FAN["dim"], BLOWUP_FAN["rays"], BLOWUP_FAN["max_cones"]),
+            build_fan(3, [(1, 0, 0), (0, 1, 0), (-1, -1, 0)], [(0, 1), (1, 2), (2, 0)])]
+    ranks = counting(monkeypatch, lattice, "rank")
+    smiths = counting(monkeypatch, lattice, "smith_normal_form")
+    for fan in fans:
+        cox_presentation(fan)
+    assert ranks == [] and len(smiths) == len(fans)
+    cox_presentation(spanning)
+    assert len(ranks) == 1
+    smiths.clear()
+    for fan in flat:
+        with pytest.raises(RaysDoNotSpan):
+            cox_presentation(fan)
+    assert len(ranks) == 3 and smiths == []
 
 
 def test_degree_map_kills_pairing_image():

@@ -240,6 +240,30 @@ def test_bound_must_be_positive():
         roots_for_ray(quadrant_fan(), 0, bound=0)
 
 
+@pytest.mark.parametrize("bound", [True, False, 2.5, 2.0, "3", 0, -1])
+def test_a_bound_that_is_not_a_positive_int_is_refused(bound):
+    """On a fan whose roots are infinite and on a complete one, where the
+    bound is not used: a bool is no bound, and neither is a float or a
+    string."""
+    for fan in (quadrant_fan(), projective_space(2)):
+        with pytest.raises(BadParams, match="^bound must be a positive integer$"):
+            roots_for_ray(fan, 0, bound)
+        with pytest.raises(BadParams, match="^bound must be a positive integer$"):
+            all_roots(fan, bound)
+
+
+@pytest.mark.parametrize("ray", [True, False, 1.0, "0", None, -1, 3])
+def test_a_ray_index_that_is_not_an_int_in_range_is_refused(ray):
+    """A bool ray index is refused like one out of range, by the root
+    enumeration and by the root tests."""
+    for fan in (quadrant_fan(), projective_space(2)):
+        for call in (lambda: roots_for_ray(fan, ray), lambda: roots_for_ray(fan, ray, 2),
+                     lambda: is_demazure_root(fan, (0, -1), ray),
+                     lambda: demazure_root(fan, (0, -1), ray)):
+            with pytest.raises(InvalidFan, match="no ray with index"):
+                call()
+
+
 def test_a_bound_whose_box_is_too_large_is_refused(monkeypatch):
     """A truncated enumeration refuses a bound for which the box may hold
     more than MAX_BOX_POINTS points on <p_rho, e> = -1, that is

@@ -277,6 +277,16 @@ def test_builtin_bad_params():
         wps_one()
 
 
+@pytest.mark.parametrize("name,params", [
+    ("pn", (2.5,)), ("pn", ("2",)), ("p1n", (True,)), ("p1n", (2.0,)),
+    ("hirzebruch", (False,)), ("wps1", (2, 2.5)), ("wps1", (True, 3))])
+def test_builtin_params_must_be_ints(name, params):
+    """A float, a string or a bool is refused with BadParams naming the
+    generator, before the generator runs."""
+    with pytest.raises(BadParams, match=f"^{name} takes integer parameters"):
+        builtin_fan(name, *params)
+
+
 @pytest.mark.parametrize("n", range(1, 7))
 def test_projective_space_is_wps_one_of_ones(n):
     fan = projective_space(n)

@@ -6,6 +6,7 @@ from helpers import random_lattice_polygons
 from toricroots import (
     LatticeAutomorphism,
     LatticePolytope,
+    builtin_polytope,
     check_polytope_theorem,
     edge_directions_at,
     facets,
@@ -197,6 +198,14 @@ def test_normal_fans_validate_and_complete():
 
 # ---------------------------------------------------------------------------
 # scaling
+
+
+@pytest.mark.parametrize("name,params", [
+    ("cube", (2.5,)), ("cube", (True,)), ("segment", ("3",)), ("dsimplex", (2, 2.0)),
+    ("dsimplex", (False, 1))])
+def test_builtin_params_must_be_ints(name, params):
+    with pytest.raises(BadParams, match=f"^{name} takes integer parameters"):
+        builtin_polytope(name, *params)
 
 
 def test_scale_examples():

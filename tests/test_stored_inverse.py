@@ -1,0 +1,237 @@
+"""Each simplicial maximal cone keeps its basis inverse (basis, W, D).
+
+``build_fan`` stores, on every full-dimensional maximal cone with dim rays,
+the start inverse of the cone's double description: P W = D I for the
+matrix P of its rays in order, with D = |det P|. A cone that no double
+description built, as those of a polytope's normal fan, gets its inverse
+from ``fan._simplicial_inverse`` on first use, read off its stored facet
+normals with D = lcm(c_j), and keeps it. On a corpus of simplicial fans in
+dimensions 2 to 6 (``wps_one(2, 3, 7, 11)``, the tetrahedron fan whose first
+cone has c = (15, 6, 10), a tetrahedron fan whose cones all have
+|det P| = 4 and lcm(c_j) = 2, and GL_n(Z) images), the stored inverse is
+checked against ``lattice._basis_inverse`` and against the one read off the
+normals, and the decomposition of each -p_k read off it against
+``demazure._peel``, which stays the reference. Counting tests check that the
+readers, the roots, the collections and the rectangle test, derive nothing
+again.
+"""
+
+import copy
+import pickle
+import random
+from fractions import Fraction
+from itertools import combinations
+
+import oracles
+from test_cli import counting
+from test_complete_roots import (
+    TETRAHEDRON,
+    assert_roots_match_elimination,
+    simplicial_corpus,
+    skewed,
+)
+from test_normal_fan import NAMED
+from toricroots import (
+    Cone,
+    LatticePolytope,
+    all_roots,
+    build_fan,
+    check_polytope_theorem,
+    complete_collections,
+    inscribed_in_rectangle,
+    normal_fan,
+)
+from toricroots import demazure, lattice, polytope
+from toricroots import fan as fan_module
+from toricroots.fan import _simplicial_inverse
+from toricroots.lattice import identity, neg
+
+# Every cone of this tetrahedron fan has |det P| = 4 and c = (2, 2, 2), so
+# the double description's D is twice lcm(c_j): the rays are the identity
+# modulo 2 in one coordinate, so every 2 x 2 minor of P is even.
+SQUASHED = build_fan(3, [(1, 0, 0), (1, 2, 0), (1, 0, 2), (-3, -2, -2)],
+                     list(combinations(range(4), 3)))
+
+
+def corpus():
+    fans = simplicial_corpus() + [SQUASHED, skewed(SQUASHED, "squashed")]
+    assert {fan.dim for fan in fans} == {2, 3, 4, 5, 6}
+    return fans
+
+
+def fresh(cone):
+    """The same cone with no stored inverse, as a normal fan's cones start."""
+    return Cone(*cone._values())
+
+
+def quotient(inverse):
+    """W / D as rational columns: all that a reader may depend on."""
+    _, cols, d = inverse
+    return [[Fraction(x, d) for x in col] for col in cols]
+
+
+def assert_inverts(fan, inverse):
+    basis, cols, d = inverse
+    assert d > 0
+    assert [[sum(p * x for p, x in zip(fan.rays[i], col)) for col in cols] for i in basis] \
+        == [[d * int(i == j) for j in basis] for i in basis]
+
+
+def test_the_corpus_has_both_kinds_of_cones():
+    dets = {abs(oracles.bareiss_determinant([fan.rays[i] for i in c.ray_indices]))
+            for fan in corpus() for c in fan.max_cones}
+    assert 1 in dets and max(dets) > 1
+    assert TETRAHEDRON.max_cones[0]._inverse[2] == 30
+
+
+def test_built_cones_keep_their_double_description_inverse():
+    """P W = D I with D = |det P| on every maximal cone, in the order of its
+    rays and in shuffled orders; W and D are exactly those of
+    lattice._basis_inverse on the rays, and W / D is the inverse read off
+    the normals with D = lcm(c_j). D = 1 for both exactly when the cone is
+    unimodular, and the two D differ on some cones."""
+    rng = random.Random(2900)
+    differ = 0
+    for fan in corpus():
+        for cone in fan.max_cones:
+            stored = cone._inverse
+            basis, cols, d = stored
+            assert basis is cone.ray_indices
+            assert_inverts(fan, stored)
+            assert lattice._basis_inverse(fan.rays, basis, fan.dim) == (list(basis), cols, d)
+            det = abs(oracles.bareiss_determinant([fan.rays[i] for i in basis]))
+            assert d == det
+            paired = _simplicial_inverse(fresh(cone), fan.rays, basis)
+            assert_inverts(fan, paired)
+            assert quotient(paired) == quotient(stored)
+            assert (d == 1) == (paired[2] == 1) == (det == 1)
+            differ += paired[2] != d
+            order = list(basis)
+            rng.shuffle(order)
+            got = _simplicial_inverse(cone, fan.rays, order)
+            assert got[0] == order and got[2] == d
+            assert_inverts(fan, got)
+    assert differ
+
+
+def test_a_cone_without_an_inverse_derives_it_once_and_keeps_it(monkeypatch):
+    lcms = counting(monkeypatch, fan_module, "lcm")
+    for cone in SQUASHED.max_cones:
+        bare = fresh(cone)
+        first = _simplicial_inverse(bare, SQUASHED.rays, bare.ray_indices)
+        assert bare._inverse[0] is bare.ray_indices and first[2] == 2
+        assert _simplicial_inverse(bare, SQUASHED.rays, bare.ray_indices[::-1])[2] == 2
+    assert len(lcms) == len(SQUASHED.max_cones)
+
+
+def test_cones_that_are_not_simplicial_store_nothing():
+    """The octahedron's normal cones have 4 rays in dimension 3, as its
+    normal fan assembles them and as build_fan builds them."""
+    octahedron = LatticePolytope(3, tuple(v for e in identity(3) for v in (e, neg(e))))
+    nf = normal_fan(octahedron)
+    for fan in (nf, build_fan(3, nf.rays, [c.ray_indices for c in nf.max_cones])):
+        assert all(len(c.ray_indices) == 4 for c in fan.max_cones)
+        for cone in fan.max_cones:
+            assert _simplicial_inverse(cone, fan.rays, cone.ray_indices) is None
+            assert getattr(cone, "_inverse", None) is None
+
+
+def fractions(decomposition):
+    return {i: Fraction(num, den) for i, (num, den) in decomposition.items()}
+
+
+def test_decompositions_read_off_the_inverse_match_the_peel():
+    """-p_k in the first maximal cone that holds it, as <w_i, x> / D, equals
+    the peel's decomposition in that cone, over built fans (D = |det P|)
+    and normal fans (D = lcm(c_j)); peeling the same cone is the reference."""
+    fans = corpus() + [normal_fan(LatticePolytope(p.dim, p.vertices)) for _, p in NAMED]
+    large = 0
+    for fan in fans:
+        for p in fan.rays:
+            x = neg(p)
+            if x in fan.rays:
+                continue
+            cone = next(c for c in fan.max_cones if c.contains(x))
+            got = demazure._decompose(fan, x)
+            assert fractions(got) == fractions(demazure._peel(x, cone, fan.rays))
+            assert all(num > 0 and den > 0 for num, den in got.values())
+            large += _simplicial_inverse(cone, fan.rays, cone.ray_indices) is not None \
+                and max(den for _, den in got.values()) > 1
+    assert large > 10
+
+
+def test_built_simplicial_fans_derive_no_inverse_and_peel_nothing(monkeypatch):
+    """all_roots and complete_collections read every inverse that the build
+    stored: no pairing derivation (its lcm), no Gauss-Jordan pass and no
+    peel. A normal fan whose cones are not all simplicial still peels."""
+    fans = corpus()
+    nonsimplicial = normal_fan(LatticePolytope(3, dict(NAMED)["paraboloid"].vertices))
+    lcms = counting(monkeypatch, fan_module, "lcm")
+    passes = counting(monkeypatch, lattice, "_basis_inverse")
+    peels = counting(monkeypatch, demazure, "_peel")
+    for fan in fans:
+        all_roots(fan)
+        complete_collections(fan)
+    assert lcms == [] and passes == [] and peels == []
+    all_roots(nonsimplicial)
+    assert peels and all(len(cone.ray_indices) > 3 for _, cone, _ in peels)
+
+
+def test_the_roots_are_unchanged_where_the_two_d_differ():
+    assert_roots_match_elimination(SQUASHED)
+    assert_roots_match_elimination(skewed(SQUASHED, "squashed"))
+
+
+def test_the_polytope_check_derives_each_inverse_at_most_once(monkeypatch):
+    """inscribed_in_rectangle reads each simplicial normal cone's inverse
+    off its normals once and stores it; check_polytope_theorem then reads
+    the stored witness and the collection scan the stored inverses, so
+    neither derives an inverse or scans the vertices again."""
+    lcms = counting(monkeypatch, fan_module, "lcm")
+    scans = counting(monkeypatch, polytope, "_rectangle_witnesses")
+    for _, named in NAMED:
+        p = LatticePolytope(named.dim, named.vertices)
+        fan = normal_fan(p)
+        simplicial = [c for c in fan.max_cones if len(c.ray_indices) == p.dim]
+        witness = inscribed_in_rectangle(p)
+        assert witness == oracles.determinant_inscribed_in_rectangle(p)
+        derived = len(lcms)
+        assert derived <= len(simplicial) and len(scans) == 1
+        report = check_polytope_theorem(p)
+        assert report.witness is witness and report.inscribed is report.fan_admits
+        assert inscribed_in_rectangle(p) is witness
+        assert len(lcms) <= len(simplicial) and len(scans) == 1
+        assert all(c._inverse is not None for c in simplicial)
+        lcms.clear()
+        scans.clear()
+
+
+def test_stored_inverses_survive_copy_and_pickle():
+    """A built cone keeps its inverse through copy and pickle; a normal
+    fan's cone that has none comes back with None and derives it on use."""
+    fan = normal_fan(LatticePolytope(3, TETRAHEDRON.rays))
+    bare = fan.max_cones[0]
+    tested = LatticePolytope(3, TETRAHEDRON.rays)
+    inscribed_in_rectangle(tested)
+    for trip in (copy.copy, copy.deepcopy, lambda v: pickle.loads(pickle.dumps(v))):
+        for cone in TETRAHEDRON.max_cones:
+            r = trip(cone)
+            assert r == cone and r._inverse == cone._inverse
+        r = trip(bare)
+        assert r == bare and r._inverse is None
+        assert_inverts(fan, _simplicial_inverse(r, fan.rays, r.ray_indices))
+        assert trip(LatticePolytope(3, TETRAHEDRON.rays))._witness is False
+        assert trip(tested)._witness == tested._witness is not False
+    assert getattr(bare, "_inverse", None) is None
+
+
+def test_a_unimodular_start_is_not_made_primitive(monkeypatch):
+    """With D = 1 the start's columns are primitive already (det W = +-1),
+    so the double description passes them on as they are; with D > 1 each
+    is made primitive."""
+    calls = counting(monkeypatch, lattice, "primitive")
+    rows = [(1, 0, 0), (1, 1, 0), (2, 3, 1)]
+    rays, _, (basis, cols, d) = lattice._double_description(rows, 3)
+    assert d == 1 and calls == [] and rays == tuple(sorted(cols))
+    rays, _, (_, cols, d) = lattice._double_description([(1, 0, 0), (1, 2, 0), (1, 0, 2)], 3)
+    assert d == 4 and len(calls) == 3 and rays == tuple(sorted(map(lattice.primitive, cols)))
