@@ -74,7 +74,7 @@ def complete_collections(fan: Fan) -> tuple[CompleteCollection, ...]:
     out = []
     checked: dict[tuple[Vec, int], DemazureRoot | None] = {}
     for cone in fan.max_cones:
-        inverse = _simplicial_inverse(cone, fan.rays, cone.ray_indices)
+        inverse = _simplicial_inverse(cone, fan.rays)
         if inverse is None or inverse[2] != 1:
             continue
         roots = []
@@ -149,17 +149,25 @@ def verify_witness(fan: Fan, c1: CompleteCollection, c2: CompleteCollection,
     M. It carries c1's roots onto c2's iff g^T carries c2's roots onto
     c1's, which is what is checked: no inverse is computed. A matrix that
     is not square, not unimodular or not of the fan's dimension is no
-    witness: False.
+    witness, nor is a ray map with a pair that is not two ints (bools
+    excluded) in range(len(fan.rays)): False.
     """
     try:
         perm = _ray_permutation(fan, witness.automorphism())
     except (DimensionMismatch, NotSquare, NotUnimodular):
         return False
-    if perm is None or any(perm[i] != j for i, j in witness.ray_map):
+    if perm is None or not all(_maps_ray(pair, perm) for pair in witness.ray_map):
         return False
     pullback = lattice.transpose(witness.matrix)
     image = {lattice.mat_vec(pullback, e) for e in c2.root_vectors}
     return image == set(c1.root_vectors)
+
+
+def _maps_ray(pair, perm: list[int]) -> bool:
+    """Whether pair is (i, perm[i]), two ints (bools excluded) with i an
+    index of perm."""
+    return (isinstance(pair, tuple) and len(pair) == 2 and all(map(lattice.is_integer, pair))
+            and 0 <= pair[0] < len(perm) and perm[pair[0]] == pair[1])
 
 
 def find_equivalence(fan: Fan, c1: CompleteCollection,

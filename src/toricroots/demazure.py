@@ -20,13 +20,15 @@ rho) is a cone of the fan iff the ray-index set of sigma plus rho is in
 The roots of a ray are found in one of two ways, which share one search
 (:func:`toricroots.lattice._search`): the integral vectors whose pairings
 with n independent rays lie in given bounds and whose pairings with the
-other rays are >= 0. On a fan certified complete the fan gives the
-bounds itself: each root's pairings with n rays of a maximal cone through
-its ray are bounded by the cones that hold the opposites of those rays
-(:func:`roots_for_ray` has the proofs). On any other fan the
-condition-(1) polyhedron may be unbounded, and
-:func:`toricroots.lattice.lattice_points` decides that by its double
-description and bounds each pairing over its vertices.
+other rays are >= 0. On a fan certified complete whose maximal cones all
+have n rays the fan gives the bounds itself: each root's pairings with the
+rays of a maximal cone through its ray are bounded by the cones that hold
+the opposites of those rays, and every basis and every decomposition of
+an opposite is read off a cone's stored inverse (:func:`roots_for_ray`
+has the proofs). On any other fan :func:`toricroots.lattice.lattice_points`
+decides by its double description whether the condition-(1) polyhedron is
+bounded, which it is on every complete fan, and bounds each pairing over
+its vertices.
 """
 
 from __future__ import annotations
@@ -189,23 +191,22 @@ def roots_for_ray(fan: Fan, ray: int, bound: int | None = None) -> RayRoots:
     """Roots with the given distinguished ray rho.
 
     The roots are the lattice points of the condition-(1) polyhedron that
-    satisfy condition (2). On a fan that is not complete they are its
-    points by :func:`toricroots.lattice.lattice_points`, from its double
-    description and the search over its vertex bounds. "infinite" means
-    that polyhedron is non-empty and unbounded; then a supplied bound gives
-    a "truncated" enumeration of its points with sup-norm <= bound, refused
-    with BadParams when the box could hold more than MAX_BOX_POINTS of
-    them. An empty polyhedron is "finite" with no roots. A ray index that is
-    not an int in range raises InvalidFan, and a bound that is not a
-    positive int BadParams (bool included, as the strict readers refuse it).
+    satisfy condition (2). Unless the fan takes the pairing search below,
+    they are its points by :func:`toricroots.lattice.lattice_points`, from
+    its double description and the search over its vertex bounds.
+    "infinite" means that polyhedron is non-empty and unbounded; then a
+    supplied bound gives a "truncated" enumeration of its points with
+    sup-norm <= bound, refused with BadParams when the box could hold more
+    than MAX_BOX_POINTS of them. An empty polyhedron is "finite" with no
+    roots. A ray index that is not an int in range raises InvalidFan, and a
+    bound that is not a positive int BadParams (bool included, as the
+    strict readers refuse it), whether or not it is used.
 
-    A complete fan is always "finite", and its roots are enumerated in
-    pairing coordinates with no double description (the bound is not
-    used). Write y_i = <p_i, e>, so a root has y_rho = -1 and y_i >= 0 for
-    i != rho, and on a complete fan that is all
-    (:func:`satisfies_condition2`). Every maximal cone of a fan certified
-    complete is full-dimensional: the certificate is tried only then, and
-    a polytope's normal cones are.
+    A complete fan is always "finite" (the bound is not used). Write
+    y_i = <p_i, e>, so a root has y_rho = -1 and y_i >= 0 for i != rho,
+    and on a complete fan that is all (:func:`satisfies_condition2`).
+    Every maximal cone of a fan certified complete is full-dimensional:
+    the certificate is tried only then, and a polytope's normal cones are.
 
     *Bound* (Demazure 1970, section 3; Cox-Little-Schenck, section 3.4).
     For k != rho, -p_k lies in some maximal cone, as the fan is complete:
@@ -215,61 +216,64 @@ def roots_for_ray(fan: Fan, ray: int, bound: int | None = None) -> RayRoots:
     0 <= y_k <= floor(c_rho), with c_rho = 0 when rho is not in that cone.
     The bounds are pairings, so a GL_n(Z) image of the fan has the same.
 
-    *Search.* Take n independent rays of the first maximal cone through
-    rho, rho first, as a basis B, with its inverse as (B, W, D), B W = D I
-    and D > 0. A simplicial cone stores it, with its columns permuted to
-    put rho first (:func:`toricroots.fan._simplicial_inverse` has the
-    proofs); only a cone with more than n rays takes the Gauss-Jordan pass
-    of :func:`toricroots.lattice._basis_inverse`, which gives the same
-    format. The search reads W / D alone, so it visits the same nodes
-    whichever D the cone stored. A root e is B^-1 y_B, y_B its pairings
-    with those rays, so the roots are the integral e with y_rho = -1,
+    *Route.* On a complete fan the condition-(1) polyhedron is bounded:
+    y_rho = -1, each other y_k lies in [0, floor(c_rho)] by the bound, and
+    the rays span Q^n, as their cones cover it, so e is fixed by its
+    pairings. So :func:`toricroots.lattice.lattice_points` lists its
+    integral points, sorted, with status "finite", and each is a root by
+    condition (1) alone; the search below lists the same points, sorted,
+    so both routes give the same report. The search is taken when the fan
+    is certified complete and every maximal cone has n rays, so is
+    simplicial; that is decided once per call, for all rays.
+
+    *Search.* The first maximal cone through rho, with its n rays in its
+    own order as a basis B, stores its inverse (B, W, D), B W = D I and
+    D > 0 (:func:`toricroots.fan._simplicial_inverse` has the proofs), and
+    the search reads W / D alone, so it visits the same nodes whichever D
+    the cone stored. A root e is B^-1 y_B, y_B its pairings with those
+    rays, so the roots are the integral e with y_rho = -1,
     0 <= y_b <= floor(c_rho) for the other basis rays b, and every other
-    pairing >= 0: :func:`toricroots.lattice._search` lists them, over the
-    lattice B Z^n of pairing vectors of integral e, with the proofs. Its
-    order is rho first, then the rays whose bound is 0, then the others, so
-    the fixed pairings come first and give the first coordinates of its
-    lattice search with no branching.
+    pairing >= 0: :func:`toricroots.lattice._search` lists them, sorted,
+    over the lattice B Z^n of pairing vectors of integral e, with the
+    proofs. The basis is stable-sorted to rho first, by its bound -1, then
+    the rays whose bound is 0, then the others, so the fixed pairings come
+    first and give the first coordinates of its lattice search with no
+    branching.
 
     *Opposites.* x = -p_k is decomposed in the first maximal cone C whose
     stored inequalities hold it, and 1 * p_j when it is itself the ray p_j.
-    When C is simplicial, with its rays the rows of P, they are
-    independent, so x = P^T c for one c, read off C's stored inverse
-    (basis, W, D), P W = D I: W^T x = W^T P^T c = (P W)^T c = D c, so
-    c_i = <w_i, x> / D, and only that value enters a bound
-    (:func:`_decompose`).
-
-    *Peel.* A cone C that is not simplicial is peeled. Let F be the face
-    of C cut out by the inequalities tight at x, the smallest face that
-    holds x. While x != 0, F has a ray p_r. The
-    normals of the pointed full-dimensional C span the dual space and are
-    >= 0 on p_r, so some a has <a, p_r> > 0; no such a is tight at x, as
-    the tight ones vanish on F. So t = min <a, x> / <a, p_r> over them is
-    positive, x - t p_r lies in C, and it is tight where x was and at the
-    minimizing a, which does not vanish on p_r. Its smallest face is then a
-    proper face of F, of lower dimension, so after at most n steps x = 0,
-    and x is the sum of the t p_r, each ray used once (:func:`_peel`,
-    exact over the integers; on a simplicial cone it gives the one
-    decomposition above, and the tests keep it as the reference). Within
-    one :func:`all_roots` call the decomposition of each -p_k is computed
+    C is simplicial, with its rays the rows of P, so they are independent
+    and x = P^T c for one c, read off C's stored inverse (basis, W, D),
+    P W = D I: W^T x = W^T P^T c = (P W)^T c = D c, so c_i = <w_i, x> / D,
+    and only that value enters a bound (:func:`_decompose`). Within one
+    :func:`all_roots` call the decomposition of each -p_k is computed
     once, and only for the rays some basis uses, and a basis with its
     inverse serves every ray in it.
-
-    The roots are sorted, as lattice_points lists them.
     """
-    return _roots_for_ray(fan, ray, bound, {}, {})
-
-
-def _roots_for_ray(fan: Fan, ray: int, bound: int | None, opposite: dict,
-                   inverses: dict) -> RayRoots:
-    """roots_for_ray, with the decompositions of the -p_k kept in `opposite`
-    and in `inverses`, for each ray, a basis inverse whose basis holds it."""
     if not lattice.is_integer(ray) or not 0 <= ray < len(fan.rays):
         raise InvalidFan([f"no ray with index {ray}"])
+    return _roots_for_ray(fan, ray, bound, _route(fan, bound))
+
+
+def _route(fan: Fan, bound: int | None) -> tuple[dict, dict] | None:
+    """What one roots_for_ray or all_roots call does first: refuse a bound
+    that is not a positive int, then decide the route of every ray. The
+    caches of the pairing search when the fan takes it (see
+    :func:`roots_for_ray`), the decompositions of the -p_k and for each ray
+    a basis inverse whose basis holds it; None for lattice_points."""
     if bound is not None and (not lattice.is_integer(bound) or bound < 1):
         raise BadParams("bound must be a positive integer")
-    if fan._complete:
-        return RayRoots(ray, "finite", _complete_roots(fan, ray, opposite, inverses))
+    if fan._complete and all(len(c.ray_indices) == fan.dim for c in fan.max_cones):
+        return {}, {}
+    return None
+
+
+def _roots_for_ray(fan: Fan, ray: int, bound: int | None,
+                   search: tuple[dict, dict] | None) -> RayRoots:
+    """roots_for_ray for a valid ray and bound, by the pairing search with
+    the caches `search`, or by lattice_points when it is None."""
+    if search is not None:
+        return RayRoots(ray, "finite", _complete_roots(fan, ray, *search))
     system = _condition1_system(fan, ray)
     points = lattice.lattice_points(system, fan.dim)
     status = "finite"
@@ -291,21 +295,17 @@ def _roots_for_ray(fan: Fan, ray: int, bound: int | None, opposite: dict,
 
 
 def all_roots(fan: Fan, bound: int | None = None) -> RootSet:
-    opposite: dict = {}
-    inverses: dict = {}
-    return RootSet(tuple(_roots_for_ray(fan, i, bound, opposite, inverses)
-                         for i in range(len(fan.rays))))
+    search = _route(fan, bound)
+    return RootSet(tuple(_roots_for_ray(fan, i, bound, search) for i in range(len(fan.rays))))
 
 
 def _complete_roots(fan: Fan, ray: int, opposite: dict,
                     inverses: dict) -> tuple[DemazureRoot, ...]:
-    """The roots of the ray on a complete fan, sorted; the proofs are in
-    :func:`roots_for_ray`."""
+    """The roots of the ray on a complete fan whose maximal cones are
+    simplicial, sorted; the proofs are in :func:`roots_for_ray`."""
     n, rays = fan.dim, fan.rays
     if ray not in inverses:
-        cone = next(c for c in fan.max_cones if ray in c.ray_indices)
-        order = [ray, *(i for i in cone.ray_indices if i != ray)]
-        inverse = _simplicial_inverse(cone, rays, order) or lattice._basis_inverse(rays, order, n)
+        inverse = _simplicial_inverse(next(c for c in fan.max_cones if ray in c.ray_indices), rays)
         for b in inverse[0]:
             inverses.setdefault(b, inverse)
     basis, cols, d = inverses[ray]
@@ -330,48 +330,16 @@ def _complete_roots(fan: Fan, ray: int, opposite: dict,
 def _decompose(fan: Fan, x: Vec) -> dict[int, tuple[int, int]]:
     """x = sum (num / den) p_i with every coefficient > 0, over the rays of
     the first maximal cone that holds x, as {i: (num, den)} with den > 0;
-    {j: (1, 1)} when x is the ray p_j. x must be in the fan's support. A
-    simplicial cone gives num = <w_i, x> and den = D from its stored
-    inverse (the proof is in :func:`roots_for_ray`); any other is peeled."""
+    {j: (1, 1)} when x is the ray p_j. x must be in the support of a fan
+    whose maximal cones are simplicial: num = <w_i, x> and den = D, from
+    the cone's stored inverse (the proof is in :func:`roots_for_ray`)."""
     if x in fan.rays:
         return {fan.rays.index(x): (1, 1)}
     cone = next((c for c in fan.max_cones if c.contains(x)), None)
     if cone is None:
         raise InternalError(f"{list(x)} lies in no maximal cone of a complete fan")
-    inverse = _simplicial_inverse(cone, fan.rays, cone.ray_indices)
-    if inverse is None:
-        return _peel(x, cone, fan.rays)
-    basis, cols, d = inverse
+    basis, cols, d = _simplicial_inverse(cone, fan.rays)
     return {i: (num, d) for i, w in zip(basis, cols) if (num := sum(map(mul, w, x)))}
-
-
-def _peel(x: Vec, cone: Cone, rays: tuple[Vec, ...]) -> dict[int, tuple[int, int]]:
-    """x in a full-dimensional cone as sum (num / den) p_r over rays of the
-    cone, each coefficient positive, taken off one ray of the smallest face
-    holding x at a time (the proof is in :func:`roots_for_ray`). The rest
-    r / scale is carried by its pairings with the inequalities, integers
-    that are all 0 iff r = 0, as the normals span the dual space. A ray
-    passed over, or taken, has a tight inequality that does not vanish on
-    it, and the rest stays tight there, so the rays are scanned once."""
-    ineqs = cone.inequalities
-    out = {}
-    vals, scale = [sum(map(mul, a, x)) for a in ineqs], 1
-    candidates = iter(cone.ray_indices)
-    while any(vals):
-        for r in candidates:
-            col = [sum(map(mul, a, rays[r])) for a in ineqs]
-            if not any(c for c, v in zip(col, vals) if not v):
-                break
-        else:
-            raise InternalError(f"{list(x)} has left the cone {cone.ray_indices}")
-        num, den = None, None
-        for ap, ax in zip(col, vals):
-            if ap > 0 and (num is None or ax * den < num * ap):
-                num, den = ax, ap
-        out[r] = (num, scale * den)
-        vals = [den * v - num * c for v, c in zip(vals, col)]
-        scale *= den
-    return out
 
 
 def commute(a: DemazureRoot, b: DemazureRoot) -> bool:

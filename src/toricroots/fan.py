@@ -230,28 +230,28 @@ def cone_dual_description(generators, dim: int | None = None):
     return ineqs, eqs
 
 
-def _simplicial_inverse(cone: Cone, rays: tuple[Vec, ...], order) -> tuple | None:
-    """(order, W, D) with P W = D I and D > 0, for the matrix P whose rows
-    are the rays of a simplicial full-dimensional cone in `order` (the
-    cone's ray indices into `rays`, in any order): the format of
+def _simplicial_inverse(cone: Cone, rays: tuple[Vec, ...]) -> tuple | None:
+    """(basis, W, D) with P W = D I and D > 0, for the matrix P whose rows
+    are the rays of a simplicial full-dimensional cone in their own order
+    (basis is the cone's ray_indices, indices into `rays`): the format of
     :func:`toricroots.lattice._basis_inverse`. None for any other cone,
     that is unless the cone has n = dim rays and no equations.
 
-    The cone stores its inverse for its rays in their own order. A cone
-    that :func:`build_fan` made keeps the start inverse of its double
-    description, whose basis is all its rays in order, with D = |det P|.
-    Any other cone, as those of :func:`toricroots.polytope.normal_fan`,
-    reads it off its stored normals on first use, with D = lcm(c_j) (below,
-    no elimination), and stores it. Another `order` permutes the rows of P
-    and so the columns of W the same way, and keeps D: if P W = D I and
-    S is a permutation matrix, (S P)(W S^T) = D S S^T = D I.
+    A cone that :func:`build_fan` made keeps the start inverse of its
+    double description, whose basis is all its rays in order, with
+    D = |det P|. Any other cone, as those of
+    :func:`toricroots.polytope.normal_fan`, reads it off its stored normals
+    on first use, with D = lcm(c_j) (below, no elimination), and stores it.
+    A reader that wants another order of the rows, as the root search with
+    its ray first, permutes the columns of W the same way and keeps D: if
+    P W = D I and S is a permutation matrix, (S P)(W S^T) = D S S^T = D I.
 
     *Normals.* Such a cone's n rays span Q^n, so they are independent: each
     of its n facets holds n - 1 of them and misses one, and its stored
     inequalities are its primitive facet normals, one per facet. So exactly
     one normal a_j is nonzero on p_j, c_j = <a_j, p_j> > 0, and
     A P^T = diag(c) for the matrix A of the a_j and P of the p_j (rows, in
-    `order`). Three readings follow.
+    the cone's order). Three readings follow.
 
     (1) *Inverse.* With D = lcm(c_j) and W the matrix with columns
         (D / c_j) a_j, P W = D I, since entry (i, j) is
@@ -294,8 +294,7 @@ def _simplicial_inverse(cone: Cone, rays: tuple[Vec, ...], order) -> tuple | Non
         d = lcm(*[c for _, c in pairs])
         inverse = cone.ray_indices, [tuple([d // c * x for x in a]) for a, c in pairs], d
         object.__setattr__(cone, "_inverse", inverse)
-    basis, cols, d = inverse
-    return inverse if order is basis else (order, [cols[basis.index(i)] for i in order], d)
+    return inverse
 
 
 def _is_face(s: int, rays: int, facets) -> bool:

@@ -14,8 +14,8 @@ points of a polyhedron come from the same kernel: the double description
 of its homogenization decides whether it is empty or unbounded and gives
 its vertices, which bound each row, and one depth-first search over the
 lattice of a basis of rows lists the points (:func:`lattice_points`; the
-roots of complete fans use the same search). No floating point or
-rational number is used anywhere in this package.
+roots of complete simplicial fans use the same search). No floating point
+or rational number is used anywhere in this package.
 """
 
 from __future__ import annotations
@@ -595,8 +595,10 @@ def _basis_inverse(rows: Sequence[Vec], order: Sequence[int], width: int) -> tup
     its columns in the same order; when there are fewer, W and D mean
     nothing, and a caller that does not know that the rows span Q^width
     checks len(basis). This is the package's one inverse of a basis: the
-    double description starts from it, and :func:`invert_unimodular`,
-    :func:`lattice_points` and the roots of complete fans read it.
+    double description starts from it, and :func:`invert_unimodular` and
+    :func:`lattice_points` read it. The pairing search for the roots of
+    complete simplicial fans does not call it: it reads the inverses that
+    their cones store (:func:`toricroots.fan._simplicial_inverse`).
 
     One fraction-free Gauss-Jordan pass (:func:`_gauss_jordan`) on [G | I],
     G the rows in `order` as columns, picks the first independent columns,

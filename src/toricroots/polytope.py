@@ -166,7 +166,7 @@ def _rectangle_witnesses(p: LatticePolytope):
     fs = facets(p)
     for i, v in enumerate(p.vertices):
         cone = _normal_cone(p, i)
-        inverse = _simplicial_inverse(cone, normal_fan(p).rays, cone.ray_indices)
+        inverse = _simplicial_inverse(cone, normal_fan(p).rays)
         if inverse is None or inverse[2] != 1:
             continue
         dirs = cone.inequalities  # the edge directions at v

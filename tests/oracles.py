@@ -173,6 +173,15 @@ B W = D I and D > 0, from one routine (``lattice._basis_inverse``, or
 which no library code called, was deleted. ``dual_rays`` and
 ``basis_dual_rays`` now cut their start cones with ``motzkin_cut_cone``, so
 neither runs the library's Motzkin step, which they are compared against.
+
+Then the pairing search for the roots of complete fans came to take only
+fans whose maximal cones are all simplicial, and every other complete fan
+takes ``lattice_points``. Each opposite -p_k is then decomposed in a
+simplicial cone, read off its stored inverse, and the decomposition of a
+point of any full-dimensional cone, one face at a time, left
+``demazure``. Kept below unchanged but for its name and module references
+(``peel``); on a simplicial cone it gives the one decomposition that the
+stored inverse gives, so it stays the reference for that reading.
 """
 
 from __future__ import annotations
@@ -1722,3 +1731,43 @@ def determinant_inscribed_in_rectangle(p: LatticePolytope):
                for k, f in enumerate(fs) if k not in through for e in dirs):
             return polytope_module.RectangleWitness(v, dirs)
     return None
+
+
+def peel(x: Vec, cone: Cone, rays: tuple[Vec, ...]) -> dict[int, tuple[int, int]]:
+    """x in a full-dimensional cone as sum (num / den) p_r over rays of the
+    cone, each coefficient positive, taken off one ray of the smallest face
+    holding x at a time. The rest r / scale is carried by its pairings with
+    the inequalities, integers that are all 0 iff r = 0, as the normals
+    span the dual space. A ray passed over, or taken, has a tight
+    inequality that does not vanish on it, and the rest stays tight there,
+    so the rays are scanned once.
+
+    Let F be the face of C cut out by the inequalities tight at x, the
+    smallest face that holds x. While x != 0, F has a ray p_r. The normals
+    of the pointed full-dimensional C span the dual space and are >= 0 on
+    p_r, so some a has <a, p_r> > 0; no such a is tight at x, as the tight
+    ones vanish on F. So t = min <a, x> / <a, p_r> over them is positive,
+    x - t p_r lies in C, and it is tight where x was and at the minimizing
+    a, which does not vanish on p_r. Its smallest face is then a proper
+    face of F, of lower dimension, so after at most n steps x = 0, and x
+    is the sum of the t p_r, each ray used once (exact over the integers).
+    """
+    ineqs = cone.inequalities
+    out = {}
+    vals, scale = [sum(map(mul, a, x)) for a in ineqs], 1
+    candidates = iter(cone.ray_indices)
+    while any(vals):
+        for r in candidates:
+            col = [sum(map(mul, a, rays[r])) for a in ineqs]
+            if not any(c for c, v in zip(col, vals) if not v):
+                break
+        else:
+            raise InternalError(f"{list(x)} has left the cone {cone.ray_indices}")
+        num, den = None, None
+        for ap, ax in zip(col, vals):
+            if ap > 0 and (num is None or ax * den < num * ap):
+                num, den = ax, ap
+        out[r] = (num, scale * den)
+        vals = [den * v - num * c for v, c in zip(vals, col)]
+        scale *= den
+    return out

@@ -211,6 +211,23 @@ def test_verify_witness_rejects_bad_matrices_and_lets_other_errors_through(monke
         verify_witness(fan, c1, c2, w)
 
 
+@pytest.mark.parametrize("ray_map", [((5, 0),), ((0, 5),), ((-3, 0),), ((0, -3),),
+                                     ((False, 0),), ((0, False),), ((True, 1),), ((0.0, 0),),
+                                     ((0, 0, 0),), ((0,),), (0,), ([0, 0],)])
+def test_a_ray_map_pair_that_is_not_two_ray_indices_is_no_witness(ray_map):
+    """With the identity matrix, a true automorphism of P^2, every pair of
+    the ray map must be two ints (bools excluded) in range(3). An index out
+    of range raised IndexError, and a negative index or a bool one read
+    True, as it indexed the ray permutation."""
+    from toricroots.additive import EquivalenceWitness
+
+    fan = projective_space(2)
+    c = complete_collections(fan)[0]
+    identity = ((1, 0), (0, 1))
+    assert verify_witness(fan, c, c, EquivalenceWitness(identity, ((0, 0), (1, 1))))
+    assert verify_witness(fan, c, c, EquivalenceWitness(identity, ray_map)) is False
+
+
 def test_verify_witness_rejects_each_corruption():
     """One matrix that is not unimodular, one unimodular matrix that is not
     a fan automorphism, a true automorphism with a wrong ray map, and a

@@ -442,6 +442,19 @@ def test_pairs_bad_syntax(f2_file):
     assert code == 2
 
 
+@pytest.mark.parametrize("spec,message", [
+    ("9:1,0", "no ray with index 9"),
+    ("0:1,0,0", "root vector has dimension 3, expected 2"),
+])
+def test_pairs_refuses_a_ray_out_of_range_and_a_vector_of_the_wrong_length(f2_file, spec,
+                                                                           message):
+    """F_2 has 4 rays in dimension 2: both range checks of the root spec
+    refuse it with exit 2 before any root test."""
+    code, report = run_json("pairs", f2_file, "--root", spec)
+    assert code == 2 and report["status"] == "invalid"
+    assert report["error"] == {"type": "ToricError", "message": message}
+
+
 # ---------------------------------------------------------------------------
 # polytope commands
 

@@ -1,14 +1,16 @@
 """Roots of complete fans in pairing coordinates, against Fourier-Motzkin.
 
-On a fan certified complete, ``roots_for_ray`` enumerates a ray's roots by
-their pairings with n rays of one maximal cone, each bounded by the
-coefficient of the ray in the decomposition of the opposite of that basis
-ray (the proofs are in its docstring), and makes no elimination.
+On a fan certified complete whose maximal cones all have n rays,
+``roots_for_ray`` enumerates a ray's roots by their pairings with the rays
+of one maximal cone, each bounded by the coefficient of the ray in the
+decomposition of the opposite of that basis ray (the proofs are in its
+docstring), and runs no double description. Any other complete fan takes
+``lattice.lattice_points``, whose condition-(1) polyhedron is then bounded.
 ``oracles.chernikov_lattice_points`` on the ray's condition-(1) system is
-the oracle: on a complete fan condition (1) alone decides, so its points
-are exactly the roots. It is the Fourier-Motzkin elimination that
-``lattice.lattice_points`` ran before; ``lattice_points`` now shares its
-lattice search (``lattice._search``) with the route under test, so it is
+the oracle of both routes: on a complete fan condition (1) alone decides,
+so its points are exactly the roots. It is the Fourier-Motzkin elimination
+that ``lattice.lattice_points`` ran before; ``lattice_points`` now shares
+its lattice search (``lattice._search``) with the pairing search, so it is
 not the oracle here. The corpus: the bundled complete fans, seeded random
 complete surfaces, products with shuffled rays, weighted projective
 spaces, GL_n(Z) images built from at least 25 elementary steps, the
@@ -17,7 +19,9 @@ fans of the polytopes of ``test_normal_fan.py``, some of which are not
 simple. The basis inverse (basis, W, D) of a simplicial cone is read off
 its stored facet normals (``fan._simplicial_inverse``); on a corpus of
 simplicial fans it is checked against ``lattice._basis_inverse``, the
-Gauss-Jordan pass that the cones with more than n rays still take.
+Gauss-Jordan pass of the double description. ``oracles.peel``, the
+decomposition of a point of a cone one face at a time, is checked here on
+cones that are simplicial and cones that are not.
 """
 
 import random
@@ -51,7 +55,7 @@ from toricroots import (
     wps_one,
 )
 from toricroots import demazure, lattice
-from toricroots.demazure import _condition1_system, _peel, pairing_row
+from toricroots.demazure import _condition1_system, pairing_row
 from toricroots.fan import _simplicial_inverse
 from toricroots.lattice import UNBOUNDED, kernel_basis, transpose
 
@@ -121,8 +125,8 @@ def test_products_and_projective_spaces_under_long_gl_images(dim):
 
 @pytest.mark.parametrize("dim", (3, 4, 5))
 def test_cross_polytope_fans_and_their_images(dim):
-    """Every maximal cone has 2^(dim-1) rays: the basis comes from one
-    Gauss-Jordan pass. The image is the one of the CI fixtures (cross4,
+    """Every maximal cone has 2^(dim-1) rays, so the roots come from
+    lattice_points. The image is the one of the CI fixtures (cross4,
     glcross5); on a longer one the oracle takes seconds in dimension 5."""
     fan = cross_polytope_fan(dim)
     assert all(len(c.ray_indices) == 2 ** (dim - 1) for c in fan.max_cones)
@@ -135,8 +139,8 @@ def test_cross_polytope_fans_and_their_images(dim):
                                   lambda: product_fan(hirzebruch(2), cross_polytope_fan(3))],
                          ids=["cross3xP2", "F2xcross3"])
 def test_products_with_a_factor_that_is_not_simplicial(make):
-    """Every basis comes from a cone that is not simplicial, and the rays of
-    the other factor have roots with nonzero bounds to search."""
+    """No maximal cone is simplicial, so the roots come from lattice_points,
+    and the rays of the other factor have roots."""
     fan = make()
     assert all(len(c.ray_indices) > fan.dim for c in fan.max_cones)
     assert all_roots(fan).roots()
@@ -177,7 +181,7 @@ def test_peel_decomposes_points_of_maximal_cones(name, p):
             for i in rng.sample(cone.ray_indices, rng.randint(1, len(cone.ray_indices))):
                 k = rng.randint(0, 3)
                 x = [a + k * b for a, b in zip(x, fan.rays[i])]
-            coeffs = _peel(tuple(x), cone, fan.rays)
+            coeffs = oracles.peel(tuple(x), cone, fan.rays)
             assert len(coeffs) <= fan.dim and set(coeffs) <= set(cone.ray_indices)
             assert all(num > 0 and den > 0 for num, den in coeffs.values())
             assert [sum(Fraction(num, den) * fan.rays[i][t] for i, (num, den) in coeffs.items())
@@ -190,12 +194,13 @@ def test_the_peeled_cones_include_simplicial_ones_and_others():
 
 
 def test_a_complete_fan_makes_no_elimination(monkeypatch):
-    """Not one lattice_points call on a complete fan, the skewed
-    cross-polytope fan and a polytope's normal fan included; a fan that is
-    not complete still takes that route."""
+    """Not one lattice_points call on a complete fan whose maximal cones are
+    simplicial, the bundled fans, a skewed weighted projective space and a
+    simple polytope's normal fan included; a fan that is not complete still
+    takes that route."""
     calls = counting(monkeypatch, lattice, "lattice_points")
     fans = [fan for _, fan in BUNDLED] + [
-        skewed(cross_polytope_fan(5), 1), normal_fan(NAMED[-1][1]), product_p1(10)]
+        skewed(wps_one(2, 3, 7, 11), 1), normal_fan(NAMED[-1][1]), product_p1(10)]
     for fan in fans:
         all_roots(fan)
         roots_for_ray(fan, len(fan.rays) - 1)
@@ -206,6 +211,31 @@ def test_a_complete_fan_makes_no_elimination(monkeypatch):
     fan = projective_space(3)
     all_roots(subfan(fan, range(len(fan.max_cones) - 1)))
     assert len(calls) == 4
+
+
+def test_the_route_is_decided_once_per_call(monkeypatch):
+    """all_roots and roots_for_ray scan the maximal cones for one that is
+    not simplicial once per call: a complete fan with one such cone sends
+    every ray to lattice_points and none to the pairing search, and a
+    simplicial one the reverse. The pairing search of one all_roots call
+    shares its caches across the rays."""
+    searches = counting(monkeypatch, demazure, "_complete_roots")
+    points = counting(monkeypatch, lattice, "lattice_points")
+    routes = counting(monkeypatch, demazure, "_route")
+    octahedron = cross_polytope_fan(3)
+    for fan in (octahedron, skewed(octahedron, 3), product_fan(octahedron, projective_space(1))):
+        all_roots(fan)
+        assert searches == [] and len(points) == len(fan.rays) and len(routes) == 1
+        points.clear()
+        routes.clear()
+        roots_for_ray(fan, 0)
+        assert searches == [] and len(points) == len(routes) == 1
+        points.clear()
+        routes.clear()
+    fan = product_p1(4)
+    all_roots(fan)
+    assert points == [] and len(searches) == len(fan.rays) and len(routes) == 1
+    assert len({id(args[2]) for args in searches}) == 1
 
 
 def large_index_surface(index, a):
@@ -288,8 +318,9 @@ def assert_gauss_jordan_inverse(fan, order, cols, d):
 
 
 def test_the_stored_normals_give_the_gauss_jordan_inverse():
-    """On every simplicial maximal cone of the corpus, and each ray of it
-    taken first as roots_for_ray takes it, the inverse W / D read off the
+    """On every simplicial maximal cone of the corpus, in the cone's order
+    and with each ray of it moved first as the root search moves it (W's
+    columns permuted as the rows are), the inverse W / D read off the
     stored normals, with D = lcm(c_j), is the Gauss-Jordan one (the cone is
     copied without the inverse that build_fan stored on it, so that it is
     read off the normals); so is each inverse that the roots of the fan's
@@ -301,16 +332,17 @@ def test_the_stored_normals_give_the_gauss_jordan_inverse():
         assert fan._complete
         for cone in fan.max_cones:
             assert len(cone.ray_indices) == fan.dim
-            for ray in cone.ray_indices:
-                order = [ray, *(i for i in cone.ray_indices if i != ray)]
-                basis, cols, d = _simplicial_inverse(Cone(*cone._values()), fan.rays, order)
-                assert basis == order
-                assert_gauss_jordan_inverse(fan, order, cols, d)
-                denominators.add(d)
-                gaps += d > max(d // gcd(*col) for col in cols)
+            basis, cols, d = _simplicial_inverse(Cone(*cone._values()), fan.rays)
+            assert basis == cone.ray_indices
+            assert_gauss_jordan_inverse(fan, basis, cols, d)
+            denominators.add(d)
+            gaps += d > max(d // gcd(*col) for col in cols)
+            for ray in basis:
+                order = [ray, *(i for i in basis if i != ray)]
+                assert_gauss_jordan_inverse(fan, order, [cols[basis.index(i)] for i in order], d)
         inverses = {}
         for ray in range(len(fan.rays)):
-            demazure._roots_for_ray(fan, ray, None, {}, inverses)
+            demazure._roots_for_ray(fan, ray, None, ({}, inverses))
         for basis, cols, d in inverses.values():
             assert_gauss_jordan_inverse(fan, basis, cols, d)
     assert 1 in denominators and max(denominators) > 1 and gaps
@@ -320,8 +352,9 @@ def test_the_stored_normals_give_the_gauss_jordan_inverse():
 def test_simplicial_complete_fans_take_no_gauss_jordan_pass(monkeypatch):
     """all_roots reads every basis inverse of a simplicial complete fan off
     its cones, which stored them when the fan was built; the cross-polytope
-    image glcross5, whose cones have 16 rays, takes the Gauss-Jordan pass.
-    The fans are built before the count starts, as each cone's double
+    image glcross5, whose cones have 16 rays, takes lattice_points, whose
+    double description and search start from the Gauss-Jordan pass. The
+    fans are built before the count starts, as each cone's double
     description starts from ``_basis_inverse``."""
     fans = simplicial_corpus()
     g = LatticeAutomorphism(random_unimodular(random.Random(1), 5))

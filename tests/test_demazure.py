@@ -244,12 +244,15 @@ def test_bound_must_be_positive():
 def test_a_bound_that_is_not_a_positive_int_is_refused(bound):
     """On a fan whose roots are infinite and on a complete one, where the
     bound is not used: a bool is no bound, and neither is a float or a
-    string."""
+    string. all_roots checks it once per call, so a fan with no ray, which
+    has no root to enumerate, refuses it too."""
     for fan in (quadrant_fan(), projective_space(2)):
         with pytest.raises(BadParams, match="^bound must be a positive integer$"):
             roots_for_ray(fan, 0, bound)
         with pytest.raises(BadParams, match="^bound must be a positive integer$"):
             all_roots(fan, bound)
+    with pytest.raises(BadParams, match="^bound must be a positive integer$"):
+        all_roots(build_fan(2, [], []), bound)
 
 
 @pytest.mark.parametrize("ray", [True, False, 1.0, "0", None, -1, 3])

@@ -137,7 +137,7 @@ def test_the_rectangle_test_matches_the_determinant_test(monkeypatch):
         rays = normal_fan(p).rays
         for i in range(len(p.vertices)):
             cone = polytope._normal_cone(p, i)
-            found = fan_module._simplicial_inverse(cone, rays, cone.ray_indices)
+            found = fan_module._simplicial_inverse(cone, rays)
             dirs = cone.inequalities
             unimodular = len(dirs) == p.dim and abs(lattice.determinant(dirs)) == 1
             assert (found is not None and found[2] == 1) == unimodular

@@ -21,6 +21,15 @@ Chernikov's rule ran for minutes, and with it each GL_5(Z) image took
 about a second; a complete fan's roots are now read in pairing
 coordinates, which a GL_n(Z) image leaves as they are.
 
+Complete fans whose maximal cones are not all simplicial take
+``lattice_points`` for their roots, not the pairing search: the products of
+the octahedron's normal fan with P^2, F_3 and (P^1)^2, a GL_5(Z) image, a
+product with shuffled rays and the normal fans of paraboloid lifts. Their
+roots are checked against the Fourier-Motzkin points of each ray's
+condition-(1) system (``oracles.chernikov_lattice_points``) and against
+the root test on minimal generators (``oracles.is_demazure_root``), and
+their collections against the subset scan.
+
 Cox degrees are left out: ``smith_normal_form`` can blow up on GL_n(Z)
 images (see ``test_kernel.py``).
 """
@@ -30,17 +39,25 @@ import random
 import pytest
 
 import oracles
+from helpers import product_fan, shuffled
 from test_face_index import cross_polytope_fan, subfan
 from test_kernel import random_unimodular
+from test_normal_fan import NAMED
 from toricroots import (
     LatticeAutomorphism,
+    LatticePolytope,
     admits_additive,
     all_roots,
     apply_automorphism,
     build_fan,
     complete_collections,
+    hirzebruch,
     is_complete,
+    normal_fan,
+    product_p1,
+    projective_space,
 )
+from toricroots.demazure import _condition1_system
 from toricroots.lattice import dot, invert_unimodular, mat_vec, primitive, rank, transpose
 from toricroots.polytope import _hull_facets
 
@@ -116,3 +133,54 @@ def test_cross_polytope_fans_and_their_images_have_the_same_roots(dim):
             assert (sorted(r.vector for r in got.roots)
                     == sorted(mat_vec(dual, r.vector) for r in want.roots))
         assert complete_collections(image) == () and not admits_additive(image).admits
+
+
+def paraboloid_lifts(seed, count):
+    """Normal fans of seeded lifts of 5 to 7 distinct points of [-2, 2]^2
+    to z = x^2 + y^2, each lifted point a vertex; those with a normal cone
+    that is not simplicial (a vertex on four or more facets)."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        pts = {(rng.randint(-2, 2), rng.randint(-2, 2)) for _ in range(rng.randint(5, 7))}
+        verts = [(x, y, x * x + y * y) for x, y in sorted(pts)]
+        if rank([tuple(a - b for a, b in zip(v, verts[0])) for v in verts[1:]], 3) < 3:
+            continue
+        fan = normal_fan(LatticePolytope(3, tuple(verts)))
+        if any(len(c.ray_indices) > 3 for c in fan.max_cones):
+            out.append(fan)
+    return out
+
+
+def octahedron_products():
+    octahedron = cross_polytope_fan(3)
+    fans = {"octxP2": product_fan(octahedron, projective_space(2)),
+            "octxF3": product_fan(octahedron, hirzebruch(3)),
+            "octx(P1)^2": product_fan(octahedron, product_p1(2))}
+    g = LatticeAutomorphism(random_unimodular(random.Random(5), 5))
+    fans["gl5(octxP2)"] = apply_automorphism(fans["octxP2"], g)
+    fans["shuffledF3xoct"] = shuffled(product_fan(hirzebruch(3), octahedron), random.Random(1))
+    return fans
+
+
+NOT_SIMPLICIAL = {**octahedron_products(), "paraboloid": normal_fan(dict(NAMED)["paraboloid"]),
+                  **{f"lift{k}": fan for k, fan in enumerate(paraboloid_lifts(3000, 4))}}
+
+
+@pytest.mark.parametrize("name", NOT_SIMPLICIAL)
+def test_complete_fans_that_are_not_simplicial_match_the_oracles(name):
+    """Each ray's roots are "finite", sorted, and exactly the oracle's
+    points, each of them a root on minimal generators; the collections are
+    those of the subset scan. The products have roots on the rays of the
+    second factor, and so do some lifts."""
+    fan = NOT_SIMPLICIAL[name]
+    assert is_complete(fan) and any(len(c.ray_indices) > fan.dim for c in fan.max_cones)
+    roots = all_roots(fan)
+    for ray, got in enumerate(roots.per_ray):
+        points = oracles.chernikov_lattice_points(_condition1_system(fan, ray), fan.dim)
+        assert (got.ray, got.status, got.bound) == (ray, "finite", None)
+        assert [r.vector for r in got.roots] == list(points), (name, ray)
+        assert all(oracles.is_demazure_root(fan, r.vector, ray) for r in got.roots)
+    assert complete_collections(fan) == oracles.complete_collections(fan)
+    if name.startswith(("oct", "gl5", "shuffled")):
+        assert roots.roots()
