@@ -150,13 +150,18 @@ def verify_witness(fan: Fan, c1: CompleteCollection, c2: CompleteCollection,
     c1's, which is what is checked: no inverse is computed. A matrix that
     is not square, not unimodular or not of the fan's dimension is no
     witness, nor is a ray map with a pair that is not two ints (bools
-    excluded) in range(len(fan.rays)): False.
+    excluded) in range(len(fan.rays)), or that is not a bijection of c1's
+    rays onto c2's: its first entries must be c1's rays and its second
+    entries c2's, each once. False for each.
     """
     try:
         perm = _ray_permutation(fan, witness.automorphism())
     except (DimensionMismatch, NotSquare, NotUnimodular):
         return False
-    if perm is None or not all(_maps_ray(pair, perm) for pair in witness.ray_map):
+    pairs = witness.ray_map
+    if perm is None or not all(_maps_ray(pair, perm) for pair in pairs):
+        return False
+    if any(sorted(q[k] for q in pairs) != sorted(c.ray_indices) for k, c in enumerate((c1, c2))):
         return False
     pullback = lattice.transpose(witness.matrix)
     image = {lattice.mat_vec(pullback, e) for e in c2.root_vectors}

@@ -20,15 +20,13 @@ rho) is a cone of the fan iff the ray-index set of sigma plus rho is in
 The roots of a ray are found in one of two ways, which share one search
 (:func:`toricroots.lattice._search`): the integral vectors whose pairings
 with n independent rays lie in given bounds and whose pairings with the
-other rays are >= 0. On a fan certified complete whose maximal cones all
-have n rays the fan gives the bounds itself: each root's pairings with the
-rays of a maximal cone through its ray are bounded by the cones that hold
-the opposites of those rays, and every basis and every decomposition of
-an opposite is read off a cone's stored inverse (:func:`roots_for_ray`
-has the proofs). On any other fan :func:`toricroots.lattice.lattice_points`
-decides by its double description whether the condition-(1) polyhedron is
-bounded, which it is on every complete fan, and bounds each pairing over
-its vertices.
+other rays are >= 0. On a fan certified complete the fan gives the bounds
+itself: each root's pairings with the rays of a basis through its ray are
+bounded by the stored facet normals of the maximal cones that hold the
+opposites of those rays (:func:`roots_for_ray` has the proofs). On any
+other fan :func:`toricroots.lattice.lattice_points` decides by its double
+description whether the condition-(1) polyhedron is bounded and bounds each
+pairing over its vertices.
 """
 
 from __future__ import annotations
@@ -191,8 +189,8 @@ def roots_for_ray(fan: Fan, ray: int, bound: int | None = None) -> RayRoots:
     """Roots with the given distinguished ray rho.
 
     The roots are the lattice points of the condition-(1) polyhedron that
-    satisfy condition (2). Unless the fan takes the pairing search below,
-    they are its points by :func:`toricroots.lattice.lattice_points`, from
+    satisfy condition (2). Unless the fan is certified complete, they are
+    its points by :func:`toricroots.lattice.lattice_points`, from
     its double description and the search over its vertex bounds.
     "infinite" means that polyhedron is non-empty and unbounded; then a
     supplied bound gives a "truncated" enumeration of its points with
@@ -209,46 +207,51 @@ def roots_for_ray(fan: Fan, ray: int, bound: int | None = None) -> RayRoots:
     the certificate is tried only then, and a polytope's normal cones are.
 
     *Bound* (Demazure 1970, section 3; Cox-Little-Schenck, section 3.4).
-    For k != rho, -p_k lies in some maximal cone, as the fan is complete:
-    -p_k = sum c_i p_i with c_i >= 0 over that cone's rays, among which k
-    is not, since a strongly convex cone does not hold both p_k and -p_k.
-    Pairing with a root e gives -y_k = sum c_i y_i >= -c_rho, so
-    0 <= y_k <= floor(c_rho), with c_rho = 0 when rho is not in that cone.
-    The bounds are pairings, so a GL_n(Z) image of the fan has the same.
+    Let b != rho be a ray and x = -p_b. :func:`_decompose` gives a cone of
+    the fan that holds x, with ray set S, and vectors a >= 0 on its rays:
+    the one ray p_j with a = p_j when x = p_j, and otherwise the first
+    maximal cone whose stored inequalities hold x, with those inequalities,
+    its facet normals. x = sum c_i p_i over i in S with every c_i >= 0, and
+    pairing with a root e gives -y_b = sum c_i y_i >= -c_rho, with c_rho = 0
+    when rho is not in S. So y_b = 0 when rho is not in S. When it is,
+    <a, x> = sum c_i <a, p_i> >= c_rho <a, p_rho> for each a, so
+    0 <= y_b <= floor(<a, x> / <a, p_rho>) for every a with
+    <a, p_rho> > 0, and the least of these is the bound. There is such an
+    a: for x = p_j it is p_j, and a maximal cone is full-dimensional and
+    pointed, cut out by its facet normals, so if all of them vanished on
+    p_rho it would hold -p_rho too. On a simplicial cone only the normal
+    a_rho opposite p_rho is nonzero on p_rho, and the coefficients c are
+    unique, with c_rho = <a_rho, x> / <a_rho, p_rho>: the bound is
+    floor(c_rho), which is <w_rho, x> / D, read off the cone's stored
+    inverse, rounded down. The bounds are pairings, so a GL_n(Z) image of
+    the fan has the same.
 
     *Route.* On a complete fan the condition-(1) polyhedron is bounded:
-    y_rho = -1, each other y_k lies in [0, floor(c_rho)] by the bound, and
-    the rays span Q^n, as their cones cover it, so e is fixed by its
-    pairings. So :func:`toricroots.lattice.lattice_points` lists its
-    integral points, sorted, with status "finite", and each is a root by
-    condition (1) alone; the search below lists the same points, sorted,
-    so both routes give the same report. The search is taken when the fan
-    is certified complete and every maximal cone has n rays, so is
-    simplicial; that is decided once per call, for all rays.
+    y_rho = -1, each other y_b is bounded as above, and the rays span Q^n,
+    as their cones cover it, so e is fixed by its pairings. The search
+    below is taken exactly when the fan is certified complete, decided once
+    per call for all rays, and :func:`toricroots.lattice.lattice_points`
+    serves every other fan.
 
-    *Search.* The first maximal cone through rho, with its n rays in its
-    own order as a basis B, stores its inverse (B, W, D), B W = D I and
-    D > 0 (:func:`toricroots.fan._simplicial_inverse` has the proofs), and
-    the search reads W / D alone, so it visits the same nodes whichever D
-    the cone stored. A root e is B^-1 y_B, y_B its pairings with those
-    rays, so the roots are the integral e with y_rho = -1,
-    0 <= y_b <= floor(c_rho) for the other basis rays b, and every other
-    pairing >= 0: :func:`toricroots.lattice._search` lists them, sorted,
-    over the lattice B Z^n of pairing vectors of integral e, with the
-    proofs. The basis is stable-sorted to rho first, by its bound -1, then
-    the rays whose bound is 0, then the others, so the fixed pairings come
-    first and give the first coordinates of its lattice search with no
-    branching.
-
-    *Opposites.* x = -p_k is decomposed in the first maximal cone C whose
-    stored inequalities hold it, and 1 * p_j when it is itself the ray p_j.
-    C is simplicial, with its rays the rows of P, so they are independent
-    and x = P^T c for one c, read off C's stored inverse (basis, W, D),
-    P W = D I: W^T x = W^T P^T c = (P W)^T c = D c, so c_i = <w_i, x> / D,
-    and only that value enters a bound (:func:`_decompose`). Within one
-    :func:`all_roots` call the decomposition of each -p_k is computed
-    once, and only for the rays some basis uses, and a basis with its
-    inverse serves every ray in it.
+    *Search.* The first maximal cone through rho gives the basis B and its
+    inverse (B, W, D), B W = D I and D > 0: the cone's n rays in its own
+    order with the inverse it stores, when it is simplicial
+    (:func:`toricroots.fan._simplicial_inverse` has the proofs), and
+    otherwise the first n independent rays of rho and the cone's rays, the
+    rays with no basis yet before the others, so that one basis serves as
+    many rays as it can, from :func:`toricroots.lattice._basis_inverse`;
+    the cone is full-dimensional, so there are n of them. The search reads
+    W / D alone, so it visits the same nodes whichever D the cone stored. A
+    root e is B^-1 y_B, y_B its pairings with those rays, so the roots are
+    the integral e with y_rho = -1, each other y_b between 0 and its bound,
+    and every other pairing >= 0: :func:`toricroots.lattice._search` lists
+    them, sorted, over the lattice B Z^n of pairing vectors of integral e,
+    with the proofs. The basis is stable-sorted to rho first, by its bound
+    -1, then the rays whose bound is 0, then the others, so the fixed
+    pairings come first and give the first coordinates of its lattice
+    search with no branching. Within one :func:`all_roots` call the cone
+    of each -p_b is found once, and only for the rays some basis uses, and
+    a basis with its inverse serves every ray in it.
     """
     if not lattice.is_integer(ray) or not 0 <= ray < len(fan.rays):
         raise InvalidFan([f"no ray with index {ray}"])
@@ -259,13 +262,11 @@ def _route(fan: Fan, bound: int | None) -> tuple[dict, dict] | None:
     """What one roots_for_ray or all_roots call does first: refuse a bound
     that is not a positive int, then decide the route of every ray. The
     caches of the pairing search when the fan takes it (see
-    :func:`roots_for_ray`), the decompositions of the -p_k and for each ray
-    a basis inverse whose basis holds it; None for lattice_points."""
+    :func:`roots_for_ray`), the cones that hold the -p_k and for each ray a
+    basis inverse whose basis holds it; None for lattice_points."""
     if bound is not None and (not lattice.is_integer(bound) or bound < 1):
         raise BadParams("bound must be a positive integer")
-    if fan._complete and all(len(c.ray_indices) == fan.dim for c in fan.max_cones):
-        return {}, {}
-    return None
+    return ({}, {}) if fan._complete else None
 
 
 def _roots_for_ray(fan: Fan, ray: int, bound: int | None,
@@ -301,23 +302,17 @@ def all_roots(fan: Fan, bound: int | None = None) -> RootSet:
 
 def _complete_roots(fan: Fan, ray: int, opposite: dict,
                     inverses: dict) -> tuple[DemazureRoot, ...]:
-    """The roots of the ray on a complete fan whose maximal cones are
-    simplicial, sorted; the proofs are in :func:`roots_for_ray`."""
+    """The roots of the ray on a fan certified complete, sorted; the proofs
+    are in :func:`roots_for_ray`."""
     n, rays = fan.dim, fan.rays
     if ray not in inverses:
-        inverse = _simplicial_inverse(next(c for c in fan.max_cones if ray in c.ray_indices), rays)
+        cone = next(c for c in fan.max_cones if ray in c.ray_indices)
+        inverse = _simplicial_inverse(cone, rays) or lattice._basis_inverse(
+            rays, (ray, *sorted(cone.ray_indices, key=inverses.__contains__)), n)
         for b in inverse[0]:
             inverses.setdefault(b, inverse)
     basis, cols, d = inverses[ray]
-    tops = []
-    for b in basis:
-        if b == ray:
-            tops.append(-1)
-            continue
-        if b not in opposite:
-            opposite[b] = _decompose(fan, neg(rays[b]))
-        num, den = opposite[b].get(ray, (0, 1))
-        tops.append(num // den)
+    tops = [-1 if b == ray else _top(fan, opposite, b, ray) for b in basis]
     # search order: the ray, the pairings held at 0, then the bounded ones
     order = sorted(range(n), key=lambda pos: (tops[pos] >= 0, tops[pos] > 0))
     basis, cols, tops = ([seq[pos] for pos in order] for seq in (basis, cols, tops))
@@ -327,19 +322,30 @@ def _complete_roots(fan: Fan, ray: int, opposite: dict,
     return tuple(DemazureRoot(e, ray, pairing_row(fan, e)) for e in vectors)
 
 
-def _decompose(fan: Fan, x: Vec) -> dict[int, tuple[int, int]]:
-    """x = sum (num / den) p_i with every coefficient > 0, over the rays of
-    the first maximal cone that holds x, as {i: (num, den)} with den > 0;
-    {j: (1, 1)} when x is the ray p_j. x must be in the support of a fan
-    whose maximal cones are simplicial: num = <w_i, x> and den = D, from
-    the cone's stored inverse (the proof is in :func:`roots_for_ray`)."""
+def _top(fan: Fan, opposite: dict, b: int, ray: int) -> int:
+    """The bound of :func:`roots_for_ray` on <p_b, e> over the roots e of
+    the ray, b != ray, read off the cone of -p_b that :func:`_decompose`
+    gives, once per b: `opposite` keeps it."""
+    if b not in opposite:
+        opposite[b] = _decompose(fan, neg(fan.rays[b]))
+    held, normals = opposite[b]
+    p = fan.rays[ray]
+    return min(v // c for a, v in normals if (c := sum(map(mul, a, p))) > 0) if ray in held else 0
+
+
+def _decompose(fan: Fan, x: Vec) -> tuple[tuple[int, ...], list[tuple[Vec, int]]]:
+    """A cone of the fan that holds x, as its ray indices S and pairs
+    (a, <a, x>) for vectors a that are >= 0 on its rays: the first maximal
+    cone whose stored inequalities hold x, with those inequalities, or
+    ((j,), [(p_j, <p_j, p_j>)]) when x is the ray p_j. x must be in the
+    support of the fan; the bounds read off the pairs are proved in
+    :func:`roots_for_ray`."""
     if x in fan.rays:
-        return {fan.rays.index(x): (1, 1)}
+        return (fan.rays.index(x),), [(x, sum(map(mul, x, x)))]
     cone = next((c for c in fan.max_cones if c.contains(x)), None)
     if cone is None:
         raise InternalError(f"{list(x)} lies in no maximal cone of a complete fan")
-    basis, cols, d = _simplicial_inverse(cone, fan.rays)
-    return {i: (num, d) for i, w in zip(basis, cols) if (num := sum(map(mul, w, x)))}
+    return cone.ray_indices, [(a, sum(map(mul, a, x))) for a in cone.inequalities]
 
 
 def commute(a: DemazureRoot, b: DemazureRoot) -> bool:

@@ -275,11 +275,9 @@ def _simplicial_inverse(cone: Cone, rays: tuple[Vec, ...]) -> tuple | None:
     only W / D and whether D = 1, which agree. W / D = P^-1 for both.
     |det P| = 1 iff P is unimodular, and so, by (2), iff lcm(c_j) = 1; and
     when D = 1, W = P^-1 for both. The root search reads W / D
-    (:func:`toricroots.lattice._search` proves it), the opposite
-    decompositions the values of the fractions <w_i, x> / D
-    (:func:`toricroots.demazure._decompose`), and the collection scan and
-    the rectangle test whether D = 1, and then W. So search nodes, bounds
-    and reports do not depend on which D a cone stored.
+    (:func:`toricroots.lattice._search` proves it), and the collection scan
+    and the rectangle test whether D = 1, and then W. So search nodes and
+    reports do not depend on which D a cone stored.
 
     A cone with equations need not single out one ray per normal (the cone
     over the unit square in Z^4 has 4 rays, and each normal pairs to 0 or 1

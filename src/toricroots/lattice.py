@@ -14,8 +14,8 @@ points of a polyhedron come from the same kernel: the double description
 of its homogenization decides whether it is empty or unbounded and gives
 its vertices, which bound each row, and one depth-first search over the
 lattice of a basis of rows lists the points (:func:`lattice_points`; the
-roots of complete simplicial fans use the same search). No floating point
-or rational number is used anywhere in this package.
+roots of complete fans use the same search). No floating point or
+rational number is used anywhere in this package.
 """
 
 from __future__ import annotations
@@ -457,7 +457,7 @@ def _double_description(rows: Sequence[Vec], width: int) -> tuple[tuple, tuple, 
     """The sorted rays of :func:`dual_rays`; for each, the bitmask of the
     rows that vanish on it (bit k for rows[k]); and the start inverse
     (basis, W, D) of :func:`_basis_inverse`. None when fewer than `width`
-    rows are independent.
+    rows are independent, at once when there are fewer than `width` rows.
 
     The first `width` independent rows B bound a simplicial cone, whose rays
     are the columns of B^-1 (each orthogonal to all rows but one);
@@ -467,6 +467,8 @@ def _double_description(rows: Sequence[Vec], width: int) -> tuple[tuple, tuple, 
     D = 1 the columns are primitive already: B W = I makes det W = +-1, and
     the content of a column divides det W.
     """
+    if len(rows) < width:  # they cannot span Q^width
+        return None
     start = picked, cols, d = _basis_inverse(rows, range(len(rows)), width)
     if len(picked) < width:
         return None
@@ -597,8 +599,9 @@ def _basis_inverse(rows: Sequence[Vec], order: Sequence[int], width: int) -> tup
     checks len(basis). This is the package's one inverse of a basis: the
     double description starts from it, and :func:`invert_unimodular` and
     :func:`lattice_points` read it. The pairing search for the roots of
-    complete simplicial fans does not call it: it reads the inverses that
-    their cones store (:func:`toricroots.fan._simplicial_inverse`).
+    complete fans calls it for a basis through a maximal cone that is not
+    simplicial, and reads the inverse that a simplicial cone stores
+    (:func:`toricroots.fan._simplicial_inverse`).
 
     One fraction-free Gauss-Jordan pass (:func:`_gauss_jordan`) on [G | I],
     G the rows in `order` as columns, picks the first independent columns,

@@ -229,8 +229,9 @@ if __name__ == "__main__":
     # of src/toricroots (no blanks, comments or docstrings) and their total.
     # python tests/helpers.py NAME prints one scaling fixture: the fan JSON
     # of product9, cross4, glcross5, glcross5-1, blowup or z5, or the
-    # polytope JSON of perm6, cross5 or cross7 (the 5- and 7-dimensional
-    # cross-polytopes, each vertex on 16 of 32 and on 64 of 128 facets).
+    # polytope JSON of perm6, cross5, cross7 or cross8 (the 5-, 7- and
+    # 8-dimensional cross-polytopes, each vertex on 16 of 32, 64 of 128 and
+    # 128 of 256 facets).
     # cross4 and glcross5 are the images of the cross-polytope's normal fan
     # by random_unimodular(random.Random(1), n); glcross5-1 is glcross5
     # without its first maximal cone, a fan that is not complete. The test
@@ -271,7 +272,8 @@ if __name__ == "__main__":
     fixtures = {"product9": _product9, "cross4": lambda: _gl_cross(4),
                 "glcross5": lambda: _gl_cross(5), "glcross5-1": lambda: _gl_cross(5, 1),
                 "blowup": _blowup, "z5": _z5,
-                "perm6": _perm6, "cross5": lambda: _cross(5), "cross7": lambda: _cross(7)}
+                "perm6": _perm6, "cross5": lambda: _cross(5), "cross7": lambda: _cross(7),
+                "cross8": lambda: _cross(8)}
     if sys.argv[1:] == ["codelines"]:
         counts = src_code_lines()
         for name, count in counts.items():

@@ -228,6 +228,22 @@ def test_a_ray_map_pair_that_is_not_two_ray_indices_is_no_witness(ray_map):
     assert verify_witness(fan, c, c, EquivalenceWitness(identity, ray_map)) is False
 
 
+def test_a_ray_map_that_is_not_a_bijection_of_the_collections_is_no_witness():
+    """With the identity matrix on P^2, the ray map must pair each ray of
+    the collection with itself, each once: a map with no pairs, with one
+    pair or with one pair twice read True, as every pair it listed was
+    right. The order of the pairs does not matter; swapping their images
+    does, and so does a pair of rays outside the collection."""
+    fan = projective_space(2)
+    c = complete_collections(fan)[0]
+    assert c.ray_indices == (0, 1)
+    identity = ((1, 0), (0, 1))
+    for ray_map in ((), ((0, 0),), ((0, 0), (0, 0)), ((0, 1), (1, 0)),
+                    ((0, 0), (1, 1), (2, 2)), ((0, 0), (1, 1), (1, 1))):
+        assert verify_witness(fan, c, c, EquivalenceWitness(identity, ray_map)) is False
+    assert verify_witness(fan, c, c, EquivalenceWitness(identity, ((1, 1), (0, 0))))
+
+
 def test_verify_witness_rejects_each_corruption():
     """One matrix that is not unimodular, one unimodular matrix that is not
     a fan automorphism, a true automorphism with a wrong ray map, and a

@@ -195,6 +195,19 @@ def test_a_bound_too_large_for_the_box_is_refused(quadrant_file):
     assert report["error"]["message"].startswith("bound 100000000000000000000 is too large")
 
 
+def test_a_polytope_of_huge_dimension_with_no_vertices_is_refused(tmp_path):
+    """polytope check on dim 100000 and no vertices built a 100001 x 100001
+    identity block before it looked at the rows, and died of a MemoryError
+    traceback under a 1 GB address-space limit; fewer rows than the width
+    are refused before any elimination, as a degenerate polytope."""
+    path = tmp_path / "huge.json"
+    path.write_text('{"dim": 100000, "vertices": []}')
+    code, report = run_json("polytope", "check", str(path))
+    assert code == 2 and report["status"] == "invalid" and report["exit_code"] == 2
+    assert report["error"] == {"type": "DegeneratePolytope",
+                               "message": "polytope is not full-dimensional"}
+
+
 def test_maximal_cone_that_is_not_a_list(tmp_path):
     path = tmp_path / "scalar.json"
     path.write_bytes(b'{"dim": 2, "rays": [[1,0],[0,1]], "max_cones": [[0,1], 5]}')

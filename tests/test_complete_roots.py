@@ -1,17 +1,17 @@
 """Roots of complete fans in pairing coordinates, against Fourier-Motzkin.
 
-On a fan certified complete whose maximal cones all have n rays,
-``roots_for_ray`` enumerates a ray's roots by their pairings with the rays
-of one maximal cone, each bounded by the coefficient of the ray in the
-decomposition of the opposite of that basis ray (the proofs are in its
-docstring), and runs no double description. Any other complete fan takes
-``lattice.lattice_points``, whose condition-(1) polyhedron is then bounded.
-``oracles.chernikov_lattice_points`` on the ray's condition-(1) system is
-the oracle of both routes: on a complete fan condition (1) alone decides,
-so its points are exactly the roots. It is the Fourier-Motzkin elimination
-that ``lattice.lattice_points`` ran before; ``lattice_points`` now shares
-its lattice search (``lattice._search``) with the pairing search, so it is
-not the oracle here. The corpus: the bundled complete fans, seeded random
+On a fan certified complete, ``roots_for_ray`` enumerates a ray's roots
+by their pairings with n independent rays of the first maximal cone
+through it, each bounded by the stored facet normals of the cone that
+holds the opposite of that basis ray (the proofs are in its docstring),
+and runs no double description. A fan that is not complete takes
+``lattice.lattice_points``. ``oracles.chernikov_lattice_points`` on the
+ray's condition-(1) system is the oracle of both routes: on a complete fan
+condition (1) alone decides, so its points are exactly the roots. It is
+the Fourier-Motzkin elimination that ``lattice.lattice_points`` ran
+before; ``lattice_points`` now shares its lattice search
+(``lattice._search``) with the pairing search, so it is not the oracle
+here. The corpus: the bundled complete fans, seeded random
 complete surfaces, products with shuffled rays, weighted projective
 spaces, GL_n(Z) images built from at least 25 elementary steps, the
 cross-polytope fans of dimensions 3 to 5 (not simplicial) and the normal
@@ -125,9 +125,10 @@ def test_products_and_projective_spaces_under_long_gl_images(dim):
 
 @pytest.mark.parametrize("dim", (3, 4, 5))
 def test_cross_polytope_fans_and_their_images(dim):
-    """Every maximal cone has 2^(dim-1) rays, so the roots come from
-    lattice_points. The image is the one of the CI fixtures (cross4,
-    glcross5); on a longer one the oracle takes seconds in dimension 5."""
+    """Every maximal cone has 2^(dim-1) rays, so each basis comes from a
+    Gauss-Jordan pass over the cone's rays. The image is the one of the CI
+    fixtures (cross4, glcross5); on a longer one the oracle takes seconds
+    in dimension 5."""
     fan = cross_polytope_fan(dim)
     assert all(len(c.ray_indices) == 2 ** (dim - 1) for c in fan.max_cones)
     assert_roots_match_elimination(fan)
@@ -139,8 +140,8 @@ def test_cross_polytope_fans_and_their_images(dim):
                                   lambda: product_fan(hirzebruch(2), cross_polytope_fan(3))],
                          ids=["cross3xP2", "F2xcross3"])
 def test_products_with_a_factor_that_is_not_simplicial(make):
-    """No maximal cone is simplicial, so the roots come from lattice_points,
-    and the rays of the other factor have roots."""
+    """No maximal cone is simplicial, so each bound is the least of those
+    of several facet normals, and the rays of the other factor have roots."""
     fan = make()
     assert all(len(c.ray_indices) > fan.dim for c in fan.max_cones)
     assert all_roots(fan).roots()
@@ -194,10 +195,9 @@ def test_the_peeled_cones_include_simplicial_ones_and_others():
 
 
 def test_a_complete_fan_makes_no_elimination(monkeypatch):
-    """Not one lattice_points call on a complete fan whose maximal cones are
-    simplicial, the bundled fans, a skewed weighted projective space and a
-    simple polytope's normal fan included; a fan that is not complete still
-    takes that route."""
+    """Not one lattice_points call on a complete fan, the bundled fans, a
+    skewed weighted projective space and a simple polytope's normal fan
+    included; a fan that is not complete still takes that route."""
     calls = counting(monkeypatch, lattice, "lattice_points")
     fans = [fan for _, fan in BUNDLED] + [
         skewed(wps_one(2, 3, 7, 11), 1), normal_fan(NAMED[-1][1]), product_p1(10)]
@@ -214,28 +214,52 @@ def test_a_complete_fan_makes_no_elimination(monkeypatch):
 
 
 def test_the_route_is_decided_once_per_call(monkeypatch):
-    """all_roots and roots_for_ray scan the maximal cones for one that is
-    not simplicial once per call: a complete fan with one such cone sends
-    every ray to lattice_points and none to the pairing search, and a
-    simplicial one the reverse. The pairing search of one all_roots call
-    shares its caches across the rays."""
+    """all_roots and roots_for_ray decide the route once per call, by the
+    completeness certificate alone: a certified complete fan sends every
+    ray to the pairing search and makes no lattice_points call, whatever
+    its cones (the octahedron's normal fan, a GL_3(Z) image of it, its
+    product with P^1, glcross5 and a paraboloid normal fan, each with
+    maximal cones of more than n rays), and a fan that is not complete
+    sends every ray to lattice_points. The pairing search of one all_roots
+    call shares its caches across the rays."""
     searches = counting(monkeypatch, demazure, "_complete_roots")
     points = counting(monkeypatch, lattice, "lattice_points")
     routes = counting(monkeypatch, demazure, "_route")
     octahedron = cross_polytope_fan(3)
-    for fan in (octahedron, skewed(octahedron, 3), product_fan(octahedron, projective_space(1))):
+    glcross5 = apply_automorphism(cross_polytope_fan(5),
+                                  LatticeAutomorphism(random_unimodular(random.Random(1), 5)))
+    for fan in (octahedron, skewed(octahedron, 3), product_fan(octahedron, projective_space(1)),
+                glcross5, normal_fan(dict(NAMED)["paraboloid"])):
+        assert fan._complete and any(len(c.ray_indices) > fan.dim for c in fan.max_cones)
         all_roots(fan)
-        assert searches == [] and len(points) == len(fan.rays) and len(routes) == 1
-        points.clear()
+        assert points == [] and len(searches) == len(fan.rays) and len(routes) == 1
+        assert len({id(args[2]) for args in searches}) == 1
+        searches.clear()
         routes.clear()
         roots_for_ray(fan, 0)
-        assert searches == [] and len(points) == len(routes) == 1
-        points.clear()
+        assert points == [] and len(searches) == len(routes) == 1
+        searches.clear()
         routes.clear()
-    fan = product_p1(4)
+    fan = subfan(octahedron, range(len(octahedron.max_cones) - 1))
     all_roots(fan)
-    assert points == [] and len(searches) == len(fan.rays) and len(routes) == 1
-    assert len({id(args[2]) for args in searches}) == 1
+    assert searches == [] and len(points) == len(fan.rays) and len(routes) == 1
+
+
+@pytest.mark.parametrize("make,count", [
+    (lambda: wps_one(1, 2, 3, 100), 33508), (lambda: wps_one(2, 3, 7, 11), 60),
+    (lambda: product_p1(6), 12), (lambda: projective_space(6), 147)],
+    ids=["P(1,1,2,3,100)", "P(1,2,3,7,11)", "(P^1)^6", "P^6"])
+def test_simplicial_fans_visit_as_many_nodes_as_with_the_inverse_bounds(monkeypatch, make,
+                                                                        count):
+    """On a simplicial cone only the facet normal opposite the ray is
+    positive on it, so the bound read off the normals is floor(c_rho), the
+    one the cone's stored inverse gave, and the search visits the same
+    nodes: these are the counts of the search whose bounds were read off
+    the stored inverses."""
+    fan = make()
+    nodes = counting(monkeypatch, lattice, "_descend")
+    all_roots(fan)
+    assert len(nodes) == count
 
 
 def large_index_surface(index, a):
@@ -352,10 +376,10 @@ def test_the_stored_normals_give_the_gauss_jordan_inverse():
 def test_simplicial_complete_fans_take_no_gauss_jordan_pass(monkeypatch):
     """all_roots reads every basis inverse of a simplicial complete fan off
     its cones, which stored them when the fan was built; the cross-polytope
-    image glcross5, whose cones have 16 rays, takes lattice_points, whose
-    double description and search start from the Gauss-Jordan pass. The
-    fans are built before the count starts, as each cone's double
-    description starts from ``_basis_inverse``."""
+    image glcross5, whose cones have 16 rays, takes each basis inverse from
+    a Gauss-Jordan pass over a cone's rays. The fans are built before the
+    count starts, as each cone's double description starts from
+    ``_basis_inverse``."""
     fans = simplicial_corpus()
     g = LatticeAutomorphism(random_unimodular(random.Random(1), 5))
     glcross5 = apply_automorphism(cross_polytope_fan(5), g)

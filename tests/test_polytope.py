@@ -1,5 +1,7 @@
 """Lattice polytopes: facets, the rectangle criterion, normal fans."""
 
+import time
+
 import pytest
 
 from helpers import random_lattice_polygons
@@ -82,6 +84,19 @@ def test_rejects_non_extreme_point():
 def test_rejects_degenerate():
     with pytest.raises(DegeneratePolytope):
         LatticePolytope(2, ((0, 0), (1, 1), (2, 2)))
+
+
+@pytest.mark.parametrize("points", [0, 1])
+def test_fewer_points_than_dim_plus_one_are_refused_with_no_elimination(points):
+    """Fewer than dim + 1 lifted points cannot span Q^(dim + 1), so the
+    hull refuses them before the elimination: at dim 10^6 the identity
+    block of the basis inverse alone would have 10^12 entries."""
+    dim = 10 ** 6
+    vertices = tuple(tuple(int(i == k) for i in range(dim)) for k in range(points))
+    start = time.perf_counter()
+    with pytest.raises(DegeneratePolytope, match="not full-dimensional"):
+        LatticePolytope(dim, vertices)
+    assert time.perf_counter() - start < 1
 
 
 # ---------------------------------------------------------------------------

@@ -10,13 +10,15 @@ dimensions 2 to 6 (``wps_one(2, 3, 7, 11)``, the tetrahedron fan whose first
 cone has c = (15, 6, 10), a tetrahedron fan whose cones all have
 |det P| = 4 and lcm(c_j) = 2, and GL_n(Z) images), the stored inverse is
 checked against ``lattice._basis_inverse`` and against the one read off the
-normals, and the decomposition of each -p_k read off it against
-``oracles.peel``, the decomposition one face at a time, which stays the
-reference. Counting tests check that the readers, the roots, the
-collections and the rectangle test, derive nothing again.
+normals, and the root search's bound on each pairing with a ray k, read
+off the stored normals of the cone of -p_k, against ``oracles.peel``, the
+decomposition one face at a time, which stays the reference. Counting
+tests check that the readers, the roots, the collections and the
+rectangle test, derive nothing again.
 """
 
 import copy
+import math
 import pickle
 import random
 from fractions import Fraction
@@ -136,38 +138,40 @@ def test_cones_that_are_not_simplicial_store_nothing():
             assert getattr(cone, "_inverse", None) is None
 
 
-def fractions(decomposition):
-    return {i: Fraction(num, den) for i, (num, den) in decomposition.items()}
-
-
-def test_decompositions_read_off_the_inverse_match_the_peel():
-    """-p_k in the first maximal cone that holds it, as <w_i, x> / D, equals
-    the peel's decomposition in that cone, over built fans (D = |det P|)
-    and normal fans (D = lcm(c_j)), wherever that cone is simplicial;
-    peeling the same cone is the reference (``oracles.peel``)."""
+def test_the_opposite_bounds_match_the_peel():
+    """The bound on <p_k, e> over the roots e of a ray rho, read off the
+    stored facet normals of the first maximal cone that holds x = -p_k
+    (``demazure._top``), is floor(c_rho) for the peel's decomposition
+    x = sum c_i p_i in that cone (``oracles.peel``, c_rho = 0 off its
+    support) wherever the cone is simplicial or x is a ray, and at least
+    that on the other cones, whose decompositions are not unique; over
+    built fans (D = |det P|) and normal fans (D = lcm(c_j)), some of whose
+    cones are not simplicial."""
     fans = corpus() + [normal_fan(LatticePolytope(p.dim, p.vertices)) for _, p in NAMED]
-    large = skipped = 0
+    exact = above = fractional = 0
     for fan in fans:
-        for p in fan.rays:
+        for k, p in enumerate(fan.rays):
             x = neg(p)
-            if x in fan.rays:
-                continue
             cone = next(c for c in fan.max_cones if c.contains(x))
-            if _simplicial_inverse(cone, fan.rays) is None:
-                skipped += 1
-                continue
-            got = demazure._decompose(fan, x)
-            assert fractions(got) == fractions(oracles.peel(x, cone, fan.rays))
-            assert all(num > 0 and den > 0 for num, den in got.values())
-            large += max(den for _, den in got.values()) > 1
-    assert large > 10 and skipped
+            peeled = {i: Fraction(num, den)
+                      for i, (num, den) in oracles.peel(x, cone, fan.rays).items()}
+            unique = x in fan.rays or _simplicial_inverse(cone, fan.rays) is not None
+            for ray in range(len(fan.rays)):
+                if ray == k:
+                    continue
+                got, want = demazure._top(fan, {}, k, ray), math.floor(peeled.get(ray, 0))
+                assert got == want if unique else got >= want, (fan.rays, k, ray)
+                exact += unique and ray in peeled
+                above += got > want
+                fractional += unique and peeled.get(ray, 0).denominator > 1
+    assert exact > 100 and above and fractional > 10
 
 
 def test_built_simplicial_fans_derive_no_inverse_and_peel_nothing(monkeypatch):
     """all_roots and complete_collections read every inverse that the build
     stored: no pairing derivation (its lcm) and no Gauss-Jordan pass. Each
-    opposite is read off a simplicial cone's inverse, so nothing is peeled:
-    the peel is a test oracle only."""
+    opposite's bound is read off a cone's stored facet normals, so nothing
+    is peeled: the peel is a test oracle only."""
     fans = corpus()
     lcms = counting(monkeypatch, fan_module, "lcm")
     passes = counting(monkeypatch, lattice, "_basis_inverse")
