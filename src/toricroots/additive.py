@@ -116,8 +116,10 @@ def admits_additive(fan: Fan) -> AdditiveDecision:
 def condition4_distinguished_span(fan: Fan, bound: int | None = None) -> bool:
     """Do distinguished ray generators of the roots span N_Q?
 
-    Raises InfiniteRoots when a ray has an infinite root set and no bound
-    was supplied.
+    Raises InfiniteRoots when a ray reads "infinite" and no bound was
+    supplied. That is the status of the ray's condition-(1) polyhedron
+    (non-empty and unbounded), not of its root set, which condition (2)
+    may leave finite or empty (:func:`toricroots.demazure.roots_for_ray`).
     """
     roots = all_roots(fan, bound)
     if any(r.status == "infinite" for r in roots.per_ray):

@@ -192,9 +192,11 @@ def roots_for_ray(fan: Fan, ray: int, bound: int | None = None) -> RayRoots:
     satisfy condition (2). Unless the fan is certified complete, they are
     its points by :func:`toricroots.lattice.lattice_points`, from
     its double description and the search over its vertex bounds.
-    "infinite" means that polyhedron is non-empty and unbounded; then a
-    supplied bound gives a "truncated" enumeration of its points with
-    sup-norm <= bound, refused with BadParams when the box could hold more
+    "infinite" means that polyhedron is non-empty and unbounded: it is the
+    status of the polyhedron, not of the root set, which condition (2) may
+    leave finite or empty. Then a supplied bound gives a "truncated"
+    enumeration of its points with sup-norm <= bound that satisfy
+    condition (2), refused with BadParams when the box could hold more
     than MAX_BOX_POINTS of them. An empty polyhedron is "finite" with no
     roots. A ray index that is not an int in range raises InvalidFan, and a
     bound that is not a positive int BadParams (bool included, as the

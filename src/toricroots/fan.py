@@ -26,14 +26,15 @@ such question on a complete fan (see
 :func:`toricroots.demazure.satisfies_condition2`), so it never builds the
 index there.
 
-Validation checks each maximal cone on its own, then that any two meet in
-a common face. Each maximal cone's facet ray sets come with its dual
-description, as the double description reports them, and validation, the
-completeness certificate and the pair scan read them as bitmasks of ray
-indices. When every maximal cone is n-dimensional, a local
-certificate is tried first (:func:`_certify_complete`): every facet is
-shared by exactly one other maximal cone, on its other side, and one point
-of the first cone lies in no other. It holds exactly when the cones form a
+:func:`build_fan` validates and builds in one pass: it makes each maximal
+cone as it checks it on its own, then checks that any two meet in a common
+face. Each maximal cone's facet ray sets come with its dual description,
+as the double description reports them, and validation, the completeness
+certificate and the pair scan read them as bitmasks of ray indices. When
+every maximal cone is n-dimensional, a local certificate is tried first
+(:func:`_certify_complete`): every facet is shared by exactly one other
+maximal cone, on its other side, and one point of the first cone lies in
+no other. It holds exactly when the cones form a
 complete fan, so a certified fan needs no pair of its cones intersected,
 and any other fan intersects every pair. The certificate is also the one
 decision of completeness: :func:`build_fan` stores its answer on the fan,
@@ -46,7 +47,7 @@ from __future__ import annotations
 
 from itertools import combinations
 from math import gcd, lcm
-from operator import mul
+from operator import attrgetter, mul
 
 from . import lattice
 from .errors import (
@@ -93,11 +94,15 @@ class Cone(Value):
 
 
 class LatticeAutomorphism(Value):
-    """A unimodular integer matrix acting on N by left multiplication."""
+    """A unimodular integer matrix acting on N by left multiplication.
+    NotUnimodular for a matrix with an entry that is not an int (bools
+    included) or with a determinant other than +-1."""
 
     __slots__ = _fields = ("matrix",)
 
     def __init__(self, matrix: Mat):
+        if not all(lattice.is_integer(x) for row in matrix for x in row):
+            raise NotUnimodular("automorphism matrix has an entry that is not an int")
         d = lattice.determinant(matrix)
         if abs(d) != 1:
             raise NotUnimodular(f"automorphism matrix has determinant {d}")
@@ -329,16 +334,21 @@ def _intersection_rays(gens: list[Vec], start: list[int], nrows: int, d: int,
 # construction and validation
 
 
-def _check_fan(dim, rays, max_cones, allow_nonprimitive: bool):
-    """Validate fan data in one pass; raise InvalidFan with every violation.
+def build_fan(dim, rays, max_cones, allow_nonprimitive: bool = False) -> Fan:
+    """Validate and assemble a Fan in one pass; raise InvalidFan with every
+    violation.
 
-    Returns the rays; each maximal cone's dual description, keyed by its
-    sorted ray indices; whether :func:`_certify_complete` certified the
-    fan complete; and each maximal cone's start inverse from
-    :func:`_dual_description` (None unless it is full-dimensional), keyed
-    the same way. A certified fan is a fan by that certificate; any other
-    runs the scan of all pairs of maximal cones, which checks that they meet
-    in a common face.
+    Each maximal cone is made as soon as its dual description is known
+    (its equations are independent, so its dimension is dim minus their
+    number), and a full-dimensional cone with dim rays keeps its double
+    description's start inverse, whose basis is all its rays in order, as
+    its basis inverse (:func:`_simplicial_inverse`). The certificate
+    (:func:`_certify_complete`) and the pair scan read those cones. A
+    certified fan is a fan by that certificate, and its answer is stored as
+    the fan's completeness; any other runs the scan of all pairs of maximal
+    cones, which checks that they meet in a common face. The Fan holds the
+    maximal cones sorted; the other faces are described on first use
+    (:func:`_face_index`).
     """
     if not lattice.is_integer(dim):
         raise InvalidFan(["dim must be an integer"])
@@ -395,10 +405,13 @@ def _check_fan(dim, rays, max_cones, allow_nonprimitive: bool):
     if violations:
         raise InvalidFan(violations)
 
-    descs, tights, inverses = {}, {}, {}
+    built, tights = [], []
     for idx in cones or [()]:  # no maximal cones: the fan of the zero cone
-        *descs[idx], local, inverses[idx] = _dual_description(tuple(rays[i] for i in idx), dim)
-        tights[idx] = [_bits(i for k, i in enumerate(idx) if t >> k & 1) for t in local]
+        ineqs, eqs, local, start = _dual_description(tuple(rays[i] for i in idx), dim)
+        built.append(Cone(idx, ineqs, eqs, dim - len(eqs)))
+        if len(idx) == dim and not eqs:  # simplicial: its start is its inverse
+            object.__setattr__(built[-1], "_inverse", (idx, *start[1:]))
+        tights.append([_bits(i for k, i in enumerate(idx) if t >> k & 1) for t in local])
         # the closure of the empty set lies in each ray's closure, so if
         # every ray is a face, the smallest face, the lineality space, holds
         # at most one ray; a nonzero linear space needs two: no line
@@ -410,35 +423,40 @@ def _check_fan(dim, rays, max_cones, allow_nonprimitive: bool):
     if violations:
         raise InvalidFan(violations)
 
-    certified = _certify_complete(rays, cones, descs, tights)
+    certified = _certify_complete(rays, built, tights)
     prim_index = {p: i for i, p in enumerate(prims)}
     # per ray of each cone, the bitmask of the cone's facets through it
-    starts = {} if certified else {
-        a: [sum(1 << m for m, t in enumerate(tights[a]) if t >> i & 1) for i in a] for a in cones}
-    for a, b in () if certified else combinations(cones, 2):
-        meet = _intersection_rays([prims[i] for i in a], starts[a], len(tights[a]),
-                                  dim - len(descs[a][1]), *descs[b])
+    starts = [] if certified else [[sum(1 << m for m, t in enumerate(ts) if t >> i & 1)
+                                    for i in c.ray_indices] for c, ts in zip(built, tights)]
+    for j, k in () if certified else combinations(range(len(built)), 2):
+        a, b = built[j].ray_indices, built[k].ray_indices
+        meet = _intersection_rays([prims[i] for i in a], starts[j], len(tights[j]), built[j].dim,
+                                  built[k].inequalities, built[k].equations)
         # a meet ray that is no ray of the fan (index len(rays)) is in no face
         meet_idx = tuple(sorted(prim_index.get(r, len(rays)) for r in meet))
         s = _bits(meet_idx)
-        if not (_is_face(s, _bits(a), tights[a]) and _is_face(s, _bits(b), tights[b])):
+        if not (_is_face(s, _bits(a), tights[j]) and _is_face(s, _bits(b), tights[k])):
             violations.append(
                 f"intersection of cones {list(a)} and {list(b)} is not a face of both")
-        elif meet_idx in (a, b) and a != b:
+        elif meet_idx in (a, b):
             violations.append(
                 f"maximal cone {list(meet_idx)} is contained in another maximal cone")
     if violations:
         raise InvalidFan(violations)
-    return rays, descs, certified, inverses
+    fan = Fan(dim, rays, tuple(sorted(built, key=attrgetter("ray_indices"))))
+    object.__setattr__(fan, "_complete", certified)
+    return fan
 
 
-def _certify_complete(rays, cones, descs, tights) -> bool:
+def _certify_complete(rays, cones, tights) -> bool:
     """True iff the maximal cones C_1..C_m (`cones`, in the order given) are
     n-dimensional and pass the two local tests below; then, and only then,
     they are the maximal cones of a complete fan. The cones are pointed and
     listed by their minimal generators, with their facet normals and the
-    ray set T of each facet (`tights`, bitmasks of ray indices): the checks
-    of :func:`_check_fan` before this one.
+    ray set T of each facet (`tights[k]` for C_k, bitmasks of ray indices,
+    in the order of its inequalities): the checks of :func:`build_fan`
+    before this one. The fan of the zero cone alone has equations, so it is
+    not certified.
 
     (a) *Facet pairing.* Each facet ray set T of a cone C_k is a facet ray
         set of exactly one other maximal cone C_j, and <a, r> < 0 for every
@@ -520,28 +538,26 @@ def _certify_complete(rays, cones, descs, tights) -> bool:
     with an interior point, that is C_1 itself; then C_1 would be an
     n-dimensional face of C_j, hence equal to it: (b) holds.
     """
-    if not cones or any(descs[idx][1] for idx in cones):
+    if any(c.equations for c in cones):
         return False
     owners: dict[int, list] = {}
-    for idx in cones:
-        for a, t in zip(descs[idx][0], tights[idx]):
-            owners.setdefault(t, []).append((idx, a))
+    for c, ts in zip(cones, tights):
+        for a, t in zip(c.inequalities, ts):
+            owners.setdefault(t, []).append((c.ray_indices, a))
     for t, pair in owners.items():
         if len(pair) != 2:
             return False
         (_, a), (other, _) = pair
         if any(dot(a, rays[i]) >= 0 for i in other if not t >> i & 1):
             return False
-    first = cones[0]
-    p = tuple(map(sum, zip(*(rays[i] for i in first))))
-    return not any(all(dot(a, p) >= 0 for a in descs[idx][0])
-                   for idx in cones if idx != first)
+    p = tuple(map(sum, zip(*(rays[i] for i in cones[0].ray_indices))))
+    return not any(all(dot(a, p) >= 0 for a in c.inequalities) for c in cones[1:])
 
 
 def validate_fan(dim, rays, max_cones, allow_nonprimitive: bool = False) -> list[str]:
     """Check fan data; return a list of human-readable violations (empty = ok)."""
     try:
-        _check_fan(dim, rays, max_cones, allow_nonprimitive)
+        build_fan(dim, rays, max_cones, allow_nonprimitive)
     except InvalidFan as exc:
         return exc.violations
     return []
@@ -587,26 +603,6 @@ def _face_index(fan: Fan) -> dict:
                 faces[f], facets = _face_cone(f, c.inequalities, c.equations, tight, d, fan.dim)
                 stack.extend((tuple(sorted(s)), d - 1) for s in facets)
     return {f: faces[f] for f in sorted(faces, key=lambda s: (len(s), s))}
-
-
-def build_fan(dim, rays, max_cones, allow_nonprimitive: bool = False) -> Fan:
-    """Validate and assemble a Fan: the maximal cones, sorted, each with its
-    stored dual description (its equations are independent, so its
-    dimension is dim minus their number). The other faces are described on
-    first use (:func:`_face_index`). The answer of
-    :func:`_certify_complete` is stored as the fan's completeness, and a
-    full-dimensional cone with dim rays keeps its double description's
-    start inverse, whose basis is all its rays in order, as its basis
-    inverse (:func:`_simplicial_inverse`).
-    """
-    rays, descs, certified, inverses = _check_fan(dim, rays, max_cones, allow_nonprimitive)
-    fan = Fan(dim, rays, tuple(Cone(idx, ineqs, eqs, dim - len(eqs))
-                               for idx, (ineqs, eqs) in sorted(descs.items())))
-    for c in fan.max_cones:
-        if len(c.ray_indices) == dim and not c.equations:  # simplicial: its start is its inverse
-            object.__setattr__(c, "_inverse", (c.ray_indices, *inverses[c.ray_indices][1:]))
-    object.__setattr__(fan, "_complete", certified)
-    return fan
 
 
 # ---------------------------------------------------------------------------
@@ -671,14 +667,14 @@ def _ray_permutation(fan: Fan, g: LatticeAutomorphism) -> list[int] | None:
 
 def projective_space(n: int) -> Fan:
     """Fan of P^n: rays e_1..e_n and -(e_1+...+e_n), all n-subsets as cones."""
-    if n < 1:
+    if not lattice.is_integer(n) or n < 1:
         raise BadParams("projective_space needs n >= 1")
     return wps_one(*[1] * n)
 
 
 def product_p1(n: int) -> Fan:
     """Fan of (P^1)^n: rays +-e_i interleaved, one cone per sign pattern."""
-    if n < 1:
+    if not lattice.is_integer(n) or n < 1:
         raise BadParams("product_p1 needs n >= 1")
     rays = [tuple(s * int(i == j) for j in range(n)) for i in range(n) for s in (1, -1)]
     cones = [tuple(2 * i + ((mask >> i) & 1) for i in range(n)) for mask in range(2 ** n)]
@@ -687,7 +683,7 @@ def product_p1(n: int) -> Fan:
 
 def hirzebruch(d: int) -> Fan:
     """Fan of the Hirzebruch surface F_d."""
-    if d < 1:
+    if not lattice.is_integer(d) or d < 1:
         raise BadParams("hirzebruch needs d >= 1")
     rays = [(1, 0), (0, 1), (-1, d), (0, -1)]
     cones = [(0, 1), (1, 2), (2, 3), (3, 0)]
@@ -701,7 +697,7 @@ def wps_one(*weights: int) -> Fan:
     fan keeps it as given so the weighted Cox grading and action formulas come
     out with the stated exponents.
     """
-    if not weights or any(d < 1 for d in weights):
+    if not weights or not all(lattice.is_integer(d) and d >= 1 for d in weights):
         raise BadParams("wps_one needs weights d_i >= 1")
     n = len(weights)
     rays = [tuple(int(i == j) for j in range(n)) for i in range(n)]
@@ -728,10 +724,15 @@ _BUILTIN_FANS = {
 }
 
 
-def builtin_fan(name: str, *params: int) -> Fan:
-    if name not in _BUILTIN_FANS:
-        raise BadParams(f"unknown fan generator {name!r}")
-    func, arity = _BUILTIN_FANS[name]
+def _builtin(kind: str, table: dict, name: str, params: tuple):
+    """The generator `name` of `table` (name -> (function, arity), arity
+    None for one or more parameters) called on `params`, after checking
+    the name, the number of parameters and that each is an int (bools
+    excluded); BadParams otherwise. `kind` names the table in the message
+    for an unknown name."""
+    if name not in table:
+        raise BadParams(f"unknown {kind} generator {name!r}")
+    func, arity = table[name]
     if arity is None and not params:
         raise BadParams(f"{name} needs at least one parameter")
     if arity is not None and len(params) != arity:
@@ -739,6 +740,10 @@ def builtin_fan(name: str, *params: int) -> Fan:
     if not all(map(lattice.is_integer, params)):
         raise BadParams(f"{name} takes integer parameters, got {list(params)}")
     return func(*params)
+
+
+def builtin_fan(name: str, *params: int) -> Fan:
+    return _builtin("fan", _BUILTIN_FANS, name, params)
 
 
 # ---------------------------------------------------------------------------

@@ -540,13 +540,13 @@ def lattice_points(constraints: Sequence[Constraint], dim: int):
     extreme rays with t = 0: a non-empty P is bounded iff no ray has
     t = 0, and then its vertices are the x / t.
 
-    *Lines.* When the normals have rank below dim, :func:`dual_rays`
-    returns None. Then they vanish on a nonzero space L, and P + L = P, so
-    a non-empty P holds a line and is unbounded. P meets the orthogonal
-    complement of L iff it is non-empty, as a point of P less its
-    projection onto L is again in P. So cutting P by <l, x> = 0 for a
-    basis l of L (:func:`kernel_basis`) gives normals of rank dim, and the
-    test above decides emptiness.
+    *Lines.* P is always cut by <l, x> = 0 for each l of a basis of the
+    space L on which the normals vanish (:func:`kernel_basis`), a basis
+    that is empty when the normals span Q^dim. The cut normals span Q^dim,
+    so the test above applies to the cut P. P + L = P, so a point of P
+    less its projection onto L is again in P: the cut P is empty iff P is.
+    When there is a cut, L is nonzero and a non-empty P holds a line, so
+    it is unbounded. When there is none, the cut P is P.
 
     *Search.* A linear function takes its least and greatest values on a
     polytope at vertices. So on every integral point x of a bounded P, each
@@ -570,14 +570,11 @@ def lattice_points(constraints: Sequence[Constraint], dim: int):
     rows += [(neg(c.normal), -c.rhs) for c in constraints if c.relation == "="]
     normals = [a for a, _ in rows]
     cone = [(*a, -b) for a, b in rows] + [(0,) * dim + (1,)]
-    rays = dual_rays(cone, dim + 1)
-    if rays is None:
-        cuts = [(*u, 0) for u in kernel_basis(normals, dim)]
-        rays = dual_rays(cone + cuts + [neg(u) for u in cuts], dim + 1)
-        return UNBOUNDED if any(r[-1] for r in rays) else ()
+    cuts = [(*u, 0) for u in kernel_basis(normals, dim)]
+    rays = dual_rays(cone + cuts + [neg(u) for u in cuts], dim + 1)
     if not any(r[-1] for r in rays):
         return ()
-    if not all(r[-1] for r in rays):
+    if cuts or not all(r[-1] for r in rays):
         return UNBOUNDED
     values = [[(sum(map(mul, a, r)), r[-1]) for r in rays] for a in normals]
     lows = [min(-(-v // t) for v, t in vals) for vals in values]

@@ -19,7 +19,7 @@ from bisect import bisect_left
 
 from . import lattice
 from .errors import BadParams, DegeneratePolytope, InvalidPolytope
-from .fan import Cone, Fan, _is_face, _simplicial_inverse
+from .fan import Cone, Fan, _builtin, _is_face, _simplicial_inverse
 from .lattice import Value, Vec, dot, neg, primitive, sub, vec
 
 
@@ -286,7 +286,7 @@ def scale(p: LatticePolytope, k: int) -> LatticePolytope:
     For k >= dim - 1 the result is very ample, so the fan-side analysis of
     k*p speaks for the projective embedding even when p itself is not.
     """
-    if k < 1:
+    if not lattice.is_integer(k) or k < 1:
         raise BadParams("scale factor must be a positive integer")
     return LatticePolytope(p.dim, tuple(tuple(k * x for x in v) for v in p.vertices))
 
@@ -328,13 +328,13 @@ def check_polytope_theorem(p: LatticePolytope) -> PolytopeTheoremReport:
 
 
 def segment(d: int) -> LatticePolytope:
-    if d < 1:
+    if not lattice.is_integer(d) or d < 1:
         raise BadParams("segment needs d >= 1")
     return LatticePolytope(1, ((0,), (d,)))
 
 
 def cube(n: int) -> LatticePolytope:
-    if n < 1:
+    if not lattice.is_integer(n) or n < 1:
         raise BadParams("cube needs n >= 1")
     return LatticePolytope(n, tuple(tuple((mask >> i) & 1 for i in range(n))
                                     for mask in range(2 ** n)))
@@ -342,7 +342,7 @@ def cube(n: int) -> LatticePolytope:
 
 def dilated_simplex(n: int, d: int) -> LatticePolytope:
     """conv{0, d*e_1, ..., d*e_n}."""
-    if n < 1 or d < 1:
+    if not all(lattice.is_integer(x) and x >= 1 for x in (n, d)):
         raise BadParams("dilated_simplex needs n >= 1 and d >= 1")
     verts = [tuple([0] * n)]
     for i in range(n):
@@ -370,14 +370,7 @@ _BUILTIN_POLYTOPES = {
 
 
 def builtin_polytope(name: str, *params: int) -> LatticePolytope:
-    if name not in _BUILTIN_POLYTOPES:
-        raise BadParams(f"unknown polytope generator {name!r}")
-    func, arity = _BUILTIN_POLYTOPES[name]
-    if len(params) != arity:
-        raise BadParams(f"{name} takes {arity} parameter(s), got {len(params)}")
-    if not all(map(lattice.is_integer, params)):
-        raise BadParams(f"{name} takes integer parameters, got {list(params)}")
-    return func(*params)
+    return _builtin("polytope", _BUILTIN_POLYTOPES, name, params)
 
 
 # ---------------------------------------------------------------------------

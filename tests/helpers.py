@@ -228,14 +228,16 @@ if __name__ == "__main__":
     # python tests/helpers.py codelines prints the code lines of each module
     # of src/toricroots (no blanks, comments or docstrings) and their total.
     # python tests/helpers.py NAME prints one scaling fixture: the fan JSON
-    # of product9, cross4, glcross5, glcross5-1, blowup or z5, or the
-    # polytope JSON of perm6, cross5, cross7 or cross8 (the 5-, 7- and
+    # of product9, cross4, glcross5, glcross5-1, p1n8-1, blowup or z5, or
+    # the polytope JSON of perm6, cross5, cross7 or cross8 (the 5-, 7- and
     # 8-dimensional cross-polytopes, each vertex on 16 of 32, 64 of 128 and
     # 128 of 256 facets).
     # cross4 and glcross5 are the images of the cross-polytope's normal fan
     # by random_unimodular(random.Random(1), n); glcross5-1 is glcross5
-    # without its first maximal cone, a fan that is not complete. The test
-    # modules are imported here, so importing helpers imports none of them.
+    # without its first maximal cone, and p1n8-1 is (P^1)^8 without its
+    # first maximal cone (255 cones, so 32,385 pairs), fans that are not
+    # complete. The test modules are imported here, so importing helpers
+    # imports none of them.
     import json
     import sys
 
@@ -251,6 +253,10 @@ if __name__ == "__main__":
         g = LatticeAutomorphism(random_unimodular(random.Random(1), n))
         data = fan_to_json_dict(apply_automorphism(cross_polytope_fan(n), g))
         return {**data, "max_cones": data["max_cones"][drop:]}
+
+    def _p1n8_1():
+        data = fan_to_json_dict(product_p1(8))
+        return {**data, "max_cones": data["max_cones"][1:]}
 
     def _blowup():
         from test_elimination import BLOWUP_FAN
@@ -271,7 +277,7 @@ if __name__ == "__main__":
 
     fixtures = {"product9": _product9, "cross4": lambda: _gl_cross(4),
                 "glcross5": lambda: _gl_cross(5), "glcross5-1": lambda: _gl_cross(5, 1),
-                "blowup": _blowup, "z5": _z5,
+                "p1n8-1": _p1n8_1, "blowup": _blowup, "z5": _z5,
                 "perm6": _perm6, "cross5": lambda: _cross(5), "cross7": lambda: _cross(7),
                 "cross8": lambda: _cross(8)}
     if sys.argv[1:] == ["codelines"]:

@@ -726,11 +726,14 @@ def build_fan_by_closure(dim, rays, max_cones, allow_nonprimitive: bool = False)
     indexed by its ray-index set. Maximal cones and faces are sorted. The
     answer of :func:`_certify_complete` is stored on the fan as its
     completeness. (The face sets are closed here, from the facet ray sets
-    of the dual descriptions that the library's validation returns.)"""
-    rays, descs, certified, _ = fan_module._check_fan(dim, rays, max_cones, allow_nonprimitive)
-    cones = {idx: ((ineqs, eqs), [frozenset(i for i in idx if dot(a, rays[i]) == 0)
-                                  for a in ineqs])
-             for idx, (ineqs, eqs) in descs.items()}
+    of the dual descriptions of the maximal cones that the library's
+    build_fan makes as it validates them.)"""
+    built = fan_module.build_fan(dim, rays, max_cones, allow_nonprimitive)
+    rays = built.rays
+    cones = {c.ray_indices: ((c.inequalities, c.equations),
+                             [frozenset(i for i in c.ray_indices if dot(a, rays[i]) == 0)
+                              for a in c.inequalities])
+             for c in built.max_cones}
     owner = {}
     for idx in sorted(cones):
         for f in faces(idx, cones[idx][1]):
@@ -750,7 +753,7 @@ def build_fan_by_closure(dim, rays, max_cones, allow_nonprimitive: bool = False)
     max_cones = tuple(c for c in all_faces if c.ray_indices in cones)
     fan = Fan(dim, rays, tuple(sorted(max_cones, key=lambda c: c.ray_indices)))
     object.__setattr__(fan, "_by_rays", {c.ray_indices: c for c in all_faces})
-    object.__setattr__(fan, "_complete", certified)
+    object.__setattr__(fan, "_complete", built._complete)
     return fan
 
 

@@ -142,10 +142,13 @@ def test_hirzebruch_witness_matrix(d):
     (),
     ((1, 0), (0, 1), (0, 0)),  # not square
     ((2, 0), (0, 1)),  # not unimodular
+    ((1.0, 0), (0, 1)),  # the identity, with a float entry
+    ((1, 0), (0, True)),  # the identity, with a bool entry
 ])
 def test_a_witness_that_is_no_automorphism_of_the_fan_is_refused(matrix):
     """verify_witness returns False, and raises nothing, for a matrix of
-    the wrong dimension, as for one that is not square or not unimodular."""
+    the wrong dimension, as for one that is not square, not unimodular or
+    has an entry that is not an int."""
     fan = projective_space(2)
     c = complete_collections(fan)[0]
     w = EquivalenceWitness(matrix, ((0, 0), (1, 1)))

@@ -1,9 +1,10 @@
 """The completeness certificate of ``build_fan`` against the pair scan.
 
 ``fan._certify_complete`` certifies n-dimensional maximal cones as a
-complete fan by pairing their facets and testing one point of degree one;
-``_check_fan`` then skips the scan that intersects every pair of maximal
-cones, and ``build_fan`` stores the answer as the fan's completeness. With
+complete fan by pairing their facets and testing one point of degree one,
+on the cones that ``build_fan`` made as it validated them; ``build_fan``
+then skips the scan that intersects every pair of maximal cones, and
+stores the answer as the fan's completeness. With
 the certificate forced off, that scan runs on every fan, and serves as the
 oracle of validity: on complete fans in dimensions 1 to 6 (the bundled
 fans, the root corpus's face fans, normal fans of random polytopes and

@@ -95,7 +95,7 @@ def test_fan_check_rejects_a_cone_that_lists_a_ray_twice(tmp_path):
 def test_fan_check_validates_once(f2_file, tmp_path, monkeypatch, capsys):
     from toricroots import cli, fan
 
-    checks = counting(monkeypatch, fan, "_check_fan")
+    checks = counting(monkeypatch, fan, "build_fan")
     assert cli.main(["fan-check", f2_file]) == 0
     assert json.loads(capsys.readouterr().out)["result"]["complete"] is True
     assert len(checks) == 1

@@ -31,7 +31,9 @@ from toricroots.errors import (
     DimensionMismatch,
     InvalidFan,
     NotStronglyConvex,
+    NotUnimodular,
 )
+from toricroots.polytope import cube, dilated_simplex, scale, segment
 from toricroots.lattice import dot
 
 
@@ -233,6 +235,15 @@ def test_swap_on_f2_is_not_automorphism():
     assert not is_fan_automorphism(fan, swap)  # (-1,2) maps to (2,-1), not a ray
 
 
+@pytest.mark.parametrize("matrix", [
+    ((2, 0), (0, 0.5)), ((1.0, 0), (0, 1)), ((1, 0), (0, True)), ((0, "1"), (1, 0))])
+def test_an_automorphism_matrix_with_an_entry_that_is_not_an_int_is_refused(matrix):
+    """A float (even 1.0, or a product of floats with determinant 1.0), a
+    bool or a string is refused with NotUnimodular, as N is Z^n."""
+    with pytest.raises(NotUnimodular, match="not an int"):
+        LatticeAutomorphism(matrix)
+
+
 def test_apply_automorphism_roundtrip():
     fan = hirzebruch(2)
     g = LatticeAutomorphism(((1, 1), (0, 1)))
@@ -285,6 +296,22 @@ def test_builtin_params_must_be_ints(name, params):
     generator, before the generator runs."""
     with pytest.raises(BadParams, match=f"^{name} takes integer parameters"):
         builtin_fan(name, *params)
+
+
+@pytest.mark.parametrize("make,good", [
+    (projective_space, (2,)), (product_p1, (2,)), (hirzebruch, (3,)), (wps_one, (2, 3)),
+    (segment, (2,)), (cube, (2,)), (dilated_simplex, (2, 3)),
+    (lambda k: scale(cube(2), k), (2,))],
+    ids=["pn", "p1n", "hirzebruch", "wps1", "segment", "cube", "dsimplex", "scale"])
+def test_generators_called_directly_refuse_parameters_that_are_not_ints(make, good):
+    """Each generator that takes parameters, and scale, called without
+    builtin_fan or builtin_polytope, refuses a float, a string or a bool in
+    any position with BadParams, and builds from the ints."""
+    make(*good)
+    for k in range(len(good)):
+        for bad in (2.0, 2.5, "3", True, False):
+            with pytest.raises(BadParams):
+                make(*good[:k], bad, *good[k + 1:])
 
 
 @pytest.mark.parametrize("n", range(1, 7))

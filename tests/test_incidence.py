@@ -77,28 +77,29 @@ def fans(dim):
 @pytest.mark.parametrize("dim", (2, 3, 4, 5, 6, 7, 8, 9))
 def test_fan_incidences_match_dot_products(dim, monkeypatch):
     """Each maximal cone's description carries, per inequality, the mask of
-    the generators on which it vanishes, and _check_fan hands the
-    certificate those sets as masks of ray indices, with no other bit set."""
+    the generators on which it vanishes, and build_fan hands the
+    certificate those sets as masks of ray indices, with no other bit set,
+    beside the cones it made from those descriptions."""
     seen = []
     certify = fan_module._certify_complete
 
-    def spy(rays, cones, descs, tights):
-        seen.append((rays, cones, descs, tights))
-        return certify(rays, cones, descs, tights)
+    def spy(rays, cones, tights):
+        seen.append((rays, cones, tights))
+        return certify(rays, cones, tights)
 
     monkeypatch.setattr(fan_module, "_certify_complete", spy)
     cones = 0
     for fan in fans(dim):
         seen.clear()
         rebuilt(fan)
-        ((rays, idxs, descs, tights),) = seen
-        for idx in idxs:
-            ineqs, eqs = descs[idx]
+        ((rays, built, tights),) = seen
+        for cone, tight in zip(built, tights, strict=True):
+            idx, ineqs, eqs = cone.ray_indices, cone.inequalities, cone.equations
             gens = tuple(rays[i] for i in idx)
             assert fan_module._dual_description(gens, dim)[:3] == (
                 ineqs, eqs, masks_by_dot(gens, ineqs)), (fan, idx)
             sets = oracles.cone_tight_sets(idx, ineqs, rays)
-            assert tights[idx] == [fan_module._bits(s) for s in sets], (fan, idx)
+            assert tight == [fan_module._bits(s) for s in sets], (fan, idx)
             cones += 1
     assert cones > 20
 
