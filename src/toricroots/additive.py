@@ -150,18 +150,20 @@ def verify_witness(fan: Fan, c1: CompleteCollection, c2: CompleteCollection,
     elimination, the determinant), so the dual map g^-T is a bijection of
     M. It carries c1's roots onto c2's iff g^T carries c2's roots onto
     c1's, which is what is checked: no inverse is computed. A matrix that
-    is not square, not unimodular or not of the fan's dimension is no
-    witness, nor is a ray map with a pair that is not two ints (bools
-    excluded) in range(len(fan.rays)), or that is not a bijection of c1's
-    rays onto c2's: its first entries must be c1's rays and its second
-    entries c2's, each once. False for each.
+    is not a tuple or list of tuples or lists of ints, not square, not
+    unimodular or not of the fan's dimension is no witness, nor is a ray
+    map that is not a tuple or list, or has a pair that is not two ints
+    (bools excluded) in range(len(fan.rays)), or is not a bijection of
+    c1's rays onto c2's: its first entries must be c1's rays and its
+    second entries c2's, each once. False for each.
     """
     try:
         perm = _ray_permutation(fan, witness.automorphism())
     except (DimensionMismatch, NotSquare, NotUnimodular):
         return False
     pairs = witness.ray_map
-    if perm is None or not all(_maps_ray(pair, perm) for pair in pairs):
+    if perm is None or not isinstance(pairs, (tuple, list)) or not all(
+            _maps_ray(pair, perm) for pair in pairs):
         return False
     if any(sorted(q[k] for q in pairs) != sorted(c.ray_indices) for k, c in enumerate((c1, c2))):
         return False

@@ -17,16 +17,18 @@ that lies in a cone tau of the fan is one of tau's rays, so cone(sigma +
 rho) is a cone of the fan iff the ray-index set of sigma plus rho is in
 ``fan.face_sets``. The index is built on the first such test.
 
-The roots of a ray are found in one of two ways, which share one search
+The roots of a ray are found in one of three ways, which share one search
 (:func:`toricroots.lattice._search`): the integral vectors whose pairings
-with n independent rays lie in given bounds and whose pairings with the
-other rays are >= 0. On a fan certified complete the fan gives the bounds
-itself: each root's pairings with the rays of a basis through its ray are
-bounded by the stored facet normals of the maximal cones that hold the
-opposites of those rays (:func:`roots_for_ray` has the proofs). On any
-other fan :func:`toricroots.lattice.lattice_points` decides by its double
-description whether the condition-(1) polyhedron is bounded and bounds each
-pairing over its vertices.
+with n independent rows lie in given bounds and whose pairings with the
+other rows are at least given floors. On a fan certified complete the fan
+gives the bounds itself: each root's pairings with the rays of a basis
+through its ray are bounded by the stored facet normals of the maximal
+cones that hold the opposites of those rays (:func:`roots_for_ray` has the
+proofs). On any other fan :func:`toricroots.lattice.lattice_points` decides
+by its double description whether the condition-(1) polyhedron is bounded
+and bounds each pairing over its vertices. When it is unbounded, a bound
+gives the box of that sup-norm, which is searched directly, the ray and
+n - 1 unit vectors its basis.
 """
 
 from __future__ import annotations
@@ -38,11 +40,11 @@ from .errors import BadParams, InternalError, InvalidFan
 from .fan import Cone, Fan, _simplicial_inverse
 from .lattice import UNBOUNDED, Constraint, Value, Vec, neg
 
-# The most lattice points a truncated root enumeration may have to visit
-# for one ray. A root e lies on <p_rho, e> = -1, and a hyperplane meets the
-# box of sup-norm `bound` in at most (2 * bound + 1)^(dim - 1) lattice
-# points (drop a coordinate where p_rho is nonzero); a bound for which that
-# exceeds this limit is refused with BadParams.
+# The most leaves a truncated root enumeration may visit for one ray. Its
+# search fixes <p_rho, e> = -1 and takes each of n - 1 unit coordinates in
+# [-bound, bound] (see roots_for_ray), so it has at most
+# (2 * bound + 1)^(dim - 1) leaves; a bound for which that exceeds this
+# limit is refused with BadParams.
 MAX_BOX_POINTS = 10 ** 5
 
 
@@ -167,11 +169,11 @@ def _root(fan: Fan, e: Vec, ray: int) -> DemazureRoot | None:
 
 
 def is_demazure_root(fan: Fan, e, ray: int) -> bool:
-    return _root(fan, tuple(e), ray) is not None
+    return _root(fan, lattice.vec(e), ray) is not None
 
 
 def demazure_root(fan: Fan, e, ray: int) -> DemazureRoot:
-    root = _root(fan, tuple(e), ray)
+    root = _root(fan, lattice.vec(e), ray)
     if root is None:
         raise ValueError(f"{list(e)} is not a Demazure root with distinguished ray {ray}")
     return root
@@ -196,11 +198,11 @@ def roots_for_ray(fan: Fan, ray: int, bound: int | None = None) -> RayRoots:
     status of the polyhedron, not of the root set, which condition (2) may
     leave finite or empty. Then a supplied bound gives a "truncated"
     enumeration of its points with sup-norm <= bound that satisfy
-    condition (2), refused with BadParams when the box could hold more
-    than MAX_BOX_POINTS of them. An empty polyhedron is "finite" with no
-    roots. A ray index that is not an int in range raises InvalidFan, and a
-    bound that is not a positive int BadParams (bool included, as the
-    strict readers refuse it), whether or not it is used.
+    condition (2), refused with BadParams when the search could visit
+    more than MAX_BOX_POINTS leaves. An empty polyhedron is "finite" with
+    no roots. A ray index that is not an int in range raises InvalidFan,
+    and a bound that is not a positive int BadParams (bool included, as
+    the strict readers refuse it), whether or not it is used.
 
     A complete fan is always "finite" (the bound is not used). Write
     y_i = <p_i, e>, so a root has y_rho = -1 and y_i >= 0 for i != rho,
@@ -248,12 +250,26 @@ def roots_for_ray(fan: Fan, ray: int, bound: int | None = None) -> RayRoots:
     the integral e with y_rho = -1, each other y_b between 0 and its bound,
     and every other pairing >= 0: :func:`toricroots.lattice._search` lists
     them, sorted, over the lattice B Z^n of pairing vectors of integral e,
-    with the proofs. The basis is stable-sorted to rho first, by its bound
-    -1, then the rays whose bound is 0, then the others, so the fixed
-    pairings come first and give the first coordinates of its lattice
-    search with no branching. Within one :func:`all_roots` call the cone
-    of each -p_b is found once, and only for the rays some basis uses, and
-    a basis with its inverse serves every ray in it.
+    with the proofs. It searches rho and the rays whose bound is 0 first,
+    as their bounds are equal, then the others, so the fixed pairings give
+    the first coordinates of its lattice search with no branching. Within
+    one :func:`all_roots` call the cone of each -p_b is found once, and
+    only for the rays some basis uses, and a basis with its inverse serves
+    every ray in it.
+
+    *Box.* A truncated enumeration searches the box with the same search,
+    and no second double description: its rows are p_rho, the unit vectors
+    u_i, their opposites and the other rays. The basis is p_rho and the
+    first n - 1 unit vectors independent of it (p_rho is nonzero, so the
+    unit vectors complete it to n independent rows), from
+    :func:`toricroots.lattice._basis_inverse`; the pairing with p_rho is
+    fixed at -1 and each basis u_i ranges over [-bound, bound]. The other
+    rows are floors: <u_i, e> >= -bound and <-u_i, e> >= -bound hold every
+    coordinate in the box, the one unit vector outside the basis
+    included, and <p_i, e> >= 0 is condition (1) for the other rays. So
+    the search lists exactly the integral e of the polyhedron in the box,
+    sorted, and its leaves are among the (2 bound + 1)^(n - 1) values of
+    the basis coordinates.
     """
     if not lattice.is_integer(ray) or not 0 <= ray < len(fan.rays):
         raise InvalidFan([f"no ray with index {ray}"])
@@ -274,11 +290,11 @@ def _route(fan: Fan, bound: int | None) -> tuple[dict, dict] | None:
 def _roots_for_ray(fan: Fan, ray: int, bound: int | None,
                    search: tuple[dict, dict] | None) -> RayRoots:
     """roots_for_ray for a valid ray and bound, by the pairing search with
-    the caches `search`, or by lattice_points when it is None."""
+    the caches `search`, or by lattice_points when it is None, and then by
+    the box search when the polyhedron is unbounded and there is a bound."""
     if search is not None:
         return RayRoots(ray, "finite", _complete_roots(fan, ray, *search))
-    system = _condition1_system(fan, ray)
-    points = lattice.lattice_points(system, fan.dim)
+    points = lattice.lattice_points(_condition1_system(fan, ray), fan.dim)
     status = "finite"
     if points is UNBOUNDED:
         if bound is None:
@@ -287,12 +303,11 @@ def _roots_for_ray(fan: Fan, ray: int, bound: int | None,
         if min(2 * bound + 1, MAX_BOX_POINTS + 1) ** (fan.dim - 1) > MAX_BOX_POINTS:
             raise BadParams(f"bound {bound} is too large in dimension {fan.dim}: up to "
                             f"(2*bound+1)^{fan.dim - 1} points, more than {MAX_BOX_POINTS}")
-        for u in lattice.identity(fan.dim):
-            system.append(Constraint(u, ">=", -bound))
-            system.append(Constraint(tuple(-x for x in u), ">=", -bound))
-        points = lattice.lattice_points(system, fan.dim)
-        if points is UNBOUNDED:
-            raise InternalError(f"root polyhedron of ray {ray} is unbounded inside a box")
+        n, p, units = fan.dim, fan.rays[ray], lattice.identity(fan.dim)
+        rows = [p, *units, *map(neg, units), *fan.rays[:ray], *fan.rays[ray + 1:]]
+        lows = [-1] + [-bound] * (2 * n) + [0] * (len(fan.rays) - 1)
+        points = lattice._search(rows, lows, [-1] + [bound] * n,
+                                 lattice._basis_inverse(rows, range(n + 1), n))
     roots = tuple(r for r in (_root(fan, e, ray) for e in points) if r is not None)
     return RayRoots(ray, status, roots, bound if status == "truncated" else None)
 
@@ -313,14 +328,9 @@ def _complete_roots(fan: Fan, ray: int, opposite: dict,
             rays, (ray, *sorted(cone.ray_indices, key=inverses.__contains__)), n)
         for b in inverse[0]:
             inverses.setdefault(b, inverse)
-    basis, cols, d = inverses[ray]
-    tops = [-1 if b == ray else _top(fan, opposite, b, ray) for b in basis]
-    # search order: the ray, the pairings held at 0, then the bounded ones
-    order = sorted(range(n), key=lambda pos: (tops[pos] >= 0, tops[pos] > 0))
-    basis, cols, tops = ([seq[pos] for pos in order] for seq in (basis, cols, tops))
-    others = [rays[j] for j in range(len(rays)) if j not in basis]
-    vectors = lattice._search([rays[b] for b in basis], cols, d, [min(t, 0) for t in tops],
-                              tops, others, [0] * len(others))
+    lows = [-1 if j == ray else 0 for j in range(len(rays))]
+    highs = {b: lows[b] if b == ray else _top(fan, opposite, b, ray) for b in inverses[ray][0]}
+    vectors = lattice._search(rays, lows, highs, inverses[ray])
     return tuple(DemazureRoot(e, ray, pairing_row(fan, e)) for e in vectors)
 
 

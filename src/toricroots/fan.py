@@ -95,14 +95,18 @@ class Cone(Value):
 
 class LatticeAutomorphism(Value):
     """A unimodular integer matrix acting on N by left multiplication.
-    NotUnimodular for a matrix with an entry that is not an int (bools
-    included) or with a determinant other than +-1."""
+    NotUnimodular for a matrix that is not a tuple or list of tuples or
+    lists, or has an entry that is not an int (bools included), or a
+    determinant other than +-1."""
 
     __slots__ = _fields = ("matrix",)
 
     def __init__(self, matrix: Mat):
-        if not all(lattice.is_integer(x) for row in matrix for x in row):
-            raise NotUnimodular("automorphism matrix has an entry that is not an int")
+        if not isinstance(matrix, (tuple, list)) or not all(
+                isinstance(row, (tuple, list)) and all(map(lattice.is_integer, row))
+                for row in matrix):
+            raise NotUnimodular("automorphism matrix is not a tuple or list of rows, or has "
+                                "an entry that is not an int")
         d = lattice.determinant(matrix)
         if abs(d) != 1:
             raise NotUnimodular(f"automorphism matrix has determinant {d}")

@@ -14,7 +14,8 @@ points of a polyhedron come from the same kernel: the double description
 of its homogenization decides whether it is empty or unbounded and gives
 its vertices, which bound each row, and one depth-first search over the
 lattice of a basis of rows lists the points (:func:`lattice_points`; the
-roots of complete fans use the same search). No floating point or
+roots of complete fans and the truncated roots use the same search,
+:func:`_search`, with bounds of their own). No floating point or
 rational number is used anywhere in this package.
 """
 
@@ -493,13 +494,17 @@ def dual_rays(rows: Sequence[Vec], width: int) -> tuple[Vec, ...] | None:
 
 
 class Constraint(Value):
-    """One linear condition <normal, x> REL rhs with REL in {">=", "="}."""
+    """One linear condition <normal, x> REL rhs with REL in {">=", "="};
+    ValueError for another relation, or for a normal entry or rhs that is
+    not an int (bools included)."""
 
     __slots__ = _fields = ("normal", "relation", "rhs")
 
     def __init__(self, normal: Vec, relation: str, rhs: int):
         if relation not in (">=", "="):
             raise ValueError(f"relation must be '>=' or '=', got {relation!r}")
+        if not all(map(is_integer, normal)) or not is_integer(rhs):
+            raise ValueError(f"integer normal and rhs expected, got {normal!r} and {rhs!r}")
         object.__setattr__(self, "normal", normal)
         object.__setattr__(self, "relation", relation)
         object.__setattr__(self, "rhs", rhs)
@@ -523,7 +528,9 @@ UNBOUNDED = Unbounded()
 
 
 def lattice_points(constraints: Sequence[Constraint], dim: int):
-    """All integer solutions, in lexicographic order, or UNBOUNDED.
+    """All integer solutions, in lexicographic order, or UNBOUNDED;
+    ValueError for a `dim` that is not a positive int (bools included) or
+    a constraint of another length.
 
     Each equation a.x = b is taken as the two rows a.x >= b and -a.x >= -b,
     and P is the polyhedron of all rows.
@@ -561,8 +568,8 @@ def lattice_points(constraints: Sequence[Constraint], dim: int):
     first keep the search tree small: the equations fix the first
     coordinates of the search, and the widest rows branch last.
     """
-    if dim < 1:
-        raise ValueError("dimension must be positive")
+    if not is_integer(dim) or dim < 1:
+        raise ValueError(f"dimension must be a positive int, got {dim!r}")
     for c in constraints:
         if len(c.normal) != dim:
             raise ValueError(f"constraint dimension {len(c.normal)} != {dim}")
@@ -580,11 +587,7 @@ def lattice_points(constraints: Sequence[Constraint], dim: int):
     lows = [min(-(-v // t) for v, t in vals) for vals in values]
     highs = [max(v // t for v, t in vals) for vals in values]
     order = sorted(range(len(rows)), key=lambda k: highs[k] - lows[k])
-    basis, cols, d = _basis_inverse(normals, order, dim)
-    others = [k for k in order if k not in basis]
-    return tuple(_search([normals[k] for k in basis], cols, d, [lows[k] for k in basis],
-                         [highs[k] for k in basis], [normals[k] for k in others],
-                         [lows[k] for k in others]))
+    return tuple(_search(normals, lows, highs, _basis_inverse(normals, order, dim)))
 
 
 def _basis_inverse(rows: Sequence[Vec], order: Sequence[int], width: int) -> tuple:
@@ -594,11 +597,11 @@ def _basis_inverse(rows: Sequence[Vec], order: Sequence[int], width: int) -> tup
     its columns in the same order; when there are fewer, W and D mean
     nothing, and a caller that does not know that the rows span Q^width
     checks len(basis). This is the package's one inverse of a basis: the
-    double description starts from it, and :func:`invert_unimodular` and
-    :func:`lattice_points` read it. The pairing search for the roots of
-    complete fans calls it for a basis through a maximal cone that is not
-    simplicial, and reads the inverse that a simplicial cone stores
-    (:func:`toricroots.fan._simplicial_inverse`).
+    double description starts from it, and :func:`invert_unimodular`,
+    :func:`lattice_points` and the box search of truncated roots read it.
+    The pairing search for the roots of complete fans calls it for a basis
+    through a maximal cone that is not simplicial, and reads the inverse
+    that a simplicial cone stores (:func:`toricroots.fan._simplicial_inverse`).
 
     One fraction-free Gauss-Jordan pass (:func:`_gauss_jordan`) on [G | I],
     G the rows in `order` as columns, picks the first independent columns,
@@ -613,52 +616,61 @@ def _basis_inverse(rows: Sequence[Vec], order: Sequence[int], width: int) -> tup
     return [order[j] for j in picked], [tuple(r[m:]) if p > 0 else neg(r[m:]) for r in a], abs(p)
 
 
-def _search(basis: Sequence[Vec], cols: Sequence[Vec], d: int, lows: Sequence[int],
-            highs: Sequence[int], rows: Sequence[Vec], floors: Sequence[int]) -> list[Vec]:
-    """The integral x with lows[i] <= <basis[i], x> <= highs[i] for every i
-    and <rows[j], x> >= floors[j] for every j, sorted.
+def _search(rows: Sequence[Vec], lows: Sequence[int], highs: Sequence[int],
+            inverse: tuple) -> list[Vec]:
+    """The integral x with lows[k] <= <rows[k], x> <= highs[k] for every row
+    k of the basis and <rows[k], x> >= lows[k] for every other row, sorted.
 
-    The n vectors of `basis` are the rows of an invertible matrix B, and
-    B^-1 = W / d with d > 0 and W given by its columns `cols`
-    (:func:`_basis_inverse`). An integral x is W y / d for y = B x in the
-    lattice B Z^n, and d <a, x> = L_a y with L_a the integers <a, w_i>. The
-    column Hermite form H of B is lower triangular with a positive diagonal
-    and H Z^n = B Z^n (H = I when d = 1), so the y in the lattice are the
-    H z with z integral, and z is read off y one coordinate at a time:
-    given z_0 .. z_(i-1), the values of y_i are the r_i + H_ii t, r_i =
-    sum H_im z_m over m < i. A leading run of fixed coordinates (equal
+    `inverse` is (basis, W, D) of :func:`_basis_inverse` for n rows whose
+    indices into `rows` are `basis`: they are the rows of an invertible
+    matrix B with B W = D I and D > 0, W given by its columns in basis
+    order. highs is read at the basis rows alone (a mapping from them will
+    do), and the bounds of every basis row are finite. The basis rows with
+    equal bounds are searched first, then the others, each group in basis
+    order; B below is the basis in that order. An integral x is W y / D for y = B x in the lattice
+    B Z^n, and D <a, x> = L_a y with L_a the integers <a, w_i>. The column
+    Hermite form H of B is lower triangular with a positive diagonal and
+    H Z^n = B Z^n (H = I when D = 1), so the y in the lattice are the H z
+    with z integral, and z is read off y one coordinate at a time: given
+    z_0 .. z_(i-1), the values of y_i are the r_i + H_ii t, r_i =
+    sum H_im z_m over m < i. The leading run of fixed coordinates (equal
     bounds) either gives its z or shows that there is no point. The others
     are searched depth first (:func:`_descend`), each over the values
     r_i + H_ii t in its bounds, so every full y is B x for an integral x,
     and no point of the box off the lattice is visited. The coordinates
     not yet taken can add at most sum max(lo L_ai, hi L_ai) to L_a y over
-    their bounds [lo, hi], and a value is taken only if every row's L_a y
-    can still reach d floors[a] with that much. So every full y meets every
-    row, and no y that does is cut.
+    their bounds [lo, hi], and a value is taken only if every other row's
+    L_a y can still reach D lows[a] with that much. So every full y meets
+    every row, and no y that does is cut; there are at most as many as the
+    box of the basis bounds holds.
 
-    Only W / d enters: scaling W and d by one factor k > 0 scales every L_a,
-    every sum L_a y - d floors[a] and every tail by k, and
+    Only W / D enters: scaling W and D by one factor k > 0 scales every L_a,
+    every sum L_a y - D lows[a] and every tail by k, and
     floor(k s / (k c)) = floor(s / c), so each interval of :func:`_descend`
-    is unchanged and the same nodes are visited; the last division by d is
-    exact either way. Any such W / d with d = 1 makes B^-1 integral, so B is
+    is unchanged and the same nodes are visited; the last division by D is
+    exact either way. Any such W / D with D = 1 makes B^-1 integral, so B is
     unimodular and H = I is its Hermite form.
     """
-    n = len(basis)
-    h = identity(n) if d == 1 else hermite_column_form(basis)
+    picked, columns, d = inverse
+    n = len(picked)
+    basis, cols = zip(*sorted(zip(picked, columns), key=lambda bc: lows[bc[0]] != highs[bc[0]]))
+    others = [k for k in range(len(rows)) if k not in basis]
+    h = identity(n) if d == 1 else hermite_column_form([rows[k] for k in basis])
     y, z = [0] * n, [0] * n
     fixed = 0
-    while fixed < n and lows[fixed] == highs[fixed]:
-        y[fixed] = lows[fixed]
+    while fixed < n and lows[basis[fixed]] == highs[basis[fixed]]:
+        y[fixed] = lows[basis[fixed]]
         z[fixed], off = divmod(y[fixed] - sum(map(mul, h[fixed], z)), h[fixed][fixed])
         if off:
             return []
         fixed += 1
     w = list(zip(*cols))
     start = [sum(map(mul, y, row)) for row in w]  # W y, y fixed so far
-    sums = [sum(map(mul, a, start)) - d * f for a, f in zip(rows, floors)]
-    steps, tail = [], [0] * len(rows)
+    sums = [sum(map(mul, rows[k], start)) - d * lows[k] for k in others]
+    steps, tail = [], [0] * len(others)
     for pos in range(n - 1, fixed - 1, -1):
-        lo, hi, coeffs = lows[pos], highs[pos], [sum(map(mul, a, cols[pos])) for a in rows]
+        lo, hi = lows[basis[pos]], highs[basis[pos]]
+        coeffs = [sum(map(mul, rows[k], cols[pos])) for k in others]
         steps.append((pos, lo, hi, coeffs, h[pos], tail))
         tail = [t + max(lo * c, hi * c) for t, c in zip(tail, coeffs)]
     steps.reverse()
@@ -672,7 +684,7 @@ def _descend(steps, level: int, sums: list[int], y: list[int], z: list[int], fou
     """Extend y = H z at steps[level:] (each a position, its bounds, its
     column of the rows L, its row of H and the most that the later steps
     add to each row), collecting every full y. The values of y at the
-    position that keep every row of `sums` = L y - d floors within reach of
+    position that keep every row of `sums` = L y - d lows within reach of
     0 form an interval, cut by the bounds; y steps through it by H's
     diagonal entry from the value the earlier z allow."""
     if level == len(steps):

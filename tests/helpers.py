@@ -23,7 +23,7 @@ from toricroots import (
     wps_one,
 )
 from toricroots.errors import InvalidFan
-from toricroots.lattice import is_primitive, primitive
+from toricroots.lattice import identity, is_primitive, primitive
 
 
 def quadrant_fan() -> Fan:
@@ -228,10 +228,11 @@ if __name__ == "__main__":
     # python tests/helpers.py codelines prints the code lines of each module
     # of src/toricroots (no blanks, comments or docstrings) and their total.
     # python tests/helpers.py NAME prints one scaling fixture: the fan JSON
-    # of product9, cross4, glcross5, glcross5-1, p1n8-1, blowup or z5, or
-    # the polytope JSON of perm6, cross5, cross7 or cross8 (the 5-, 7- and
-    # 8-dimensional cross-polytopes, each vertex on 16 of 32, 64 of 128 and
-    # 128 of 256 facets).
+    # of product9, cross4, glcross5, glcross5-1, p1n8-1, blowup, z5 or
+    # orthant6 (the cone of the unit vectors of Z^6), or the polytope JSON
+    # of perm6, cross5, cross7 or cross8 (the 5-, 7- and 8-dimensional
+    # cross-polytopes, each vertex on 16 of 32, 64 of 128 and 128 of 256
+    # facets).
     # cross4 and glcross5 are the images of the cross-polytope's normal fan
     # by random_unimodular(random.Random(1), n); glcross5-1 is glcross5
     # without its first maximal cone, and p1n8-1 is (P^1)^8 without its
@@ -278,6 +279,8 @@ if __name__ == "__main__":
     fixtures = {"product9": _product9, "cross4": lambda: _gl_cross(4),
                 "glcross5": lambda: _gl_cross(5), "glcross5-1": lambda: _gl_cross(5, 1),
                 "p1n8-1": _p1n8_1, "blowup": _blowup, "z5": _z5,
+                "orthant6": lambda: {"dim": 6, "rays": [list(u) for u in identity(6)],
+                                     "max_cones": [list(range(6))]},
                 "perm6": _perm6, "cross5": lambda: _cross(5), "cross7": lambda: _cross(7),
                 "cross8": lambda: _cross(8)}
     if sys.argv[1:] == ["codelines"]:

@@ -182,6 +182,16 @@ point of any full-dimensional cone, one face at a time, left
 ``demazure``. Kept below unchanged but for its name and module references
 (``peel``); on a simplicial cone it gives the one decomposition that the
 stored inverse gives, so it stays the reference for that reading.
+
+Then the truncated roots of a fan that is not complete stopped building a
+second system: ``demazure._roots_for_ray`` searches the box of the bound
+directly, with the ray and n - 1 unit vectors as its basis. Kept below
+unchanged but for its name and module references: the branch that added
+2n box rows to the condition-(1) system and ran ``lattice_points`` on it
+again (``box_roots_for_ray``, with ``box_all_roots`` over every ray). It
+shares the library's ``lattice_points`` and so its search, but not the
+basis or the bounds: those come from the double description of the box
+system, its narrowest rows first.
 """
 
 from __future__ import annotations
@@ -198,14 +208,19 @@ from toricroots import lattice
 from toricroots.additive import CompleteCollection, EquivalenceWitness, verify_witness
 from toricroots.cox import CoxPresentation, GaActionFormula
 from toricroots.demazure import (
+    MAX_BOX_POINTS,
     CoxDerivation,
     DemazureRoot,
+    RayRoots,
+    RootSet,
+    _condition1_system,
     _root,
     pairing_row,
     satisfies_condition1,
 )
 from toricroots import fan as fan_module
 from toricroots.errors import (
+    BadParams,
     DegeneratePolytope,
     DimensionMismatch,
     InternalError,
@@ -1774,3 +1789,33 @@ def peel(x: Vec, cone: Cone, rays: tuple[Vec, ...]) -> dict[int, tuple[int, int]
         vals = [den * v - num * c for v, c in zip(vals, col)]
         scale *= den
     return out
+
+
+def box_roots_for_ray(fan: Fan, ray: int, bound: int | None) -> RayRoots:
+    """The roots of a ray of a fan that is not complete, a valid ray and
+    bound: the lattice points of the condition-(1) polyhedron that satisfy
+    condition (2), and with a bound, when it is unbounded, those of the
+    polyhedron cut by the 2n rows of the box of that sup-norm."""
+    system = _condition1_system(fan, ray)
+    points = lattice.lattice_points(system, fan.dim)
+    status = "finite"
+    if points is UNBOUNDED:
+        if bound is None:
+            return RayRoots(ray, "infinite", ())
+        status = "truncated"
+        if min(2 * bound + 1, MAX_BOX_POINTS + 1) ** (fan.dim - 1) > MAX_BOX_POINTS:
+            raise BadParams(f"bound {bound} is too large in dimension {fan.dim}: up to "
+                            f"(2*bound+1)^{fan.dim - 1} points, more than {MAX_BOX_POINTS}")
+        for u in lattice.identity(fan.dim):
+            system.append(Constraint(u, ">=", -bound))
+            system.append(Constraint(tuple(-x for x in u), ">=", -bound))
+        points = lattice.lattice_points(system, fan.dim)
+        if points is UNBOUNDED:
+            raise InternalError(f"root polyhedron of ray {ray} is unbounded inside a box")
+    roots = tuple(r for r in (_root(fan, e, ray) for e in points) if r is not None)
+    return RayRoots(ray, status, roots, bound if status == "truncated" else None)
+
+
+def box_all_roots(fan: Fan, bound: int | None) -> RootSet:
+    """``all_roots`` of a fan that is not complete by ``box_roots_for_ray``."""
+    return RootSet(tuple(box_roots_for_ray(fan, i, bound) for i in range(len(fan.rays))))

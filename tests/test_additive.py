@@ -231,6 +231,21 @@ def test_a_ray_map_pair_that_is_not_two_ray_indices_is_no_witness(ray_map):
     assert verify_witness(fan, c, c, EquivalenceWitness(identity, ray_map)) is False
 
 
+@pytest.mark.parametrize("matrix,ray_map", [
+    (5, ((0, 0), (1, 1))), (None, ((0, 0), (1, 1))), ("ab", ((0, 0), (1, 1))),
+    ((1, 0), ((0, 0), (1, 1))), (((1, 0), 5), ((0, 0), (1, 1))),
+    (5, ()), (None, ()), (((1, 0), (0, 1)), None), (((1, 0), (0, 1)), 5),
+    (((1, 0), (0, 1)), {(0, 0): 1, (1, 1): 1})])
+def test_a_malformed_witness_is_no_witness(matrix, ray_map):
+    """A matrix that is not a tuple or list of rows, or a ray map that is
+    not a tuple or list, reads False: each raised TypeError."""
+    from toricroots.additive import EquivalenceWitness
+
+    fan = projective_space(2)
+    c = complete_collections(fan)[0]
+    assert verify_witness(fan, c, c, EquivalenceWitness(matrix, ray_map)) is False
+
+
 def test_a_ray_map_that_is_not_a_bijection_of_the_collections_is_no_witness():
     """With the identity matrix on P^2, the ray map must pair each ray of
     the collection with itself, each once: a map with no pairs, with one

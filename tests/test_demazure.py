@@ -56,6 +56,17 @@ def test_quadrant_roots_truncated():
     assert [r.vector for r in rr.roots] == [(-1, c) for c in range(4)]
 
 
+@pytest.mark.parametrize("e", [(1.5, 0), ("a", 0), (True, 0), (-1.0, 0)])
+def test_a_root_vector_with_a_coordinate_that_is_not_an_int_is_refused(e):
+    """(1.5, 0) read False and ("a", 0) raised an untyped TypeError; the
+    vector is read by lattice.vec, as cone_dual_description reads its
+    generators."""
+    fan = projective_space(2)
+    for check in (is_demazure_root, demazure_root):
+        with pytest.raises(TypeError, match="integer coordinate expected"):
+            check(fan, e, 0)
+
+
 def test_empty_condition1_polyhedron_is_finite():
     """Ray e1 + e2 of the fan with cones {e1, e1+e2, e3} and {e1+e2, e2, e3}:
     <e1 + e2, e> = -1 with <e1, e>, <e2, e> >= 0 has no solution, so the ray
@@ -289,16 +300,6 @@ def test_a_bound_whose_box_is_too_large_is_refused(monkeypatch):
 def test_complete_fan_roots_ignore_bound():
     for name, fan in bundled_complete_fans():
         assert all_roots(fan, bound=2) == all_roots(fan), name
-
-
-def test_unbounded_box_is_an_internal_error(monkeypatch):
-    """A bounded enumeration that comes back unbounded is a typed error."""
-    from toricroots import demazure
-    from toricroots.errors import InternalError
-
-    monkeypatch.setattr(demazure.lattice, "lattice_points", lambda system, dim: UNBOUNDED)
-    with pytest.raises(InternalError):
-        roots_for_ray(quadrant_fan(), 0, bound=2)
 
 
 # ---------------------------------------------------------------------------

@@ -244,6 +244,12 @@ def test_an_automorphism_matrix_with_an_entry_that_is_not_an_int_is_refused(matr
         LatticeAutomorphism(matrix)
 
 
+@pytest.mark.parametrize("matrix", [5, None, "ab", (1, 0), ((1, 0), 5), ({0: 1}, (0, 1))])
+def test_an_automorphism_matrix_that_is_not_rows_of_ints_is_refused(matrix):
+    with pytest.raises(NotUnimodular, match="not a tuple or list of rows"):
+        LatticeAutomorphism(matrix)
+
+
 def test_apply_automorphism_roundtrip():
     fan = hirzebruch(2)
     g = LatticeAutomorphism(((1, 1), (0, 1)))

@@ -414,6 +414,24 @@ def test_lattice_points_empty_with_unbounded_recession_cone():
     assert lattice_points([Constraint((2, 0), "=", 1), Constraint((0, 1), ">=", 0)], 2) is UNBOUNDED
 
 
+@pytest.mark.parametrize("normal,rhs", [
+    ((1.5, 0), 0), ((True, 0), 0), ((1, "0"), 0), ((1, 0), "0"), ((1, 0), 0.0), ((1, 0), False)])
+def test_a_constraint_with_data_that_is_not_an_int_is_refused(normal, rhs):
+    """A float or string entry raised an untyped TypeError from math.gcd or
+    from the rhs, and a bool entry was read as 1: each is a ValueError, the
+    type a bad relation raises."""
+    for relation in (">=", "="):
+        with pytest.raises(ValueError, match="integer normal and rhs expected"):
+            Constraint(normal, relation, rhs)
+
+
+@pytest.mark.parametrize("dim", [2.0, True, "2", None, 0, -1])
+def test_lattice_points_refuses_a_dim_that_is_not_a_positive_int(dim):
+    system = [Constraint((1, 0), ">=", 0), Constraint((-1, 0), ">=", -2)]
+    with pytest.raises(ValueError, match="dimension must be a positive int"):
+        lattice_points(system, dim)
+
+
 @settings(max_examples=80, deadline=None)
 @given(st.integers(1, 3), st.data())
 def test_lattice_points_match_box_scan(dim, data):
