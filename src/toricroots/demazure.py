@@ -20,15 +20,18 @@ rho) is a cone of the fan iff the ray-index set of sigma plus rho is in
 The roots of a ray are found in one of three ways, which share one search
 (:func:`toricroots.lattice._search`): the integral vectors whose pairings
 with n independent rows lie in given bounds and whose pairings with the
-other rows are at least given floors. On a fan certified complete the fan
-gives the bounds itself: each root's pairings with the rays of a basis
-through its ray are bounded by the stored facet normals of the maximal
-cones that hold the opposites of those rays (:func:`roots_for_ray` has the
-proofs). On any other fan :func:`toricroots.lattice.lattice_points` decides
-by its double description whether the condition-(1) polyhedron is bounded
-and bounds each pairing over its vertices. When it is unbounded, a bound
-gives the box of that sup-norm, which is searched directly, the ray and
-n - 1 unit vectors its basis.
+other rows are at least given floors. Condition (1) is one list of floors
+on the rays, -1 at the ray and 0 elsewhere, which all three read. On a fan
+certified complete the fan gives the bounds itself: each root's pairings
+with the rays of a basis through its ray are bounded by the stored facet
+normals of the maximal cones that hold the opposites of those rays
+(:func:`roots_for_ray` has the proofs). On any other fan
+:func:`toricroots.lattice._points` decides by its double description
+whether the condition-(1) polyhedron is bounded and bounds each pairing
+over its vertices. When it is unbounded, a bound gives the box of that
+sup-norm, which is searched directly, the ray and n - 1 unit vectors its
+basis. Each listed vector is paired with the rays once, and off a fan
+certified complete condition (2) filters them.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ from operator import mul
 from . import lattice
 from .errors import BadParams, InternalError, InvalidFan
 from .fan import Cone, Fan, _simplicial_inverse
-from .lattice import UNBOUNDED, Constraint, Value, Vec, neg
+from .lattice import UNBOUNDED, Value, Vec, neg
 
 # The most leaves a truncated root enumeration may visit for one ray. Its
 # search fixes <p_rho, e> = -1 and takes each of n - 1 unit coordinates in
@@ -179,21 +182,13 @@ def demazure_root(fan: Fan, e, ray: int) -> DemazureRoot:
     return root
 
 
-def _condition1_system(fan: Fan, ray: int) -> list[Constraint]:
-    sys = [Constraint(fan.rays[ray], "=", -1)]
-    for i, p in enumerate(fan.rays):
-        if i != ray:
-            sys.append(Constraint(p, ">=", 0))
-    return sys
-
-
 def roots_for_ray(fan: Fan, ray: int, bound: int | None = None) -> RayRoots:
     """Roots with the given distinguished ray rho.
 
     The roots are the lattice points of the condition-(1) polyhedron that
     satisfy condition (2). Unless the fan is certified complete, they are
-    its points by :func:`toricroots.lattice.lattice_points`, from
-    its double description and the search over its vertex bounds.
+    its points by :func:`toricroots.lattice._points`, from its double
+    description and the search over its vertex bounds.
     "infinite" means that polyhedron is non-empty and unbounded: it is the
     status of the polyhedron, not of the root set, which condition (2) may
     leave finite or empty. Then a supplied bound gives a "truncated"
@@ -234,8 +229,8 @@ def roots_for_ray(fan: Fan, ray: int, bound: int | None = None) -> RayRoots:
     y_rho = -1, each other y_b is bounded as above, and the rays span Q^n,
     as their cones cover it, so e is fixed by its pairings. The search
     below is taken exactly when the fan is certified complete, decided once
-    per call for all rays, and :func:`toricroots.lattice.lattice_points`
-    serves every other fan.
+    per call for all rays, and :func:`toricroots.lattice._points` serves
+    every other fan.
 
     *Search.* The first maximal cone through rho gives the basis B and its
     inverse (B, W, D), B W = D I and D > 0: the cone's n rays in its own
@@ -258,10 +253,10 @@ def roots_for_ray(fan: Fan, ray: int, bound: int | None = None) -> RayRoots:
     every ray in it.
 
     *Box.* A truncated enumeration searches the box with the same search,
-    and no second double description: its rows are p_rho, the unit vectors
-    u_i, their opposites and the other rays. The basis is p_rho and the
-    first n - 1 unit vectors independent of it (p_rho is nonzero, so the
-    unit vectors complete it to n independent rows), from
+    and no second double description: its rows are the rays, then the unit
+    vectors u_i, then their opposites. The basis is p_rho and the first
+    n - 1 unit vectors independent of it (p_rho is nonzero, so the unit
+    vectors complete it to n independent rows), from
     :func:`toricroots.lattice._basis_inverse`; the pairing with p_rho is
     fixed at -1 and each basis u_i ranges over [-bound, bound]. The other
     rows are floors: <u_i, e> >= -bound and <-u_i, e> >= -bound hold every
@@ -281,7 +276,7 @@ def _route(fan: Fan, bound: int | None) -> tuple[dict, dict] | None:
     that is not a positive int, then decide the route of every ray. The
     caches of the pairing search when the fan takes it (see
     :func:`roots_for_ray`), the cones that hold the -p_k and for each ray a
-    basis inverse whose basis holds it; None for lattice_points."""
+    basis inverse whose basis holds it; None for lattice._points."""
     if bound is not None and (not lattice.is_integer(bound) or bound < 1):
         raise BadParams("bound must be a positive integer")
     return ({}, {}) if fan._complete else None
@@ -289,27 +284,36 @@ def _route(fan: Fan, bound: int | None) -> tuple[dict, dict] | None:
 
 def _roots_for_ray(fan: Fan, ray: int, bound: int | None,
                    search: tuple[dict, dict] | None) -> RayRoots:
-    """roots_for_ray for a valid ray and bound, by the pairing search with
-    the caches `search`, or by lattice_points when it is None, and then by
-    the box search when the polyhedron is unbounded and there is a bound."""
-    if search is not None:
-        return RayRoots(ray, "finite", _complete_roots(fan, ray, *search))
-    points = lattice.lattice_points(_condition1_system(fan, ray), fan.dim)
+    """roots_for_ray for a valid ray and bound. Condition (1) is the floors
+    `lows` on the rays, -1 at the ray and 0 elsewhere, which every route
+    reads: the pairing search with the caches `search`, or when it is None
+    :func:`toricroots.lattice._points` with the ray's pairing also at most
+    -1, and then the box search when the polyhedron is unbounded and there
+    is a bound. Each listed e is paired once; off the pairing search,
+    condition (2) filters the roots."""
+    m, n = len(fan.rays), fan.dim
+    lows = [-1 if j == ray else 0 for j in range(m)]
     status = "finite"
-    if points is UNBOUNDED:
-        if bound is None:
-            return RayRoots(ray, "infinite", ())
-        status = "truncated"
-        if min(2 * bound + 1, MAX_BOX_POINTS + 1) ** (fan.dim - 1) > MAX_BOX_POINTS:
-            raise BadParams(f"bound {bound} is too large in dimension {fan.dim}: up to "
-                            f"(2*bound+1)^{fan.dim - 1} points, more than {MAX_BOX_POINTS}")
-        n, p, units = fan.dim, fan.rays[ray], lattice.identity(fan.dim)
-        rows = [p, *units, *map(neg, units), *fan.rays[:ray], *fan.rays[ray + 1:]]
-        lows = [-1] + [-bound] * (2 * n) + [0] * (len(fan.rays) - 1)
-        points = lattice._search(rows, lows, [-1] + [bound] * n,
-                                 lattice._basis_inverse(rows, range(n + 1), n))
-    roots = tuple(r for r in (_root(fan, e, ray) for e in points) if r is not None)
-    return RayRoots(ray, status, roots, bound if status == "truncated" else None)
+    if search is not None:
+        vectors = _complete_roots(fan, ray, lows, *search)
+    else:
+        vectors = lattice._points([*fan.rays, neg(fan.rays[ray])], [*lows, 1], n)
+        if vectors is UNBOUNDED:
+            if bound is None:
+                return RayRoots(ray, "infinite", ())
+            status = "truncated"
+            if min(2 * bound + 1, MAX_BOX_POINTS + 1) ** (n - 1) > MAX_BOX_POINTS:
+                raise BadParams(f"bound {bound} is too large in dimension {n}: up to "
+                                f"(2*bound+1)^{n - 1} points, more than {MAX_BOX_POINTS}")
+            units = lattice.identity(n)
+            rows = [*fan.rays, *units, *map(neg, units)]
+            highs = {ray: -1, **dict.fromkeys(range(m, m + n), bound)}
+            vectors = lattice._search(rows, lows + [-bound] * (2 * n), highs,
+                                      lattice._basis_inverse(rows, (ray, *range(m, m + n)), n))
+    roots = [DemazureRoot(e, ray, pairing_row(fan, e)) for e in vectors]
+    if search is None:
+        roots = [r for r in roots if _condition2(fan, r.pairings, ray)]
+    return RayRoots(ray, status, tuple(roots), bound if status == "truncated" else None)
 
 
 def all_roots(fan: Fan, bound: int | None = None) -> RootSet:
@@ -317,10 +321,11 @@ def all_roots(fan: Fan, bound: int | None = None) -> RootSet:
     return RootSet(tuple(_roots_for_ray(fan, i, bound, search) for i in range(len(fan.rays))))
 
 
-def _complete_roots(fan: Fan, ray: int, opposite: dict,
-                    inverses: dict) -> tuple[DemazureRoot, ...]:
-    """The roots of the ray on a fan certified complete, sorted; the proofs
-    are in :func:`roots_for_ray`."""
+def _complete_roots(fan: Fan, ray: int, lows: list[int], opposite: dict,
+                    inverses: dict) -> list[Vec]:
+    """The roots of the ray on a fan certified complete, as vectors, sorted,
+    `lows` the floors of condition (1); the proofs are in
+    :func:`roots_for_ray`."""
     n, rays = fan.dim, fan.rays
     if ray not in inverses:
         cone = next(c for c in fan.max_cones if ray in c.ray_indices)
@@ -328,10 +333,8 @@ def _complete_roots(fan: Fan, ray: int, opposite: dict,
             rays, (ray, *sorted(cone.ray_indices, key=inverses.__contains__)), n)
         for b in inverse[0]:
             inverses.setdefault(b, inverse)
-    lows = [-1 if j == ray else 0 for j in range(len(rays))]
     highs = {b: lows[b] if b == ray else _top(fan, opposite, b, ray) for b in inverses[ray][0]}
-    vectors = lattice._search(rays, lows, highs, inverses[ray])
-    return tuple(DemazureRoot(e, ray, pairing_row(fan, e)) for e in vectors)
+    return lattice._search(rays, lows, highs, inverses[ray])
 
 
 def _top(fan: Fan, opposite: dict, b: int, ray: int) -> int:

@@ -13,10 +13,12 @@ its callers need not pair rays with rows again to find them. Lattice
 points of a polyhedron come from the same kernel: the double description
 of its homogenization decides whether it is empty or unbounded and gives
 its vertices, which bound each row, and one depth-first search over the
-lattice of a basis of rows lists the points (:func:`lattice_points`; the
-roots of complete fans and the truncated roots use the same search,
-:func:`_search`, with bounds of their own). No floating point or
-rational number is used anywhere in this package.
+lattice of a basis of rows lists the points (:func:`lattice_points`
+reads its constraints into the rows of :func:`_points`, which the roots
+of fans that are not complete call directly; the roots of complete fans
+and the truncated roots use the same search, :func:`_search`, with bounds
+of their own). No floating point or rational number is used anywhere in
+this package.
 """
 
 from __future__ import annotations
@@ -533,7 +535,9 @@ def lattice_points(constraints: Sequence[Constraint], dim: int):
     a constraint of another length.
 
     Each equation a.x = b is taken as the two rows a.x >= b and -a.x >= -b,
-    and P is the polyhedron of all rows.
+    and P is the polyhedron of all rows, which :func:`_points` reads from
+    there on (the roots of fans that are not complete call it with their
+    rows directly).
 
     *Status.* P is the slice t = 1 of the cone C of the homogenized rows
     a.x - b t >= 0 and t >= 0. When the normals a span Q^dim, so do those
@@ -575,8 +579,13 @@ def lattice_points(constraints: Sequence[Constraint], dim: int):
             raise ValueError(f"constraint dimension {len(c.normal)} != {dim}")
     rows = [(tuple(c.normal), c.rhs) for c in constraints]
     rows += [(neg(c.normal), -c.rhs) for c in constraints if c.relation == "="]
-    normals = [a for a, _ in rows]
-    cone = [(*a, -b) for a, b in rows] + [(0,) * dim + (1,)]
+    return _points([a for a, _ in rows], [b for _, b in rows], dim)
+
+
+def _points(normals: Sequence[Vec], floors: Sequence[int], dim: int):
+    """:func:`lattice_points` of the rows <normals[k], x> >= floors[k],
+    each normal of length `dim`; the proofs are there."""
+    cone = [(*a, -b) for a, b in zip(normals, floors)] + [(0,) * dim + (1,)]
     cuts = [(*u, 0) for u in kernel_basis(normals, dim)]
     rays = dual_rays(cone + cuts + [neg(u) for u in cuts], dim + 1)
     if not any(r[-1] for r in rays):
@@ -586,7 +595,7 @@ def lattice_points(constraints: Sequence[Constraint], dim: int):
     values = [[(sum(map(mul, a, r)), r[-1]) for r in rays] for a in normals]
     lows = [min(-(-v // t) for v, t in vals) for vals in values]
     highs = [max(v // t for v, t in vals) for vals in values]
-    order = sorted(range(len(rows)), key=lambda k: highs[k] - lows[k])
+    order = sorted(range(len(normals)), key=lambda k: highs[k] - lows[k])
     return tuple(_search(normals, lows, highs, _basis_inverse(normals, order, dim)))
 
 
@@ -598,7 +607,7 @@ def _basis_inverse(rows: Sequence[Vec], order: Sequence[int], width: int) -> tup
     nothing, and a caller that does not know that the rows span Q^width
     checks len(basis). This is the package's one inverse of a basis: the
     double description starts from it, and :func:`invert_unimodular`,
-    :func:`lattice_points` and the box search of truncated roots read it.
+    :func:`_points` and the box search of truncated roots read it.
     The pairing search for the roots of complete fans calls it for a basis
     through a maximal cone that is not simplicial, and reads the inverse
     that a simplicial cone stores (:func:`toricroots.fan._simplicial_inverse`).

@@ -213,7 +213,6 @@ from toricroots.demazure import (
     DemazureRoot,
     RayRoots,
     RootSet,
-    _condition1_system,
     _root,
     pairing_row,
     satisfies_condition1,
@@ -1789,6 +1788,14 @@ def peel(x: Vec, cone: Cone, rays: tuple[Vec, ...]) -> dict[int, tuple[int, int]
         vals = [den * v - num * c for v, c in zip(vals, col)]
         scale *= den
     return out
+
+
+def _condition1_system(fan: Fan, ray: int) -> list[Constraint]:
+    sys = [Constraint(fan.rays[ray], "=", -1)]
+    for i, p in enumerate(fan.rays):
+        if i != ray:
+            sys.append(Constraint(p, ">=", 0))
+    return sys
 
 
 def box_roots_for_ray(fan: Fan, ray: int, bound: int | None) -> RayRoots:

@@ -5,7 +5,7 @@ by their pairings with n independent rays of the first maximal cone
 through it, each bounded by the stored facet normals of the cone that
 holds the opposite of that basis ray (the proofs are in its docstring),
 and runs no double description. A fan that is not complete takes
-``lattice.lattice_points``. ``oracles.chernikov_lattice_points`` on the
+``lattice._points``. ``oracles.chernikov_lattice_points`` on the
 ray's condition-(1) system is the oracle of both routes: on a complete fan
 condition (1) alone decides, so its points are exactly the roots. It is
 the Fourier-Motzkin elimination that ``lattice.lattice_points`` ran
@@ -31,6 +31,7 @@ from math import gcd
 import pytest
 
 import oracles
+from oracles import _condition1_system
 from helpers import (
     bundled_complete_fans,
     product_fan,
@@ -55,7 +56,7 @@ from toricroots import (
     wps_one,
 )
 from toricroots import demazure, lattice
-from toricroots.demazure import _condition1_system, pairing_row
+from toricroots.demazure import pairing_row
 from toricroots.fan import _simplicial_inverse
 from toricroots.lattice import UNBOUNDED, kernel_basis, transpose
 
@@ -195,16 +196,18 @@ def test_the_peeled_cones_include_simplicial_ones_and_others():
 
 
 def test_a_complete_fan_makes_no_elimination(monkeypatch):
-    """Not one lattice_points call on a complete fan, the bundled fans, a
-    skewed weighted projective space and a simple polytope's normal fan
-    included; a fan that is not complete still takes that route."""
-    calls = counting(monkeypatch, lattice, "lattice_points")
+    """Not one ``lattice._points`` call on a complete fan, the bundled
+    fans, a skewed weighted projective space and a simple polytope's normal
+    fan included, and no ``_condition2`` call, as condition (1) decides
+    there; a fan that is not complete still takes that route."""
+    calls = counting(monkeypatch, lattice, "_points")
+    checks = counting(monkeypatch, demazure, "_condition2")
     fans = [fan for _, fan in BUNDLED] + [
         skewed(wps_one(2, 3, 7, 11), 1), normal_fan(NAMED[-1][1]), product_p1(10)]
     for fan in fans:
         all_roots(fan)
         roots_for_ray(fan, len(fan.rays) - 1)
-    assert calls == []
+    assert calls == checks == []
     all_roots(orthant(3), bound=2)
     assert calls
     calls.clear()
@@ -216,14 +219,14 @@ def test_a_complete_fan_makes_no_elimination(monkeypatch):
 def test_the_route_is_decided_once_per_call(monkeypatch):
     """all_roots and roots_for_ray decide the route once per call, by the
     completeness certificate alone: a certified complete fan sends every
-    ray to the pairing search and makes no lattice_points call, whatever
-    its cones (the octahedron's normal fan, a GL_3(Z) image of it, its
-    product with P^1, glcross5 and a paraboloid normal fan, each with
+    ray to the pairing search and makes no ``lattice._points`` call,
+    whatever its cones (the octahedron's normal fan, a GL_3(Z) image of it,
+    its product with P^1, glcross5 and a paraboloid normal fan, each with
     maximal cones of more than n rays), and a fan that is not complete
-    sends every ray to lattice_points. The pairing search of one all_roots
-    call shares its caches across the rays."""
+    sends every ray to ``lattice._points``. The pairing search of one
+    all_roots call shares its caches across the rays."""
     searches = counting(monkeypatch, demazure, "_complete_roots")
-    points = counting(monkeypatch, lattice, "lattice_points")
+    points = counting(monkeypatch, lattice, "_points")
     routes = counting(monkeypatch, demazure, "_route")
     octahedron = cross_polytope_fan(3)
     glcross5 = apply_automorphism(cross_polytope_fan(5),
@@ -233,7 +236,7 @@ def test_the_route_is_decided_once_per_call(monkeypatch):
         assert fan._complete and any(len(c.ray_indices) > fan.dim for c in fan.max_cones)
         all_roots(fan)
         assert points == [] and len(searches) == len(fan.rays) and len(routes) == 1
-        assert len({id(args[2]) for args in searches}) == 1
+        assert len({id(args[3]) for args in searches}) == 1
         searches.clear()
         routes.clear()
         roots_for_ray(fan, 0)

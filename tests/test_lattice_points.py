@@ -29,12 +29,12 @@ import time
 import pytest
 
 import oracles
+from oracles import _condition1_system
 from helpers import quadrant_fan, torsion_fan
 from test_elimination import BLOWUP_FAN, SMITH_BLOWUP
 from test_face_index import cross_polytope_fan, orthant
 from test_kernel import random_unimodular
 from toricroots import fan_from_json_dict, product_p1
-from toricroots.demazure import _condition1_system
 from toricroots.lattice import UNBOUNDED, Constraint, identity, lattice_points, mat_vec, primitive
 
 BOUNDS = (None, 1, 2, 3)

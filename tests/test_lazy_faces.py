@@ -17,6 +17,7 @@ import random
 import pytest
 
 import oracles
+from oracles import _condition1_system
 from helpers import shuffled_products
 from test_cli import counting
 from test_face_index import fans_in_dim, orthant, subfan
@@ -40,7 +41,7 @@ from toricroots import (
     product_p1,
 )
 from toricroots import fan as fan_module
-from toricroots.demazure import _condition1_system, satisfies_condition2
+from toricroots.demazure import satisfies_condition2
 from toricroots.polytope import cube
 
 

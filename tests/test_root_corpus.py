@@ -40,6 +40,7 @@ import random
 import pytest
 
 import oracles
+from oracles import _condition1_system
 from helpers import product_fan, shuffled
 from test_face_index import cross_polytope_fan, subfan
 from test_kernel import random_unimodular
@@ -59,7 +60,6 @@ from toricroots import (
     projective_space,
 )
 from toricroots import demazure
-from toricroots.demazure import _condition1_system
 from toricroots.lattice import dot, invert_unimodular, mat_vec, primitive, rank, transpose
 from toricroots.polytope import _hull_facets
 

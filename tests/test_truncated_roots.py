@@ -36,7 +36,7 @@ from toricroots import (
     product_p1,
     roots_for_ray,
 )
-from toricroots import lattice
+from toricroots import demazure, lattice
 from toricroots.lattice import primitive
 
 
@@ -124,8 +124,62 @@ def test_the_box_search_visits_at_most_the_box_of_its_basis(monkeypatch, name):
 
 @pytest.mark.parametrize("name", CORPUS)
 def test_one_lattice_points_call_per_ray_with_a_bound(monkeypatch, name):
-    """The box is searched without a second lattice_points call."""
+    """The box is searched without a second double description: one
+    ``lattice._points`` call per ray."""
     fan = CORPUS[name]()
-    calls = counting(monkeypatch, lattice, "lattice_points")
+    calls = counting(monkeypatch, lattice, "_points")
     all_roots(fan, 2)
     assert len(calls) == len(fan.rays)
+
+
+@pytest.mark.parametrize("name,bound", [
+    ("quadrant", 6), ("orthant3", 5), ("glcross5-1", None), ("p1n3-1", None)])
+def test_each_listed_vector_is_paired_once(monkeypatch, name, bound):
+    """The floors of the searched rows are condition (1), so no listed
+    vector is tested for it again: all_roots makes no ``_root`` and no
+    ``_condition1`` call, and one ``pairing_row`` call per vector that
+    ``lattice._search`` lists, in its order; condition (2) then filters
+    them (on ``p1n 3`` minus one cone it drops 3 of the 6)."""
+    fan = CORPUS[name]()
+    listed = []
+    search = lattice._search
+
+    def recorded(*args):
+        found = search(*args)
+        listed.extend(found)
+        return found
+
+    monkeypatch.setattr(lattice, "_search", recorded)
+    rebuilds = counting(monkeypatch, demazure, "_root")
+    retests = counting(monkeypatch, demazure, "_condition1")
+    pairings = counting(monkeypatch, demazure, "pairing_row")
+    got = all_roots(fan, bound)
+    assert rebuilds == retests == []
+    assert [args[1] for args in pairings] == listed
+    assert len(got.roots()) <= len(listed)
+
+
+@pytest.mark.parametrize("name", ["orthant3", "orthant4", "p1n3-1"])
+def test_gl_images_match_the_box_rows(name):
+    """On these GL_n(Z) images no ray is on a coordinate axis (seed 50 is
+    the first that gives that for all three), so the box of sup-norm b is
+    not the image of the original fan's box: the same RootSet as the route
+    that added the box rows, bounds 1 and 2, and on the image of the
+    3-dimensional orthant every root of the box found by a scan of it. The
+    orthants' rays are truncated; ``p1n 3`` minus one cone has bounded
+    polyhedra only."""
+    fan = CORPUS[name]()
+    g = LatticeAutomorphism(random_unimodular(random.Random(50), fan.dim))
+    fan = apply_automorphism(fan, g)
+    units = set(lattice.identity(fan.dim))
+    assert not units & {r for p in fan.rays for r in (p, lattice.neg(p))}
+    for bound in (1, 2):
+        got = all_roots(fan, bound)
+        assert got == oracles.box_all_roots(fan, bound), bound
+        truncated = {r.status == "truncated" for r in got.per_ray}
+        assert truncated == {name.startswith("orthant")}
+        if name == "orthant3":
+            box = list(product(range(-bound, bound + 1), repeat=fan.dim))
+            for ray in range(len(fan.rays)):
+                want = [e for e in box if is_demazure_root(fan, e, ray)]
+                assert [r.vector for r in got.per_ray[ray].roots] == want, (bound, ray)
