@@ -118,8 +118,8 @@ def condition4_distinguished_span(fan: Fan, bound: int | None = None) -> bool:
 
     Raises InfiniteRoots when a ray reads "infinite" and no bound was
     supplied. That is the status of the ray's condition-(1) polyhedron
-    (non-empty and unbounded), not of its root set, which condition (2)
-    may leave finite or empty (:func:`toricroots.demazure.roots_for_ray`).
+    (non-empty and unbounded), not of its root set, which is then empty or
+    infinite (:func:`toricroots.demazure.roots_for_ray` has the proof).
     """
     roots = all_roots(fan, bound)
     if any(r.status == "infinite" for r in roots.per_ray):

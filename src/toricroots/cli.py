@@ -77,6 +77,19 @@ def _line(payload) -> str:
     return json.dumps(_json_safe(payload), sort_keys=True)
 
 
+def _decimal(text: str) -> int:
+    """The int that `text` writes in ASCII decimal digits, after an optional
+    minus sign, the integers the strict JSON reader takes; ValueError for
+    any other text that int() would read, such as '1_0', a full-width digit
+    or surrounding space. argparse names the type in its message as int."""
+    if not (text.isascii() and text.removeprefix("-").isdigit()):
+        raise ValueError(f"not an ASCII decimal integer: {text!r}")
+    return int(text)
+
+
+_decimal.__name__ = "int"
+
+
 def _unwrap(data, kind: str):
     """Accept bare objects or report envelopes (for piping between commands).
 
@@ -235,8 +248,8 @@ def _pairs(args, fan_obj):
 
     try:
         ray_part, vec_part = args.root.split(":", 1)
-        ray = int(ray_part)
-        coords = tuple(int(x) for x in vec_part.split(","))
+        ray = _decimal(ray_part)
+        coords = tuple(map(_decimal, vec_part.split(",")))
     except ValueError:
         raise ToricError(f"bad root spec {args.root!r}; expected 'rayIndex:c1,c2,...'") from None
     if not 0 <= ray < len(fan_obj.rays):
@@ -326,7 +339,7 @@ def _arg(*names, **kwargs):
 _COMMANDS = (
     ("fan-check", "validate a fan and decide completeness", "fan", _fan_check, ()),
     ("roots", "Demazure roots per ray", "fan", _roots, (
-        _arg("--bound", type=int, default=None,
+        _arg("--bound", type=_decimal, default=None,
              help="truncate infinite root sets at this sup-norm"),)),
     ("collections", "complete collections of Demazure roots", "fan", _collections, (
         _arg("--equivalence", action="store_true",
@@ -345,9 +358,9 @@ _COMMANDS = (
     ("polytope normalfan", "emit the normal fan as fan JSON", "polytope",
      _polytope_normalfan, ()),
     ("polytope scale", "dilate the polytope by k", "polytope", _polytope_scale, (
-        _arg("k", type=int),)),
+        _arg("k", type=_decimal),)),
     ("gen", "write a builtin fan or polytope", None, _gen, (
-        _arg("name"), _arg("params", nargs="*", type=int),
+        _arg("name"), _arg("params", nargs="*", type=_decimal),
         _arg("--out", default=None, help="write the object JSON to this file"))),
 )
 

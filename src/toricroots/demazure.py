@@ -6,16 +6,15 @@ every cone on which e vanishes, the cone spanned together with the
 distinguished ray is again in the fan.
 
 Given the first condition, the second is local to the maximal cones: for
-each maximal cone C not containing the distinguished ray rho, the face of C
-on which e vanishes, spanned together with rho, must be a cone of the fan.
-On a fan certified complete it always is, so the first condition alone
+each maximal cone C not containing the distinguished ray rho, the rays of C
+on which e vanishes must all be rays of one maximal cone through rho. On a
+fan certified complete they always are, so the first condition alone
 decides (Demazure 1970 defines the roots of a complete fan by it; Cox,
-Little and Schenck, section 3.4); both proofs are in
-:func:`satisfies_condition2`. On any other fan each test is a lookup in the
-fan's face index, by the lemma in :mod:`toricroots.fan`: a ray of a fan
-that lies in a cone tau of the fan is one of tau's rays, so cone(sigma +
-rho) is a cone of the fan iff the ray-index set of sigma plus rho is in
-``fan.face_sets``. The index is built on the first such test.
+Little and Schenck, section 3.4); the proofs are in
+:func:`satisfies_condition2`. On any other fan the test reads the ray sets
+of the maximal cones and nothing else, so no decision builds the fan's
+face index: only a reader of the faces themselves does, as
+:func:`he_connected_pairs` does.
 
 The roots of a ray are found in one of three ways, which share one search
 (:func:`toricroots.lattice._search`): the integral vectors whose pairings
@@ -107,8 +106,9 @@ def satisfies_condition2(fan: Fan, e: Vec, ray: int) -> bool:
 
     Decided on the maximal cones alone: condition (2) holds iff for every
     maximal cone C not containing rho, with Z_C the face of C on which e
-    vanishes, the rays of Z_C plus rho are the ray set of a cone of the fan.
-    Write p_rho for the generator of rho. Proof:
+    vanishes, cone(Z_C + rho) is a cone of the fan; and that holds iff the
+    rays of Z_C are among the rays of some maximal cone D that has rho.
+    Write p_rho for the generator of rho. The first step:
 
     (a) Let D be a cone of the fan with ray rho, and sigma a face of D with
         e = 0 on sigma. Then cone(sigma + rho) is a face of D. Take u in
@@ -125,18 +125,23 @@ def satisfies_condition2(fan: Fan, e: Vec, ray: int) -> bool:
         D = cone(Z_C + rho) of the fan, since -e >= 0 on D and vanishes
         exactly on Z_C. So sigma is a face of D, and (a) applies.
 
-    By the lemma in :mod:`toricroots.fan`, the ray set of cone(sigma + rho)
-    is exactly the rays of sigma plus rho, so each test is one lookup in
-    ``fan.face_sets``.
+    The second step, for one such C. (=>) cone(Z_C + rho), a cone of the
+    fan, lies in some maximal cone D, and by the lemma in
+    :mod:`toricroots.fan` the rays of the fan that lie in D are rays of D:
+    rho and the rays of Z_C among them. (<=) Z_C is a cone of the fan that
+    lies in D, so Z_C = Z_C & D is a face of D, as two cones of a fan meet
+    in a face of each; e vanishes on it and rho is a ray of D, so by (a)
+    cone(Z_C + rho) is a face of D, a cone of the fan. So each test reads
+    the ray sets of the maximal cones alone, and no face is described.
 
-    On a complete fan every test passes, so nothing is looked up (and the
-    face index is not built). Let C be a maximal cone not containing rho
-    and x a point of the relative interior of Z_C. The segment x + t p_rho,
-    t in [0, 1], is covered by the finitely many closed maximal cones, each
-    of which meets it in a closed subsegment. Those through x meet it in
-    pieces t in [0, a], and those that miss x miss all t in some [0, s]
-    with s > 0, so the pieces [0, a] cover [0, s]: one maximal cone D
-    holds x + t p_rho for all t in some [0, t1] with t1 > 0. The point
+    On a complete fan every test passes, so none is made. Let C be a
+    maximal cone not containing rho and x a point of the relative interior
+    of Z_C. The segment x + t p_rho, t in [0, 1], is covered by the
+    finitely many closed maximal cones, each of which meets it in a closed
+    subsegment. Those through x meet it in pieces t in [0, a], and those
+    that miss x miss all t in some [0, s] with s > 0, so the pieces
+    [0, a] cover [0, s]: one maximal cone D holds x + t p_rho for all t
+    in some [0, t1] with t1 > 0. The point
     y = x + t1 p_rho has <y, e> = -t1 < 0, while e >= 0 on every ray of
     the fan but rho: as y is a nonnegative combination of D's rays, rho is
     one of them. D & C is a face of C that holds x, and a face of C through
@@ -144,7 +149,7 @@ def satisfies_condition2(fan: Fan, e: Vec, ray: int) -> bool:
     face of D & C, hence of D. By (a), cone(Z_C + rho) is a face of D, a
     cone of the fan. The fans read as complete are those
     :func:`toricroots.fan.is_complete` certifies; any other fan takes the
-    lookups.
+    containment test.
     """
     row = pairing_row(fan, e)
     if not _condition1(row, ray):
@@ -155,9 +160,10 @@ def satisfies_condition2(fan: Fan, e: Vec, ray: int) -> bool:
 def _condition2(fan: Fan, row: Vec, ray: int) -> bool:
     if fan._complete:
         return True
-    faces = fan._index
-    return all(tuple(sorted([ray, *(i for i in c.ray_indices if row[i] == 0)])) in faces
-               for c in fan.max_cones if ray not in c.ray_indices)
+    holds = [set(c.ray_indices) for c in fan.max_cones if ray in c.ray_indices]
+    zeros = {frozenset(i for i in c.ray_indices if row[i] == 0)
+             for c in fan.max_cones if ray not in c.ray_indices}
+    return all(any(z <= d for d in holds) for z in zeros)
 
 
 def _root(fan: Fan, e: Vec, ray: int) -> DemazureRoot | None:
@@ -190,11 +196,18 @@ def roots_for_ray(fan: Fan, ray: int, bound: int | None = None) -> RayRoots:
     its points by :func:`toricroots.lattice._points`, from its double
     description and the search over its vertex bounds.
     "infinite" means that polyhedron is non-empty and unbounded: it is the
-    status of the polyhedron, not of the root set, which condition (2) may
-    leave finite or empty. Then a supplied bound gives a "truncated"
-    enumeration of its points with sup-norm <= bound that satisfy
-    condition (2), refused with BadParams when the search could visit
-    more than MAX_BOX_POINTS leaves. An empty polyhedron is "finite" with
+    status of the polyhedron, not of the root set, which is then empty or
+    infinite, never finite and non-empty. Proof: let x be a root and r != 0
+    an integral direction of the polyhedron's recession cone, so
+    <p_rho, r> = 0 and <p_i, r> >= 0 for every other ray. Each x + t r,
+    t = 1, 2, ..., pairs to -1 with p_rho and to at least <p_i, x> >= 0
+    with every other p_i, so it vanishes only on rays where x does, and it
+    passes the containment test of :func:`satisfies_condition2` with the
+    same cones D as x: these distinct points are all roots. A supplied
+    bound then gives a "truncated" enumeration of the polyhedron's points
+    with sup-norm <= bound that satisfy condition (2), refused with
+    BadParams when the search could visit more than MAX_BOX_POINTS
+    leaves. An empty polyhedron is "finite" with
     no roots. A ray index that is not an int in range raises InvalidFan,
     and a bound that is not a positive int BadParams (bool included, as
     the strict readers refuse it), whether or not it is used.
@@ -412,19 +425,18 @@ def format_derivation(d: CoxDerivation) -> str:
 
 def he_connected_pairs(fan: Fan, root: DemazureRoot) -> tuple[tuple[Cone, Cone], ...]:
     """All cone pairs (sigma1, sigma2) with e <= 0 on sigma2, e not identically
-    zero there, and sigma1 the facet of sigma2 cut out by <., e> = 0.
+    zero there, and sigma1 the facet of sigma2 cut out by <., e> = 0, in the
+    order of ``fan.all_faces``.
 
     The zero cone counts as the facet of a ray. The values of e on the rays
-    are read off the root's stored pairing row, so the root must be one of
-    this fan's.
+    are read off the root's stored pairing row, so the root must satisfy
+    condition (1) for its ray rho on this fan's rays: <p_rho, e> = -1 and
+    e >= 0 on every other ray. Then e <= 0 on sigma2 and e not identically
+    zero there say exactly that sigma2 has rho and e vanishes on its other
+    rays, and sigma1 is the cone of those. It is a face of sigma2, cut out
+    by -e >= 0, so a cone of the fan, and a facet: e vanishes on the span
+    of sigma1 but not on p_rho, so p_rho is not in that span.
     """
-    out = []
-    for c2 in fan.all_faces:
-        vals = [root.pairings[i] for i in c2.ray_indices]
-        if not vals or any(v > 0 for v in vals) or all(v == 0 for v in vals):
-            continue
-        sub = tuple(i for i, v in zip(c2.ray_indices, vals) if v == 0)
-        c1 = fan.cone(sub)
-        if c1.dim == c2.dim - 1:
-            out.append((c1, c2))
-    return tuple(out)
+    ray, row = root.ray, root.pairings
+    return tuple((fan.cone([i for i in c.ray_indices if i != ray]), c) for c in fan.all_faces
+                 if ray in c.ray_indices and not any(row[i] for i in c.ray_indices if i != ray))

@@ -17,14 +17,17 @@ demand: the first use of ``all_faces``, ``face_sets`` or ``Fan.cone``
 walks down through facets from the first maximal cone (in sorted order)
 that contains each face, reads its description off that cone (see
 :class:`Cone`), and keeps the faces in one index by ray-index set
-(:func:`_face_index`). Questions about cones of the fan are lookups in
-that index, by one lemma: in a fan, a ray rho meets any cone tau in a face
-of tau, so a ray of the fan that lies in tau is one of tau's rays. Hence a
-cone generated by some rays S of the fan is a cone of the fan iff S is a
-face's ray-index set (``S in fan.face_sets``). The decision engine needs no
-such question on a complete fan (see
-:func:`toricroots.demazure.satisfies_condition2`), so it never builds the
-index there.
+(:func:`_face_index`). One lemma relates cones to ray sets: in a fan, a
+ray rho meets any cone tau in a face of tau, so a ray of the fan that lies
+in tau is one of tau's rays. Hence a cone generated by some rays S of the
+fan is a cone of the fan iff S is a face's ray-index set
+(``S in fan.face_sets``), and it lies in a maximal cone iff S is among
+that cone's rays. No decision builds the index: root condition (2) is a
+containment of ray sets in the maximal cones (see
+:func:`toricroots.demazure.satisfies_condition2`), so the roots, the
+collections, the equivalence witnesses and the additive decision read the
+maximal cones alone, on any fan. Only the faces themselves and the orbit
+pairs of :func:`toricroots.demazure.he_connected_pairs` are read off it.
 
 :func:`build_fan` validates and builds in one pass: it makes each maximal
 cone as it checks it on its own, then checks that any two meet in a common
@@ -136,10 +139,10 @@ class Fan(Value):
     read those alone. Stored beside them, and neither compared nor shown:
     the face index by ray-index set in (size, indices) order, None until the
     first use of ``all_faces``, ``face_sets`` or ``cone`` builds it
-    (:func:`_face_index`); whether the fan is certified complete (see
-    :func:`is_complete`); and its complete collections, None until
-    :func:`toricroots.additive.complete_collections` first scans the fan.
-    Copy and pickle keep all three.
+    (:func:`_face_index`), which no decision makes; whether the fan is
+    certified complete (see :func:`is_complete`); and its complete
+    collections, None until :func:`toricroots.additive.complete_collections`
+    first scans the fan. Copy and pickle keep all three.
     """
 
     _fields = ("dim", "rays", "max_cones")

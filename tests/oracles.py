@@ -192,6 +192,14 @@ again (``box_roots_for_ray``, with ``box_all_roots`` over every ray). It
 shares the library's ``lattice_points`` and so its search, but not the
 basis or the bounds: those come from the double description of the box
 system, its narrowest rows first.
+
+Then root condition (2) on a fan that is not certified complete stopped
+reading the face index: ``demazure._condition2`` tests that the rays of
+each maximal cone without the ray on which e vanishes all lie in one
+maximal cone with the ray, so no decision builds the index. Kept below
+unchanged but for its name: the lookup of each such ray set, with the ray
+added, in ``fan._index`` (``condition2_by_face_index``, on the pairing
+row).
 """
 
 from __future__ import annotations
@@ -495,6 +503,14 @@ def condition2_on_all_faces(fan: Fan, e: Vec, ray: int) -> bool:
     zero = {i for i, p in enumerate(fan.rays) if dot(p, e) == 0}
     return all(tuple(sorted({*face.ray_indices, ray})) in fan.face_sets
                for face in fan.all_faces if zero.issuperset(face.ray_indices))
+
+
+def condition2_by_face_index(fan: Fan, row: Vec, ray: int) -> bool:
+    if fan._complete:
+        return True
+    faces = fan._index
+    return all(tuple(sorted([ray, *(i for i in c.ray_indices if row[i] == 0)])) in faces
+               for c in fan.max_cones if ray not in c.ray_indices)
 
 
 def is_demazure_root(fan: Fan, e, ray: int) -> bool:

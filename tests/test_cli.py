@@ -731,3 +731,37 @@ def test_gen_parameters_are_integers(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "argument params: invalid int value: '1.5'" in captured.err
+
+
+@pytest.mark.parametrize("argv,name,value", [
+    (["roots", "FAN", "--bound", "1_0"], "--bound", "1_0"),
+    (["roots", "FAN", "--bound", "\uff12"], "--bound", "\uff12"),
+    (["roots", "FAN", "--bound", " 2"], "--bound", " 2"),
+    (["gen", "pn", "\uff13"], "params", "\uff13"),
+    (["gen", "pn", "+3"], "params", "+3"),
+    (["polytope", "scale", "POLYTOPE", "0_2"], "k", "0_2"),
+])
+def test_integer_arguments_are_ascii_decimals(argv, name, value, inputs, capsys):
+    """An integer argument is read as the strict JSON reader reads an
+    integer, so underscores, full-width digits, spaces and a plus sign,
+    which int() takes, are usage errors (exit 2)."""
+    from toricroots import cli
+
+    with pytest.raises(SystemExit) as exc:
+        cli.main([str(inputs.get(a, a)) for a in argv])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument {name}: invalid int value: {value!r}" in captured.err
+
+
+@pytest.mark.parametrize("spec", ["\uff10:-\uff11,0", " 0:-1, 0", "0:-1,0_0", "+0:-1,0"])
+def test_a_root_spec_is_ascii_decimals(spec, inputs, capsys):
+    """P^2 has the root (-1, 0) of ray 0, but written with full-width
+    digits, spaces, an underscore or a plus sign it is a bad root spec."""
+    code, out = run_in_process(["pairs", "FAN", "--root", spec], inputs, capsys)
+    assert code == 2
+    assert json.loads(out)["error"] == {
+        "type": "ToricError",
+        "message": f"bad root spec {spec!r}; expected 'rayIndex:c1,c2,...'"}
+    assert run_in_process(["pairs", "FAN", "--root", "0:-1,0"], inputs, capsys)[0] == 0

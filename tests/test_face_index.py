@@ -1,14 +1,16 @@
-"""The fan's face index against the geometric routines it replaced.
+"""The fan's face index and the maximal-cone tests against the geometric
+routines they replaced.
 
-Root condition (2), the faces of each maximal cone and the complete
-collections are read off the fan's face index; ``oracles.py`` keeps the
-minimal-generator check, the 2^k face scan and the C(m, n) collection scan
-they replaced, and the scan of condition (2) over every face that the
-maximal-cone test replaced. The fans cover dimensions 2 to 5, and 6 for the
-collection scan: GL_n(Z) images of builtin fans, normal fans of
-cross-polytopes (cones over squares and cubes), orthants, and subfans with
-maximal cones dropped, which are not complete and whose support is not
-convex.
+The faces of each maximal cone are read off the fan's face index, and
+root condition (2) and the complete collections off the maximal cones;
+``oracles.py`` keeps the 2^k face scan, the minimal-generator check and
+the C(m, n) collection scan they replaced, the scan of condition (2) over
+every face, and the lookup of condition (2) in the face index that the
+containment test on the maximal cones replaced. The fans cover dimensions
+2 to 5, and 6 for the collection scan: GL_n(Z) images of builtin fans,
+normal fans of cross-polytopes (cones over squares and cubes), orthants,
+and subfans with maximal cones dropped, which are not complete and whose
+support is not convex.
 """
 
 import gc
@@ -39,7 +41,7 @@ from toricroots import (
     validate_fan,
     wps_one,
 )
-from toricroots import additive
+from toricroots import additive, demazure
 from toricroots.demazure import pairing_row, satisfies_condition1, satisfies_condition2
 from toricroots.lattice import identity, is_primitive
 
@@ -163,18 +165,36 @@ class CountingDict(dict):
 
 
 def test_condition2_reads_only_the_maximal_cones():
-    """On (P^1)^7 each check makes at most one face index lookup per maximal
-    cone not through the distinguished ray (64 of 128, of 2,187 faces), and
-    reads no other face."""
+    """On (P^1)^7 each check reads the ray sets of the maximal cones and no
+    face of the index (2,187 faces), which the copy is given built."""
     fan = product_p1(7)
     bare = Fan(fan.dim, fan.rays, fan.max_cones)  # not certified complete
     object.__setattr__(bare, "_by_rays", CountingDict(fan._index))
     for ray in range(len(fan.rays)):
         e = tuple(-x for x in fan.rays[ray])  # the rays are the +-unit vectors
-        outside = sum(ray not in c.ray_indices for c in fan.max_cones)
-        bare._by_rays.lookups = 0
         assert satisfies_condition2(bare, e, ray)
-        assert 0 < bare._by_rays.lookups <= outside == 64
+        assert bare._by_rays.lookups == 0
+
+
+@pytest.mark.parametrize("dim", (2, 3, 4, 5))
+def test_condition2_matches_the_face_index_lookup(dim):
+    """The containment test agrees with the face index lookup it replaced
+    and with the scan of every face, on every candidate that satisfies
+    condition (1), on the fans and on copies of the complete ones that are
+    not certified complete, which take the test."""
+    rng = random.Random(1000 + dim)
+    fans = fans_in_dim(dim, 700 + dim)
+    fans += [Fan(f.dim, f.rays, f.max_cones) for f in fans if is_complete(f)]
+    seen = set()
+    for fan in fans:
+        for e, ray in candidates(fan, rng):
+            row = pairing_row(fan, e)
+            if demazure._condition1(row, ray):
+                got = demazure._condition2(fan, row, ray)
+                assert got == oracles.condition2_by_face_index(fan, row, ray), (fan.rays, e, ray)
+                assert got == oracles.condition2_on_all_faces(fan, e, ray), (fan.rays, e, ray)
+                seen.add((fan._complete, got))
+    assert seen == {(True, True), (False, True), (False, False)}
 
 
 @pytest.mark.parametrize("dim", (2, 3, 4, 5, 6))

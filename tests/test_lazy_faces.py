@@ -1,14 +1,17 @@
-"""Faces on demand: a fan's face index is built on first use, and the
-decision engine does not use it on a complete fan.
+"""Faces on demand: a fan's face index is built on first use, and no
+decision builds it.
 
-``build_fan`` describes the maximal cones alone. On a fan certified
-complete, root condition (2) follows from condition (1)
-(``demazure.satisfies_condition2`` has the proof), so the roots, the
-collections, the equivalence witnesses, the Cox data and the action
-formulas describe no other face: the counting tests below hold
-``fan._face_cone`` to zero calls. The oracle test checks the shortcut
-against ``oracles.condition2_on_all_faces``, which reads every face, and
-against the index lookup that a fan not certified complete still takes.
+``build_fan`` describes the maximal cones alone. Root condition (2) reads
+the ray sets of the maximal cones and no other face
+(``demazure.satisfies_condition2`` has the proofs), and on a fan certified
+complete it follows from condition (1). So the roots, the collections, the
+equivalence witnesses and the additive decision describe no other face on
+any fan, nor do the Cox data and the action formulas on a complete fan:
+the counting tests below hold ``fan._face_cone`` to zero calls. Only the
+faces themselves (``all_faces``, ``face_sets``, ``Fan.cone``) and the
+orbit pairs of ``pairs`` build the index. The oracle test checks the
+complete-fan shortcut against ``oracles.condition2_on_all_faces``, which
+reads every face, and against a copy that is not certified complete.
 """
 
 import json
@@ -21,6 +24,7 @@ from oracles import _condition1_system
 from helpers import shuffled_products
 from test_cli import counting
 from test_face_index import fans_in_dim, orthant, subfan
+from test_truncated_roots import glcross5, without_first_cone
 from test_kernel import random_unimodular
 from toricroots import (
     Fan,
@@ -35,6 +39,7 @@ from toricroots import (
     fan_from_json_dict,
     fan_to_json_dict,
     find_equivalence,
+    he_connected_pairs,
     is_complete,
     lattice,
     normal_fan,
@@ -89,15 +94,59 @@ def test_the_commands_describe_no_face_on_a_complete_fan(command, tmp_path, monk
 
 @pytest.mark.parametrize("make", [lambda: orthant(3),
                                   lambda: subfan(product_p1(3), [0, 1, 2, 5])])
-def test_a_fan_not_complete_builds_the_index_on_its_first_condition2_test(make, monkeypatch):
+def test_a_fan_not_complete_decides_condition2_without_the_index(make, monkeypatch):
     fan = make()
     assert not is_complete(fan) and fan._by_rays is None
     calls = counting(monkeypatch, fan_module, "_face_cone")
     e = tuple(-x for x in fan.rays[0])  # the rays are unit vectors here
     assert satisfies_condition2(fan, e, 0)
-    described = {args[0] for args in calls}
-    assert len(calls) == len(described) == len(fan.face_sets) - 1
-    assert satisfies_condition2(fan, e, 0) and len(calls) == len(fan.face_sets) - 1
+    assert calls == [] and fan._by_rays is None
+
+
+def uncertified(fan):
+    """A copy of the fan with no completeness stored: it reads as not
+    complete, so its roots take the routes of a fan that is not."""
+    return Fan(fan.dim, fan.rays, fan.max_cones)
+
+
+NOT_CERTIFIED = {
+    "orthant3": lambda: orthant(3),
+    "p1n3-sub": lambda: subfan(product_p1(3), [0, 1, 2, 5]),
+    "glcross5-1": lambda: without_first_cone(glcross5()),
+    "uncertified-p1n5": lambda: uncertified(product_p1(5)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NOT_CERTIFIED))
+def test_the_decisions_describe_no_face_on_a_fan_not_certified_complete(name, monkeypatch):
+    """The roots, with and without a bound, the collections, the additive
+    decision and the equivalence witnesses build no face index; the orbit
+    pairs of a root, which list faces, do."""
+    fan = NOT_CERTIFIED[name]()
+    assert not is_complete(fan)
+    calls = counting(monkeypatch, fan_module, "_face_cone")
+    roots = all_roots(fan, 2)
+    all_roots(fan)
+    cols = complete_collections(fan)
+    assert admits_additive(fan).admits == bool(cols)
+    for c in cols[1:]:
+        find_equivalence(fan, cols[0], c)
+    assert calls == [] and fan._by_rays is None
+    if name != "glcross5-1":  # which has no root
+        he_connected_pairs(fan, roots.roots()[0])
+        assert calls and fan._by_rays is not None
+
+
+def test_the_commands_describe_no_face_on_a_fan_not_complete(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "p1n3-sub.json"
+    path.write_text(json.dumps(fan_to_json_dict(NOT_CERTIFIED["p1n3-sub"]())))
+    calls = counting(monkeypatch, fan_module, "_face_cone")
+    for command in (["roots", "--bound", "2"], ["collections", "--equivalence"], ["additive"]):
+        assert cli.main([command[0], str(path), *command[1:]]) == 0
+        assert json.loads(capsys.readouterr().out)["status"] == "ok"
+    assert calls == []
+    assert cli.main(["pairs", str(path), "--root", "0:-1,0,0"]) == 0
+    assert calls
 
 
 def complete_fans():
@@ -109,21 +158,20 @@ def complete_fans():
 def test_condition1_implies_condition2_on_complete_fans():
     """Every lattice point of every ray's condition-(1) polyhedron passes
     condition (2) on every face, and the roots equal those of a copy that
-    is not certified complete, which looks the faces up in its index."""
+    is not certified complete, which decides condition (2) on its maximal
+    cones without building its face index."""
     fans = points = 0
     for fan in complete_fans():
-        before = points
         for ray in range(len(fan.rays)):
             found = lattice.lattice_points(_condition1_system(fan, ray), fan.dim)
             assert found is not lattice.UNBOUNDED
             for e in found:
                 assert oracles.condition2_on_all_faces(fan, e, ray), (fan.rays, e, ray)
             points += len(found)
-        bare = Fan(fan.dim, fan.rays, fan.max_cones)
+        bare = uncertified(fan)
         assert not bare._complete
         assert all_roots(fan) == all_roots(bare)
-        # the copy looked its faces up iff some point passed condition (1)
-        assert (bare._by_rays is not None) == (points > before)
+        assert bare._by_rays is None
         fans += 1
     # 16 complete fans in dims 2 to 6 with their GL_n(Z) images, and 3 products
     assert fans == 2 * (5 + 4 + 3 + 2 + 2) + 3 and points > 400

@@ -183,3 +183,37 @@ def test_gl_images_match_the_box_rows(name):
             for ray in range(len(fan.rays)):
                 want = [e for e in box if is_demazure_root(fan, e, ray)]
                 assert [r.vector for r in got.per_ray[ray].roots] == want, (bound, ray)
+
+
+def recession_directions(fan, ray):
+    """Nonzero integral r with <p_ray, r> = 0 and <p_i, r> >= 0 for every
+    other ray: a basis of the rays' kernel and its opposites when the
+    kernel is not zero, and otherwise the extreme rays of that cone, which
+    is then pointed."""
+    kernel = lattice.kernel_basis(fan.rays, fan.dim)
+    if kernel:
+        return [*kernel, *map(lattice.neg, kernel)]
+    return lattice.dual_rays([*fan.rays, lattice.neg(fan.rays[ray])], fan.dim)
+
+
+@pytest.mark.parametrize("name", [n for n in TRUNCATED if n.startswith("orthant")]
+                         + ["blowup", "z5"])
+def test_a_truncated_ray_with_a_root_has_infinitely_many(name):
+    """For every root x listed at bound 2 and every recession direction r
+    of its ray's condition-(1) polyhedron, x + r is a root too
+    (``demazure.roots_for_ray`` proves it), so a ray whose polyhedron is
+    unbounded has no root or infinitely many. Every ray of these fans is
+    truncated, with a recession direction, and each fan has roots in the
+    box."""
+    fan = CORPUS[name]()
+    checked = 0
+    for ray_roots in all_roots(fan, 2).per_ray:
+        assert ray_roots.status == "truncated"
+        directions = recession_directions(fan, ray_roots.ray)
+        assert directions
+        for x in ray_roots.roots:
+            for r in directions:
+                y = tuple(a + b for a, b in zip(x.vector, r))
+                assert is_demazure_root(fan, y, ray_roots.ray), (name, x, r)
+                checked += 1
+    assert checked
