@@ -37,7 +37,6 @@ _EXPORTS = {
         "Constraint",
         "Unbounded",
         "determinant",
-        "dual_basis",
         "hermite_column_form",
         "kernel_basis",
         "lattice_points",

@@ -6,16 +6,19 @@ one analysis, and prints a deterministic report. Reports are JSON by default
 the 53-bit range are serialized as decimal strings. ``--format`` goes after
 the command, and after the action for ``polytope``.
 
-One table, ``_COMMANDS``, builds the argparse tree. Each entry gives the
-report name, the help text, the input kind (``"fan"``, ``"polytope"`` or
-None), the handler and any extra arguments. A handler only computes: it takes
-the parsed arguments and the loaded input and returns the JSON result, the
-text lines and its answer (True or False for a decision, else None). There is
-one report path. ``main`` reads and unwraps the input by kind, runs the
-handler, maps the answer and ``--strict`` to the status and exit code, and
-``_write`` prints the report, or the error envelope that ``_error`` builds
-when the command fails; a JSON report names its input by the SHA-256 of the
-raw bytes.
+One table, ``_COMMANDS``, declares the commands. Each entry gives the report
+name, the help text, the input kind (``"fan"``, ``"polytope"`` or None), the
+handler and any extra arguments. A command builds its own parser alone from
+its entry; the argparse tree of every command's parser is built only for an
+argv that names no command (help, no argument, an unknown word) or leaves
+arguments over, so help, usage errors and exit codes are the tree's own. A
+handler only computes: it takes the parsed arguments and the loaded input
+and returns the JSON result, the text lines and its answer (True or False
+for a decision, else None). There is one report path. ``main`` reads and
+unwraps the input by kind, runs the handler, maps the answer and
+``--strict`` to the status and exit code, and ``_write`` prints the report,
+or the error envelope that ``_error`` builds when the command fails; a JSON
+report names its input by the SHA-256 of the raw bytes.
 
 ``fan-check`` reports an invalid fan as its answer on the input (status
 ``"invalid"``, the violations in its result); every other command reports
@@ -30,9 +33,9 @@ witness is an internal error.
 Each handler imports the library modules it runs inside its own function,
 and ``main`` imports only the module that reads its input kind, so a cold
 process compiles no module it does not use (``fan-check`` and ``gen`` of a
-fan load only ``fan`` and ``lattice``), and ``hashlib`` is imported only to
-write the input digest of a JSON report. Library functions are read as
-module attributes at call time.
+fan load only ``fan`` and ``lattice``, and ``cox`` adds only ``cox``), and
+``hashlib`` is imported only to write the input digest of a JSON report.
+Library functions are read as module attributes at call time.
 
 Exit codes: 0 success, 1 "answer is no" for decision commands under
 ``--strict``, 2 invalid input (argparse usage errors included), 3 internal
@@ -50,7 +53,7 @@ from .errors import InternalError, InvalidFan, ToricError
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
-    from .additive import CompleteCollection, EquivalenceWitness
+    from .additive import CompleteCollection
     from .demazure import DemazureRoot, RayRoots
 
 _INT_LIMIT = 2 ** 53
@@ -138,11 +141,6 @@ def _collection_dict(fan_obj, c: CompleteCollection) -> dict:
     }
 
 
-def _witness_dict(w: EquivalenceWitness) -> dict:
-    return {"matrix": [list(row) for row in w.matrix],
-            "ray_map": [list(pair) for pair in w.ray_map]}
-
-
 def _cone_dict(c) -> dict:
     return {"rays": list(c.ray_indices), "dim": c.dim}
 
@@ -190,8 +188,9 @@ def _collections(args, fan_obj):
     for c in cols:
         lines.append(f"  rays {list(c.ray_indices)} roots {[list(v) for v in c.root_vectors]}")
     if args.equivalence and cols:
-        found = [additive.find_equivalence(fan_obj, cols[0], c) for c in cols[1:]]
-        witnesses = [{"from": 0, "to": i, **_witness_dict(w)} for i, w in enumerate(found, 1)]
+        found = enumerate((additive.find_equivalence(fan_obj, cols[0], c) for c in cols[1:]), 1)
+        witnesses = [{"from": 0, "to": i, "matrix": [list(row) for row in w.matrix],
+                      "ray_map": [list(pair) for pair in w.ray_map]} for i, w in found]
         result["equivalence"] = {"classes": [list(range(len(cols)))], "witnesses": witnesses}
         lines.append("equivalence classes: 1")
         for w in witnesses:
@@ -330,38 +329,35 @@ def _gen(args, _):
 # the command table and the one report path
 
 
-def _arg(*names, **kwargs):
-    return names, kwargs
-
-
-# (report name, help, input kind, handler, extra arguments); a two-word name
-# is an action under the first word's command group.
+# (report name, help, input kind, handler, extra arguments by name with their
+# add_argument keywords); a two-word name is an action under the first word's
+# command group.
 _COMMANDS = (
-    ("fan-check", "validate a fan and decide completeness", "fan", _fan_check, ()),
-    ("roots", "Demazure roots per ray", "fan", _roots, (
-        _arg("--bound", type=_decimal, default=None,
-             help="truncate infinite root sets at this sup-norm"),)),
-    ("collections", "complete collections of Demazure roots", "fan", _collections, (
-        _arg("--equivalence", action="store_true",
-             help="also give a fan automorphism from the first collection "
-                  "to each other one (all form one class)"),
-        _arg("--strict", action="store_true", help="exit 1 when no collection exists"))),
-    ("additive", "decide existence of an additive action", "fan", _additive, (
-        _arg("--strict", action="store_true", help="exit 1 on a negative answer"),)),
-    ("cox", "Cox presentation (degrees, torsion)", "fan", _cox, ()),
-    ("pairs", "orbit-connecting cone pairs of one root", "fan", _pairs, (
-        _arg("--root", required=True, metavar="RAY:C1,C2,...",
-             help="root as distinguished ray index and vector"),)),
+    ("fan-check", "validate a fan and decide completeness", "fan", _fan_check, {}),
+    ("roots", "Demazure roots per ray", "fan", _roots, {
+        "--bound": dict(type=_decimal, default=None,
+                        help="truncate infinite root sets at this sup-norm")}),
+    ("collections", "complete collections of Demazure roots", "fan", _collections, {
+        "--equivalence": dict(action="store_true",
+                              help="also give a fan automorphism from the first collection "
+                                   "to each other one (all form one class)"),
+        "--strict": dict(action="store_true", help="exit 1 when no collection exists")}),
+    ("additive", "decide existence of an additive action", "fan", _additive, {
+        "--strict": dict(action="store_true", help="exit 1 on a negative answer")}),
+    ("cox", "Cox presentation (degrees, torsion)", "fan", _cox, {}),
+    ("pairs", "orbit-connecting cone pairs of one root", "fan", _pairs, {
+        "--root": dict(required=True, metavar="RAY:C1,C2,...",
+                       help="root as distinguished ray index and vector")}),
     ("polytope check", "inscribed-in-a-rectangle test plus the fan-side answer",
-     "polytope", _polytope_check, (
-         _arg("--strict", action="store_true", help="exit 1 when not inscribed"),)),
+     "polytope", _polytope_check, {
+         "--strict": dict(action="store_true", help="exit 1 when not inscribed")}),
     ("polytope normalfan", "emit the normal fan as fan JSON", "polytope",
-     _polytope_normalfan, ()),
-    ("polytope scale", "dilate the polytope by k", "polytope", _polytope_scale, (
-        _arg("k", type=_decimal),)),
-    ("gen", "write a builtin fan or polytope", None, _gen, (
-        _arg("name"), _arg("params", nargs="*", type=_decimal),
-        _arg("--out", default=None, help="write the object JSON to this file"))),
+     _polytope_normalfan, {}),
+    ("polytope scale", "dilate the polytope by k", "polytope", _polytope_scale, {
+        "k": dict(type=_decimal)}),
+    ("gen", "write a builtin fan or polytope", None, _gen, {
+        "name": {}, "params": dict(nargs="*", type=_decimal),
+        "--out": dict(default=None, help="write the object JSON to this file")}),
 )
 
 
@@ -370,30 +366,48 @@ def _misplaced_format(value: str):
         f"goes after the action, as in 'toricroots polytope check FILE --format {value}'")
 
 
+def _add_arguments(p: argparse.ArgumentParser, name, _, kind, handler, extra) -> None:
+    """Declare one command's ``--format``, input file and extra arguments on
+    its parser, and the defaults that name the command: ``entry``, and the
+    tree's ``command`` and, for a polytope action, ``action``."""
+    p.add_argument("--format", choices=("json", "text"), default="json",
+                   help="report format (default: json)")
+    if kind:
+        p.add_argument("file")
+    for arg, kwargs in extra.items():
+        p.add_argument(arg, **kwargs)
+    p.set_defaults(entry=(name, kind, handler), **dict(zip(("command", "action"), name.split())))
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="toricroots",
         description="Exact additive-action analysis of toric varieties "
                     "given as fans or lattice polytopes.")
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=("json", "text"), default="json",
-                        help="report format (default: json)")
     groups = {"": parser.add_subparsers(dest="command", required=True)}
-    for name, help_text, kind, handler, extra in _COMMANDS:
-        group, _, command = name.rpartition(" ")
+    for row in _COMMANDS:
+        group, _, command = row[0].rpartition(" ")
         if group not in groups:  # "polytope", the one group
             actions = groups[""].add_parser(group, help="lattice polytope analyses")
             # --format before the action is a usage error that says where it goes
             actions.add_argument("--format", type=_misplaced_format,
                                  default=argparse.SUPPRESS, help=argparse.SUPPRESS)
             groups[group] = actions.add_subparsers(dest="action", required=True)
-        p = groups[group].add_parser(command, parents=[common], help=help_text)
-        if kind:
-            p.add_argument("file")
-        for names, kwargs in extra:
-            p.add_argument(*names, **kwargs)
-        p.set_defaults(entry=(name, kind, handler))
+        _add_arguments(groups[group].add_parser(command, help=row[1]), *row)
     return parser
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """``_build_parser().parse_args(argv)``, from the parser of the command
+    that the first words of argv name, built alone. The tree parses an argv
+    that names no command or leaves arguments over, so help, usage errors
+    and exit codes stay argparse's own."""
+    for row in _COMMANDS:
+        if argv[:len(words := row[0].split())] == words:
+            _add_arguments(p := argparse.ArgumentParser(prog="toricroots " + row[0]), *row)
+            args, rest = p.parse_known_args(argv[len(words):])
+            return _build_parser().parse_args(argv) if rest else args
+    return _build_parser().parse_args(argv)
 
 
 def _load(kind: str, raw: bytes):
@@ -443,7 +457,7 @@ def _error(args, exc) -> int:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _parse(sys.argv[1:] if argv is None else argv)
     name, kind, handler = args.entry
     raw = None
     try:

@@ -8,22 +8,23 @@ one Smith form left in the package: the ``degrees`` of every ``cox``
 report are rows of its transform, and the benchmark's golden reports pin
 them byte for byte. Comparisons go through a Hermite canonicalization
 (:func:`canonical_degrees`), since the basis choice is not unique.
+
+Only the action formulas read derivations, so they import ``demazure``
+where they run, and a presentation loads only ``fan`` and ``lattice``.
 """
 
 from __future__ import annotations
 
 from . import lattice
-from .demazure import _monomial, derivation
 from .errors import RaysDoNotSpan
 from .fan import Fan
-from .lattice import Mat, Value
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
     from .additive import CompleteCollection
 
 
-class CoxPresentation(Value):
+class CoxPresentation(lattice.Value):
     """The Cox ring's grading: ``degrees`` holds each variable's free-part
     degree, in ray order, and ``torsion`` the invariant factors > 1."""
 
@@ -44,12 +45,12 @@ def cox_presentation(fan: Fan) -> CoxPresentation:
     return CoxPresentation(m, m - n, degrees, torsion)
 
 
-def canonical_degrees(pres: CoxPresentation) -> Mat:
+def canonical_degrees(pres: CoxPresentation) -> lattice.Mat:
     """Degrees canonicalized under unimodular change of basis of the free part."""
     return lattice.hermite_column_form(pres.degrees)
 
 
-class GaActionFormula(Value):
+class GaActionFormula(lattice.Value):
     """One coordinate rule x_target -> x_target + s_k * monomial:
     ``param_index`` is the 1-based k, and ``exponents`` holds the
     monomial's (variable, power) pairs, the target omitted."""
@@ -59,13 +60,17 @@ class GaActionFormula(Value):
 
 def action_formulas(fan: Fan, collection: CompleteCollection) -> tuple[GaActionFormula, ...]:
     """The coordinate rules of the normalized action of a complete collection."""
-    return tuple(GaActionFormula(root.ray, k, derivation(fan, root).exponents)
+    from . import demazure
+
+    return tuple(GaActionFormula(root.ray, k, demazure.derivation(fan, root).exponents)
                  for k, root in enumerate(collection.roots, start=1))
 
 
 def format_formula(f: GaActionFormula) -> str:
     """ASCII rendering, e.g. ``x3 -> x3 + s1*x1^2*x2``; variables 1-based,
     exponent 1 omitted, factors in variable order."""
+    from . import demazure
+
     x = f"x{f.target + 1}"
-    mono = _monomial(f.exponents)
+    mono = demazure._monomial(f.exponents)
     return f"{x} -> {x} + s{f.param_index}{'*' if mono else ''}{mono}"

@@ -267,11 +267,6 @@ def invert_unimodular(m: Mat) -> Mat:
     return transpose(w)
 
 
-def dual_basis(basis: Sequence[Vec]) -> Mat:
-    """Vectors q_1..q_n with <p_i, q_j> = delta_ij for a unimodular basis."""
-    return transpose(invert_unimodular(basis))
-
-
 # ---------------------------------------------------------------------------
 # Smith and Hermite normal forms
 

@@ -1,6 +1,7 @@
 """Shared fixtures: the bundled fan corpus, products of fans with shuffled
-rays, and seeded random generators; and the code-line count of ``src/``
-(``python tests/helpers.py codelines``)."""
+rays, and seeded random generators; the code-line count of ``src/``
+(``python tests/helpers.py codelines``) and what compiling each module costs
+(``python tests/helpers.py compile``)."""
 
 from __future__ import annotations
 
@@ -8,6 +9,7 @@ import ast
 import functools
 import io
 import random
+import time
 import tokenize
 from itertools import permutations, product
 from pathlib import Path
@@ -218,15 +220,37 @@ def code_lines(source: str) -> int:
     return len(lines - docs)
 
 
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "toricroots"
+
+
 def src_code_lines() -> dict[str, int]:
     """code_lines of each module of the package, by module name."""
-    package = Path(__file__).resolve().parent.parent / "src" / "toricroots"
-    return {path.stem: code_lines(path.read_text()) for path in sorted(package.glob("*.py"))}
+    return {path.stem: code_lines(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+
+
+def src_compile_seconds(repeat: int = 20) -> dict[str, float]:
+    """The best of `repeat` timings of compile() on each module of the
+    package, by module name: the call an import makes when it finds no
+    cached bytecode, as under PYTHONDONTWRITEBYTECODE=1 without a
+    __pycache__."""
+    best = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        source = path.read_bytes()
+        times = []
+        for _ in range(repeat):
+            start = time.perf_counter()
+            compile(source, str(path), "exec", dont_inherit=True)
+            times.append(time.perf_counter() - start)
+        best[path.stem] = min(times)
+    return best
 
 
 if __name__ == "__main__":
     # python tests/helpers.py codelines prints the code lines of each module
     # of src/toricroots (no blanks, comments or docstrings) and their total.
+    # python tests/helpers.py compile prints, beside each module's code lines,
+    # the best of 20 compile() timings of its source and that time per line,
+    # the cost each cold process pays for the module without cached bytecode.
     # python tests/helpers.py NAME prints one scaling fixture: the fan JSON
     # of product9, cross4, glcross5, glcross5-1, p1n8-1, blowup, z5 or
     # orthant6 (the cone of the unit vectors of Z^6), or the polytope JSON
@@ -289,6 +313,14 @@ if __name__ == "__main__":
             print(f"{name:<10} {count:>5}")
         print(f"{'total':<10} {sum(counts.values()):>5}")
         sys.exit(0)
+    if sys.argv[1:] == ["compile"]:
+        counts, seconds = src_code_lines(), src_compile_seconds()
+        counts["total"], seconds["total"] = sum(counts.values()), sum(seconds.values())
+        print(f"{'module':<10} {'lines':>5} {'compile_ms':>10} {'us_per_line':>11}")
+        for name, count in counts.items():
+            secs = seconds[name]
+            print(f"{name:<10} {count:>5} {secs * 1e3:>10.2f} {secs * 1e6 / count:>11.1f}")
+        sys.exit(0)
     if len(sys.argv) != 2 or sys.argv[1] not in fixtures:
-        sys.exit(f"usage: python tests/helpers.py {{codelines,{','.join(fixtures)}}}")
+        sys.exit(f"usage: python tests/helpers.py {{codelines,compile,{','.join(fixtures)}}}")
     print(json.dumps(fixtures[sys.argv[1]]()))

@@ -89,7 +89,7 @@ matrices: ``additive.complete_collections`` reads each unimodular cone's
 dual basis off its stored facet normals, and ``additive.verify_witness``
 pulls the second collection's roots back by the transpose of the witness.
 Kept below unchanged but for names: the maximal-cone scan that inverted
-each n-ray cone through ``lattice.dual_basis`` (``dual_basis_collections``)
+each n-ray cone through ``dual_basis`` (``dual_basis_collections``)
 and the witness check that pushed the first collection's roots forward by
 the transposed inverse (``pushforward_verify_witness``).
 
@@ -200,6 +200,10 @@ maximal cone with the ray, so no decision builds the index. Kept below
 unchanged but for its name: the lookup of each such ray set, with the ray
 added, in ``fan._index`` (``condition2_by_face_index``, on the pairing
 row).
+
+Then ``lattice.dual_basis`` left the package, with no caller there: it is
+kept below unchanged but for its module references (``dual_basis``), for
+the two collection scans here that invert each basis.
 """
 
 from __future__ import annotations
@@ -543,7 +547,7 @@ def complete_collections(fan: Fan) -> tuple[CompleteCollection, ...]:
         basis = tuple(fan.rays[i] for i in subset)
         if abs(lattice.determinant(basis)) != 1:
             continue
-        dual = lattice.dual_basis(basis)
+        dual = dual_basis(basis)
         roots = []
         for pos, ray_idx in enumerate(subset):
             e = neg(dual[pos])
@@ -1451,6 +1455,11 @@ def degree_zero_check(pres: CoxPresentation, f: GaActionFormula) -> bool:
 # the collection scan and the witness check that inverted matrices
 
 
+def dual_basis(basis: Sequence[Vec]) -> Mat:
+    """Vectors q_1..q_n with <p_i, q_j> = delta_ij for a unimodular basis."""
+    return lattice.transpose(lattice.invert_unimodular(basis))
+
+
 def dual_basis_collections(fan: Fan) -> tuple[CompleteCollection, ...]:
     """All complete collections, ordered by their sorted ray-index tuples.
 
@@ -1474,7 +1483,7 @@ def dual_basis_collections(fan: Fan) -> tuple[CompleteCollection, ...]:
         if len(cone.ray_indices) != n:
             continue
         try:
-            dual = lattice.dual_basis([fan.rays[i] for i in cone.ray_indices])
+            dual = dual_basis([fan.rays[i] for i in cone.ray_indices])
         except NotUnimodular:
             continue
         roots = []

@@ -1,12 +1,13 @@
 """The code-line counter behind ``python tests/helpers.py codelines``, the
 count of ``src/`` lines that CHANGES.md and ROADMAP.md quote: no blank
-lines, comments or docstrings."""
+lines, comments or docstrings; and ``python tests/helpers.py compile``,
+which times compile() on each module beside that count."""
 
 import subprocess
 import sys
 from pathlib import Path
 
-from helpers import code_lines, src_code_lines
+from helpers import code_lines, src_code_lines, src_compile_seconds
 
 SOURCE = '''"""Module docstring,
 over two lines."""
@@ -47,3 +48,24 @@ def test_codelines_prints_each_module_and_the_total():
     assert {"__init__", "fan", "lattice", "demazure"} <= set(counts)
     assert rows == {**{name: str(n) for name, n in counts.items()},
                     "total": str(sum(counts.values()))}
+
+
+def test_compile_prints_each_modules_lines_and_compile_time():
+    helpers = Path(__file__).resolve().parent / "helpers.py"
+    out = subprocess.run([sys.executable, str(helpers), "compile"], capture_output=True,
+                         text=True, check=True).stdout
+    header, *lines = out.splitlines()
+    assert header.split() == ["module", "lines", "compile_ms", "us_per_line"]
+    rows = {name: (int(count), float(ms), float(per_line))
+            for name, count, ms, per_line in map(str.split, lines)}
+    counts = src_code_lines()
+    assert {name: row[0] for name, row in rows.items()} == {**counts,
+                                                           "total": sum(counts.values())}
+    assert all(ms > 0 and per_line > 0 for _, ms, per_line in rows.values())
+    assert rows["total"][1] >= max(ms for name, (_, ms, _) in rows.items() if name != "total")
+
+
+def test_compile_seconds_cover_every_module():
+    seconds = src_compile_seconds(repeat=1)
+    assert set(seconds) == set(src_code_lines())
+    assert all(s > 0 for s in seconds.values())

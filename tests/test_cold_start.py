@@ -24,7 +24,8 @@ ANALYSIS = ("lattice", "fan", "demazure", "additive", "cox", "polytope")
 
 # The public names of the package, by defining module, as they were when every
 # module was imported eagerly by the package, less the two test oracles
-# (bracket_oracle, degree_zero_check) that moved to tests/oracles.py.
+# (bracket_oracle, degree_zero_check) and lattice.dual_basis, which no module
+# of the package called, that moved to tests/oracles.py.
 EXPORTS = {
     "errors": [
         "BadParams", "DegeneratePolytope", "DimensionMismatch", "InfiniteRoots",
@@ -33,9 +34,8 @@ EXPORTS = {
         "ToricError", "TorsionClassGroup", "ZeroVector",
     ],
     "lattice": [
-        "UNBOUNDED", "Constraint", "Unbounded", "determinant", "dual_basis",
-        "hermite_column_form", "kernel_basis", "lattice_points", "primitive",
-        "smith_normal_form",
+        "UNBOUNDED", "Constraint", "Unbounded", "determinant", "hermite_column_form",
+        "kernel_basis", "lattice_points", "primitive", "smith_normal_form",
     ],
     "fan": [
         "Cone", "Fan", "LatticeAutomorphism", "apply_automorphism", "build_fan",
@@ -140,10 +140,45 @@ def test_roots_and_pairs_add_only_demazure(p2_file, command):
     assert loaded_after(run_main(*argv)) == {"fan", "lattice", "demazure"}
 
 
+def test_cox_loads_no_demazure(p2_file):
+    """Only the action formulas of cox read derivations, so the cox command
+    compiles no demazure; additive, which writes the formulas, loads both."""
+    assert loaded_after(run_main("cox", p2_file)) == {"fan", "lattice", "cox"}
+    assert {"demazure", "cox"} <= loaded_after(run_main("additive", p2_file))
+
+
 @pytest.mark.parametrize("action", [["normalfan"], ["scale", "2"]])
 def test_polytope_normalfan_and_scale_load_no_roots(square_file, action):
     argv = ["polytope", action[0], square_file, *action[1:]]
     assert loaded_after(run_main(*argv)) == {"polytope", "fan", "lattice"}
+
+
+def parsers_built(*argv: str) -> int:
+    """The number of argparse.ArgumentParser objects that cli.main builds on
+    argv in a fresh interpreter, the report discarded and an exit caught."""
+    code = ("import argparse, io, sys\nbuilt = []\ninit = argparse.ArgumentParser.__init__\n"
+            "def counting(self, *args, **kwargs):\n    built.append(self)\n"
+            "    init(self, *args, **kwargs)\n"
+            "argparse.ArgumentParser.__init__ = counting\nfrom toricroots import cli\n"
+            "real, sys.stdout = sys.stdout, io.StringIO()\n"
+            f"try:\n    cli.main({list(argv)!r})\nexcept SystemExit:\n    pass\n"
+            "sys.stdout = real\nprint(len(built))")
+    env = {**os.environ, "PYTHONPATH": SRC}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True)
+    return int(proc.stdout.splitlines()[-1])
+
+
+def test_a_command_builds_its_own_parser_and_help_the_tree(p2_file, square_file):
+    """A valid command builds its parser alone; the tree of every command's
+    parser is built for help and for arguments left over."""
+    from toricroots import cli
+
+    tree = 2 + len(cli._COMMANDS)  # the top level, the polytope group, each command
+    assert parsers_built("roots", p2_file) <= 2
+    assert parsers_built("polytope", "check", square_file, "--format", "text") <= 2
+    assert parsers_built("--help") == tree
+    assert parsers_built("cox", p2_file, "extra") == tree + 1
 
 
 COMMANDS = [
@@ -202,7 +237,7 @@ def test_submodules_stay_reachable():
     assert lattice is sys.modules["toricroots.lattice"]
     code = ("import toricroots\nassert toricroots.lattice.rank([(1, 0)], 2) == 1\n"
             "from toricroots import cox\nassert cox.__name__ == 'toricroots.cox'")
-    assert loaded_after(code) == {"lattice", "cox", "demazure", "fan"}
+    assert loaded_after(code) == {"lattice", "cox", "fan"}
 
 
 def test_a_name_is_resolved_once():

@@ -5,7 +5,7 @@ replaced.
 its facet normals, ``find_equivalence`` reads c1's inverse basis off its
 roots, and ``verify_witness`` pulls c2's roots back by the transpose of the
 witness. ``oracles.py`` keeps the maximal-cone scan through
-``lattice.dual_basis`` and the witness check through the transposed inverse.
+``oracles.dual_basis`` and the witness check through the transposed inverse.
 The fans are those of ``test_face_index.fans_in_dim`` in dimensions 2 to 6
 (builtin fans, GL_n(Z) images, subfans, an orthant), each also with its rays
 listed in a shuffled order.
